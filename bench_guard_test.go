@@ -11,10 +11,10 @@ package lockss
 //
 //	go test -run TestBenchGuard -update-bench .
 //
-// The workloads mirror the figure/table/ablation benchmarks in
-// bench_test.go at their first iteration (seed 1), one simulation run per
-// entry, so the guard stays a few seconds while covering the same hot path
-// the benches measure.
+// The workloads are one representative data point per figure, table and
+// ablation at reduced scale (seed 1), one simulation run per entry, so the
+// guard stays a few seconds while covering the hot path bench/ times. It is a
+// deterministic gate, not a measurement: numbers to quote come from bench/.
 
 import (
 	"encoding/json"
@@ -43,9 +43,19 @@ const benchGuardTolerance = 0.15
 
 const benchBaselinePath = "testdata/bench_baseline.json"
 
-// guardWorkloads mirrors the bench suite's figure/table/ablation workloads,
-// one simulation run each. Keys are stable identifiers recorded in the
-// baseline file.
+// benchWorld is the shared reduced-scale population of the guarded runs.
+func benchWorld() world.Config {
+	cfg := world.Default()
+	cfg.Peers = 25
+	cfg.AUs = 4
+	cfg.AUSize = 64 << 20
+	cfg.Duration = 1 * sim.Year
+	cfg.DamageDiskYears = 5
+	return cfg
+}
+
+// guardWorkloads is one simulation run per figure, table and ablation. Keys
+// are stable identifiers recorded in the baseline file.
 func guardWorkloads() []struct {
 	Name string
 	Run  func() error

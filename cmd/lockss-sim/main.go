@@ -5,9 +5,8 @@
 //
 // Usage:
 //
+//	lockss-sim                           # the twelve paper scenarios, in paper order
 //	lockss-sim -list                     # list registered scenarios
-//	lockss-sim -figure 2                 # one artifact: 2..8, table1, ablations
-//	lockss-sim -figure all               # everything
 //	lockss-sim -scenario figure2,table1  # run scenarios by registry name
 //	lockss-sim -output json              # text | json | csv
 //	lockss-sim -scale paper              # tiny | small | paper | large | huge
@@ -43,45 +42,13 @@ import (
 	"lockss/internal/sim"
 )
 
-// selection pairs a registry name with the table index the legacy -figure
-// spellings select; -1 selects all of the scenario's tables.
-type selection struct {
-	scenario string
-	table    int
-}
-
-func selections(figure string) ([]selection, error) {
-	all := []selection{
-		{"figure2", -1},
-		{"figures-pipe-stoppage", -1},
-		{"figures-admission-flood", -1},
-		{"table1", -1},
-		{"ablation-refractory", -1},
-		{"ablation-drop-prob", -1},
-		{"ablation-introductions", -1},
-		{"ablation-desynchronization", -1},
-		{"ablation-effort-balancing", -1},
-		{"extension-churn", -1},
-		{"extension-adaptive", -1},
-		{"extension-combined", -1},
+// paperNames is the default set: what runs when -scenario is not given.
+func paperNames() []string {
+	var names []string
+	for _, spec := range experiment.PaperScenarios() {
+		names = append(names, spec.Name)
 	}
-	switch figure {
-	case "all":
-		return all, nil
-	case "2":
-		return []selection{{"figure2", -1}}, nil
-	case "3", "4", "5":
-		return []selection{{"figures-pipe-stoppage", int(figure[0] - '3')}}, nil
-	case "6", "7", "8":
-		return []selection{{"figures-admission-flood", int(figure[0] - '6')}}, nil
-	case "table1":
-		return []selection{{"table1", -1}}, nil
-	case "ablations":
-		return all[4:9], nil
-	case "extensions":
-		return all[9:12], nil
-	}
-	return nil, fmt.Errorf("unknown figure %q", figure)
+	return names
 }
 
 // emitter writes tables in the selected output format.
@@ -109,8 +76,7 @@ func emitter(format string) (func(t *experiment.Table) error, error) {
 
 func main() {
 	var (
-		figure   = flag.String("figure", "", "legacy artifact selector: 2,3,4,5,6,7,8,table1,ablations,extensions,all")
-		scenario = flag.String("scenario", "", "comma-separated registered scenario names to run (see -list)")
+		scenario = flag.String("scenario", "", "comma-separated registered scenario names to run (see -list); default: the paper's evaluation in paper order, "+strings.Join(paperNames(), ","))
 		list     = flag.Bool("list", false, "list registered scenarios and exit")
 		output   = flag.String("output", "text", "output format: text, json, csv")
 		scale    = flag.String("scale", "small", "experiment fidelity: tiny, small, paper, large, huge")
@@ -130,7 +96,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Profiling hooks, so perf work can profile real figure runs instead of
+	// Profiling hooks, so perf work can profile real scenario runs instead of
 	// reduced benchmark stand-ins. Inspect with `go tool pprof`.
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
@@ -163,6 +129,7 @@ func main() {
 		for _, s := range experiment.List() {
 			fmt.Printf("%-28s %s\n", s.Name, s.Description)
 		}
+		fmt.Printf("\ndefault (no -scenario), in paper order: %s\n", strings.Join(paperNames(), ","))
 		return
 	}
 
@@ -212,42 +179,24 @@ func main() {
 		fail(err)
 	}
 
-	// Resolve what to run: explicit -scenario names win; -figure (default
-	// "all" when neither flag is given) maps onto the same registry.
-	var sels []selection
-	switch {
-	case *scenario != "" && *figure != "":
-		fail(fmt.Errorf("-scenario and -figure are mutually exclusive"))
-	case *scenario != "":
-		for _, name := range strings.Split(*scenario, ",") {
-			sels = append(sels, selection{strings.TrimSpace(name), -1})
-		}
-	default:
-		f := strings.ToLower(*figure)
-		if f == "" {
-			f = "all"
-		}
-		sels, err = selections(f)
-		if err != nil {
-			fail(err)
-		}
+	names := paperNames()
+	if *scenario != "" {
+		names = strings.Split(*scenario, ",")
 	}
 
 	// SIGINT/SIGTERM cancel the run; queued simulations are skipped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	for _, sel := range sels {
-		spec, ok := experiment.Lookup(sel.scenario)
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		spec, ok := experiment.Lookup(name)
 		if !ok {
-			fail(fmt.Errorf("scenario %q not registered (try -list)", sel.scenario))
+			fail(fmt.Errorf("scenario %q not registered (try -list)", name))
 		}
 		tables, err := spec.Run(ctx, opts)
 		if err != nil {
 			fail(err)
-		}
-		if sel.table >= 0 {
-			tables = tables[sel.table : sel.table+1]
 		}
 		for _, t := range tables {
 			if err := emit(t); err != nil {

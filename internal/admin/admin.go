@@ -208,66 +208,180 @@ func inspect[T any](s *Server, fn func(p *protocol.Peer) T) (T, bool) {
 	}
 }
 
-// metricRow is one exposition line: a name, a type and a value.
-type metricRow struct {
-	name string
-	typ  string // "counter" or "gauge"
-	val  float64
+// scrape is everything one /metrics request reads from the node, gathered
+// once so the family getters are pure functions of it.
+type scrape struct {
+	node.Stats
+	// responsive reports that the actor loop answered the stats round trip;
+	// Stats.Peer is only meaningful when it is set.
+	responsive bool
+	links      []node.LinkInfo
+	// aus is nil when the actor loop did not answer the AU inspection.
+	aus []protocol.AUInfo
 }
 
-// helpText gives every scalar family its # HELP line. A name missing here
-// still expositions cleanly (HELP is optional per family); the format lint in
-// the tests keeps the map honest for the families it covers.
-var helpText = map[string]string{
-	"lockss_up":                               "Always 1 while the admin server answers.",
-	"lockss_actor_responsive":                 "1 when the protocol actor loop answered a bounded round trip.",
-	"lockss_transport_sent_total":             "Frames successfully handed to the kernel.",
-	"lockss_transport_drops_total":            "Messages discarded anywhere on the send path.",
-	"lockss_transport_drops_queue_full_total": "Drops due to a full per-peer send queue.",
-	"lockss_transport_dials_total":            "Outbound dial attempts.",
-	"lockss_transport_redials_total":          "Dial attempts reconnecting a previously live peer.",
-	"lockss_transport_dial_failures_total":    "Dial or handshake attempts that produced no session.",
-	"lockss_transport_queue_highwater":        "Maximum per-peer outbound queue depth observed.",
-	"lockss_transport_inbound_accepted_total": "Inbound connections admitted to handshake.",
-	"lockss_transport_inbound_rejected_total": "Inbound connections refused by the admission caps.",
-	"lockss_peer_links":                       "Outbound peer links ever created.",
-	"lockss_peer_links_connected":             "Outbound peer links with a live session.",
-	"lockss_send_queue_depth":                 "Total frames waiting in outbound queues.",
-	"lockss_store_blocks_scanned_total":       "Blocks read by the scrubber.",
-	"lockss_store_blocks_verified_total":      "Scrubbed blocks that matched their manifest hash.",
-	"lockss_store_blocks_damaged_total":       "Blocks newly marked damaged.",
-	"lockss_store_blocks_repaired_total":      "Damage marks cleared by verified bytes.",
-	"lockss_store_scrub_passes_total":         "Completed full scrub passes.",
-	"lockss_store_manifest_writes_total":      "Manifest files written.",
-	"lockss_store_manifest_mutations_total":   "Manifest mutations requested.",
-	"lockss_store_manifest_commits_total":     "Group commits flushed.",
-	"lockss_store_fsyncs_total":               "fsync calls issued by the store.",
-	"lockss_store_bytes_ingested_total":       "Content bytes ingested.",
-	"lockss_store_bytes_scrubbed_total":       "Content bytes read by the scrubber.",
-	"lockss_store_damage_injected_total":      "Blocks corrupted by the damage-injection API.",
-	"lockss_polls_started_total":              "Polls this peer initiated.",
-	"lockss_polls_succeeded_total":            "Polls concluded with a landslide agreement.",
-	"lockss_polls_inquorate_total":            "Polls concluded without reaching quorum.",
-	"lockss_polls_inconclusive_total":         "Polls concluded without a landslide either way.",
-	"lockss_polls_repair_failed_total":        "Polls whose repair attempt failed.",
-	"lockss_polls_concluded_total":            "Polls concluded, any outcome.",
-	"lockss_alarms_total":                     "Inconclusive-poll alarms raised.",
-	"lockss_votes_supplied_total":             "Votes this peer supplied to other pollers.",
-	"lockss_votes_received_total":             "Valid votes received in this peer's polls.",
-	"lockss_invites_considered_total":         "Poll invitations considered.",
-	"lockss_invites_refused_total":            "Poll invitations refused.",
-	"lockss_invites_ignored_total":            "Poll invitations ignored.",
-	"lockss_repairs_served_total":             "Repair blocks served to other peers.",
-	"lockss_repairs_received_total":           "Repair blocks received and applied.",
-	"lockss_acks_timed_out_total":             "Invitation acks that timed out.",
-	"lockss_votes_timed_out_total":            "Votes that timed out.",
-	"lockss_proofs_timed_out_total":           "Effort proofs that timed out.",
-	"lockss_receipts_timed_out_total":         "Evaluation receipts that timed out.",
-	"lockss_bad_proofs_total":                 "Effort proofs that failed verification.",
-	"lockss_aus":                              "Archival units registered.",
-	"lockss_au_damaged_blocks":                "Blocks currently marked damaged across all AUs.",
-	"lockss_active_polls":                     "AUs with a poll in flight.",
-	"lockss_voter_sessions":                   "Live voter-side sessions across all AUs.",
+// section names the part of a scrape a family is computed from, and with it
+// the condition under which the family is exported at all.
+type section int
+
+const (
+	always   section = iota // transport counters and liveness gauges
+	hasStore                // only on a node running a durable store
+	actorUp                 // only when the actor loop returned protocol stats
+	ausSeen                 // only when the actor loop returned the AU infos
+)
+
+// family declares one scalar metric: its exposition name, type and HELP
+// text, and how to read its value out of a scrape.
+type family struct {
+	name, typ, help string
+	in              section
+	get             func(*scrape) float64
+}
+
+func counter(name, help string, in section, get func(*scrape) uint64) family {
+	return family{name, "counter", help, in, func(sc *scrape) float64 { return float64(get(sc)) }}
+}
+
+func gauge(name, help string, in section, get func(*scrape) float64) family {
+	return family{name, "gauge", help, in, get}
+}
+
+// sumLinks and sumAUs build getters that sum a per-element quantity over the
+// scrape's link and AU infos.
+func sumLinks(f func(node.LinkInfo) int) func(*scrape) float64 {
+	return func(sc *scrape) float64 {
+		n := 0
+		for _, l := range sc.links {
+			n += f(l)
+		}
+		return float64(n)
+	}
+}
+
+func sumAUs(f func(protocol.AUInfo) int) func(*scrape) float64 {
+	return func(sc *scrape) float64 {
+		n := 0
+		for _, au := range sc.aus {
+			n += f(au)
+		}
+		return float64(n)
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// scalarFamilies is the node's scalar exposition, declared once, in
+// exposition order. handleMetrics walks it; nothing else names a metric.
+var scalarFamilies = []family{
+	gauge("lockss_up", "Always 1 while the admin server answers.", always,
+		func(*scrape) float64 { return 1 }),
+	gauge("lockss_actor_responsive", "1 when the protocol actor loop answered a bounded round trip.", always,
+		func(sc *scrape) float64 { return float64(b2i(sc.responsive)) }),
+
+	counter("lockss_transport_sent_total", "Frames successfully handed to the kernel.", always,
+		func(sc *scrape) uint64 { return sc.Transport.Sent }),
+	counter("lockss_transport_drops_total", "Messages discarded anywhere on the send path.", always,
+		func(sc *scrape) uint64 { return sc.Transport.Drops }),
+	counter("lockss_transport_drops_queue_full_total", "Drops due to a full per-peer send queue.", always,
+		func(sc *scrape) uint64 { return sc.Transport.DropsQueueFull }),
+	counter("lockss_transport_dials_total", "Outbound dial attempts.", always,
+		func(sc *scrape) uint64 { return sc.Transport.Dials }),
+	counter("lockss_transport_redials_total", "Dial attempts reconnecting a previously live peer.", always,
+		func(sc *scrape) uint64 { return sc.Transport.Redials }),
+	counter("lockss_transport_dial_failures_total", "Dial or handshake attempts that produced no session.", always,
+		func(sc *scrape) uint64 { return sc.Transport.DialFailures }),
+	gauge("lockss_transport_queue_highwater", "Maximum per-peer outbound queue depth observed.", always,
+		func(sc *scrape) float64 { return float64(sc.Transport.QueueHighWater) }),
+	counter("lockss_transport_inbound_accepted_total", "Inbound connections admitted to handshake.", always,
+		func(sc *scrape) uint64 { return sc.Transport.InboundAccepted }),
+	counter("lockss_transport_inbound_rejected_total", "Inbound connections refused by the admission caps.", always,
+		func(sc *scrape) uint64 { return sc.Transport.InboundRejected }),
+
+	gauge("lockss_peer_links", "Outbound peer links ever created.", always,
+		func(sc *scrape) float64 { return float64(len(sc.links)) }),
+	gauge("lockss_peer_links_connected", "Outbound peer links with a live session.", always,
+		sumLinks(func(l node.LinkInfo) int { return b2i(l.Connected) })),
+	gauge("lockss_send_queue_depth", "Total frames waiting in outbound queues.", always,
+		sumLinks(func(l node.LinkInfo) int { return l.QueueDepth })),
+
+	counter("lockss_store_blocks_scanned_total", "Blocks read by the scrubber.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.BlocksScanned }),
+	counter("lockss_store_blocks_verified_total", "Scrubbed blocks that matched their manifest hash.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.BlocksVerified }),
+	counter("lockss_store_blocks_damaged_total", "Blocks newly marked damaged.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.BlocksDamaged }),
+	counter("lockss_store_blocks_repaired_total", "Damage marks cleared by verified bytes.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.BlocksRepaired }),
+	counter("lockss_store_scrub_passes_total", "Completed full scrub passes.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.ScrubPasses }),
+	counter("lockss_store_manifest_writes_total", "Manifest files written.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.ManifestWrites }),
+	counter("lockss_store_manifest_mutations_total", "Manifest mutations requested.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.ManifestMutations }),
+	counter("lockss_store_manifest_commits_total", "Group commits flushed.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.ManifestCommits }),
+	counter("lockss_store_fsyncs_total", "fsync calls issued by the store.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.Fsyncs }),
+	counter("lockss_store_bytes_ingested_total", "Content bytes ingested.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.BytesIngested }),
+	counter("lockss_store_bytes_scrubbed_total", "Content bytes read by the scrubber.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.BytesScrubbed }),
+	counter("lockss_store_damage_injected_total", "Blocks corrupted by the damage-injection API.", hasStore,
+		func(sc *scrape) uint64 { return sc.Store.DamageInjected }),
+
+	counter("lockss_polls_started_total", "Polls this peer initiated.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.PollsStarted }),
+	counter("lockss_polls_succeeded_total", "Polls concluded with a landslide agreement.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.PollsSucceeded }),
+	counter("lockss_polls_inquorate_total", "Polls concluded without reaching quorum.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.PollsInquorate }),
+	counter("lockss_polls_inconclusive_total", "Polls concluded without a landslide either way.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.PollsInconclusive }),
+	counter("lockss_polls_repair_failed_total", "Polls whose repair attempt failed.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.PollsRepairFailed }),
+	counter("lockss_polls_concluded_total", "Polls concluded, any outcome.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.PollsConcluded() }),
+	counter("lockss_alarms_total", "Inconclusive-poll alarms raised.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.Alarms }),
+	counter("lockss_votes_supplied_total", "Votes this peer supplied to other pollers.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.VotesSupplied }),
+	counter("lockss_votes_received_total", "Valid votes received in this peer's polls.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.VotesReceived }),
+	counter("lockss_invites_considered_total", "Poll invitations considered.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.InvitesConsidered }),
+	counter("lockss_invites_refused_total", "Poll invitations refused.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.InvitesRefused }),
+	counter("lockss_invites_ignored_total", "Poll invitations ignored.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.InvitesIgnored }),
+	counter("lockss_repairs_served_total", "Repair blocks served to other peers.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.RepairsServed }),
+	counter("lockss_repairs_received_total", "Repair blocks received and applied.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.RepairsReceived }),
+	counter("lockss_acks_timed_out_total", "Invitation acks that timed out.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.AcksTimedOut }),
+	counter("lockss_votes_timed_out_total", "Votes that timed out.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.VotesTimedOut }),
+	counter("lockss_proofs_timed_out_total", "Effort proofs that timed out.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.ProofsTimedOut }),
+	counter("lockss_receipts_timed_out_total", "Evaluation receipts that timed out.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.ReceiptsTimedOut }),
+	counter("lockss_bad_proofs_total", "Effort proofs that failed verification.", actorUp,
+		func(sc *scrape) uint64 { return sc.Peer.BadProofs }),
+
+	gauge("lockss_aus", "Archival units registered.", ausSeen,
+		func(sc *scrape) float64 { return float64(len(sc.aus)) }),
+	gauge("lockss_au_damaged_blocks", "Blocks currently marked damaged across all AUs.", ausSeen,
+		sumAUs(func(au protocol.AUInfo) int { return len(au.DamagedBlocks) })),
+	gauge("lockss_active_polls", "AUs with a poll in flight.", ausSeen,
+		sumAUs(func(au protocol.AUInfo) int { return b2i(au.PollActive) })),
+	gauge("lockss_voter_sessions", "Live voter-side sessions across all AUs.", ausSeen,
+		sumAUs(func(au protocol.AUInfo) int { return au.VoterSessions })),
 }
 
 // handleMetrics serves Prometheus text-format counters. Transport and store
@@ -275,97 +389,19 @@ var helpText = map[string]string{
 // appear only when the actor loop answered in time, with
 // lockss_actor_responsive telling the two apart.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st, respOK := s.n.StatsWithin(s.opts.InspectTimeout)
-
-	rows := make([]metricRow, 0, 48)
-	add := func(name, typ string, v float64) { rows = append(rows, metricRow{name, typ, v}) }
-
-	add("lockss_up", "gauge", 1)
-	add("lockss_actor_responsive", "gauge", b2f(respOK))
-
-	t := st.Transport
-	add("lockss_transport_sent_total", "counter", float64(t.Sent))
-	add("lockss_transport_drops_total", "counter", float64(t.Drops))
-	add("lockss_transport_drops_queue_full_total", "counter", float64(t.DropsQueueFull))
-	add("lockss_transport_dials_total", "counter", float64(t.Dials))
-	add("lockss_transport_redials_total", "counter", float64(t.Redials))
-	add("lockss_transport_dial_failures_total", "counter", float64(t.DialFailures))
-	add("lockss_transport_queue_highwater", "gauge", float64(t.QueueHighWater))
-	add("lockss_transport_inbound_accepted_total", "counter", float64(t.InboundAccepted))
-	add("lockss_transport_inbound_rejected_total", "counter", float64(t.InboundRejected))
-
-	links := s.n.LinkInfos()
-	connected, depth := 0, 0
-	for _, l := range links {
-		if l.Connected {
-			connected++
-		}
-		depth += l.QueueDepth
+	sc := scrape{links: s.n.LinkInfos()}
+	sc.Stats, sc.responsive = s.n.StatsWithin(s.opts.InspectTimeout)
+	ausOK := false
+	if sc.responsive {
+		sc.aus, ausOK = inspect(s, func(p *protocol.Peer) []protocol.AUInfo { return p.AUInfos() })
 	}
-	add("lockss_peer_links", "gauge", float64(len(links)))
-	add("lockss_peer_links_connected", "gauge", float64(connected))
-	add("lockss_send_queue_depth", "gauge", float64(depth))
-
-	if s.n.HasStore() {
-		ss := st.Store
-		add("lockss_store_blocks_scanned_total", "counter", float64(ss.BlocksScanned))
-		add("lockss_store_blocks_verified_total", "counter", float64(ss.BlocksVerified))
-		add("lockss_store_blocks_damaged_total", "counter", float64(ss.BlocksDamaged))
-		add("lockss_store_blocks_repaired_total", "counter", float64(ss.BlocksRepaired))
-		add("lockss_store_scrub_passes_total", "counter", float64(ss.ScrubPasses))
-		add("lockss_store_manifest_writes_total", "counter", float64(ss.ManifestWrites))
-		add("lockss_store_manifest_mutations_total", "counter", float64(ss.ManifestMutations))
-		add("lockss_store_manifest_commits_total", "counter", float64(ss.ManifestCommits))
-		add("lockss_store_fsyncs_total", "counter", float64(ss.Fsyncs))
-		add("lockss_store_bytes_ingested_total", "counter", float64(ss.BytesIngested))
-		add("lockss_store_bytes_scrubbed_total", "counter", float64(ss.BytesScrubbed))
-		add("lockss_store_damage_injected_total", "counter", float64(ss.DamageInjected))
-	}
-
-	if respOK {
-		p := st.Peer
-		add("lockss_polls_started_total", "counter", float64(p.PollsStarted))
-		add("lockss_polls_succeeded_total", "counter", float64(p.PollsSucceeded))
-		add("lockss_polls_inquorate_total", "counter", float64(p.PollsInquorate))
-		add("lockss_polls_inconclusive_total", "counter", float64(p.PollsInconclusive))
-		add("lockss_polls_repair_failed_total", "counter", float64(p.PollsRepairFailed))
-		add("lockss_polls_concluded_total", "counter", float64(p.PollsConcluded()))
-		add("lockss_alarms_total", "counter", float64(p.Alarms))
-		add("lockss_votes_supplied_total", "counter", float64(p.VotesSupplied))
-		add("lockss_votes_received_total", "counter", float64(p.VotesReceived))
-		add("lockss_invites_considered_total", "counter", float64(p.InvitesConsidered))
-		add("lockss_invites_refused_total", "counter", float64(p.InvitesRefused))
-		add("lockss_invites_ignored_total", "counter", float64(p.InvitesIgnored))
-		add("lockss_repairs_served_total", "counter", float64(p.RepairsServed))
-		add("lockss_repairs_received_total", "counter", float64(p.RepairsReceived))
-		add("lockss_acks_timed_out_total", "counter", float64(p.AcksTimedOut))
-		add("lockss_votes_timed_out_total", "counter", float64(p.VotesTimedOut))
-		add("lockss_proofs_timed_out_total", "counter", float64(p.ProofsTimedOut))
-		add("lockss_receipts_timed_out_total", "counter", float64(p.ReceiptsTimedOut))
-		add("lockss_bad_proofs_total", "counter", float64(p.BadProofs))
-
-		if infos, ok := inspect(s, func(p *protocol.Peer) []protocol.AUInfo { return p.AUInfos() }); ok {
-			damaged, polls, sessions := 0, 0, 0
-			for _, au := range infos {
-				damaged += len(au.DamagedBlocks)
-				if au.PollActive {
-					polls++
-				}
-				sessions += au.VoterSessions
-			}
-			add("lockss_aus", "gauge", float64(len(infos)))
-			add("lockss_au_damaged_blocks", "gauge", float64(damaged))
-			add("lockss_active_polls", "gauge", float64(polls))
-			add("lockss_voter_sessions", "gauge", float64(sessions))
-		}
-	}
+	export := [...]bool{always: true, hasStore: s.n.HasStore(), actorUp: sc.responsive, ausSeen: ausOK}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, row := range rows {
-		if help, ok := helpText[row.name]; ok {
-			fmt.Fprintf(w, "# HELP %s %s\n", row.name, help)
+	for _, f := range scalarFamilies {
+		if export[f.in] {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", f.name, f.help, f.name, f.typ, f.name, f.get(&sc))
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n%s %g\n", row.name, row.typ, row.name, row.val)
 	}
 
 	fmt.Fprintf(w, "# HELP lockss_build_info Build metadata; value is always 1.\n")
@@ -398,13 +434,6 @@ func writeHistograms(w http.ResponseWriter, tel *telemetry.Telemetry) {
 // merges scraped histograms.
 func formatBound(sec float64) string {
 	return strconv.FormatFloat(sec, 'g', 17, 64)
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // health is the /healthz body.

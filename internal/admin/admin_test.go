@@ -16,6 +16,7 @@ import (
 	"lockss/internal/promtext"
 	"lockss/internal/protocol"
 	"lockss/internal/reputation"
+	"lockss/internal/store"
 	"lockss/internal/telemetry"
 )
 
@@ -56,12 +57,26 @@ func testCosts() effort.CostModel {
 
 var testMBF = effort.MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7}
 
-// newTestNode builds and starts a lone node preserving one AU whose
-// reference peers exist only in the address book — good enough for every
-// handler that reads state rather than driving the protocol.
+// newTestNode builds and starts a lone node preserving one in-memory AU
+// whose reference peers exist only in the address book — good enough for
+// every handler that reads state rather than driving the protocol.
 func newTestNode(t *testing.T, damage []int) *node.Node {
 	t.Helper()
-	spec := content.AUSpec{ID: 1, Name: "au-admin", Size: 128 << 10, BlockSize: 32 << 10}
+	rep := content.NewRealReplica(testSpec, 1)
+	for _, b := range damage {
+		if !rep.Damage(b) {
+			t.Fatalf("damage injection at block %d failed", b)
+		}
+	}
+	return startTestNode(t, nil, rep)
+}
+
+var testSpec = content.AUSpec{ID: 1, Name: "au-admin", Size: 128 << 10, BlockSize: 32 << 10}
+
+// startTestNode starts a node preserving rep, on the durable store st when
+// it is non-nil.
+func startTestNode(t *testing.T, st *store.Store, rep content.Replica) *node.Node {
+	t.Helper()
 	book := map[ids.PeerID]string{
 		2: "127.0.0.1:1", 3: "127.0.0.1:1", 4: "127.0.0.1:1",
 		5: "127.0.0.1:1", 6: "127.0.0.1:1",
@@ -75,22 +90,17 @@ func newTestNode(t *testing.T, damage []int) *node.Node {
 		MBF:         testMBF,
 		EffortUnit:  0.05,
 		Seed:        42,
+		Store:       st,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	rep := content.NewRealReplica(spec, 1)
-	for _, b := range damage {
-		if !rep.Damage(b) {
-			t.Fatalf("damage injection at block %d failed", b)
-		}
 	}
 	refs := []ids.PeerID{2, 3, 4, 5, 6}
 	if err := n.AddAU(rep, refs); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range refs {
-		n.Peer().SeedGrade(spec.ID, r, reputation.Even)
+		n.Peer().SeedGrade(testSpec.ID, r, reputation.Even)
 	}
 	if err := n.Start(); err != nil {
 		t.Fatal(err)

@@ -79,11 +79,6 @@ var scenarioAblationRefractory = mustRegister(&Scenario{
 	},
 })
 
-// AblationRefractory reproduces ablation A1 through the scenario registry.
-func AblationRefractory(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioAblationRefractory.Name, o))
-}
-
 // ablationDropSettings pairs the swept (drop-unknown, drop-debt)
 // probabilities; the axis sweeps indices into it.
 var ablationDropSettings = []struct{ unknown, debt float64 }{
@@ -134,11 +129,6 @@ var scenarioAblationDropProb = mustRegister(&Scenario{
 	},
 })
 
-// AblationDropProb reproduces ablation A2 through the scenario registry.
-func AblationDropProb(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioAblationDropProb.Name, o))
-}
-
 // scenarioAblationIntroductions toggles peer introductions under a
 // sustained admission flood and reports discovery health.
 var scenarioAblationIntroductions = mustRegister(&Scenario{
@@ -169,12 +159,6 @@ var scenarioAblationIntroductions = mustRegister(&Scenario{
 		return fmt.Sprintf("ablation/intros=%v polls=%.0f", pt.At(0) != 0, pr.Stats.SuccessfulPolls)
 	},
 })
-
-// AblationIntroductions reproduces ablation A3 through the scenario
-// registry.
-func AblationIntroductions(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioAblationIntroductions.Name, o))
-}
 
 // scenarioAblationDesynchronization toggles desynchronized vote
 // solicitation and reports poll health, absent and under attack (§5.2's
@@ -220,12 +204,6 @@ var scenarioAblationDesynchronization = mustRegister(&Scenario{
 	},
 })
 
-// AblationDesynchronization reproduces ablation A4 through the scenario
-// registry.
-func AblationDesynchronization(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioAblationDesynchronization.Name, o))
-}
-
 // scenarioAblationEffortBalancing toggles effort balancing under the
 // brute-force NONE attack, showing the attacker's cost collapsing when
 // requests are cheap.
@@ -259,9 +237,3 @@ var scenarioAblationEffortBalancing = mustRegister(&Scenario{
 		return fmt.Sprintf("ablation/effort=%v cost=%s", pt.At(0) != 0, fmtRatio(pr.Cmp.CostRatio))
 	},
 })
-
-// AblationEffortBalancing reproduces ablation A5 through the scenario
-// registry.
-func AblationEffortBalancing(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioAblationEffortBalancing.Name, o))
-}

@@ -1,6 +1,6 @@
 // Package experiment runs the paper's evaluation: baseline and attack
 // scenarios, multi-seed averaging, the 600-AU layering technique, and one
-// generator per figure/table of §7.
+// registered Scenario per figure/table of §7.
 package experiment
 
 import (
@@ -203,9 +203,9 @@ type Options struct {
 	// the engine's worker count.
 	Progress func(format string, args ...any)
 	// Engine, if non-nil, schedules this generation's simulation runs.
-	// Share one Engine across generators to reuse memoized baseline runs
-	// (the CLI does, for -figure all); when nil each generator gets a
-	// fresh engine sized to GOMAXPROCS.
+	// Share one Engine across scenarios to reuse memoized baseline runs
+	// (the CLI does); when nil each scenario run gets a fresh engine sized
+	// to GOMAXPROCS.
 	Engine *Engine
 }
 
@@ -242,10 +242,7 @@ func (o Options) seeds() int {
 // BaseWorld returns the population config the Options select: the scale's
 // population shape, seeded from BaseSeed, with Shards applied. Scenario Base
 // functions and capacity benchmarks use it as their starting point.
-func (o Options) BaseWorld() world.Config { return o.baseWorld() }
-
-// baseWorld returns the population config for the scale.
-func (o Options) baseWorld() world.Config {
+func (o Options) BaseWorld() world.Config {
 	cfg := world.Default()
 	cfg.Seed = 1 + o.BaseSeed
 	switch o.Scale {

@@ -161,7 +161,7 @@ func TestFmtHelpers(t *testing.T) {
 func TestScaleOptions(t *testing.T) {
 	for _, s := range []Scale{ScaleTiny, ScaleSmall, ScalePaper} {
 		o := Options{Scale: s}
-		cfg := o.baseWorld()
+		cfg := o.BaseWorld()
 		if cfg.Peers <= cfg.Protocol.Quorum {
 			t.Errorf("%v: population too small", s)
 		}
@@ -179,7 +179,7 @@ func TestScaleOptions(t *testing.T) {
 
 func TestRunLayeredAggregates(t *testing.T) {
 	o := Options{Scale: ScaleTiny}
-	cfg := o.baseWorld()
+	cfg := o.BaseWorld()
 	cfg.Duration = sim.Year / 2
 	cfg.DamageDiskYears = 1
 	single, err := RunOne(cfg, nil)

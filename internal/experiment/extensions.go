@@ -131,11 +131,6 @@ var scenarioExtensionChurn = mustRegister(&Scenario{
 	},
 })
 
-// ExtensionChurn reproduces extension E1 through the scenario registry.
-func ExtensionChurn(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioExtensionChurn.Name, o))
-}
-
 // scenarioExtensionAdaptive evaluates §9's adaptive-acceptance idea against
 // the brute-force REMAINING attack: victims modulate acceptance of unknown/
 // in-debt invitations by recent busyness.
@@ -178,11 +173,6 @@ var scenarioExtensionAdaptive = mustRegister(&Scenario{
 		return fmt.Sprintf("adaptive=%v friction=%s", pt.At(0) != 0, fmtRatio(pr.Cmp.Friction))
 	},
 })
-
-// ExtensionAdaptive reproduces extension E2 through the scenario registry.
-func ExtensionAdaptive(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioExtensionAdaptive.Name, o))
-}
 
 // combinedParts builds the §9 combined-strategy attack roster: a pipe
 // stoppage softening communication and a brute-force REMAINING attacker
@@ -239,8 +229,3 @@ var scenarioExtensionCombined = mustRegister(&Scenario{
 		return fmt.Sprintf("combined %s afp=%s", combinedNames[int(pt.At(0))], fmtProb(pr.Stats.AccessFailure))
 	},
 })
-
-// ExtensionCombined reproduces extension E3 through the scenario registry.
-func ExtensionCombined(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioExtensionCombined.Name, o))
-}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"lockss/internal/adversary"
@@ -11,8 +10,28 @@ import (
 )
 
 // The paper's figures and tables, each expressed as a registered Scenario:
-// the sweep grid, attack factory and rendering are declarative data, and
-// the exported generator functions are thin wrappers over the registry.
+// the sweep grid, attack factory and rendering are declarative data.
+
+// PaperScenarios returns the paper's evaluation in paper order: Figure 2,
+// Figures 3-5, Figures 6-8, Table 1, then the five ablations and the three
+// §9 extensions. It is what lockss-sim runs when no scenario is named, and
+// the order the tiny-scale goldens concatenate in.
+func PaperScenarios() []*Scenario {
+	return []*Scenario{
+		scenarioFigure2,
+		scenarioPipeStoppage,
+		scenarioAdmissionFlood,
+		scenarioTable1,
+		scenarioAblationRefractory,
+		scenarioAblationDropProb,
+		scenarioAblationIntroductions,
+		scenarioAblationDesynchronization,
+		scenarioAblationEffortBalancing,
+		scenarioExtensionChurn,
+		scenarioExtensionAdaptive,
+		scenarioExtensionCombined,
+	}
+}
 
 // --- Figure 2: baseline access failure vs inter-poll interval -------------
 
@@ -46,7 +65,7 @@ var figure2LargeMTBFs = []float64{1, 5}
 
 // collectionLabel renders the paper's collection-size labels.
 func collectionLabel(o Options, layered bool) string {
-	aus := o.baseWorld().AUs
+	aus := o.BaseWorld().AUs
 	if layered {
 		return fmt.Sprintf("%d AUs (layered)", aus*o.layersFor())
 	}
@@ -175,11 +194,6 @@ var scenarioFigure2 = mustRegister(&Scenario{
 	},
 })
 
-// Figure2 reproduces the paper's Figure 2 through the scenario registry.
-func Figure2(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioFigure2.Name, o))
-}
-
 // --- Figures 3-5 and 6-8: pulsed attack sweeps ------------------------------
 
 func (o Options) stoppageDurations() []sim.Duration {
@@ -222,7 +236,7 @@ func sweepSeries(o Options, idx int) (cov float64, layered bool, label string) {
 	if idx < len(covs) {
 		return covs[idx], false, fmtSeries(covs[idx])
 	}
-	base := o.baseWorld()
+	base := o.BaseWorld()
 	return 1.0, true, fmt.Sprintf("100%% %dAUs", base.AUs*o.layersFor())
 }
 
@@ -322,11 +336,6 @@ var scenarioPipeStoppage = attackSweepScenario(
 	},
 )
 
-// FiguresPipeStoppage reproduces Figures 3-5 through the scenario registry.
-func FiguresPipeStoppage(o Options) ([]*Table, error) {
-	return runRegistered(scenarioPipeStoppage.Name, o)
-}
-
 // scenarioAdmissionFlood reproduces Figures 6, 7 and 8: the admission-
 // control adversary's garbage invitations from unknown identities.
 var scenarioAdmissionFlood = attackSweepScenario(
@@ -350,12 +359,6 @@ var scenarioAdmissionFlood = attackSweepScenario(
 		{"paper: sustained attacks can raise the cost per successful poll by ~33%"},
 	},
 )
-
-// FiguresAdmissionFlood reproduces Figures 6-8 through the scenario
-// registry.
-func FiguresAdmissionFlood(o Options) ([]*Table, error) {
-	return runRegistered(scenarioAdmissionFlood.Name, o)
-}
 
 // --- Table 1: brute-force defection strategies -----------------------------
 
@@ -413,22 +416,6 @@ var scenarioTable1 = mustRegister(&Scenario{
 			fmtRatio(pr.Cmp.Friction), fmtRatio(pr.Cmp.CostRatio))
 	},
 })
-
-// Table1 reproduces the paper's Table 1 through the scenario registry.
-func Table1(o Options) (*Table, error) {
-	return oneTable(runRegistered(scenarioTable1.Name, o))
-}
-
-// --- Baseline helper shared by examples and tests ---------------------------
-
-// Baseline runs the no-attack scenario at the given options and returns its
-// stats.
-func Baseline(o Options) (RunStats, error) {
-	return o.engine().RunAveraged(context.Background(), o.baseWorld(), nil, o.seeds())
-}
-
-// WorldConfig exposes the scale's world configuration (for examples).
-func WorldConfig(o Options) world.Config { return o.baseWorld() }
 
 // fmtSeries formats a coverage fraction as the paper's series label.
 func fmtSeries(coverage float64) string {

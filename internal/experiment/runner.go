@@ -27,8 +27,8 @@ import (
 // runs still queued behind the semaphore (and callers waiting on a memo
 // flight or a slot) return ctx.Err() promptly.
 //
-// Attack-free runs are memoized by (Config, layers): figures share their
-// baselines, so `-figure all` stops recomputing them. Attack runs are not
+// Attack-free runs are memoized by (Config, layers): scenarios share their
+// baselines, so a full lockss-sim run stops recomputing them. Attack runs are not
 // memoized — adversaries are constructed by closures, which have no identity
 // to key on. Memoized entries are single-flight: concurrent requests for the
 // same baseline wait for the first computation instead of duplicating it.

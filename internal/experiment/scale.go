@@ -7,7 +7,7 @@ import (
 // This file registers the capacity-tier scenarios for the sharded engine:
 // populations far beyond the paper's 100 peers, run attack-free to pin the
 // protocol's steady-state behavior (and the simulator's determinism) at
-// scale. They are not part of `-figure all`; run them by name.
+// scale. They are not part of PaperScenarios; run them by name.
 
 // scaleLargeBaseline pins a ~5k-peer attack-free run. The scenario forces
 // ScaleLarge regardless of the invocation's -scale so its golden bytes mean
@@ -17,7 +17,7 @@ var scaleLargeBaseline = mustRegister(&Scenario{
 	Description: "attack-free steady state at the ~5k-peer capacity tier",
 	Base: func(o Options) world.Config {
 		o.Scale = ScaleLarge
-		return o.baseWorld()
+		return o.BaseWorld()
 	},
 	Seeds: 1,
 })

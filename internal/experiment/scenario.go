@@ -17,8 +17,8 @@ import (
 // any numeric or duration parameter — registered under a name and executed
 // by RunScenario, which fans the sweep grid across the worker-pool engine
 // with full context cancellation. Every figure, table, ablation and
-// extension of the paper's evaluation is itself a registered Scenario; the
-// legacy generator functions are thin wrappers over the registry.
+// extension of the paper's evaluation is itself a registered Scenario, and
+// the registry is the only way to run one.
 
 // ConfigMutator adjusts a world configuration in place before the sweep
 // axes apply.
@@ -229,8 +229,10 @@ func List() []*Scenario {
 
 // --- Execution --------------------------------------------------------------
 
-// grid expands the scenario's axes into its point list.
-func (s *Scenario) grid(o Options) ([]Point, error) {
+// Points expands the scenario's axes into its point list for the given
+// options. External drivers (internal/harness) use it to execute points on
+// alternative backends.
+func (s *Scenario) Points(o Options) ([]Point, error) {
 	vals := make([][]float64, len(s.Axes))
 	n := 1
 	for i, ax := range s.Axes {
@@ -269,13 +271,15 @@ func (s *Scenario) grid(o Options) ([]Point, error) {
 	return points, nil
 }
 
-// config builds the world configuration for one point.
-func (s *Scenario) config(o Options, pt Point) world.Config {
+// ConfigAt builds the world configuration for one grid point: base, then
+// mutators, then axis applications. External drivers may further override the
+// returned value before running it.
+func (s *Scenario) ConfigAt(o Options, pt Point) world.Config {
 	var cfg world.Config
 	if s.Base != nil {
 		cfg = s.Base(o)
 	} else {
-		cfg = o.baseWorld()
+		cfg = o.BaseWorld()
 	}
 	if o.Shards > 0 {
 		// Custom Base functions don't all consult the options; the shard
@@ -314,48 +318,18 @@ func (s *Scenario) layersForPt(o Options, pt Point) int {
 	return 1
 }
 
-// Points expands the scenario's sweep grid for the given options. It is the
-// exported face of grid, used by external drivers (internal/harness) that
-// execute points on alternative backends.
-func (s *Scenario) Points(o Options) ([]Point, error) { return s.grid(o) }
-
-// ConfigAt builds the world configuration for one grid point: base, then
-// mutators, then axis applications. External drivers may further override the
-// returned value before running it.
-func (s *Scenario) ConfigAt(o Options, pt Point) world.Config { return s.config(o, pt) }
-
-// RunPointOn executes one grid cell on the engine with a caller-supplied
-// configuration (normally ConfigAt plus driver overrides). It is the exported
-// face of the standard per-point executor.
-func (s *Scenario) RunPointOn(ctx context.Context, e *Engine, o Options, pt Point, cfg world.Config) (PointResult, error) {
-	return s.runPointWith(ctx, e, o, pt, cfg)
-}
-
 // Render renders a completed result with the scenario's table renderer (the
 // custom one when defined, the generic table otherwise).
 func (s *Scenario) Render(o Options, res *Result) []*Table {
 	if s.Tables != nil {
 		return s.Tables(o, res)
 	}
-	return []*Table{s.genericTable(o, res)}
+	return []*Table{s.GenericTable(o, res)}
 }
 
-// GenericTable renders a result with the generic per-point renderer
-// regardless of the scenario's custom Tables hook. Custom renderers may
-// assume comparison data that alternative execution backends (baseline-only
-// cluster runs) do not produce; the generic renderer tolerates its absence,
-// so cross-backend drivers render both sides through it.
-func (s *Scenario) GenericTable(o Options, res *Result) *Table {
-	return s.genericTable(o, res)
-}
-
-// runPoint executes one grid cell on the engine.
-func (s *Scenario) runPoint(ctx context.Context, e *Engine, o Options, pt Point) (PointResult, error) {
-	return s.runPointWith(ctx, e, o, pt, s.config(o, pt))
-}
-
-// runPointWith executes one grid cell with a prebuilt configuration.
-func (s *Scenario) runPointWith(ctx context.Context, e *Engine, o Options, pt Point, cfg world.Config) (PointResult, error) {
+// RunPointOn executes one grid cell on the engine with a caller-supplied
+// configuration (normally ConfigAt plus driver overrides).
+func (s *Scenario) RunPointOn(ctx context.Context, e *Engine, o Options, pt Point, cfg world.Config) (PointResult, error) {
 	if s.RunPoint != nil {
 		pr, err := s.RunPoint(ctx, e, o, cfg, pt)
 		pr.Point = pt
@@ -416,13 +390,13 @@ func RunScenario(ctx context.Context, spec *Scenario, o Options) (*Result, error
 		return nil, fmt.Errorf("experiment: RunScenario(nil scenario)")
 	}
 	ctx = orBackground(ctx)
-	points, err := spec.grid(o)
+	points, err := spec.Points(o)
 	if err != nil {
 		return nil, err
 	}
 	e := o.engine()
 	prs, err := gather(len(points), func(i int) (PointResult, error) {
-		return spec.runPoint(ctx, e, o, points[i])
+		return spec.RunPointOn(ctx, e, o, points[i], spec.ConfigAt(o, points[i]))
 	}, func(i int, pr PointResult) {
 		if line := spec.progressLine(o, points[i], pr, len(points)); line != "" {
 			o.progress("%s", line)
@@ -455,16 +429,17 @@ func (s *Scenario) Run(ctx context.Context, o Options) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Tables != nil {
-		return s.Tables(o, res), nil
-	}
-	return []*Table{s.genericTable(o, res)}, nil
+	return s.Render(o, res), nil
 }
 
-// genericTable renders a scenario without a custom renderer: one row per
-// point — axis values, the standard run metrics, comparison ratios when the
-// scenario compares, and any Extra measurements in sorted key order.
-func (s *Scenario) genericTable(o Options, res *Result) *Table {
+// GenericTable renders a result with the generic per-point renderer
+// regardless of the scenario's custom Tables hook: one row per point — axis
+// values, the standard run metrics, comparison ratios when the scenario
+// compares, and any Extra measurements in sorted key order. Custom renderers
+// may assume comparison data that alternative execution backends
+// (baseline-only cluster runs) do not produce; the generic renderer tolerates
+// its absence, so cross-backend drivers render both sides through it.
+func (s *Scenario) GenericTable(o Options, res *Result) *Table {
 	t := &Table{ID: s.Name, Title: s.Description}
 	if t.Title == "" {
 		t.Title = "scenario sweep"
@@ -517,21 +492,4 @@ func (s *Scenario) genericTable(o Options, res *Result) *Table {
 		t.AddCells(row...)
 	}
 	return t
-}
-
-// runRegistered runs a built-in scenario for the legacy wrapper functions.
-func runRegistered(name string, o Options) ([]*Table, error) {
-	s, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("experiment: scenario %q not registered", name)
-	}
-	return s.Run(context.Background(), o)
-}
-
-// oneTable unwraps single-table scenario runs for the legacy wrappers.
-func oneTable(ts []*Table, err error) (*Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return ts[0], nil
 }

@@ -20,42 +20,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the scenario golden files")
 
-// builtinOrder is the CLI's -figure all emission order; the concatenation
-// of these goldens is exactly `lockss-sim -figure all -scale tiny`.
-var builtinOrder = []string{
-	"figure2",
-	"figures-pipe-stoppage",
-	"figures-admission-flood",
-	"table1",
-	"ablation-refractory",
-	"ablation-drop-prob",
-	"ablation-introductions",
-	"ablation-desynchronization",
-	"ablation-effort-balancing",
-	"extension-churn",
-	"extension-adaptive",
-	"extension-combined",
-}
-
-// legacyWrappers maps a representative subset of scenarios to their legacy
-// generator functions, to assert the wrappers and the registry path emit
-// identical bytes. (Attack runs are not memoized, so re-running every
-// scenario through its wrapper would double the suite's cost for no extra
-// coverage — the wrappers are one-line calls into the same registry path.)
-var legacyWrappers = map[string]func(Options) ([]*Table, error){
-	"figure2":                func(o Options) ([]*Table, error) { return wrapOne(Figure2(o)) },
-	"table1":                 func(o Options) ([]*Table, error) { return wrapOne(Table1(o)) },
-	"ablation-introductions": func(o Options) ([]*Table, error) { return wrapOne(AblationIntroductions(o)) },
-	"extension-combined":     func(o Options) ([]*Table, error) { return wrapOne(ExtensionCombined(o)) },
-}
-
-func wrapOne(t *Table, err error) ([]*Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
-}
-
 func renderTables(ts []*Table) []byte {
 	var buf bytes.Buffer
 	for _, t := range ts {
@@ -65,8 +29,8 @@ func renderTables(ts []*Table) []byte {
 }
 
 // checkGolden diffs got against the golden file at path, rewriting it first
-// when -update is set, and returns the golden bytes.
-func checkGolden(t *testing.T, path string, got []byte) []byte {
+// when -update is set.
+func checkGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -84,12 +48,11 @@ func checkGolden(t *testing.T, path string, got []byte) []byte {
 		t.Errorf("output diverges from golden %s (run with -update to inspect):\n--- got ---\n%s\n--- want ---\n%s",
 			path, got, want)
 	}
-	return want
 }
 
-// TestScenarioGolden asserts every built-in scenario's tiny-scale output is
-// byte-for-byte what the legacy generators produced (recorded in testdata),
-// both through the registry path and through the legacy wrappers.
+// TestScenarioGolden asserts every paper scenario's tiny-scale output is
+// byte-for-byte what is recorded in testdata. The goldens concatenated in
+// PaperScenarios order are exactly `lockss-sim -scale tiny`.
 // Regenerate with `go test -run TestScenarioGolden -update`.
 func TestScenarioGolden(t *testing.T) {
 	if testing.Short() {
@@ -97,31 +60,13 @@ func TestScenarioGolden(t *testing.T) {
 	}
 	// One shared engine: scenarios share memoized baselines like the CLI.
 	eng := NewEngine(0)
-	for _, name := range builtinOrder {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			spec, ok := Lookup(name)
-			if !ok {
-				t.Fatalf("scenario %q not registered", name)
-			}
-			o := Options{Scale: ScaleTiny, Engine: eng}
-			tables, err := spec.Run(context.Background(), o)
+	for _, spec := range PaperScenarios() {
+		t.Run(spec.Name, func(t *testing.T) {
+			tables, err := spec.Run(context.Background(), Options{Scale: ScaleTiny, Engine: eng})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := renderTables(tables)
-			want := checkGolden(t, filepath.Join("testdata", "golden", name+".golden"), got)
-
-			// The legacy wrapper must emit the same bytes.
-			if wrapper, ok := legacyWrappers[name]; ok {
-				legacyTables, err := wrapper(Options{Scale: ScaleTiny, Engine: eng})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if legacy := renderTables(legacyTables); !bytes.Equal(legacy, want) {
-					t.Errorf("legacy wrapper for %q diverges from the registry path", name)
-				}
-			}
+			checkGolden(t, filepath.Join("testdata", "golden", spec.Name+".golden"), renderTables(tables))
 		})
 	}
 }
@@ -223,12 +168,16 @@ func TestRegistryBuiltins(t *testing.T) {
 		}
 		byName[s.Name] = s
 	}
-	for _, name := range builtinOrder {
-		if _, ok := byName[name]; !ok {
-			t.Errorf("built-in scenario %q missing from List()", name)
+	paper := PaperScenarios()
+	if len(paper) != 12 {
+		t.Errorf("PaperScenarios() has %d entries, want the paper's 12", len(paper))
+	}
+	for _, spec := range paper {
+		if byName[spec.Name] != spec {
+			t.Errorf("paper scenario %q missing from List()", spec.Name)
 		}
-		if _, ok := Lookup(name); !ok {
-			t.Errorf("Lookup(%q) failed", name)
+		if got, ok := Lookup(spec.Name); !ok || got != spec {
+			t.Errorf("Lookup(%q) failed", spec.Name)
 		}
 	}
 }

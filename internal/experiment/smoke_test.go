@@ -11,7 +11,7 @@ import (
 // tiny scale: attacks hurt in the direction the paper predicts.
 func TestAttackSmoke(t *testing.T) {
 	o := Options{Scale: ScaleTiny}
-	cfg := o.baseWorld()
+	cfg := o.BaseWorld()
 	cfg.DamageDiskYears = 1 // strong damage signal
 
 	baseline, err := RunOne(cfg, nil)

@@ -16,6 +16,7 @@ import (
 	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/node"
+	"lockss/internal/promtext"
 	"lockss/internal/protocol"
 	"lockss/internal/reputation"
 	"lockss/internal/store"
@@ -476,7 +477,8 @@ loop:
 				targets := f.scrapeTargets()
 				go func() {
 					defer scraping.Store(false)
-					sampleCh <- sampleTargets(Duration(at), targets)
+					smp, _ := sampleTargets(Duration(at), targets)
+					sampleCh <- smp
 				}()
 			}
 		}
@@ -502,12 +504,14 @@ loop:
 		break
 	}
 	sort.SliceStable(rep.Samples, func(i, j int) bool { return rep.Samples[i].At < rep.Samples[j].At })
-	final := sampleTargets(Duration(time.Since(start)), f.scrapeTargets())
+	targets := f.scrapeTargets()
+	final, fams := sampleTargets(Duration(time.Since(start)), targets)
 	rep.Samples = append(rep.Samples, final)
 	rep.Final = f.finalReport(final)
 	// Flight-recorder sweep: histograms and poll spans only exist in-process,
-	// so they must be pulled before the nodes go away.
-	rep.Telemetry = collectTelemetry(f.scrapeTargets())
+	// so they must be pulled before the nodes go away. The histograms come
+	// out of the final sweep's exposition; only /polls is fetched here.
+	rep.Telemetry = collectTelemetry(targets, final.PerNode, fams)
 	f.stopAll()
 	if f.cfg.DataDir != "" {
 		unrepaired, err := f.verifyStores()
@@ -537,9 +541,12 @@ func (f *Fleet) scrapeTargets() []scrapeTarget {
 }
 
 // sampleTargets scrapes every target's admin endpoints concurrently and
-// aggregates. It touches no fleet state.
-func sampleTargets(at Duration, targets []scrapeTarget) Sample {
+// aggregates. It touches no fleet state. The second result is each target's
+// parsed /metrics (nil for a down node or a failed scrape), so a caller that
+// also wants the histogram families does not fetch the exposition again.
+func sampleTargets(at Duration, targets []scrapeTarget) (Sample, []map[string]*promtext.Family) {
 	s := Sample{At: at, Aggregate: newSampleAggregate(), PerNode: make([]NodeSample, len(targets))}
+	fams := make([]map[string]*promtext.Family, len(targets))
 	var wg sync.WaitGroup
 	for i, tgt := range targets {
 		ns := &s.PerNode[i]
@@ -552,7 +559,11 @@ func sampleTargets(at Duration, targets []scrapeTarget) Sample {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ns.Metrics, ns.MetricsErr = scrapeMetrics(addr)
+			var err error
+			if fams[i], err = scrapeMetrics(addr); err != nil {
+				ns.MetricsErr = err.Error()
+			}
+			ns.Metrics = scalars(fams[i])
 			ns.Healthy = scrapeHealthz(addr)
 			ns.Damage, ns.ActivePolls = damageFromMetrics(ns.Metrics)
 		}()
@@ -573,7 +584,7 @@ func sampleTargets(at Duration, targets []scrapeTarget) Sample {
 			s.Aggregate[k.field] += ns.Metrics[k.metric]
 		}
 	}
-	return s
+	return s, fams
 }
 
 // finalReport condenses the last sample into the verdict the CI gate reads.

@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"context"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -232,4 +235,88 @@ func TestFleetRepairsInjectedDamage(t *testing.T) {
 			t.Error("no timeline poll has voter spans joined from other nodes")
 		}
 	})
+}
+
+// TestScrapeSurvivesSpacesInLabelValues feeds the sweep an exposition whose
+// build-info labels contain spaces — what runtime.Version() returns under any
+// GOEXPERIMENT or a devel toolchain, and what -ldflags "-X main.version=v1
+// rc1" produces. The scrape must read every scalar and keep the labeled
+// series out of the flat map rather than fail on the line.
+func TestScrapeSurvivesSpacesInLabelValues(t *testing.T) {
+	const exposition = `# HELP lockss_au_damaged_blocks Blocks currently marked damaged across all AUs.
+# TYPE lockss_au_damaged_blocks gauge
+lockss_au_damaged_blocks 3
+# HELP lockss_active_polls AUs with a poll in flight.
+# TYPE lockss_active_polls gauge
+lockss_active_polls 1
+# HELP lockss_alarms_total Inconclusive-poll alarms raised.
+# TYPE lockss_alarms_total counter
+lockss_alarms_total 2
+# HELP lockss_build_info Build metadata; value is always 1.
+# TYPE lockss_build_info gauge
+lockss_build_info{version="v1 rc1",goversion="go1.24.0 X:synctest"} 1
+# HELP lockss_tally_seconds Tally latency.
+# TYPE lockss_tally_seconds histogram
+lockss_tally_seconds_bucket{le="+Inf"} 0
+lockss_tally_seconds_sum 0
+lockss_tally_seconds_count 0
+`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			io.WriteString(w, exposition)
+		}
+	}))
+	defer srv.Close()
+
+	smp, fams := sampleTargets(0, []scrapeTarget{{id: 1, adminAddr: srv.Listener.Addr().String()}})
+	ns := smp.PerNode[0]
+	if ns.MetricsErr != "" {
+		t.Fatalf("scrape failed: %s", ns.MetricsErr)
+	}
+	if ns.Damage != 3 || ns.ActivePolls != 1 || smp.Aggregate["alarms"] != 2 {
+		t.Errorf("damage=%d polls=%d alarms=%v, want 3/1/2", ns.Damage, ns.ActivePolls, smp.Aggregate["alarms"])
+	}
+	if len(ns.Metrics) != 3 {
+		t.Errorf("flat metrics = %v, want exactly the three unlabeled scalars", ns.Metrics)
+	}
+	if got := fams[0]["lockss_build_info"].Samples[0].Labels["goversion"]; got != "go1.24.0 X:synctest" {
+		t.Errorf("goversion label = %q", got)
+	}
+}
+
+// TestNodeExportsEveryMetricTheFleetReads boots a small durable fleet and
+// sweeps it once: every name the fleet looks up in a scrape — the aggregate
+// counters, the damage gauges, the merged histogram families — must be in a
+// live node's exposition, or the report would silently read zeros.
+func TestNodeExportsEveryMetricTheFleetReads(t *testing.T) {
+	cfg := Config{Nodes: 3, AUs: 1, AUSize: 64 << 10, BlockSize: 32 << 10, Quorum: 2, InnerCircle: 2, Seed: 1, DataDir: t.TempDir()}.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	f := New(cfg, t.Logf)
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.stopAll()
+
+	smp, fams := sampleTargets(0, f.scrapeTargets())
+	for i, ns := range smp.PerNode {
+		if ns.MetricsErr != "" {
+			t.Fatalf("node %d scrape: %s", ns.Node, ns.MetricsErr)
+		}
+		want := []string{"lockss_au_damaged_blocks", "lockss_active_polls"}
+		for _, k := range aggregateKeys {
+			want = append(want, k.metric)
+		}
+		for _, name := range want {
+			if _, ok := ns.Metrics[name]; !ok {
+				t.Errorf("node %d: %s is read by the fleet but not exported", ns.Node, name)
+			}
+		}
+		for _, name := range telemetryFamilies {
+			if f := fams[i]["lockss_"+name+"_seconds"]; f == nil || f.Type != "histogram" {
+				t.Errorf("node %d: histogram family %s is merged by the fleet but not exported", ns.Node, name)
+			}
+		}
+	}
 }

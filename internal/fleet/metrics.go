@@ -4,55 +4,44 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
+
+	"lockss/internal/promtext"
 )
 
 // scrapeClient bounds every admin scrape so one wedged node cannot stall
 // the sweep past its interval.
 var scrapeClient = &http.Client{Timeout: 5 * time.Second}
 
-// scrapeMetrics fetches and parses one node's Prometheus-text /metrics.
-func scrapeMetrics(adminAddr string) (map[string]float64, string) {
+// scrapeMetrics fetches one node's /metrics and parses it with the strict
+// exposition reader the admin tests lint against.
+func scrapeMetrics(adminAddr string) (map[string]*promtext.Family, error) {
 	resp, err := scrapeClient.Get("http://" + adminAddr + "/metrics")
 	if err != nil {
-		return nil, err.Error()
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err.Error()
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Sprintf("status %d", resp.StatusCode)
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	m, err := parseMetrics(string(body))
-	if err != nil {
-		return nil, err.Error()
-	}
-	return m, ""
+	return promtext.Parse(string(body))
 }
 
-// parseMetrics reads Prometheus text exposition into name -> value.
-func parseMetrics(text string) (map[string]float64, error) {
-	out := make(map[string]float64)
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+// scalars flattens scraped families into name -> value for every family
+// that is one unlabeled sample — the counters and gauges; histograms and
+// labeled info series are read from the families directly.
+func scalars(fams map[string]*promtext.Family) map[string]float64 {
+	out := make(map[string]float64, len(fams))
+	for name, f := range fams {
+		if v, ok := f.Value(); ok {
+			out[name] = v
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("malformed metrics line %q", line)
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value in %q: %w", line, err)
-		}
-		out[fields[0]] = v
 	}
-	return out, nil
+	return out
 }
 
 // scrapeHealthz reports whether the node's /healthz answered 200.

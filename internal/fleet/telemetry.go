@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -65,27 +64,11 @@ type nodeTelemetry struct {
 	votes []telemetry.VoteRecord
 }
 
-// scrapeNodeTelemetry pulls one node's histogram families (from /metrics)
-// and poll spans plus supplied votes (from /polls).
-func scrapeNodeTelemetry(adminAddr string) (*nodeTelemetry, error) {
+// scrapeNodeTelemetry rebuilds one node's histogram families from its
+// already-scraped /metrics and pulls its poll spans plus supplied votes from
+// /polls.
+func scrapeNodeTelemetry(adminAddr string, fams map[string]*promtext.Family) (*nodeTelemetry, error) {
 	nt := &nodeTelemetry{hists: make(map[string]telemetry.Snapshot)}
-
-	resp, err := scrapeClient.Get("http://" + adminAddr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics status %d", resp.StatusCode)
-	}
-	fams, err := promtext.Parse(string(body))
-	if err != nil {
-		return nil, fmt.Errorf("parse metrics: %w", err)
-	}
 	for _, name := range telemetryFamilies {
 		f, ok := fams["lockss_"+name+"_seconds"]
 		if !ok {
@@ -102,7 +85,7 @@ func scrapeNodeTelemetry(adminAddr string) (*nodeTelemetry, error) {
 		nt.hists[name] = snap
 	}
 
-	resp, err = scrapeClient.Get("http://" + adminAddr + "/polls")
+	resp, err := scrapeClient.Get("http://" + adminAddr + "/polls")
 	if err != nil {
 		return nil, err
 	}
@@ -147,9 +130,11 @@ func snapshotFromBuckets(buckets []promtext.BucketPoint, sumSec float64, count u
 	return snap, nil
 }
 
-// collectTelemetry sweeps every up node's telemetry and condenses it: merged
-// per-family quantiles and the initiator/voter poll timeline.
-func collectTelemetry(targets []scrapeTarget) TelemetrySummary {
+// collectTelemetry condenses every up node's telemetry: per-family quantiles
+// merged from the sweep's parsed expositions (fams and nodes are parallel to
+// targets, as sampleTargets returns them) and the initiator/voter poll
+// timeline.
+func collectTelemetry(targets []scrapeTarget, nodes []NodeSample, fams []map[string]*promtext.Family) TelemetrySummary {
 	type result struct {
 		nt  *nodeTelemetry
 		err string
@@ -161,9 +146,13 @@ func collectTelemetry(targets []scrapeTarget) TelemetrySummary {
 		if tgt.down {
 			continue
 		}
+		if fams[i] == nil {
+			results[i].err = fmt.Sprintf("node %d: metrics: %s", tgt.id, nodes[i].MetricsErr)
+			continue
+		}
 		live++
 		go func(i int, id int, addr string) {
-			nt, err := scrapeNodeTelemetry(addr)
+			nt, err := scrapeNodeTelemetry(addr, fams[i])
 			if err != nil {
 				results[i].err = fmt.Sprintf("node %d: %v", id, err)
 			} else {

@@ -311,7 +311,7 @@ func Lint(text string) (map[string]*Family, error) {
 // Value returns the value of the family's single unlabeled sample. Handy for
 // flat counter/gauge lookups in tests and the fleet scraper.
 func (f *Family) Value() (float64, bool) {
-	if len(f.Samples) != 1 {
+	if len(f.Samples) != 1 || len(f.Samples[0].Labels) != 0 {
 		return 0, false
 	}
 	return f.Samples[0].Value, true

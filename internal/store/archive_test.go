@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +69,54 @@ func TestCreateFromStreaming(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("vote hash %d differs between streamed and buffered ingest", i)
 		}
+	}
+}
+
+// TestCreateFromNeverBuffersAU: streaming ingest holds one bounded chunk, not
+// the AU. A sampler watches HeapAlloc while a 64 MiB AU streams in; the heap
+// may grow by the ingest buffer and the manifest, never by anything near the
+// AU's size.
+func TestCreateFromNeverBuffersAU(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ingests and fsyncs 64 MiB")
+	}
+	const bound = 16 << 20
+	spec := content.AUSpec{ID: 1, Name: "archive", Size: 64 << 20, BlockSize: 64 << 10}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	stop, done := make(chan struct{}), make(chan struct{})
+	var peak uint64
+	go func() {
+		defer close(done)
+		for {
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			if m.HeapAlloc > peak {
+				peak = m.HeapAlloc
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	_, err = s.CreateFrom(spec, 1, content.PublisherReader(spec))
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak > base && peak-base >= bound {
+		t.Errorf("ingesting %d bytes grew the heap by %d bytes, bound is %d", spec.Size, peak-base, bound)
 	}
 }
 
@@ -254,7 +303,7 @@ func TestVerifyAllAggregatesReadErrors(t *testing.T) {
 func TestGroupCommitCrashWindow(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
-	s, err := OpenWith(dir, Options{CommitInterval: time.Hour})
+	s, err := open(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +351,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 func TestRepairDurableBeforeReturn(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
-	s, err := OpenWith(dir, Options{CommitInterval: time.Hour})
+	s, err := open(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +386,7 @@ func TestRepairDurableBeforeReturn(t *testing.T) {
 // exists for.
 func TestGroupCommitCoalesces(t *testing.T) {
 	spec := content.AUSpec{ID: 5, Name: "busy", Size: 32 << 10, BlockSize: 1 << 10}
-	s, err := OpenWith(t.TempDir(), Options{CommitInterval: time.Hour})
+	s, err := open(t.TempDir(), time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

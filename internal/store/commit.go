@@ -5,28 +5,10 @@ import (
 	"time"
 )
 
-// Options tunes a store opened with OpenWith. The zero value is the
-// production configuration.
-type Options struct {
-	// CommitInterval bounds how long a dirty manifest may sit in memory
-	// before the committer flushes it to disk: the group-commit latency knob.
-	// Mutations arriving inside one window share a single fsync train.
-	// Default 2ms; <= 0 means the default.
-	CommitInterval time.Duration
-	// NoGroupCommit reverts to the original per-mutation behavior: every
-	// manifest mutation is replaced atomically and fsynced before the
-	// mutating call returns. It exists as a safety valve and as the baseline
-	// the store benchmarks compare group commit against.
-	NoGroupCommit bool
-}
-
-// withDefaults fills zero fields.
-func (o Options) withDefaults() Options {
-	if o.CommitInterval <= 0 {
-		o.CommitInterval = 2 * time.Millisecond
-	}
-	return o
-}
+// commitInterval bounds how long a dirty manifest may sit in memory before
+// the committer flushes it to disk: mutations arriving inside one window
+// share a single fsync train.
+const commitInterval = 2 * time.Millisecond
 
 // committer is the store's group-commit goroutine: manifest mutations mark
 // their replica dirty and return; the committer coalesces everything dirty
@@ -37,7 +19,7 @@ func (o Options) withDefaults() Options {
 // after it completes. Paths that must not return before their manifest is on
 // disk (repairs) call Flush, which triggers an immediate train and waits;
 // concurrent Flush callers share one train. Everything else (scrub marks,
-// damage marks) rides the CommitInterval timer — those marks are re-derivable
+// damage marks) rides the commitInterval timer — those marks are re-derivable
 // from the block bytes by the next scrub pass, so deferring them never
 // weakens what a crash can lose. The blocks-fsynced-before-manifest invariant
 // is untouched: block writes still fsync before the mutation that marks the
@@ -230,12 +212,7 @@ func (r *Replica) persistNow() (bool, error) {
 
 // Flush is the store's durability barrier: it returns once every manifest
 // mutation made before the call is on disk (one immediate commit train,
-// shared with concurrent callers), or with the train's first error. It is a
-// no-op without group commit, where every mutation already persisted
-// synchronously.
+// shared with concurrent callers), or with the train's first error.
 func (s *Store) Flush() error {
-	if s.committer == nil {
-		return nil
-	}
 	return s.committer.flush()
 }

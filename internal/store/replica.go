@@ -114,7 +114,7 @@ func (r *Replica) Damage(i int) bool {
 	// The mark rides the next commit train; losing it to a crash is
 	// harmless — the bytes on disk are corrupt regardless, and a scrub pass
 	// re-derives the mark from them.
-	_ = r.persistLocked()
+	r.persistLocked()
 	return true
 }
 
@@ -163,11 +163,8 @@ func (r *Replica) ApplyRepair(i int, data []byte) error {
 		r.man.marks[i] = r.freshMarkLocked()
 	}
 	r.man.gen++
-	err := r.persistLocked()
+	r.persistLocked()
 	r.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	// Repairs are the crash-safety-critical manifest path: wait out the
 	// commit train (taken without r.mu — the committer needs it to encode).
 	if err := r.st.Flush(); err != nil {
@@ -184,10 +181,8 @@ func (r *Replica) ApplyRepair(i int, data []byte) error {
 // mismatch records a fresh damage mark and a match clears a stale one — the
 // scrubber's write side; mark changes ride the commit train (re-derivable
 // from the block bytes, so deferral loses nothing a crash could not already
-// take). Without group commit a mark change that fails to persist is rolled
-// back and reported as an error, so counters and OnDamage never claim
-// durability the disk refused; the next pass retries. It returns whether the
-// block verified and whether the manifest now marks it damaged.
+// take). It returns whether the block verified and whether the manifest now
+// marks it damaged.
 func (r *Replica) verifyBlock(i int, mark bool, buf []byte) (ok, marked bool, bufOut []byte, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -201,28 +196,17 @@ func (r *Replica) verifyBlock(i int, mark bool, buf []byte) (ok, marked bool, bu
 	if mark {
 		switch {
 		case !ok && r.man.marks[i] == 0:
-			prevEvents := r.man.events
 			r.man.marks[i] = r.freshMarkLocked()
 			r.man.gen++
-			if err := r.persistLocked(); err != nil {
-				r.man.marks[i] = 0
-				r.man.gen--
-				r.man.events = prevEvents
-				return ok, false, buf, err
-			}
+			r.persistLocked()
 			r.st.blocksDamaged.Add(1)
 		case ok && r.man.marks[i] != 0:
 			// The bytes verify but the manifest says damaged: a repair (or
 			// a crash-interrupted one) healed the block before the manifest
 			// caught up. Complete it.
-			prev := r.man.marks[i]
 			r.man.marks[i] = 0
 			r.man.gen++
-			if err := r.persistLocked(); err != nil {
-				r.man.marks[i] = prev
-				r.man.gen--
-				return ok, true, buf, err
-			}
+			r.persistLocked()
 			r.st.blocksRepaired.Add(1)
 		}
 	}
@@ -301,24 +285,13 @@ func (r *Replica) writeBlockLocked(i int, b []byte) error {
 	return nil
 }
 
-// persistLocked makes the manifest mutation just applied durable: under
-// group commit it marks the replica dirty for the committer and returns
-// immediately (ApplyRepair adds the Flush barrier on top); without group
-// commit it replaces the manifest synchronously, the pre-batching behavior.
-// Called with r.mu held.
-func (r *Replica) persistLocked() error {
+// persistLocked hands the manifest mutation just applied to the committer:
+// it marks the replica dirty for the next commit train and returns
+// immediately (ApplyRepair adds the Flush barrier on top). Called with r.mu
+// held.
+func (r *Replica) persistLocked() {
 	r.st.manifestMutations.Add(1)
-	if c := r.st.committer; c != nil {
-		c.markDirty(r)
-		return nil
-	}
-	if err := writeManifestBytes(r.dir, r.man.encode(), &r.st.fsyncs); err != nil {
-		return err
-	}
-	r.persistedGen = r.man.gen
-	r.st.manifestWrites.Add(1)
-	r.st.manifestCommits.Add(1)
-	return nil
+	r.st.committer.markDirty(r)
 }
 
 // close flushes and closes the block file.

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"lockss/internal/content"
 )
@@ -41,12 +42,11 @@ type Stats struct {
 	// repairs, scrub mark changes, ingests) requested of the store.
 	ManifestMutations uint64
 	// ManifestWrites counts atomic manifest replacements that reached disk.
-	// Under group commit this trails ManifestMutations: mutations coalescing
-	// in one commit window share a single replacement.
+	// It trails ManifestMutations: mutations coalescing in one commit window
+	// share a single replacement.
 	ManifestWrites uint64
 	// ManifestCommits counts group-commit trains (batches of manifest
-	// replacements sharing one flush). Without group commit every write is
-	// its own train.
+	// replacements sharing one flush).
 	ManifestCommits uint64
 	// Fsyncs counts fsync syscalls the store issued — block files, manifest
 	// temp files and directories. The cost group commit amortizes.
@@ -65,7 +65,6 @@ type Stats struct {
 // through per-replica locks.
 type Store struct {
 	root string
-	opts Options
 
 	mu  sync.Mutex
 	aus map[content.AUID]*Replica
@@ -75,8 +74,7 @@ type Store struct {
 	creating map[content.AUID]bool
 	order    []content.AUID
 
-	// committer batches manifest flushes; nil with Options.NoGroupCommit,
-	// where mutations persist synchronously.
+	// committer batches manifest flushes into group-commit trains.
 	committer *committer
 
 	scrubStop chan struct{}
@@ -104,12 +102,7 @@ type Store struct {
 	damageInjected    atomic.Uint64
 }
 
-// Open loads (or creates) a store rooted at dir with default Options.
-func Open(dir string) (*Store, error) {
-	return OpenWith(dir, Options{})
-}
-
-// OpenWith loads (or creates) a store rooted at dir. Every au-<id>
+// Open loads (or creates) a store rooted at dir. Every au-<id>
 // subdirectory with a valid manifest is loaded in numeric id order; a
 // directory missing its manifest is a crash-interrupted ingest and is
 // skipped (re-ingesting the AU overwrites it), but a *corrupt* manifest is
@@ -118,13 +111,19 @@ func Open(dir string) (*Store, error) {
 // as a decimal id is rejected explicitly rather than silently loaded or
 // skipped: it is either foreign data or corruption of the store root, and
 // both deserve an operator's eyes.
-func OpenWith(dir string, opts Options) (*Store, error) {
+func Open(dir string) (*Store, error) {
+	return open(dir, commitInterval)
+}
+
+// open is Open with the commit window exposed, so tests can park the
+// committer (an hour-long window) and observe what a crash inside the window
+// leaves on disk.
+func open(dir string, interval time.Duration) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	s := &Store{
 		root:     dir,
-		opts:     opts.withDefaults(),
 		aus:      make(map[content.AUID]*Replica),
 		creating: make(map[content.AUID]bool),
 	}
@@ -188,9 +187,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		s.aus[man.spec.ID] = r
 		s.order = append(s.order, man.spec.ID)
 	}
-	if !s.opts.NoGroupCommit {
-		s.committer = newCommitter(s, s.opts.CommitInterval)
-	}
+	s.committer = newCommitter(s, interval)
 	return s, nil
 }
 
@@ -458,9 +455,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
 		s.StopScrub()
-		if s.committer != nil {
-			s.committer.close()
-		}
+		s.committer.close()
 		for _, r := range s.Replicas() {
 			if err := r.close(); err != nil && s.closeErr == nil {
 				s.closeErr = err

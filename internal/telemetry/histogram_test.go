@@ -174,3 +174,12 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("final count = %d, want %d", s.Count, writers*per)
 	}
 }
+
+// TestObserveDoesNotAllocate pins the always-on record path at zero
+// allocations: Observe sits on every poll, vote and queue hop.
+func TestObserveDoesNotAllocate(t *testing.T) {
+	var h Histogram
+	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(12345) }); allocs != 0 {
+		t.Errorf("Histogram.Observe allocates %.1f per op, want 0", allocs)
+	}
+}

@@ -195,65 +195,5 @@ func RunScenarioTables(ctx context.Context, s *Scenario, o ExperimentOptions) ([
 	return s.Run(ctx, o)
 }
 
-// --- Legacy generator wrappers ----------------------------------------------
-//
-// Each wraps the registered scenario of the same artifact; output is
-// byte-identical to running the scenario directly.
-
-// Figure2 regenerates the baseline figure.
-func Figure2(o ExperimentOptions) (*Table, error) { return experiment.Figure2(o) }
-
-// FiguresPipeStoppage regenerates Figures 3-5.
-func FiguresPipeStoppage(o ExperimentOptions) ([]*Table, error) {
-	return experiment.FiguresPipeStoppage(o)
-}
-
-// FiguresAdmissionFlood regenerates Figures 6-8.
-func FiguresAdmissionFlood(o ExperimentOptions) ([]*Table, error) {
-	return experiment.FiguresAdmissionFlood(o)
-}
-
-// Table1 regenerates the brute-force defection table.
-func Table1(o ExperimentOptions) (*Table, error) { return experiment.Table1(o) }
-
-// Ablations regenerates the design-choice ablation tables (refractory
-// period, drop probabilities, introductions, desynchronization, effort
-// balancing).
-func Ablations(o ExperimentOptions) ([]*Table, error) {
-	var out []*Table
-	for _, gen := range []func(ExperimentOptions) (*Table, error){
-		experiment.AblationRefractory,
-		experiment.AblationDropProb,
-		experiment.AblationIntroductions,
-		experiment.AblationDesynchronization,
-		experiment.AblationEffortBalancing,
-	} {
-		t, err := gen(o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// Extensions regenerates the §9 future-work studies: dynamic populations
-// (churn), adaptive acceptance, and combined adversaries.
-func Extensions(o ExperimentOptions) ([]*Table, error) {
-	var out []*Table
-	for _, gen := range []func(ExperimentOptions) (*Table, error){
-		experiment.ExtensionChurn,
-		experiment.ExtensionAdaptive,
-		experiment.ExtensionCombined,
-	} {
-		t, err := gen(o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // PrintTable renders a table to w.
 func PrintTable(w io.Writer, t *Table) { t.Fprint(w) }

@@ -81,11 +81,15 @@ func TestFacadeTableGeneration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table generation is slow")
 	}
-	opts := ExperimentOptions{Scale: ScaleTiny, Seeds: 1}
-	tab, err := Table1(opts)
+	spec, ok := LookupScenario("table1")
+	if !ok {
+		t.Fatal("table1 is not registered")
+	}
+	tables, err := RunScenarioTables(context.Background(), spec, ExperimentOptions{Scale: ScaleTiny, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := tables[0]
 	var buf bytes.Buffer
 	PrintTable(&buf, tab)
 	out := buf.String()
