@@ -139,13 +139,63 @@ func parseInjection(s string) (content.AUID, int, error) {
 	return content.AUID(au), block, nil
 }
 
+// saltedReplica is a preserved AU that can say which salt it carries, so a
+// trace header records the salt actually in use.
+type saltedReplica interface {
+	content.Replica
+	Salt() uint64
+}
+
+// replicaSalt is the one salt derivation for every replica this command
+// creates. A replica reloaded from a store keeps the salt in its manifest.
+func replicaSalt(id uint64, au content.AUID) uint64 { return id<<16 | uint64(au) }
+
+// buildReplicas returns the node's replicas in AU order: store-backed when
+// dataDir is set (with the store), in-memory synthetic otherwise.
+func buildReplicas(dataDir string, id uint64, aus int, auSize, blockSize int64) (*store.Store, []saltedReplica, error) {
+	if dataDir != "" {
+		return openStoreAUs(dataDir, id, aus, auSize, blockSize)
+	}
+	replicas := make([]saltedReplica, aus)
+	for i := range replicas {
+		spec := content.DemoAUSpec(i, auSize, blockSize)
+		replicas[i] = content.NewRealReplica(spec, replicaSalt(id, spec.ID))
+	}
+	return nil, replicas, nil
+}
+
+// auHeaders describes the replicas' bootstrap state for a trace header.
+func auHeaders(replicas []saltedReplica, refs []ids.PeerID) []trace.AUHeader {
+	grades := make([]trace.GradeRef, 0, len(refs))
+	for _, r := range refs {
+		grades = append(grades, trace.GradeRef{Peer: r, Grade: uint8(reputation.Even)})
+	}
+	hdrs := make([]trace.AUHeader, 0, len(replicas))
+	for _, rep := range replicas {
+		spec := rep.Spec()
+		hdrs = append(hdrs, trace.AUHeader{
+			ID:        spec.ID,
+			Name:      spec.Name,
+			Size:      spec.Size,
+			BlockSize: spec.BlockSize,
+			// The salt only individualizes corruption marks; replayed
+			// corrupt bytes differ from the recorded node's either way
+			// (see the trace package's determinism contract).
+			Salt:   rep.Salt(),
+			Refs:   refs,
+			Grades: grades,
+		})
+	}
+	return hdrs
+}
+
 // openStoreAUs opens (or populates) the durable store under dataDir and
 // returns it with its replicas in AU order. Top-level regular files are
 // ingested as AUs in name order — deterministic, so peers holding the same
 // files agree on AU identities. A store holding nothing and a directory
 // holding no files fall back to synthesizing aus publisher units of auSize
 // bytes, durably ingested on first run and reloaded on later ones.
-func openStoreAUs(dataDir string, id uint64, aus int, auSize, blockSize int64) (*store.Store, []content.Replica, error) {
+func openStoreAUs(dataDir string, id uint64, aus int, auSize, blockSize int64) (*store.Store, []saltedReplica, error) {
 	st, err := store.Open(dataDir)
 	if err != nil {
 		return nil, nil, err
@@ -200,7 +250,7 @@ func openStoreAUs(dataDir string, id uint64, aus int, auSize, blockSize int64) (
 			}
 			// Stream the file into the store block by block — an archive-sized
 			// AU never sits in memory on either side of the copy.
-			_, err = st.CreateFrom(spec, id<<16|uint64(spec.ID), f)
+			_, err = st.CreateFrom(spec, replicaSalt(id, spec.ID), f)
 			f.Close()
 			if err != nil {
 				st.Close()
@@ -211,20 +261,15 @@ func openStoreAUs(dataDir string, id uint64, aus int, auSize, blockSize int64) (
 		}
 	case len(st.AUs()) == 0:
 		for i := 0; i < aus; i++ {
-			spec := content.AUSpec{
-				ID:        content.AUID(i + 1),
-				Name:      fmt.Sprintf("journal-%04d", 2000+i),
-				Size:      auSize,
-				BlockSize: blockSize,
-			}
-			if _, err := st.CreateFrom(spec, id<<16|uint64(i), content.PublisherReader(spec)); err != nil {
+			spec := content.DemoAUSpec(i, auSize, blockSize)
+			if _, err := st.CreateFrom(spec, replicaSalt(id, spec.ID), content.PublisherReader(spec)); err != nil {
 				st.Close()
 				return nil, nil, err
 			}
 			log.Printf("ingested synthetic %s as AU %d (%d bytes)", spec.Name, spec.ID, spec.Size)
 		}
 	}
-	var replicas []content.Replica
+	var replicas []saltedReplica
 	for _, r := range st.Replicas() {
 		replicas = append(replicas, r)
 	}
@@ -397,28 +442,12 @@ func main() {
 		obs = quietObserver{logObserver{id: ids.PeerID(*id)}}
 	}
 
-	// Build the replicas: durable store-backed when -data-dir is set,
-	// in-memory synthetic otherwise.
-	var (
-		st       *store.Store
-		replicas []content.Replica
-	)
-	if *dataDir != "" {
-		st, replicas, err = openStoreAUs(*dataDir, uint64(*id), *aus, *auSize, pcfg.BlockSize)
-		if err != nil {
-			log.Fatal(err)
-		}
+	st, replicas, err := buildReplicas(*dataDir, uint64(*id), *aus, *auSize, pcfg.BlockSize)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if st != nil {
 		log.Printf("durable store %s: %d AUs", *dataDir, len(replicas))
-	} else {
-		for i := 0; i < *aus; i++ {
-			spec := content.AUSpec{
-				ID:        content.AUID(i + 1),
-				Name:      fmt.Sprintf("journal-%04d", 2000+i),
-				Size:      *auSize,
-				BlockSize: pcfg.BlockSize,
-			}
-			replicas = append(replicas, content.NewRealReplica(spec, uint64(*id)<<16|uint64(i)))
-		}
 	}
 
 	// injected collects every block corrupted at startup (-inject-damage and
@@ -469,7 +498,7 @@ func main() {
 		Protocol:          pcfg,
 		Costs:             costs,
 		MBF:               effort.DefaultMBFParams(),
-		EffortUnit:        0.05,
+		EffortUnit:        effort.DemoEffortUnit,
 		Seed:              uint64(*id) * 7919,
 		Observer:          obs,
 		Tap:               tap,
@@ -523,28 +552,10 @@ func main() {
 			Protocol:   pcfg,
 			Costs:      costs,
 			MBF:        effort.DefaultMBFParams(),
-			EffortUnit: 0.05,
+			EffortUnit: float64(effort.DemoEffortUnit),
 			Friends:    refs,
+			AUs:        auHeaders(replicas, refs),
 			Injected:   injected,
-		}
-		grades := make([]trace.GradeRef, 0, len(refs))
-		for _, r := range refs {
-			grades = append(grades, trace.GradeRef{Peer: r, Grade: uint8(reputation.Even)})
-		}
-		for _, replica := range replicas {
-			spec := replica.Spec()
-			hdr.AUs = append(hdr.AUs, trace.AUHeader{
-				ID:        spec.ID,
-				Name:      spec.Name,
-				Size:      spec.Size,
-				BlockSize: spec.BlockSize,
-				// The salt only individualizes corruption marks; replayed
-				// corrupt bytes differ from the recorded node's either way
-				// (see the trace package's determinism contract).
-				Salt:   uint64(*id)<<16 | uint64(spec.ID),
-				Refs:   refs,
-				Grades: grades,
-			})
 		}
 		if err := rec.WriteHeader(hdr); err != nil {
 			log.Fatal(err)

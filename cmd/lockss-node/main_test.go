@@ -1,9 +1,15 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"lockss/internal/content"
+	"lockss/internal/ids"
+	"lockss/internal/store"
 )
 
 // okFlags is a baseline that passes validation; cases tweak one field.
@@ -81,5 +87,68 @@ func TestParsePeers(t *testing.T) {
 	}
 	if _, err := parsePeers("x=localhost:1"); err == nil {
 		t.Error("parsePeers accepted a non-numeric id")
+	}
+}
+
+// TestTraceHeaderRecordsTheSaltInUse: on every path that builds replicas —
+// in memory, synthetic units ingested into a new store, files ingested into a
+// new store — a new replica's salt is replicaSalt(id, AU), and the trace
+// header records the salt the replica carries. A store ingested under another
+// salt keeps it (the manifest is authoritative) and the header says so.
+func TestTraceHeaderRecordsTheSaltInUse(t *testing.T) {
+	const id, auSize, blockSize = 5, 8 << 10, 4 << 10
+	filesDir := t.TempDir()
+	for _, name := range []string{"a.dat", "b.dat"} {
+		if err := os.WriteFile(filepath.Join(filesDir, name), make([]byte, auSize), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldDir := t.TempDir()
+	old, err := store.Open(oldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := content.DemoAUSpec(0, auSize, blockSize)
+	if _, err := old.CreateFrom(spec, 777, content.PublisherReader(spec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, dir string
+		kept      uint64 // the salt a reopened store kept; 0 = a new replica
+	}{
+		{"in-memory", "", 0},
+		{"synthetic store", t.TempDir(), 0},
+		{"ingested files", filesDir, 0},
+		{"reopened store", oldDir, 777},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, replicas, err := buildReplicas(tc.dir, id, 2, auSize, blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != nil {
+				defer st.Close()
+			}
+			if len(replicas) == 0 {
+				t.Fatal("no replicas built")
+			}
+			hdrs := auHeaders(replicas, []ids.PeerID{2, 3})
+			for i, rep := range replicas {
+				au, want := rep.Spec().ID, tc.kept
+				if want == 0 {
+					want = replicaSalt(id, au)
+				}
+				if rep.Salt() != want {
+					t.Errorf("AU %d replica salt = %#x, want %#x", au, rep.Salt(), want)
+				}
+				if hdrs[i].ID != au || hdrs[i].Salt != rep.Salt() {
+					t.Errorf("AU %d header records salt %#x (AU %d), replica carries %#x", au, hdrs[i].Salt, hdrs[i].ID, rep.Salt())
+				}
+			}
+		})
 	}
 }

@@ -40,12 +40,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer libB.Close()
-	pub := content.PublisherBytes(spec)
-	a, err := libA.Create(spec, 1, pub)
+	a, err := libA.CreateFrom(spec, 1, content.PublisherReader(spec))
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := libB.Create(spec, 2, pub)
+	b, err := libB.CreateFrom(spec, 2, content.PublisherReader(spec))
 	if err != nil {
 		log.Fatal(err)
 	}

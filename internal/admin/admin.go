@@ -415,9 +415,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // native Prometheus histograms: cumulative _bucket series over the trimmed
 // log2 bounds, the implicit +Inf bucket, _sum in seconds and _count.
 func writeHistograms(w http.ResponseWriter, tel *telemetry.Telemetry) {
-	for _, fam := range tel.Histograms() {
+	for _, fam := range telemetry.HistogramFamilies() {
 		name := "lockss_" + fam.Name + "_seconds"
-		snap := fam.H.Snapshot()
+		snap := fam.Of(tel).Snapshot()
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, fam.Help, name)
 		bounds, cum := snap.Bounds()
 		for i, b := range bounds {

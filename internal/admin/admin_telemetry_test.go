@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lockss/internal/content"
+	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/node"
 	"lockss/internal/protocol"
@@ -177,9 +178,9 @@ func TestReloadEndpoint(t *testing.T) {
 		Listen:      "127.0.0.1:0",
 		AddressBook: map[ids.PeerID]string{2: "127.0.0.1:1", 3: "127.0.0.1:1"},
 		Protocol:    testProtocolConfig(),
-		Costs:       testCosts(),
-		MBF:         testMBF,
-		EffortUnit:  0.05,
+		Costs:       effort.DemoCostModel(),
+		MBF:         effort.DemoMBFParams(),
+		EffortUnit:  effort.DemoEffortUnit,
 		Seed:        7,
 		Store:       st,
 		ScrubPace:   time.Second,

@@ -21,41 +21,10 @@ import (
 )
 
 // testProtocolConfig compresses the protocol's preservation timescales to
-// sub-second units, matching the node package's cluster tests.
+// sub-second units, as every real-node cluster test does.
 func testProtocolConfig() protocol.Config {
-	cfg := protocol.DefaultConfig()
-	cfg.Quorum = 3
-	cfg.InnerCircle = 5
-	cfg.MaxDisagree = 1
-	cfg.OuterCircle = 2
-	cfg.Nominations = 3
-	cfg.PollInterval = 1500 * time.Millisecond
-	cfg.VoteWindow = 700 * time.Millisecond
-	cfg.AckTimeout = 250 * time.Millisecond
-	cfg.ProofTimeout = 150 * time.Millisecond
-	cfg.VoteSlack = 300 * time.Millisecond
-	cfg.ReceiptSlack = 500 * time.Millisecond
-	cfg.RepairTimeout = 400 * time.Millisecond
-	cfg.Refractory = 200 * time.Millisecond
-	cfg.GradeDecay = time.Hour
-	cfg.FrivolousRepairProb = 0
-	cfg.RefListTarget = 5
-	cfg.RefListMax = 8
-	cfg.ConsiderBurst = 64
-	cfg.BlockSize = 32 << 10
-	return cfg
+	return protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
 }
-
-func testCosts() effort.CostModel {
-	m := effort.DefaultCostModel()
-	m.HashBytesPerSec = 64 << 30
-	m.SessionSetup = 1e-6
-	m.ScheduleCheck = 1e-6
-	m.ReceiptCheck = 1e-6
-	return m
-}
-
-var testMBF = effort.MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7}
 
 // newTestNode builds and starts a lone node preserving one in-memory AU
 // whose reference peers exist only in the address book — good enough for
@@ -86,9 +55,9 @@ func startTestNode(t *testing.T, st *store.Store, rep content.Replica) *node.Nod
 		Listen:      "127.0.0.1:0",
 		AddressBook: book,
 		Protocol:    testProtocolConfig(),
-		Costs:       testCosts(),
-		MBF:         testMBF,
-		EffortUnit:  0.05,
+		Costs:       effort.DemoCostModel(),
+		MBF:         effort.DemoMBFParams(),
+		EffortUnit:  effort.DemoEffortUnit,
 		Seed:        42,
 		Store:       st,
 	})
@@ -363,9 +332,9 @@ func TestDrainEndpointMidPoll(t *testing.T) {
 			Listen:      "127.0.0.1:0",
 			AddressBook: book,
 			Protocol:    testProtocolConfig(),
-			Costs:       testCosts(),
-			MBF:         testMBF,
-			EffortUnit:  0.05,
+			Costs:       effort.DemoCostModel(),
+			MBF:         effort.DemoMBFParams(),
+			EffortUnit:  effort.DemoEffortUnit,
 			Seed:        uint64(2000 + i),
 		})
 		if err != nil {

@@ -51,7 +51,7 @@ func (a *AdmissionFlood) Install(w *world.World) {
 			// Replies (refusals) to garbage invitations are ignored.
 		})
 
-	refractory := sim.Duration(w.Cfg.Protocol.Refractory)
+	refractory := w.Cfg.Protocol.Refractory
 	epoch := 0
 	a.forEachPulse(w, rnd,
 		func(victims []int) {
@@ -102,8 +102,8 @@ func (a *AdmissionFlood) sendVolley(w *world.World, victim ids.PeerID, au conten
 			Type:         protocol.MsgPoll,
 			AU:           au,
 			PollID:       a.pollSeq,
-			VoteBy:       schedTime(now) + schedTime(w.Cfg.Protocol.VoteWindow),
-			PollDeadline: schedTime(now) + schedTime(w.Cfg.Protocol.PollInterval),
+			VoteBy:       now.Add(w.Cfg.Protocol.VoteWindow),
+			PollDeadline: now.Add(w.Cfg.Protocol.PollInterval),
 			// No effort proof: verification at the victim fails cheaply.
 		},
 	}

@@ -19,7 +19,6 @@ package adversary
 
 import (
 	"lockss/internal/prng"
-	"lockss/internal/sched"
 	"lockss/internal/sim"
 	"lockss/internal/world"
 )
@@ -77,7 +76,3 @@ func (p Pulse) forEachPulse(w *world.World, rnd *prng.Source, onStart func([]int
 	}
 	start()
 }
-
-// schedTime converts any nanosecond-valued clock quantity (sim.Time,
-// sim.Duration, sched.Duration) to the scheduler clock.
-func schedTime[T ~int64](v T) sched.Time { return sched.Time(v) }

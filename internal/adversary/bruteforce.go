@@ -9,7 +9,6 @@ import (
 	"lockss/internal/netsim"
 	"lockss/internal/protocol"
 	"lockss/internal/reputation"
-	"lockss/internal/sched"
 	"lockss/internal/sim"
 	"lockss/internal/world"
 )
@@ -123,7 +122,7 @@ func (a *BruteForce) Install(w *world.World) {
 // consulting the oracle first.
 func (a *BruteForce) attackLoop(victim *protocol.Peer, au content.AUID, rnd interface{ Float64() float64 }) {
 	w := a.w
-	refractory := sim.Duration(w.Cfg.Protocol.Refractory)
+	refractory := w.Cfg.Protocol.Refractory
 	var tick func()
 	tick = func() {
 		delay := sim.Duration(float64(refractory) * (1.02 + 0.1*rnd.Float64()))
@@ -144,15 +143,15 @@ func (a *BruteForce) attackLoop(victim *protocol.Peer, au content.AUID, rnd inte
 // schedule cannot accommodate a vote (it would refuse Busy), either of
 // which would waste introductory efforts.
 func (a *BruteForce) oracleSaysSend(victim *protocol.Peer, au content.AUID) bool {
-	now := schedTime(a.w.Engine.Now())
+	now := a.w.Engine.Now()
 	rep := victim.Reputation(au)
-	if rep == nil || rep.InRefractory(reputation.Time(now)) {
+	if rep == nil || rep.InRefractory(now) {
 		return false
 	}
 	pe := a.efforts[au]
 	cfg := a.w.Cfg.Protocol
-	voteDur := sched.Duration((pe.VoteHash + pe.VoteProof).Duration())
-	_, ok := victim.Schedule().FindSlot(now+schedTime(cfg.ProofTimeout), voteDur, now+schedTime(cfg.VoteWindow))
+	voteDur := (pe.VoteHash + pe.VoteProof).Duration()
+	_, ok := victim.Schedule().FindSlot(now.Add(cfg.ProofTimeout), voteDur, now.Add(cfg.VoteWindow))
 	return ok
 }
 
@@ -170,8 +169,8 @@ func (a *BruteForce) sendVolley(victim ids.PeerID, au content.AUID) {
 			Type:         protocol.MsgPoll,
 			AU:           au,
 			PollID:       a.pollSeq << 8, // distinct per volley
-			VoteBy:       schedTime(now) + schedTime(cfg.VoteWindow),
-			PollDeadline: schedTime(now) + schedTime(cfg.PollInterval),
+			VoteBy:       now.Add(cfg.VoteWindow),
+			PollDeadline: now.Add(cfg.PollInterval),
 		},
 		Ledger: a.w.AdversaryLedger,
 	}

@@ -67,6 +67,18 @@ func (s AUSpec) String() string {
 	return fmt.Sprintf("AU%d(%q %dB/%dB)", s.ID, s.Name, s.Size, s.BlockSize)
 }
 
+// DemoAUSpec names the i-th (0-based) synthetic archival unit of a demo
+// collection; every real-node demo (lockss-node, the fleet, loopback
+// clusters) synthesizes the same catalogue from the shared publisher stream.
+func DemoAUSpec(i int, size, blockSize int64) AUSpec {
+	return AUSpec{
+		ID:        AUID(i + 1),
+		Name:      fmt.Sprintf("journal-%04d", 2000+i),
+		Size:      size,
+		BlockSize: blockSize,
+	}
+}
+
 // Mark identifies the content variant occupying a block: zero means the
 // publisher's correct content, any other value is a distinct corruption.
 type Mark uint64
@@ -395,6 +407,9 @@ func NewRealReplica(spec AUSpec, salt uint64) *RealReplica {
 
 // Spec implements Replica.
 func (r *RealReplica) Spec() AUSpec { return r.spec }
+
+// Salt returns the salt the replica was built with.
+func (r *RealReplica) Salt() uint64 { return r.salt }
 
 // block returns the byte range of block i.
 func (r *RealReplica) block(i int) []byte {

@@ -77,6 +77,19 @@ func DefaultCostModel() CostModel {
 	}
 }
 
+// DemoCostModel is the cost model of a loopback cluster whose poll interval
+// is compressed to seconds: effort scheduling is negligible against the
+// compressed timescales (hashing 128 KiB "costs" ~2us of schedule) while
+// remaining non-zero.
+func DemoCostModel() CostModel {
+	m := DefaultCostModel()
+	m.HashBytesPerSec = 64 << 30
+	m.SessionSetup = 1e-6
+	m.ScheduleCheck = 1e-6
+	m.ReceiptCheck = 1e-6
+	return m
+}
+
 // HashCost returns the effort to read and hash n bytes of content.
 func (m CostModel) HashCost(n int64) Seconds {
 	return Seconds(float64(n) / m.HashBytesPerSec)

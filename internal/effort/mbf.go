@@ -61,6 +61,18 @@ func DefaultMBFParams() MBFParams {
 	}
 }
 
+// DemoMBFParams returns the demo-scale proof parameters every loopback
+// cluster of real nodes shares (cluster tests, the cross-validation harness,
+// the fleet): the real memory-bound function, sized so a hundred provers fit
+// on one machine.
+func DemoMBFParams() MBFParams {
+	return MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7}
+}
+
+// DemoEffortUnit is the effort-seconds one MBF walk stands for when a real
+// node scales proof sizes to requested costs at demo scale.
+const DemoEffortUnit Seconds = 0.05
+
 // NewMBF builds the shared table deterministically from params.Seed.
 func NewMBF(p MBFParams) *MBF {
 	if p.TableWords <= 0 || p.Steps <= 0 || p.Checkpoints <= 0 || p.VerifySegments <= 0 {

@@ -8,6 +8,8 @@ import (
 	"math"
 
 	"lockss/internal/adversary"
+	"lockss/internal/effort"
+	"lockss/internal/metrics"
 	"lockss/internal/sim"
 	"lockss/internal/world"
 )
@@ -80,7 +82,13 @@ func RunOne(cfg world.Config, mkAttack func() adversary.Adversary) (RunStats, er
 
 // statsFromWorld extracts the per-run metric ingredients of a finished run.
 func statsFromWorld(w *world.World) RunStats {
-	m := w.Metrics
+	return StatsOf(w.Metrics, w.DefenderEffort(), w.AdversaryLedger.Total)
+}
+
+// StatsOf extracts the per-run metric ingredients from a finalized collector
+// and the two sides' effort totals. The simulator and the real-node cluster
+// backend both report through it.
+func StatsOf(m *metrics.Collector, defender, attacker effort.Seconds) RunStats {
 	var s RunStats
 	s.AccessFailure = m.AccessFailureProbability()
 	if gap, ok := m.MeanSuccessInterval(); ok {
@@ -90,8 +98,8 @@ func statsFromWorld(w *world.World) RunStats {
 	}
 	s.SuccessfulPolls = float64(m.SuccessfulPolls())
 	s.TotalPolls = float64(m.TotalPolls())
-	s.DefenderEffort = float64(w.DefenderEffort())
-	s.AttackerEffort = float64(w.AdversaryLedger.Total)
+	s.DefenderEffort = float64(defender)
+	s.AttackerEffort = float64(attacker)
 	if s.SuccessfulPolls > 0 {
 		s.EffortPerPoll = s.DefenderEffort / s.SuccessfulPolls
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lockss/internal/adversary"
-	"lockss/internal/sched"
 	"lockss/internal/sim"
 	"lockss/internal/world"
 )
@@ -125,7 +124,7 @@ var scenarioFigure2 = mustRegister(&Scenario{
 			Name:      "interval(mo)",
 			ValuesFor: func(o Options) []float64 { return intsToFloats(o.figure2Intervals()) },
 			Apply: func(cfg *world.Config, v float64) {
-				cfg.Protocol.PollInterval = sched.Duration(sim.Duration(v) * sim.Month)
+				cfg.Protocol.PollInterval = sim.Duration(v) * sim.Month
 				cfg.Protocol.GradeDecay = cfg.Protocol.PollInterval
 			},
 		},

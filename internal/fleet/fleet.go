@@ -14,11 +14,11 @@ import (
 	"lockss/internal/admin"
 	"lockss/internal/content"
 	"lockss/internal/effort"
+	"lockss/internal/harness"
 	"lockss/internal/ids"
 	"lockss/internal/node"
 	"lockss/internal/promtext"
 	"lockss/internal/protocol"
-	"lockss/internal/reputation"
 	"lockss/internal/store"
 )
 
@@ -29,13 +29,12 @@ const blackhole = "127.0.0.1:1"
 // member is one supervised node. All fields are owned by the fleet's run
 // loop; scrape workers receive copies of the addresses they need.
 type member struct {
-	idx  int        // 0-based slot
-	id   ids.PeerID // 1-based, == idx+1
-	n    *node.Node
-	adm  *admin.Server
-	st   *store.Store // nil for in-memory fleets
-	dir  string       // store dir, "" for in-memory
-	seed uint64
+	idx int        // 0-based slot in the cluster
+	id  ids.PeerID // 1-based, == idx+1
+	n   *node.Node
+	adm *admin.Server
+	st  *store.Store // nil for in-memory fleets
+	dir string       // store dir, "" for in-memory
 
 	protoAddr string // current protocol listen address
 	adminAddr string // current admin listen address
@@ -46,9 +45,12 @@ type member struct {
 
 // Fleet supervises a population of in-process nodes.
 type Fleet struct {
-	cfg     Config
-	rng     *rand.Rand
-	logf    func(format string, args ...any)
+	cfg  Config
+	rng  *rand.Rand
+	logf func(format string, args ...any)
+	// cluster builds (and, on restart, rebuilds) the nodes; members carry
+	// what the fleet adds to each: admin server, addresses, fault state.
+	cluster *harness.Cluster
 	members []*member
 	// partition holds the currently isolated subnet (1-based ids); empty
 	// means fully connected. Restarted nodes re-apply it.
@@ -69,161 +71,18 @@ func New(cfg Config, logf func(format string, args ...any)) *Fleet {
 	}
 }
 
-// protocolConfig scales the protocol's preservation timescales to the
-// fleet's poll interval, with paper-style fixed quorum independent of the
-// population size.
-func (f *Fleet) protocolConfig() protocol.Config {
-	iv := time.Duration(f.cfg.PollInterval)
-	cfg := protocol.DefaultConfig()
-	cfg.PollInterval = iv
-	cfg.VoteWindow = iv * 7 / 15
-	cfg.AckTimeout = iv / 6
-	cfg.ProofTimeout = iv / 10
-	cfg.VoteSlack = iv / 5
-	cfg.ReceiptSlack = iv / 3
-	cfg.RepairTimeout = iv * 4 / 15
-	cfg.Refractory = iv * 2 / 15
-	cfg.GradeDecay = time.Hour
-	cfg.FrivolousRepairProb = 0
-	cfg.Quorum = f.cfg.Quorum
-	cfg.InnerCircle = f.cfg.InnerCircle
-	cfg.MaxDisagree = (f.cfg.Quorum - 1) / 2
-	if cfg.MaxDisagree < 1 {
-		cfg.MaxDisagree = 1
-	}
-	cfg.OuterCircle = 2
-	cfg.Nominations = 3
-	target := f.cfg.InnerCircle
-	if q2 := 2 * f.cfg.Quorum; q2 > target {
-		target = q2
-	}
-	cfg.RefListTarget = target
-	cfg.RefListMax = target + 5
-	cfg.ConsiderBurst = 64
-	cfg.BlockSize = f.cfg.BlockSize
-	return cfg
-}
-
-func fleetCosts() effort.CostModel {
-	m := effort.DefaultCostModel()
-	m.HashBytesPerSec = 64 << 30
-	m.SessionSetup = 1e-6
-	m.ScheduleCheck = 1e-6
-	m.ReceiptCheck = 1e-6
-	return m
-}
-
-// fleetMBF is demo-scale proof effort: real memory-bound function, sized so
-// a hundred provers fit on one machine.
-var fleetMBF = effort.MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7}
-
-func (f *Fleet) auSpec(i int) content.AUSpec {
-	return content.AUSpec{
-		ID:        content.AUID(i + 1),
-		Name:      fmt.Sprintf("journal-%04d", 2000+i),
-		Size:      f.cfg.AUSize,
-		BlockSize: f.cfg.BlockSize,
-	}
-}
-
-// buildNode constructs (or reconstructs, on restart) member m's node and
-// admin server, stopped at the brink of Start. Durable members reopen their
-// store directory and resume its damage state; in-memory members synthesize
-// pristine publisher replicas.
-func (f *Fleet) buildNode(m *member) error {
-	book := make(map[ids.PeerID]string)
-	var replicas []content.Replica
-	if m.dir != "" {
-		st, err := store.Open(m.dir)
-		if err != nil {
-			return fmt.Errorf("fleet: node %d store: %w", m.id, err)
-		}
-		if len(st.AUs()) == 0 {
-			for i := 0; i < f.cfg.AUs; i++ {
-				spec := f.auSpec(i)
-				if _, err := st.CreateFrom(spec, m.seed<<16|uint64(spec.ID), content.PublisherReader(spec)); err != nil {
-					st.Close()
-					return fmt.Errorf("fleet: node %d ingest AU %d: %w", m.id, spec.ID, err)
-				}
-			}
-		}
-		m.st = st
-		for _, r := range st.Replicas() {
-			replicas = append(replicas, r)
-		}
-	} else {
-		m.st = nil
-		for i := 0; i < f.cfg.AUs; i++ {
-			replicas = append(replicas, content.NewRealReplica(f.auSpec(i), m.seed))
-		}
-	}
-	n, err := node.New(node.Config{
-		ID:                m.id,
-		Listen:            "127.0.0.1:0",
-		AddressBook:       book,
-		Protocol:          f.protocolConfig(),
-		Costs:             fleetCosts(),
-		MBF:               fleetMBF,
-		EffortUnit:        0.05,
-		Seed:              m.seed,
-		SendQueue:         f.cfg.SendQueue,
-		MaxInbound:        f.cfg.MaxInbound,
-		MaxInboundPerAddr: f.cfg.MaxInboundPerAddr,
-		Store:             m.st,
-		ScrubPace:         time.Duration(f.cfg.ScrubPace),
-		ScrubWorkers:      f.cfg.ScrubWorkers,
-		ScrubBandwidth:    f.cfg.ScrubBandwidth,
-	})
-	if err != nil {
-		if m.st != nil {
-			m.st.Close()
-		}
-		return fmt.Errorf("fleet: node %d: %w", m.id, err)
-	}
-	var refs []ids.PeerID
-	for j := 0; j < f.cfg.Nodes; j++ {
-		if j != m.idx {
-			refs = append(refs, ids.PeerID(j+1))
-		}
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	for _, r := range replicas {
-		if err := n.AddAU(r, refs); err != nil {
-			return fmt.Errorf("fleet: node %d AddAU: %w", m.id, err)
-		}
-		for _, p := range refs {
-			n.Peer().SeedGrade(r.Spec().ID, p, reputation.Even)
-		}
-	}
-	n.SetFriends(refs)
-	m.n = n
-	m.adm = admin.New(n, admin.Options{InspectTimeout: 2 * time.Second})
-	return nil
-}
-
-// startNode boots member m and publishes its fresh ephemeral addresses to
-// the rest of the population (respecting any live partition).
-func (f *Fleet) startNode(m *member) error {
-	if err := m.n.Start(); err != nil {
-		return fmt.Errorf("fleet: node %d start: %w", m.id, err)
-	}
+// serve attaches member m to its freshly (re)built, running cluster node and
+// starts its admin server.
+func (f *Fleet) serve(m *member) error {
+	cm := f.cluster.Members[m.idx]
+	m.n, m.st = cm.Node, cm.Store
+	m.adm = admin.New(m.n, admin.Options{InspectTimeout: 2 * time.Second})
 	if err := m.adm.Start("127.0.0.1:0"); err != nil {
-		m.n.Stop()
 		return fmt.Errorf("fleet: node %d admin: %w", m.id, err)
 	}
 	m.protoAddr = m.n.Addr().String()
 	m.adminAddr = m.adm.Addr().String()
 	m.down = false
-	// m learns everyone; everyone learns m.
-	for _, o := range f.members {
-		if o == m {
-			continue
-		}
-		m.n.SetAddress(o.id, f.addrFor(m, o))
-		if !o.down {
-			o.n.SetAddress(m.id, f.addrFor(o, m))
-		}
-	}
 	return nil
 }
 
@@ -236,11 +95,24 @@ func (f *Fleet) addrFor(viewer, target *member) string {
 	return target.protoAddr
 }
 
-// Start boots the whole population and cross-wires the address books.
+// Start builds the population through the shared loopback-cluster builder —
+// every node holds every AU, knows every other node at an Even grade and has
+// it on its friends and reference lists — boots it, and starts the admin
+// servers. Durable members reopen what their store directory holds and
+// resume its damage state; in-memory members synthesize pristine replicas.
 func (f *Fleet) Start() error {
+	spec := harness.ClusterSpec{
+		AUs:      make([]content.AUSpec, f.cfg.AUs),
+		Members:  make([]harness.MemberSpec, f.cfg.Nodes),
+		SeedEven: true,
+	}
+	for i := range spec.AUs {
+		spec.AUs[i] = content.DemoAUSpec(i, f.cfg.AUSize, f.cfg.BlockSize)
+	}
+	pcfg := protocol.DemoConfig(time.Duration(f.cfg.PollInterval), f.cfg.Quorum, f.cfg.InnerCircle, f.cfg.BlockSize)
 	f.members = make([]*member, f.cfg.Nodes)
 	for i := range f.members {
-		m := &member{idx: i, id: ids.PeerID(i + 1), seed: f.cfg.Seed*1_000_003 + uint64(i+1)*7919}
+		m := &member{idx: i, id: ids.PeerID(i + 1)}
 		if f.cfg.DataDir != "" {
 			m.dir = filepath.Join(f.cfg.DataDir, fmt.Sprintf("node-%03d", m.id))
 			if err := os.MkdirAll(m.dir, 0o755); err != nil {
@@ -248,15 +120,31 @@ func (f *Fleet) Start() error {
 			}
 		}
 		f.members[i] = m
-	}
-	for _, m := range f.members {
-		if err := f.buildNode(m); err != nil {
-			f.stopAll()
-			return err
+		spec.Members[i] = harness.MemberSpec{
+			Dir: m.dir,
+			Config: node.Config{
+				Protocol:          pcfg,
+				Costs:             effort.DemoCostModel(),
+				Seed:              f.cfg.Seed*1_000_003 + uint64(i+1)*7919,
+				SendQueue:         f.cfg.SendQueue,
+				MaxInbound:        f.cfg.MaxInbound,
+				MaxInboundPerAddr: f.cfg.MaxInboundPerAddr,
+				ScrubPace:         time.Duration(f.cfg.ScrubPace),
+				ScrubWorkers:      f.cfg.ScrubWorkers,
+				ScrubBandwidth:    f.cfg.ScrubBandwidth,
+			},
 		}
 	}
+	c, err := harness.BuildCluster(spec)
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	f.cluster = c
+	if err := c.Start(); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
 	for _, m := range f.members {
-		if err := f.startNode(m); err != nil {
+		if err := f.serve(m); err != nil {
 			f.stopAll()
 			return err
 		}
@@ -265,6 +153,8 @@ func (f *Fleet) Start() error {
 	return nil
 }
 
+// stopAll releases every stall, closes the admin servers and stops the
+// cluster. It is idempotent.
 func (f *Fleet) stopAll() {
 	for _, m := range f.members {
 		if m == nil || m.down {
@@ -277,9 +167,9 @@ func (f *Fleet) stopAll() {
 		if m.adm != nil {
 			m.adm.Close()
 		}
-		if m.n != nil {
-			m.n.Stop()
-		}
+	}
+	if f.cluster != nil {
+		f.cluster.Stop()
 	}
 }
 
@@ -328,12 +218,23 @@ func (f *Fleet) apply(fault Fault) (string, error) {
 		if !m.down {
 			return "", fmt.Errorf("restart target node %d is not down", fault.Node)
 		}
-		if err := f.buildNode(m); err != nil {
+		// The member's surviving state is its store directory: the rebuilt
+		// node reopens it, damage marks and silent rot included. It learns
+		// the population's addresses, and the population its new one, under
+		// whatever partition is live.
+		if err := f.cluster.Rebuild(m.idx); err != nil {
+			return "", fmt.Errorf("fleet: %w", err)
+		}
+		n := f.cluster.Members[m.idx].Node
+		if err := n.Start(); err != nil {
+			n.Stop()
+			return "", fmt.Errorf("fleet: node %d start: %w", m.id, err)
+		}
+		if err := f.serve(m); err != nil {
+			n.Stop()
 			return "", err
 		}
-		if err := f.startNode(m); err != nil {
-			return "", err
-		}
+		f.rewireAll()
 		return fmt.Sprintf("restarted node %d on %s", fault.Node, m.protoAddr), nil
 
 	case "stall":

@@ -132,10 +132,13 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetRepairsInjectedDamage runs a real seeded 10-node fleet: one
-// damage injection plus one kill/restart, and requires the report to show
-// the damage repaired, all nodes back up and healthy. Real-time; skipped by
-// -short (CI runs it as a named step).
+// TestFleetRepairsInjectedDamage runs a real seeded 10-node durable fleet:
+// silent rot on one node, and silent rot on a second node that is killed
+// before any poll can heal it and restarted two seconds later. The report
+// must show all damage repaired and all nodes back up and healthy — and the
+// restarted node, rebuilt by the shared cluster builder from its surviving
+// store directory, must have inherited its rot and had it repaired.
+// Real-time; skipped by -short (CI runs it as a named step).
 func TestFleetRepairsInjectedDamage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time fleet test")
@@ -149,9 +152,11 @@ func TestFleetRepairsInjectedDamage(t *testing.T) {
 		Duration:       Duration(9 * time.Second),
 		ScrapeInterval: Duration(1 * time.Second),
 		PollInterval:   Duration(1500 * time.Millisecond),
+		DataDir:        t.TempDir(),
 		Faults: []Fault{
 			{At: Duration(300 * time.Millisecond), Kind: "damage", Node: 3, AU: 1, Block: 2},
-			{At: Duration(1 * time.Second), Kind: "kill", Node: 7, For: Duration(2 * time.Second)},
+			{At: Duration(400 * time.Millisecond), Kind: "damage", Node: 7, AU: 1, Block: 1},
+			{At: Duration(500 * time.Millisecond), Kind: "kill", Node: 7, For: Duration(2 * time.Second)},
 		},
 	}.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -169,8 +174,8 @@ func TestFleetRepairsInjectedDamage(t *testing.T) {
 			t.Errorf("fault %s at %v failed: %s", ev.Fault.Kind, ev.At, ev.Error)
 		}
 	}
-	if len(rep.FaultLog) != 3 { // damage, kill, restart
-		t.Errorf("fault log has %d events, want 3: %+v", len(rep.FaultLog), rep.FaultLog)
+	if len(rep.FaultLog) != 4 { // damage, damage, kill, restart
+		t.Errorf("fault log has %d events, want 4: %+v", len(rep.FaultLog), rep.FaultLog)
 	}
 	if !rep.Final.Converged || rep.Final.UnrepairedDamage != 0 {
 		t.Errorf("fleet did not converge: %d unrepaired damaged blocks", rep.Final.UnrepairedDamage)
@@ -186,6 +191,12 @@ func TestFleetRepairsInjectedDamage(t *testing.T) {
 	last := rep.Samples[len(rep.Samples)-1]
 	if last.Aggregate["repairs_received"] < 1 {
 		t.Errorf("no repairs received across the fleet; damage was never healed by the protocol")
+	}
+	// Node 7's counters restarted from zero with it, so a repair it received
+	// is one its rebuilt node needed: the rot survived the kill on disk, and
+	// the verified-clean stores above say it is gone now.
+	if got := last.PerNode[6].Metrics["lockss_repairs_received_total"]; got < 1 {
+		t.Errorf("restarted node 7 received %v repairs; its store's damage state did not survive the rebuild", got)
 	}
 	if last.Aggregate["polls_concluded"] < float64(cfg.Nodes) {
 		t.Errorf("polls_concluded = %v, want >= %d", last.Aggregate["polls_concluded"], cfg.Nodes)

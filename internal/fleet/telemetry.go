@@ -11,12 +11,15 @@ import (
 	"lockss/internal/telemetry"
 )
 
-// telemetryFamilies are the histogram families the fleet merges, in report
-// order. The names mirror telemetry.(*Telemetry).Histograms.
-var telemetryFamilies = []string{
-	"poll_duration", "solicit_vote", "tally", "repair",
-	"transport_queue_wait", "scrub_pass", "admin_latency",
-}
+// telemetryFamilies names the histogram families the fleet merges, in report
+// order: every family a node's recorder keeps.
+var telemetryFamilies = func() []string {
+	var names []string
+	for _, fam := range telemetry.HistogramFamilies() {
+		names = append(names, fam.Name)
+	}
+	return names
+}()
 
 // QuantileRow is one merged fleet-wide latency distribution.
 type QuantileRow struct {

@@ -4,326 +4,192 @@
 // producing the same experiment.RunStats and metrics tables either way. It
 // is the sim/real convergence layer: the cross-validation tests score the
 // production node stack on the same scenarios the paper's figures use.
+//
+// It also owns the one loopback-cluster builder (Cluster): RunCluster, the
+// fleet supervisor and the cluster tests all construct their nodes through
+// it, at the one declaration of the demo-scale parameters
+// (effort.DemoMBFParams, effort.DemoEffortUnit, effort.DemoCostModel,
+// protocol.DemoConfig, content.DemoAUSpec).
 package harness
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-	"time"
 
 	"lockss/internal/content"
 	"lockss/internal/effort"
-	"lockss/internal/experiment"
 	"lockss/internal/ids"
 	"lockss/internal/node"
-	"lockss/internal/prng"
-	"lockss/internal/protocol"
-	"lockss/internal/reputation"
-	"lockss/internal/sched"
-	"lockss/internal/sim"
 	"lockss/internal/store"
 	"lockss/internal/world"
 )
 
-// ClusterConfig shapes the real-node backend: everything about cluster
-// execution that a world.Config does not specify.
-type ClusterConfig struct {
-	// Dir is the root of the per-node store data directories; empty means a
-	// fresh temporary directory, removed after the run.
+// ClusterSpec declares a cluster of real nodes on loopback TCP. Member i has
+// peer identity i+1.
+type ClusterSpec struct {
+	// AUs is the catalogue every member preserves.
+	AUs []content.AUSpec
+	// Members declares the nodes.
+	Members []MemberSpec
+	// SeedEven starts every member at an Even grade with every other member
+	// on every AU: a deployment with history rather than a cold bootstrap.
+	SeedEven bool
+}
+
+// MemberSpec declares one node.
+type MemberSpec struct {
+	// Config is the node's configuration. The builder owns ID, Listen (an
+	// ephemeral loopback port), Store, MBF and EffortUnit (the demo-scale
+	// constants) and overwrites them.
+	Config node.Config
+	// Dir is the member's durable store directory; empty keeps its replicas
+	// in memory. AUs the directory already holds are reopened as they are,
+	// damage state and salt included; the others are ingested from the
+	// publisher stream.
 	Dir string
-	// TimeScale is the virtual-to-wall compression factor K: a virtual
-	// horizon of D runs for D/K of wall time, and wall-clock metric times
-	// are scaled by K back into virtual time. The protocol itself is NOT
-	// rescaled — pass a demo-compressed protocol.Config in the world config
-	// and a matching TimeScale. Default 1 (the config's durations run in
-	// real time).
-	TimeScale float64
-	// MBF parameterizes the real effort proofs; the zero value selects
-	// small, test-sized parameters.
-	MBF effort.MBFParams
-	// EffortUnit is the effort-seconds one MBF walk stands for. Default 0.05.
-	EffortUnit effort.Seconds
-	// ScrubPace is the pause between scrubbed blocks. Default 100ms.
-	ScrubPace time.Duration
-	// MaxNodes caps the cluster size (each node is threads, sockets and a
-	// store). Default 16.
-	MaxNodes int
-	// MaxAUBytes caps per-AU content size. Default 16 MiB.
-	MaxAUBytes int64
-	// Logf, if non-nil, receives node diagnostics.
-	Logf func(format string, args ...any)
+	// Friends is the operator's friends list, and Refs the initial reference
+	// list of each AU (parallel to ClusterSpec.AUs). Nil means every other
+	// member.
+	Friends []ids.PeerID
+	Refs    [][]ids.PeerID
 }
 
-// withDefaults fills the zero values.
-func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.TimeScale <= 0 {
-		c.TimeScale = 1
-	}
-	if c.MBF.TableWords == 0 {
-		c.MBF = effort.MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7}
-	}
-	if c.EffortUnit <= 0 {
-		c.EffortUnit = 0.05
-	}
-	if c.ScrubPace <= 0 {
-		c.ScrubPace = 100 * time.Millisecond
-	}
-	if c.MaxNodes <= 0 {
-		c.MaxNodes = 16
-	}
-	if c.MaxAUBytes <= 0 {
-		c.MaxAUBytes = 16 << 20
-	}
-	return c
+// Member is one built node.
+type Member struct {
+	ID   ids.PeerID
+	Node *node.Node
+	// Store backs the node's replicas; nil for an in-memory member. The node
+	// closes it when it stops.
+	Store *store.Store
 }
 
-// RunCluster executes one attack-free world configuration on a cluster of
-// real nodes and extracts the same RunStats the simulator produces. The
-// population bootstrap (friends lists, reference lists, replica salts,
-// acquaintance seeding) mirrors world.New's derivation from cfg.Seed, so the
-// two backends audit topologically equivalent populations.
-func RunCluster(ctx context.Context, cfg world.Config, ccfg ClusterConfig) (experiment.RunStats, error) {
-	ccfg = ccfg.withDefaults()
-	if err := validateClusterConfig(cfg, ccfg); err != nil {
-		return experiment.RunStats{}, err
-	}
+// Cluster is a built loopback cluster.
+type Cluster struct {
+	spec    ClusterSpec
+	Members []*Member
+}
 
-	dir := ccfg.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "lockss-harness-")
+// BuildCluster opens every member's store, ingests the AUs it lacks, and
+// constructs the nodes with their reference lists, friends and grades,
+// unstarted. On an error everything already opened is closed.
+func BuildCluster(spec ClusterSpec) (*Cluster, error) {
+	c := &Cluster{spec: spec, Members: make([]*Member, len(spec.Members))}
+	for i := range c.Members {
+		m, err := c.build(i)
 		if err != nil {
-			return experiment.RunStats{}, err
+			c.Stop()
+			return nil, err
 		}
-		dir = tmp
-		defer os.RemoveAll(tmp)
+		c.Members[i] = m
 	}
+	return c, nil
+}
 
-	root := prng.New(cfg.Seed)
-	bootRnd := root.Child("bootstrap")
-
-	specs := make([]content.AUSpec, cfg.AUs)
-	for i := range specs {
-		specs[i] = content.AUSpec{
-			ID:        content.AUID(i + 1),
-			Name:      fmt.Sprintf("au-%03d", i+1),
-			Size:      cfg.AUSize,
-			BlockSize: cfg.Protocol.BlockSize,
-		}
+// Rebuild replaces member i, whose node must have been stopped, with a fresh
+// unstarted node built from the same declaration — for a durable member, on
+// whatever its store directory holds now.
+func (c *Cluster) Rebuild(i int) error {
+	m, err := c.build(i)
+	if err != nil {
+		return err
 	}
+	c.Members[i] = m
+	return nil
+}
 
-	costs := effort.DefaultCostModel()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
-	if cfg.HashBytesPerSec > 0 {
-		costs.HashBytesPerSec = cfg.HashBytesPerSec
-	}
-
-	coll := newLockedCollector(cfg.Peers * cfg.AUs)
-
-	nodes := make([]*node.Node, 0, cfg.Peers)
-	stores := make([]*store.Store, 0, cfg.Peers)
-	started := 0
+// build constructs member i. It has one error path: whatever the call opened
+// or built is closed before the error is returned.
+func (c *Cluster) build(i int) (_ *Member, err error) {
+	ms := c.spec.Members[i]
+	m := &Member{ID: ids.PeerID(i + 1)}
 	defer func() {
-		for _, n := range nodes[:started] {
-			n.Stop() // closes its store
+		if err == nil {
+			return
 		}
-		for _, st := range stores[started:] {
-			st.Close()
+		err = fmt.Errorf("harness: node %d: %w", m.ID, err)
+		if m.Node != nil {
+			m.Node.Stop() // closes its store
+		} else if m.Store != nil {
+			m.Store.Close()
 		}
 	}()
 
-	// Mirror world.New's assembly order exactly — nodes, then friends, then
-	// replicas and reference lists — so bootRnd yields the same samples.
-	for i := 0; i < cfg.Peers; i++ {
-		st, err := store.Open(filepath.Join(dir, fmt.Sprintf("node-%03d", i+1)))
-		if err != nil {
-			return experiment.RunStats{}, err
-		}
-		stores = append(stores, st)
-		n, err := node.New(node.Config{
-			ID:         world.PeerIDOf(i),
-			Listen:     "127.0.0.1:0",
-			Protocol:   cfg.Protocol,
-			Costs:      costs,
-			MBF:        ccfg.MBF,
-			EffortUnit: ccfg.EffortUnit,
-			Seed:       cfg.Seed,
-			Observer:   coll,
-			Logf:       ccfg.Logf,
-			Store:      st,
-			ScrubPace:  ccfg.ScrubPace,
-		})
-		if err != nil {
-			return experiment.RunStats{}, err
-		}
-		nodes = append(nodes, n)
-	}
-	for i, n := range nodes {
-		n.SetFriends(sampleOthers(bootRnd, cfg.Peers, i, cfg.Friends))
-	}
-	for i, n := range nodes {
-		for _, spec := range specs {
-			salt := uint64(i+1)<<20 | uint64(spec.ID)
-			replica, err := stores[i].Create(spec, salt, content.PublisherBytes(spec))
-			if err != nil {
-				return experiment.RunStats{}, err
-			}
-			refs := sampleOthers(bootRnd, cfg.Peers, i, cfg.Protocol.RefListTarget)
-			if err := n.AddAU(replica, refs); err != nil {
-				return experiment.RunStats{}, err
-			}
-			coll.RegisterReplica(n.Peer().ID(), spec.ID, replica)
+	if ms.Dir != "" {
+		if m.Store, err = store.Open(ms.Dir); err != nil {
+			return nil, err
 		}
 	}
-	if cfg.SeedAllEven {
-		for i, n := range nodes {
-			for _, spec := range specs {
-				for j := range nodes {
-					if j != i {
-						n.Peer().SeedGrade(spec.ID, world.PeerIDOf(j), reputation.Even)
-					}
-				}
-			}
+	replicas := make([]content.Replica, len(c.spec.AUs))
+	for k, au := range c.spec.AUs {
+		salt := world.ReplicaSalt(m.ID, au.ID)
+		if m.Store == nil {
+			replicas[k] = content.NewRealReplica(au, salt)
+		} else if r := m.Store.Replica(au.ID); r != nil {
+			replicas[k] = r
+		} else if r, err = m.Store.CreateFrom(au, salt, content.PublisherReader(au)); err != nil {
+			return nil, fmt.Errorf("ingest AU %d: %w", au.ID, err)
+		} else {
+			replicas[k] = r
 		}
 	}
 
-	// t0 precedes every node start, so no observer event maps to a negative
-	// cluster-relative time.
-	coll.setStart(sched.Time(time.Now().UnixNano()))
-	for _, n := range nodes {
-		if err := n.Start(); err != nil {
-			return experiment.RunStats{}, err
+	cfg := ms.Config
+	cfg.ID = m.ID
+	cfg.Listen = "127.0.0.1:0"
+	cfg.MBF = effort.DemoMBFParams()
+	cfg.EffortUnit = effort.DemoEffortUnit
+	cfg.Store = m.Store
+	if m.Node, err = node.New(cfg); err != nil {
+		return nil, err
+	}
+
+	others := make([]ids.PeerID, 0, len(c.Members)-1)
+	for j := range c.Members {
+		if j != i {
+			others = append(others, ids.PeerID(j+1))
 		}
-		started++
 	}
-	for i, n := range nodes {
-		addr := n.Addr().String()
-		for _, m := range nodes {
-			m.SetAddress(world.PeerIDOf(i), addr)
+	for k, r := range replicas {
+		refs := others
+		if ms.Refs != nil {
+			refs = ms.Refs[k]
+		}
+		if err = m.Node.AddAU(r, refs); err != nil {
+			return nil, err
 		}
 	}
-
-	stopDamage := startClusterDamage(cfg, ccfg, root, nodes, coll)
-	defer stopDamage()
-
-	wall := time.Duration(float64(cfg.Duration) / ccfg.TimeScale)
-	select {
-	case <-time.After(wall):
-	case <-ctx.Done():
-		return experiment.RunStats{}, ctx.Err()
+	if c.spec.SeedEven {
+		world.SeedEven(m.Node.Peer(), len(c.Members))
 	}
-	stopDamage()
-
-	// Gather effort on each actor loop before stopping (Inspect refuses
-	// after Stop).
-	var defender effort.Seconds
-	for _, n := range nodes {
-		n.Inspect(func(p *protocol.Peer) { defender += p.Ledger().Total })
+	if ms.Friends != nil {
+		others = ms.Friends
 	}
-	for _, n := range nodes {
-		n.Stop()
-	}
-	started = 0 // the deferred sweep must not re-stop (idempotent anyway)
-
-	coll.Finalize(sched.Time(time.Now().UnixNano()))
-	return coll.stats(ccfg.TimeScale, defender), nil
+	m.Node.SetFriends(others)
+	return m, nil
 }
 
-// validateClusterConfig guards against configurations that only make sense
-// in the simulator (hundred-peer populations, gigabyte AUs, year horizons).
-func validateClusterConfig(cfg world.Config, ccfg ClusterConfig) error {
-	if err := cfg.Protocol.Validate(); err != nil {
-		return err
+// Start starts every node and then exchanges the ephemeral listen addresses.
+// On an error the whole cluster is stopped.
+func (c *Cluster) Start() error {
+	for _, m := range c.Members {
+		if err := m.Node.Start(); err != nil {
+			c.Stop()
+			return fmt.Errorf("harness: node %d: %w", m.ID, err)
+		}
 	}
-	if cfg.Peers <= cfg.Protocol.Quorum {
-		return fmt.Errorf("harness: population %d cannot sustain quorum %d", cfg.Peers, cfg.Protocol.Quorum)
-	}
-	if cfg.Peers > ccfg.MaxNodes {
-		return fmt.Errorf("harness: %d nodes exceeds the cluster cap %d (override the scenario config down to cluster scale)", cfg.Peers, ccfg.MaxNodes)
-	}
-	if cfg.AUs <= 0 {
-		return fmt.Errorf("harness: need at least one AU")
-	}
-	if cfg.AUSize > ccfg.MaxAUBytes {
-		return fmt.Errorf("harness: AU size %d exceeds the cluster cap %d bytes", cfg.AUSize, ccfg.MaxAUBytes)
-	}
-	if cfg.Duration <= 0 {
-		return fmt.Errorf("harness: need a positive horizon")
-	}
-	if wall := time.Duration(float64(cfg.Duration) / ccfg.TimeScale); wall > 10*time.Minute {
-		return fmt.Errorf("harness: horizon %v runs for %v of wall time; compress the config or raise TimeScale", time.Duration(cfg.Duration), wall)
+	for _, m := range c.Members {
+		addr := m.Node.Addr().String()
+		for _, o := range c.Members {
+			o.Node.SetAddress(m.ID, addr)
+		}
 	}
 	return nil
 }
 
-// sampleOthers mirrors world.New's bootstrap sampling: n distinct peers
-// excluding self, drawn from rnd exactly as the simulator draws them.
-func sampleOthers(rnd *prng.Source, peers, self, n int) []ids.PeerID {
-	if n > peers-1 {
-		n = peers - 1
-	}
-	out := make([]ids.PeerID, 0, n)
-	for _, j := range rnd.Sample(peers, n+1) {
-		if j != self && len(out) < n {
-			out = append(out, world.PeerIDOf(j))
+// Stop stops every node (each closes its store). It is idempotent.
+func (c *Cluster) Stop() {
+	for _, m := range c.Members {
+		if m != nil {
+			m.Node.Stop()
 		}
-	}
-	return out
-}
-
-// startClusterDamage runs the simulator's storage-damage Poisson process
-// against the cluster in wall time: same per-peer randomness streams, with
-// the virtual mean gap compressed by TimeScale. Damage is applied on the
-// owning node's actor loop (via Inspect), so replica access never races the
-// protocol. The returned stop function is idempotent and waits for the
-// drivers to exit.
-func startClusterDamage(cfg world.Config, ccfg ClusterConfig, root *prng.Source, nodes []*node.Node, coll *lockedCollector) func() {
-	if cfg.DamageDiskYears <= 0 {
-		return func() {}
-	}
-	perDisk := cfg.AUsPerDisk
-	if perDisk <= 0 {
-		perDisk = 50
-	}
-	disks := (cfg.AUs + perDisk - 1) / perDisk
-	ratePerYear := float64(disks) / cfg.DamageDiskYears
-	meanGapWall := float64(sim.Year) / ratePerYear / ccfg.TimeScale
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n *node.Node) {
-			defer wg.Done()
-			rnd := root.ChildN("damage", i)
-			for {
-				gap := time.Duration(rnd.ExpFloat64(meanGapWall))
-				select {
-				case <-time.After(gap):
-				case <-stop:
-					return
-				}
-				n.Inspect(func(p *protocol.Peer) {
-					aus := p.AUs()
-					if len(aus) == 0 {
-						return
-					}
-					au := aus[rnd.Intn(len(aus))]
-					replica := p.Replica(au)
-					block := rnd.Intn(replica.Spec().Blocks())
-					replica.Damage(block)
-					coll.OnDamage(p.ID(), au, sched.Time(time.Now().UnixNano()))
-				})
-			}
-		}(i, n)
-	}
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(stop) })
-		wg.Wait()
 	}
 }

@@ -6,82 +6,36 @@ import (
 	"time"
 
 	"lockss/internal/content"
-	"lockss/internal/ids"
+	"lockss/internal/effort"
 	"lockss/internal/node"
-	"lockss/internal/reputation"
 	"lockss/internal/store"
 )
 
-// buildDemoCluster assembles (without starting) an N-node loopback cluster
-// over on-disk stores, all preserving one copy of spec, fully meshed with
-// Even grades. Per-node customization (taps, observers) goes through mod.
-func buildDemoCluster(t *testing.T, n int, spec content.AUSpec, mod func(i int, cfg *node.Config)) (nodes []*node.Node, stores []*store.Store, dirs []string) {
+// newTestCluster builds (without starting) an N-node loopback cluster over
+// on-disk stores, all preserving one copy of spec, fully meshed with Even
+// grades. Per-node customization (taps, observers) goes through mod. The
+// cluster is stopped when the test ends.
+func newTestCluster(t *testing.T, n int, spec content.AUSpec, mod func(i int, cfg *node.Config)) *Cluster {
 	t.Helper()
-	nodes = make([]*node.Node, n)
-	stores = make([]*store.Store, n)
-	dirs = make([]string, n)
-	for i := 0; i < n; i++ {
-		dirs[i] = filepath.Join(t.TempDir(), "data")
-		st, err := store.Open(dirs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[i] = st
-		replica, err := st.Create(spec, uint64(i+1), content.PublisherBytes(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
+	cs := ClusterSpec{AUs: []content.AUSpec{spec}, Members: make([]MemberSpec, n), SeedEven: true}
+	for i := range cs.Members {
 		cfg := node.Config{
-			ID:         ids.PeerID(i + 1),
-			Listen:     "127.0.0.1:0",
-			Protocol:   demoProtocolConfig(),
-			Costs:      demoCosts(),
-			MBF:        demoMBF(),
-			EffortUnit: 0.05,
-			Seed:       uint64(2000 + i),
-			Store:      st,
-			ScrubPace:  10 * time.Millisecond,
+			Protocol:  demoProtocolConfig(),
+			Costs:     effort.DemoCostModel(),
+			Seed:      uint64(2000 + i),
+			ScrubPace: 10 * time.Millisecond,
 		}
 		if mod != nil {
 			mod(i, &cfg)
 		}
-		nd, err := node.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
-
-		var refs []ids.PeerID
-		for j := 0; j < n; j++ {
-			if j != i {
-				refs = append(refs, ids.PeerID(j+1))
-			}
-		}
-		if err := nd.AddAU(replica, refs); err != nil {
-			t.Fatal(err)
-		}
-		nd.SetFriends(refs)
-		for _, r := range refs {
-			nd.Peer().SeedGrade(spec.ID, r, reputation.Even)
-		}
+		cs.Members[i] = MemberSpec{Config: cfg, Dir: filepath.Join(t.TempDir(), "data")}
 	}
-	return nodes, stores, dirs
-}
-
-// startDemoCluster starts every node and exchanges addresses.
-func startDemoCluster(t *testing.T, nodes []*node.Node) {
-	t.Helper()
-	for _, n := range nodes {
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
+	c, err := BuildCluster(cs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, n := range nodes {
-		addr := n.Addr().String()
-		for _, m := range nodes {
-			m.SetAddress(ids.PeerID(i+1), addr)
-		}
-	}
+	t.Cleanup(c.Stop)
+	return c
 }
 
 // TestClusterRepairsDurableStore is the durable-storage acceptance test
@@ -98,52 +52,47 @@ func TestClusterRepairsDurableStore(t *testing.T) {
 	}
 	const N = 6
 	spec := content.AUSpec{ID: 1, Name: "au-durable", Size: 128 << 10, BlockSize: 32 << 10}
-	obs := &countObserver{}
-	nodes, stores, dirs := buildDemoCluster(t, N, spec, func(i int, cfg *node.Config) {
-		cfg.Observer = obs
-	})
+	c := newTestCluster(t, N, spec, nil)
+	node0, store0 := c.Members[0].Node, c.Members[0].Store
 
 	// Node 0's disk rots silently at block 2 before the cluster starts:
 	// real bits flip in blocks.dat, the manifest still vouches for the old
 	// content, and no damage mark exists anywhere.
-	if err := stores[0].InjectDamage(spec.ID, 2); err != nil {
+	if err := store0.InjectDamage(spec.ID, 2); err != nil {
 		t.Fatal(err)
 	}
-	if stores[0].Replica(spec.ID).Damaged() {
+	if store0.Replica(spec.ID).Damaged() {
 		t.Fatal("injected damage must be silent")
 	}
 
-	startDemoCluster(t, nodes)
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
 
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
 		if !WaitFor(45*time.Second, 100*time.Millisecond, cond) {
-			succ, other, repairs := obs.snapshot()
+			succ, other, repairs := pollCounts(c)
 			t.Fatalf("%s did not happen in time (polls ok=%d other=%d repairs=%d, store0 %+v)",
-				what, succ, other, repairs, nodes[0].StoreStats())
+				what, succ, other, repairs, node0.StoreStats())
 		}
 	}
 
 	// Phase 1: the scrubber finds the silent rot and marks it.
 	waitFor("scrub detection", func() bool {
-		return nodes[0].StoreStats().BlocksDamaged >= 1
+		return node0.StoreStats().BlocksDamaged >= 1
 	})
 
 	// Phase 2: polls confirm the damage against the cluster and repair the
 	// bytes on disk; the whole store verifies again.
 	waitFor("poll-driven repair", func() bool {
-		dam := stores[0].VerifyAll()
-		return dam == nil && !stores[0].Replica(spec.ID).Damaged()
+		dam := store0.VerifyAll()
+		return dam == nil && !store0.Replica(spec.ID).Damaged()
 	})
-	if _, _, repairs := obs.snapshot(); repairs == 0 {
-		t.Error("no RepairApplied event observed")
+	if got := node0.Stats().Peer.RepairsReceived; got == 0 {
+		t.Error("node 0 counts no repair received")
 	}
-	if st := nodes[0].StoreStats(); st.BlocksRepaired == 0 {
+	if st := node0.StoreStats(); st.BlocksRepaired == 0 {
 		t.Errorf("store counters show no repair: %+v", st)
 	}
 
@@ -151,9 +100,7 @@ func TestClusterRepairsDurableStore(t *testing.T) {
 	// close the store exactly once.
 	done := make(chan struct{})
 	go func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
+		c.Stop()
 		close(done)
 	}()
 	select {
@@ -163,8 +110,8 @@ func TestClusterRepairsDurableStore(t *testing.T) {
 	}
 
 	// Durability: reopen every store from disk; every manifest must verify.
-	for i, dir := range dirs {
-		re, err := store.Open(dir)
+	for i, m := range c.Members {
+		re, err := store.Open(m.Store.Root())
 		if err != nil {
 			t.Fatalf("node %d store not loadable after shutdown: %v", i, err)
 		}

@@ -50,9 +50,7 @@ func (b *SimBackend) RunPoint(ctx context.Context, s *experiment.Scenario, o exp
 // ClusterBackend runs points on real in-process node clusters. It is
 // inherently baseline-only: adversaries install themselves through simulator
 // hooks that real nodes do not expose.
-type ClusterBackend struct {
-	Cluster ClusterConfig
-}
+type ClusterBackend struct{}
 
 // Name implements Backend.
 func (b *ClusterBackend) Name() string { return "cluster" }
@@ -62,7 +60,7 @@ func (b *ClusterBackend) RunPoint(ctx context.Context, s *experiment.Scenario, o
 	if s.RunPoint != nil {
 		return experiment.PointResult{}, fmt.Errorf("harness: scenario %q has a custom point executor; the cluster backend only runs standard points", s.Name)
 	}
-	stats, err := RunCluster(ctx, cfg, b.Cluster)
+	stats, err := RunCluster(ctx, cfg)
 	if err != nil {
 		return experiment.PointResult{}, fmt.Errorf("harness: scenario %q point %d: %w", s.Name, pt.Index, err)
 	}

@@ -3,92 +3,32 @@ package harness
 import (
 	"context"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
-	"lockss/internal/content"
 	"lockss/internal/effort"
 	"lockss/internal/experiment"
-	"lockss/internal/ids"
 	"lockss/internal/protocol"
-	"lockss/internal/sched"
 	"lockss/internal/sim"
 	"lockss/internal/world"
 )
 
 // demoProtocolConfig compresses the protocol's preservation timescales to
 // sub-second units so an audit-and-repair round completes inside a test.
-// (Kept in sync with the node package's internal demo configuration.)
 func demoProtocolConfig() protocol.Config {
-	cfg := protocol.DefaultConfig()
-	cfg.Quorum = 3
-	cfg.InnerCircle = 5
-	cfg.MaxDisagree = 1
-	cfg.OuterCircle = 2
-	cfg.Nominations = 3
-	cfg.PollInterval = 1500 * time.Millisecond
-	cfg.VoteWindow = 700 * time.Millisecond
-	cfg.AckTimeout = 250 * time.Millisecond
-	cfg.ProofTimeout = 150 * time.Millisecond
-	cfg.VoteSlack = 300 * time.Millisecond
-	cfg.ReceiptSlack = 500 * time.Millisecond
-	cfg.RepairTimeout = 400 * time.Millisecond
-	cfg.Refractory = 200 * time.Millisecond
-	cfg.GradeDecay = time.Hour
-	cfg.FrivolousRepairProb = 0
-	cfg.RefListTarget = 5
-	cfg.RefListMax = 8
-	cfg.ConsiderBurst = 64
-	cfg.BlockSize = 32 << 10
-	return cfg
+	return protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
 }
 
-// demoCosts makes effort scheduling negligible against the compressed
-// timescales while remaining non-zero.
-func demoCosts() effort.CostModel {
-	m := effort.DefaultCostModel()
-	m.HashBytesPerSec = 64 << 30
-	m.SessionSetup = 1e-6
-	m.ScheduleCheck = 1e-6
-	m.ReceiptCheck = 1e-6
-	return m
-}
-
-// demoMBF is the small proof parameterization every cluster test uses.
-func demoMBF() effort.MBFParams {
-	return effort.MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7}
-}
-
-// countObserver tallies protocol events thread-safely.
-type countObserver struct {
-	mu        sync.Mutex
-	succeeded int
-	other     int
-	repairs   int
-}
-
-func (o *countObserver) PollConcluded(p ids.PeerID, au content.AUID, pollID uint64, out protocol.Outcome, started, now sched.Time) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if out == protocol.OutcomeSuccess {
-		o.succeeded++
-	} else {
-		o.other++
+// pollCounts sums the cluster's poll and repair counters for a failure
+// message.
+func pollCounts(c *Cluster) (ok, other, repairs uint64) {
+	for _, m := range c.Members {
+		s := m.Node.Stats().Peer
+		ok += s.PollsSucceeded
+		other += s.PollsInquorate + s.PollsInconclusive + s.PollsRepairFailed
+		repairs += s.RepairsReceived
 	}
-}
-func (o *countObserver) Alarm(ids.PeerID, content.AUID, uint64, sched.Time) {}
-func (o *countObserver) RepairApplied(p ids.PeerID, au content.AUID, pollID uint64, block int, now sched.Time) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.repairs++
-}
-func (o *countObserver) VoteSupplied(ids.PeerID, ids.PeerID, content.AUID, uint64, sched.Time) {}
-
-func (o *countObserver) snapshot() (succ, other, repairs int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.succeeded, o.other, o.repairs
+	return ok, other, repairs
 }
 
 // demoOverride shrinks a scenario's paper-scale configuration to cluster
@@ -102,7 +42,7 @@ func demoOverride(horizon time.Duration) func(*world.Config) {
 		p.Introductions = cfg.Protocol.Introductions
 		p.Desynchronize = cfg.Protocol.Desynchronize
 		cfg.Protocol = p
-		costs := demoCosts()
+		costs := effort.DemoCostModel()
 		cfg.Costs = &costs
 		cfg.HashBytesPerSec = 0
 		cfg.Seed = 12345
@@ -190,7 +130,7 @@ func TestCrossValidationIntroductions(t *testing.T) {
 // OS processes' worth of goroutines.
 func TestClusterBackendRejectsOversizedConfigs(t *testing.T) {
 	cfg := world.Default() // 100 peers, 50 AUs, 512 MB
-	_, err := RunCluster(context.Background(), cfg, ClusterConfig{})
+	_, err := RunCluster(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("paper-scale config accepted by the cluster backend")
 	}

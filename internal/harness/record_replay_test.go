@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"lockss/internal/content"
+	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/node"
-	"lockss/internal/protocol"
 	"lockss/internal/reputation"
 	"lockss/internal/trace"
 )
@@ -32,23 +32,23 @@ func recordClusterTrace(t *testing.T) []byte {
 	spec := content.AUSpec{ID: 1, Name: "au-trace", Size: 128 << 10, BlockSize: 32 << 10}
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf)
-	obs := &countObserver{}
-	nodes, stores, _ := buildDemoCluster(t, N, spec, func(i int, cfg *node.Config) {
+	c := newTestCluster(t, N, spec, func(i int, cfg *node.Config) {
 		if i == 0 {
 			cfg.Tap = rec
-			cfg.Observer = protocol.TeeObserver(rec, obs)
-		} else {
-			cfg.Observer = obs
+			cfg.Observer = rec
 		}
 	})
 
+	store0 := c.Members[0].Store
+
 	// Silent rot on the recorded node, before anything runs.
-	if err := stores[0].InjectDamage(spec.ID, 2); err != nil {
+	if err := store0.InjectDamage(spec.ID, 2); err != nil {
 		t.Fatal(err)
 	}
 
-	// The header mirrors node 1's bootstrap exactly as buildDemoCluster
-	// performed it: seed 2000+0, salt 1, full-mesh refs, Even grades.
+	// The header describes node 1's bootstrap as newTestCluster declared it
+	// and the builder performed it: seed 2000+0, the demo-scale effort
+	// parameters, the salt the store ingested with, full-mesh refs at Even.
 	refs := []ids.PeerID{2, 3, 4, 5, 6}
 	grades := make([]trace.GradeRef, len(refs))
 	for i, r := range refs {
@@ -59,13 +59,13 @@ func recordClusterTrace(t *testing.T) []byte {
 		Seed:       2000,
 		StartT:     time.Now().UnixNano(),
 		Protocol:   demoProtocolConfig(),
-		Costs:      demoCosts(),
-		MBF:        demoMBF(),
-		EffortUnit: 0.05,
+		Costs:      effort.DemoCostModel(),
+		MBF:        effort.DemoMBFParams(),
+		EffortUnit: float64(effort.DemoEffortUnit),
 		Friends:    refs,
 		AUs: []trace.AUHeader{{
 			ID: spec.ID, Name: spec.Name, Size: spec.Size, BlockSize: spec.BlockSize,
-			Salt: 1, Refs: refs, Grades: grades,
+			Salt: store0.Replica(spec.ID).Salt(), Refs: refs, Grades: grades,
 		}},
 		Injected: []trace.DamageRef{{AU: spec.ID, Block: 2}},
 	}
@@ -73,18 +73,15 @@ func recordClusterTrace(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 
-	startDemoCluster(t, nodes)
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
 
 	if !WaitFor(45*time.Second, 100*time.Millisecond, func() bool {
-		dam := stores[0].VerifyAll()
-		return dam == nil && !stores[0].Replica(spec.ID).Damaged()
+		dam := store0.VerifyAll()
+		return dam == nil && !store0.Replica(spec.ID).Damaged()
 	}) {
-		succ, other, repairs := obs.snapshot()
+		succ, other, repairs := pollCounts(c)
 		t.Fatalf("recorded node never repaired (polls ok=%d other=%d repairs=%d)", succ, other, repairs)
 	}
 	// Grace period so the repairing poll's conclusion (receipt round) lands
@@ -92,9 +89,7 @@ func recordClusterTrace(t *testing.T) []byte {
 	time.Sleep(2 * time.Second)
 
 	// Stop the recorded node first so its trace ends at a quiet point.
-	for _, n := range nodes {
-		n.Stop()
-	}
+	c.Stop()
 	if err := rec.Close(); err != nil {
 		t.Fatalf("recorder: %v", err)
 	}

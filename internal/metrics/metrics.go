@@ -186,6 +186,24 @@ func (c *Collector) Merge(other *Collector) {
 	c.VotesSupplied += other.VotesSupplied
 }
 
+// Rebase moves the run's origin from zero to origin, for a run timed by a
+// clock that does not start at zero (a real-node cluster's wall clock). Call
+// it once, before Finalize. The integrals are differences and do not change;
+// the horizon the estimators divide by does. An instant recorded as zero (a
+// replica registered already damaged) means the run's start and stays.
+func (c *Collector) Rebase(origin sched.Time) {
+	c.lastT = max(c.lastT-origin, 0)
+	for i := range c.reps {
+		st := &c.reps[i]
+		if st.damagedSince > 0 {
+			st.damagedSince -= origin
+		}
+		if st.lastSuccess > 0 {
+			st.lastSuccess -= origin
+		}
+	}
+}
+
 // Finalize closes open damage intervals at the horizon. Call once, at the
 // end of the run.
 func (c *Collector) Finalize(end sched.Time) {

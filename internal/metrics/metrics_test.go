@@ -132,3 +132,27 @@ func TestAccessFailureEmptyCollector(t *testing.T) {
 		t.Error("empty collector should report zero AFP")
 	}
 }
+
+// TestRebase: a run timed from a non-zero origin (a cluster's wall clock),
+// rebased before Finalize, reports what the same run timed from zero does —
+// including a damage interval still open at the horizon.
+func TestRebase(t *testing.T) {
+	run := func(origin sched.Time) *Collector {
+		c := NewCollector()
+		rs := reg(c, 2)
+		rs[0].Damage(0)
+		c.OnDamage(1, 1, origin+100)
+		c.PollConcluded(1, 2, 7, protocol.OutcomeSuccess, origin+150, origin+400)
+		c.Rebase(origin)
+		c.Finalize(1000)
+		return c
+	}
+	want, got := run(0), run(1_700_000_000_000_000_000)
+	if w, g := want.AccessFailureProbability(), got.AccessFailureProbability(); w != g || w == 0 {
+		t.Errorf("AFP rebased = %v, from zero = %v", g, w)
+	}
+	w, _ := want.MeanSuccessInterval()
+	if g, ok := got.MeanSuccessInterval(); !ok || g != w {
+		t.Errorf("mean success interval rebased = %v, from zero = %v", g, w)
+	}
+}

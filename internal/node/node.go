@@ -18,7 +18,6 @@ import (
 	"lockss/internal/content"
 	"lockss/internal/effort"
 	"lockss/internal/ids"
-	"lockss/internal/prng"
 	"lockss/internal/protocol"
 	"lockss/internal/sched"
 	"lockss/internal/session"
@@ -113,8 +112,7 @@ type Config struct {
 type Node struct {
 	cfg  Config
 	peer *protocol.Peer
-	mbf  *effort.MBF
-	rnd  *prng.Source
+	env  env
 	// tel is the always-on flight recorder: poll-lifecycle spans and latency
 	// histograms, teed into the protocol observer chain. Its record path is
 	// lock-free, so it rides every deployment rather than being a debug knob.
@@ -168,8 +166,6 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:    cfg,
 		tel:    telemetry.New(),
-		mbf:    effort.NewMBF(cfg.MBF),
-		rnd:    prng.New(cfg.Seed ^ uint64(cfg.ID)*0x9e3779b97f4a7c15),
 		loop:   make(chan func(), 1024),
 		stop:   make(chan struct{}),
 		all:    make(map[*session.Conn]struct{}),
@@ -180,6 +176,7 @@ func New(cfg Config) (*Node, error) {
 	for id, addr := range cfg.AddressBook {
 		n.addrs[id] = addr
 	}
+	n.env = env{Node: n, RealEffort: protocol.NewRealEffort(cfg.ID, cfg.Seed, cfg.MBF, cfg.EffortUnit)}
 	n.dialCtx, n.dialCancel = context.WithCancel(context.Background())
 	n.tr = newTransport(n, transportConfig{
 		sendQueue:         cfg.SendQueue,
@@ -193,7 +190,7 @@ func New(cfg Config) (*Node, error) {
 	}.withDefaults())
 	// The telemetry recorder leads the tee so spans are recorded before any
 	// user observer runs; TeeObserver also forwards span events to it.
-	p, err := protocol.New(cfg.ID, cfg.Protocol, cfg.Costs, (*env)(n), protocol.TeeObserver(n.tel, cfg.Observer))
+	p, err := protocol.New(cfg.ID, cfg.Protocol, cfg.Costs, &n.env, protocol.TeeObserver(n.tel, cfg.Observer))
 	if err != nil {
 		return nil, err
 	}
@@ -436,10 +433,10 @@ func (n *Node) Start() error {
 			Bandwidth: n.cfg.ScrubBandwidth,
 			OnDamage: func(au content.AUID, block int) {
 				n.logf("scrub: AU %d block %d damaged on disk", au, block)
-				n.tel.DamageNoticed(n.cfg.ID, au, block, (*env)(n).Now())
+				n.tel.DamageNoticed(n.cfg.ID, au, block, n.env.Now())
 				n.post(func() {
 					if n.cfg.Tap != nil {
-						n.cfg.Tap.DamageNoticed(au, block, (*env)(n).Now())
+						n.cfg.Tap.DamageNoticed(au, block, n.env.Now())
 					}
 					n.peer.RaiseAuditPriority(au)
 				})
@@ -616,7 +613,7 @@ func (n *Node) readLoop(conn *session.Conn) {
 		// retain frame without copying.
 		n.post(func() {
 			if n.cfg.Tap != nil {
-				n.cfg.Tap.MsgIn(from, frame, m, (*env)(n).Now())
+				n.cfg.Tap.MsgIn(from, frame, m, n.env.Now())
 			}
 			n.peer.Receive(from, m)
 		})
@@ -635,8 +632,13 @@ func senderOf(m *protocol.Msg) ids.PeerID {
 	}
 }
 
-// env adapts Node to protocol.Env.
-type env Node
+// env adapts Node to protocol.Env: the wall clock, wall timers and the TCP
+// transport are the node's; randomness and proofs of effort come from the
+// embedded protocol.RealEffort, the implementation trace replay shares.
+type env struct {
+	*Node
+	protocol.RealEffort
+}
 
 // Now implements protocol.Env on the wall clock; Unix nanoseconds are
 // consistent across cooperating nodes (the protocol tolerates ordinary
@@ -649,7 +651,7 @@ func (e *env) Now() sched.Time { return sched.Time(time.Now().UnixNano()) }
 // suppressed. The protocol's record pooling relies on a cancelled timer
 // never reaching its callback.
 func (e *env) After(d sched.Duration, fn func()) protocol.TimerID {
-	n := (*Node)(e)
+	n := e.Node
 	if d < 0 {
 		d = 0
 	}
@@ -678,7 +680,7 @@ func (e *env) After(d sched.Duration, fn func()) protocol.TimerID {
 
 // Cancel implements protocol.Env.
 func (e *env) Cancel(id protocol.TimerID) bool {
-	n := (*Node)(e)
+	n := e.Node
 	n.tmu.Lock()
 	t, ok := n.timers[id]
 	delete(n.timers, id)
@@ -689,9 +691,6 @@ func (e *env) Cancel(id protocol.TimerID) bool {
 	return ok
 }
 
-// Rand implements protocol.Env.
-func (e *env) Rand() *prng.Source { return e.rnd }
-
 // Send implements protocol.Env. The message is encoded to bytes here,
 // synchronously on the actor loop, because the protocol pools the records
 // backing m's fields and may reuse them the moment this call returns; only
@@ -701,45 +700,5 @@ func (e *env) Send(to ids.PeerID, m *protocol.Msg) {
 	if e.cfg.Tap != nil {
 		e.cfg.Tap.MsgOut(to, m, e.Now())
 	}
-	(*Node)(e).tr.send(to, m)
-}
-
-// units scales a requested effort cost to MBF walk units.
-func (e *env) units(cost effort.Seconds) int {
-	u := int(float64(cost)/float64(e.cfg.EffortUnit)) + 1
-	if u < 1 {
-		u = 1
-	}
-	if u > 64 {
-		u = 64
-	}
-	return u
-}
-
-// MakeProof implements protocol.Env with a real MBF computation.
-func (e *env) MakeProof(ctx []byte, cost effort.Seconds) (effort.Proof, effort.Receipt) {
-	p, r := e.mbf.Generate(ctx, e.units(cost), e.cfg.EffortUnit)
-	p.UnitCost = effort.Seconds(float64(cost) / float64(p.Units))
-	return p, r
-}
-
-// VerifyProof implements protocol.Env: spot-check verification.
-func (e *env) VerifyProof(ctx []byte, p effort.Proof, minCost effort.Seconds) bool {
-	mp, ok := p.(*effort.MBFProof)
-	if !ok || mp == nil {
-		return false
-	}
-	e.mbf.Bind(mp)
-	return mp.Cost() >= minCost-1e-9 && e.mbf.Verify(mp, ctx)
-}
-
-// EvalReceipt implements protocol.Env: the full walk recovers the receipt
-// byproduct.
-func (e *env) EvalReceipt(ctx []byte, p effort.Proof) (effort.Receipt, bool) {
-	mp, ok := p.(*effort.MBFProof)
-	if !ok || mp == nil {
-		return effort.Receipt{}, false
-	}
-	e.mbf.Bind(mp)
-	return e.mbf.RecomputeByproduct(mp, ctx)
+	e.tr.send(to, m)
 }

@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"lockss/internal/content"
-	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/protocol"
-	"lockss/internal/reputation"
 	"lockss/internal/sched"
 )
 
@@ -48,147 +46,7 @@ func (o *testObserver) snapshot() (succ, other, repairs int) {
 // demoProtocolConfig compresses the protocol's preservation timescales to
 // sub-second units so an audit-and-repair round completes in a test.
 func demoProtocolConfig() protocol.Config {
-	cfg := protocol.DefaultConfig()
-	cfg.Quorum = 3
-	cfg.InnerCircle = 5
-	cfg.MaxDisagree = 1
-	cfg.OuterCircle = 2
-	cfg.Nominations = 3
-	cfg.PollInterval = 1500 * time.Millisecond
-	cfg.VoteWindow = 700 * time.Millisecond
-	cfg.AckTimeout = 250 * time.Millisecond
-	cfg.ProofTimeout = 150 * time.Millisecond
-	cfg.VoteSlack = 300 * time.Millisecond
-	cfg.ReceiptSlack = 500 * time.Millisecond
-	cfg.RepairTimeout = 400 * time.Millisecond
-	cfg.Refractory = 200 * time.Millisecond
-	cfg.GradeDecay = time.Hour
-	cfg.FrivolousRepairProb = 0
-	cfg.RefListTarget = 5
-	cfg.RefListMax = 8
-	cfg.ConsiderBurst = 64
-	cfg.BlockSize = 32 << 10
-	return cfg
-}
-
-// demoCosts makes effort scheduling negligible against the compressed
-// timescales while remaining non-zero.
-func demoCosts() effort.CostModel {
-	m := effort.DefaultCostModel()
-	m.HashBytesPerSec = 64 << 30 // hashing 128 KiB "costs" ~2us of schedule
-	m.SessionSetup = 1e-6
-	m.ScheduleCheck = 1e-6
-	m.ReceiptCheck = 1e-6
-	return m
-}
-
-// TestClusterAuditAndRepair boots a real 6-node TCP cluster with one
-// damaged replica and waits for the audit protocol to detect and repair it
-// using real hashing, MBF proofs and encrypted sessions.
-func TestClusterAuditAndRepair(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time cluster test")
-	}
-	const N = 6
-	spec := content.AUSpec{ID: 1, Name: "au-demo", Size: 128 << 10, BlockSize: 32 << 10}
-
-	mbf := effort.MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7}
-	obs := &testObserver{}
-
-	book := make(map[ids.PeerID]string)
-	nodes := make([]*Node, N)
-	replicas := make([]*content.RealReplica, N)
-
-	// Start with placeholder addresses; fill the book after binding.
-	for i := 0; i < N; i++ {
-		id := ids.PeerID(i + 1)
-		n, err := New(Config{
-			ID:          id,
-			Listen:      "127.0.0.1:0",
-			AddressBook: book,
-			Protocol:    demoProtocolConfig(),
-			Costs:       demoCosts(),
-			MBF:         mbf,
-			EffortUnit:  0.05,
-			Seed:        uint64(1000 + i),
-			Observer:    obs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = n
-		replicas[i] = content.NewRealReplica(spec, uint64(i+1))
-	}
-
-	// Node 0's replica suffers bit rot at block 2 before the system starts.
-	if !replicas[0].Damage(2) {
-		t.Fatal("damage injection failed")
-	}
-	if !replicas[0].Damaged() {
-		t.Fatal("replica should be damaged")
-	}
-
-	for i, n := range nodes {
-		var refs []ids.PeerID
-		for j := 0; j < N; j++ {
-			if j != i {
-				refs = append(refs, ids.PeerID(j+1))
-			}
-		}
-		if err := n.AddAU(replicas[i], refs); err != nil {
-			t.Fatal(err)
-		}
-		n.SetFriends(refs)
-		// Steady-state acquaintance, as in a deployed network.
-		for _, r := range refs {
-			n.Peer().SeedGrade(spec.ID, r, reputation.Even)
-		}
-	}
-
-	for _, n := range nodes {
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Ephemeral ports are known only now; bind them through the race-safe
-	// setter rather than mutating the shared book under running nodes.
-	for i, n := range nodes {
-		addr := n.Addr().String()
-		for _, m := range nodes {
-			m.SetAddress(ids.PeerID(i+1), addr)
-		}
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-
-	deadline := time.After(30 * time.Second)
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-	// Replicas belong to their node's actor loop once started; Inspect
-	// gives the test race-free reads.
-	damaged0 := func() bool {
-		var d bool
-		nodes[0].Inspect(func(p *protocol.Peer) { d = p.Replica(spec.ID).Damaged() })
-		return d
-	}
-	for {
-		select {
-		case <-tick.C:
-			succ, _, _ := obs.snapshot()
-			if !damaged0() && succ >= N {
-				succ, other, repairs := obs.snapshot()
-				t.Logf("repaired; polls ok=%d other=%d repairs=%d", succ, other, repairs)
-				return
-			}
-		case <-deadline:
-			succ, other, repairs := obs.snapshot()
-			t.Fatalf("cluster did not repair in time: damaged=%v polls ok=%d other=%d repairs=%d",
-				damaged0(), succ, other, repairs)
-		}
-	}
+	return protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
 }
 
 // TestSenderOf checks role-based sender inference.

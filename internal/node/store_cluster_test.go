@@ -22,8 +22,8 @@ func TestStoreStatsWithoutStore(t *testing.T) {
 		Listen:      "127.0.0.1:0",
 		AddressBook: map[ids.PeerID]string{2: "127.0.0.1:1"},
 		Protocol:    demoProtocolConfig(),
-		Costs:       demoCosts(),
-		MBF:         effort.MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7},
+		Costs:       effort.DemoCostModel(),
+		MBF:         effort.DemoMBFParams(),
 		Observer:    &testObserver{},
 	})
 	if err != nil {

@@ -14,9 +14,6 @@ import (
 	"lockss/internal/session"
 )
 
-// testMBF keeps proof tables tiny so nodes construct instantly.
-var testMBF = effort.MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7}
-
 // waitUntil polls cond every interval until it returns true or the deadline
 // passes, reporting whether the condition was met. It mirrors
 // harness.WaitFor, which node tests cannot import without a cycle.
@@ -45,13 +42,13 @@ func newTestNode(t *testing.T, cfg Config) *Node {
 		cfg.Protocol = demoProtocolConfig()
 	}
 	if cfg.Costs.HashBytesPerSec == 0 {
-		cfg.Costs = demoCosts()
+		cfg.Costs = effort.DemoCostModel()
 	}
 	if cfg.MBF.TableWords == 0 {
-		cfg.MBF = testMBF
+		cfg.MBF = effort.DemoMBFParams() // tiny proof tables: nodes construct instantly
 	}
 	if cfg.EffortUnit == 0 {
-		cfg.EffortUnit = 0.05
+		cfg.EffortUnit = effort.DemoEffortUnit
 	}
 	n, err := New(cfg)
 	if err != nil {

@@ -110,14 +110,14 @@ type Config struct {
 
 // DefaultConfig returns the paper's operating point.
 func DefaultConfig() Config {
-	day := sched.Duration(24 * time.Hour)
+	day := 24 * time.Hour
 	return Config{
 		Quorum:              10,
 		InnerCircle:         20,
 		MaxDisagree:         3,
 		OuterCircle:         10,
 		Nominations:         8,
-		PollInterval:        sched.Duration(90 * 24 * time.Hour),
+		PollInterval:        90 * 24 * time.Hour,
 		PollJitter:          0.9,
 		SolicitFrac:         0.50,
 		RetryFrac:           0.70,
@@ -141,13 +141,41 @@ func DefaultConfig() Config {
 		DropUnknown:         0.90,
 		DropDebt:            0.80,
 		Refractory:          day,
-		GradeDecay:          sched.Duration(90 * 24 * time.Hour),
+		GradeDecay:          90 * 24 * time.Hour,
 		MaxIntros:           40,
 		Introductions:       true,
 		Desynchronize:       true,
 		EffortBalancing:     true,
 		BlockSize:           1 << 20,
 	}
+}
+
+// DemoConfig is the operating point of a real-node demo (loopback clusters,
+// the fleet, cluster tests): the preservation timescales compressed in
+// proportion to a poll interval of seconds, with a paper-style fixed quorum
+// independent of the population size.
+func DemoConfig(interval time.Duration, quorum, inner int, blockSize int64) Config {
+	cfg := DefaultConfig()
+	cfg.PollInterval = interval
+	cfg.VoteWindow = interval * 7 / 15
+	cfg.AckTimeout = interval / 6
+	cfg.ProofTimeout = interval / 10
+	cfg.VoteSlack = interval / 5
+	cfg.ReceiptSlack = interval / 3
+	cfg.RepairTimeout = interval * 4 / 15
+	cfg.Refractory = interval * 2 / 15
+	cfg.GradeDecay = time.Hour
+	cfg.FrivolousRepairProb = 0
+	cfg.Quorum = quorum
+	cfg.InnerCircle = inner
+	cfg.MaxDisagree = max(1, (quorum-1)/2)
+	cfg.OuterCircle = 2
+	cfg.Nominations = 3
+	cfg.RefListTarget = max(inner, 2*quorum)
+	cfg.RefListMax = cfg.RefListTarget + 5
+	cfg.ConsiderBurst = 64
+	cfg.BlockSize = blockSize
+	return cfg
 }
 
 // Validate sanity-checks the configuration.
@@ -176,8 +204,8 @@ func (c Config) reputationParams() reputation.Params {
 	return reputation.Params{
 		DropUnknown:          c.DropUnknown,
 		DropDebt:             c.DropDebt,
-		Refractory:           reputation.Duration(c.Refractory),
-		Decay:                reputation.Duration(c.GradeDecay),
+		Refractory:           c.Refractory,
+		Decay:                c.GradeDecay,
 		MaxIntroductions:     c.MaxIntros,
 		IntroductionsEnabled: c.Introductions,
 	}

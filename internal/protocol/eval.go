@@ -192,7 +192,7 @@ func (p *Peer) requestRepair(st *auState, poll *pollState, block int) {
 	poll.repairTimer = p.env.After(p.cfg.RepairTimeout, func() {
 		poll.repairTimer = 0
 		// Supplier unresponsive: voters owe repairs once committed.
-		st.rep.Penalize(repTime(p.env.Now()), target)
+		st.rep.Penalize(p.env.Now(), target)
 		p.requestRepair(st, poll, block)
 	})
 }
@@ -259,7 +259,7 @@ func (p *Peer) finishEvaluation(st *auState, poll *pollState) {
 			})
 			poll.repairTimer = p.env.After(p.cfg.RepairTimeout, func() {
 				poll.repairTimer = 0
-				st.rep.Penalize(repTime(p.env.Now()), target)
+				st.rep.Penalize(p.env.Now(), target)
 				p.sendReceiptsAndConclude(st, poll)
 			})
 			return // resumes in pollerHandleRepair

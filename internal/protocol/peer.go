@@ -221,6 +221,11 @@ func (p *Peer) SetFriends(friends []ids.PeerID) {
 	}
 }
 
+// Friends returns the operator-maintained friends list.
+func (p *Peer) Friends() []ids.PeerID {
+	return append([]ids.PeerID(nil), p.friends...)
+}
+
 // AddFriend appends one peer to the operator-maintained friends list at
 // runtime (operators coordinate when a new library joins the network).
 func (p *Peer) AddFriend(f ids.PeerID) {
@@ -329,14 +334,14 @@ func (p *Peer) SeedGrade(au content.AUID, peer ids.PeerID, g reputation.Grade) {
 	now := p.env.Now()
 	switch g {
 	case reputation.Debt:
-		st.rep.Penalize(reputation.Time(now), peer)
+		st.rep.Penalize(now, peer)
 	case reputation.Even:
-		st.rep.Penalize(reputation.Time(now), peer)
-		st.rep.Raise(reputation.Time(now), peer)
+		st.rep.Penalize(now, peer)
+		st.rep.Raise(now, peer)
 	case reputation.Credit:
-		st.rep.Penalize(reputation.Time(now), peer)
-		st.rep.Raise(reputation.Time(now), peer)
-		st.rep.Raise(reputation.Time(now), peer)
+		st.rep.Penalize(now, peer)
+		st.rep.Raise(now, peer)
+		st.rep.Raise(now, peer)
 	}
 }
 
@@ -392,7 +397,7 @@ func (p *Peer) AUInfo(au content.AUID) (AUInfo, bool) {
 		info.PollActive = true
 		info.PollDeadline = st.poll.deadline
 	}
-	now := repTime(p.env.Now())
+	now := p.env.Now()
 	members := make([]ids.PeerID, 0, len(st.refList))
 	for id := range st.refList {
 		members = append(members, id)
@@ -479,9 +484,6 @@ func (p *Peer) Receive(from ids.PeerID, m *Msg) {
 func (p *Peer) charge(kind string, e effort.Seconds) {
 	p.ledger.Charge(kind, e)
 }
-
-// repTime converts the environment clock for the reputation package.
-func repTime(t sched.Time) reputation.Time { return reputation.Time(t) }
 
 // gcSchedules trims expired reservations; called at poll boundaries.
 func (p *Peer) gcSchedule() {

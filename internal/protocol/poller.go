@@ -311,7 +311,7 @@ func (p *Peer) pollerHandleAck(st *auState, from ids.PeerID, m *Msg) {
 			if sol.state == solAwaitVote {
 				sol.state = solFailed
 				p.stats.VotesTimedOut++
-				st.rep.Penalize(repTime(p.env.Now()), sol.peer)
+				st.rep.Penalize(p.env.Now(), sol.peer)
 			}
 		})
 	}
@@ -321,7 +321,7 @@ func (p *Peer) pollerHandleAck(st *auState, from ids.PeerID, m *Msg) {
 		return
 	}
 	// Reserve a slot for remainder generation; it is a real compute task.
-	genDur := sched.Duration(st.pollEffort.Remainder.Duration())
+	genDur := st.pollEffort.Remainder.Duration()
 	id, start, ok := p.sch.ReserveSlot(p.env.Now(), genDur, poll.deadline, "remainder-gen")
 	if !ok {
 		// Too busy to honor the acceptance; abandon this solicitation.
@@ -345,7 +345,7 @@ func (p *Peer) pollerHandleVote(st *auState, from ids.PeerID, m *Msg) {
 	p.stopTimer(&sol.timer)
 	if m.Vote == nil || m.Vote.Blocks() != st.spec.Blocks() {
 		sol.state = solFailed
-		st.rep.Penalize(repTime(p.env.Now()), from)
+		st.rep.Penalize(p.env.Now(), from)
 		return
 	}
 	if p.cfg.EffortBalancing {
@@ -354,7 +354,7 @@ func (p *Peer) pollerHandleVote(st *auState, from ids.PeerID, m *Msg) {
 		if !p.env.VerifyProof(p.msgContext(m, "vote"), m.Proof, st.pollEffort.VoteProof) {
 			p.stats.BadProofs++
 			sol.state = solFailed
-			st.rep.Penalize(repTime(p.env.Now()), from)
+			st.rep.Penalize(p.env.Now(), from)
 			return
 		}
 	}
@@ -366,7 +366,7 @@ func (p *Peer) pollerHandleVote(st *auState, from ids.PeerID, m *Msg) {
 		p.spanObs.VoteReceived(p.id, from, st.spec.ID, poll.id, sol.sentAt, p.env.Now())
 	}
 	// The voter supplied a valid vote: raise its grade.
-	st.rep.Raise(repTime(p.env.Now()), from)
+	st.rep.Raise(p.env.Now(), from)
 
 	// Discovery: randomly partition the vote's peer identities into
 	// outer-circle nominations and introductions (§5.1).
@@ -375,7 +375,7 @@ func (p *Peer) pollerHandleVote(st *auState, from ids.PeerID, m *Msg) {
 			continue
 		}
 		if p.cfg.Introductions && p.env.Rand().Bool(0.5) {
-			st.rep.AddIntroduction(repTime(p.env.Now()), from, nom)
+			st.rep.AddIntroduction(p.env.Now(), from, nom)
 		} else if !st.refList[nom] {
 			poll.noms[nom] = true
 		}
@@ -505,7 +505,6 @@ func (p *Peer) concludePoll(st *auState, poll *pollState, outcome Outcome) {
 // inner-circle voters whose votes determined the outcome, insert agreeing
 // outer-circle voters, and replenish from the friends list.
 func (p *Peer) updateReferenceList(st *auState, poll *pollState) {
-	now := repTime(p.env.Now())
 	for _, v := range poll.order {
 		sol := poll.sols[v]
 		if sol.state != solGotVote {
@@ -521,7 +520,6 @@ func (p *Peer) updateReferenceList(st *auState, poll *pollState) {
 		delete(st.refList, v)
 		st.rep.ForgetIntroducer(v)
 	}
-	_ = now
 	// Replenish toward the target from friends, then re-admit tallied
 	// voters if the population is too small to refill otherwise.
 	if len(st.refList) < p.cfg.RefListTarget {

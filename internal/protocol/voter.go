@@ -73,7 +73,7 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 	}
 	// First-hand reputation admission control: refractory periods, random
 	// drops, introductions. Rejections are silent and essentially free.
-	now := repTime(p.env.Now())
+	now := p.env.Now()
 	dec := st.rep.Consider(now, from, p.env.Rand())
 	if !dec.Admitted() {
 		p.stats.InvitesIgnored++
@@ -85,7 +85,7 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 	// been, the likelier it is to ignore invitations from the unknown/
 	// in-debt channel — the only channel an attacker can scale.
 	if p.cfg.AdaptiveAcceptance && dec == reputation.AdmitUnknown {
-		window := sched.Duration(p.cfg.VoteWindow)
+		window := p.cfg.VoteWindow
 		busy := p.sch.BusyFraction(p.env.Now()-sched.Time(window), p.env.Now())
 		refuseProb := busy * p.cfg.AdaptiveGain
 		if refuseProb > 0.95 {
@@ -116,7 +116,7 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 	// Schedule the vote computation: hashing the replica plus generating
 	// the vote's effort proof, within the poller's allowance. The slot must
 	// start after the proof timeout so the PollProof always precedes it.
-	voteDur := sched.Duration((st.pollEffort.VoteHash + st.pollEffort.VoteProof).Duration())
+	voteDur := (st.pollEffort.VoteHash + st.pollEffort.VoteProof).Duration()
 	earliest := p.env.Now() + sched.Time(p.cfg.ProofTimeout)
 	taskID, slotStart, ok := p.sch.ReserveSlot(earliest, voteDur, m.VoteBy, st.voteLabel)
 	if !ok {
@@ -159,7 +159,7 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 		}
 		p.stats.ProofsTimedOut++
 		p.sch.Release(s.taskID)
-		st.rep.Penalize(repTime(p.env.Now()), from)
+		st.rep.Penalize(p.env.Now(), from)
 		p.closeSession(st, s)
 	})
 }
@@ -187,7 +187,7 @@ func (p *Peer) voterHandleProof(st *auState, from ids.PeerID, m *Msg) {
 		return
 	}
 	p.stopTimer(&s.timer)
-	now := repTime(p.env.Now())
+	now := p.env.Now()
 	if p.cfg.EffortBalancing {
 		p.charge(KindVerify, p.costs.VerifyCost(st.pollEffort.Remainder))
 		if !p.env.VerifyProof(p.msgContext(m, "remainder"), m.Proof, st.pollEffort.Remainder) {
@@ -247,7 +247,7 @@ func (p *Peer) completeVote(st *auState, s *voterSession, poller ids.PeerID) {
 			return
 		}
 		p.stats.ReceiptsTimedOut++
-		st.rep.Penalize(repTime(p.env.Now()), poller)
+		st.rep.Penalize(p.env.Now(), poller)
 		p.closeSession(st, s)
 	})
 }
@@ -292,7 +292,7 @@ func (p *Peer) voterHandleReceipt(st *auState, from ids.PeerID, m *Msg) {
 	if !ok || s.state != vsAwaitReceipt {
 		return
 	}
-	now := repTime(p.env.Now())
+	now := p.env.Now()
 	if p.cfg.EffortBalancing {
 		p.charge(KindReceipt, p.costs.ReceiptCheck)
 		if !effort.ReceiptMatches(s.myReceipt, m.Receipt) {

@@ -20,8 +20,11 @@
 package reputation
 
 import (
+	"time"
+
 	"lockss/internal/ids"
 	"lockss/internal/prng"
+	"lockss/internal/sched"
 )
 
 // Grade is a peer's first-hand reputation grade.
@@ -52,9 +55,9 @@ func (g Grade) String() string {
 	return "invalid"
 }
 
-// Time and Duration mirror sched's abstract nanosecond clock.
-type Time int64
-type Duration int64
+// Time and Duration are the protocol's clock types (see sched.Time).
+type Time = sched.Time
+type Duration = time.Duration
 
 // Params configures the admission policy. Defaults follow §6.3 of the paper.
 type Params struct {

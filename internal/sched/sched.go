@@ -14,11 +14,14 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"lockss/internal/sim"
 )
 
-// Time mirrors sim.Time without importing it, keeping sched reusable by the
-// real node. Values are nanoseconds since an arbitrary epoch.
-type Time int64
+// Time is the one clock type, sim.Time, under the name the protocol and the
+// real node use for it: nanoseconds since an arbitrary epoch (simulation
+// start for the simulator, the Unix epoch for a node).
+type Time = sim.Time
 
 // Duration is a span in nanoseconds; aliasing time.Duration keeps protocol
 // configuration interoperable with both the simulator's clock and the real

@@ -52,14 +52,14 @@ func TestCreateFromStreaming(t *testing.T) {
 	if dam := s2.VerifyAll(); dam != nil {
 		t.Fatalf("streamed AU does not verify after reopen: %v", dam)
 	}
-	// The streamed ingest and the buffered wrapper must agree digest for
-	// digest: votes from either are interchangeable.
+	// Ingests of the same bytes from a stream and from a buffer must agree
+	// digest for digest: votes from either are interchangeable.
 	other, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	ro, err := other.Create(spec, 9, want)
+	ro, err := ingest(other, spec, 9, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestCreateFromShortContent(t *testing.T) {
 	s2.Close()
 }
 
-// TestCreateFromSizeMismatch: Create still rejects content whose length
-// disagrees with the spec.
+// TestCreateFromSizeMismatch: a source that ends before spec.Size bytes is
+// rejected, and leaves no AU behind.
 func TestCreateFromSizeMismatch(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -166,11 +166,11 @@ func TestCreateFromSizeMismatch(t *testing.T) {
 	}
 	defer s.Close()
 	spec := testSpec()
-	if _, err := s.Create(spec, 1, make([]byte, spec.Size-1)); err == nil {
-		t.Error("short buffer accepted")
+	if _, err := ingest(s, spec, 1, make([]byte, spec.Size-1)); err == nil {
+		t.Error("short source accepted")
 	}
-	if _, err := s.Create(spec, 1, make([]byte, spec.Size+1)); err == nil {
-		t.Error("long buffer accepted")
+	if s.Replica(spec.ID) != nil {
+		t.Error("rejected ingest left a replica behind")
 	}
 }
 
@@ -190,7 +190,7 @@ func TestNumericAUOrder(t *testing.T) {
 	// "au-99999999" even though its id is larger.
 	for _, id := range []content.AUID{100000000, 99999999} {
 		spec := mk(id)
-		if _, err := s.Create(spec, uint64(id), content.PublisherBytes(spec)); err != nil {
+		if _, err := ingest(s, spec, uint64(id), content.PublisherBytes(spec)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestDuplicateNumericIDRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create(spec, 1, content.PublisherBytes(spec)); err != nil {
+	if _, err := ingest(s, spec, 1, content.PublisherBytes(spec)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -270,7 +270,7 @@ func TestVerifyAllAggregatesReadErrors(t *testing.T) {
 	}
 	defer s.Close()
 	for _, spec := range []content.AUSpec{specA, specB} {
-		if _, err := s.Create(spec, uint64(spec.ID), content.PublisherBytes(spec)); err != nil {
+		if _, err := ingest(s, spec, uint64(spec.ID), content.PublisherBytes(spec)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := s.Create(spec, 1, content.PublisherBytes(spec))
+	r, err := ingest(s, spec, 1, content.PublisherBytes(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestRepairDurableBeforeReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := s.Create(spec, 1, content.PublisherBytes(spec))
+	r, err := ingest(s, spec, 1, content.PublisherBytes(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := s.Create(spec, 1, content.PublisherBytes(spec))
+	r, err := ingest(s, spec, 1, content.PublisherBytes(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestScrubShardingFindsAllDamage(t *testing.T) {
 	const nAU = 8
 	for id := content.AUID(1); id <= nAU; id++ {
 		spec := content.AUSpec{ID: id, Name: fmt.Sprintf("au%d", id), Size: 4096, BlockSize: 1024}
-		if _, err := s.Create(spec, uint64(id), content.PublisherBytes(spec)); err != nil {
+		if _, err := ingest(s, spec, uint64(id), content.PublisherBytes(spec)); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.InjectDamage(id, int(id)%4); err != nil {

@@ -35,6 +35,14 @@ func (r *Replica) Spec() content.AUSpec {
 	return r.man.spec
 }
 
+// Salt returns the salt the replica was ingested with; the manifest persists
+// it, so it survives reopening whatever salt a later caller would derive.
+func (r *Replica) Salt() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.man.salt
+}
+
 // Generation implements content.Replica: the manifest's persisted mutation
 // counter, so vote caching keyed on it survives restarts coherently.
 func (r *Replica) Generation() uint64 {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -197,16 +196,6 @@ func (s *Store) Root() string { return s.root }
 // auDir returns the directory for one AU.
 func (s *Store) auDir(id content.AUID) string {
 	return filepath.Join(s.root, fmt.Sprintf("au-%08d", id))
-}
-
-// Create ingests one AU from an in-memory buffer: data is the publisher's
-// content for spec (its length must equal spec.Size). It is a thin wrapper
-// over CreateFrom for KB-scale callers; anything archive-sized should stream.
-func (s *Store) Create(spec content.AUSpec, salt uint64, data []byte) (*Replica, error) {
-	if int64(len(data)) != spec.Size {
-		return nil, fmt.Errorf("store: AU %v content is %d bytes, spec says %d", spec.ID, len(data), spec.Size)
-	}
-	return s.CreateFrom(spec, salt, bytes.NewReader(data))
 }
 
 // CreateFrom ingests one AU by streaming spec.Size bytes from src: content

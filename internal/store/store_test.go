@@ -18,6 +18,11 @@ func testSpec() content.AUSpec {
 	return content.AUSpec{ID: 7, Name: "test", Size: 4096, BlockSize: 1024}
 }
 
+// ingest streams an in-memory buffer into s as spec's content.
+func ingest(s *Store, spec content.AUSpec, salt uint64, data []byte) (*Replica, error) {
+	return s.CreateFrom(spec, salt, bytes.NewReader(data))
+}
+
 // newTestStore creates a store with one AU of publisher content.
 func newTestStore(t *testing.T, spec content.AUSpec, salt uint64) (*Store, *Replica) {
 	t.Helper()
@@ -26,7 +31,7 @@ func newTestStore(t *testing.T, spec content.AUSpec, salt uint64) (*Store, *Repl
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	r, err := s.Create(spec, salt, content.PublisherBytes(spec))
+	r, err := ingest(s, spec, salt, content.PublisherBytes(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,7 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create(spec, 3, content.PublisherBytes(spec)); err != nil {
+	if _, err := ingest(s, spec, 3, content.PublisherBytes(spec)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -186,7 +191,7 @@ func TestCrashDuringRepairLeavesMarked(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := content.PublisherBytes(spec)
-	r, err := s.Create(spec, 1, pub)
+	r, err := ingest(s, spec, 1, pub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +309,7 @@ func TestManifestCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create(spec, 1, content.PublisherBytes(spec)); err != nil {
+	if _, err := ingest(s, spec, 1, content.PublisherBytes(spec)); err != nil {
 		t.Fatal(err)
 	}
 	manPath := filepath.Join(s.auDir(spec.ID), manifestName)
@@ -355,7 +360,7 @@ func TestLeftoverTmpAndPartialIngestIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create(spec, 1, content.PublisherBytes(spec)); err != nil {
+	if _, err := ingest(s, spec, 1, content.PublisherBytes(spec)); err != nil {
 		t.Fatal(err)
 	}
 	auDir := s.auDir(spec.ID)
@@ -392,7 +397,7 @@ func TestBlockFileSizeMismatchDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create(spec, 1, content.PublisherBytes(spec)); err != nil {
+	if _, err := ingest(s, spec, 1, content.PublisherBytes(spec)); err != nil {
 		t.Fatal(err)
 	}
 	blocks := filepath.Join(s.auDir(spec.ID), blocksName)

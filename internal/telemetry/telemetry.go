@@ -106,26 +106,27 @@ func NewSized(ringSize, recentSize int) *Telemetry {
 // Ring exposes the flight recorder for dumps.
 func (t *Telemetry) Ring() *Ring { return t.ring }
 
-// Histograms returns the named histogram families in a stable order,
-// matching the /metrics family names (without the lockss_ prefix and
-// _seconds suffix).
-func (t *Telemetry) Histograms() []struct {
+// HistogramFamily is one latency histogram every recorder keeps.
+type HistogramFamily struct {
+	// Name is the /metrics family name without the lockss_ prefix and the
+	// _seconds suffix.
 	Name string
 	Help string
-	H    *Histogram
-} {
-	return []struct {
-		Name string
-		Help string
-		H    *Histogram
-	}{
-		{"poll_duration", "Poll start to conclusion.", &t.PollDuration},
-		{"solicit_vote", "Vote invitation sent to valid vote accepted.", &t.SolicitToVote},
-		{"tally", "Vote evaluation start to poll conclusion (including repair rounds).", &t.TallyTime},
-		{"repair", "Repair requested to repair block applied.", &t.RepairTime},
-		{"transport_queue_wait", "Outbound frame enqueue to writer dequeue.", &t.QueueWait},
-		{"scrub_pass", "One full scrub pass over the store.", &t.ScrubPass},
-		{"admin_latency", "Admin HTTP handler latency.", &t.AdminLatency},
+	// Of selects the family's histogram in a recorder.
+	Of func(*Telemetry) *Histogram
+}
+
+// HistogramFamilies lists the histogram families in exposition order. It is
+// the one table the admin exposition writes from and the fleet merges by.
+func HistogramFamilies() []HistogramFamily {
+	return []HistogramFamily{
+		{"poll_duration", "Poll start to conclusion.", func(t *Telemetry) *Histogram { return &t.PollDuration }},
+		{"solicit_vote", "Vote invitation sent to valid vote accepted.", func(t *Telemetry) *Histogram { return &t.SolicitToVote }},
+		{"tally", "Vote evaluation start to poll conclusion (including repair rounds).", func(t *Telemetry) *Histogram { return &t.TallyTime }},
+		{"repair", "Repair requested to repair block applied.", func(t *Telemetry) *Histogram { return &t.RepairTime }},
+		{"transport_queue_wait", "Outbound frame enqueue to writer dequeue.", func(t *Telemetry) *Histogram { return &t.QueueWait }},
+		{"scrub_pass", "One full scrub pass over the store.", func(t *Telemetry) *Histogram { return &t.ScrubPass }},
+		{"admin_latency", "Admin HTTP handler latency.", func(t *Telemetry) *Histogram { return &t.AdminLatency }},
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"lockss/internal/content"
 	"lockss/internal/effort"
 	"lockss/internal/ids"
-	"lockss/internal/prng"
 	"lockss/internal/protocol"
 	"lockss/internal/reputation"
 	"lockss/internal/sched"
@@ -50,15 +49,14 @@ func (r *Result) Report() string {
 	return b.String()
 }
 
-// replayEnv is a protocol.Env that mirrors the real node's environment
-// exactly — the same timer-ID sequence, the same seed derivation, the same
-// MBF proof arithmetic — but with the clock pinned to each trace record's
-// timestamp and timers fired by the trace instead of the wall clock.
+// replayEnv is the recorded node's environment with the clock and the
+// timers taken from the trace: it embeds the same protocol.RealEffort the
+// node does (same seed derivation, same MBF proof arithmetic) and issues the
+// same timer-ID sequence, but the clock is pinned to each trace record's
+// timestamp and timers fire when the trace says they fired.
 type replayEnv struct {
+	protocol.RealEffort
 	now      sched.Time
-	rnd      *prng.Source
-	mbf      *effort.MBF
-	unit     effort.Seconds
 	timerSeq uint64
 	timers   map[protocol.TimerID]func()
 	send     func(to ids.PeerID, m *protocol.Msg)
@@ -85,51 +83,9 @@ func (e *replayEnv) Cancel(id protocol.TimerID) bool {
 	return ok
 }
 
-// Rand implements protocol.Env.
-func (e *replayEnv) Rand() *prng.Source { return e.rnd }
-
 // Send implements protocol.Env. The message is summarized synchronously —
 // the protocol pools the records backing m.
 func (e *replayEnv) Send(to ids.PeerID, m *protocol.Msg) { e.send(to, m) }
-
-// units mirrors node/(*env).units.
-func (e *replayEnv) units(cost effort.Seconds) int {
-	u := int(float64(cost)/float64(e.unit)) + 1
-	if u < 1 {
-		u = 1
-	}
-	if u > 64 {
-		u = 64
-	}
-	return u
-}
-
-// MakeProof implements protocol.Env, mirroring node/(*env).MakeProof.
-func (e *replayEnv) MakeProof(ctx []byte, cost effort.Seconds) (effort.Proof, effort.Receipt) {
-	p, r := e.mbf.Generate(ctx, e.units(cost), e.unit)
-	p.UnitCost = effort.Seconds(float64(cost) / float64(p.Units))
-	return p, r
-}
-
-// VerifyProof implements protocol.Env, mirroring node/(*env).VerifyProof.
-func (e *replayEnv) VerifyProof(ctx []byte, p effort.Proof, minCost effort.Seconds) bool {
-	mp, ok := p.(*effort.MBFProof)
-	if !ok || mp == nil {
-		return false
-	}
-	e.mbf.Bind(mp)
-	return mp.Cost() >= minCost-1e-9 && e.mbf.Verify(mp, ctx)
-}
-
-// EvalReceipt implements protocol.Env, mirroring node/(*env).EvalReceipt.
-func (e *replayEnv) EvalReceipt(ctx []byte, p effort.Proof) (effort.Receipt, bool) {
-	mp, ok := p.(*effort.MBFProof)
-	if !ok || mp == nil {
-		return effort.Receipt{}, false
-	}
-	e.mbf.Bind(mp)
-	return e.mbf.RecomputeByproduct(mp, ctx)
-}
 
 // replayObserver collects the replayed peer's observable outputs.
 type replayObserver struct {
@@ -165,11 +121,9 @@ func Replay(t *Trace) (*Result, error) {
 		// The clock starts at StartT immediately: the recorded node
 		// bootstrapped (AddAU, SeedGrade) at wall time moments before Start,
 		// so grade and schedule timestamps must not predate it by decades.
-		now:    sched.Time(t.Header.StartT),
-		rnd:    prng.New(t.Header.Seed ^ uint64(t.Header.Peer)*0x9e3779b97f4a7c15),
-		mbf:    effort.NewMBF(t.Header.MBF),
-		unit:   effort.Seconds(t.Header.EffortUnit),
-		timers: make(map[protocol.TimerID]func()),
+		now:        sched.Time(t.Header.StartT),
+		RealEffort: protocol.NewRealEffort(t.Header.Peer, t.Header.Seed, t.Header.MBF, effort.Seconds(t.Header.EffortUnit)),
+		timers:     make(map[protocol.TimerID]func()),
 	}
 	env.send = func(to ids.PeerID, m *protocol.Msg) {
 		res.Replayed = append(res.Replayed,

@@ -19,8 +19,8 @@ func testHeader() Header {
 		StartT:     1_000_000,
 		Protocol:   protocol.DefaultConfig(),
 		Costs:      effort.DefaultCostModel(),
-		MBF:        effort.MBFParams{TableWords: 1 << 12, Steps: 1 << 10, Checkpoints: 8, VerifySegments: 2, Seed: 7},
-		EffortUnit: 0.05,
+		MBF:        effort.DemoMBFParams(),
+		EffortUnit: float64(effort.DemoEffortUnit),
 		Friends:    []ids.PeerID{2, 3},
 		AUs: []AUHeader{{
 			ID: 1, Name: "au-test", Size: 64 << 10, BlockSize: 32 << 10,

@@ -4,8 +4,6 @@ import (
 	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/protocol"
-	"lockss/internal/reputation"
-	"lockss/internal/sched"
 )
 
 // BurstPayload models an adversary's stream of back-to-back poll
@@ -53,7 +51,7 @@ func (b *BurstPayload) Deliver(w *World, shard int32, victim *protocol.Peer) {
 	if rep == nil {
 		return
 	}
-	now := sched.Time(w.engines[shard].Now())
+	now := w.engines[shard].Now()
 	emitted := 0
 	// One shared copy of the template serves the whole stream: the Poll
 	// handler reads the message synchronously and never retains it, so only
@@ -64,7 +62,7 @@ func (b *BurstPayload) Deliver(w *World, shard int32, victim *protocol.Peer) {
 		// An admitted unknown/in-debt invitation puts the victim in its
 		// refractory period; the attacker stops a stream that has achieved
 		// its admission.
-		if i > 0 && rep.InRefractory(reputation.Time(now)) {
+		if i > 0 && rep.InRefractory(now) {
 			break
 		}
 		var from ids.PeerID

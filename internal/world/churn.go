@@ -106,8 +106,7 @@ func (w *World) EnableChurn(c Churn) *JoinStats {
 				}
 			}
 			for _, spec := range w.specs {
-				salt := uint64(id)<<20 | uint64(spec.ID)
-				replica := content.NewSimReplica(spec, salt)
+				replica := content.NewSimReplica(spec, ReplicaSalt(id, spec.ID))
 				// A newcomer's initial reference list is its friends: it
 				// has no history with anyone else.
 				if err := p.AddAU(replica, friends); err != nil {

@@ -14,8 +14,8 @@ func telemetryRun(t *testing.T, cfg Config) (worldFingerprint, map[string]teleme
 	cfg.Telemetry = tel
 	fp, _ := fingerprintRun(t, cfg, Churn{})
 	snaps := make(map[string]telemetry.Snapshot)
-	for _, h := range tel.Histograms() {
-		snaps[h.Name] = h.H.Snapshot()
+	for _, fam := range telemetry.HistogramFamilies() {
+		snaps[fam.Name] = fam.Of(tel).Snapshot()
 	}
 	return fp, snaps
 }

@@ -93,6 +93,108 @@ func Default() Config {
 	}
 }
 
+// Validate reports whether cfg describes a population that can hold polls.
+func (c Config) Validate() error {
+	if c.Peers <= 0 || c.AUs <= 0 {
+		return fmt.Errorf("world: need positive peers and AUs")
+	}
+	if err := c.Protocol.Validate(); err != nil {
+		return err
+	}
+	if c.Peers <= c.Protocol.Quorum {
+		return fmt.Errorf("world: population %d cannot sustain quorum %d", c.Peers, c.Protocol.Quorum)
+	}
+	return nil
+}
+
+// The population bootstrap. world.New derives a population from a Config with
+// the functions below; the real-node cluster harness calls the same ones, so
+// the two backends audit the same catalogue, under the same costs, with the
+// same friends and reference lists and the same damage rate.
+
+// Catalogue returns the AU catalogue every peer preserves.
+func (c Config) Catalogue() []content.AUSpec {
+	specs := make([]content.AUSpec, c.AUs)
+	for i := range specs {
+		specs[i] = content.AUSpec{
+			ID:        content.AUID(i + 1),
+			Name:      fmt.Sprintf("au-%03d", i+1),
+			Size:      c.AUSize,
+			BlockSize: c.Protocol.BlockSize,
+		}
+	}
+	return specs
+}
+
+// CostModel returns the cost model loyal peers are charged under: Costs (or
+// the default) with the HashBytesPerSec override applied.
+func (c Config) CostModel() effort.CostModel {
+	costs := effort.DefaultCostModel()
+	if c.Costs != nil {
+		costs = *c.Costs
+	}
+	if c.HashBytesPerSec > 0 {
+		costs.HashBytesPerSec = c.HashBytesPerSec
+	}
+	return costs
+}
+
+// DamageMeanGap returns the mean time between storage-damage events at one
+// peer, in nanoseconds, or 0 when damage is disabled: one event per disk per
+// DamageDiskYears, with ceil(AUs/AUsPerDisk) disks.
+func (c Config) DamageMeanGap() float64 {
+	if c.DamageDiskYears <= 0 {
+		return 0
+	}
+	perDisk := c.AUsPerDisk
+	if perDisk <= 0 {
+		perDisk = 50
+	}
+	disks := (c.AUs + perDisk - 1) / perDisk
+	ratePerYear := float64(disks) / c.DamageDiskYears
+	return float64(sim.Year) / ratePerYear
+}
+
+// BootstrapRand derives the stream the bootstrap samples from, and DamageRand
+// the stream of one peer's damage process, from a run's root source
+// (prng.New(Config.Seed)).
+func BootstrapRand(root *prng.Source) *prng.Source { return root.Child("bootstrap") }
+func DamageRand(root *prng.Source, peer int) *prng.Source {
+	return root.ChildN("damage", peer)
+}
+
+// SampleOthers draws n distinct peers other than self (a peer index) from a
+// population of the given size. The bootstrap draws every peer's friends
+// list and then, peer by peer and AU by AU, every reference list from
+// BootstrapRand, in that order.
+func SampleOthers(rnd *prng.Source, peers, self, n int) []ids.PeerID {
+	if n > peers-1 {
+		n = peers - 1
+	}
+	out := make([]ids.PeerID, 0, n)
+	for _, j := range rnd.Sample(peers, n+1) {
+		if j != self && len(out) < n {
+			out = append(out, PeerIDOf(j))
+		}
+	}
+	return out
+}
+
+// ReplicaSalt individualizes the damage marks of peer id's replica of au.
+func ReplicaSalt(id ids.PeerID, au content.AUID) uint64 {
+	return uint64(id)<<20 | uint64(au)
+}
+
+// SeedEven starts p at an Even grade with every other member of a founding
+// population, on every AU it preserves (Config.SeedAllEven).
+func SeedEven(p *protocol.Peer, population int) {
+	for _, au := range p.AUs() {
+		for j := 0; j < population; j++ {
+			p.SeedGrade(au, PeerIDOf(j), reputation.Even)
+		}
+	}
+}
+
 // chargeRec is one deferred adversary-ledger charge. Charges are logged
 // per shard during the run and replayed into the ledger in canonical
 // (time, shard, log order) at the end, so the ledger's float accumulation
@@ -159,13 +261,13 @@ type Env struct {
 }
 
 // Now implements protocol.Env.
-func (e *Env) Now() sched.Time { return sched.Time(e.eng.Now()) }
+func (e *Env) Now() sched.Time { return e.eng.Now() }
 
 // After implements protocol.Env. Engine event IDs are issued from 1, so they
 // serve directly as protocol timer IDs (zero = none) without a cancel
 // closure per timer.
 func (e *Env) After(d sched.Duration, fn func()) protocol.TimerID {
-	return protocol.TimerID(e.eng.After(sim.Duration(d), fn))
+	return protocol.TimerID(e.eng.After(d, fn))
 }
 
 // Cancel implements protocol.Env.
@@ -222,14 +324,8 @@ func (w *World) observerFor(si int32) protocol.Observer {
 // New assembles a world. Background load hooks (for 600-AU layering) may be
 // installed on peer schedules before Run.
 func New(cfg Config) (*World, error) {
-	if cfg.Peers <= 0 || cfg.AUs <= 0 {
-		return nil, fmt.Errorf("world: need positive peers and AUs")
-	}
-	if err := cfg.Protocol.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Peers <= cfg.Protocol.Quorum {
-		return nil, fmt.Errorf("world: population %d cannot sustain quorum %d", cfg.Peers, cfg.Protocol.Quorum)
 	}
 	shards := cfg.Shards
 	if shards < 1 {
@@ -274,26 +370,10 @@ func New(cfg Config) (*World, error) {
 	}
 	w.Net = netsim.NewSharded(w.engines, ctr, cfg.Peers+8)
 
-	// AU catalogue.
-	w.specs = make([]content.AUSpec, cfg.AUs)
-	for i := range w.specs {
-		w.specs[i] = content.AUSpec{
-			ID:        content.AUID(i + 1),
-			Name:      fmt.Sprintf("au-%03d", i+1),
-			Size:      cfg.AUSize,
-			BlockSize: cfg.Protocol.BlockSize,
-		}
-	}
-
-	costs := effort.DefaultCostModel()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
-	if cfg.HashBytesPerSec > 0 {
-		costs.HashBytesPerSec = cfg.HashBytesPerSec
-	}
+	w.specs = cfg.Catalogue()
+	costs := cfg.CostModel()
 	linkRnd := w.Root.Child("links")
-	bootRnd := w.Root.Child("bootstrap")
+	bootRnd := BootstrapRand(w.Root)
 
 	// Build peers. Shard assignment is contiguous in peer index, so the
 	// concatenation of shard collectors in shard order reproduces the
@@ -322,30 +402,14 @@ func New(cfg Config) (*World, error) {
 
 	// Friends lists: a random sample per peer.
 	for i, p := range w.Peers {
-		n := cfg.Friends
-		if n > cfg.Peers-1 {
-			n = cfg.Peers - 1
-		}
-		friends := make([]ids.PeerID, 0, n)
-		for _, j := range bootRnd.Sample(cfg.Peers, n+1) {
-			if j != i && len(friends) < n {
-				friends = append(friends, PeerIDOf(j))
-			}
-		}
-		p.SetFriends(friends)
+		p.SetFriends(SampleOthers(bootRnd, cfg.Peers, i, cfg.Friends))
 	}
 
 	// Replicas and bootstrap reference lists.
 	for i, p := range w.Peers {
 		for _, spec := range w.specs {
-			salt := uint64(i+1)<<20 | uint64(spec.ID)
-			replica := content.NewSimReplica(spec, salt)
-			refs := make([]ids.PeerID, 0, cfg.Protocol.RefListTarget)
-			for _, j := range bootRnd.Sample(cfg.Peers, cfg.Protocol.RefListTarget+1) {
-				if j != i && len(refs) < cfg.Protocol.RefListTarget {
-					refs = append(refs, PeerIDOf(j))
-				}
-			}
+			replica := content.NewSimReplica(spec, ReplicaSalt(p.ID(), spec.ID))
+			refs := SampleOthers(bootRnd, cfg.Peers, i, cfg.Protocol.RefListTarget)
 			if err := p.AddAU(replica, refs); err != nil {
 				return nil, err
 			}
@@ -421,36 +485,22 @@ func (w *World) seedAcquaintance() {
 		return
 	}
 	for _, p := range w.Peers {
-		for _, au := range p.AUs() {
-			for _, q := range w.Peers {
-				if q.ID() != p.ID() {
-					p.SeedGrade(au, q.ID(), reputation.Even)
-				}
-			}
-		}
+		SeedEven(p, len(w.Peers))
 	}
 }
 
 // startDamage schedules the storage-damage Poisson process on each peer's
 // own shard engine.
 func (w *World) startDamage() {
-	if w.Cfg.DamageDiskYears <= 0 {
+	meanGap := w.Cfg.DamageMeanGap()
+	if meanGap == 0 {
 		return
 	}
-	perDisk := w.Cfg.AUsPerDisk
-	if perDisk <= 0 {
-		perDisk = 50
-	}
-	// Damage events per peer per year: one per disk per DamageDiskYears,
-	// with ceil(AUs/perDisk) disks.
-	disks := (w.Cfg.AUs + perDisk - 1) / perDisk
-	ratePerYear := float64(disks) / w.Cfg.DamageDiskYears
-	meanGap := float64(sim.Year) / ratePerYear
 	for i, p := range w.Peers {
 		peer := p
 		eng := w.engines[w.peerShard[i]]
 		col := w.collectors[w.peerShard[i]]
-		rnd := w.Root.ChildN("damage", i)
+		rnd := DamageRand(w.Root, i)
 		var schedule func()
 		schedule = func() {
 			gap := sim.Duration(rnd.ExpFloat64(meanGap))
@@ -460,7 +510,7 @@ func (w *World) startDamage() {
 				replica := peer.Replica(au)
 				block := rnd.Intn(replica.Spec().Blocks())
 				replica.Damage(block)
-				col.OnDamage(peer.ID(), au, sched.Time(eng.Now()))
+				col.OnDamage(peer.ID(), au, eng.Now())
 				schedule()
 			})
 		}
@@ -496,7 +546,7 @@ func (w *World) Run() {
 		w.Metrics.Merge(w.collectors[0])
 	}
 	w.replayCharges()
-	w.Metrics.Finalize(sched.Time(w.Engine.Now()))
+	w.Metrics.Finalize(w.Engine.Now())
 }
 
 // EventsExecuted totals executed events across all engines.
