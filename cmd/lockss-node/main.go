@@ -718,10 +718,10 @@ wait:
 	log.Printf("polls: ok=%d inquorate=%d inconclusive=%d repair-failed=%d alarms=%d; votes supplied=%d; repairs served=%d",
 		s.Peer.PollsSucceeded, s.Peer.PollsInquorate, s.Peer.PollsInconclusive, s.Peer.PollsRepairFailed,
 		s.Peer.Alarms, s.Peer.VotesSupplied, s.Peer.RepairsServed)
-	log.Printf("transport: sent=%d dropped=%d (queue-full=%d) dials=%d redials=%d dial-failures=%d queue-highwater=%d inbound accepted=%d rejected=%d",
+	log.Printf("transport: sent=%d dropped=%d (queue-full=%d) dials=%d redials=%d dial-failures=%d queue-highwater=%d inbound accepted=%d rejected=%d invites-shed=%d",
 		s.Transport.Sent, s.Transport.Drops, s.Transport.DropsQueueFull, s.Transport.Dials,
 		s.Transport.Redials, s.Transport.DialFailures, s.Transport.QueueHighWater,
-		s.Transport.InboundAccepted, s.Transport.InboundRejected)
+		s.Transport.InboundAccepted, s.Transport.InboundRejected, s.Transport.InvitesShed)
 	if st != nil {
 		log.Printf("store: scanned=%d verified=%d damaged=%d repaired=%d passes=%d manifest-writes=%d injected=%d",
 			s.Store.BlocksScanned, s.Store.BlocksVerified, s.Store.BlocksDamaged, s.Store.BlocksRepaired,

@@ -302,6 +302,8 @@ var scalarFamilies = []family{
 		func(sc *scrape) uint64 { return sc.Transport.InboundAccepted }),
 	counter("lockss_transport_inbound_rejected_total", "Inbound connections refused by the admission caps.", always,
 		func(sc *scrape) uint64 { return sc.Transport.InboundRejected }),
+	counter("lockss_invites_shed_total", "Poll invitations the read loops dropped undecoded as certain refractory rejections; also in lockss_invites_ignored_total.", always,
+		func(sc *scrape) uint64 { return sc.Transport.InvitesShed }),
 
 	gauge("lockss_peer_links", "Outbound peer links ever created.", always,
 		func(sc *scrape) float64 { return float64(len(sc.links)) }),

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"flag"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,8 +13,13 @@ import (
 	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/node"
+	"lockss/internal/protocol"
 	"lockss/internal/reputation"
+	"lockss/internal/sched"
+	"lockss/internal/session"
 	"lockss/internal/trace"
+	"lockss/internal/wire"
+	"lockss/internal/world"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -180,5 +186,98 @@ func TestGoldenTraceReplay(t *testing.T) {
 	if res.Report() != string(golden) {
 		t.Errorf("replayed event sequence diverged from the pinned golden report:\n--- got ---\n%s--- want ---\n%s",
 			res.Report(), golden)
+	}
+}
+
+// TestRecordReplayUnderShedFlood pins the tap's contract with the read
+// loops' shedding: the tap sees every frame delivered to Peer.Receive, the
+// invitations a reader sheds are not among them, and because a shed frame is
+// no input to the peer a replay of the tapped frames alone arrives at the
+// recorded peer's exact counters. One node, alone, records while a stranger
+// floods it with invitations from identities it does not know.
+func TestRecordReplayUnderShedFlood(t *testing.T) {
+	spec := content.AUSpec{ID: 1, Name: "au-flood", Size: 64 << 10, BlockSize: 32 << 10}
+	pc := demoProtocolConfig()
+	pc.Refractory = time.Hour // the slot the first admitted stranger closes stays closed
+	var buf bytes.Buffer
+	rec := trace.NewRecorder(&buf)
+	c, err := BuildCluster(ClusterSpec{AUs: []content.AUSpec{spec}, Members: []MemberSpec{{Config: node.Config{
+		Protocol: pc, Costs: effort.DemoCostModel(), Seed: 3000, Tap: rec, Observer: rec,
+	}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	n := c.Members[0].Node
+	if err := rec.WriteHeader(trace.Header{
+		Peer: 1, Seed: 3000, StartT: time.Now().UnixNano(),
+		Protocol: pc, Costs: effort.DemoCostModel(), MBF: effort.DemoMBFParams(), EffortUnit: float64(effort.DemoEffortUnit),
+		AUs: []trace.AUHeader{{
+			ID: spec.ID, Name: spec.Name, Size: spec.Size, BlockSize: spec.BlockSize, Salt: world.ReplicaSalt(1, spec.ID),
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := net.Dial("tcp", n.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacker, err := session.Client(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer attacker.Close()
+	proof, _ := effort.NewMBF(effort.DemoMBFParams()).Generate([]byte("bound to the wrong context"), 1, effort.DemoEffortUnit)
+	sent := uint64(0)
+	burst := func() {
+		for i := 0; i < 100; i++ {
+			now := time.Now()
+			frame, err := wire.Encode(&protocol.Msg{
+				Type: protocol.MsgPoll, AU: spec.ID, PollID: 1<<40 | sent, Poller: 1000 + ids.PeerID(sent%32), Voter: 1,
+				VoteBy:       sched.Time(now.Add(time.Second).UnixNano()),
+				PollDeadline: sched.Time(now.Add(2 * time.Second).UnixNano()),
+				Proof:        proof,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := attacker.WriteMsg(frame); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+	}
+	// One stranger in ten passes the random drop and the first closes the
+	// slot; whatever the readers see after that they shed.
+	if !WaitFor(10*time.Second, 5*time.Millisecond, func() bool {
+		burst()
+		return n.TransportStats().InvitesShed > 0
+	}) {
+		t.Fatalf("%d invitations reached the actor whole: nothing was shed", sent)
+	}
+	burst()
+	var st node.Stats
+	if !WaitFor(10*time.Second, 10*time.Millisecond, func() bool {
+		st = n.Stats()
+		return st.Peer.InvitesIgnored+st.Peer.InvitesConsidered == sent
+	}) {
+		t.Fatalf("of %d invitations, %d ignored + %d considered", sent, st.Peer.InvitesIgnored, st.Peer.InvitesConsidered)
+	}
+	c.Stop()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	res := assertReplayMatches(t, buf.Bytes())
+	live := n.Peer().Stats() // what reached the peer; Node.Stats adds the shed on top
+	if res.Stats != live {
+		t.Errorf("replayed peer counters differ from the live peer's:\nreplay %+v\nlive   %+v", res.Stats, live)
+	}
+	if live.InvitesIgnored+st.Transport.InvitesShed != st.Peer.InvitesIgnored {
+		t.Errorf("ignored invitations: peer %d + shed %d != reported %d", live.InvitesIgnored, st.Transport.InvitesShed, st.Peer.InvitesIgnored)
 	}
 }

@@ -8,6 +8,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/protocol"
+	"lockss/internal/reputation"
 	"lockss/internal/sched"
 	"lockss/internal/session"
 	"lockss/internal/store"
@@ -49,9 +51,11 @@ type Config struct {
 	// Observer receives protocol events (may be nil).
 	Observer protocol.Observer
 	// Tap, if non-nil, observes the exact event stream driving the protocol
-	// state machine — decoded inbound frames, live timer firings, outbound
-	// messages, scrub-detected damage — synchronously on the actor loop, in
-	// execution order. Trace recording (internal/trace) hangs off this hook.
+	// state machine — the inbound frames delivered to the peer, live timer
+	// firings, outbound messages, scrub-detected damage — synchronously on
+	// the actor loop, in execution order. Invitations the read loops shed
+	// never reach the peer and so are not in the stream. Trace recording
+	// (internal/trace) hangs off this hook.
 	Tap protocol.EnvTap
 	// Logf, if non-nil, receives diagnostic logs.
 	Logf func(format string, args ...any)
@@ -126,6 +130,10 @@ type Node struct {
 
 	// tr owns all outbound links and inbound admission (transport.go).
 	tr *transport
+	// gates holds each AU's published admission state, against which the
+	// read loops shed invitations certain to be refractory-rejected. Filled
+	// by AddAU, read-only once Start has launched the first reader.
+	gates map[content.AUID]*reputation.Gate
 	// dialCtx is cancelled by Stop so in-flight dials abort instead of
 	// outliving shutdown by up to a full DialTimeout.
 	dialCtx    context.Context
@@ -172,6 +180,7 @@ func New(cfg Config) (*Node, error) {
 		raws:   make(map[net.Conn]struct{}),
 		timers: make(map[protocol.TimerID]*time.Timer),
 		addrs:  make(map[ids.PeerID]string, len(cfg.AddressBook)),
+		gates:  make(map[content.AUID]*reputation.Gate),
 	}
 	for id, addr := range cfg.AddressBook {
 		n.addrs[id] = addr
@@ -272,6 +281,9 @@ func (n *Node) statsWait(timeout <-chan time.Time) (Stats, bool) {
 	select {
 	case ps := <-done:
 		s.Peer = ps
+		// The peer counts what reached it; what the readers shed was
+		// ignored just the same.
+		s.Peer.InvitesIgnored += s.Transport.InvitesShed
 		return s, true
 	case <-timeout:
 		return s, false
@@ -363,7 +375,12 @@ func (n *Node) StoreStats() store.Stats {
 
 // AddAU registers a replica to preserve; see protocol.Peer.AddAU.
 func (n *Node) AddAU(replica content.Replica, refs []ids.PeerID) error {
-	return n.peer.AddAU(replica, refs)
+	if err := n.peer.AddAU(replica, refs); err != nil {
+		return err
+	}
+	au := replica.Spec().ID
+	n.gates[au] = n.peer.Reputation(au).OpenGate(n.env.Now())
+	return nil
 }
 
 // SetFriends installs the operator's friends list.
@@ -591,7 +608,10 @@ func (n *Node) untrackRaw(raw net.Conn) {
 	n.mu.Unlock()
 }
 
-// readLoop decodes frames from one session and feeds the protocol.
+// readLoop decodes frames from one session and feeds the protocol. What a
+// frame costs here is what a flood costs the node, so an invitation that
+// admission control is certain to reject is dropped on its header alone,
+// before the decode, the closure and the mailbox.
 func (n *Node) readLoop(conn *session.Conn) {
 	if !n.track(conn) {
 		return
@@ -603,21 +623,44 @@ func (n *Node) readLoop(conn *session.Conn) {
 		if err != nil {
 			return
 		}
+		if n.sheds(frame) {
+			n.tr.invitesShed.Add(1)
+			continue
+		}
 		m, err := wire.Decode(frame)
 		if err != nil {
 			n.logf("bad frame: %v", err)
 			return
 		}
 		from := senderOf(m)
-		// session.ReadMsg returns a fresh buffer per frame, so the tap may
-		// retain frame without copying.
+		// The session reuses frame's memory on the next read, so a tap gets
+		// a copy to keep; without one nothing outlives this iteration.
+		var raw []byte
+		if n.cfg.Tap != nil {
+			raw = bytes.Clone(frame)
+		}
 		n.post(func() {
 			if n.cfg.Tap != nil {
-				n.cfg.Tap.MsgIn(from, frame, m, n.env.Now())
+				n.cfg.Tap.MsgIn(from, raw, m, n.env.Now())
 			}
 			n.peer.Receive(from, m)
 		})
 	}
+}
+
+// sheds reports whether frame is a poll invitation that the AU's known-peers
+// list would reject as refractory whatever its body says: the claimed poller
+// is neither even/credit nor introduced, and the unknown/in-debt slot is
+// closed. Everything else — other message types, AUs this node does not
+// hold, invitations claiming a privileged identity or this node's own —
+// goes to the actor, whose Consider remains the authority.
+func (n *Node) sheds(frame []byte) bool {
+	h, ok := wire.Peek(frame)
+	if !ok || h.Type != protocol.MsgPoll || h.Poller == n.cfg.ID {
+		return false
+	}
+	g := n.gates[h.AU]
+	return g != nil && g.Sheds(n.env.Now(), h.Poller)
 }
 
 // senderOf infers the ostensible sender identity from the message role.

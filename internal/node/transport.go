@@ -60,6 +60,10 @@ type TransportStats struct {
 	// InboundRejected counts inbound connections refused by the admission
 	// caps.
 	InboundRejected uint64
+	// InvitesShed counts poll invitations the read loops dropped on their
+	// header because admission control was certain to reject them as
+	// refractory (Node.sheds). Stats().Peer.InvitesIgnored includes them.
+	InvitesShed uint64
 }
 
 // transportConfig holds the resolved transport knobs (defaults applied).
@@ -122,6 +126,7 @@ type transport struct {
 	queueHighWater  atomic.Uint64
 	inboundAccepted atomic.Uint64
 	inboundRejected atomic.Uint64
+	invitesShed     atomic.Uint64
 
 	// mu guards links and closed; closed stops new writer goroutines from
 	// starting once Stop has begun (wg.Add must not race wg.Wait).
@@ -158,6 +163,7 @@ func (t *transport) stats() TransportStats {
 		QueueHighWater:  t.queueHighWater.Load(),
 		InboundAccepted: t.inboundAccepted.Load(),
 		InboundRejected: t.inboundRejected.Load(),
+		InvitesShed:     t.invitesShed.Load(),
 	}
 }
 

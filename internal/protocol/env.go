@@ -55,8 +55,12 @@ type Env interface {
 // the peer.
 type EnvTap interface {
 	// MsgIn fires after a frame is decoded and immediately before it is
-	// delivered to Peer.Receive. frame is the decoded wire payload; the tap
-	// may retain it.
+	// delivered to Peer.Receive, for every frame so delivered and for no
+	// other: an Env that discards traffic before the peer (the node's read
+	// loops shed invitations that admission control is certain to reject)
+	// does not report it, because what never reaches Receive is not an input
+	// to the peer, and a replay of the reported frames alone reproduces its
+	// state. frame is the decoded wire payload, the tap's own copy to retain.
 	MsgIn(from ids.PeerID, frame []byte, m *Msg, now sched.Time)
 	// TimerFired fires when a live timer's callback is about to run.
 	// Cancelled timers are never reported.

@@ -20,6 +20,8 @@
 package reputation
 
 import (
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"lockss/internal/ids"
@@ -107,7 +109,7 @@ type intro struct {
 }
 
 // List is the known-peers list for one AU at one peer. Not safe for
-// concurrent use.
+// concurrent use, except through the Gate it may publish.
 type List struct {
 	params  Params
 	entries map[ids.PeerID]*entry
@@ -124,6 +126,64 @@ type List struct {
 	RejectedRefract  uint64
 	RejectedRateCap  uint64
 	IntroductionsCut uint64
+
+	// gate, when opened, is republished whenever an identity gains
+	// privilege or the unknown/in-debt slot closes.
+	gate *Gate
+}
+
+// Gate is the two facts Consider's RejectRefractory outcome depends on — is
+// the unknown/in-debt slot closed, is the sender even/credit or introduced —
+// published by a List for goroutines other than its owner, so that a network
+// reader can discard most of a flood before decoding it. It errs one way
+// only: it may lag behind the List in passing a sender Consider would now
+// reject, never in shedding one Consider would have let past the refractory
+// rule. Consider stays authoritative for everything the gate passes.
+type Gate struct {
+	refractoryUntil atomic.Int64
+	// privileged is sorted and immutable once stored.
+	privileged atomic.Pointer[[]ids.PeerID]
+}
+
+// Sheds reports whether an invitation claiming to come from p at now is
+// certain to end as RejectRefractory. Safe for concurrent use; allocates
+// nothing.
+func (g *Gate) Sheds(now Time, p ids.PeerID) bool {
+	if now >= Time(g.refractoryUntil.Load()) {
+		return false
+	}
+	_, privileged := slices.BinarySearch(*g.privileged.Load(), p)
+	return !privileged
+}
+
+// OpenGate starts publishing the list's Gate and returns it. Lists without
+// one (every simulated peer) pay a nil check where a republish would go.
+func (l *List) OpenGate(now Time) *Gate {
+	if l.gate == nil {
+		l.gate = &Gate{}
+		l.publish(now)
+	}
+	return l.gate
+}
+
+// publish rebuilds the gate from the list. Between republishes the
+// privileged set only goes stale by keeping identities whose grade has since
+// decayed or been lowered, which is the safe direction.
+func (l *List) publish(now Time) {
+	ps := make([]ids.PeerID, 0, len(l.entries))
+	for p := range l.entries {
+		if l.decayed(now, p).grade >= Even {
+			ps = append(ps, p)
+		}
+	}
+	for p := range l.intros {
+		ps = append(ps, p)
+	}
+	slices.Sort(ps) // an introduced even-grade peer appears twice, harmlessly
+	// The set goes first: a reader that sees the slot closed then sees a set
+	// at least as new.
+	l.gate.privileged.Store(&ps)
+	l.gate.refractoryUntil.Store(int64(l.refractoryUntil))
 }
 
 // NewList returns an empty known-peers list.
@@ -185,6 +245,9 @@ func (l *List) Raise(now Time, p ids.PeerID) {
 		e.grade++
 	}
 	e.updated = now
+	if e.grade == Even && l.gate != nil { // just out of debt
+		l.publish(now)
+	}
 }
 
 // Lower moves the peer's grade one step down (we supplied them a vote):
@@ -291,6 +354,9 @@ func (l *List) Consider(now Time, p ids.PeerID, rnd *prng.Source) Decision {
 		return RejectDropped
 	}
 	l.refractoryUntil = now + Time(l.params.Refractory)
+	if l.gate != nil {
+		l.publish(now)
+	}
 	l.AdmittedUnknown++
 	return AdmitUnknown
 }
@@ -308,11 +374,15 @@ func (l *List) AddIntroduction(now Time, introducer, introducee ids.PeerID) {
 	if !l.params.IntroductionsEnabled || introducer == introducee {
 		return
 	}
-	if _, exists := l.intros[introducee]; !exists && len(l.intros) >= l.params.MaxIntroductions {
+	_, exists := l.intros[introducee]
+	if !exists && len(l.intros) >= l.params.MaxIntroductions {
 		l.IntroductionsCut++
 		return
 	}
 	l.intros[introducee] = intro{introducer: introducer, added: now}
+	if !exists && l.gate != nil {
+		l.publish(now)
+	}
 }
 
 // consumeIntroduction implements the paper's forget-on-use semantics: using

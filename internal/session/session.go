@@ -25,28 +25,49 @@ import (
 // MaxFrame bounds the size of a single message frame.
 const MaxFrame = 96 << 20
 
+// readBufSize is the pooled inbound buffer: one socket read delivers up to
+// this many bytes of back-to-back frames. Only sessions with unread bytes hold
+// one, so a node's idle sessions cost no buffer memory.
+const readBufSize = 16 << 10
+
+// keepWriteBuf caps the seal buffer a Conn retains between writes; larger
+// frames seal into a buffer that is dropped after the write.
+const keepWriteBuf = 1 << 10
+
+var readBufs = sync.Pool{New: func() any { b := make([]byte, readBufSize); return &b }}
+
 // Conn is an established encrypted session over a reliable byte stream.
 //
 // WriteMsg is safe for concurrent use: a write mutex serializes the nonce
-// counter, the seal, and the two stream writes, so interleaved callers can
-// never desynchronize the GCM nonce sequence from the byte stream. ReadMsg
-// must still be called from a single goroutine (one reader owns the inbound
-// half).
+// counter, the seal and the stream write, so interleaved callers can never
+// desynchronize the GCM nonce sequence from the byte stream. ReadMsg must
+// still be called from a single goroutine (one reader owns the inbound half).
 type Conn struct {
-	raw     net.Conn
-	send    cipher.AEAD
-	recv    cipher.AEAD
-	sendCtr uint64
-	recvCtr uint64
+	raw  net.Conn
+	send cipher.AEAD
+	recv cipher.AEAD
 
-	// wmu guards sendCtr, writeTimeout and the framing writes.
+	// wmu guards sendCtr, writeTimeout, wbuf and the framing write.
 	wmu          sync.Mutex
+	sendCtr      counter
 	writeTimeout time.Duration
+	wbuf         []byte // retained seal buffer, cap <= keepWriteBuf
 
-	// readIdle, when set, bounds how long ReadMsg waits for the next
-	// frame. Set it before the first ReadMsg (it is read without a lock by
-	// the reader goroutine).
+	// readIdle, when set, bounds how long ReadMsg waits on the socket. Set
+	// it before the first ReadMsg (it is read without a lock by the reader
+	// goroutine).
 	readIdle time.Duration
+
+	// The inbound half, owned by the reader goroutine. buf[r:w] holds bytes
+	// received and not yet returned as frames. buf is a pooled buffer
+	// (pooled != nil), a larger one grown for a single frame that did not fit
+	// (it then starts at r == 0 and ends exactly at the frame's end), or nil
+	// when nothing is unread.
+	recvCtr counter
+	buf     []byte
+	pooled  *[]byte
+	r, w    int
+	hdr     [4]byte
 }
 
 // deriveAEAD builds an AES-256-GCM AEAD from the shared secret and a
@@ -118,12 +139,19 @@ func Client(raw net.Conn) (*Conn, error) { return handshake(raw, true) }
 // Server establishes a session as the accepting side.
 func Server(raw net.Conn) (*Conn, error) { return handshake(raw, false) }
 
-// nonce derives the 12-byte GCM nonce from a direction counter. Counters
-// never repeat within a session, which is all GCM requires.
-func nonce(ctr uint64) []byte {
-	var n [12]byte
-	binary.BigEndian.PutUint64(n[4:], ctr)
-	return n[:]
+// counter numbers one direction's frames and derives each frame's 12-byte
+// GCM nonce: never repeating within a session, which is all GCM requires.
+// The nonce lives here, in the Conn, so that handing it to the AEAD
+// allocates nothing.
+type counter struct {
+	n   uint64
+	buf [12]byte
+}
+
+// nonce returns frame n's nonce, valid until the next call.
+func (c *counter) nonce() []byte {
+	binary.BigEndian.PutUint64(c.buf[4:], c.n)
+	return c.buf[:]
 }
 
 // SetWriteTimeout bounds every subsequent WriteMsg: a frame that cannot be
@@ -132,13 +160,17 @@ func nonce(ctr uint64) []byte {
 // forever. Zero disables the bound.
 func (c *Conn) SetWriteTimeout(d time.Duration) {
 	c.wmu.Lock()
+	if d <= 0 && c.writeTimeout > 0 {
+		c.raw.SetWriteDeadline(time.Time{}) // clear the bound the last write armed
+	}
 	c.writeTimeout = d
 	c.wmu.Unlock()
 }
 
-// WriteMsg encrypts and frames one message. Safe for concurrent use. An
-// error means the session is dead — the nonce counter may have advanced past
-// a partially written frame — and the Conn must be closed, not retried.
+// WriteMsg encrypts and frames one message and hands it to the transport in
+// one Write. Safe for concurrent use. An error means the session is dead —
+// the nonce counter may have advanced past a partially written frame — and
+// the Conn must be closed, not retried.
 func (c *Conn) WriteMsg(plaintext []byte) error {
 	if len(plaintext) > MaxFrame {
 		return fmt.Errorf("session: frame of %d bytes exceeds limit", len(plaintext))
@@ -147,50 +179,116 @@ func (c *Conn) WriteMsg(plaintext []byte) error {
 	defer c.wmu.Unlock()
 	if c.writeTimeout > 0 {
 		c.raw.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	} else {
-		c.raw.SetWriteDeadline(time.Time{}) // clear any previously armed bound
 	}
-	sealed := c.send.Seal(nil, nonce(c.sendCtr), plaintext, nil)
-	c.sendCtr++
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(sealed)))
-	if _, err := c.raw.Write(hdr[:]); err != nil {
-		return err
+	frame := binary.BigEndian.AppendUint32(c.wbuf[:0], uint32(len(plaintext)+c.send.Overhead()))
+	frame = c.send.Seal(frame, c.sendCtr.nonce(), plaintext, nil)
+	c.sendCtr.n++
+	if cap(frame) <= keepWriteBuf {
+		c.wbuf = frame[:0]
 	}
-	_, err := c.raw.Write(sealed)
+	_, err := c.raw.Write(frame)
 	return err
 }
 
-// SetReadIdleTimeout bounds how long each subsequent ReadMsg waits for a
-// frame, so an established session that goes silent can be reaped instead
-// of holding resources forever. Must be called before the first ReadMsg;
-// zero (the default) disables the bound.
+// SetReadIdleTimeout bounds how long ReadMsg waits for bytes on the socket,
+// so an established session that goes silent can be reaped instead of
+// holding resources forever; a session that keeps delivering bytes is never
+// reaped by it. Must be called before the first ReadMsg; zero (the default)
+// disables the bound.
 func (c *Conn) SetReadIdleTimeout(d time.Duration) { c.readIdle = d }
 
-// ReadMsg reads and decrypts one message. It must be called from a single
-// goroutine.
+// ReadMsg returns the next decrypted message. The returned slice aliases the
+// session's read buffer and is valid only until the next ReadMsg. It must be
+// called from a single goroutine; any error means the session is dead.
+//
+// One socket read delivers as many frames as the kernel has, into a pooled
+// buffer that is handed back once drained; every frame is still
+// authenticated by AES-GCM in counter order before it is returned.
 func (c *Conn) ReadMsg() ([]byte, error) {
+	for {
+		need := len(c.hdr)
+		if c.w-c.r >= need {
+			n := binary.BigEndian.Uint32(c.buf[c.r:])
+			if n > MaxFrame {
+				return nil, errors.New("session: oversized frame")
+			}
+			need += int(n)
+			if c.w-c.r >= need {
+				sealed := c.buf[c.r+len(c.hdr) : c.r+need]
+				plain, err := c.recv.Open(sealed[:0], c.recvCtr.nonce(), sealed, nil)
+				if err != nil {
+					// Neither the counter nor r moves on: the session stays
+					// failed for a caller that reads again.
+					return nil, fmt.Errorf("session: decrypt: %w", err)
+				}
+				c.r += need
+				c.recvCtr.n++
+				return plain, nil
+			}
+		}
+		if err := c.fill(need); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// fill brings in more bytes of the frame at buf[r:], which needs need bytes
+// in all and has fewer. Buffer space never runs ahead of the bytes actually
+// received: a frame longer than the pooled buffer grows its own by doubling,
+// capped at need, so a bare header claiming MaxFrame costs its sender's
+// victim nothing.
+func (c *Conn) fill(need int) error {
+	unread := c.w - c.r
+	if unread == 0 {
+		// Drained: give the buffer back and wait for the next header without
+		// one, so only sessions with traffic in flight hold read buffers.
+		c.releaseBuf()
+		c.armIdle()
+		if _, err := io.ReadFull(c.raw, c.hdr[:]); err != nil {
+			return err
+		}
+		c.pooled = readBufs.Get().(*[]byte)
+		c.buf = *c.pooled
+		c.r, c.w = 0, copy(c.buf, c.hdr[:])
+		return nil
+	}
+	if c.r > 0 {
+		copy(c.buf, c.buf[c.r:c.w])
+		c.r, c.w = 0, unread
+	}
+	if c.w == len(c.buf) {
+		grown := make([]byte, min(2*len(c.buf), need))
+		copy(grown, c.buf)
+		c.releaseBuf()
+		c.buf, c.w = grown, unread
+	}
+	c.armIdle()
+	n, err := c.raw.Read(c.buf[c.w:])
+	c.w += n
+	if n > 0 {
+		return nil // any error resurfaces on the next read
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // mid-frame
+	}
+	return err
+}
+
+// armIdle restarts the idle bound; called before every socket read, so what
+// it bounds is silence on the wire, never the time spent on buffered frames.
+func (c *Conn) armIdle() {
 	if c.readIdle > 0 {
 		c.raw.SetReadDeadline(time.Now().Add(c.readIdle))
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.raw, hdr[:]); err != nil {
-		return nil, err
+}
+
+// releaseBuf drops the read buffer, returning a pooled one to the pool.
+func (c *Conn) releaseBuf() {
+	if c.pooled != nil {
+		readBufs.Put(c.pooled)
+		c.pooled = nil
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, errors.New("session: oversized frame")
-	}
-	sealed := make([]byte, n)
-	if _, err := io.ReadFull(c.raw, sealed); err != nil {
-		return nil, err
-	}
-	plain, err := c.recv.Open(nil, nonce(c.recvCtr), sealed, nil)
-	if err != nil {
-		return nil, fmt.Errorf("session: decrypt: %w", err)
-	}
-	c.recvCtr++
-	return plain, nil
+	c.buf, c.r, c.w = nil, 0, 0
 }
 
 // Close closes the underlying transport.

@@ -25,6 +25,9 @@ type Result struct {
 	Divergences []string
 	// Inputs counts the input records driven through the state machine.
 	Inputs int
+	// Stats is the replayed peer's counters once the trace is exhausted
+	// (not part of Report).
+	Stats protocol.PeerStats
 }
 
 // Diverged reports whether the replay disagreed with the recording anywhere.
@@ -228,5 +231,6 @@ func Replay(t *Trace) (*Result, error) {
 	for i := n; i < len(res.Replayed); i++ {
 		diverge("out[%d]: replay produced %q beyond the recording", i, res.Replayed[i])
 	}
+	res.Stats = peer.Stats()
 	return res, nil
 }

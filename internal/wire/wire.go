@@ -346,15 +346,44 @@ func AppendEncode(dst []byte, m *protocol.Msg) ([]byte, error) {
 	return w.buf, nil
 }
 
+// HeaderSize is the length of the fixed prefix every message starts with.
+const HeaderSize = 1 + 4 + 8 + 4 + 4
+
+// Header is that prefix: enough to route a frame, or to refuse it, without
+// decoding the body. Poller and Voter are claimed, like everything a remote
+// sends.
+type Header struct {
+	Type   protocol.MsgType
+	AU     content.AUID
+	PollID uint64
+	Poller ids.PeerID
+	Voter  ids.PeerID
+}
+
+// Peek reads the header of an encoded message without allocating and without
+// looking at the body; ok is false when data is shorter than a header. It
+// validates nothing — a frame Peek accepts may still fail Decode.
+func Peek(data []byte) (h Header, ok bool) {
+	if len(data) < HeaderSize {
+		return Header{}, false
+	}
+	return Header{
+		Type:   protocol.MsgType(data[0]),
+		AU:     content.AUID(binary.BigEndian.Uint32(data[1:])),
+		PollID: binary.BigEndian.Uint64(data[5:]),
+		Poller: ids.PeerID(binary.BigEndian.Uint32(data[13:])),
+		Voter:  ids.PeerID(binary.BigEndian.Uint32(data[17:])),
+	}, true
+}
+
 // Decode parses a message.
 func Decode(data []byte) (*protocol.Msg, error) {
-	r := &reader{buf: data}
-	m := &protocol.Msg{}
-	m.Type = protocol.MsgType(r.u8())
-	m.AU = content.AUID(r.u32())
-	m.PollID = r.u64()
-	m.Poller = ids.PeerID(r.u32())
-	m.Voter = ids.PeerID(r.u32())
+	h, ok := Peek(data)
+	if !ok {
+		return nil, ErrTruncated
+	}
+	r := &reader{buf: data, off: HeaderSize}
+	m := &protocol.Msg{Type: h.Type, AU: h.AU, PollID: h.PollID, Poller: h.Poller, Voter: h.Voter}
 	switch m.Type {
 	case protocol.MsgPoll:
 		m.VoteBy = sched.Time(r.u64())
