@@ -1,10 +1,14 @@
 package lockss
 
-// The bench guard pins the allocation budget of the simulation hot path.
+// The bench guard pins the allocation budget of the simulation hot path and
+// the memory budget of an idle peer.
 //
 // Every run in this file is a fixed-seed, single-goroutine simulation, so its
 // malloc count is deterministic; the guard measures each workload once with
 // runtime.ReadMemStats and compares against testdata/bench_baseline.json.
+// One more line, liveHeapLine, is not an allocation count: it is the bytes a
+// finished scale-large world still holds per peer, the number bench/ reports
+// as heap_bytes_per_peer.
 // A regression beyond the tolerance fails `go test -run TestBenchGuard .`
 // (and therefore plain `go test ./...` and CI). After a deliberate
 // improvement, ratchet the baseline down with
@@ -24,6 +28,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"lockss/internal/adversary"
@@ -35,8 +40,8 @@ import (
 
 var updateBench = flag.Bool("update-bench", false, "rewrite testdata/bench_baseline.json from the current measurements")
 
-// benchGuardTolerance is the fractional headroom above the recorded
-// allocation count before the guard fails. It absorbs run-to-run noise from
+// benchGuardTolerance is the fractional headroom above a recorded baseline
+// before the guard fails. It absorbs run-to-run noise from
 // the runtime (background sweeps, map growth timing) and small shifts across
 // Go releases; genuine hot-path regressions are far larger.
 const benchGuardTolerance = 0.15
@@ -137,8 +142,71 @@ func countMallocs(f func() error) (uint64, error) {
 	return after.Mallocs - before.Mallocs, err
 }
 
-// TestBenchGuard fails when any guarded workload allocates more than the
-// recorded baseline plus tolerance.
+// liveHeapLine is the baseline key of the per-peer memory budget.
+const liveHeapLine = "scale-large-7d-live-bytes-per-peer"
+
+// liveHeapPerPeer builds and runs the scale-large-7d world and returns the
+// heap bytes per peer still reachable from the finished world. With sites set
+// it samples every allocation of that world and also returns the ten largest
+// in-use allocation sites. They must be read here, while the world is alive:
+// a profile written at process exit shows what a run allocated, not what a
+// peer keeps.
+func liveHeapPerPeer(sites bool) (perPeer uint64, top string, err error) {
+	cfg := experiment.Options{Scale: experiment.ScaleLarge}.BaseWorld()
+	cfg.Duration = 7 * sim.Day
+	if sites {
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 1
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w, err := world.New(cfg)
+	if err != nil {
+		return 0, "", err
+	}
+	w.Run()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer runtime.KeepAlive(w)
+	perPeer = (after.HeapAlloc - before.HeapAlloc) / uint64(cfg.Peers)
+	if !sites {
+		return perPeer, "", nil
+	}
+
+	recs := make([]runtime.MemProfileRecord, 4096)
+	n, ok := runtime.MemProfile(recs, false)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, 2*n)
+		n, ok = runtime.MemProfile(recs, false)
+	}
+	inUse := make(map[string]int64)
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next() // charge the innermost frame outside the runtime
+			if inRuntime := strings.HasPrefix(f.Function, "runtime.") || strings.HasPrefix(f.Function, "internal/runtime/"); !inRuntime || !more {
+				inUse[f.Function] += r.InUseBytes()
+				break
+			}
+		}
+	}
+	names := make([]string, 0, len(inUse))
+	for name := range inUse {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool { return inUse[names[i]] > inUse[names[j]] })
+	for _, name := range names[:min(10, len(names))] {
+		top += fmt.Sprintf("\n  %6.1f MB  %s", float64(inUse[name])/1e6, name)
+	}
+	return perPeer, top, nil
+}
+
+// TestBenchGuard fails when any guarded workload allocates more, or a
+// finished large world keeps more per peer, than the recorded baseline plus
+// tolerance.
 func TestBenchGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a dozen reduced-scale simulations")
@@ -151,13 +219,19 @@ func TestBenchGuard(t *testing.T) {
 		}
 		measured[w.Name] = allocs
 	}
+	perPeer, _, err := liveHeapPerPeer(false)
+	if err != nil {
+		t.Fatalf("%s: %v", liveHeapLine, err)
+	}
+	measured[liveHeapLine] = perPeer
+
+	names := make([]string, 0, len(measured))
+	for name := range measured {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 
 	if *updateBench {
-		names := make([]string, 0, len(measured))
-		for name := range measured {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		var buf []byte
 		buf = append(buf, "{\n"...)
 		for i, name := range names {
@@ -185,20 +259,24 @@ func TestBenchGuard(t *testing.T) {
 		t.Fatalf("parsing %s: %v", benchBaselinePath, err)
 	}
 
-	for _, w := range guardWorkloads() {
-		want, ok := baseline[w.Name]
+	for _, name := range names {
+		got := measured[name]
+		want, ok := baseline[name]
 		if !ok {
-			t.Errorf("%s: not in %s (regenerate with -update-bench)", w.Name, benchBaselinePath)
+			t.Errorf("%s: not in %s (regenerate with -update-bench)", name, benchBaselinePath)
 			continue
 		}
-		got := measured[w.Name]
 		limit := want + uint64(float64(want)*benchGuardTolerance)
 		switch {
+		case got > limit && name == liveHeapLine:
+			_, sites, _ := liveHeapPerPeer(true)
+			t.Errorf("%s: %d B, budget %d (+%.0f%% tolerance over baseline %d) — a peer keeps more; largest in-use sites with the world alive:%s",
+				name, got, limit, benchGuardTolerance*100, want, sites)
 		case got > limit:
 			t.Errorf("%s: %d allocs, budget %d (+%.0f%% tolerance over baseline %d) — hot-path allocation regression",
-				w.Name, got, limit, benchGuardTolerance*100, want)
+				name, got, limit, benchGuardTolerance*100, want)
 		default:
-			t.Logf("%s: %d allocs (baseline %d, budget %d)", w.Name, got, want, limit)
+			t.Logf("%s: %d (baseline %d, budget %d)", name, got, want, limit)
 		}
 	}
 }

@@ -243,12 +243,20 @@ func (s *Scenario) Points(o Options) ([]Point, error) {
 		n *= len(vals[i])
 	}
 	points := make([]Point, 0, n)
-	coords := make([]int, len(s.Axes))
+	// Every point's Coords and Values are carved out of two slabs, each
+	// sub-slice capped so that a caller's append cannot run into its
+	// neighbour. An axis-less scenario keeps Coords nil.
+	axes := len(s.Axes)
+	var coordSlab []int
+	if axes > 0 {
+		coordSlab = make([]int, n*axes)
+	}
+	valueSlab := make([]float64, n*axes)
+	coords := make([]int, axes)
 	for i := 0; i < n; i++ {
-		pt := Point{
-			Coords: append([]int(nil), coords...),
-			Values: make([]float64, len(s.Axes)),
-		}
+		lo, hi := i*axes, (i+1)*axes
+		pt := Point{Coords: coordSlab[lo:hi:hi], Values: valueSlab[lo:hi:hi]}
+		copy(pt.Coords, coords)
 		for j, c := range pt.Coords {
 			pt.Values[j] = vals[j][c]
 		}

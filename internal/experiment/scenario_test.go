@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -302,8 +303,12 @@ func TestRunScenarioCancel(t *testing.T) {
 				cancel2()
 				return PointResult{}, ctx.Err()
 			}
-			ran.Add(1)
+			// Count simulations, not entries: every point's goroutine may
+			// get this far before point 0 cancels.
 			stats, err := e.RunOne(ctx, cfg, nil)
+			if err == nil {
+				ran.Add(1)
+			}
 			return PointResult{Stats: stats}, err
 		},
 	}
@@ -411,5 +416,38 @@ func TestScenarioDeterminism(t *testing.T) {
 		if a.Points[i].Stats != b.Points[i].Stats {
 			t.Errorf("point %d stats differ across worker counts", i)
 		}
+	}
+}
+
+// TestPointsAreIndependent pins what callers of Points may rely on although
+// the points share backing arrays: odometer order, no room for an append to
+// spill into the next point, and nil Coords for an axis-less scenario.
+func TestPointsAreIndependent(t *testing.T) {
+	grid := &Scenario{Name: "grid", Axes: []Axis{
+		{Name: "a", Values: []float64{10, 20}},
+		{Name: "b", Values: []float64{1, 2, 3}},
+	}}
+	pts, err := grid.Points(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 6 {
+		t.Fatalf("%d points, want 6", len(pts))
+	}
+	_ = append(pts[0].Coords, 99)
+	_ = append(pts[0].Values, 99)
+	for i, pt := range pts {
+		wantC := []int{i / 3, i % 3}
+		wantV := []float64{grid.Axes[0].Values[i/3], grid.Axes[1].Values[i%3]}
+		if pt.Index != i || !slices.Equal(pt.Coords, wantC) || !slices.Equal(pt.Values, wantV) {
+			t.Errorf("point %d = %+v, want coords %v values %v", i, pt, wantC, wantV)
+		}
+	}
+	pts, err = (&Scenario{Name: "flat"}).Points(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 1 || pts[0].Coords != nil || len(pts[0].Values) != 0 {
+		t.Errorf("axis-less scenario expands to %+v, want one point with nil Coords", pts)
 	}
 }

@@ -199,7 +199,7 @@ func New(cfg Config) (*Node, error) {
 	}.withDefaults())
 	// The telemetry recorder leads the tee so spans are recorded before any
 	// user observer runs; TeeObserver also forwards span events to it.
-	p, err := protocol.New(cfg.ID, cfg.Protocol, cfg.Costs, &n.env, protocol.TeeObserver(n.tel, cfg.Observer))
+	p, err := protocol.New(cfg.ID, &n.cfg.Protocol, &n.cfg.Costs, &n.env, protocol.TeeObserver(n.tel, cfg.Observer))
 	if err != nil {
 		return nil, err
 	}

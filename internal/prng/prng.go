@@ -11,6 +11,7 @@ package prng
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Source is a deterministic pseudo-random number generator. It is NOT safe
@@ -18,10 +19,6 @@ import (
 // sharing one Source across goroutines.
 type Source struct {
 	s [4]uint64
-	// scratch is the reusable index map behind SampleInto's partial
-	// Fisher–Yates; it never influences the output, only avoids a per-call
-	// allocation.
-	scratch map[int]int
 }
 
 // splitmix64 advances a 64-bit state and returns the next output. It is used
@@ -194,27 +191,35 @@ func (r *Source) SampleInto(dst []int, n, k int) []int {
 		r.ShuffleInts(dst)
 		return dst
 	}
-	// Partial Fisher–Yates over a scratch index map: O(k) space.
-	if r.scratch == nil {
-		r.scratch = make(map[int]int, k*2)
-	}
-	scratch := r.scratch
-	get := func(i int) int {
-		if v, ok := scratch[i]; ok {
-			return v
-		}
-		return i
+	// Partial Fisher–Yates over the virtual array a[i] = i: only displaced
+	// positions are stored, as (index, value) pairs scanned linearly. At most
+	// k exist; the protocol's k is a circle or reference-list size, so only an
+	// adversary's population-sized draw outgrows the stack array.
+	type pair struct{ i, v int }
+	var buf [64]pair
+	moved := buf[:0]
+	find := func(i int) int {
+		return slices.IndexFunc(moved, func(m pair) bool { return m.i == i })
 	}
 	if cap(dst) < k {
 		dst = make([]int, k)
 	}
 	dst = dst[:k]
-	for i := 0; i < k; i++ {
+	for i := range dst {
 		j := i + r.Intn(n-i)
-		dst[i] = get(j)
-		scratch[j] = get(i)
+		vi := i
+		if at := find(i); at >= 0 {
+			vi = moved[at].v
+		}
+		if at := find(j); at >= 0 {
+			dst[i], moved[at].v = moved[at].v, vi
+		} else {
+			dst[i] = j
+			if j != i { // position i itself is never read again
+				moved = append(moved, pair{j, vi})
+			}
+		}
 	}
-	clear(scratch)
 	return dst
 }
 

@@ -1,7 +1,12 @@
 package prng
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -247,5 +252,46 @@ func TestShuffleCoverage(t *testing.T) {
 		if c < 800 || c > 1200 {
 			t.Errorf("permutation %v count %d deviates from 1000", p, c)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/sample_into.golden from the current implementation")
+
+// TestSampleIntoGolden pins SampleInto's output and the stream position it
+// leaves behind against a golden captured from the map-based implementation
+// it replaced. One Source per seed runs every case in turn, so scratch and
+// dst reuse across calls are pinned too.
+func TestSampleIntoGolden(t *testing.T) {
+	cases := [][2]int{{5, 2}, {40, 20}, {41, 40}, {5000, 10}, {7, 7}, {7, 9}}
+	var got bytes.Buffer
+	for seed := uint64(1); seed <= 64; seed++ {
+		r := New(seed)
+		var dst []int
+		for _, c := range cases {
+			dst = r.SampleInto(dst, c[0], c[1])
+			fmt.Fprintf(&got, "seed %d n %d k %d: %v next %016x\n", seed, c[0], c[1], dst, r.Uint64())
+		}
+	}
+	const path = "testdata/sample_into.golden"
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("line %d differs from %s:\n got %s\nwant %s", i+1, path, gl[i], wl[min(i, len(wl)-1)])
+			}
+		}
+		t.Fatalf("output is a strict prefix of %s", path)
 	}
 }

@@ -112,7 +112,7 @@ func testSpecN(blocks int) content.AUSpec {
 func newTestPeer(t *testing.T, env *fakeEnv, id ids.PeerID, cfg Config, refs []ids.PeerID) (*Peer, *content.SimReplica) {
 	t.Helper()
 	costs := effort.DefaultCostModel()
-	p, err := New(id, cfg, costs, env, nil)
+	p, err := New(id, &cfg, &costs, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

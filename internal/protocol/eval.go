@@ -14,8 +14,8 @@ func (p *Peer) startEvaluation(st *auState, poll *pollState) {
 		return
 	}
 	votes := 0
-	for _, v := range poll.order {
-		if poll.sols[v].state == solGotVote {
+	for i := range poll.sols {
+		if poll.sols[i].state == solGotVote {
 			votes++
 		}
 	}
@@ -50,12 +50,12 @@ func (p *Peer) refVoteFor(st *auState, sol *solicitation) VoteData {
 // recomputeDisagreements refreshes every unexcluded vote's first point of
 // disagreement against the poller's current content.
 func (p *Peer) recomputeDisagreements(st *auState, poll *pollState) {
-	for _, v := range poll.order {
-		sol := poll.sols[v]
+	for i := range poll.sols {
+		sol := &poll.sols[i]
 		if sol.state != solGotVote || sol.excluded {
 			continue
 		}
-		sol.dis = sol.vote.FirstDisagreement(p.refVoteFor(st, sol))
+		sol.dis = int32(sol.vote.FirstDisagreement(p.refVoteFor(st, sol)))
 	}
 }
 
@@ -69,8 +69,8 @@ func (p *Peer) runEvaluation(st *auState, poll *pollState) {
 	if p.spanObs != nil {
 		p.spanObs.TallyStarted(p.id, st.spec.ID, poll.id, p.env.Now())
 	}
-	for _, v := range poll.order {
-		sol := poll.sols[v]
+	for i := range poll.sols {
+		sol := &poll.sols[i]
 		if sol.state != solGotVote {
 			continue
 		}
@@ -78,7 +78,7 @@ func (p *Peer) runEvaluation(st *auState, poll *pollState) {
 		// receipt byproduct from the vote's effort proof.
 		p.charge(KindEval, st.pollEffort.EvalHash)
 		if p.cfg.EffortBalancing && sol.voteProof != nil {
-			p.ctxScratch = AppendPollContext(p.ctxScratch[:0], p.id, v, st.spec.ID, poll.id, "vote")
+			p.ctxScratch = AppendPollContext(p.ctxScratch[:0], p.id, sol.peer, st.spec.ID, poll.id, "vote")
 			if r, ok := p.env.EvalReceipt(p.ctxScratch, sol.voteProof); ok {
 				sol.receipt = r
 			}
@@ -97,9 +97,9 @@ func (p *Peer) evaluationLoop(st *auState, poll *pollState) {
 	}
 	for {
 		// Find the earliest disagreeing block among unexcluded inner votes.
-		block := -1
-		for _, v := range poll.order {
-			sol := poll.sols[v]
+		block := int32(-1)
+		for i := range poll.sols {
+			sol := &poll.sols[i]
 			if sol.state != solGotVote || sol.excluded || sol.outer || sol.dis < 0 {
 				continue
 			}
@@ -112,8 +112,8 @@ func (p *Peer) evaluationLoop(st *auState, poll *pollState) {
 			return
 		}
 		var agree, disagree int
-		for _, v := range poll.order {
-			sol := poll.sols[v]
+		for i := range poll.sols {
+			sol := &poll.sols[i]
 			if sol.state != solGotVote || sol.excluded || sol.outer {
 				continue
 			}
@@ -127,23 +127,23 @@ func (p *Peer) evaluationLoop(st *auState, poll *pollState) {
 		case disagree <= p.cfg.MaxDisagree:
 			// Landslide agreement: the disagreeing voters' replicas are
 			// damaged at this block; their votes leave the running tally.
-			for _, v := range poll.order {
-				sol := poll.sols[v]
+			for i := range poll.sols {
+				sol := &poll.sols[i]
 				if sol.state == solGotVote && !sol.excluded && !sol.outer && sol.dis == block {
 					sol.excluded = true
 				}
 			}
 			// Outer votes disagreeing here are simply not inserted later;
 			// exclude them too so they stop tracking.
-			for _, v := range poll.order {
-				sol := poll.sols[v]
+			for i := range poll.sols {
+				sol := &poll.sols[i]
 				if sol.state == solGotVote && !sol.excluded && sol.outer && sol.dis == block {
 					sol.excluded = true
 				}
 			}
 		case agree <= p.cfg.MaxDisagree:
 			// Landslide disagreement: our replica is damaged at this block.
-			p.requestRepair(st, poll, block)
+			p.requestRepair(st, poll, int(block))
 			return // resumes in pollerHandleRepair
 		default:
 			// No landslide either way: inconclusive; raise the alarm.
@@ -159,24 +159,25 @@ func (p *Peer) requestRepair(st *auState, poll *pollState, block int) {
 	if block != poll.repairBlock {
 		poll.repairBlock = block
 		poll.repairAttempts = 0
-		for _, v := range poll.order {
-			poll.sols[v].tried = false
+		for i := range poll.sols {
+			poll.sols[i].tried = false
 		}
 	}
-	candidates := p.candScratch[:0]
-	for _, v := range poll.order {
-		sol := poll.sols[v]
-		if sol.state == solGotVote && !sol.excluded && !sol.outer && sol.dis == block && !sol.tried {
-			candidates = append(candidates, v)
+	candidates := p.idxScratch[:0]
+	for i := range poll.sols {
+		sol := &poll.sols[i]
+		if sol.state == solGotVote && !sol.excluded && !sol.outer && sol.dis == int32(block) && !sol.tried {
+			candidates = append(candidates, i)
 		}
 	}
-	p.candScratch = candidates
+	p.idxScratch = candidates
 	if len(candidates) == 0 || poll.repairAttempts >= p.cfg.MaxRepairAttempts {
 		p.concludePoll(st, poll, OutcomeRepairFailed)
 		return
 	}
-	target := candidates[p.env.Rand().Intn(len(candidates))]
-	poll.sols[target].tried = true
+	sol := &poll.sols[candidates[p.env.Rand().Intn(len(candidates))]]
+	sol.tried = true
+	target := sol.peer
 	poll.repairAttempts++
 	if p.spanObs != nil {
 		p.spanObs.RepairRequested(p.id, target, st.spec.ID, poll.id, block, p.env.Now())
@@ -204,8 +205,7 @@ func (p *Peer) pollerHandleRepair(st *auState, from ids.PeerID, m *Msg) {
 	if poll == nil || poll.concluded || m.PollID != poll.id {
 		return
 	}
-	sol, ok := poll.sols[from]
-	if !ok || sol.state != solGotVote {
+	if i := poll.solOf(from); i < 0 || poll.sols[i].state != solGotVote {
 		return
 	}
 	if poll.repairTimer == 0 {
@@ -239,10 +239,10 @@ func (p *Peer) finishEvaluation(st *auState, poll *pollState) {
 		// Pick a fully agreeing inner voter and a random block: its content
 		// there provably matches ours, so applying the repair is a no-op.
 		candidates := p.candScratch[:0]
-		for _, v := range poll.order {
-			sol := poll.sols[v]
+		for i := range poll.sols {
+			sol := &poll.sols[i]
 			if sol.state == solGotVote && !sol.excluded && !sol.outer && sol.dis < 0 {
-				candidates = append(candidates, v)
+				candidates = append(candidates, sol.peer)
 			}
 		}
 		p.candScratch = candidates
@@ -276,20 +276,20 @@ func (p *Peer) sendReceiptsAndConclude(st *auState, poll *pollState) {
 		return
 	}
 	talliedInner := 0
-	for _, v := range poll.order {
-		sol := poll.sols[v]
+	for i := range poll.sols {
+		sol := &poll.sols[i]
 		if sol.state != solGotVote {
 			continue
 		}
 		if !sol.outer {
 			talliedInner++
 		}
-		p.send(v, &Msg{
+		p.send(sol.peer, &Msg{
 			Type:    MsgEvaluationReceipt,
 			AU:      st.spec.ID,
 			PollID:  poll.id,
 			Poller:  p.id,
-			Voter:   v,
+			Voter:   sol.peer,
 			Receipt: sol.receipt,
 		})
 	}

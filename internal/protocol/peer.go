@@ -57,7 +57,7 @@ type auState struct {
 	spec       content.AUSpec
 	replica    content.Replica
 	rep        *reputation.List
-	refList    map[ids.PeerID]bool
+	refList    peerSet
 	poll       *pollState
 	sessions   map[sessionKey]*voterSession
 	pollEffort effort.PollEffort
@@ -94,9 +94,11 @@ type auState struct {
 // votes and repairs as a voter. A Peer is single-threaded: the environment
 // must deliver messages and timer callbacks sequentially.
 type Peer struct {
-	id    ids.PeerID
-	cfg   Config
-	costs effort.CostModel
+	id ids.PeerID
+	// cfg and costs are read-only and may be shared: the peers of one
+	// simulated world all point at the same two values.
+	cfg   *Config
+	costs *effort.CostModel
 	env   Env
 	obs   Observer
 	// spanObs is the optional fine-grained lifecycle observer, discovered by
@@ -120,24 +122,25 @@ type Peer struct {
 	// Reusable hot-path scratch. A Peer is single-threaded, and none of
 	// these escape a single protocol callback: ctxScratch backs effort
 	// contexts (consumed synchronously by Env), poolScratch/idxScratch back
-	// reference-list sampling, candScratch backs repair-candidate and
-	// reference-list-churn selection.
+	// reference-list and nomination sampling (idxScratch also the repair
+	// candidates, as indices into the poll), candScratch backs the chosen
+	// outer circle and the frivolous-repair candidates.
 	ctxScratch     []byte
 	poolScratch    []ids.PeerID
 	idxScratch     []int
 	candScratch    []ids.PeerID
 	inviteeScratch []ids.PeerID
 
-	// Freelists for per-poll state machines: polls, their solicitations and
-	// voter sessions churn constantly but only a bounded number are live at
-	// once on one peer.
+	// Freelists for per-poll state machines: polls (with the solicitations
+	// they own) and voter sessions churn constantly but only a bounded number
+	// are live at once on one peer.
 	freePolls    []*pollState
-	freeSols     []*solicitation
 	freeSessions []*voterSession
 }
 
-// New constructs a peer. The observer may be nil.
-func New(id ids.PeerID, cfg Config, costs effort.CostModel, env Env, obs Observer) (*Peer, error) {
+// New constructs a peer. The observer may be nil. The peer keeps cfg and
+// costs and only reads them; the caller must not change either afterwards.
+func New(id ids.PeerID, cfg *Config, costs *effort.CostModel, env Env, obs Observer) (*Peer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -162,7 +165,7 @@ func New(id ids.PeerID, cfg Config, costs effort.CostModel, env Env, obs Observe
 func (p *Peer) ID() ids.PeerID { return p.id }
 
 // Config returns the peer's protocol configuration.
-func (p *Peer) Config() Config { return p.cfg }
+func (p *Peer) Config() Config { return *p.cfg }
 
 // Schedule exposes the task schedule (for the layering hook and tests).
 func (p *Peer) Schedule() *sched.Schedule { return p.sch }
@@ -247,7 +250,7 @@ func (p *Peer) AddToReferenceList(au content.AUID, peer ids.PeerID) {
 	if !ok || peer == p.id {
 		return
 	}
-	st.refList[peer] = true
+	st.refList.add(peer)
 }
 
 // AddAU registers a replica to preserve, with an initial reference list
@@ -265,7 +268,7 @@ func (p *Peer) AddAU(replica content.Replica, refList []ids.PeerID) error {
 		spec:       spec,
 		replica:    replica,
 		rep:        reputation.NewList(p.cfg.reputationParams()),
-		refList:    make(map[ids.PeerID]bool),
+		refList:    make(peerSet, 0, max(len(refList), p.cfg.RefListMax)),
 		sessions:   make(map[sessionKey]*voterSession),
 		pollEffort: p.costs.PollEffortFor(spec.Size, spec.Blocks()),
 		voteLabel:  "vote " + spec.Name,
@@ -277,7 +280,7 @@ func (p *Peer) AddAU(replica content.Replica, refList []ids.PeerID) error {
 	}
 	for _, r := range refList {
 		if r != p.id {
-			st.refList[r] = true
+			st.refList.add(r)
 		}
 	}
 	p.aus[spec.ID] = st
@@ -300,17 +303,14 @@ func (p *Peer) Replica(au content.AUID) content.Replica {
 	return nil
 }
 
-// ReferenceList returns the current reference list for an AU.
+// ReferenceList returns a copy of the current reference list for an AU,
+// sorted by peer ID.
 func (p *Peer) ReferenceList(au content.AUID) []ids.PeerID {
 	st, ok := p.aus[au]
 	if !ok {
 		return nil
 	}
-	out := make([]ids.PeerID, 0, len(st.refList))
-	for id := range st.refList {
-		out = append(out, id)
-	}
-	return out
+	return slices.Clone(st.refList)
 }
 
 // Reputation exposes the known-peers list for an AU (for tests, metrics and
@@ -398,12 +398,7 @@ func (p *Peer) AUInfo(au content.AUID) (AUInfo, bool) {
 		info.PollDeadline = st.poll.deadline
 	}
 	now := p.env.Now()
-	members := make([]ids.PeerID, 0, len(st.refList))
-	for id := range st.refList {
-		members = append(members, id)
-	}
-	sortPeers(members)
-	for _, id := range members {
+	for _, id := range st.refList {
 		info.RefList = append(info.RefList, RefEntry{Peer: id, Grade: st.rep.GradeOf(now, id)})
 	}
 	return info, ok
@@ -495,10 +490,26 @@ func (p *Peer) send(to ids.PeerID, m *Msg) {
 	p.env.Send(to, m)
 }
 
-// sortPeers orders peer IDs ascending; pools derived from map iteration
-// must be sorted before random sampling to keep runs deterministic.
-func sortPeers(s []ids.PeerID) {
-	slices.Sort(s)
+// peerSet is a set of peer IDs that the protocol caps — a reference list, a
+// poll's nominations — held as a sorted slice: membership is a binary search
+// and iteration is in the fixed order deterministic sampling needs.
+type peerSet []ids.PeerID
+
+func (s peerSet) has(p ids.PeerID) bool {
+	_, ok := slices.BinarySearch(s, p)
+	return ok
+}
+
+func (s *peerSet) add(p ids.PeerID) {
+	if i, ok := slices.BinarySearch(*s, p); !ok {
+		*s = slices.Insert(*s, i, p)
+	}
+}
+
+func (s *peerSet) remove(p ids.PeerID) {
+	if i, ok := slices.BinarySearch(*s, p); ok {
+		*s = slices.Delete(*s, i, i+1)
+	}
 }
 
 // msgContext derives m's effort-binding context for a protocol phase into
@@ -522,14 +533,12 @@ func (p *Peer) sampleRefList(st *auState, n int, exclude ids.PeerID) []ids.PeerI
 // it when the result is consumed before the next call on this peer.
 func (p *Peer) sampleRefListInto(dst []ids.PeerID, st *auState, n int, exclude ids.PeerID) []ids.PeerID {
 	pool := p.poolScratch[:0]
-	for id := range st.refList {
-		if id == p.id || id == exclude {
-			continue
+	for _, id := range st.refList {
+		if id != p.id && id != exclude {
+			pool = append(pool, id)
 		}
-		pool = append(pool, id)
 	}
 	p.poolScratch = pool
-	sortPeers(pool)
 	if n >= len(pool) {
 		p.env.Rand().Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		return append(dst[:0], pool...)

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/sched"
@@ -19,35 +21,38 @@ const (
 	solFailed
 )
 
-// solicitation is the poller's record of one invitee.
+// solicitation is the poller's record of one invitee. It lives by value in
+// pollState.sols and is addressed by index: timer closures capture the index
+// and message handlers find it by peer, so nothing holds a pointer into the
+// slice across a callback. The small fields come first so they share one
+// word-aligned run with the two byte arrays.
 type solicitation struct {
 	peer     ids.PeerID
-	outer    bool
+	dis      int32 // first disagreement vs poller's current content; -1 if none
+	attempts uint16
 	state    solicitState
-	attempts int
+	outer    bool
+	excluded bool
+	tried    bool // tried as a repair source for the current block
 	nonce    Nonce
+	receipt  effort.Receipt // evaluation byproduct, derived during eval
 	voteBy   sched.Time
 	sentAt   sched.Time // when the latest invitation was sent
 	timer    TimerID    // pending timer, if any
 
 	vote      VoteData
 	voteProof effort.Proof
-	receipt   effort.Receipt // evaluation byproduct, derived during eval
-
-	// Evaluation bookkeeping.
-	dis      int // first disagreement vs poller's current content
-	excluded bool
-	tried    bool // tried as a repair source for the current block
 }
 
 // pollState is the poller side of one poll.
 type pollState struct {
-	id        uint64
-	started   sched.Time
-	deadline  sched.Time
-	sols      map[ids.PeerID]*solicitation
-	order     []ids.PeerID
-	noms      map[ids.PeerID]bool // outer-circle candidate pool
+	id       uint64
+	started  sched.Time
+	deadline sched.Time
+	// sols holds the invitees in invitation order, the inner circle first.
+	// It is allocated at InnerCircle+OuterCircle, all a poll can invite.
+	sols      []solicitation
+	noms      peerSet // outer-circle candidate pool
 	outerSent bool
 	evalDone  bool
 	concluded bool
@@ -68,7 +73,7 @@ type pollState struct {
 }
 
 // newPollState draws a zeroed poll record from the freelist, keeping its
-// cleared maps and order slice.
+// emptied slices.
 func (p *Peer) newPollState() *pollState {
 	if k := len(p.freePolls); k > 0 {
 		poll := p.freePolls[k-1]
@@ -76,40 +81,31 @@ func (p *Peer) newPollState() *pollState {
 		p.freePolls = p.freePolls[:k-1]
 		return poll
 	}
-	return &pollState{
-		sols: make(map[ids.PeerID]*solicitation),
-		noms: make(map[ids.PeerID]bool),
-	}
+	return &pollState{sols: make([]solicitation, 0, p.cfg.InnerCircle+p.cfg.OuterCircle)}
 }
 
-// releasePoll recycles a concluded poll and its solicitations. All the
-// poll's timers were cancelled at conclusion, so no live closure can still
-// reach the recycled records.
+// releasePoll recycles a concluded poll. All the poll's timers were cancelled
+// at conclusion, so no live closure can still reach the recycled record.
 func (p *Peer) releasePoll(poll *pollState) {
-	for _, v := range poll.order {
-		sol := poll.sols[v]
-		*sol = solicitation{}
-		p.freeSols = append(p.freeSols, sol)
-	}
-	clear(poll.sols)
-	clear(poll.noms)
-	sols, noms, order := poll.sols, poll.noms, poll.order[:0]
-	*poll = pollState{sols: sols, noms: noms, order: order}
+	clear(poll.sols) // drop the votes and proofs they reference
+	*poll = pollState{sols: poll.sols[:0], noms: poll.noms[:0]}
 	p.freePolls = append(p.freePolls, poll)
 }
 
-// newSolicitation draws a solicitation record from the freelist.
-func (p *Peer) newSolicitation(peer ids.PeerID, outer bool) *solicitation {
-	var sol *solicitation
-	if k := len(p.freeSols); k > 0 {
-		sol = p.freeSols[k-1]
-		p.freeSols[k-1] = nil
-		p.freeSols = p.freeSols[:k-1]
-	} else {
-		sol = &solicitation{}
+// solicit appends an invitee to the poll and returns its index.
+func (poll *pollState) solicit(peer ids.PeerID, outer bool) int {
+	poll.sols = append(poll.sols, solicitation{peer: peer, outer: outer, dis: -1})
+	return len(poll.sols) - 1
+}
+
+// solOf returns the index of the poll's solicitation of peer, or -1.
+func (poll *pollState) solOf(peer ids.PeerID) int {
+	for i := range poll.sols {
+		if poll.sols[i].peer == peer {
+			return i
+		}
 	}
-	sol.peer, sol.outer, sol.dis = peer, outer, -1
-	return sol
+	return -1
 }
 
 // startPoll begins a new poll on the AU, to conclude at deadline. A
@@ -145,14 +141,11 @@ func (p *Peer) startPoll(st *auState, deadline sched.Time) {
 	p.inviteeScratch = invitees
 	solicitSpan := float64(window) * p.cfg.SolicitFrac
 	for _, v := range invitees {
-		sol := p.newSolicitation(v, false)
-		poll.sols[v] = sol
-		poll.order = append(poll.order, v)
 		var at sched.Duration
 		if p.cfg.Desynchronize {
 			at = sched.Duration(p.env.Rand().Float64() * solicitSpan)
 		}
-		p.scheduleSolicitation(st, poll, sol, at)
+		p.scheduleSolicitation(st, poll, poll.solicit(v, false), at)
 	}
 
 	// Outer-circle launch.
@@ -179,17 +172,19 @@ func (p *Peer) stopTimer(t *TimerID) {
 	}
 }
 
-// scheduleSolicitation arms a timer to send the Poll message after delay.
-func (p *Peer) scheduleSolicitation(st *auState, poll *pollState, sol *solicitation, delay sched.Duration) {
-	sol.state = solUnsent
-	sol.timer = p.env.After(delay, func() { p.sendPollInvitation(st, poll, sol) })
+// scheduleSolicitation arms a timer to send invitee i its Poll message after
+// delay.
+func (p *Peer) scheduleSolicitation(st *auState, poll *pollState, i int, delay sched.Duration) {
+	poll.sols[i].state = solUnsent
+	poll.sols[i].timer = p.env.After(delay, func() { p.sendPollInvitation(st, poll, i) })
 }
 
 // sendPollInvitation generates the introductory effort and sends Poll.
-func (p *Peer) sendPollInvitation(st *auState, poll *pollState, sol *solicitation) {
+func (p *Peer) sendPollInvitation(st *auState, poll *pollState, i int) {
 	if poll.concluded {
 		return
 	}
+	sol := &poll.sols[i]
 	sol.attempts++
 	now := p.env.Now()
 	window := p.cfg.VoteWindow
@@ -232,27 +227,28 @@ func (p *Peer) sendPollInvitation(st *auState, poll *pollState, sol *solicitatio
 	// identical to losses; retry later in the solicitation phase.
 	sol.timer = p.env.After(p.cfg.AckTimeout, func() {
 		p.stats.AcksTimedOut++
-		p.retrySolicitation(st, poll, sol)
+		p.retrySolicitation(st, poll, i)
 	})
 }
 
 // retrySolicitation reschedules a reluctant or unresponsive invitee at a
 // random later instant within the retry window, or gives up.
-func (p *Peer) retrySolicitation(st *auState, poll *pollState, sol *solicitation) {
+func (p *Peer) retrySolicitation(st *auState, poll *pollState, i int) {
 	if poll.concluded {
 		return
 	}
+	sol := &poll.sols[i]
 	window := sched.Duration(poll.deadline - poll.started)
 	retryBy := poll.started + sched.Time(float64(window)*p.cfg.RetryFrac)
 	now := p.env.Now()
-	if sol.attempts >= p.cfg.MaxSolicitAttempts || now >= retryBy {
+	if int(sol.attempts) >= p.cfg.MaxSolicitAttempts || now >= retryBy {
 		sol.state = solFailed
 		return
 	}
 	sol.state = solRetryWait
 	span := float64(retryBy - now)
 	delay := sched.Duration(p.env.Rand().Float64() * span)
-	sol.timer = p.env.After(delay, func() { p.sendPollInvitation(st, poll, sol) })
+	sol.timer = p.env.After(delay, func() { p.sendPollInvitation(st, poll, i) })
 }
 
 // pollerHandleAck processes a PollAck.
@@ -261,75 +257,75 @@ func (p *Peer) pollerHandleAck(st *auState, from ids.PeerID, m *Msg) {
 	if poll == nil || poll.concluded || m.PollID != poll.id {
 		return
 	}
-	sol, ok := poll.sols[from]
-	if !ok || sol.state != solAwaitAck {
+	i := poll.solOf(from)
+	if i < 0 || poll.sols[i].state != solAwaitAck {
 		return
 	}
+	sol := &poll.sols[i]
 	p.stopTimer(&sol.timer)
 	if !m.Accept {
-		p.retrySolicitation(st, poll, sol)
+		p.retrySolicitation(st, poll, i)
 		return
 	}
 
 	// Acceptance: generate the remaining effort on our own schedule, then
 	// send PollProof with the per-voter nonce.
 	sol.state = solAwaitProofSlot
-	var nonce Nonce
 	r := p.env.Rand()
-	for i := 0; i < len(nonce); i += 8 {
+	for k := 0; k < len(sol.nonce); k += 8 {
 		v := r.Uint64()
-		for j := 0; j < 8 && i+j < len(nonce); j++ {
-			nonce[i+j] = byte(v >> (8 * j))
+		for j := 0; j < 8 && k+j < len(sol.nonce); j++ {
+			sol.nonce[k+j] = byte(v >> (8 * j))
 		}
-	}
-	sol.nonce = nonce
-
-	sendProof := func() {
-		if poll.concluded || sol.state != solAwaitProofSlot {
-			return
-		}
-		pm := &Msg{
-			Type:   MsgPollProof,
-			AU:     st.spec.ID,
-			PollID: poll.id,
-			Poller: p.id,
-			Voter:  sol.peer,
-			Nonce:  sol.nonce,
-		}
-		if p.cfg.EffortBalancing {
-			rem := st.pollEffort.Remainder
-			proof, _ := p.env.MakeProof(p.msgContext(pm, "remainder"), rem)
-			pm.Proof = proof
-			p.charge(KindRemainderGen, rem)
-		}
-		sol.state = solAwaitVote
-		p.send(sol.peer, pm)
-		// Vote timeout: the voter committed; failure to deliver is
-		// penalized.
-		wait := sched.Duration(sol.voteBy-p.env.Now()) + p.cfg.VoteSlack
-		sol.timer = p.env.After(wait, func() {
-			if sol.state == solAwaitVote {
-				sol.state = solFailed
-				p.stats.VotesTimedOut++
-				st.rep.Penalize(p.env.Now(), sol.peer)
-			}
-		})
 	}
 
 	if !p.cfg.EffortBalancing {
-		sendProof()
+		p.sendPollProof(st, poll, i)
 		return
 	}
 	// Reserve a slot for remainder generation; it is a real compute task.
 	genDur := st.pollEffort.Remainder.Duration()
-	id, start, ok := p.sch.ReserveSlot(p.env.Now(), genDur, poll.deadline, "remainder-gen")
+	_, start, ok := p.sch.ReserveSlot(p.env.Now(), genDur, poll.deadline, "remainder-gen")
 	if !ok {
 		// Too busy to honor the acceptance; abandon this solicitation.
 		sol.state = solFailed
 		return
 	}
-	_ = id
-	sol.timer = p.env.After(sched.Duration(start-p.env.Now())+genDur, sendProof)
+	sol.timer = p.env.After(sched.Duration(start-p.env.Now())+genDur, func() { p.sendPollProof(st, poll, i) })
+}
+
+// sendPollProof sends invitee i the PollProof carrying the remaining effort
+// and its nonce, once the slot reserved for generating that effort is over.
+func (p *Peer) sendPollProof(st *auState, poll *pollState, i int) {
+	sol := &poll.sols[i]
+	if poll.concluded || sol.state != solAwaitProofSlot {
+		return
+	}
+	pm := &Msg{
+		Type:   MsgPollProof,
+		AU:     st.spec.ID,
+		PollID: poll.id,
+		Poller: p.id,
+		Voter:  sol.peer,
+		Nonce:  sol.nonce,
+	}
+	if p.cfg.EffortBalancing {
+		rem := st.pollEffort.Remainder
+		proof, _ := p.env.MakeProof(p.msgContext(pm, "remainder"), rem)
+		pm.Proof = proof
+		p.charge(KindRemainderGen, rem)
+	}
+	sol.state = solAwaitVote
+	p.send(sol.peer, pm)
+	// Vote timeout: the voter committed; failure to deliver is penalized.
+	wait := sched.Duration(sol.voteBy-p.env.Now()) + p.cfg.VoteSlack
+	sol.timer = p.env.After(wait, func() {
+		if sol := &poll.sols[i]; sol.state == solAwaitVote {
+			sol.state = solFailed
+			p.stats.VotesTimedOut++
+			st.rep.Penalize(p.env.Now(), sol.peer)
+		}
+	})
 }
 
 // pollerHandleVote processes an incoming Vote.
@@ -338,10 +334,11 @@ func (p *Peer) pollerHandleVote(st *auState, from ids.PeerID, m *Msg) {
 	if poll == nil || poll.concluded || m.PollID != poll.id {
 		return // unsolicited votes are ignored (vote-flood defense)
 	}
-	sol, ok := poll.sols[from]
-	if !ok || sol.state != solAwaitVote {
+	i := poll.solOf(from)
+	if i < 0 || poll.sols[i].state != solAwaitVote {
 		return
 	}
+	sol := &poll.sols[i]
 	p.stopTimer(&sol.timer)
 	if m.Vote == nil || m.Vote.Blocks() != st.spec.Blocks() {
 		sol.state = solFailed
@@ -376,8 +373,8 @@ func (p *Peer) pollerHandleVote(st *auState, from ids.PeerID, m *Msg) {
 		}
 		if p.cfg.Introductions && p.env.Rand().Bool(0.5) {
 			st.rep.AddIntroduction(p.env.Now(), from, nom)
-		} else if !st.refList[nom] {
-			poll.noms[nom] = true
+		} else if !st.refList.has(nom) {
+			poll.noms.add(nom)
 		}
 	}
 }
@@ -389,17 +386,12 @@ func (p *Peer) launchOuterCircle(st *auState, poll *pollState) {
 	}
 	poll.outerSent = true
 	pool := p.poolScratch[:0]
-	for id := range poll.noms {
-		if id == p.id || st.refList[id] {
-			continue
+	for _, id := range poll.noms { // sorted, so the draw below is deterministic
+		if id != p.id && !st.refList.has(id) && poll.solOf(id) < 0 {
+			pool = append(pool, id)
 		}
-		if _, already := poll.sols[id]; already {
-			continue
-		}
-		pool = append(pool, id)
 	}
 	p.poolScratch = pool
-	sortPeers(pool)
 	n := p.cfg.OuterCircle
 	var chosen []ids.PeerID
 	if n >= len(pool) {
@@ -419,9 +411,6 @@ func (p *Peer) launchOuterCircle(st *auState, poll *pollState) {
 	span := float64(end - start)
 	now := p.env.Now()
 	for _, v := range chosen {
-		sol := p.newSolicitation(v, true)
-		poll.sols[v] = sol
-		poll.order = append(poll.order, v)
 		var at sched.Duration
 		if p.cfg.Desynchronize {
 			at = sched.Duration(p.env.Rand().Float64() * span)
@@ -430,7 +419,7 @@ func (p *Peer) launchOuterCircle(st *auState, poll *pollState) {
 		if fire < now {
 			fire = now
 		}
-		p.scheduleSolicitation(st, poll, sol, sched.Duration(fire-now))
+		p.scheduleSolicitation(st, poll, poll.solicit(v, true), sched.Duration(fire-now))
 	}
 }
 
@@ -445,8 +434,8 @@ func (p *Peer) concludePoll(st *auState, poll *pollState, outcome Outcome) {
 	p.stopTimer(&poll.evalTimer)
 	p.stopTimer(&poll.evalRunTimer)
 	p.stopTimer(&poll.guardTimer)
-	for _, v := range poll.order {
-		p.stopTimer(&poll.sols[v].timer)
+	for i := range poll.sols {
+		p.stopTimer(&poll.sols[i].timer)
 	}
 	p.stopTimer(&poll.repairTimer)
 	now := p.env.Now()
@@ -462,10 +451,10 @@ func (p *Peer) concludePoll(st *auState, poll *pollState, outcome Outcome) {
 		// usable in future polls. Without this, a cold-started peer whose
 		// early polls are inquorate could never grow its reference list.
 		if poll.evalDone {
-			for _, v := range poll.order {
-				sol := poll.sols[v]
+			for i := range poll.sols {
+				sol := &poll.sols[i]
 				if sol.outer && sol.state == solGotVote && !sol.excluded && sol.dis < 0 {
-					st.refList[v] = true
+					st.refList.add(sol.peer)
 				}
 			}
 		}
@@ -505,20 +494,20 @@ func (p *Peer) concludePoll(st *auState, poll *pollState, outcome Outcome) {
 // inner-circle voters whose votes determined the outcome, insert agreeing
 // outer-circle voters, and replenish from the friends list.
 func (p *Peer) updateReferenceList(st *auState, poll *pollState) {
-	for _, v := range poll.order {
-		sol := poll.sols[v]
+	for i := range poll.sols {
+		sol := &poll.sols[i]
 		if sol.state != solGotVote {
 			continue
 		}
 		if sol.outer {
 			if !sol.excluded && sol.dis < 0 {
-				st.refList[v] = true
+				st.refList.add(sol.peer)
 			}
 			continue
 		}
 		// Tallied inner voter: remove, and forget its introductions.
-		delete(st.refList, v)
-		st.rep.ForgetIntroducer(v)
+		st.refList.remove(sol.peer)
+		st.rep.ForgetIntroducer(sol.peer)
 	}
 	// Replenish toward the target from friends, then re-admit tallied
 	// voters if the population is too small to refill otherwise.
@@ -530,37 +519,27 @@ func (p *Peer) updateReferenceList(st *auState, poll *pollState) {
 			if len(st.refList) >= p.cfg.RefListTarget {
 				break
 			}
-			f := p.friends[i]
-			if f != p.id {
-				st.refList[f] = true
+			if f := p.friends[i]; f != p.id {
+				st.refList.add(f)
 			}
 		}
 	}
 	if len(st.refList) < p.cfg.Quorum {
-		for _, v := range poll.order {
+		for i := range poll.sols {
 			if len(st.refList) >= p.cfg.RefListTarget {
 				break
 			}
-			sol := poll.sols[v]
-			if sol.state == solGotVote && !sol.excluded && v != p.id {
-				st.refList[v] = true
+			sol := &poll.sols[i]
+			if sol.state == solGotVote && !sol.excluded && sol.peer != p.id {
+				st.refList.add(sol.peer)
 			}
 		}
 	}
 	// Trim above the maximum, dropping random members.
-	if len(st.refList) > p.cfg.RefListMax {
-		members := p.candScratch[:0]
-		for id := range st.refList {
-			members = append(members, id)
-		}
-		p.candScratch = members
-		sortPeers(members)
-		for len(st.refList) > p.cfg.RefListMax {
-			i := p.env.Rand().Intn(len(members))
-			victim := members[i]
-			members = append(members[:i], members[i+1:]...)
-			delete(st.refList, victim)
-			st.rep.ForgetIntroducer(victim)
-		}
+	for len(st.refList) > p.cfg.RefListMax {
+		i := p.env.Rand().Intn(len(st.refList))
+		victim := st.refList[i]
+		st.refList = slices.Delete(st.refList, i, i+1)
+		st.rep.ForgetIntroducer(victim)
 	}
 }

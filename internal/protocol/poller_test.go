@@ -24,6 +24,8 @@ type pollerHarness struct {
 	receipts map[ids.PeerID]effort.Receipt
 	// receiptsGot counts evaluation receipts delivered to each voter.
 	receiptsGot map[ids.PeerID]int
+	// invites logs every Poll message the poller sent, answered or not.
+	invites []sentMsg
 }
 
 // scriptedVoter describes how a fake voter behaves.
@@ -79,6 +81,9 @@ func (h *pollerHarness) pump(horizon sim.Duration) {
 
 // reply scripts the voter side of the exchange.
 func (h *pollerHarness) reply(s sentMsg) {
+	if s.m.Type == MsgPoll {
+		h.invites = append(h.invites, s)
+	}
 	v, ok := h.voters[s.to]
 	if !ok || v.silent {
 		return
@@ -326,5 +331,74 @@ func TestPollerRepairFromSecondSourceAfterTimeout(t *testing.T) {
 	h.pump(3 * sim.Duration(cfg.PollInterval))
 	if h.replica.Damaged() {
 		t.Error("repair did not route around unresponsive suppliers")
+	}
+}
+
+// TestOuterCircleSolicitsNobodyTwice has every voter nominate an inner-circle
+// member, the poller itself, a reference-list member the inner circle passed
+// over, and two strangers: only the strangers may join the outer circle, and
+// no peer is invited twice in one poll.
+func TestOuterCircleSolicitsNobodyTwice(t *testing.T) {
+	cfg := pollerConfig()
+	cfg.OuterCircle = 4
+	cfg.Introductions = false // every nomination goes to the outer-circle pool
+	refs := []ids.PeerID{2, 3, 4, 5, 6, 7, 8}
+	h := newPollerHarness(t, cfg, refs)
+	strangers := []ids.PeerID{20, 21}
+	for i, v := range strangers {
+		h.voters[v] = &scriptedVoter{replica: content.NewSimReplica(testSpecN(4), uint64(200+i))}
+	}
+	for _, v := range h.voters {
+		v.noms = append([]ids.PeerID{1}, append(refs, strangers...)...)
+	}
+	h.p.Start()
+	for h.p.Stats().PollsConcluded() == 0 { // stop where the first poll left things
+		for _, s := range h.env.take() {
+			h.reply(s)
+		}
+		if !h.env.eng.Step() {
+			t.Fatal("the engine ran dry before the first poll concluded")
+		}
+	}
+	if h.p.Stats().PollsSucceeded != 1 {
+		t.Fatalf("the first poll did not succeed: %+v", h.p.Stats())
+	}
+	first := h.invites[0].m.PollID
+	invited := make(map[ids.PeerID]int)
+	for _, s := range h.invites {
+		if s.m.PollID == first {
+			invited[s.to]++
+		}
+	}
+	for v, n := range invited {
+		if n != 1 {
+			t.Errorf("peer %v invited %d times in one poll", v, n)
+		}
+	}
+	if invited[1] != 0 {
+		t.Error("the poller solicited itself")
+	}
+	for _, v := range strangers {
+		if invited[v] != 1 {
+			t.Errorf("nominated stranger %v invited %d times, want 1", v, invited[v])
+		}
+	}
+	if want := cfg.InnerCircle + len(strangers); len(invited) != want {
+		t.Errorf("%d peers invited, want the inner circle plus the strangers = %d: %v", len(invited), want, invited)
+	}
+	// Agreeing outer-circle voters join the reference list exactly once.
+	seen := make(map[ids.PeerID]int)
+	for _, v := range h.p.ReferenceList(h.au) {
+		seen[v]++
+	}
+	for v, n := range seen {
+		if n != 1 {
+			t.Errorf("peer %v appears %d times in the reference list", v, n)
+		}
+	}
+	for _, v := range strangers {
+		if seen[v] != 1 {
+			t.Errorf("agreeing outer-circle voter %v not inserted into the reference list", v)
+		}
 	}
 }

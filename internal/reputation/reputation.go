@@ -104,19 +104,22 @@ type entry struct {
 }
 
 type intro struct {
-	introducer ids.PeerID
-	added      Time
+	introducee, introducer ids.PeerID
 }
 
 // List is the known-peers list for one AU at one peer. Not safe for
 // concurrent use, except through the Gate it may publish.
 type List struct {
-	params  Params
-	entries map[ids.PeerID]*entry
+	params Params
+	// entries is the one set here whose size an adversary controls (every
+	// identity it is penalized under gets one), so it is a map; values are
+	// stored inline and every mutator writes its copy back.
+	entries map[ids.PeerID]entry
 	// refractoryUntil guards the unknown/in-debt admission slot.
 	refractoryUntil Time
-	// intros maps introducee -> pending introduction.
-	intros map[ids.PeerID]intro
+	// intros holds the pending introductions, at most one per introducee and
+	// at most MaxIntroductions in all, in no observable order.
+	intros []intro
 
 	// Counters for metrics and tests.
 	AdmittedKnown    uint64
@@ -172,14 +175,16 @@ func (l *List) OpenGate(now Time) *Gate {
 func (l *List) publish(now Time) {
 	ps := make([]ids.PeerID, 0, len(l.entries))
 	for p := range l.entries {
-		if l.decayed(now, p).grade >= Even {
+		if l.GradeOf(now, p) >= Even {
 			ps = append(ps, p)
 		}
 	}
-	for p := range l.intros {
-		ps = append(ps, p)
+	for _, in := range l.intros {
+		ps = append(ps, in.introducee)
 	}
-	slices.Sort(ps) // an introduced even-grade peer appears twice, harmlessly
+	// The sort is for the map's order; an introduced even-grade peer appears
+	// twice, harmlessly.
+	slices.Sort(ps)
 	// The set goes first: a reader that sees the slot closed then sees a set
 	// at least as new.
 	l.gate.privileged.Store(&ps)
@@ -193,48 +198,41 @@ func NewList(p Params) *List {
 		// keep whitewashing unattractive even with odd configurations.
 		p.DropUnknown = p.DropDebt
 	}
-	return &List{
-		params:  p,
-		entries: make(map[ids.PeerID]*entry),
-		intros:  make(map[ids.PeerID]intro),
-	}
+	return &List{params: p, entries: make(map[ids.PeerID]entry)}
 }
 
-// decayed applies grade decay lazily and returns the effective entry, or nil
-// for unknown peers.
-func (l *List) decayed(now Time, p ids.PeerID) *entry {
-	e, ok := l.entries[p]
-	if !ok {
-		return nil
+// decayed returns p's entry with grade decay applied up to now, storing it
+// back when decay moved it; ok is false for unknown peers.
+func (l *List) decayed(now Time, p ids.PeerID) (e entry, ok bool) {
+	e, ok = l.entries[p]
+	decay := Time(l.params.Decay)
+	if !ok || decay <= 0 || now-e.updated < decay {
+		return e, ok
 	}
-	if l.params.Decay > 0 {
-		for e.grade > Debt && now-e.updated >= Time(l.params.Decay) {
-			e.grade--
-			e.updated += Time(l.params.Decay)
-		}
-		if e.grade == Debt && now-e.updated >= Time(l.params.Decay) {
-			e.updated = now
-		}
+	for e.grade > Debt && now-e.updated >= decay {
+		e.grade--
+		e.updated += decay
 	}
-	return e
+	if e.grade == Debt && now-e.updated >= decay {
+		e.updated = now
+	}
+	l.entries[p] = e
+	return e, true
 }
 
 // GradeOf returns the peer's current grade, applying decay.
 func (l *List) GradeOf(now Time, p ids.PeerID) Grade {
-	if e := l.decayed(now, p); e != nil {
-		return e.grade
-	}
-	return Unknown
+	e, _ := l.decayed(now, p)
+	return e.grade // the zero entry's grade is Unknown
 }
 
-// ensure returns the entry for p, creating a debt-grade entry if absent.
-func (l *List) ensure(now Time, p ids.PeerID) *entry {
-	if e := l.decayed(now, p); e != nil {
+// ensure returns p's decayed entry, or a fresh debt-grade one for a peer not
+// yet known. The caller stores what it makes of it.
+func (l *List) ensure(now Time, p ids.PeerID) entry {
+	if e, ok := l.decayed(now, p); ok {
 		return e
 	}
-	e := &entry{grade: Debt, updated: now}
-	l.entries[p] = e
-	return e
+	return entry{grade: Debt, updated: now}
 }
 
 // Raise moves the peer's grade one step up (they supplied us a valid vote
@@ -245,6 +243,7 @@ func (l *List) Raise(now Time, p ids.PeerID) {
 		e.grade++
 	}
 	e.updated = now
+	l.entries[p] = e
 	if e.grade == Even && l.gate != nil { // just out of debt
 		l.publish(now)
 	}
@@ -258,6 +257,7 @@ func (l *List) Lower(now Time, p ids.PeerID) {
 		e.grade--
 	}
 	e.updated = now
+	l.entries[p] = e
 }
 
 // Penalize drops the peer straight to debt (they misbehaved: deserted a
@@ -266,6 +266,7 @@ func (l *List) Penalize(now Time, p ids.PeerID) {
 	e := l.ensure(now, p)
 	e.grade = Debt
 	e.updated = now
+	l.entries[p] = e
 }
 
 // Decision is the outcome of admission control for a poll invitation.
@@ -316,8 +317,8 @@ func (d Decision) String() string {
 func (l *List) Consider(now Time, p ids.PeerID, rnd *prng.Source) Decision {
 	// Introductions bypass drops and refractory periods.
 	if l.params.IntroductionsEnabled {
-		if in, ok := l.intros[p]; ok {
-			l.consumeIntroduction(p, in.introducer)
+		if i := l.introOf(p); i >= 0 {
+			l.consumeIntroduction(p, l.intros[i].introducer)
 			// Treated as a known peer with an even grade.
 			e := l.ensure(now, p)
 			if e.grade < Even {
@@ -325,18 +326,20 @@ func (l *List) Consider(now Time, p ids.PeerID, rnd *prng.Source) Decision {
 			}
 			e.lastAdmit = now
 			e.updated = now
+			l.entries[p] = e
 			l.AdmittedIntro++
 			return AdmitIntroduced
 		}
 	}
-	g := l.GradeOf(now, p)
+	e, _ := l.decayed(now, p)
+	g := e.grade
 	if g == Even || g == Credit {
-		e := l.ensure(now, p)
 		if e.lastAdmit != 0 && now-e.lastAdmit < Time(l.params.Refractory) {
 			l.RejectedRateCap++
 			return RejectRateCap
 		}
 		e.lastAdmit = now
+		l.entries[p] = e
 		l.AdmittedKnown++
 		return AdmitKnown
 	}
@@ -374,47 +377,48 @@ func (l *List) AddIntroduction(now Time, introducer, introducee ids.PeerID) {
 	if !l.params.IntroductionsEnabled || introducer == introducee {
 		return
 	}
-	_, exists := l.intros[introducee]
-	if !exists && len(l.intros) >= l.params.MaxIntroductions {
+	if i := l.introOf(introducee); i >= 0 {
+		l.intros[i].introducer = introducer
+		return
+	}
+	if len(l.intros) >= l.params.MaxIntroductions {
 		l.IntroductionsCut++
 		return
 	}
-	l.intros[introducee] = intro{introducer: introducer, added: now}
-	if !exists && l.gate != nil {
+	if l.intros == nil { // sized once to the cap, so it never regrows
+		l.intros = make([]intro, 0, l.params.MaxIntroductions)
+	}
+	l.intros = append(l.intros, intro{introducee, introducer})
+	if l.gate != nil {
 		l.publish(now)
 	}
+}
+
+// introOf returns the index of p's pending introduction, or -1.
+func (l *List) introOf(p ids.PeerID) int {
+	return slices.IndexFunc(l.intros, func(in intro) bool { return in.introducee == p })
 }
 
 // consumeIntroduction implements the paper's forget-on-use semantics: using
 // B's introduction by A forgets all other introductions by A and all other
 // introductions of B.
 func (l *List) consumeIntroduction(introducee, introducer ids.PeerID) {
-	delete(l.intros, introducee)
-	for b, in := range l.intros {
-		if in.introducer == introducer || b == introducee {
-			delete(l.intros, b)
-		}
-	}
+	l.intros = slices.DeleteFunc(l.intros, func(in intro) bool {
+		return in.introducer == introducer || in.introducee == introducee
+	})
 }
 
 // ForgetIntroducer removes all introductions by a peer that has left the
 // reference list.
 func (l *List) ForgetIntroducer(p ids.PeerID) {
-	for b, in := range l.intros {
-		if in.introducer == p {
-			delete(l.intros, b)
-		}
-	}
+	l.intros = slices.DeleteFunc(l.intros, func(in intro) bool { return in.introducer == p })
 }
 
 // PendingIntroductions returns the number of outstanding introductions.
 func (l *List) PendingIntroductions() int { return len(l.intros) }
 
 // HasIntroduction reports whether p holds an unconsumed introduction.
-func (l *List) HasIntroduction(p ids.PeerID) bool {
-	_, ok := l.intros[p]
-	return ok
-}
+func (l *List) HasIntroduction(p ids.PeerID) bool { return l.introOf(p) >= 0 }
 
 // Known returns the number of known-peers entries.
 func (l *List) Known() int { return len(l.entries) }

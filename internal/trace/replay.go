@@ -132,7 +132,7 @@ func Replay(t *Trace) (*Result, error) {
 		res.Replayed = append(res.Replayed,
 			(&Record{Kind: KindSend, To: to, MsgType: m.Type.String(), AU: m.AU, PollID: m.PollID}).Key())
 	}
-	peer, err := protocol.New(t.Header.Peer, t.Header.Protocol, t.Header.Costs, env, replayObserver{out: &res.Replayed})
+	peer, err := protocol.New(t.Header.Peer, &t.Header.Protocol, &t.Header.Costs, env, replayObserver{out: &res.Replayed})
 	if err != nil {
 		return nil, fmt.Errorf("trace: rebuild peer: %w", err)
 	}

@@ -75,7 +75,7 @@ func (w *World) EnableChurn(c Churn) *JoinStats {
 			// engine's exclusive windows.
 			id := PeerIDOf(len(w.Peers))
 			env := &Env{w: w, id: id, rnd: w.Root.ChildN("joiner", k), eng: w.Engine, shard: 0}
-			p, err := protocol.New(id, w.Cfg.Protocol, costs, env, w.observerFor(0))
+			p, err := protocol.New(id, &w.Cfg.Protocol, &costs, env, w.observerFor(0))
 			if err != nil {
 				panic(fmt.Sprintf("world: churn join: %v", err))
 			}

@@ -388,7 +388,7 @@ func New(cfg Config) (*World, error) {
 		}
 		w.peerShard[i] = si
 		env := &Env{w: w, id: id, rnd: w.Root.ChildN("peer", i), eng: w.engines[si], shard: si}
-		p, err := protocol.New(id, cfg.Protocol, costs, env, w.observerFor(si))
+		p, err := protocol.New(id, &w.Cfg.Protocol, &costs, env, w.observerFor(si))
 		if err != nil {
 			return nil, err
 		}
