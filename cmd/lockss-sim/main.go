@@ -11,13 +11,11 @@
 //	lockss-sim -output json              # text | json | csv
 //	lockss-sim -scale paper              # tiny | small | paper | large | huge
 //	lockss-sim -workers 8                # parallel runs (default: all cores)
-//	lockss-sim -shards 4                 # parallel peer shards per run
 //	lockss-sim -progress                 # periodic virtual-time progress lines
 //	lockss-sim -seeds 3 -seed 42 -v
 //
-// -workers parallelizes across independent runs; -shards parallelizes inside
-// each run, which is what helps at -scale large/huge where a single run
-// dominates.
+// -workers parallelizes across independent runs; each run is one engine on
+// one goroutine.
 //
 // Output is bit-identical at any -workers value: runs are scheduled across
 // the worker pool but seeded, combined and printed exactly as the serial
@@ -83,7 +81,6 @@ func main() {
 		seeds    = flag.Int("seeds", 0, "seeds per data point (0 = scale default)")
 		seed     = flag.Uint64("seed", 0, "base seed offset")
 		workers  = flag.Int("workers", 0, "concurrent simulation runs (<=0 = GOMAXPROCS, i.e. all usable cores)")
-		shards   = flag.Int("shards", 0, "parallel peer shards per simulation (0/1 = single engine; output is byte-identical at any value)")
 		progress = flag.Bool("progress", false, "print periodic virtual-time/events-executed progress lines to stderr")
 		verbose  = flag.Bool("v", false, "print per-data-point progress")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -136,7 +133,7 @@ func main() {
 	// One engine for the whole invocation: running several scenarios reuses
 	// memoized baseline runs across them.
 	eng := experiment.NewEngine(*workers)
-	opts := experiment.Options{Seeds: *seeds, BaseSeed: *seed, Shards: *shards, Engine: eng}
+	opts := experiment.Options{Seeds: *seeds, BaseSeed: *seed, Engine: eng}
 	switch strings.ToLower(*scale) {
 	case "tiny":
 		opts.Scale = experiment.ScaleTiny

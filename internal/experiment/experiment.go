@@ -53,11 +53,10 @@ type Comparison struct {
 }
 
 // ProgressSink, when non-nil, receives periodic execution progress from
-// every unlayered simulation run in the process: the reporting engine's
-// virtual time and that run's total executed events, every ProgressStride
-// events. Set it before running anything (the CLI's -progress does); the
-// callback must be thread-safe, since runs execute concurrently and a
-// sharded run reports from several goroutines.
+// every unlayered simulation run in the process: the reporting run's virtual
+// time and executed events, every ProgressStride events. Set it before
+// running anything (the CLI's -progress does); the callback must be
+// thread-safe, since the worker pool executes runs concurrently.
 var ProgressSink func(vt sim.Time, events uint64)
 
 // ProgressStride is the reporting granularity of ProgressSink, in events.
@@ -175,7 +174,7 @@ const (
 	// ScaleLarge: a ~5k-peer population for capacity work. Cold bootstrap
 	// (no O(Peers²) acquaintance seeding), few small AUs, short horizon.
 	ScaleLarge
-	// ScaleHuge: a ~20k-peer population; the sharded engine's target regime.
+	// ScaleHuge: a ~20k-peer population; one run takes minutes on one core.
 	ScaleHuge
 )
 
@@ -200,10 +199,6 @@ type Options struct {
 	Scale Scale
 	// Seeds overrides the scale's default seed count when positive.
 	Seeds int
-	// Shards, when positive, runs every simulation on that many parallel
-	// peer shards (world.Config.Shards). Results are byte-identical at any
-	// value; larger populations run faster on multi-core hosts.
-	Shards int
 	// BaseSeed offsets all run seeds.
 	BaseSeed uint64
 	// Progress, if non-nil, receives one line per completed data point.
@@ -248,8 +243,8 @@ func (o Options) seeds() int {
 }
 
 // BaseWorld returns the population config the Options select: the scale's
-// population shape, seeded from BaseSeed, with Shards applied. Scenario Base
-// functions and capacity benchmarks use it as their starting point.
+// population shape, seeded from BaseSeed. Scenario Base functions and
+// capacity benchmarks use it as their starting point.
 func (o Options) BaseWorld() world.Config {
 	cfg := world.Default()
 	cfg.Seed = 1 + o.BaseSeed
@@ -279,7 +274,6 @@ func (o Options) BaseWorld() world.Config {
 		cfg.AUSize = 64 << 20
 		cfg.Duration = 1 * sim.Year
 	}
-	cfg.Shards = o.Shards
 	return cfg
 }
 

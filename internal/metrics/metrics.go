@@ -15,10 +15,11 @@
 //
 // Accumulation is partition-invariant by construction: every time integral
 // is kept as integer nanoseconds per replica and only summed (in replica
-// registration order) when an aggregate is read. A sharded run keeps one
-// Collector per shard, each observing a disjoint replica set, and merges
-// them in canonical shard order at the end — producing bit-identical
-// aggregates at any shard count.
+// registration order) when an aggregate is read. A real-node cluster keeps
+// one Collector per node, each observing a disjoint replica set on its own
+// actor goroutine, and merges them in node order once the nodes have stopped
+// (harness.RunCluster); the aggregates equal those of one Collector that had
+// observed every replica.
 package metrics
 
 import (
@@ -49,7 +50,7 @@ type repState struct {
 }
 
 // Collector implements protocol.Observer and accumulates raw statistics for
-// one simulation run (or one shard of a run; see Merge).
+// one simulation run (or one node of a cluster run; see Merge).
 type Collector struct {
 	reps []repState // dense, in registration order — the canonical order
 	idx  map[replicaKey]int32
@@ -166,8 +167,8 @@ func (c *Collector) VoteSupplied(voter, poller ids.PeerID, au content.AUID, poll
 }
 
 // Merge folds other into c: replicas append in other's registration order,
-// counters add. Call on unfinalized collectors, in canonical shard order, so
-// the merged replica sequence is identical at every shard count; then
+// counters add. Call on unfinalized collectors, in node order, so the merged
+// replica sequence is the one a single collector would have registered; then
 // Finalize the merged collector once. other must not be used afterwards.
 func (c *Collector) Merge(other *Collector) {
 	base := int32(len(c.reps))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lockss/internal/content"
+	"lockss/internal/ids"
 	"lockss/internal/protocol"
 	"lockss/internal/sched"
 )
@@ -154,5 +155,50 @@ func TestRebase(t *testing.T) {
 	w, _ := want.MeanSuccessInterval()
 	if g, ok := got.MeanSuccessInterval(); !ok || g != w {
 		t.Errorf("mean success interval rebased = %v, from zero = %v", g, w)
+	}
+}
+
+// TestMergeMatchesSingleCollector: collectors that each observed a disjoint
+// replica set (one per cluster node), merged in registration order, report
+// bit for bit what one collector observing every replica does.
+func TestMergeMatchesSingleCollector(t *testing.T) {
+	// run replays one script of events; colOf picks each peer's collector.
+	run := func(colOf func(peer ids.PeerID) *Collector) {
+		spec := content.AUSpec{ID: 1, Name: "m", Size: 4096, BlockSize: 1024}
+		reps := make(map[ids.PeerID]*content.SimReplica)
+		for peer := ids.PeerID(1); peer <= 4; peer++ {
+			reps[peer] = content.NewSimReplica(spec, uint64(peer))
+			colOf(peer).RegisterReplica(peer, 1, reps[peer])
+		}
+		for i, peer := range []ids.PeerID{3, 1, 4, 2, 4, 1} {
+			now := sched.Time(100 + 137*i)
+			reps[peer].Damage(0)
+			colOf(peer).OnDamage(peer, 1, now)
+			colOf(5-peer).PollConcluded(5-peer, 1, uint64(i), protocol.OutcomeSuccess, 0, now+50)
+			colOf(peer).VoteSupplied(peer, 5-peer, 1, uint64(i), now+60)
+		}
+		colOf(2).Alarm(2, 1, 9, 950)
+	}
+	one := NewCollector()
+	run(func(ids.PeerID) *Collector { return one })
+	parts := []*Collector{NewCollector(), NewCollector()}
+	run(func(peer ids.PeerID) *Collector { return parts[(peer-1)/2] })
+	merged := NewCollector()
+	for _, c := range parts {
+		merged.Merge(c)
+	}
+	one.Finalize(1000)
+	merged.Finalize(1000)
+
+	if w, g := one.AccessFailureProbability(), merged.AccessFailureProbability(); w != g || w == 0 {
+		t.Errorf("AFP merged = %v, single = %v", g, w)
+	}
+	w, _ := one.MeanSuccessInterval()
+	if g, ok := merged.MeanSuccessInterval(); !ok || g != w {
+		t.Errorf("mean success interval merged = %v, single = %v", g, w)
+	}
+	if merged.DamagedNow() != one.DamagedNow() || merged.SuccessfulPolls() != one.SuccessfulPolls() ||
+		merged.Alarms != one.Alarms || merged.VotesSupplied != one.VotesSupplied || merged.DamageEvents != one.DamageEvents {
+		t.Errorf("counters differ: merged %+v, single %+v", merged, one)
 	}
 }

@@ -6,18 +6,10 @@
 // congestion: transfer time for a message is the sum of both endpoints'
 // latencies plus serialization at the slower of the two access links. Pipe
 // stoppage suppresses all communication to and from a victim.
-//
-// A Network can span several event engines (sharded execution): each node is
-// pinned to one engine, same-engine sends schedule directly (the legacy
-// path), and cross-engine sends are deferred into per-source outboxes that
-// the shard coordinator drains at window barriers in a canonical order, so
-// delivery order — including same-instant ties — is byte-identical to a
-// single-engine run.
 package netsim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"lockss/internal/ids"
@@ -57,16 +49,13 @@ type node struct {
 	link    Link
 	handler Handler
 	stopped bool
-	shard   int32
 }
 
-// delivery is one in-flight message. Records are pooled per shard: a run
-// delivers millions of messages but only a bounded number are in flight at
-// once, so each carries a pre-bound run callback instead of a fresh closure
-// per Send.
+// delivery is one in-flight message. Records are pooled: a run delivers
+// millions of messages but only a bounded number are in flight at once, so
+// each carries a pre-bound run callback instead of a fresh closure per Send.
 type delivery struct {
 	n        *Network
-	sh       *netShard
 	from     ids.PeerID
 	src, dst *node
 	payload  any
@@ -78,78 +67,27 @@ type delivery struct {
 // recycled before the handler runs (all fields are copied out first), so a
 // handler that sends in response reuses it immediately.
 func (d *delivery) deliver() {
-	n, sh, from, src, dst, payload, size := d.n, d.sh, d.from, d.src, d.dst, d.payload, d.size
+	n, from, src, dst, payload, size := d.n, d.from, d.src, d.dst, d.payload, d.size
 	d.src, d.dst, d.payload = nil, nil, nil
-	sh.free = append(sh.free, d)
+	n.free = append(n.free, d)
 	// Re-check at delivery: an attack that started mid-flight kills the
 	// message, matching the paper's "suppresses all communication".
 	if src.stopped || dst.stopped {
-		if n.sharded {
-			sh.droppedStoppage++
-		} else {
-			n.DroppedStoppage++
-		}
+		n.DroppedStoppage++
 		return
 	}
-	if n.sharded {
-		sh.delivered++
-		sh.bytesDelivered += uint64(size)
-	} else {
-		n.Delivered++
-		n.BytesDelivered += uint64(size)
-	}
+	n.Delivered++
+	n.BytesDelivered += uint64(size)
 	dst.handler(from, payload, size)
 }
 
-// netShard is the per-engine slice of network state. Each shard's engine
-// goroutine owns its pool, counters and outbox during windows; the
-// coordinator owns all of them at barriers.
-type netShard struct {
-	eng  *sim.Engine
-	free []*delivery
-
-	sent            uint64
-	delivered       uint64
-	droppedStoppage uint64
-	bytesDelivered  uint64
-
-	// outbox holds this shard's deferred cross-shard sends until the next
-	// window barrier.
-	outbox []crossMsg
-}
-
-// crossMsg is one deferred cross-shard delivery. The canonical drain key is
-// (at, sendAt, lineage, srcShard, idx): arrival time first; then the send
-// instant (a sequential engine schedules deliveries in send order); then the
-// sender event's causal lineage, which reproduces the sequential FIFO order
-// for sends tied to the same instant on different shards (fan-out over a
-// millisecond latency grid makes such ties systematic, not rare); then
-// source shard and per-source append order as the final total-order anchor.
-type crossMsg struct {
-	at, sendAt sim.Time
-	lineage    uint64
-	srcShard   int32
-	idx        int32
-	src, dst   *node
-	from       ids.PeerID
-	payload    any
-	size       int
-}
-
-// Network routes messages between simulated nodes over one or more event
-// engines.
+// Network routes messages between simulated nodes on one event engine.
 type Network struct {
-	nodes   map[ids.PeerID]*node
-	shards  []netShard
-	sharded bool
-	// lineageCtr is shared with the engines' build-time lineage counter so
-	// drain-assigned lineages stay globally monotone with it.
-	lineageCtr *uint64
-	scratch    []crossMsg
+	eng   *sim.Engine
+	nodes map[ids.PeerID]*node
+	free  []*delivery
 
-	// Stats. On a sharded network these are folded from the per-shard
-	// counters by FoldStats (world.Run does this); on a single-engine
-	// network they update live.
+	// Stats, updated live.
 	Sent      uint64
 	Delivered uint64
 	// DroppedStoppage counts messages suppressed by pipe stoppage.
@@ -166,54 +104,22 @@ func New(eng *sim.Engine) *Network {
 // NewSized returns an empty network with the node table preallocated for the
 // expected population size.
 func NewSized(eng *sim.Engine, nodes int) *Network {
-	return NewSharded([]*sim.Engine{eng}, nil, nodes)
-}
-
-// NewSharded returns a network spanning the given engines (engines[0] is the
-// control shard). lineageCtr, required when len(engines) > 1, is the shared
-// lineage counter also attached to the engines.
-func NewSharded(engines []*sim.Engine, lineageCtr *uint64, nodes int) *Network {
 	if nodes < 0 {
 		nodes = 0
 	}
-	if len(engines) == 0 {
-		panic("netsim: need at least one engine")
-	}
-	if len(engines) > 1 && lineageCtr == nil {
-		panic("netsim: sharded network needs a lineage counter")
-	}
-	n := &Network{
-		nodes:      make(map[ids.PeerID]*node, nodes),
-		shards:     make([]netShard, len(engines)),
-		sharded:    len(engines) > 1,
-		lineageCtr: lineageCtr,
-	}
-	for i, e := range engines {
-		n.shards[i].eng = e
-	}
-	return n
+	return &Network{eng: eng, nodes: make(map[ids.PeerID]*node, nodes)}
 }
 
-// AddNode registers a node on the control shard. Registering an existing ID
-// panics: IDs are assigned centrally at population build time.
+// AddNode registers a node. Registering an existing ID panics: IDs are
+// assigned centrally at population build time.
 func (n *Network) AddNode(id ids.PeerID, link Link, h Handler) {
-	n.AddNodeOn(0, id, link, h)
-}
-
-// AddNodeOn registers a node pinned to the given shard's engine. Mid-run
-// registration is only legal from control-shard events (all other shards are
-// quiescent at that point; the world's churn path relies on this).
-func (n *Network) AddNodeOn(shard int, id ids.PeerID, link Link, h Handler) {
 	if _, dup := n.nodes[id]; dup {
 		panic(fmt.Sprintf("netsim: duplicate node %v", id))
 	}
 	if h == nil {
 		panic("netsim: nil handler")
 	}
-	if shard < 0 || shard >= len(n.shards) {
-		panic(fmt.Sprintf("netsim: node %v on unknown shard %d", id, shard))
-	}
-	n.nodes[id] = &node{link: link, handler: h, shard: int32(shard)}
+	n.nodes[id] = &node{link: link, handler: h}
 }
 
 // SetHandler replaces a node's handler (used by tests).
@@ -227,8 +133,7 @@ func (n *Network) SetHandler(id ids.PeerID, h Handler) {
 
 // SetStopped marks a node's pipe as stopped (true) or restored (false).
 // While stopped, all messages to and from the node are suppressed, both
-// newly sent and in flight. On a sharded network this must only be called
-// from control-shard events or between runs.
+// newly sent and in flight.
 func (n *Network) SetStopped(id ids.PeerID, stopped bool) {
 	if nd, ok := n.nodes[id]; ok {
 		nd.stopped = stopped
@@ -256,146 +161,35 @@ func (n *Network) TransferTime(from, to ids.PeerID, size int) sim.Duration {
 	return a.link.Latency + b.link.Latency + ser
 }
 
-// LookaheadFloor returns a lower bound on cross-node transfer time over the
-// currently registered population: twice the minimum access latency
-// (serialization only adds). Zero when no nodes are registered.
-func (n *Network) LookaheadFloor() sim.Duration {
-	var min sim.Duration
-	for _, nd := range n.nodes {
-		if min == 0 || nd.link.Latency < min {
-			min = nd.link.Latency
-		}
-	}
-	return 2 * min
-}
-
-// alloc takes a pooled delivery for the shard, or grows the pool.
-func (n *Network) alloc(sh *netShard) *delivery {
-	if k := len(sh.free); k > 0 {
-		d := sh.free[k-1]
-		sh.free[k-1] = nil
-		sh.free = sh.free[:k-1]
+// alloc takes a pooled delivery, or grows the pool.
+func (n *Network) alloc() *delivery {
+	if k := len(n.free); k > 0 {
+		d := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
 		return d
 	}
-	d := &delivery{n: n, sh: sh}
+	d := &delivery{n: n}
 	d.run = d.deliver
 	return d
 }
 
 // Send dispatches payload of the given wire size from one node to another.
 // Unknown endpoints and stopped pipes silently drop (the sender learns
-// nothing, as in the real network). The call must come from the sending
-// node's own shard (protocol sends always do; the adversary and churn act
-// from the control shard, where their nodes live).
+// nothing, as in the real network).
 func (n *Network) Send(from, to ids.PeerID, payload any, size int) {
 	src, dst := n.nodes[from], n.nodes[to]
-	if !n.sharded {
-		n.Sent++
-		if src == nil || dst == nil {
-			return
-		}
-		if src.stopped || dst.stopped {
-			n.DroppedStoppage++
-			return
-		}
-		sh := &n.shards[0]
-		d := n.alloc(sh)
-		d.from, d.src, d.dst, d.payload, d.size = from, src, dst, payload, size
-		sh.eng.After(n.TransferTime(from, to, size), d.run)
-		return
-	}
-	shardIdx := int32(0)
-	if src != nil {
-		shardIdx = src.shard
-	}
-	sh := &n.shards[shardIdx]
-	sh.sent++
+	n.Sent++
 	if src == nil || dst == nil {
 		return
 	}
 	if src.stopped || dst.stopped {
-		sh.droppedStoppage++
+		n.DroppedStoppage++
 		return
 	}
-	delay := n.TransferTime(from, to, size)
-	if dst.shard == src.shard {
-		d := n.alloc(sh)
-		d.from, d.src, d.dst, d.payload, d.size = from, src, dst, payload, size
-		sh.eng.After(delay, d.run)
-		return
-	}
-	now := sh.eng.Now()
-	sh.outbox = append(sh.outbox, crossMsg{
-		at:       now.Add(delay),
-		sendAt:   now,
-		lineage:  sh.eng.CurLineage(),
-		srcShard: src.shard,
-		idx:      int32(len(sh.outbox)),
-		src:      src,
-		dst:      dst,
-		from:     from,
-		payload:  payload,
-		size:     size,
-	})
-}
-
-// Drain schedules all deferred cross-shard deliveries in canonical order,
-// stamping each with a fresh globally-monotone lineage. The coordinator
-// calls it at every window barrier, when all engines are quiescent.
-func (n *Network) Drain() {
-	n.scratch = n.scratch[:0]
-	for s := range n.shards {
-		sh := &n.shards[s]
-		n.scratch = append(n.scratch, sh.outbox...)
-		for i := range sh.outbox {
-			sh.outbox[i].payload = nil
-			sh.outbox[i].src = nil
-			sh.outbox[i].dst = nil
-		}
-		sh.outbox = sh.outbox[:0]
-	}
-	ms := n.scratch
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := &ms[i], &ms[j]
-		switch {
-		case a.at != b.at:
-			return a.at < b.at
-		case a.sendAt != b.sendAt:
-			return a.sendAt < b.sendAt
-		case a.lineage != b.lineage:
-			return a.lineage < b.lineage
-		case a.srcShard != b.srcShard:
-			return a.srcShard < b.srcShard
-		default:
-			return a.idx < b.idx
-		}
-	})
-	for i := range ms {
-		m := &ms[i]
-		*n.lineageCtr++
-		sh := &n.shards[m.dst.shard]
-		d := n.alloc(sh)
-		d.from, d.src, d.dst, d.payload, d.size = m.from, m.src, m.dst, m.payload, m.size
-		sh.eng.AtLineage(m.at, *n.lineageCtr, d.run)
-		m.payload, m.src, m.dst = nil, nil, nil
-	}
-}
-
-// FoldStats sums per-shard counters into the exported stats fields. Call
-// once, after a sharded run completes; single-engine networks keep the
-// exported fields live and need no fold.
-func (n *Network) FoldStats() {
-	if !n.sharded {
-		return
-	}
-	n.Sent, n.Delivered, n.DroppedStoppage, n.BytesDelivered = 0, 0, 0, 0
-	for s := range n.shards {
-		sh := &n.shards[s]
-		n.Sent += sh.sent
-		n.Delivered += sh.delivered
-		n.DroppedStoppage += sh.droppedStoppage
-		n.BytesDelivered += sh.bytesDelivered
-	}
+	d := n.alloc()
+	d.from, d.src, d.dst, d.payload, d.size = from, src, dst, payload, size
+	n.eng.After(n.TransferTime(from, to, size), d.run)
 }
 
 // NodeIDs returns all registered node IDs in unspecified order.

@@ -22,7 +22,7 @@
 package node
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sort"
 	"sync"
@@ -515,7 +515,7 @@ func (l *peerLink) dialFailed() {
 // missing address, dial, handshake or write — without implying a dial was
 // attempted.
 func (l *peerLink) backoffNext() {
-	delay, next := jitteredBackoff(l.backoff, l.t.cfg.backoffMax, rand.Int63n)
+	delay, next := jitteredBackoff(l.backoff, l.t.cfg.backoffMax, rand.Int64N)
 	l.nextDialNano.Store(time.Now().Add(delay).UnixNano())
 	l.backoff = next
 }

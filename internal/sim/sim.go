@@ -3,11 +3,8 @@
 // The engine maintains a virtual clock and a priority queue of events. Events
 // scheduled for the same instant fire in FIFO order of scheduling, which —
 // combined with the deterministic prng package — makes whole simulation runs
-// reproducible bit-for-bit.
-//
-// For single-run parallelism, a Coordinator (see sharded.go) drives several
-// engines under a conservative time-window barrier; each engine remains a
-// single-goroutine computation within its windows.
+// reproducible bit-for-bit. One run is one engine on one goroutine;
+// parallelism comes from running many independent runs side by side.
 package sim
 
 import (
@@ -65,16 +62,11 @@ func (t Time) String() string {
 type EventID uint64
 
 type event struct {
-	at  Time
-	seq uint64 // FIFO tie-break for events at the same instant
-	id  EventID
-	// lineage is a causal-order tag used by sharded execution: events created
-	// while another event runs inherit that event's lineage, and cross-shard
-	// deliveries are stamped with a fresh globally-monotone value in canonical
-	// drain order. Single-engine runs carry it at no behavioral cost.
-	lineage uint64
-	fn      func()
-	heap    int // index within the heap, -1 when popped
+	at   Time
+	seq  uint64 // FIFO tie-break for events at the same instant
+	id   EventID
+	fn   func()
+	heap int // index within the heap, -1 when popped
 }
 
 type eventHeap []*event
@@ -127,14 +119,6 @@ type Engine struct {
 	// harmless, so recycling never aliases a cancellable event.
 	free []*event
 
-	// lineage tagging (see event.lineage). curLineage is the lineage of the
-	// currently executing event; inEvent distinguishes execution-time
-	// scheduling (inherit) from build-time scheduling (draw fresh from the
-	// shared counter, when one is attached).
-	curLineage uint64
-	inEvent    bool
-	lineageCtr *uint64
-
 	// Executed counts events that have fired, for progress reporting and
 	// engine benchmarks.
 	Executed uint64
@@ -151,11 +135,6 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// SetLineageSource attaches a shared counter used to stamp events scheduled
-// outside event execution (world construction). Engines sharing one counter
-// give build-time events globally ordered lineage tags.
-func (e *Engine) SetLineageSource(ctr *uint64) { e.lineageCtr = ctr }
-
 // SetProgress installs a progress callback invoked every stride executed
 // events. A nil fn or non-positive stride disables reporting.
 func (e *Engine) SetProgress(stride uint64, fn func(now Time, executed uint64)) {
@@ -171,25 +150,9 @@ func (e *Engine) SetProgress(stride uint64, fn func(now Time, executed uint64)) 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// CurLineage returns the lineage tag of the currently executing event (zero
-// outside execution or on engines without lineage tracking).
-func (e *Engine) CurLineage() uint64 { return e.curLineage }
-
 // At schedules fn to run at instant t. Scheduling in the past (before Now)
 // panics: it always indicates a logic error in a discrete-event model.
 func (e *Engine) At(t Time, fn func()) EventID {
-	lin := e.curLineage
-	if !e.inEvent && e.lineageCtr != nil {
-		*e.lineageCtr++
-		lin = *e.lineageCtr
-	}
-	return e.AtLineage(t, lin, fn)
-}
-
-// AtLineage schedules fn at instant t with an explicit lineage tag. It is
-// the scheduling entry point used by the cross-shard drain, which stamps
-// deliveries in canonical order.
-func (e *Engine) AtLineage(t Time, lineage uint64, fn func()) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -212,9 +175,9 @@ func (e *Engine) AtLineage(t Time, lineage uint64, fn func()) EventID {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*ev = event{at: t, seq: e.nextSeq, id: id, lineage: lineage, fn: fn}
+		*ev = event{at: t, seq: e.nextSeq, id: id, fn: fn}
 	} else {
-		ev = &event{at: t, seq: e.nextSeq, id: id, lineage: lineage, fn: fn}
+		ev = &event{at: t, seq: e.nextSeq, id: id, fn: fn}
 	}
 	heap.Push(&e.queue, ev)
 	e.slots[slot] = ev
@@ -286,13 +249,8 @@ func (e *Engine) fire(ev *event) {
 	// Recycle before firing: fn may schedule (and the pool hand out the
 	// struct again), which is safe because ev is not touched afterwards.
 	fn := ev.fn
-	lin := ev.lineage
 	e.release(ev)
-	e.inEvent = true
-	e.curLineage = lin
 	fn()
-	e.inEvent = false
-	e.curLineage = 0
 	e.Executed++
 	if e.Progress != nil && e.Executed%e.progressStride == 0 {
 		e.Progress(e.now, e.Executed)
@@ -319,33 +277,6 @@ func (e *Engine) Run(until Time) uint64 {
 		e.now = until
 	}
 	return n
-}
-
-// RunBefore executes pending events with timestamps strictly before w and
-// returns the number executed. Unlike Run it leaves the clock at the last
-// executed event rather than advancing it to the boundary: the caller (the
-// shard coordinator) owns horizon bookkeeping. Stop applies as in Run.
-func (e *Engine) RunBefore(w Time) uint64 {
-	e.stopped = false
-	var n uint64
-	for len(e.queue) > 0 && !e.stopped {
-		ev := e.queue[0]
-		if ev.at >= w {
-			break
-		}
-		e.fire(ev)
-		n++
-	}
-	return n
-}
-
-// AdvanceTo moves the clock forward to t without executing anything. Moving
-// backward is a no-op. Used by the coordinator to align shard clocks at the
-// end of a run.
-func (e *Engine) AdvanceTo(t Time) {
-	if t > e.now {
-		e.now = t
-	}
 }
 
 // Next returns the timestamp of the earliest pending event.

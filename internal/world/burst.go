@@ -43,15 +43,14 @@ type BurstPayload struct {
 
 // Deliver expands the burst at the victim. It stops early once an
 // invitation is admitted (observed via the refractory clock or a created
-// session), mirroring an attacker who sends until admitted. shard is the
-// engine index the victim lives on.
-func (b *BurstPayload) Deliver(w *World, shard int32, victim *protocol.Peer) {
+// session), mirroring an attacker who sends until admitted.
+func (b *BurstPayload) Deliver(w *World, victim *protocol.Peer) {
 	au := b.Template.AU
 	rep := victim.Reputation(au)
 	if rep == nil {
 		return
 	}
-	now := w.engines[shard].Now()
+	now := w.Engine.Now()
 	emitted := 0
 	// One shared copy of the template serves the whole stream: the Poll
 	// handler reads the message synchronously and never retains it, so only
@@ -75,11 +74,7 @@ func (b *BurstPayload) Deliver(w *World, shard int32, victim *protocol.Peer) {
 		if b.MakeProof != nil {
 			proof, cost := b.MakeProof(m.Context("intro"))
 			m.Proof = proof
-			if b.Ledger == w.AdversaryLedger {
-				// Adversary charges go through the shard-ordered log so the
-				// ledger is shard-count invariant.
-				w.logCharge(shard, "attack-intro", cost)
-			} else if b.Ledger != nil {
+			if b.Ledger != nil {
 				b.Ledger.Charge("attack-intro", cost)
 			}
 		}

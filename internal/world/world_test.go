@@ -144,7 +144,7 @@ func TestBurstDelivery(t *testing.T) {
 		Sent: func(n int) { sent = n },
 	}
 	// Deliver directly (unit test of the expansion logic).
-	burst.Deliver(w, 0, victim)
+	burst.Deliver(w, victim)
 	if sent <= 0 || sent > 50 {
 		t.Fatalf("burst emitted %d", sent)
 	}
@@ -176,7 +176,7 @@ func TestBurstChargesLedger(t *testing.T) {
 		},
 		Ledger: ledger,
 	}
-	burst.Deliver(w, 0, w.Peers[0])
+	burst.Deliver(w, w.Peers[0])
 	if ledger.Total == 0 {
 		t.Error("burst proofs not charged")
 	}
@@ -218,5 +218,32 @@ func TestDefenderEffortAggregation(t *testing.T) {
 		if byKind[kind] <= 0 {
 			t.Errorf("no %q effort recorded", kind)
 		}
+	}
+}
+
+// TestInstallProgressReportsExecutedEvents: the callback fires once per
+// stride executed events, with the running count and a clock that never
+// goes back.
+func TestInstallProgressReportsExecutedEvents(t *testing.T) {
+	w, err := New(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stride = 1000
+	var calls uint64
+	var last sim.Time
+	w.InstallProgress(stride, func(vt sim.Time, events uint64) {
+		calls++
+		if events != calls*stride {
+			t.Errorf("call %d reported %d events, want %d", calls, events, calls*stride)
+		}
+		if vt < last {
+			t.Errorf("call %d: virtual time went back, %v after %v", calls, vt, last)
+		}
+		last = vt
+	})
+	w.Run()
+	if want := w.EventsExecuted() / stride; calls != want || calls < 2 {
+		t.Errorf("%d progress calls for %d events at stride %d, want %d", calls, w.EventsExecuted(), stride, want)
 	}
 }
