@@ -368,7 +368,7 @@ func main() {
 		peers     = flag.String("peers", "", "address book: id=host:port,id=host:port,...")
 		aus       = flag.Int("aus", 2, "archival units to preserve (when not ingesting files)")
 		auSize    = flag.Int64("ausize", 1<<20, "bytes per synthetic archival unit")
-		interval  = flag.Duration("interval", 30*time.Second, "poll interval (demo timescale)")
+		interval  = flag.Duration("interval", 30*time.Second, "poll interval; the paper's protocol runs compressed to it")
 		rot       = flag.Bool("rot", false, "corrupt one random block at startup (marked damage)")
 		verbose   = flag.Bool("v", false, "log every vote supplied")
 		sendQ     = flag.Int("sendqueue", 128, "outbound message queue depth per peer (full queue drops oldest)")
@@ -405,18 +405,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Scale the protocol's preservation timescales to the demo interval.
-	pcfg := protocol.DefaultConfig()
-	pcfg.PollInterval = *interval
-	pcfg.VoteWindow = *interval / 3
-	pcfg.AckTimeout = *interval / 20
-	pcfg.ProofTimeout = *interval / 20
-	pcfg.VoteSlack = *interval / 10
-	pcfg.ReceiptSlack = *interval / 5
-	pcfg.RepairTimeout = *interval / 5
-	pcfg.Refractory = *interval / 10
-	pcfg.GradeDecay = 10 * *interval
-	pcfg.BlockSize = 64 << 10
 	// Small networks: size the poll to the population. Two peers is the
 	// floor: the documented three-node demo gives each member a two-entry
 	// address book.
@@ -424,15 +412,10 @@ func main() {
 	if n < 2 {
 		log.Fatalf("need at least 2 peers in the address book, have %d", n)
 	}
-	pcfg.Quorum = (n + 1) / 2
-	if pcfg.Quorum < 2 {
-		pcfg.Quorum = 2
+	pcfg, err := protocol.DemoConfig(*interval, max(2, (n+1)/2), n, 64<<10)
+	if err != nil {
+		log.Fatal(err)
 	}
-	pcfg.InnerCircle = n
-	pcfg.MaxDisagree = (pcfg.Quorum - 1) / 2
-	pcfg.OuterCircle = 2
-	pcfg.RefListTarget = n
-	pcfg.RefListMax = n + 4
 
 	costs := effort.DefaultCostModel()
 	costs.HashBytesPerSec = 512 << 20 // modern disk+hash
@@ -566,7 +549,7 @@ func main() {
 	if err := nd.Start(); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("preserving %d AUs; polling every %v; peers: %v", len(replicas), *interval, *peers)
+	log.Printf("preserving %d AUs; polling every %v, waits ×%.2f the paper's ratios; peers: %v", len(replicas), *interval, protocol.Stretch(pcfg), *peers)
 
 	// statsCtl re-arms the periodic stats ticker at runtime; SIGHUP and the
 	// admin API's POST /reload both feed it. Buffered so senders never block;

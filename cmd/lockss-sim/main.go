@@ -72,25 +72,36 @@ func emitter(format string) (func(t *experiment.Table) error, error) {
 	return nil, fmt.Errorf("unknown output format %q", format)
 }
 
-func main() {
-	var (
-		scenario = flag.String("scenario", "", "comma-separated registered scenario names to run (see -list); default: the paper's evaluation in paper order, "+strings.Join(paperNames(), ","))
-		list     = flag.Bool("list", false, "list registered scenarios and exit")
-		output   = flag.String("output", "text", "output format: text, json, csv")
-		scale    = flag.String("scale", "small", "experiment fidelity: tiny, small, paper, large, huge")
-		seeds    = flag.Int("seeds", 0, "seeds per data point (0 = scale default)")
-		seed     = flag.Uint64("seed", 0, "base seed offset")
-		workers  = flag.Int("workers", 0, "concurrent simulation runs (<=0 = GOMAXPROCS, i.e. all usable cores)")
-		progress = flag.Bool("progress", false, "print periodic virtual-time/events-executed progress lines to stderr")
-		verbose  = flag.Bool("v", false, "print per-data-point progress")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprof  = flag.String("memprofile", "", "write an allocation profile at exit to this file")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	fail := func(err error) {
+// run is the command. It returns the exit status instead of exiting, so the
+// deferred profile flushes run on every path: a failed or interrupted
+// -cpuprofile run still leaves a readable profile.
+func run(args []string) int {
+	fs := flag.NewFlagSet("lockss-sim", flag.ContinueOnError)
+	var (
+		scenario = fs.String("scenario", "", "comma-separated registered scenario names to run (see -list); default: the paper's evaluation in paper order, "+strings.Join(paperNames(), ","))
+		list     = fs.Bool("list", false, "list registered scenarios and exit")
+		output   = fs.String("output", "text", "output format: text, json, csv")
+		scale    = fs.String("scale", "small", "experiment fidelity: tiny, small, paper, large, huge")
+		seeds    = fs.Int("seeds", 0, "seeds per data point (0 = scale default)")
+		seed     = fs.Uint64("seed", 0, "base seed offset")
+		workers  = fs.Int("workers", 0, "concurrent simulation runs (<=0 = GOMAXPROCS, i.e. all usable cores)")
+		progress = fs.Bool("progress", false, "print periodic virtual-time/events-executed progress lines to stderr")
+		verbose  = fs.Bool("v", false, "print per-data-point progress")
+		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprof  = fs.String("memprofile", "", "write an allocation profile at exit to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+
+	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "lockss-sim: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	// Profiling hooks, so perf work can profile real scenario runs instead of
@@ -98,10 +109,11 @@ func main() {
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			f.Close()
+			return fail(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -111,7 +123,7 @@ func main() {
 	if *memprof != "" {
 		f, err := os.Create(*memprof)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer func() {
 			runtime.GC() // settle live objects so the heap profile is current
@@ -127,7 +139,7 @@ func main() {
 			fmt.Printf("%-28s %s\n", s.Name, s.Description)
 		}
 		fmt.Printf("\ndefault (no -scenario), in paper order: %s\n", strings.Join(paperNames(), ","))
-		return
+		return 0
 	}
 
 	// One engine for the whole invocation: running several scenarios reuses
@@ -147,7 +159,7 @@ func main() {
 		opts.Scale = experiment.ScaleHuge
 	default:
 		fmt.Fprintf(os.Stderr, "lockss-sim: unknown scale %q\n", *scale)
-		os.Exit(2)
+		return 2
 	}
 	if *progress {
 		// Rate-limited one-liners: virtual time reached and events executed
@@ -173,7 +185,7 @@ func main() {
 
 	emit, err := emitter(strings.ToLower(*output))
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	names := paperNames()
@@ -189,15 +201,15 @@ func main() {
 		name = strings.TrimSpace(name)
 		spec, ok := experiment.Lookup(name)
 		if !ok {
-			fail(fmt.Errorf("scenario %q not registered (try -list)", name))
+			return fail(fmt.Errorf("scenario %q not registered (try -list)", name))
 		}
 		tables, err := spec.Run(ctx, opts)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		for _, t := range tables {
 			if err := emit(t); err != nil {
-				fail(err)
+				return fail(err)
 			}
 		}
 	}
@@ -207,4 +219,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "engine: %d workers; baseline runs computed=%d memo-hits=%d\n",
 			eng.Workers(), misses, hits)
 	}
+	return 0
 }

@@ -23,7 +23,11 @@ import (
 // testProtocolConfig compresses the protocol's preservation timescales to
 // sub-second units, as every real-node cluster test does.
 func testProtocolConfig() protocol.Config {
-	return protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
+	cfg, err := protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
 }
 
 // newTestNode builds and starts a lone node preserving one in-memory AU

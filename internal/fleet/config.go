@@ -10,7 +10,6 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -18,6 +17,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"lockss/internal/protocol"
 )
 
 // Duration is a time.Duration that marshals as a human string ("1.5s") and
@@ -100,9 +101,11 @@ type Config struct {
 	// Duration is total run time; ScrapeInterval paces the metrics sweep.
 	Duration       Duration `json:"duration"`
 	ScrapeInterval Duration `json:"scrape_interval"`
-	// PollInterval compresses the protocol timescale, as in lockss-node
-	// -interval. Quorum and InnerCircle size the polls independently of the
-	// population (paper-style fixed quorum); defaults 3 and 5.
+	// PollInterval is the poll interval the paper's protocol runs at, every
+	// other duration derived from it by protocol.Compress, as in lockss-node
+	// -interval; below about 1.2 s the waits no longer fit a poll. Quorum and
+	// InnerCircle size the polls independently of the population
+	// (paper-style fixed quorum); defaults 3 and 5.
 	PollInterval Duration `json:"poll_interval"`
 	Quorum       int      `json:"quorum,omitempty"`
 	InnerCircle  int      `json:"inner_circle,omitempty"`
@@ -176,7 +179,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the declared run is realizable.
+// maxChurnCycles bounds the kill/restart pairs churn may expand to: the
+// whole plan is decided, and held, before the first node boots.
+const maxChurnCycles = 10_000
+
+// Validate checks the declared run is realizable. The protocol's own rules
+// run on the configuration the nodes would get.
 func (c Config) Validate() error {
 	if c.Nodes < 3 {
 		return fmt.Errorf("fleet: nodes must be >= 3 (got %d)", c.Nodes)
@@ -184,11 +192,14 @@ func (c Config) Validate() error {
 	if c.AUs < 1 || c.AUSize < 1 || c.BlockSize < 1 {
 		return fmt.Errorf("fleet: aus/au_size/block_size must be positive")
 	}
+	if c.Duration <= 0 || c.ScrapeInterval <= 0 {
+		return fmt.Errorf("fleet: duration and scrape_interval must be positive")
+	}
 	if c.InnerCircle >= c.Nodes {
 		return fmt.Errorf("fleet: inner_circle %d must be < nodes %d", c.InnerCircle, c.Nodes)
 	}
-	if c.Quorum > c.InnerCircle {
-		return fmt.Errorf("fleet: quorum %d exceeds inner_circle %d", c.Quorum, c.InnerCircle)
+	if _, err := c.protocolConfig(); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if c.ScrubWorkers < 0 {
 		return fmt.Errorf("fleet: scrub_workers must be >= 0 (got %d)", c.ScrubWorkers)
@@ -201,10 +212,25 @@ func (c Config) Validate() error {
 			return fmt.Errorf("fleet: fault %d: %w", i, err)
 		}
 	}
-	if c.Churn != nil && c.Churn.Interval > 0 && c.Churn.Down <= 0 {
-		return fmt.Errorf("fleet: churn.down must be positive")
+	if c.Churn != nil && c.Churn.Interval > 0 {
+		if c.Churn.Down <= 0 {
+			return fmt.Errorf("fleet: churn.down must be positive")
+		}
+		if n := c.churnCycles(); n > maxChurnCycles {
+			return fmt.Errorf("fleet: churn every %v makes %d kill/restart cycles (max %d)", c.Churn.Interval, n, maxChurnCycles)
+		}
 	}
 	return nil
+}
+
+// protocolConfig is the protocol configuration every node runs.
+func (c Config) protocolConfig() (protocol.Config, error) {
+	return protocol.DemoConfig(time.Duration(c.PollInterval), c.Quorum, c.InnerCircle, c.BlockSize)
+}
+
+// churnCycles counts the churn kills whose restart falls inside the run.
+func (c Config) churnCycles() int64 {
+	return int64((c.Duration - c.Churn.Down - 1) / c.Churn.Interval)
 }
 
 func (c Config) validateFault(f Fault) error {
@@ -236,33 +262,35 @@ func (c Config) validateFault(f Fault) error {
 	return nil
 }
 
-// LoadConfig reads a fleet config file. Lines whose first non-blank
-// characters are "//" are comments; everything else must be JSON. Defaults
-// are filled and the result validated.
+// LoadConfig reads a fleet config file; see parseConfig.
 func LoadConfig(path string) (Config, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, err
 	}
-	defer f.Close()
-	var b strings.Builder
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(strings.TrimSpace(line), "//") {
-			continue
-		}
-		b.WriteString(line)
-		b.WriteByte('\n')
+	c, err := parseConfig(b)
+	if err != nil {
+		return Config{}, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		return Config{}, err
+	return c, nil
+}
+
+// parseConfig decodes a fleet config. Lines whose first non-blank characters
+// are "//" are comments; everything else must be JSON. Defaults are filled
+// and the result validated.
+func parseConfig(data []byte) (Config, error) {
+	var b strings.Builder
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "//") {
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
 	}
 	var c Config
 	dec := json.NewDecoder(strings.NewReader(b.String()))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("fleet: parse %s: %w", path, err)
+		return Config{}, fmt.Errorf("fleet: parse: %w", err)
 	}
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
@@ -285,7 +313,7 @@ func (c Config) schedule(rng *rand.Rand) []Fault {
 			}
 		}
 		if f.Kind == "damage" && f.Block < 0 {
-			blocks := int((c.AUSize + c.BlockSize - 1) / c.BlockSize)
+			blocks := int((c.AUSize-1)/c.BlockSize + 1)
 			f.Block = rng.Intn(blocks)
 		}
 		return f
@@ -309,7 +337,8 @@ func (c Config) schedule(rng *rand.Rand) []Fault {
 		}
 	}
 	if c.Churn != nil && c.Churn.Interval > 0 {
-		for at := c.Churn.Interval; at+c.Churn.Down < c.Duration; at += c.Churn.Interval {
+		for k := int64(1); k <= c.churnCycles(); k++ {
+			at := Duration(k) * c.Churn.Interval
 			victim := 1 + rng.Intn(c.Nodes)
 			out = append(out,
 				Fault{At: at, Kind: "kill", Node: victim},

@@ -109,7 +109,10 @@ func (f *Fleet) Start() error {
 	for i := range spec.AUs {
 		spec.AUs[i] = content.DemoAUSpec(i, f.cfg.AUSize, f.cfg.BlockSize)
 	}
-	pcfg := protocol.DemoConfig(time.Duration(f.cfg.PollInterval), f.cfg.Quorum, f.cfg.InnerCircle, f.cfg.BlockSize)
+	pcfg, err := f.cfg.protocolConfig()
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
 	f.members = make([]*member, f.cfg.Nodes)
 	for i := range f.members {
 		m := &member{idx: i, id: ids.PeerID(i + 1)}

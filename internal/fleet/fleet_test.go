@@ -86,6 +86,64 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestParseConfigRejectsWhatFailsLater: none of these configs can run, so
+// each must be refused at load rather than panic in Run, fail at node boot or
+// expand into an unbounded fault plan.
+func TestParseConfigRejectsWhatFailsLater(t *testing.T) {
+	for _, field := range []string{
+		`"scrape_interval": "-1s"`,
+		`"duration": "-1s"`,
+		`"poll_interval": "-1s"`,
+		`"poll_interval": "100ms"`, // too short for the protocol's waits
+		`"quorum": 6`,              // above the default inner circle of 5
+		`"churn": {"interval": "1ns", "down": "1s"}`,
+	} {
+		if _, err := parseConfig([]byte(`{"nodes": 8, ` + field + `}`)); err == nil {
+			t.Errorf("accepted {%s}", field)
+		}
+	}
+	c, err := parseConfig([]byte(`{"nodes": 8, "quorum": 1}`))
+	if err != nil {
+		t.Fatalf("quorum 1: %v", err)
+	}
+	if p, err := c.protocolConfig(); err != nil || p.MaxDisagree != 0 {
+		t.Errorf("quorum 1 runs margin %d, %v", p.MaxDisagree, err)
+	}
+}
+
+// FuzzParseConfig: a config parseConfig accepts gives every node a valid
+// protocol configuration, and its fault plan resolves without panicking
+// into time order.
+func FuzzParseConfig(f *testing.F) {
+	examples, _ := filepath.Glob("../../examples/fleet/*.json")
+	for _, path := range examples {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"nodes": 3, "quorum": 1, "inner_circle": 2, "poll_interval": "1.2s"}`))
+	f.Add([]byte(`{"faults": [{"at": "1s", "kind": "damage", "au": 1, "block": -1}, {"kind": "kill", "for": "1s"}], "churn": {"interval": "2s", "down": "1s"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := parseConfig(data)
+		if err != nil {
+			return
+		}
+		if p, err := c.protocolConfig(); err != nil {
+			t.Fatalf("accepted config has no protocol config: %v", err)
+		} else if err := p.Validate(); err != nil {
+			t.Fatalf("accepted config runs an invalid protocol config: %v", err)
+		}
+		plan := c.schedule(rand.New(rand.NewSource(int64(c.Seed))))
+		for i := 1; i < len(plan); i++ {
+			if plan[i-1].At > plan[i].At {
+				t.Fatalf("plan out of time order at %d: %v", i, plan)
+			}
+		}
+	})
+}
+
 // TestScheduleDeterministicAndPinned: same seed, same schedule; randoms
 // pinned; "for" sugar and churn expanded into inverse pairs in time order.
 func TestScheduleDeterministic(t *testing.T) {

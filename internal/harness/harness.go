@@ -3,14 +3,16 @@ package harness
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"lockss/internal/experiment"
+	"lockss/internal/netsim"
 	"lockss/internal/world"
 )
 
 // Backend executes one scenario grid point and returns its structured
-// result. The simulator backend runs the point as the experiment package
-// always has; the cluster backend runs it on real in-process nodes.
+// result: the simulator backend on the discrete-event engine, the cluster
+// backend on real in-process nodes.
 type Backend interface {
 	// Name labels the backend in reports.
 	Name() string
@@ -18,33 +20,32 @@ type Backend interface {
 	RunPoint(ctx context.Context, s *experiment.Scenario, o experiment.Options, cfg world.Config, pt experiment.Point) (experiment.PointResult, error)
 }
 
-// SimBackend runs points on the discrete-event simulator.
-type SimBackend struct {
-	// BaselineOnly strips the scenario's attack and comparison so the run
-	// matches what the cluster backend can execute (clusters are
-	// attack-free); cross-validation uses it on both sides.
-	BaselineOnly bool
-	// Engine, if non-nil, schedules the runs; nil lazily creates one engine
-	// per backend so baselines memoize across points.
-	Engine *experiment.Engine
-}
+// SimBackend runs points on the discrete-event simulator the way the cluster
+// backend runs them on real nodes: one run at the point's seed, attack-free
+// (adversaries need simulator hooks real nodes do not expose), and on the
+// cluster's loopback network rather than the paper's WAN. The WAN's 2–60 ms
+// hops do not shrink with a compressed poll interval, so at a demo timescale
+// they would outlast the protocol's waits.
+type SimBackend struct{}
+
+// loopback is the simulated link of a cluster member: a 6-node demo cluster
+// answers an invitation in ~0.25 ms (median, four link latencies).
+var loopback = netsim.Link{Bandwidth: 10e9, Latency: 60 * time.Microsecond}
 
 // Name implements Backend.
 func (b *SimBackend) Name() string { return "sim" }
 
 // RunPoint implements Backend.
 func (b *SimBackend) RunPoint(ctx context.Context, s *experiment.Scenario, o experiment.Options, cfg world.Config, pt experiment.Point) (experiment.PointResult, error) {
-	if b.Engine == nil {
-		b.Engine = experiment.NewEngine(0)
+	w, err := world.New(cfg)
+	if err != nil {
+		return experiment.PointResult{}, err
 	}
-	run := s
-	if b.BaselineOnly {
-		sc := *s
-		sc.Attack = nil
-		sc.Compare = false
-		run = &sc
+	for _, p := range w.Peers {
+		w.Net.SetLink(p.ID(), loopback)
 	}
-	return run.RunPointOn(ctx, b.Engine, o, pt, cfg)
+	w.Run()
+	return experiment.PointResult{Stats: experiment.StatsOf(w.Metrics, w.DefenderEffort(), 0)}, nil
 }
 
 // ClusterBackend runs points on real in-process node clusters. It is
@@ -57,9 +58,6 @@ func (b *ClusterBackend) Name() string { return "cluster" }
 
 // RunPoint implements Backend.
 func (b *ClusterBackend) RunPoint(ctx context.Context, s *experiment.Scenario, o experiment.Options, cfg world.Config, pt experiment.Point) (experiment.PointResult, error) {
-	if s.RunPoint != nil {
-		return experiment.PointResult{}, fmt.Errorf("harness: scenario %q has a custom point executor; the cluster backend only runs standard points", s.Name)
-	}
 	stats, err := RunCluster(ctx, cfg)
 	if err != nil {
 		return experiment.PointResult{}, fmt.Errorf("harness: scenario %q point %d: %w", s.Name, pt.Index, err)
@@ -68,14 +66,17 @@ func (b *ClusterBackend) RunPoint(ctx context.Context, s *experiment.Scenario, o
 }
 
 // RunScenario executes a registered scenario's full sweep grid on the given
-// backend. Points run serially — a cluster is a real workload, and the sim
-// engine already parallelizes within a point. override, if non-nil, adjusts
-// each point's configuration after the scenario builds it (cross-validation
-// uses it to shrink paper-scale populations to cluster scale; the same
-// override must go to both backends for the comparison to mean anything).
+// backend. Points run serially — a cluster is a real workload. override, if
+// non-nil, adjusts each point's configuration after the scenario builds it
+// (cross-validation uses it to shrink paper-scale populations to cluster
+// scale; the same override must go to both backends for the comparison to
+// mean anything).
 func RunScenario(ctx context.Context, s *experiment.Scenario, o experiment.Options, b Backend, override func(*world.Config)) (*experiment.Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("harness: RunScenario(nil scenario)")
+	}
+	if s.RunPoint != nil {
+		return nil, fmt.Errorf("harness: scenario %q has a custom point executor; the backends run standard points only", s.Name)
 	}
 	points, err := s.Points(o)
 	if err != nil {

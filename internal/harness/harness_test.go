@@ -16,7 +16,11 @@ import (
 // demoProtocolConfig compresses the protocol's preservation timescales to
 // sub-second units so an audit-and-repair round completes inside a test.
 func demoProtocolConfig() protocol.Config {
-	return protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
+	cfg, err := protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
 }
 
 // pollCounts sums the cluster's poll and repair counters for a failure
@@ -76,7 +80,7 @@ func TestCrossValidationIntroductions(t *testing.T) {
 	override := demoOverride(12 * time.Second)
 	ctx := context.Background()
 
-	simRes, err := RunScenario(ctx, s, o, &SimBackend{BaselineOnly: true}, override)
+	simRes, err := RunScenario(ctx, s, o, &SimBackend{}, override)
 	if err != nil {
 		t.Fatalf("sim backend: %v", err)
 	}

@@ -131,6 +131,13 @@ func (n *Network) SetHandler(id ids.PeerID, h Handler) {
 	nd.handler = h
 }
 
+// SetLink replaces a node's access link.
+func (n *Network) SetLink(id ids.PeerID, l Link) {
+	if nd, ok := n.nodes[id]; ok {
+		nd.link = l
+	}
+}
+
 // SetStopped marks a node's pipe as stopped (true) or restored (false).
 // While stopped, all messages to and from the node are suppressed, both
 // newly sent and in flight.

@@ -22,10 +22,14 @@ func TestClusterAuditAndRepair(t *testing.T) {
 	}
 	const N = 6
 	spec := content.AUSpec{ID: 1, Name: "au-demo", Size: 128 << 10, BlockSize: 32 << 10}
+	pcfg, err := protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cs := harness.ClusterSpec{AUs: []content.AUSpec{spec}, Members: make([]harness.MemberSpec, N), SeedEven: true}
 	for i := range cs.Members {
 		cs.Members[i].Config = node.Config{
-			Protocol: protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10),
+			Protocol: pcfg,
 			Costs:    effort.DemoCostModel(),
 			Seed:     uint64(1000 + i),
 		}

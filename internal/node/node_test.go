@@ -46,7 +46,11 @@ func (o *testObserver) snapshot() (succ, other, repairs int) {
 // demoProtocolConfig compresses the protocol's preservation timescales to
 // sub-second units so an audit-and-repair round completes in a test.
 func demoProtocolConfig() protocol.Config {
-	return protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
+	cfg, err := protocol.DemoConfig(1500*time.Millisecond, 3, 5, 32<<10)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
 }
 
 // TestSenderOf checks role-based sender inference.

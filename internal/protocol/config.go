@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"lockss/internal/reputation"
@@ -150,32 +151,71 @@ func DefaultConfig() Config {
 	}
 }
 
+// waitFloor is the shortest wait Compress produces: a loopback round trip
+// (p99 1.3 ms on a demo cluster), a demo proof verification (µs) and an actor
+// loop busy hashing (cluster-audit's p95 Inspect round trip, 9.4 ms).
+const waitFloor = 15 * time.Millisecond
+
+// Compress returns cfg at another poll interval. Every duration keeps its
+// ratio to cfg.PollInterval; the six waits are then stretched by the one
+// factor that lifts the shortest to waitFloor, if it is below, which keeps
+// every ordering among them. Refractory and GradeDecay are admission policy
+// and keep the plain ratio. An interval too short for the floor is an error.
+func Compress(cfg Config, interval time.Duration) (Config, error) {
+	out := cfg
+	out.PollInterval = interval
+	ratio := func(d sched.Duration) float64 { return float64(d) * float64(interval) / float64(cfg.PollInterval) }
+	// The six waits, then the two policy durations.
+	durations := [...]*sched.Duration{&out.VoteWindow, &out.AckTimeout, &out.ProofTimeout,
+		&out.VoteSlack, &out.ReceiptSlack, &out.RepairTimeout, &out.Refractory, &out.GradeDecay}
+	stretch := 1.0
+	for _, w := range durations[:6] {
+		stretch = math.Max(stretch, float64(waitFloor)/ratio(*w))
+	}
+	fits := true
+	for i, d := range durations {
+		x := ratio(*d)
+		if i < 6 {
+			x *= stretch
+		}
+		x = math.Round(x)
+		fits = fits && x >= 0 && x < math.MaxInt64
+		*d = time.Duration(x)
+	}
+	switch {
+	case !fits:
+		return Config{}, fmt.Errorf("protocol: cannot compress a %v poll interval to %v", cfg.PollInterval, interval)
+	case float64(out.VoteWindow) > (out.EvalFrac-out.SolicitFrac)*float64(interval):
+		return Config{}, fmt.Errorf("protocol: poll interval %v too short: its %v vote window (waits ×%.2f the paper's ratios, for a %v floor) overruns the poll",
+			interval, out.VoteWindow, stretch, waitFloor)
+	}
+	return out, out.Validate()
+}
+
+// Stretch is how far c's waits exceed the paper's ratios to the poll
+// interval: the factor Compress stretched them by, 1 for none.
+func Stretch(c Config) float64 {
+	paper := DefaultConfig()
+	return float64(c.AckTimeout) / float64(paper.AckTimeout) * float64(paper.PollInterval) / float64(c.PollInterval)
+}
+
 // DemoConfig is the operating point of a real-node demo (loopback clusters,
-// the fleet, cluster tests): the preservation timescales compressed in
-// proportion to a poll interval of seconds, with a paper-style fixed quorum
-// independent of the population size.
-func DemoConfig(interval time.Duration, quorum, inner int, blockSize int64) Config {
+// the fleet, lockss-node, cluster tests): the paper's protocol compressed to
+// a poll interval of seconds, with a paper-style fixed quorum independent of
+// the population size. The error is Compress's.
+func DemoConfig(interval time.Duration, quorum, inner int, blockSize int64) (Config, error) {
 	cfg := DefaultConfig()
-	cfg.PollInterval = interval
-	cfg.VoteWindow = interval * 7 / 15
-	cfg.AckTimeout = interval / 6
-	cfg.ProofTimeout = interval / 10
-	cfg.VoteSlack = interval / 5
-	cfg.ReceiptSlack = interval / 3
-	cfg.RepairTimeout = interval * 4 / 15
-	cfg.Refractory = interval * 2 / 15
-	cfg.GradeDecay = time.Hour
 	cfg.FrivolousRepairProb = 0
 	cfg.Quorum = quorum
 	cfg.InnerCircle = inner
-	cfg.MaxDisagree = max(1, (quorum-1)/2)
+	cfg.MaxDisagree = (quorum - 1) / 2
 	cfg.OuterCircle = 2
 	cfg.Nominations = 3
 	cfg.RefListTarget = max(inner, 2*quorum)
 	cfg.RefListMax = cfg.RefListTarget + 5
 	cfg.ConsiderBurst = 64
 	cfg.BlockSize = blockSize
-	return cfg
+	return Compress(cfg, interval)
 }
 
 // Validate sanity-checks the configuration.

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"cmp"
 	"testing"
 	"time"
 )
@@ -70,5 +71,93 @@ func TestReputationParamsConversion(t *testing.T) {
 	}
 	if !p.IntroductionsEnabled {
 		t.Error("introductions flag not forwarded")
+	}
+}
+
+// TestCompressIdentity: the paper's config at the paper's interval is itself.
+func TestCompressIdentity(t *testing.T) {
+	paper := DefaultConfig()
+	got, err := Compress(paper, paper.PollInterval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != paper {
+		t.Errorf("Compress(DefaultConfig(), 90d) = %+v\nwant %+v", got, paper)
+	}
+	if s := Stretch(got); s != 1 {
+		t.Errorf("stretch %v, want 1", s)
+	}
+}
+
+// TestCompressSweep runs Compress over poll intervals from 1 s to 90 days in
+// log steps. Each interval is refused, or yields a valid config whose six
+// waits clear the floor, keep every pairwise order the paper's have, and
+// leave the synchronous-rendezvous window (VoteWindow/8) longer than the
+// proof timeout a voter schedules behind. Once an interval is accepted, every
+// longer one is too.
+func TestCompressSweep(t *testing.T) {
+	paper := DefaultConfig()
+	waits := func(c Config) []time.Duration {
+		return []time.Duration{c.VoteWindow, c.AckTimeout, c.ProofTimeout, c.VoteSlack, c.ReceiptSlack, c.RepairTimeout}
+	}
+	want := waits(paper)
+	accepted := false
+	for iv := time.Second; iv <= paper.PollInterval; iv = iv * 5 / 4 {
+		c, err := Compress(paper, iv)
+		if err != nil {
+			if accepted {
+				t.Errorf("%v refused after a shorter interval was accepted: %v", iv, err)
+			}
+			continue
+		}
+		accepted = true
+		if err := c.Validate(); err != nil {
+			t.Errorf("%v: %v", iv, err)
+		}
+		got := waits(c)
+		for i := range got {
+			if got[i] < waitFloor {
+				t.Errorf("%v: wait %d is %v, below the %v floor", iv, i, got[i], waitFloor)
+			}
+			for j := range got {
+				if cmp.Compare(got[i], got[j]) != cmp.Compare(want[i], want[j]) {
+					t.Errorf("%v: waits %d and %d are %v and %v; the paper orders them %v and %v", iv, i, j, got[i], got[j], want[i], want[j])
+				}
+			}
+		}
+		if c.VoteWindow/8 <= c.ProofTimeout {
+			t.Errorf("%v: VoteWindow/8 = %v does not exceed ProofTimeout %v", iv, c.VoteWindow/8, c.ProofTimeout)
+		}
+		if c.GradeDecay != iv {
+			t.Errorf("%v: grade decay %v, want one poll interval", iv, c.GradeDecay)
+		}
+	}
+	if !accepted {
+		t.Fatal("no interval accepted")
+	}
+	for _, iv := range []time.Duration{1500 * time.Millisecond, 5 * time.Second} {
+		if _, err := Compress(paper, iv); err != nil {
+			t.Errorf("demo interval %v refused: %v", iv, err)
+		}
+	}
+	for _, iv := range []time.Duration{0, -time.Second, time.Second} {
+		if _, err := Compress(paper, iv); err == nil {
+			t.Errorf("interval %v accepted", iv)
+		}
+	}
+}
+
+// TestDemoConfigQuorums: every small quorum yields a valid config whose
+// landslide margin leaves a strict majority.
+func TestDemoConfigQuorums(t *testing.T) {
+	for q := 1; q <= 6; q++ {
+		c, err := DemoConfig(1500*time.Millisecond, q, q+2, 32<<10)
+		if err != nil {
+			t.Errorf("quorum %d: %v", q, err)
+			continue
+		}
+		if 2*c.MaxDisagree >= q {
+			t.Errorf("quorum %d: margin %d lets a split count as a landslide", q, c.MaxDisagree)
+		}
 	}
 }

@@ -402,3 +402,21 @@ func TestOuterCircleSolicitsNobodyTwice(t *testing.T) {
 		}
 	}
 }
+
+// TestPollerQuorumTwoSplitIsInconclusive: at quorum 2, DemoConfig's landslide
+// margin must not score a 1:1 split as agreement.
+func TestPollerQuorumTwoSplitIsInconclusive(t *testing.T) {
+	demo, err := DemoConfig(1500*time.Millisecond, 2, 2, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pollerConfig()
+	cfg.Quorum, cfg.InnerCircle, cfg.MaxDisagree = demo.Quorum, demo.InnerCircle, demo.MaxDisagree
+	h := newPollerHarness(t, cfg, []ids.PeerID{2, 3})
+	h.voters[2].replica.Damage(1)
+	h.p.Start()
+	h.pump(2 * sim.Duration(cfg.PollInterval))
+	if st := h.p.Stats(); st.PollsInconclusive == 0 || st.PollsSucceeded != 0 {
+		t.Errorf("a 1:1 split at quorum 2 concluded %+v, want inconclusive polls only", st)
+	}
+}

@@ -343,3 +343,38 @@ func TestUnknownAUIgnored(t *testing.T) {
 		t.Error("invitation for unpreserved AU answered")
 	}
 }
+
+// TestSynchronousRendezvousFitsVoterSchedule: with desynchronization off
+// (the §5.2 ablation) a poller wants its vote within VoteWindow/8, while a
+// voter schedules the vote no earlier than ProofTimeout from now. An idle
+// voter must still accept the poller's own invitation, at the paper's
+// operating point and at the demo one.
+func TestSynchronousRendezvousFitsVoterSchedule(t *testing.T) {
+	demo, err := DemoConfig(1500*time.Millisecond, 3, 5, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"paper", DefaultConfig()}, {"demo", demo}} {
+		cfg := tc.cfg
+		cfg.Desynchronize = false
+		env := newFakeEnv(1)
+		poller, _ := newTestPeer(t, env, 1, cfg, []ids.PeerID{2})
+		voter, _ := newTestPeer(t, env, 2, cfg, []ids.PeerID{1})
+		voter.SeedGrade(voter.AUs()[0], 1, reputation.Even)
+		poller.Start()
+		invite := env.lastTo(2, MsgPoll)
+		for invite == nil && env.eng.Step() {
+			invite = env.lastTo(2, MsgPoll)
+		}
+		if invite == nil {
+			t.Fatalf("%s: the poller never invited the voter", tc.name)
+		}
+		voter.Receive(1, invite)
+		if ack := env.lastTo(1, MsgPollAck); ack == nil || !ack.Accept {
+			t.Errorf("%s: an idle voter answered %+v to a synchronous invitation", tc.name, ack)
+		}
+	}
+}
