@@ -93,10 +93,10 @@ func guardWorkloads() []struct {
 	brute := func(d adversary.Defection) func() adversary.Adversary {
 		return func() adversary.Adversary { return &adversary.BruteForce{Defection: d} }
 	}
-	// scaled pins the capacity tiers' allocation behavior: the real
-	// population shape (5k/20k peers, cold bootstrap) over a one-week
-	// horizon, so the guard stays seconds while covering the construction
-	// and steady-state paths that dominate at -scale large/huge.
+	// scaled pins the capacity tier's allocation behavior: the real
+	// population shape (5k peers, cold bootstrap) over a one-week horizon,
+	// so the guard stays seconds while covering the construction and
+	// steady-state paths that dominate at -scale large.
 	scaled := func(s experiment.Scale, days int) func() error {
 		return func() error {
 			cfg := experiment.Options{Scale: s}.BaseWorld()
@@ -127,7 +127,6 @@ func guardWorkloads() []struct {
 		}, brute(adversary.DefectRemaining))},
 		{"ablation-effort-balancing-on", run(nil, brute(adversary.DefectNone))},
 		{"scale-large-7d", scaled(experiment.ScaleLarge, 7)},
-		{"scale-huge-7d", scaled(experiment.ScaleHuge, 7)},
 	}
 }
 

@@ -9,7 +9,7 @@
 //	lockss-sim -list                     # list registered scenarios
 //	lockss-sim -scenario figure2,table1  # run scenarios by registry name
 //	lockss-sim -output json              # text | json | csv
-//	lockss-sim -scale paper              # tiny | small | paper | large | huge
+//	lockss-sim -scale paper              # tiny | small | paper | large
 //	lockss-sim -workers 8                # parallel runs (default: all cores)
 //	lockss-sim -progress                 # periodic virtual-time progress lines
 //	lockss-sim -seeds 3 -seed 42 -v
@@ -83,7 +83,7 @@ func run(args []string) int {
 		scenario = fs.String("scenario", "", "comma-separated registered scenario names to run (see -list); default: the paper's evaluation in paper order, "+strings.Join(paperNames(), ","))
 		list     = fs.Bool("list", false, "list registered scenarios and exit")
 		output   = fs.String("output", "text", "output format: text, json, csv")
-		scale    = fs.String("scale", "small", "experiment fidelity: tiny, small, paper, large, huge")
+		scale    = fs.String("scale", "small", "experiment fidelity: tiny, small, paper, large")
 		seeds    = fs.Int("seeds", 0, "seeds per data point (0 = scale default)")
 		seed     = fs.Uint64("seed", 0, "base seed offset")
 		workers  = fs.Int("workers", 0, "concurrent simulation runs (<=0 = GOMAXPROCS, i.e. all usable cores)")
@@ -155,8 +155,6 @@ func run(args []string) int {
 		opts.Scale = experiment.ScalePaper
 	case "large":
 		opts.Scale = experiment.ScaleLarge
-	case "huge":
-		opts.Scale = experiment.ScaleHuge
 	default:
 		fmt.Fprintf(os.Stderr, "lockss-sim: unknown scale %q\n", *scale)
 		return 2

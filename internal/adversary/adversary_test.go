@@ -3,6 +3,7 @@ package adversary
 import (
 	"testing"
 
+	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/prng"
 	"lockss/internal/protocol"
@@ -127,10 +128,10 @@ func TestBruteForceSpendsAndSchedules(t *testing.T) {
 	a := &BruteForce{Defection: DefectRemaining}
 	a.Install(w)
 	w.Run()
-	if w.AdversaryLedger.Kind("attack-intro") == 0 {
+	if w.AdversaryLedger.ByKind[effort.KindAttackIntro] == 0 {
 		t.Error("brute force paid no introductory effort")
 	}
-	if w.AdversaryLedger.Kind("attack-remainder") == 0 {
+	if w.AdversaryLedger.ByKind[effort.KindAttackRemainder] == 0 {
 		t.Error("REMAINING strategy never sent a PollProof")
 	}
 	// Victims computed votes for the adversary (wasted effort), visible as
@@ -153,7 +154,7 @@ func TestBruteForceIntroNeverSendsProof(t *testing.T) {
 	a := &BruteForce{Defection: DefectIntro}
 	a.Install(w)
 	w.Run()
-	if w.AdversaryLedger.Kind("attack-remainder") != 0 {
+	if w.AdversaryLedger.ByKind[effort.KindAttackRemainder] != 0 {
 		t.Error("INTRO strategy sent PollProofs")
 	}
 	proofTimeouts := uint64(0)
@@ -174,7 +175,7 @@ func TestBruteForceNoneSendsValidReceipts(t *testing.T) {
 	a := &BruteForce{Defection: DefectNone}
 	a.Install(w)
 	w.Run()
-	if w.AdversaryLedger.Kind("attack-eval") == 0 {
+	if w.AdversaryLedger.ByKind[effort.KindAttackEval] == 0 {
 		t.Error("NONE strategy never evaluated a vote")
 	}
 	// Full participation leaves no receipt timeouts attributable to the

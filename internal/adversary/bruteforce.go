@@ -214,7 +214,7 @@ func (a *BruteForce) handleReply(minion ids.PeerID, victim ids.PeerID, m *protoc
 		}
 		if a.w.Cfg.Protocol.EffortBalancing {
 			reply.Proof = effort.SimProof{Effort: pe.Remainder, Genuine: true}
-			a.w.ChargeAdversary("attack-remainder", pe.Remainder)
+			a.w.ChargeAdversary(effort.KindAttackRemainder, pe.Remainder)
 		}
 		a.w.Net.Send(minion, victim, reply, reply.WireSize())
 	case protocol.MsgVote:
@@ -225,7 +225,7 @@ func (a *BruteForce) handleReply(minion ids.PeerID, victim ids.PeerID, m *protoc
 		// magically correct, but evaluation effort is still effort) and
 		// return a valid receipt.
 		pe := a.efforts[m.AU]
-		a.w.ChargeAdversary("attack-eval", pe.EvalHash)
+		a.w.ChargeAdversary(effort.KindAttackEval, pe.EvalHash)
 		ctx := protocol.PollContext(minion, victim, m.AU, m.PollID, "vote")
 		var receipt effort.Receipt
 		if m.Proof != nil {

@@ -156,28 +156,53 @@ func (m CostModel) PollEffortFor(auBytes int64, blocks int) PollEffort {
 	}
 }
 
+// Kind names what a charge of effort paid for. The set is closed: the
+// protocol's nine defender operations and the adversary's three.
+type Kind uint8
+
+const (
+	KindSession Kind = iota
+	KindConsider
+	KindIntroGen
+	KindRemainderGen
+	KindVerify
+	KindVote
+	KindEval
+	KindRepair
+	KindReceipt
+	KindAttackIntro
+	KindAttackRemainder
+	KindAttackEval
+	// NumKinds is the number of kinds, the length of a ledger's breakdown.
+	NumKinds
+)
+
+var kindNames = [NumKinds]string{
+	"session", "consider", "intro-gen", "remainder-gen", "verify", "vote",
+	"eval", "repair", "receipt", "attack-intro", "attack-remainder", "attack-eval",
+}
+
+func (k Kind) String() string {
+	if k < NumKinds {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
 // Ledger accumulates effort attributed to one party (a peer or the
 // adversary). The metrics package reads ledgers to compute the coefficient
-// of friction and the cost ratio.
+// of friction and the cost ratio. The zero Ledger is empty and ready to use.
 type Ledger struct {
 	Total Seconds
 	// ByKind breaks the total down for diagnostics and tests.
-	ByKind map[string]Seconds
-}
-
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{ByKind: make(map[string]Seconds)}
+	ByKind [NumKinds]Seconds
 }
 
 // Charge adds effort of the given kind.
-func (l *Ledger) Charge(kind string, e Seconds) {
+func (l *Ledger) Charge(kind Kind, e Seconds) {
 	if e < 0 {
 		panic("effort: negative charge")
 	}
 	l.Total += e
 	l.ByKind[kind] += e
 }
-
-// Kind returns the accumulated effort of one kind.
-func (l *Ledger) Kind(kind string) Seconds { return l.ByKind[kind] }

@@ -64,22 +64,25 @@ func TestPollEffortDegenerate(t *testing.T) {
 }
 
 func TestLedger(t *testing.T) {
-	l := NewLedger()
-	l.Charge("vote", 3)
-	l.Charge("vote", 2)
-	l.Charge("eval", 1)
+	var l Ledger
+	l.Charge(KindVote, 3)
+	l.Charge(KindVote, 2)
+	l.Charge(KindEval, 1)
 	if l.Total != 6 {
 		t.Errorf("total %v, want 6", l.Total)
 	}
-	if l.Kind("vote") != 5 || l.Kind("eval") != 1 || l.Kind("nope") != 0 {
+	if l.ByKind[KindVote] != 5 || l.ByKind[KindEval] != 1 || l.ByKind[KindRepair] != 0 {
 		t.Errorf("kind accounting wrong: %v", l.ByKind)
+	}
+	if KindSession.String() != "session" || KindAttackEval.String() != "attack-eval" || NumKinds.String() != "Kind(12)" {
+		t.Errorf("kind names wrong: %v %v %v", KindSession, KindAttackEval, NumKinds)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("negative charge did not panic")
 		}
 	}()
-	l.Charge("bad", -1)
+	l.Charge(KindVote, -1)
 }
 
 func TestSimProof(t *testing.T) {

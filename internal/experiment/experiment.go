@@ -174,8 +174,6 @@ const (
 	// ScaleLarge: a ~5k-peer population for capacity work. Cold bootstrap
 	// (no O(Peers²) acquaintance seeding), few small AUs, short horizon.
 	ScaleLarge
-	// ScaleHuge: a ~20k-peer population; one run takes minutes on one core.
-	ScaleHuge
 )
 
 func (s Scale) String() string {
@@ -188,8 +186,6 @@ func (s Scale) String() string {
 		return "paper"
 	case ScaleLarge:
 		return "large"
-	case ScaleHuge:
-		return "huge"
 	}
 	return "invalid"
 }
@@ -262,12 +258,6 @@ func (o Options) BaseWorld() world.Config {
 		cfg.AUSize = 16 << 20
 		cfg.Duration = sim.Year / 4
 		cfg.SeedAllEven = false // O(Peers²·AUs) — prohibitive at this size
-	case ScaleHuge:
-		cfg.Peers = 20000
-		cfg.AUs = 1
-		cfg.AUSize = 8 << 20
-		cfg.Duration = sim.Year / 8
-		cfg.SeedAllEven = false
 	default: // ScaleTiny
 		cfg.Peers = 25
 		cfg.AUs = 4

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/sched"
 )
@@ -76,7 +77,7 @@ func (p *Peer) runEvaluation(st *auState, poll *pollState) {
 		}
 		// Hashing our replica against this vote, and recovering the
 		// receipt byproduct from the vote's effort proof.
-		p.charge(KindEval, st.pollEffort.EvalHash)
+		p.charge(effort.KindEval, st.pollEffort.EvalHash)
 		if p.cfg.EffortBalancing && sol.voteProof != nil {
 			p.ctxScratch = AppendPollContext(p.ctxScratch[:0], p.id, sol.peer, st.spec.ID, poll.id, "vote")
 			if r, ok := p.env.EvalReceipt(p.ctxScratch, sol.voteProof); ok {
@@ -214,7 +215,7 @@ func (p *Peer) pollerHandleRepair(st *auState, from ids.PeerID, m *Msg) {
 	p.stopTimer(&poll.repairTimer)
 
 	// Re-hash the repaired block and re-evaluate.
-	p.charge(KindRepair, p.costs.HashCost(st.spec.BlockSize))
+	p.charge(effort.KindRepair, p.costs.HashCost(st.spec.BlockSize))
 	p.stats.RepairsReceived++
 	if poll.frivolousDone {
 		// Frivolous repair response: content is expected to be identical;

@@ -11,19 +11,6 @@ import (
 	"lockss/internal/sched"
 )
 
-// Effort ledger kinds, for diagnostics and the cost-ratio metric.
-const (
-	KindSession      = "session"
-	KindConsider     = "consider"
-	KindIntroGen     = "intro-gen"
-	KindRemainderGen = "remainder-gen"
-	KindVerify       = "verify"
-	KindVote         = "vote"
-	KindEval         = "eval"
-	KindRepair       = "repair"
-	KindReceipt      = "receipt"
-)
-
 // PeerStats counts protocol events at one peer.
 type PeerStats struct {
 	PollsStarted      uint64
@@ -107,7 +94,7 @@ type Peer struct {
 	// lifecycle event and nothing more.
 	spanObs SpanObserver
 	sch     *sched.Schedule
-	ledger  *effort.Ledger
+	ledger  effort.Ledger
 	aus     map[content.AUID]*auState
 	auOrder []content.AUID
 	friends []ids.PeerID
@@ -156,7 +143,6 @@ func New(id ids.PeerID, cfg *Config, costs *effort.CostModel, env Env, obs Obser
 		obs:     obs,
 		spanObs: spanObs,
 		sch:     sched.New(),
-		ledger:  effort.NewLedger(),
 		aus:     make(map[content.AUID]*auState),
 	}, nil
 }
@@ -171,7 +157,7 @@ func (p *Peer) Config() Config { return *p.cfg }
 func (p *Peer) Schedule() *sched.Schedule { return p.sch }
 
 // Ledger exposes the peer's effort ledger.
-func (p *Peer) Ledger() *effort.Ledger { return p.ledger }
+func (p *Peer) Ledger() *effort.Ledger { return &p.ledger }
 
 // Stats returns a snapshot of the peer's counters.
 func (p *Peer) Stats() PeerStats { return p.stats }
@@ -476,7 +462,7 @@ func (p *Peer) Receive(from ids.PeerID, m *Msg) {
 }
 
 // charge records defender effort.
-func (p *Peer) charge(kind string, e effort.Seconds) {
+func (p *Peer) charge(kind effort.Kind, e effort.Seconds) {
 	p.ledger.Charge(kind, e)
 }
 

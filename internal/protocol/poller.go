@@ -209,12 +209,12 @@ func (p *Peer) sendPollInvitation(st *auState, poll *pollState, i int) {
 		VoteBy:       voteBy,
 		PollDeadline: poll.deadline,
 	}
-	p.charge(KindSession, p.costs.SessionSetup)
+	p.charge(effort.KindSession, p.costs.SessionSetup)
 	if p.cfg.EffortBalancing {
 		intro := st.pollEffort.Intro
 		proof, _ := p.env.MakeProof(p.msgContext(m, "intro"), intro)
 		m.Proof = proof
-		p.charge(KindIntroGen, intro)
+		p.charge(effort.KindIntroGen, intro)
 	}
 	sol.state = solAwaitAck
 	sol.sentAt = now
@@ -313,7 +313,7 @@ func (p *Peer) sendPollProof(st *auState, poll *pollState, i int) {
 		rem := st.pollEffort.Remainder
 		proof, _ := p.env.MakeProof(p.msgContext(pm, "remainder"), rem)
 		pm.Proof = proof
-		p.charge(KindRemainderGen, rem)
+		p.charge(effort.KindRemainderGen, rem)
 	}
 	sol.state = solAwaitVote
 	p.send(sol.peer, pm)
@@ -347,7 +347,7 @@ func (p *Peer) pollerHandleVote(st *auState, from ids.PeerID, m *Msg) {
 	}
 	if p.cfg.EffortBalancing {
 		// Verify the vote's effort proof (covers one block hash).
-		p.charge(KindVerify, p.costs.VerifyCost(st.pollEffort.VoteProof))
+		p.charge(effort.KindVerify, p.costs.VerifyCost(st.pollEffort.VoteProof))
 		if !p.env.VerifyProof(p.msgContext(m, "vote"), m.Proof, st.pollEffort.VoteProof) {
 			p.stats.BadProofs++
 			sol.state = solFailed

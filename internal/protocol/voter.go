@@ -100,11 +100,11 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 	// Consideration proper: establish the session, check the schedule,
 	// verify the introductory effort.
 	p.stats.InvitesConsidered++
-	p.charge(KindSession, p.costs.SessionSetup)
-	p.charge(KindConsider, p.costs.ScheduleCheck)
+	p.charge(effort.KindSession, p.costs.SessionSetup)
+	p.charge(effort.KindConsider, p.costs.ScheduleCheck)
 
 	if p.cfg.EffortBalancing {
-		p.charge(KindVerify, p.costs.VerifyCost(st.pollEffort.Intro))
+		p.charge(effort.KindVerify, p.costs.VerifyCost(st.pollEffort.Intro))
 		if !p.env.VerifyProof(p.msgContext(m, "intro"), m.Proof, st.pollEffort.Intro) {
 			p.stats.BadProofs++
 			st.rep.Penalize(now, from)
@@ -189,7 +189,7 @@ func (p *Peer) voterHandleProof(st *auState, from ids.PeerID, m *Msg) {
 	p.stopTimer(&s.timer)
 	now := p.env.Now()
 	if p.cfg.EffortBalancing {
-		p.charge(KindVerify, p.costs.VerifyCost(st.pollEffort.Remainder))
+		p.charge(effort.KindVerify, p.costs.VerifyCost(st.pollEffort.Remainder))
 		if !p.env.VerifyProof(p.msgContext(m, "remainder"), m.Proof, st.pollEffort.Remainder) {
 			p.stats.BadProofs++
 			p.sch.Release(s.taskID)
@@ -213,7 +213,7 @@ func (p *Peer) completeVote(st *auState, s *voterSession, poller ids.PeerID) {
 	if s.state != vsAwaitSlot {
 		return
 	}
-	p.charge(KindVote, st.pollEffort.VoteHash+st.pollEffort.VoteProof)
+	p.charge(effort.KindVote, st.pollEffort.VoteHash+st.pollEffort.VoteProof)
 	vd := p.ownVoteData(st, s.nonce[:])
 	m := &Msg{
 		Type:   MsgVote,
@@ -271,7 +271,7 @@ func (p *Peer) voterHandleRepairRequest(st *auState, from ids.PeerID, m *Msg) {
 	}
 	s.repairs++
 	p.stats.RepairsServed++
-	p.charge(KindRepair, p.costs.HashCost(st.spec.BlockSize))
+	p.charge(effort.KindRepair, p.costs.HashCost(st.spec.BlockSize))
 	p.send(from, &Msg{
 		Type:       MsgRepair,
 		AU:         st.spec.ID,
@@ -294,7 +294,7 @@ func (p *Peer) voterHandleReceipt(st *auState, from ids.PeerID, m *Msg) {
 	}
 	now := p.env.Now()
 	if p.cfg.EffortBalancing {
-		p.charge(KindReceipt, p.costs.ReceiptCheck)
+		p.charge(effort.KindReceipt, p.costs.ReceiptCheck)
 		if !effort.ReceiptMatches(s.myReceipt, m.Receipt) {
 			st.rep.Penalize(now, from)
 			p.closeSession(st, s)

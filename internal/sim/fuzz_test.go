@@ -5,67 +5,56 @@ import (
 	"testing"
 )
 
-// checkHeapInvariants asserts the queue is a well-formed binary min-heap
-// whose back-pointers are consistent and whose membership matches the dense
-// slot index. The event pool must never hand out a struct that is still
-// queued, and vacated slots must be generation-bumped and free-listed.
-func checkHeapInvariants(t *testing.T, e *Engine) {
+// checkHeapInvariants asserts the queue is a well-formed d-ary min-heap
+// whose entries and the dense slot index agree both ways: every queued
+// entry's slot records its queue position and holds a closure, every free
+// slot holds neither, each live ID resolves to its own queued slot, and the
+// generation of each just-retired ID's slot has moved past it, so a stale
+// Cancel can never reach the slot's next occupant (generations only grow).
+func checkHeapInvariants(t *testing.T, e *Engine, live, retired []EventID) {
 	t.Helper()
-	live := 0
-	for _, ev := range e.slots {
-		if ev != nil {
-			live++
-		}
+	if len(e.fns) != len(e.gens) || len(e.pos) != len(e.gens) {
+		t.Fatalf("slot index lengths differ: fns %d, pos %d, gens %d", len(e.fns), len(e.pos), len(e.gens))
 	}
-	if len(e.queue) != live {
-		t.Fatalf("queue has %d events, slot index has %d", len(e.queue), live)
-	}
-	if len(e.slots) != len(e.gens) {
-		t.Fatalf("slots/gens length mismatch: %d vs %d", len(e.slots), len(e.gens))
-	}
-	for i, ev := range e.queue {
-		if ev.heap != i {
-			t.Fatalf("event %d stores heap index %d at position %d", ev.id, ev.heap, i)
+	for i, x := range e.queue {
+		if int(x.slot) >= len(e.fns) {
+			t.Fatalf("entry %d carries out-of-range slot %d", i, x.slot)
 		}
-		slot := uint32(ev.id)
-		if slot == 0 || int(slot-1) >= len(e.slots) {
-			t.Fatalf("queued event %d carries out-of-range slot", ev.id)
+		if got := e.pos[x.slot]; got != int32(i) {
+			t.Fatalf("slot %d records queue position %d, entry sits at %d", x.slot, got, i)
 		}
-		if e.slots[slot-1] != ev {
-			t.Fatalf("queued event %d missing from slot index", ev.id)
+		if e.fns[x.slot] == nil {
+			t.Fatalf("queued slot %d has no closure", x.slot)
 		}
-		if e.gens[slot-1] != uint32(ev.id>>32) {
-			t.Fatalf("queued event %d generation mismatch: slot gen %d, id gen %d",
-				ev.id, e.gens[slot-1], uint32(ev.id>>32))
-		}
-		for _, child := range []int{2*i + 1, 2*i + 2} {
-			if child < len(e.queue) && e.queue.Less(child, i) {
-				t.Fatalf("heap order violated between %d and child %d", i, child)
-			}
+		if i > 0 && x.less(e.queue[(i-1)/arity]) {
+			t.Fatalf("heap order violated between %d and its parent", i)
 		}
 	}
 	seen := make(map[uint32]bool, len(e.freeSlots))
 	for _, s := range e.freeSlots {
-		if int(s) >= len(e.slots) {
+		if int(s) >= len(e.fns) {
 			t.Fatalf("free slot %d out of range", s)
 		}
-		if e.slots[s] != nil {
-			t.Fatalf("free slot %d still occupied", s)
+		if e.fns[s] != nil || e.pos[s] != -1 {
+			t.Fatalf("free slot %d still occupied: pos %d, closure set %v", s, e.pos[s], e.fns[s] != nil)
 		}
 		if seen[s] {
 			t.Fatalf("slot %d free-listed twice", s)
 		}
 		seen[s] = true
 	}
-	if len(e.freeSlots)+live != len(e.slots) {
-		t.Fatalf("%d free + %d live slots != %d total", len(e.freeSlots), live, len(e.slots))
+	if len(e.freeSlots)+len(e.queue) != len(e.fns) {
+		t.Fatalf("%d free + %d queued slots != %d total", len(e.freeSlots), len(e.queue), len(e.fns))
 	}
-	for _, ev := range e.free {
-		if ev.fn != nil {
-			t.Fatal("pooled event retains its closure")
+	for _, id := range live {
+		s := uint32(id) - 1
+		if int(s) >= len(e.gens) || e.gens[s] != uint32(id>>32) || e.pos[s] < 0 || int(e.pos[s]) >= len(e.queue) || e.queue[e.pos[s]].slot != s {
+			t.Fatalf("live event %d does not resolve to its queued slot", id)
 		}
-		if got := e.lookup(ev.id); got == ev {
-			t.Fatalf("pooled event %d still resolvable", ev.id)
+	}
+	for _, id := range retired {
+		if s := uint32(id) - 1; e.gens[s] <= uint32(id>>32) {
+			t.Fatalf("retired event %d: slot %d generation %d not bumped", id, s, e.gens[s])
 		}
 	}
 }
@@ -74,8 +63,7 @@ func checkHeapInvariants(t *testing.T, e *Engine) {
 // interleavings against a naive model, asserting that events fire in
 // (timestamp, FIFO-at-same-instant) order, cancellation semantics hold
 // (including stale Cancels of fired and freshly reused slots staying no-ops),
-// and the heap plus the slot index and event pool stay structurally sound
-// throughout.
+// and the heap plus the slot index stay structurally sound throughout.
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 2, 10})
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 1, 0, 2, 255})
@@ -84,6 +72,10 @@ func FuzzEventHeap(f *testing.F) {
 	// Exercise slot reuse: schedule, run (vacates slot), schedule again (reuses
 	// slot under a new generation), then stale-cancel the fired event.
 	f.Add([]byte{0, 1, 2, 2, 0, 1, 1, 0, 2, 255, 3, 0})
+	// Cancel from the middle of a 4-ary heap: the last entry (at 50, under
+	// the root's second child) refills the hole under the first child (at
+	// 100), so it must move up, not only down.
+	f.Add([]byte{0, 0, 0, 100, 0, 10, 0, 10, 0, 10, 0, 200, 0, 200, 0, 200, 0, 200, 0, 50, 1, 5, 2, 255})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := NewEngine()
 		type modelEvent struct {
@@ -132,6 +124,7 @@ func FuzzEventHeap(f *testing.F) {
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i]%5, ops[i+1]
+			retiredBefore := len(retired)
 			switch op {
 			case 0: // schedule arg ns from now
 				schedule(arg)
@@ -212,7 +205,11 @@ func FuzzEventHeap(f *testing.F) {
 					t.Fatalf("Next() = %v, model min %v", at, min)
 				}
 			}
-			checkHeapInvariants(t, e)
+			live := make([]EventID, len(pending))
+			for k, ev := range pending {
+				live[k] = ev.id
+			}
+			checkHeapInvariants(t, e, live, retired[retiredBefore:])
 		}
 	})
 }

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -61,63 +60,40 @@ func (t Time) String() string {
 // Cancel of a fired or already-cancelled event is a cheap, safe no-op.
 type EventID uint64
 
-type event struct {
+// entry is one queued event. Entries are values, ordered on (at, seq): a
+// compare reads two adjacent words of the queue itself instead of chasing two
+// pointers, and a move copies 24 bytes with no per-event allocation. The
+// closure lives beside the slot's generation in the dense index.
+type entry struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for events at the same instant
-	id   EventID
-	fn   func()
-	heap int // index within the heap, -1 when popped
+	slot uint32
 }
 
-type eventHeap []*event
+func (a entry) less(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heap = i
-	h[j].heap = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.heap = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.heap = -1
-	*h = old[:n-1]
-	return ev
-}
+// arity is the queue's fan-out. A 4-ary heap is half as deep as a binary one,
+// and one level's children sit in one or two cache lines.
+const arity = 4
 
 // Engine is a discrete-event simulation engine. It is not safe for concurrent
 // use; a simulation is a single-goroutine computation by design, which is
 // what makes runs deterministic.
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   []entry // d-ary min-heap on (at, seq)
 	nextSeq uint64
-	// Dense event index: slots[i] holds the live event whose ID carries slot
-	// i, gens[i] its current generation. A map was measured to dominate
-	// schedule/cancel costs at large populations; the dense index makes both
-	// O(1) with no hashing and no per-event map buckets.
-	slots     []*event
+	// Dense event index, by slot: fns holds the live event's closure, pos its
+	// queue index (-1 while the slot is free), gens its current generation.
+	// A map was measured to dominate schedule/cancel costs at large
+	// populations; the dense index makes both O(1) with no hashing.
+	fns       []func()
+	pos       []int32
 	gens      []uint32
 	freeSlots []uint32
 	stopped   bool
-	// free pools event structs released on fire/cancel. A long run schedules
-	// millions of events but holds only a bounded number at once, so the hot
-	// path recycles instead of allocating. Slot generations make stale IDs
-	// harmless, so recycling never aliases a cancellable event.
-	free []*event
 
 	// Executed counts events that have fired, for progress reporting and
 	// engine benchmarks.
@@ -165,39 +141,26 @@ func (e *Engine) At(t Time, fn func()) EventID {
 		slot = e.freeSlots[n-1]
 		e.freeSlots = e.freeSlots[:n-1]
 	} else {
-		slot = uint32(len(e.slots))
-		e.slots = append(e.slots, nil)
+		slot = uint32(len(e.fns))
+		e.fns = append(e.fns, nil)
+		e.pos = append(e.pos, -1)
 		e.gens = append(e.gens, 0)
 	}
-	id := EventID(e.gens[slot])<<32 | EventID(slot+1)
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*ev = event{at: t, seq: e.nextSeq, id: id, fn: fn}
-	} else {
-		ev = &event{at: t, seq: e.nextSeq, id: id, fn: fn}
-	}
-	heap.Push(&e.queue, ev)
-	e.slots[slot] = ev
-	return id
+	e.fns[slot] = fn
+	e.queue = append(e.queue, entry{at: t, seq: e.nextSeq, slot: slot})
+	e.up(len(e.queue) - 1)
+	return EventID(e.gens[slot])<<32 | EventID(slot+1)
 }
 
-// detach vacates the slot carried by ev's ID and bumps its generation so the
-// ID can never resolve again.
-func (e *Engine) detach(ev *event) {
-	slot := uint32(ev.id) - 1
+// detach vacates slot and bumps its generation so no ID can resolve to it
+// again, and returns the closure it held.
+func (e *Engine) detach(slot uint32) func() {
+	fn := e.fns[slot]
+	e.fns[slot] = nil
+	e.pos[slot] = -1
 	e.gens[slot]++
-	e.slots[slot] = nil
 	e.freeSlots = append(e.freeSlots, slot)
-}
-
-// release returns a popped or cancelled event to the pool, dropping its
-// closure reference so the pool does not pin captured state.
-func (e *Engine) release(ev *event) {
-	ev.fn = nil
-	e.free = append(e.free, ev)
+	return fn
 }
 
 // After schedules fn to run d after the current instant. Negative durations
@@ -209,30 +172,72 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 	return e.At(e.now.Add(d), fn)
 }
 
-// lookup resolves a live event by ID, or nil for stale/invalid IDs.
-func (e *Engine) lookup(id EventID) *event {
-	slot := uint32(id)
-	if slot == 0 {
-		return nil
-	}
-	slot--
-	if int(slot) >= len(e.slots) || e.gens[slot] != uint32(id>>32) {
-		return nil
-	}
-	return e.slots[slot]
-}
-
 // Cancel removes a pending event. Cancelling an event that already fired or
 // was already cancelled is a no-op and returns false.
 func (e *Engine) Cancel(id EventID) bool {
-	ev := e.lookup(id)
-	if ev == nil {
+	slot := uint32(id) - 1
+	if uint32(id) == 0 || int(slot) >= len(e.gens) || e.gens[slot] != uint32(id>>32) {
 		return false
 	}
-	e.detach(ev)
-	heap.Remove(&e.queue, ev.heap)
-	e.release(ev)
+	e.remove(int(e.pos[slot]))
+	e.detach(slot)
 	return true
+}
+
+// remove deletes the entry at queue index i, refilling the hole with the
+// last entry.
+func (e *Engine) remove(i int) {
+	last := len(e.queue) - 1
+	e.queue[i] = e.queue[last]
+	e.queue = e.queue[:last]
+	if i < last {
+		e.down(i)
+		e.up(i)
+	}
+}
+
+// up moves the entry at i towards the root until its parent is smaller.
+func (e *Engine) up(i int) {
+	q := e.queue
+	x := q[i]
+	for i > 0 {
+		p := (i - 1) / arity
+		if !x.less(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		e.pos[q[i].slot] = int32(i)
+		i = p
+	}
+	q[i] = x
+	e.pos[x.slot] = int32(i)
+}
+
+// down moves the entry at i towards the leaves until no child is smaller.
+func (e *Engine) down(i int) {
+	q := e.queue
+	n := len(q)
+	x := q[i]
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+arity, n); j++ {
+			if q[j].less(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].less(x) {
+			break
+		}
+		q[i] = q[m]
+		e.pos[q[i].slot] = int32(i)
+		i = m
+	}
+	q[i] = x
+	e.pos[x.slot] = int32(i)
 }
 
 // Pending returns the number of events waiting to fire.
@@ -241,15 +246,14 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// fire pops ev (already at the heap root), advances the clock and runs it.
-func (e *Engine) fire(ev *event) {
-	heap.Pop(&e.queue)
-	e.detach(ev)
-	e.now = ev.at
-	// Recycle before firing: fn may schedule (and the pool hand out the
-	// struct again), which is safe because ev is not touched afterwards.
-	fn := ev.fn
-	e.release(ev)
+// fire pops the root event, advances the clock and runs it. The slot is
+// vacated first, so the event may schedule (reusing it) or Cancel its own,
+// now stale, ID.
+func (e *Engine) fire() {
+	top := e.queue[0]
+	e.remove(0)
+	fn := e.detach(top.slot)
+	e.now = top.at
 	fn()
 	e.Executed++
 	if e.Progress != nil && e.Executed%e.progressStride == 0 {
@@ -263,12 +267,8 @@ func (e *Engine) fire(ev *event) {
 func (e *Engine) Run(until Time) uint64 {
 	e.stopped = false
 	var n uint64
-	for len(e.queue) > 0 && !e.stopped {
-		ev := e.queue[0]
-		if ev.at > until {
-			break
-		}
-		e.fire(ev)
+	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= until {
+		e.fire()
 		n++
 	}
 	// Advance the clock to the horizon even if the queue drained early, so
@@ -293,7 +293,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	e.fire(e.queue[0])
+	e.fire()
 	return true
 }
 

@@ -50,6 +50,43 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestCancelSelfWhileFiring: a firing event's slot is already vacated, so
+// cancelling its own ID is a stale no-op and touches no other event.
+func TestCancelSelfWhileFiring(t *testing.T) {
+	e := NewEngine()
+	var self EventID
+	cancelled, other := true, false
+	self = e.At(10, func() { cancelled = e.Cancel(self) })
+	e.At(10, func() { other = true })
+	e.Run(100)
+	if cancelled {
+		t.Error("an event cancelled itself while firing")
+	}
+	if !other {
+		t.Error("a self-cancel removed another event")
+	}
+}
+
+// TestCancelSiblingSameInstant: an event may cancel one scheduled for the
+// same instant after it, which then never fires, while later ones still do.
+func TestCancelSiblingSameInstant(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	var sibling EventID
+	e.At(10, func() {
+		got = append(got, 0)
+		if !e.Cancel(sibling) {
+			t.Error("Cancel of a pending same-instant sibling returned false")
+		}
+	})
+	sibling = e.At(10, func() { got = append(got, 1) })
+	e.At(10, func() { got = append(got, 2) })
+	e.Run(100)
+	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("fired %v, want [0 2]", got)
+	}
+}
+
 func TestCancelMiddleOfHeap(t *testing.T) {
 	e := NewEngine()
 	var got []int

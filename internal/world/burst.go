@@ -75,7 +75,7 @@ func (b *BurstPayload) Deliver(w *World, victim *protocol.Peer) {
 			proof, cost := b.MakeProof(m.Context("intro"))
 			m.Proof = proof
 			if b.Ledger != nil {
-				b.Ledger.Charge("attack-intro", cost)
+				b.Ledger.Charge(effort.KindAttackIntro, cost)
 			}
 		}
 		emitted++

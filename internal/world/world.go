@@ -287,7 +287,7 @@ func New(cfg Config) (*World, error) {
 		Cfg:             cfg,
 		Engine:          sim.NewEngine(),
 		Metrics:         metrics.NewCollectorSized(cfg.Peers * cfg.AUs),
-		AdversaryLedger: effort.NewLedger(),
+		AdversaryLedger: new(effort.Ledger),
 		Root:            prng.New(cfg.Seed),
 		proofCache:      make(map[effort.Seconds]effort.Proof),
 	}
@@ -346,7 +346,7 @@ func deliver(w *World, p *protocol.Peer, from ids.PeerID, payload any) {
 }
 
 // ChargeAdversary charges attacker effort to the adversary ledger.
-func (w *World) ChargeAdversary(kind string, cost effort.Seconds) {
+func (w *World) ChargeAdversary(kind effort.Kind, cost effort.Seconds) {
 	w.AdversaryLedger.Charge(kind, cost)
 }
 
@@ -427,8 +427,7 @@ func (w *World) DefenderEffort() effort.Seconds {
 }
 
 // DefenderEffortByKind aggregates loyal ledgers per kind.
-func (w *World) DefenderEffortByKind() map[string]effort.Seconds {
-	out := make(map[string]effort.Seconds)
+func (w *World) DefenderEffortByKind() (out [effort.NumKinds]effort.Seconds) {
 	for _, p := range w.Peers {
 		for k, v := range p.Ledger().ByKind {
 			out[k] += v

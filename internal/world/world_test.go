@@ -164,7 +164,7 @@ func TestBurstChargesLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := effort.NewLedger()
+	ledger := new(effort.Ledger)
 	burst := &BurstPayload{
 		First: ids.MinionBase + 100,
 		Count: 10,
@@ -214,7 +214,7 @@ func TestDefenderEffortAggregation(t *testing.T) {
 	if diff := float64(sum - w.DefenderEffort()); diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("kind sum %v != total %v", sum, w.DefenderEffort())
 	}
-	for _, kind := range []string{protocol.KindVote, protocol.KindEval, protocol.KindIntroGen} {
+	for _, kind := range []effort.Kind{effort.KindVote, effort.KindEval, effort.KindIntroGen} {
 		if byKind[kind] <= 0 {
 			t.Errorf("no %q effort recorded", kind)
 		}
