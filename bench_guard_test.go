@@ -3,8 +3,8 @@ package lockss
 // The bench guard pins the allocation budget of the simulation hot path and
 // the memory budget of an idle peer.
 //
-// Every run in this file is a fixed-seed, single-goroutine simulation, so its
-// malloc count is deterministic; the guard measures each workload once with
+// Every simulation in this file is fixed-seed and runs on one goroutine, so
+// its malloc count is deterministic; the guard measures each workload once with
 // runtime.ReadMemStats and compares against testdata/bench_baseline.json.
 // One more line, liveHeapLine, is not an allocation count: it is the bytes a
 // finished scale-large world still holds per peer, the number bench/ reports
@@ -16,11 +16,13 @@ package lockss
 //	go test -run TestBenchGuard -update-bench .
 //
 // The workloads are one representative data point per figure, table and
-// ablation at reduced scale (seed 1), one simulation run per entry, so the
-// guard stays a few seconds while covering the hot path bench/ times. It is a
-// deterministic gate, not a measurement: numbers to quote come from bench/.
+// ablation at reduced scale (seed 1), one simulation run per entry (three
+// for the layered one), so the guard stays a few seconds while covering the
+// hot path bench/ times. It is a deterministic gate, not a measurement:
+// numbers to quote come from bench/.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -105,12 +107,23 @@ func guardWorkloads() []struct {
 			return err
 		}
 	}
+	// layered pins the §6.3 layering path: every layer above the first
+	// checks its schedule against replayed background load.
+	layered := func(layers int) func() error {
+		return func() error {
+			cfg := benchWorld()
+			cfg.Seed = 1
+			_, err := experiment.RunLayered(context.Background(), cfg, nil, layers)
+			return err
+		}
+	}
 	full := benchWorld().Duration
 	return []struct {
 		Name string
 		Run  func() error
 	}{
 		{"figure2-baseline", run(nil, nil)},
+		{"figure2-layered", layered(3)},
 		{"figure3-pipe-stoppage", run(nil, pulse(1, 90))},
 		{"figure4-pipe-stoppage-70", run(nil, pulse(0.7, 90))},
 		{"figure5-pipe-stoppage-180d", run(nil, pulse(1, 180))},

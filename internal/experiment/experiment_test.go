@@ -65,35 +65,38 @@ func TestCombineLayers(t *testing.T) {
 }
 
 func TestBgLoadDeterministicAndSorted(t *testing.T) {
-	bg := &bgLoad{seed: 42, ratePerNs: 1e-12, meanDurNs: 1e10, bucket: int64(sim.Day)}
-	a := bg.Tasks(0, sched.Time(10*sim.Day))
-	b := bg.Tasks(0, sched.Time(10*sim.Day))
-	if len(a) != len(b) {
-		t.Fatal("background load not deterministic")
+	day := int64(sim.Day)
+	bg := &bgLoad{seed: 42, ratePerNs: 1e-12, meanDurNs: 1e10, bucket: day}
+	// A second source reads the buckets in another order, negative days
+	// included: generation depends on the bucket alone.
+	other := &bgLoad{seed: 42, ratePerNs: 1e-12, meanDurNs: 1e10, bucket: day}
+	for k := int64(9); k >= -3; k-- {
+		other.Bucket(k)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("background tasks differ between queries")
+	var total int
+	for k := int64(-3); k < 10; k++ {
+		a, b := bg.Bucket(k), other.Bucket(k)
+		if len(a) != len(b) {
+			t.Fatalf("bucket %d: %d tasks vs %d", k, len(a), len(b))
 		}
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i].Start < a[i-1].Start {
-			t.Fatal("background tasks unsorted")
-		}
-	}
-	// Sub-range queries agree with the full range.
-	sub := bg.Tasks(sched.Time(2*sim.Day), sched.Time(3*sim.Day))
-	for _, s := range sub {
-		found := false
-		for _, f := range a {
-			if f.Start == s.Start && f.End == s.End {
-				found = true
-				break
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("bucket %d differs between sources", k)
+			}
+			if i > 0 && a[i].Start < a[i-1].Start {
+				t.Fatalf("bucket %d unsorted", k)
+			}
+			if lo := sched.Time(k * day); a[i].Start < lo || a[i].Start >= lo+sched.Time(day) {
+				t.Fatalf("bucket %d task starts at %d, outside the bucket", k, a[i].Start)
 			}
 		}
-		if !found {
-			t.Fatal("sub-range task missing from full range")
+		if again := bg.Bucket(k); len(again) > 0 && &again[0] != &a[0] {
+			t.Fatalf("bucket %d regenerated instead of recalled", k)
 		}
+		total += len(a)
+	}
+	if total == 0 {
+		t.Fatal("no background tasks in 13 days")
 	}
 }
 
@@ -101,11 +104,32 @@ func TestBgLoadRate(t *testing.T) {
 	// Expect ~rate * horizon tasks.
 	rate := 2e-13 // per ns => ~17 per day
 	bg := &bgLoad{seed: 7, ratePerNs: rate, meanDurNs: 1e9, bucket: int64(sim.Day)}
-	horizon := 30 * sim.Day
-	n := len(bg.Tasks(0, sched.Time(horizon)))
-	want := rate * float64(horizon)
+	const days = 30
+	n := 0
+	for k := range int64(days) {
+		n += len(bg.Bucket(k))
+	}
+	want := rate * float64(days*sim.Day)
 	if math.Abs(float64(n)-want) > 0.25*want {
 		t.Errorf("background task count %d, want ~%.0f", n, want)
+	}
+}
+
+// TestLayeredScheduleChecksDoNotAllocate: once a peer's background buckets
+// are generated, its schedule checks under layered load allocate nothing.
+func TestLayeredScheduleChecksDoNotAllocate(t *testing.T) {
+	s := sched.New()
+	s.Background = &bgLoad{seed: 7, ratePerNs: 2e-13, meanDurNs: 1e9, bucket: int64(sim.Day)}
+	now, end := sched.Time(0).Add(3*sim.Day), sched.Time(0).Add(33*sim.Day)
+	for i := range 20 {
+		s.ReserveSlot(now.Add(sim.Duration(i)*sim.Hour), 20*sim.Minute, end, "vote")
+	}
+	// AllocsPerRun's warm-up call generates the buckets.
+	if n := testing.AllocsPerRun(100, func() { s.FindSlot(now, 2*sim.Hour, end) }); n != 0 {
+		t.Errorf("FindSlot: %v allocations", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.BusyFraction(now.Add(-7*sim.Day), now) }); n != 0 {
+		t.Errorf("BusyFraction: %v allocations", n)
 	}
 }
 

@@ -1,9 +1,10 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"lockss/internal/adversary"
 	"lockss/internal/prng"
@@ -17,25 +18,26 @@ import (
 // 50(n-1) AUs" (§6.3). We reproduce the technique with a statistical replay:
 // from the first layer we measure each population's task arrival rate and
 // mean task duration, and feed layer n a deterministic Poisson background
-// load of (n-1) layers' intensity through the scheduler's Background hook.
+// load of (n-1) layers' intensity as the scheduler's Background.
 // The substitution (sampled rather than verbatim task replay) preserves the
 // contention profile while keeping memory bounded; DESIGN.md records it.
 
-// bgLoad deterministically synthesizes background busy intervals. It is
-// pure: the tasks for a bucket depend only on (seed, bucket index), so
-// repeated schedule queries see a consistent timeline — which also makes the
-// buckets memoizable. Schedule checks hit the same handful of buckets over
-// and over as simulated time advances, so each bucket is generated once and
-// queries assemble their window from the cache through a reused scratch
-// slice (the schedule copies it before sorting).
+// bgLoad deterministically synthesizes background busy intervals, one
+// bucket of simulated time at a time. It is pure: the tasks for a bucket
+// depend only on (seed, bucket index), so repeated schedule queries see a
+// consistent timeline — which also makes the buckets memoizable. Schedule
+// checks hit the same handful of buckets over and over as simulated time
+// advances, so each bucket is generated once and kept, indexed by bucket
+// number.
 type bgLoad struct {
 	seed      uint64
 	ratePerNs float64 // expected task arrivals per nanosecond
 	meanDurNs float64
 	bucket    int64 // bucket width in nanoseconds
 
-	cache   map[int64][]sched.Task
-	scratch []sched.Task
+	// after[k] holds bucket k >= 0 and before[-k-1] bucket k < 0, the days
+	// BusyFraction looks back on early in a run; nil until generated.
+	after, before [][]sched.Task
 }
 
 // poisson draws a Poisson variate with mean lambda (Knuth's method; lambda
@@ -59,17 +61,27 @@ func poisson(rnd *prng.Source, lambda float64) int {
 	}
 }
 
-// bucketTasks generates (or recalls) bucket k's tasks, sorted by start. The
-// draws are identical to generating them inside a query, so memoization is
-// invisible to replay.
-func (b *bgLoad) bucketTasks(k int64) []sched.Task {
-	if ts, ok := b.cache[k]; ok {
+// BucketWidth implements sched.Background.
+func (b *bgLoad) BucketWidth() sched.Duration { return sched.Duration(b.bucket) }
+
+// Bucket implements sched.Background: bucket k's tasks, sorted by start,
+// generated on first touch. The draws depend on (seed, k) alone, so when a
+// bucket is first read is invisible to replay.
+func (b *bgLoad) Bucket(k int64) []sched.Task {
+	cache, i := &b.after, k
+	if k < 0 {
+		cache, i = &b.before, -k-1
+	}
+	if n := int64(len(*cache)); i >= n {
+		*cache = append(*cache, make([][]sched.Task, i+1-n)...)
+	}
+	if ts := (*cache)[i]; ts != nil {
 		return ts
 	}
 	rnd := prng.New(b.seed ^ uint64(k)*0x9e3779b97f4a7c15)
 	n := poisson(rnd, b.ratePerNs*float64(b.bucket))
-	var ts []sched.Task
-	for i := 0; i < n; i++ {
+	ts := make([]sched.Task, 0, n) // never nil, even when empty
+	for range n {
 		start := sched.Time(k*b.bucket + rnd.Int63n(b.bucket))
 		dur := rnd.ExpFloat64(b.meanDurNs)
 		if dur < 1 {
@@ -77,35 +89,9 @@ func (b *bgLoad) bucketTasks(k int64) []sched.Task {
 		}
 		ts = append(ts, sched.Task{Start: start, End: start + sched.Time(dur), Label: "bg"})
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Start < ts[j].Start })
-	if b.cache == nil {
-		b.cache = make(map[int64][]sched.Task)
-	}
-	b.cache[k] = ts
+	slices.SortFunc(ts, func(a, b sched.Task) int { return cmp.Compare(a.Start, b.Start) })
+	(*cache)[i] = ts
 	return ts
-}
-
-// Tasks implements the sched.Schedule Background contract for [from, to).
-// Buckets ascend and each bucket is start-sorted, so the concatenation is
-// sorted without a per-query sort. The result aliases b's scratch; the
-// schedule consumes it within the query.
-func (b *bgLoad) Tasks(from, to sched.Time) []sched.Task {
-	if b.ratePerNs <= 0 || to <= from {
-		return nil
-	}
-	out := b.scratch[:0]
-	first := int64(from) / b.bucket
-	last := int64(to-1) / b.bucket
-	for k := first; k <= last; k++ {
-		for _, t := range b.bucketTasks(k) {
-			if t.End <= from || t.Start >= to {
-				continue
-			}
-			out = append(out, t)
-		}
-	}
-	b.scratch = out
-	return out
 }
 
 // measureLoad extracts the mean per-peer task rate and duration of a run.
@@ -177,7 +163,7 @@ func runOneLayer(cfg world.Config, mkAttack func() adversary.Adversary, layer in
 				meanDurNs: meanDurNs,
 				bucket:    int64(sim.Day),
 			}
-			p.Schedule().Background = bg.Tasks
+			p.Schedule().Background = bg
 		}
 	}
 	if mkAttack != nil {

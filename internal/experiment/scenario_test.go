@@ -133,20 +133,51 @@ func TestRunStatsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := [...]uint64{
-		math.Float64bits(stats.AccessFailure), math.Float64bits(stats.MeanSuccessGap),
-		math.Float64bits(stats.SuccessfulPolls), math.Float64bits(stats.TotalPolls),
-		math.Float64bits(stats.DefenderEffort), math.Float64bits(stats.AttackerEffort),
-		math.Float64bits(stats.EffortPerPoll), math.Float64bits(stats.Alarms),
-		math.Float64bits(stats.DamageEvents), math.Float64bits(stats.RepairsFixed),
-	}
 	want := [...]uint64{
 		0x3fb6c1ddccd97299, 0x40552d2d2d2d2d2d, 0x4041000000000000, 0x4041000000000000,
 		0x4097548d004ae5ae, 0x40a1551249248e7e, 0x4045f53969afe73a, 0x0,
 		0x4018000000000000, 0x4008000000000000,
 	}
-	if got != want {
+	if got := statsBits(stats); got != want {
 		t.Errorf("RunStats bits moved (%+v):\n got %#x\nwant %#x", stats, got, want)
+	}
+}
+
+// TestLayeredRunStatsPinned pins a three-layer run bit for bit: layers 1 and
+// 2 carry replayed background load, so every schedule check the voters and
+// the brute-force oracle make there reads it, and adaptive acceptance sends
+// each unknown-channel invitation through BusyFraction under that load — a
+// path no golden runs. The expected bits were captured at commit e65228b,
+// before the schedule stopped merging and sorting background load per query.
+func TestLayeredRunStatsPinned(t *testing.T) {
+	cfg := scenarioTestConfig(Options{})
+	cfg.DamageDiskYears = 1
+	cfg.Protocol.AdaptiveAcceptance = true
+	cfg.Protocol.AdaptiveGain = 5
+	stats, err := RunLayered(context.Background(), cfg, func() adversary.Adversary {
+		return &adversary.BruteForce{Defection: adversary.DefectNone, Minions: 8, Coverage: 1}
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [...]uint64{
+		0x3fb1676a8d3f1b03, 0x405599999999999a, 0x4059000000000000, 0x4059000000000000,
+		0x40b14b6a76c8b405, 0x40b9ef2a0ea0e462, 0x40462317a2489481, 0x0,
+		0x4030000000000000, 0x4020000000000000,
+	}
+	if got := statsBits(stats); got != want {
+		t.Errorf("layered RunStats bits moved (%+v):\n got %#x\nwant %#x", stats, got, want)
+	}
+}
+
+// statsBits is every RunStats field as its IEEE-754 bit pattern.
+func statsBits(s RunStats) [10]uint64 {
+	return [...]uint64{
+		math.Float64bits(s.AccessFailure), math.Float64bits(s.MeanSuccessGap),
+		math.Float64bits(s.SuccessfulPolls), math.Float64bits(s.TotalPolls),
+		math.Float64bits(s.DefenderEffort), math.Float64bits(s.AttackerEffort),
+		math.Float64bits(s.EffortPerPoll), math.Float64bits(s.Alarms),
+		math.Float64bits(s.DamageEvents), math.Float64bits(s.RepairsFixed),
 	}
 }
 
