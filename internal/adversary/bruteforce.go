@@ -177,8 +177,9 @@ func (a *BruteForce) sendVolley(victim ids.PeerID, au content.AUID) {
 	// With effort balancing disabled (ablation), invitations need no proof
 	// and the attack becomes effortless for the adversary.
 	if cfg.EffortBalancing {
+		proof := effort.Proof(effort.SimProof{Effort: intro, Genuine: true})
 		burst.MakeProof = func(ctx []byte) (effort.Proof, effort.Seconds) {
-			return effort.SimProof{Effort: intro, Genuine: true}, intro
+			return proof, intro
 		}
 	}
 	a.w.Net.Send(sourceNodeFor(a.pool[0]), victim, burst, burst.BurstWireSize())

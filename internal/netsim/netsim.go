@@ -160,6 +160,11 @@ func (n *Network) TransferTime(from, to ids.PeerID, size int) sim.Duration {
 	if a == nil || b == nil {
 		return 0
 	}
+	return transferTime(a, b, size)
+}
+
+// transferTime is TransferTime between two resolved nodes.
+func transferTime(a, b *node, size int) sim.Duration {
 	bw := a.link.Bandwidth
 	if b.link.Bandwidth < bw {
 		bw = b.link.Bandwidth
@@ -196,7 +201,7 @@ func (n *Network) Send(from, to ids.PeerID, payload any, size int) {
 	}
 	d := n.alloc()
 	d.from, d.src, d.dst, d.payload, d.size = from, src, dst, payload, size
-	n.eng.After(n.TransferTime(from, to, size), d.run)
+	n.eng.After(transferTime(src, dst, size), d.run)
 }
 
 // NodeIDs returns all registered node IDs in unspecified order.

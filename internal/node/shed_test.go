@@ -51,7 +51,7 @@ func invitation(n *Node, poller ids.PeerID, pollID uint64, genuine bool) *protoc
 	}
 	spec := n.Peer().Replica(shedAU).Spec()
 	re := protocol.NewRealEffort(poller, 1, n.cfg.MBF, n.cfg.EffortUnit)
-	m.Proof, _ = re.MakeProof(ctx, n.cfg.Costs.PollEffortFor(spec.Size, spec.Blocks()).Intro)
+	m.Proof = re.MakeProof(ctx, n.cfg.Costs.PollEffortFor(spec.Size, spec.Blocks()).Intro, nil)
 	return m
 }
 

@@ -32,11 +32,12 @@ type Env interface {
 	// Send transmits a message to another peer. Delivery is best-effort and
 	// unacknowledged at this layer.
 	Send(to ids.PeerID, m *Msg)
-	// MakeProof generates a proof of effort of the given cost bound to ctx,
-	// returning the proof and its secret byproduct receipt. Generation cost
-	// is charged by the caller via the peer's ledger; in the simulator the
-	// proof is symbolic, in the real node it is an MBF computation.
-	MakeProof(ctx []byte, cost effort.Seconds) (effort.Proof, effort.Receipt)
+	// MakeProof generates a proof of effort of the given cost bound to ctx.
+	// A non-nil receipt receives the proof's secret byproduct; only a caller
+	// that keeps it asks, so the simulator derives one only then. Generation
+	// cost is charged by the caller via the peer's ledger; in the simulator
+	// the proof is symbolic, in the real node it is an MBF computation.
+	MakeProof(ctx []byte, cost effort.Seconds, receipt *effort.Receipt) effort.Proof
 	// VerifyProof checks that p is valid for ctx and claims at least
 	// minCost of effort.
 	VerifyProof(ctx []byte, p effort.Proof, minCost effort.Seconds) bool

@@ -45,8 +45,11 @@ func (e *fakeEnv) Send(to ids.PeerID, m *Msg) {
 	e.sent = append(e.sent, sentMsg{to: to, m: m})
 }
 
-func (e *fakeEnv) MakeProof(ctx []byte, cost effort.Seconds) (effort.Proof, effort.Receipt) {
-	return effort.SimProof{Effort: cost, Genuine: true}, effort.SimReceiptFor(ctx, cost)
+func (e *fakeEnv) MakeProof(ctx []byte, cost effort.Seconds, receipt *effort.Receipt) effort.Proof {
+	if receipt != nil {
+		*receipt = effort.SimReceiptFor(ctx, cost)
+	}
+	return effort.SimProof{Effort: cost, Genuine: true}
 }
 
 func (e *fakeEnv) VerifyProof(ctx []byte, p effort.Proof, minCost effort.Seconds) bool {

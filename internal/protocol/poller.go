@@ -212,8 +212,7 @@ func (p *Peer) sendPollInvitation(st *auState, poll *pollState, i int) {
 	p.charge(effort.KindSession, p.costs.SessionSetup)
 	if p.cfg.EffortBalancing {
 		intro := st.pollEffort.Intro
-		proof, _ := p.env.MakeProof(p.msgContext(m, "intro"), intro)
-		m.Proof = proof
+		m.Proof = p.env.MakeProof(p.msgContext(m, "intro"), intro, nil)
 		p.charge(effort.KindIntroGen, intro)
 	}
 	sol.state = solAwaitAck
@@ -311,8 +310,7 @@ func (p *Peer) sendPollProof(st *auState, poll *pollState, i int) {
 	}
 	if p.cfg.EffortBalancing {
 		rem := st.pollEffort.Remainder
-		proof, _ := p.env.MakeProof(p.msgContext(pm, "remainder"), rem)
-		pm.Proof = proof
+		pm.Proof = p.env.MakeProof(p.msgContext(pm, "remainder"), rem, nil)
 		p.charge(effort.KindRemainderGen, rem)
 	}
 	sol.state = solAwaitVote

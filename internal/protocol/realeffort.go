@@ -38,10 +38,13 @@ func (e *RealEffort) units(cost effort.Seconds) int {
 }
 
 // MakeProof implements Env with a real MBF computation.
-func (e *RealEffort) MakeProof(ctx []byte, cost effort.Seconds) (effort.Proof, effort.Receipt) {
+func (e *RealEffort) MakeProof(ctx []byte, cost effort.Seconds, receipt *effort.Receipt) effort.Proof {
 	p, r := e.mbf.Generate(ctx, e.units(cost), e.unit)
 	p.UnitCost = effort.Seconds(float64(cost) / float64(p.Units))
-	return p, r
+	if receipt != nil {
+		*receipt = r
+	}
+	return p
 }
 
 // VerifyProof implements Env: spot-check verification.

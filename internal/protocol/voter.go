@@ -224,9 +224,7 @@ func (p *Peer) completeVote(st *auState, s *voterSession, poller ids.PeerID) {
 		Vote:   vd,
 	}
 	if p.cfg.EffortBalancing {
-		proof, receipt := p.env.MakeProof(p.msgContext(m, "vote"), st.pollEffort.VoteProof)
-		m.Proof = proof
-		s.myReceipt = receipt
+		m.Proof = p.env.MakeProof(p.msgContext(m, "vote"), st.pollEffort.VoteProof, &s.myReceipt)
 	}
 	// Discovery: offer a random subset of the reference list.
 	m.Nominations = p.sampleRefList(st, p.cfg.Nominations, poller)

@@ -204,11 +204,11 @@ type World struct {
 
 	specs []content.AUSpec
 
-	// proofCache interns the boxed symbolic proofs MakeProof hands out.
-	// Effort costs come from the per-AU cost model, so a run sees only a
-	// handful of distinct values; interning avoids re-boxing an identical
-	// immutable SimProof on every message.
-	proofCache map[effort.Seconds]effort.Proof
+	// proofs interns the boxed symbolic proofs MakeProof hands out, so an
+	// identical immutable SimProof is not re-boxed on every message. Costs
+	// come from the cost model for the world's one AU size, so there are a
+	// handful at most and a scan beats hashing a float.
+	proofs []effort.Proof
 }
 
 // Env adapts a World to protocol.Env for one peer.
@@ -243,13 +243,18 @@ func (e *Env) Send(to ids.PeerID, m *protocol.Msg) {
 
 // MakeProof implements protocol.Env with a symbolic proof; the effort cost
 // is charged by the protocol through the peer's ledger and schedule.
-func (e *Env) MakeProof(ctx []byte, cost effort.Seconds) (effort.Proof, effort.Receipt) {
-	p, ok := e.w.proofCache[cost]
-	if !ok {
-		p = effort.SimProof{Effort: cost, Genuine: true}
-		e.w.proofCache[cost] = p
+func (e *Env) MakeProof(ctx []byte, cost effort.Seconds, receipt *effort.Receipt) effort.Proof {
+	if receipt != nil {
+		*receipt = effort.SimReceiptFor(ctx, cost)
 	}
-	return p, effort.SimReceiptFor(ctx, cost)
+	for _, p := range e.w.proofs {
+		if p.Cost() == cost {
+			return p
+		}
+	}
+	p := effort.Proof(effort.SimProof{Effort: cost, Genuine: true})
+	e.w.proofs = append(e.w.proofs, p)
+	return p
 }
 
 // VerifyProof implements protocol.Env.
@@ -289,7 +294,6 @@ func New(cfg Config) (*World, error) {
 		Metrics:         metrics.NewCollectorSized(cfg.Peers * cfg.AUs),
 		AdversaryLedger: new(effort.Ledger),
 		Root:            prng.New(cfg.Seed),
-		proofCache:      make(map[effort.Seconds]effort.Proof),
 	}
 	// Loyal peers plus a margin for adversary-controlled nodes.
 	w.Net = netsim.NewSized(w.Engine, cfg.Peers+8)
