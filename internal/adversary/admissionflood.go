@@ -95,7 +95,7 @@ func (a *AdmissionFlood) sendVolley(w *world.World, victim ids.PeerID, au conten
 	first := a.nextIdentity
 	a.nextIdentity += ids.PeerID(a.VolleyLimit)
 	now := w.Engine.Now()
-	burst := &world.BurstPayload{
+	burst := w.NewBurst(&world.BurstPayload{
 		First: first,
 		Count: a.VolleyLimit,
 		Template: protocol.Msg{
@@ -106,6 +106,6 @@ func (a *AdmissionFlood) sendVolley(w *world.World, victim ids.PeerID, au conten
 			PollDeadline: now.Add(w.Cfg.Protocol.PollInterval),
 			// No effort proof: verification at the victim fails cheaply.
 		},
-	}
+	})
 	w.Net.Send(sourceNode, victim, burst, burst.BurstWireSize())
 }

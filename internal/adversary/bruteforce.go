@@ -60,9 +60,23 @@ type BruteForce struct {
 
 	w       *world.World
 	costs   effort.CostModel
-	efforts map[content.AUID]effort.PollEffort
+	efforts map[content.AUID]auEffort
 	pool    []ids.PeerID
 	pollSeq uint64
+	// nonce goes in every PollProof. It is drawn from a child of the
+	// world's root source, which nothing advances, so one draw at Install
+	// is the draw every reply would make.
+	nonce protocol.Nonce
+	// ctx backs the receipt context of a full participation, consumed at
+	// once.
+	ctx []byte
+}
+
+// auEffort is one AU's poll effort, with the symbolic introductory and
+// remainder proofs the adversary attaches, boxed once.
+type auEffort struct {
+	effort.PollEffort
+	intro, remainder effort.Proof
 }
 
 // Name implements Adversary.
@@ -83,9 +97,21 @@ func (a *BruteForce) Install(w *world.World) {
 	}
 	a.w = w
 	a.costs = effort.DefaultCostModel()
-	a.efforts = make(map[content.AUID]effort.PollEffort)
+	a.efforts = make(map[content.AUID]auEffort)
 	for _, spec := range w.Specs() {
-		a.efforts[spec.ID] = a.costs.PollEffortFor(spec.Size, spec.Blocks())
+		pe := a.costs.PollEffortFor(spec.Size, spec.Blocks())
+		a.efforts[spec.ID] = auEffort{
+			PollEffort: pe,
+			intro:      effort.SimProof{Effort: pe.Intro, Genuine: true},
+			remainder:  effort.SimProof{Effort: pe.Remainder, Genuine: true},
+		}
+	}
+	r := w.Root.Child("adversary/nonce")
+	for i := 0; i < len(a.nonce); i += 8 {
+		v := r.Uint64()
+		for j := 0; j < 8 && i+j < len(a.nonce); j++ {
+			a.nonce[i+j] = byte(v >> (8 * j))
+		}
 	}
 
 	// Register the minion pool; every minion can receive replies.
@@ -161,8 +187,7 @@ func (a *BruteForce) sendVolley(victim ids.PeerID, au content.AUID) {
 	a.pollSeq++
 	now := a.w.Engine.Now()
 	cfg := a.w.Cfg.Protocol
-	intro := a.efforts[au].Intro
-	burst := &world.BurstPayload{
+	burst := a.w.NewBurst(&world.BurstPayload{
 		Pool:  a.pool,
 		Count: a.VolleyLimit,
 		Template: protocol.Msg{
@@ -173,14 +198,12 @@ func (a *BruteForce) sendVolley(victim ids.PeerID, au content.AUID) {
 			PollDeadline: now.Add(cfg.PollInterval),
 		},
 		Ledger: a.w.AdversaryLedger,
-	}
+	})
 	// With effort balancing disabled (ablation), invitations need no proof
 	// and the attack becomes effortless for the adversary.
 	if cfg.EffortBalancing {
-		proof := effort.Proof(effort.SimProof{Effort: intro, Genuine: true})
-		burst.MakeProof = func(ctx []byte) (effort.Proof, effort.Seconds) {
-			return proof, intro
-		}
+		pe := a.efforts[au]
+		burst.Proof, burst.ProofCost = pe.intro, pe.Intro
 	}
 	a.w.Net.Send(sourceNodeFor(a.pool[0]), victim, burst, burst.BurstWireSize())
 }
@@ -199,25 +222,19 @@ func (a *BruteForce) handleReply(minion ids.PeerID, victim ids.PeerID, m *protoc
 		}
 		// Supply the remaining effort and a nonce.
 		pe := a.efforts[m.AU]
-		reply := &protocol.Msg{
+		reply := protocol.Msg{
 			Type:   protocol.MsgPollProof,
 			AU:     m.AU,
 			PollID: m.PollID,
 			Poller: minion,
 			Voter:  victim,
-		}
-		r := a.w.Root.Child("adversary/nonce")
-		for i := 0; i < len(reply.Nonce); i += 8 {
-			v := r.Uint64()
-			for j := 0; j < 8 && i+j < len(reply.Nonce); j++ {
-				reply.Nonce[i+j] = byte(v >> (8 * j))
-			}
+			Nonce:  a.nonce,
 		}
 		if a.w.Cfg.Protocol.EffortBalancing {
-			reply.Proof = effort.SimProof{Effort: pe.Remainder, Genuine: true}
+			reply.Proof = pe.remainder
 			a.w.ChargeAdversary(effort.KindAttackRemainder, pe.Remainder)
 		}
-		a.w.Net.Send(minion, victim, reply, reply.WireSize())
+		a.w.Net.Send(minion, victim, a.w.NewMsg(&reply), reply.WireSize())
 	case protocol.MsgVote:
 		if a.Defection != DefectNone {
 			return // REMAINING: desert after the vote arrives
@@ -227,19 +244,19 @@ func (a *BruteForce) handleReply(minion ids.PeerID, victim ids.PeerID, m *protoc
 		// return a valid receipt.
 		pe := a.efforts[m.AU]
 		a.w.ChargeAdversary(effort.KindAttackEval, pe.EvalHash)
-		ctx := protocol.PollContext(minion, victim, m.AU, m.PollID, "vote")
 		var receipt effort.Receipt
 		if m.Proof != nil {
-			receipt = effort.SimReceiptFor(ctx, m.Proof.Cost())
+			a.ctx = protocol.AppendPollContext(a.ctx[:0], minion, victim, m.AU, m.PollID, "vote")
+			receipt = effort.SimReceiptFor(a.ctx, m.Proof.Cost())
 		}
-		a.w.Net.Send(minion, victim, &protocol.Msg{
+		a.w.Net.Send(minion, victim, a.w.NewMsg(&protocol.Msg{
 			Type:    protocol.MsgEvaluationReceipt,
 			AU:      m.AU,
 			PollID:  m.PollID,
 			Poller:  minion,
 			Voter:   victim,
 			Receipt: receipt,
-		}, 64)
+		}), 64)
 	case protocol.MsgRepairRequest:
 		// Frivolous repairs are never requested from minions: victims only
 		// request repairs from their own polls' voters, and minions never

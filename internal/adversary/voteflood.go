@@ -81,13 +81,13 @@ func (a *VoteFlood) Install(w *world.World) {
 func (a *VoteFlood) sendBogusVote(w *world.World, victim ids.PeerID, au content.AUID, spec content.AUSpec) {
 	a.pollSeq++
 	a.SentVotes++
-	m := &protocol.Msg{
+	m := w.NewMsg(&protocol.Msg{
 		Type:   protocol.MsgVote,
 		AU:     au,
 		PollID: a.pollSeq | 1<<62, // never a real poll ID
 		Poller: victim,            // pretends the victim solicited it
 		Voter:  voteFloodSource,
 		Vote:   protocol.SimVote{NumBlocks: spec.Blocks()},
-	}
+	})
 	w.Net.Send(voteFloodSource, victim, m, m.WireSize())
 }

@@ -74,11 +74,13 @@ func (d *delivery) deliver() {
 	// message, matching the paper's "suppresses all communication".
 	if src.stopped || dst.stopped {
 		n.DroppedStoppage++
+		n.release(payload)
 		return
 	}
 	n.Delivered++
 	n.BytesDelivered += uint64(size)
 	dst.handler(from, payload, size)
+	n.release(payload)
 }
 
 // Network routes messages between simulated nodes on one event engine.
@@ -86,6 +88,13 @@ type Network struct {
 	eng   *sim.Engine
 	nodes map[ids.PeerID]*node
 	free  []*delivery
+
+	// Release, when set, receives every payload once the network is done
+	// with it: after the receiving handler returns, or when the payload is
+	// dropped (unknown endpoint, pipe stoppage at send or at delivery). Each
+	// payload passed to Send reaches it exactly once, so its owner can
+	// recycle the payload there; a handler must not keep it.
+	Release func(payload any)
 
 	// Stats, updated live.
 	Sent      uint64
@@ -186,6 +195,13 @@ func (n *Network) alloc() *delivery {
 	return d
 }
 
+// release hands a payload the network is done with to Release.
+func (n *Network) release(payload any) {
+	if n.Release != nil {
+		n.Release(payload)
+	}
+}
+
 // Send dispatches payload of the given wire size from one node to another.
 // Unknown endpoints and stopped pipes silently drop (the sender learns
 // nothing, as in the real network).
@@ -193,10 +209,12 @@ func (n *Network) Send(from, to ids.PeerID, payload any, size int) {
 	src, dst := n.nodes[from], n.nodes[to]
 	n.Sent++
 	if src == nil || dst == nil {
+		n.release(payload)
 		return
 	}
 	if src.stopped || dst.stopped {
 		n.DroppedStoppage++
+		n.release(payload)
 		return
 	}
 	d := n.alloc()

@@ -90,6 +90,37 @@ func TestPipeStoppageInFlight(t *testing.T) {
 	}
 }
 
+// TestReleaseOncePerPayload: every payload handed to Send reaches Release
+// exactly once, on every path, and a delivered one only after its handler
+// has returned.
+func TestReleaseOncePerPayload(t *testing.T) {
+	eng, n, got := twoNodes(t)
+	released := map[string]int{}
+	n.Release = func(payload any) {
+		s := payload.(string)
+		released[s]++
+		if s == "delivered" && len(*got) != 1 {
+			t.Error("released before its handler ran")
+		}
+	}
+	n.Send(2, 1, "delivered", 10)
+	n.Send(1, 99, "unknown-endpoint", 10)
+	eng.Run(sim.Time(time.Second))
+	n.Send(2, 1, "stopped-in-flight", 1500)
+	eng.At(eng.Now()+sim.Time(time.Millisecond), func() { n.SetStopped(1, true) })
+	eng.Run(eng.Now() + sim.Time(time.Second))
+	n.Send(2, 1, "stopped-at-send", 10)
+	want := map[string]int{"delivered": 1, "unknown-endpoint": 1, "stopped-in-flight": 1, "stopped-at-send": 1}
+	if len(released) != len(want) {
+		t.Fatalf("released %v, want %v", released, want)
+	}
+	for k, v := range want {
+		if released[k] != v {
+			t.Errorf("%q released %d times, want %d", k, released[k], v)
+		}
+	}
+}
+
 func TestRandomLinkDistribution(t *testing.T) {
 	rnd := prng.New(5)
 	counts := map[Bps]int{}

@@ -30,7 +30,10 @@ type Env interface {
 	// Rand returns the peer's deterministic randomness stream.
 	Rand() *prng.Source
 	// Send transmits a message to another peer. Delivery is best-effort and
-	// unacknowledged at this layer.
+	// unacknowledged at this layer. Nothing behind m — the record, its
+	// Nominations array — may be kept after Send returns: the peer sends
+	// every message from one reused record and draws nominations into
+	// scratch. An implementation that needs the message later copies it.
 	Send(to ids.PeerID, m *Msg)
 	// MakeProof generates a proof of effort of the given cost bound to ctx.
 	// A non-nil receipt receives the proof's secret byproduct; only a caller

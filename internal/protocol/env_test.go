@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -41,8 +42,12 @@ func (e *fakeEnv) Cancel(t TimerID) bool {
 
 func (e *fakeEnv) Rand() *prng.Source { return e.rnd }
 
+// Send records a copy of m: the peer sends from one reused record, and Env
+// may keep nothing behind it.
 func (e *fakeEnv) Send(to ids.PeerID, m *Msg) {
-	e.sent = append(e.sent, sentMsg{to: to, m: m})
+	c := *m
+	c.Nominations = slices.Clone(m.Nominations)
+	e.sent = append(e.sent, sentMsg{to: to, m: &c})
 }
 
 func (e *fakeEnv) MakeProof(ctx []byte, cost effort.Seconds, receipt *effort.Receipt) effort.Proof {

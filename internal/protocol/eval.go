@@ -183,7 +183,7 @@ func (p *Peer) requestRepair(st *auState, poll *pollState, block int) {
 	if p.spanObs != nil {
 		p.spanObs.RepairRequested(p.id, target, st.spec.ID, poll.id, block, p.env.Now())
 	}
-	p.send(target, &Msg{
+	p.send(target, Msg{
 		Type:   MsgRepairRequest,
 		AU:     st.spec.ID,
 		PollID: poll.id,
@@ -250,7 +250,7 @@ func (p *Peer) finishEvaluation(st *auState, poll *pollState) {
 		if len(candidates) > 0 {
 			target := candidates[p.env.Rand().Intn(len(candidates))]
 			block := p.env.Rand().Intn(st.spec.Blocks())
-			p.send(target, &Msg{
+			p.send(target, Msg{
 				Type:   MsgRepairRequest,
 				AU:     st.spec.ID,
 				PollID: poll.id,
@@ -285,7 +285,7 @@ func (p *Peer) sendReceiptsAndConclude(st *auState, poll *pollState) {
 		if !sol.outer {
 			talliedInner++
 		}
-		p.send(sol.peer, &Msg{
+		p.send(sol.peer, Msg{
 			Type:    MsgEvaluationReceipt,
 			AU:      st.spec.ID,
 			PollID:  poll.id,

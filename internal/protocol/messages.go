@@ -176,14 +176,9 @@ func (m *Msg) WireSize() int {
 	return n
 }
 
-// Context derives the effort-proof binding context for a protocol phase of
-// this poll: poller, voter, poll and phase are all bound, so proofs cannot
-// be replayed across exchanges.
-func (m *Msg) Context(phase string) []byte {
-	return PollContext(m.Poller, m.Voter, m.AU, m.PollID, phase)
-}
-
-// PollContext builds the canonical effort-binding context.
+// PollContext builds the canonical effort-binding context for a protocol
+// phase of a poll: poller, voter, poll and phase are all bound, so proofs
+// cannot be replayed across exchanges.
 func PollContext(poller, voter ids.PeerID, au content.AUID, pollID uint64, phase string) []byte {
 	return AppendPollContext(make([]byte, 0, 20+len(phase)), poller, voter, au, pollID, phase)
 }

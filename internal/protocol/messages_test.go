@@ -41,10 +41,6 @@ func TestContextBindsAllIdentifiers(t *testing.T) {
 			t.Errorf("variant %d does not change the context", i)
 		}
 	}
-	m := &Msg{Poller: 1, Voter: 2, AU: 3, PollID: 4}
-	if !bytes.Equal(m.Context("intro"), base) {
-		t.Error("Msg.Context disagrees with PollContext")
-	}
 }
 
 func TestWireSizeMonotonic(t *testing.T) {

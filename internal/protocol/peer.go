@@ -111,12 +111,15 @@ type Peer struct {
 	// contexts (consumed synchronously by Env), poolScratch/idxScratch back
 	// reference-list and nomination sampling (idxScratch also the repair
 	// candidates, as indices into the poll), candScratch backs the chosen
-	// outer circle and the frivolous-repair candidates.
-	ctxScratch     []byte
-	poolScratch    []ids.PeerID
-	idxScratch     []int
-	candScratch    []ids.PeerID
-	inviteeScratch []ids.PeerID
+	// outer circle and the frivolous-repair candidates, drawScratch the inner
+	// circle's invitees and a vote's nominations, and out every message sent
+	// (Env.Send keeps nothing behind it).
+	ctxScratch  []byte
+	poolScratch []ids.PeerID
+	idxScratch  []int
+	candScratch []ids.PeerID
+	drawScratch []ids.PeerID
+	out         Msg
 
 	// Freelists for per-poll state machines: polls (with the solicitations
 	// they own) and voter sessions churn constantly but only a bounded number
@@ -471,9 +474,12 @@ func (p *Peer) gcSchedule() {
 	p.sch.GC(p.env.Now())
 }
 
-// send transmits a message, filling in the sender-side identity fields.
-func (p *Peer) send(to ids.PeerID, m *Msg) {
-	p.env.Send(to, m)
+// send transmits m from the peer's one outgoing record: passing Env a
+// pointer to a local would move every message to the heap, and Env.Send
+// keeps nothing behind its argument, so the next send may reuse the record.
+func (p *Peer) send(to ids.PeerID, m Msg) {
+	p.out = m
+	p.env.Send(to, &p.out)
 }
 
 // peerSet is a set of peer IDs that the protocol caps — a reference list, a
@@ -507,16 +513,10 @@ func (p *Peer) msgContext(m *Msg, phase string) []byte {
 	return p.ctxScratch
 }
 
-// sampleRefList draws up to n distinct reference-list members, excluding
-// the given peer (ids.NoPeer excludes nobody). The returned slice is freshly
-// allocated (callers retain it across messages); the candidate pool behind
-// the draw is scratch. sampleRefListInto is the non-retaining variant.
-func (p *Peer) sampleRefList(st *auState, n int, exclude ids.PeerID) []ids.PeerID {
-	return p.sampleRefListInto(nil, st, n, exclude)
-}
-
-// sampleRefListInto is sampleRefList appending into dst's backing array; use
-// it when the result is consumed before the next call on this peer.
+// sampleRefListInto draws up to n distinct reference-list members, excluding
+// the given peer (ids.NoPeer excludes nobody), into dst's backing array. The
+// candidate pool behind the draw is scratch too, so the result must be
+// consumed before the next draw on this peer.
 func (p *Peer) sampleRefListInto(dst []ids.PeerID, st *auState, n int, exclude ids.PeerID) []ids.PeerID {
 	pool := p.poolScratch[:0]
 	for _, id := range st.refList {

@@ -137,8 +137,8 @@ func (p *Peer) startPoll(st *auState, deadline sched.Time) {
 	// invitations fire at once and votes are due within a single narrow
 	// window, recreating the synchronous-rendezvous weakness of §5.2.
 	// Invitees are consumed within this call, so they draw into scratch.
-	invitees := p.sampleRefListInto(p.inviteeScratch, st, p.cfg.InnerCircle, ids.NoPeer)
-	p.inviteeScratch = invitees
+	invitees := p.sampleRefListInto(p.drawScratch, st, p.cfg.InnerCircle, ids.NoPeer)
+	p.drawScratch = invitees
 	solicitSpan := float64(window) * p.cfg.SolicitFrac
 	for _, v := range invitees {
 		var at sched.Duration
@@ -200,7 +200,7 @@ func (p *Peer) sendPollInvitation(st *auState, poll *pollState, i int) {
 	}
 	sol.voteBy = voteBy
 
-	m := &Msg{
+	m := Msg{
 		Type:         MsgPoll,
 		AU:           st.spec.ID,
 		PollID:       poll.id,
@@ -212,7 +212,7 @@ func (p *Peer) sendPollInvitation(st *auState, poll *pollState, i int) {
 	p.charge(effort.KindSession, p.costs.SessionSetup)
 	if p.cfg.EffortBalancing {
 		intro := st.pollEffort.Intro
-		m.Proof = p.env.MakeProof(p.msgContext(m, "intro"), intro, nil)
+		m.Proof = p.env.MakeProof(p.msgContext(&m, "intro"), intro, nil)
 		p.charge(effort.KindIntroGen, intro)
 	}
 	sol.state = solAwaitAck
@@ -300,7 +300,7 @@ func (p *Peer) sendPollProof(st *auState, poll *pollState, i int) {
 	if poll.concluded || sol.state != solAwaitProofSlot {
 		return
 	}
-	pm := &Msg{
+	pm := Msg{
 		Type:   MsgPollProof,
 		AU:     st.spec.ID,
 		PollID: poll.id,
@@ -310,7 +310,7 @@ func (p *Peer) sendPollProof(st *auState, poll *pollState, i int) {
 	}
 	if p.cfg.EffortBalancing {
 		rem := st.pollEffort.Remainder
-		pm.Proof = p.env.MakeProof(p.msgContext(pm, "remainder"), rem, nil)
+		pm.Proof = p.env.MakeProof(p.msgContext(&pm, "remainder"), rem, nil)
 		p.charge(effort.KindRemainderGen, rem)
 	}
 	sol.state = solAwaitVote

@@ -30,6 +30,12 @@ type voterSession struct {
 	myReceipt    effort.Receipt
 	timer        TimerID
 	repairs      int
+
+	// st is the session's AU and fire its one timer callback, bound when
+	// the record is first allocated: a session has at most one timer
+	// pending, and sessionTimer tells by state which deadline it was.
+	st   *auState
+	fire func()
 }
 
 // refillConsiderTokens advances the self-clocked consideration rate
@@ -131,6 +137,7 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 		p.freeSessions = p.freeSessions[:k-1]
 	} else {
 		s = &voterSession{}
+		s.fire = func() { p.sessionTimer(s) }
 	}
 	*s = voterSession{
 		key:          key,
@@ -140,9 +147,11 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 		slotEnd:      slotStart + sched.Time(voteDur),
 		voteBy:       m.VoteBy,
 		pollDeadline: m.PollDeadline,
+		st:           st,
+		fire:         s.fire,
 	}
 	st.sessions[key] = s
-	p.send(from, &Msg{
+	p.send(from, Msg{
 		Type:   MsgPollAck,
 		AU:     st.spec.ID,
 		PollID: m.PollID,
@@ -150,24 +159,38 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 		Voter:  p.id,
 		Accept: true,
 	})
-	// Reservation defense: if the poller never follows up with PollProof,
-	// release the commitment and penalize (the introductory effort was
-	// sized to cover exactly this exposure).
-	s.timer = p.env.After(p.cfg.ProofTimeout, func() {
-		if s.state != vsAwaitProof {
-			return
-		}
+	s.timer = p.env.After(p.cfg.ProofTimeout, s.fire)
+}
+
+// sessionTimer runs a session's pending deadline. Every transition out of a
+// state cancels the timer armed for it, so the state names the deadline.
+func (p *Peer) sessionTimer(s *voterSession) {
+	st, poller := s.st, s.key.poller
+	switch s.state {
+	case vsAwaitProof:
+		// Reservation defense: the poller never followed up with PollProof;
+		// release the commitment and penalize (the introductory effort was
+		// sized to cover exactly this exposure).
 		p.stats.ProofsTimedOut++
 		p.sch.Release(s.taskID)
-		st.rep.Penalize(p.env.Now(), from)
-		p.closeSession(st, s)
-	})
+	case vsAwaitSlot:
+		// The reserved compute slot is over: the vote materializes.
+		p.completeVote(s)
+		return
+	case vsAwaitReceipt:
+		// Waste defense: the poller withheld the evaluation receipt it owed.
+		p.stats.ReceiptsTimedOut++
+	default:
+		return
+	}
+	st.rep.Penalize(p.env.Now(), poller)
+	p.closeSession(st, s)
 }
 
 // refuseInvite sends a negative PollAck.
 func (p *Peer) refuseInvite(st *auState, from ids.PeerID, pollID uint64, r RefuseReason) {
 	p.stats.InvitesRefused++
-	p.send(from, &Msg{
+	p.send(from, Msg{
 		Type:   MsgPollAck,
 		AU:     st.spec.ID,
 		PollID: pollID,
@@ -201,21 +224,17 @@ func (p *Peer) voterHandleProof(st *auState, from ids.PeerID, m *Msg) {
 	s.nonce = m.Nonce
 	s.state = vsAwaitSlot
 	// The vote materializes when its reserved compute slot completes.
-	s.timer = p.env.After(sched.Duration(s.slotEnd-p.env.Now()), func() {
-		p.completeVote(st, s, from)
-	})
+	s.timer = p.env.After(sched.Duration(s.slotEnd-p.env.Now()), s.fire)
 }
 
 // completeVote runs at the end of the reserved compute slot: hash the
 // replica under the nonce, generate the vote's provable effort, remember the
 // receipt byproduct, and send the Vote with discovery nominations.
-func (p *Peer) completeVote(st *auState, s *voterSession, poller ids.PeerID) {
-	if s.state != vsAwaitSlot {
-		return
-	}
+func (p *Peer) completeVote(s *voterSession) {
+	st, poller := s.st, s.key.poller
 	p.charge(effort.KindVote, st.pollEffort.VoteHash+st.pollEffort.VoteProof)
 	vd := p.ownVoteData(st, s.nonce[:])
-	m := &Msg{
+	m := Msg{
 		Type:   MsgVote,
 		AU:     st.spec.ID,
 		PollID: s.key.pollID,
@@ -224,10 +243,11 @@ func (p *Peer) completeVote(st *auState, s *voterSession, poller ids.PeerID) {
 		Vote:   vd,
 	}
 	if p.cfg.EffortBalancing {
-		m.Proof = p.env.MakeProof(p.msgContext(m, "vote"), st.pollEffort.VoteProof, &s.myReceipt)
+		m.Proof = p.env.MakeProof(p.msgContext(&m, "vote"), st.pollEffort.VoteProof, &s.myReceipt)
 	}
 	// Discovery: offer a random subset of the reference list.
-	m.Nominations = p.sampleRefList(st, p.cfg.Nominations, poller)
+	m.Nominations = p.sampleRefListInto(p.drawScratch, st, p.cfg.Nominations, poller)
+	p.drawScratch = m.Nominations
 
 	s.state = vsAwaitReceipt
 	p.stats.VotesSupplied++
@@ -240,14 +260,7 @@ func (p *Peer) completeVote(st *auState, s *voterSession, poller ids.PeerID) {
 	if wait < 0 {
 		wait = p.cfg.ReceiptSlack
 	}
-	s.timer = p.env.After(wait, func() {
-		if s.state != vsAwaitReceipt {
-			return
-		}
-		p.stats.ReceiptsTimedOut++
-		st.rep.Penalize(p.env.Now(), poller)
-		p.closeSession(st, s)
-	})
+	s.timer = p.env.After(wait, s.fire)
 }
 
 // voterHandleRepairRequest serves a block to a poller we voted for, up to
@@ -270,7 +283,7 @@ func (p *Peer) voterHandleRepairRequest(st *auState, from ids.PeerID, m *Msg) {
 	s.repairs++
 	p.stats.RepairsServed++
 	p.charge(effort.KindRepair, p.costs.HashCost(st.spec.BlockSize))
-	p.send(from, &Msg{
+	p.send(from, Msg{
 		Type:       MsgRepair,
 		AU:         st.spec.ID,
 		PollID:     m.PollID,
@@ -304,8 +317,8 @@ func (p *Peer) voterHandleReceipt(st *auState, from ids.PeerID, m *Msg) {
 }
 
 // closeSession cancels timers and forgets the session, recycling the record.
-// A session's only live closure is its current timer, cancelled here, so
-// nothing can observe the record after it returns to the freelist.
+// A session's only live timer is cancelled here, so nothing can observe the
+// record after it returns to the freelist.
 func (p *Peer) closeSession(st *auState, s *voterSession) {
 	p.stopTimer(&s.timer)
 	s.state = vsClosed

@@ -15,7 +15,7 @@ import (
 // adversary, with total information awareness, observes the admission
 // instantly and stops wasting effort.
 //
-// PerMsgCost, when non-zero, is charged to the attacker's ledger for every
+// ProofCost, with a Proof, is charged to the attacker's ledger for every
 // invitation actually emitted (the effortful brute-force adversary pays an
 // introductory effort per attempt; the effortless admission-control flooder
 // pays nothing).
@@ -31,10 +31,12 @@ type BurstPayload struct {
 	Count int
 	// Template is the invitation; Poller is overridden per copy.
 	Template protocol.Msg
-	// MakeProof, when non-nil, attaches a fresh effort proof per
-	// invitation, bound to the invitation's context, and its generation
-	// cost is charged to Ledger.
-	MakeProof func(ctx []byte) (effort.Proof, effort.Seconds)
+	// Proof, when non-nil, is attached to every invitation, and ProofCost
+	// is charged to Ledger per invitation emitted. The proofs are symbolic:
+	// a SimProof's validity does not depend on the context it is bound to,
+	// so one value serves the whole stream.
+	Proof     effort.Proof
+	ProofCost effort.Seconds
 	// Ledger receives the attacker's per-invitation costs.
 	Ledger *effort.Ledger
 	// Sent, if non-nil, receives the number of invitations emitted.
@@ -57,6 +59,7 @@ func (b *BurstPayload) Deliver(w *World, victim *protocol.Peer) {
 	// the per-invitation fields are rewritten between deliveries.
 	m := b.Template
 	m.Voter = victim.ID()
+	m.Proof = b.Proof
 	for i := 0; i < b.Count; i++ {
 		// An admitted unknown/in-debt invitation puts the victim in its
 		// refractory period; the attacker stops a stream that has achieved
@@ -71,12 +74,8 @@ func (b *BurstPayload) Deliver(w *World, victim *protocol.Peer) {
 			from = b.First + ids.PeerID(i)
 		}
 		m.Poller = from
-		if b.MakeProof != nil {
-			proof, cost := b.MakeProof(m.Context("intro"))
-			m.Proof = proof
-			if b.Ledger != nil {
-				b.Ledger.Charge(effort.KindAttackIntro, cost)
-			}
+		if b.Proof != nil && b.Ledger != nil {
+			b.Ledger.Charge(effort.KindAttackIntro, b.ProofCost)
 		}
 		emitted++
 		victim.Receive(from, &m)
@@ -91,6 +90,19 @@ func (b *BurstPayload) Deliver(w *World, victim *protocol.Peer) {
 // charge the full worst case, which only makes the attacker's network
 // footprint look larger, never smaller.
 func (b *BurstPayload) BurstWireSize() int {
-	m := b.Template
-	return m.WireSize() * b.Count
+	return b.Template.WireSize() * b.Count
+}
+
+// NewBurst returns a pooled copy of b for Net.Send. Like NewMsg's records,
+// it returns to the pool once the network has delivered or dropped it.
+func (w *World) NewBurst(b *BurstPayload) *BurstPayload {
+	var r *BurstPayload
+	if k := len(w.freeBursts); k > 0 {
+		r = w.freeBursts[k-1]
+		w.freeBursts = w.freeBursts[:k-1]
+	} else {
+		r = new(BurstPayload)
+	}
+	*r = *b
+	return r
 }

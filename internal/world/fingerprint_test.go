@@ -43,6 +43,11 @@ func fingerprintRun(t *testing.T, cfg Config, churn Churn) worldFingerprint {
 		stats = w.EnableChurn(churn)
 	}
 	w.Run()
+	return fingerprintOf(w, stats)
+}
+
+// fingerprintOf fingerprints a finished run; stats is nil without churn.
+func fingerprintOf(w *World, stats *JoinStats) worldFingerprint {
 	fp := worldFingerprint{
 		events:       w.EventsExecuted(),
 		accessFail:   math.Float64bits(w.Metrics.AccessFailureProbability()),

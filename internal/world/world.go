@@ -209,6 +209,12 @@ type World struct {
 	// come from the cost model for the world's one AU size, so there are a
 	// handful at most and a scan beats hashing a float.
 	proofs []effort.Proof
+
+	// freeMsgs and freeBursts hold the payloads Net has handed back through
+	// its Release hook. A run sends millions of messages but only those in
+	// flight are live at once, so NewMsg and NewBurst rarely allocate.
+	freeMsgs   []*protocol.Msg
+	freeBursts []*BurstPayload
 }
 
 // Env adapts a World to protocol.Env for one peer.
@@ -236,9 +242,41 @@ func (e *Env) Cancel(t protocol.TimerID) bool {
 // Rand implements protocol.Env.
 func (e *Env) Rand() *prng.Source { return e.rnd }
 
-// Send implements protocol.Env.
+// Send implements protocol.Env. The network carries a pooled copy of m, so
+// the peer may reuse m as soon as Send returns.
 func (e *Env) Send(to ids.PeerID, m *protocol.Msg) {
-	e.w.Net.Send(e.id, to, m, m.WireSize())
+	r := e.w.NewMsg(m)
+	e.w.Net.Send(e.id, to, r, r.WireSize())
+}
+
+// NewMsg returns a pooled copy of m for Net.Send, with Nominations copied
+// into the record's own backing array. The network hands the record back to
+// the pool once it has delivered or dropped it, so no sender or handler may
+// keep it.
+func (w *World) NewMsg(m *protocol.Msg) *protocol.Msg {
+	var r *protocol.Msg
+	if k := len(w.freeMsgs); k > 0 {
+		r = w.freeMsgs[k-1]
+		w.freeMsgs = w.freeMsgs[:k-1]
+	} else {
+		r = new(protocol.Msg)
+	}
+	noms := append(r.Nominations[:0], m.Nominations...)
+	*r = *m
+	r.Nominations = noms
+	return r
+}
+
+// release is Net's Release hook: it returns the world's message and burst
+// records to their pools as they are. NewMsg and NewBurst overwrite every
+// field on reuse, and a message keeps its nominations array.
+func (w *World) release(payload any) {
+	switch v := payload.(type) {
+	case *protocol.Msg:
+		w.freeMsgs = append(w.freeMsgs, v)
+	case *BurstPayload:
+		w.freeBursts = append(w.freeBursts, v)
+	}
 }
 
 // MakeProof implements protocol.Env with a symbolic proof; the effort cost
@@ -297,6 +335,7 @@ func New(cfg Config) (*World, error) {
 	}
 	// Loyal peers plus a margin for adversary-controlled nodes.
 	w.Net = netsim.NewSized(w.Engine, cfg.Peers+8)
+	w.Net.Release = w.release
 
 	w.specs = cfg.Catalogue()
 	costs := cfg.CostModel()

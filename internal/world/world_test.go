@@ -165,23 +165,24 @@ func TestBurstChargesLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := new(effort.Ledger)
+	sent := 0
 	burst := &BurstPayload{
 		First: ids.MinionBase + 100,
 		Count: 10,
 		Template: protocol.Msg{
 			Type: protocol.MsgPoll, AU: 1, PollID: 9,
 		},
-		MakeProof: func(ctx []byte) (effort.Proof, effort.Seconds) {
-			return effort.SimProof{Effort: 2, Genuine: true}, 2
-		},
-		Ledger: ledger,
+		Proof:     effort.SimProof{Effort: 2, Genuine: true},
+		ProofCost: 2,
+		Ledger:    ledger,
+		Sent:      func(n int) { sent = n },
 	}
 	burst.Deliver(w, w.Peers[0])
-	if ledger.Total == 0 {
-		t.Error("burst proofs not charged")
+	if sent <= 0 {
+		t.Fatalf("burst emitted %d", sent)
 	}
-	if ledger.Total > 2*10 {
-		t.Error("overcharged")
+	if want := effort.Seconds(2 * sent); ledger.Total != want || ledger.ByKind[effort.KindAttackIntro] != want {
+		t.Errorf("ledger %v (intro %v), want %v: ProofCost per invitation emitted", ledger.Total, ledger.ByKind[effort.KindAttackIntro], want)
 	}
 }
 
