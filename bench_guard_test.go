@@ -74,7 +74,7 @@ func guardWorkloads() []struct {
 			if mut != nil {
 				mut(&cfg)
 			}
-			_, err := experiment.RunOne(cfg, mk)
+			_, err := experiment.NewEngine(1).Run(context.Background(), cfg, mk, 1, 1)
 			return err
 		}
 	}
@@ -103,7 +103,7 @@ func guardWorkloads() []struct {
 		return func() error {
 			cfg := experiment.Options{Scale: s}.BaseWorld()
 			cfg.Duration = sim.Duration(days) * sim.Day
-			_, err := experiment.RunOne(cfg, nil)
+			_, err := experiment.NewEngine(1).Run(context.Background(), cfg, nil, 1, 1)
 			return err
 		}
 	}
@@ -113,7 +113,7 @@ func guardWorkloads() []struct {
 		return func() error {
 			cfg := benchWorld()
 			cfg.Seed = 1
-			_, err := experiment.RunLayered(context.Background(), cfg, nil, layers)
+			_, err := experiment.Run(context.Background(), cfg, nil, 1, layers)
 			return err
 		}
 	}

@@ -74,9 +74,6 @@ var scenarioAblationRefractory = mustRegister(&Scenario{
 			"longer refractory periods shield busier peers but slow discovery (§9 of the paper)")
 		return []*Table{t}
 	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		return fmt.Sprintf("ablation/refractory %gd afp=%s", pt.At(0), fmtProb(pr.Stats.AccessFailure))
-	},
 })
 
 // ablationDropSettings pairs the swept (drop-unknown, drop-debt)
@@ -123,10 +120,6 @@ var scenarioAblationDropProb = mustRegister(&Scenario{
 			"higher drop probabilities force the attacker to spend more introductory effort per admission")
 		return []*Table{t}
 	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		s := ablationDropSettings[int(pt.At(0))]
-		return fmt.Sprintf("ablation/drop %.2f/%.2f cost=%s", s.unknown, s.debt, fmtRatio(pr.Cmp.CostRatio))
-	},
 })
 
 // scenarioAblationIntroductions toggles peer introductions under a
@@ -154,9 +147,6 @@ var scenarioAblationIntroductions = mustRegister(&Scenario{
 		t.Notes = append(t.Notes,
 			"introductions let loyal-but-unknown pollers bypass refractory periods the flood keeps triggered")
 		return []*Table{t}
-	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		return fmt.Sprintf("ablation/intros=%v polls=%.0f", pt.At(0) != 0, pr.Stats.SuccessfulPolls)
 	},
 })
 
@@ -198,10 +188,6 @@ var scenarioAblationDesynchronization = mustRegister(&Scenario{
 			"synchronous solicitation needs a quorum of simultaneously free voters; busyness then collapses polls (§5.2)")
 		return []*Table{t}
 	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		return fmt.Sprintf("ablation/desync=%v ok=%.0f/%.0f",
-			pt.At(0) != 0, pr.Stats.SuccessfulPolls, pr.Stats.TotalPolls)
-	},
 })
 
 // scenarioAblationEffortBalancing toggles effort balancing under the
@@ -232,8 +218,5 @@ var scenarioAblationEffortBalancing = mustRegister(&Scenario{
 		t.Notes = append(t.Notes,
 			"without effort balancing the attacker imposes defender work at near-zero cost to itself")
 		return []*Table{t}
-	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		return fmt.Sprintf("ablation/effort=%v cost=%s", pt.At(0) != 0, fmtRatio(pr.Cmp.CostRatio))
 	},
 })

@@ -53,30 +53,38 @@ type Comparison struct {
 }
 
 // ProgressSink, when non-nil, receives periodic execution progress from
-// every unlayered simulation run in the process: the reporting run's virtual
-// time and executed events, every ProgressStride events. Set it before
-// running anything (the CLI's -progress does); the callback must be
-// thread-safe, since the worker pool executes runs concurrently.
+// every simulation run in the process — each seed, each layer and each churn
+// run: the reporting run's virtual time and executed events, every
+// progressStride events. Set it before running anything (the CLI's -progress
+// does); the callback must be thread-safe, since the worker pool executes
+// runs concurrently.
 var ProgressSink func(vt sim.Time, events uint64)
 
-// ProgressStride is the reporting granularity of ProgressSink, in events.
-var ProgressStride uint64 = 1 << 20
+// progressStride is the reporting granularity of ProgressSink, in events.
+var progressStride uint64 = 1 << 20
 
-// RunOne executes a single seeded run on the calling goroutine and extracts
-// stats. mkAttack may be nil for a baseline.
-func RunOne(cfg world.Config, mkAttack func() adversary.Adversary) (RunStats, error) {
+// runWorld is the one place a world is built and run. prepare, if non-nil,
+// installs per-run state (background load, churn, the adversary) before the
+// run starts; ProgressSink, when set, is attached to every run.
+func runWorld(cfg world.Config, prepare func(*world.World)) (*world.World, error) {
 	w, err := world.New(cfg)
 	if err != nil {
-		return RunStats{}, err
+		return nil, err
 	}
-	if mkAttack != nil {
-		mkAttack().Install(w)
+	if prepare != nil {
+		prepare(w)
 	}
 	if ProgressSink != nil {
-		w.InstallProgress(ProgressStride, ProgressSink)
+		w.InstallProgress(progressStride, ProgressSink)
 	}
 	w.Run()
-	return statsFromWorld(w), nil
+	return w, nil
+}
+
+// seedConfig is cfg at seed index s of a seed-averaged point.
+func seedConfig(cfg world.Config, s int) world.Config {
+	cfg.Seed += uint64(s) * 1_000_003
+	return cfg
 }
 
 // statsFromWorld extracts the per-run metric ingredients of a finished run.
@@ -130,17 +138,11 @@ func average(runs []RunStats) RunStats {
 	return out
 }
 
-// Run executes one simulation under the process-wide worker pool, honoring
-// context cancellation while queued. mkAttack may be nil for a baseline.
-func Run(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary) (RunStats, error) {
-	return newSharedEngine().RunOne(ctx, cfg, mkAttack)
-}
-
-// RunAveraged executes seeds runs with consecutive seeds and averages,
-// fanning the runs across the process-wide worker pool. Results are
-// identical to running the seeds serially. seeds must be at least 1.
-func RunAveraged(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, seeds int) (RunStats, error) {
-	return newSharedEngine().RunAveraged(ctx, cfg, mkAttack, seeds)
+// Run executes cfg on the process-wide worker pool: seeds consecutive
+// derived seeds, each a stack of layers runs, averaged (see Engine.Run).
+// mkAttack may be nil for a baseline. The context cancels queued runs.
+func Run(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, seeds, layers int) (RunStats, error) {
+	return newSharedEngine().Run(ctx, cfg, mkAttack, seeds, layers)
 }
 
 // Compare derives the paper's ratio metrics.
@@ -216,12 +218,6 @@ func (o Options) engine() *Engine {
 		return o.Engine
 	}
 	return newSharedEngine()
-}
-
-func (o Options) progress(format string, args ...any) {
-	if o.Progress != nil {
-		o.Progress(format, args...)
-	}
 }
 
 func (o Options) seeds() int {

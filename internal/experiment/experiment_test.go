@@ -206,11 +206,11 @@ func TestRunLayeredAggregates(t *testing.T) {
 	cfg := o.BaseWorld()
 	cfg.Duration = sim.Year / 2
 	cfg.DamageDiskYears = 1
-	single, err := RunOne(cfg, nil)
+	single, err := runOne(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layered, err := RunLayered(context.Background(), cfg, nil, 2)
+	layered, err := Run(context.Background(), cfg, nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"lockss/internal/adversary"
@@ -14,34 +13,9 @@ import (
 // future-work agenda: dynamic populations (churn), adaptive acceptance, and
 // combined adversary strategies — each a registered Scenario.
 
-// ChurnResult captures one churn scenario's outcome.
-type ChurnResult struct {
-	Scenario        string
-	Joined          float64
-	Integrated      float64
-	NewcomerPollsOK float64
-	NewcomerVotes   float64
-	AccessFailure   float64
-}
-
-// runChurn executes one seeded churn run.
-func runChurn(cfg world.Config, churn world.Churn, mkAttack func() adversary.Adversary) (ChurnResult, error) {
-	w, err := world.New(cfg)
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	stats := w.EnableChurn(churn)
-	if mkAttack != nil {
-		mkAttack().Install(w)
-	}
-	w.Run()
-	return ChurnResult{
-		Joined:          float64(stats.Joined),
-		Integrated:      float64(stats.Integrated),
-		NewcomerPollsOK: float64(stats.NewcomerPollsOK),
-		NewcomerVotes:   float64(stats.NewcomerVotes),
-		AccessFailure:   w.Metrics.AccessFailureProbability(),
-	}, nil
+// churnRun is one seeded churn run's outcome.
+type churnRun struct {
+	joined, integrated, newcomerPollsOK, newcomerVotes, accessFailure float64
 }
 
 // churnNames labels the churn scenario axis.
@@ -75,34 +49,42 @@ var scenarioExtensionChurn = mustRegister(&Scenario{
 		// Fan the seeded churn runs across the engine; accumulation stays
 		// in seed order, so results match the serial loop bit-for-bit.
 		seeds := o.seeds()
-		var acc ChurnResult
-		_, err := gather(seeds, func(s int) (ChurnResult, error) {
-			c := cfg
-			c.Seed = cfg.Seed + uint64(s)*1_000_003
-			var r ChurnResult
-			err := e.withSlot(ctx, func() error {
-				var ferr error
-				r, ferr = runChurn(c, churn, mk)
-				return ferr
+		runs, err := gather(seeds, func(s int) (r churnRun, err error) {
+			err = e.withSlot(ctx, func() error {
+				var stats *world.JoinStats
+				w, err := runWorld(seedConfig(cfg, s), func(w *world.World) {
+					stats = w.EnableChurn(churn)
+					attach(w, mk)
+				})
+				if err != nil {
+					return err
+				}
+				r = churnRun{float64(stats.Joined), float64(stats.Integrated),
+					float64(stats.NewcomerPollsOK), float64(stats.NewcomerVotes),
+					w.Metrics.AccessFailureProbability()}
+				return nil
 			})
 			return r, err
-		}, func(s int, r ChurnResult) {
-			acc.Joined += r.Joined / float64(seeds)
-			acc.Integrated += r.Integrated / float64(seeds)
-			acc.NewcomerPollsOK += r.NewcomerPollsOK / float64(seeds)
-			acc.NewcomerVotes += r.NewcomerVotes / float64(seeds)
-			acc.AccessFailure += r.AccessFailure / float64(seeds)
-		})
+		}, nil)
 		if err != nil {
 			return PointResult{}, err
 		}
+		var acc churnRun
+		n := float64(seeds)
+		for _, r := range runs {
+			acc.joined += r.joined / n
+			acc.integrated += r.integrated / n
+			acc.newcomerPollsOK += r.newcomerPollsOK / n
+			acc.newcomerVotes += r.newcomerVotes / n
+			acc.accessFailure += r.accessFailure / n
+		}
 		return PointResult{
-			Stats: RunStats{AccessFailure: acc.AccessFailure},
+			Stats: RunStats{AccessFailure: acc.accessFailure},
 			Extra: map[string]float64{
-				"joined":            acc.Joined,
-				"integrated":        acc.Integrated,
-				"newcomer-polls-ok": acc.NewcomerPollsOK,
-				"newcomer-votes":    acc.NewcomerVotes,
+				"joined":            acc.joined,
+				"integrated":        acc.integrated,
+				"newcomer-polls-ok": acc.newcomerPollsOK,
+				"newcomer-votes":    acc.newcomerVotes,
 			},
 		}, nil
 	},
@@ -124,10 +106,6 @@ var scenarioExtensionChurn = mustRegister(&Scenario{
 			"newcomers integrate through mutual friends, discovery nominations and introductions",
 			"the admission flood slows but does not prevent integration (friends bypass the refractory period)")
 		return []*Table{t}
-	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		return fmt.Sprintf("churn %s joined=%.1f integrated=%.1f",
-			churnNames[int(pt.At(0))], pr.Extra["joined"], pr.Extra["integrated"])
 	},
 })
 
@@ -168,9 +146,6 @@ var scenarioExtensionAdaptive = mustRegister(&Scenario{
 		t.Notes = append(t.Notes,
 			"adaptive acceptance raises the attacker's marginal cost of keeping victims busy (§9)")
 		return []*Table{t}
-	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		return fmt.Sprintf("adaptive=%v friction=%s", pt.At(0) != 0, fmtRatio(pr.Cmp.Friction))
 	},
 })
 
@@ -224,8 +199,5 @@ var scenarioExtensionCombined = mustRegister(&Scenario{
 		t.Notes = append(t.Notes,
 			"redundancy and rate limits keep the combination roughly additive: the stoppage dominates damage, the brute force dominates friction")
 		return []*Table{t}
-	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		return fmt.Sprintf("combined %s afp=%s", combinedNames[int(pt.At(0))], fmtProb(pr.Stats.AccessFailure))
 	},
 })

@@ -71,28 +71,6 @@ func collectionLabel(o Options, layered bool) string {
 	return fmt.Sprintf("%d AUs", aus)
 }
 
-// layeredSeedsAt and layeredLayersAt build the per-point overrides for
-// scenarios where layeredAt flags the layered large-collection points:
-// those points stack o.layersFor() layers at a single seed, as the paper's
-// 600-AU technique does.
-func layeredSeedsAt(layeredAt func(o Options, pt Point) bool) func(o Options, pt Point) int {
-	return func(o Options, pt Point) int {
-		if layeredAt(o, pt) {
-			return 1
-		}
-		return o.seeds()
-	}
-}
-
-func layeredLayersAt(layeredAt func(o Options, pt Point) bool) func(o Options, pt Point) int {
-	return func(o Options, pt Point) int {
-		if layeredAt(o, pt) {
-			return o.layersFor()
-		}
-		return 1
-	}
-}
-
 func intsToFloats(vs []int) []float64 {
 	out := make([]float64, len(vs))
 	for i, v := range vs {
@@ -147,8 +125,7 @@ var scenarioFigure2 = mustRegister(&Scenario{
 		}
 		return false
 	},
-	SeedsAt:  layeredSeedsAt(func(o Options, pt Point) bool { return pt.At(0) != 0 }),
-	LayersAt: layeredLayersAt(func(o Options, pt Point) bool { return pt.At(0) != 0 }),
+	Layered: func(o Options, pt Point) bool { return pt.At(0) != 0 },
 	Tables: func(o Options, res *Result) []*Table {
 		t := &Table{
 			ID:      "Figure 2",
@@ -182,14 +159,6 @@ var scenarioFigure2 = mustRegister(&Scenario{
 		t.Notes = append(t.Notes,
 			"paper: afp rises with the inter-poll interval; ~4.8e-4 at 3mo/5y (50 AUs), 5.2e-4 (600 AUs)")
 		return []*Table{t}
-	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		series := "fig2"
-		if pt.At(0) != 0 {
-			series = "fig2/large"
-		}
-		return fmt.Sprintf("%s interval=%dmo mtbf=%.0fy afp=%s",
-			series, int(pt.At(1)), pt.At(2), fmtProb(pr.Stats.AccessFailure))
 	},
 })
 
@@ -229,14 +198,15 @@ func (o Options) coverages() []float64 {
 }
 
 // sweepSeries resolves one series index of an attack sweep: its coverage
-// fraction, whether it is the layered large collection, and its label.
-func sweepSeries(o Options, idx int) (cov float64, layered bool, label string) {
+// fraction and its label. The index past the coverages is the layered large
+// collection at full coverage.
+func sweepSeries(o Options, idx int) (cov float64, label string) {
 	covs := o.coverages()
 	if idx < len(covs) {
-		return covs[idx], false, fmtSeries(covs[idx])
+		return covs[idx], fmtSeries(covs[idx])
 	}
 	base := o.BaseWorld()
-	return 1.0, true, fmt.Sprintf("100%% %dAUs", base.AUs*o.layersFor())
+	return 1.0, fmt.Sprintf("100%% %dAUs", base.AUs*o.layersFor())
 }
 
 // sweepIsLayered flags the extra large-collection series of a sweep grid.
@@ -270,12 +240,11 @@ func attackSweepScenario(name, desc string, durations func(o Options) []float64,
 			{Name: "attack-days", ValuesFor: durations},
 		},
 		Attack: func(o Options, cfg world.Config, pt Point) adversary.Adversary {
-			cov, _, _ := sweepSeries(o, int(pt.At(0)))
+			cov, _ := sweepSeries(o, int(pt.At(0)))
 			return mk(cov, days(pt.At(1)))
 		},
-		SeedsAt:  layeredSeedsAt(sweepIsLayered),
-		LayersAt: layeredLayersAt(sweepIsLayered),
-		Compare:  true,
+		Layered: sweepIsLayered,
+		Compare: true,
 		Tables: func(o Options, res *Result) []*Table {
 			metrics := [3]func(c Comparison) Cell{
 				func(c Comparison) Cell { return Prob(c.Attack.AccessFailure) },
@@ -289,23 +258,13 @@ func attackSweepScenario(name, desc string, durations func(o Options) []float64,
 					Columns: []string{"coverage", "attack-days", cols[i]}}
 				for p := range res.Points {
 					pr := &res.Points[p]
-					_, _, label := sweepSeries(o, int(pr.Point.At(0)))
+					_, label := sweepSeries(o, int(pr.Point.At(0)))
 					t.AddCells(Str(label), Int(int(pr.Point.At(1))), metrics[i](*pr.Cmp))
 				}
 				t.Notes = append(t.Notes, notes[i]...)
 				out[i] = t
 			}
 			return out
-		},
-		Progress: func(o Options, pt Point, pr PointResult) string {
-			_, layered, label := sweepSeries(o, int(pt.At(0)))
-			if layered {
-				return fmt.Sprintf("sweep/large dur=%dd afp=%s",
-					int(pt.At(1)), fmtProb(pr.Cmp.Attack.AccessFailure))
-			}
-			return fmt.Sprintf("sweep cov=%s dur=%dd afp=%s delay=%s friction=%s",
-				label, int(pt.At(1)), fmtProb(pr.Cmp.Attack.AccessFailure),
-				fmtRatio(pr.Cmp.DelayRatio), fmtRatio(pr.Cmp.Friction))
 		},
 	})
 }
@@ -382,9 +341,8 @@ var scenarioTable1 = mustRegister(&Scenario{
 	Attack: func(o Options, cfg world.Config, pt Point) adversary.Adversary {
 		return &adversary.BruteForce{Defection: table1Defections[int(pt.At(0))]}
 	},
-	SeedsAt:  layeredSeedsAt(func(o Options, pt Point) bool { return pt.At(1) != 0 }),
-	LayersAt: layeredLayersAt(func(o Options, pt Point) bool { return pt.At(1) != 0 }),
-	Compare:  true,
+	Layered: func(o Options, pt Point) bool { return pt.At(1) != 0 },
+	Compare: true,
 	Tables: func(o Options, res *Result) []*Table {
 		t := &Table{
 			ID:    "Table 1",
@@ -404,15 +362,6 @@ var scenarioTable1 = mustRegister(&Scenario{
 			"paper (50 AUs): INTRO 1.40/1.93/1.11/5.0e-4, REMAINING 2.61/1.55/1.11/5.9e-4, NONE 2.60/1.02/1.11/5.6e-4",
 			"shape: friction INTRO < REMAINING ~= NONE; access failure within ~1.3x of baseline for all strategies")
 		return []*Table{t}
-	},
-	Progress: func(o Options, pt Point, pr PointResult) string {
-		size := "small"
-		if pt.At(1) != 0 {
-			size = "large"
-		}
-		return fmt.Sprintf("table1 %v %s friction=%s cost=%s",
-			table1Defections[int(pt.At(0))], size,
-			fmtRatio(pr.Cmp.Friction), fmtRatio(pr.Cmp.CostRatio))
 	},
 })
 

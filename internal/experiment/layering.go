@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"cmp"
-	"context"
 	"math"
 	"slices"
 
@@ -143,49 +142,25 @@ func combineLayers(layers []RunStats) RunStats {
 	return out
 }
 
-// runOneLayer executes one layer's world on the calling goroutine. Layer 0
-// measures and returns the population's task load; later layers carry the
-// replayed background load of the layers beneath them (ratePerNs scaled by
-// the layer index, as the serial implementation did).
-func runOneLayer(cfg world.Config, mkAttack func() adversary.Adversary, layer int,
-	ratePerNs, meanDurNs float64) (RunStats, float64, float64, error) {
-	c := cfg
-	c.Seed = cfg.Seed + uint64(layer)*7_919
-	w, err := world.New(c)
-	if err != nil {
-		return RunStats{}, 0, 0, err
-	}
-	if layer > 0 {
+// runLayer executes layer n >= 1 of a stack on the calling goroutine: its
+// own seed, and on every peer the replayed background load of the n layers
+// beneath it, measured on layer 0 as ratePerNs and meanDurNs.
+func runLayer(cfg world.Config, mkAttack func() adversary.Adversary, layer int,
+	ratePerNs, meanDurNs float64) (RunStats, error) {
+	cfg.Seed += uint64(layer) * 7_919
+	w, err := runWorld(cfg, func(w *world.World) {
 		for i, p := range w.Peers {
-			bg := &bgLoad{
-				seed:      c.Seed ^ uint64(i)<<32 ^ 0xb6,
+			p.Schedule().Background = &bgLoad{
+				seed:      cfg.Seed ^ uint64(i)<<32 ^ 0xb6,
 				ratePerNs: ratePerNs * float64(layer),
 				meanDurNs: meanDurNs,
 				bucket:    int64(sim.Day),
 			}
-			p.Schedule().Background = bg
 		}
+		attach(w, mkAttack)
+	})
+	if err != nil {
+		return RunStats{}, err
 	}
-	if mkAttack != nil {
-		mkAttack().Install(w)
-	}
-	w.Run()
-	if layer == 0 {
-		ratePerNs, meanDurNs = measureLoad(w)
-	}
-	return statsFromWorld(w), ratePerNs, meanDurNs, nil
-}
-
-// RunLayered executes `layers` stacked runs of cfg, each carrying the
-// statistically replayed background load of the layers beneath it, and
-// aggregates. cfg.AUs is the per-layer collection size. Layers 1..n-1 run
-// concurrently on the process-wide worker pool. layers must be at least 1.
-func RunLayered(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, layers int) (RunStats, error) {
-	return newSharedEngine().RunLayered(ctx, cfg, mkAttack, layers)
-}
-
-// RunLayeredAveraged repeats RunLayered across seeds; both layers and seeds
-// must be at least 1.
-func RunLayeredAveraged(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, layers, seeds int) (RunStats, error) {
-	return newSharedEngine().RunLayeredAveraged(ctx, cfg, mkAttack, layers, seeds)
+	return statsFromWorld(w), nil
 }

@@ -22,7 +22,7 @@ import (
 // the same order as the serial loops they replace, and per-run seeds use the
 // same derivation, so output is bit-identical at any worker count.
 //
-// Every method takes a context.Context. Cancellation is cooperative at run
+// Run takes a context.Context. Cancellation is cooperative at run
 // granularity: a leaf simulation cannot be interrupted once started, but
 // runs still queued behind the semaphore (and callers waiting on a memo
 // flight or a slot) return ctx.Err() promptly.
@@ -79,15 +79,15 @@ func NewEngine(workers int) *Engine {
 	}
 }
 
-// defaultSem is the process-wide worker pool behind the package-level Run*
-// wrappers and engine-less Options.
+// defaultSem is the process-wide worker pool behind the package-level Run
+// and engine-less Options.
 var defaultSem = sync.OnceValue(func() chan struct{} {
 	return make(chan struct{}, runtime.GOMAXPROCS(0))
 })
 
 // newSharedEngine returns an engine with a fresh memo and abort state that
 // draws slots from the process-wide pool. Library callers who parallelize
-// their own calls to the package-level helpers therefore compose: every
+// their own calls to the package-level Run therefore compose: every
 // simulation in the process contends for the same GOMAXPROCS slots instead
 // of each call spawning its own full-width pool.
 func newSharedEngine() *Engine {
@@ -108,16 +108,6 @@ func (e *Engine) MemoStats() (hits, misses uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.hits, e.misses
-}
-
-// errSeeds and errLayers build the descriptive guard errors for the public
-// entry points.
-func errSeeds(seeds int) error {
-	return fmt.Errorf("experiment: seeds must be at least 1, got %d", seeds)
-}
-
-func errLayers(layers int) error {
-	return fmt.Errorf("experiment: layers must be at least 1, got %d", layers)
 }
 
 // withSlot runs one leaf computation under a worker slot. Only leaf
@@ -198,103 +188,73 @@ func (e *Engine) memoized(ctx context.Context, key memoKey, compute func() (RunS
 	}
 }
 
-// RunOne executes a single seeded run under a worker slot, memoized when
-// attack-free.
-func (e *Engine) RunOne(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary) (RunStats, error) {
+// Run executes cfg at seeds consecutive derived seeds (seedConfig) and
+// averages them in seed order. Each seed is a stack of layers runs, the
+// paper's §6.3 technique: layer 0 first, since it measures the load replayed
+// beneath the others, then layers 1..n-1 concurrently, combined in layer
+// order; one layer is a plain run. Attack-free seeds memoize by (Config,
+// layers). mkAttack may be nil for a baseline; seeds and layers must be at
+// least 1.
+func (e *Engine) Run(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, seeds, layers int) (RunStats, error) {
+	if seeds < 1 {
+		return RunStats{}, fmt.Errorf("experiment: seeds must be at least 1, got %d", seeds)
+	}
+	if layers < 1 {
+		return RunStats{}, fmt.Errorf("experiment: layers must be at least 1, got %d", layers)
+	}
 	ctx = orBackground(ctx)
-	run := func() (s RunStats, err error) {
+	runs, err := gather(seeds, func(s int) (RunStats, error) {
+		c := seedConfig(cfg, s)
+		if mkAttack == nil {
+			return e.memoized(ctx, memoKey{c, layers}, func() (RunStats, error) {
+				return e.runStack(ctx, c, nil, layers)
+			})
+		}
+		return e.runStack(ctx, c, mkAttack, layers)
+	}, nil)
+	if err != nil {
+		return RunStats{}, err
+	}
+	return average(runs), nil
+}
+
+// runStack executes one seed's stack of layers, each run under a worker slot.
+func (e *Engine) runStack(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, layers int) (RunStats, error) {
+	var first RunStats
+	var ratePerNs, meanDurNs float64
+	err := e.withSlot(ctx, func() error {
+		w, err := runWorld(cfg, func(w *world.World) { attach(w, mkAttack) })
+		if err != nil {
+			return err
+		}
+		first = statsFromWorld(w)
+		if layers > 1 {
+			ratePerNs, meanDurNs = measureLoad(w)
+		}
+		return nil
+	})
+	if err != nil || layers == 1 {
+		return first, err
+	}
+	rest, err := gather(layers-1, func(i int) (s RunStats, err error) {
 		err = e.withSlot(ctx, func() error {
 			var ferr error
-			s, ferr = RunOne(cfg, mkAttack)
+			s, ferr = runLayer(cfg, mkAttack, i+1, ratePerNs, meanDurNs)
 			return ferr
 		})
 		return s, err
-	}
-	if mkAttack == nil {
-		return e.memoized(ctx, memoKey{cfg, 1}, run)
-	}
-	return run()
-}
-
-// RunAveraged executes seeds runs with consecutive derived seeds across the
-// pool and averages. The per-run seed derivation matches the serial path.
-func (e *Engine) RunAveraged(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, seeds int) (RunStats, error) {
-	if seeds < 1 {
-		return RunStats{}, errSeeds(seeds)
-	}
-	ctx = orBackground(ctx)
-	runs, err := gather(seeds, func(s int) (RunStats, error) {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(s)*1_000_003
-		return e.RunOne(ctx, c, mkAttack)
 	}, nil)
 	if err != nil {
 		return RunStats{}, err
 	}
-	return average(runs), nil
+	return combineLayers(append([]RunStats{first}, rest...)), nil
 }
 
-// RunLayered executes a layered run: layer 0 first (it measures the
-// background load), then layers 1..n-1 concurrently, aggregated in layer
-// order. Memoized when attack-free.
-func (e *Engine) RunLayered(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, layers int) (RunStats, error) {
-	if layers < 1 {
-		return RunStats{}, errLayers(layers)
+// attach installs a fresh adversary from mkAttack; nil installs none.
+func attach(w *world.World, mkAttack func() adversary.Adversary) {
+	if mkAttack != nil {
+		mkAttack().Install(w)
 	}
-	ctx = orBackground(ctx)
-	if layers == 1 {
-		return e.RunOne(ctx, cfg, mkAttack)
-	}
-	compute := func() (RunStats, error) {
-		first, ratePerNs, meanDurNs, err := e.runLayer(ctx, cfg, mkAttack, 0, 0, 0)
-		if err != nil {
-			return RunStats{}, err
-		}
-		rest, err := gather(layers-1, func(i int) (RunStats, error) {
-			s, _, _, err := e.runLayer(ctx, cfg, mkAttack, i+1, ratePerNs, meanDurNs)
-			return s, err
-		}, nil)
-		if err != nil {
-			return RunStats{}, err
-		}
-		return combineLayers(append([]RunStats{first}, rest...)), nil
-	}
-	if mkAttack == nil {
-		return e.memoized(ctx, memoKey{cfg, layers}, compute)
-	}
-	return compute()
-}
-
-// runLayer executes one layer's world under a worker slot; layer 0 also
-// measures the load replayed beneath later layers.
-func (e *Engine) runLayer(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, layer int,
-	ratePerNs, meanDurNs float64) (s RunStats, rate, mean float64, err error) {
-	err = e.withSlot(ctx, func() error {
-		var ferr error
-		s, rate, mean, ferr = runOneLayer(cfg, mkAttack, layer, ratePerNs, meanDurNs)
-		return ferr
-	})
-	return s, rate, mean, err
-}
-
-// RunLayeredAveraged repeats RunLayered across seeds, fanned across the pool.
-func (e *Engine) RunLayeredAveraged(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, layers, seeds int) (RunStats, error) {
-	if seeds < 1 {
-		return RunStats{}, errSeeds(seeds)
-	}
-	if layers < 1 {
-		return RunStats{}, errLayers(layers)
-	}
-	ctx = orBackground(ctx)
-	runs, err := gather(seeds, func(s int) (RunStats, error) {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(s)*1_000_003
-		return e.RunLayered(ctx, c, mkAttack, layers)
-	}, nil)
-	if err != nil {
-		return RunStats{}, err
-	}
-	return average(runs), nil
 }
 
 // orBackground guards against nil contexts at the engine's public surface.

@@ -3,6 +3,9 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,6 +29,16 @@ func runnerCfg() world.Config {
 	return cfg
 }
 
+// runOne executes one plain run of cfg on the calling goroutine, bypassing
+// the engine: the serial reference the engine's results must match.
+func runOne(cfg world.Config, mkAttack func() adversary.Adversary) (RunStats, error) {
+	w, err := runWorld(cfg, func(w *world.World) { attach(w, mkAttack) })
+	if err != nil {
+		return RunStats{}, err
+	}
+	return statsFromWorld(w), nil
+}
+
 func runnerAttack() adversary.Adversary {
 	return &adversary.PipeStoppage{Pulse: adversary.Pulse{
 		Coverage: 1, Duration: 30 * sim.Day, Recuperation: 15 * sim.Day,
@@ -44,7 +57,7 @@ func TestEngineDeterminism(t *testing.T) {
 	for s := 0; s < seeds; s++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(s)*1_000_003
-		r, err := RunOne(c, nil)
+		r, err := runOne(c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,33 +67,33 @@ func TestEngineDeterminism(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		e := NewEngine(workers)
-		got, err := e.RunAveraged(ctx, cfg, nil, seeds)
+		got, err := e.Run(ctx, cfg, nil, seeds, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("workers=%d: RunAveraged diverges from serial reference:\n got %+v\nwant %+v", workers, got, want)
+			t.Errorf("workers=%d: Run diverges from the serial reference:\n got %+v\nwant %+v", workers, got, want)
 		}
 	}
 
 	// Attack and layered runs: workers=1 vs workers=8 must agree exactly.
 	e1, e8 := NewEngine(1), NewEngine(8)
-	a1, err := e1.RunAveraged(ctx, cfg, runnerAttack, 2)
+	a1, err := e1.Run(ctx, cfg, runnerAttack, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a8, err := e8.RunAveraged(ctx, cfg, runnerAttack, 2)
+	a8, err := e8.Run(ctx, cfg, runnerAttack, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a1 != a8 {
-		t.Errorf("attack RunAveraged differs across worker counts:\n w1 %+v\n w8 %+v", a1, a8)
+		t.Errorf("attack Run differs across worker counts:\n w1 %+v\n w8 %+v", a1, a8)
 	}
-	l1, err := e1.RunLayeredAveraged(ctx, cfg, nil, 3, 2)
+	l1, err := e1.Run(ctx, cfg, nil, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l8, err := e8.RunLayeredAveraged(ctx, cfg, nil, 3, 2)
+	l8, err := e8.Run(ctx, cfg, nil, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +108,14 @@ func TestEngineMemoization(t *testing.T) {
 	cfg := runnerCfg()
 	e := NewEngine(4)
 
-	first, err := e.RunAveraged(ctx, cfg, nil, 2)
+	first, err := e.Run(ctx, cfg, nil, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := e.MemoStats(); hits != 0 || misses != 2 {
 		t.Errorf("after first averaged run: hits=%d misses=%d, want 0/2", hits, misses)
 	}
-	again, err := e.RunAveraged(ctx, cfg, nil, 2)
+	again, err := e.Run(ctx, cfg, nil, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +127,7 @@ func TestEngineMemoization(t *testing.T) {
 	}
 
 	// Attack runs are not memoized (closures have no identity to key on).
-	if _, err := e.RunOne(ctx, cfg, runnerAttack); err != nil {
+	if _, err := e.Run(ctx, cfg, runnerAttack, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := e.MemoStats(); hits != 2 || misses != 2 {
@@ -122,10 +135,10 @@ func TestEngineMemoization(t *testing.T) {
 	}
 
 	// Layered baselines memoize at the composite granularity.
-	if _, err := e.RunLayered(ctx, cfg, nil, 2); err != nil {
+	if _, err := e.Run(ctx, cfg, nil, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunLayered(ctx, cfg, nil, 2); err != nil {
+	if _, err := e.Run(ctx, cfg, nil, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := e.MemoStats(); hits != 3 || misses != 3 {
@@ -140,10 +153,10 @@ func TestEngineAbort(t *testing.T) {
 	e := NewEngine(2)
 	bad := runnerCfg()
 	bad.Peers = 0 // world.New rejects this
-	if _, err := e.RunOne(ctx, bad, nil); err == nil {
+	if _, err := e.Run(ctx, bad, nil, 1, 1); err == nil {
 		t.Fatal("invalid config should fail")
 	}
-	if _, err := e.RunOne(ctx, runnerCfg(), nil); !errors.Is(err, errAborted) {
+	if _, err := e.Run(ctx, runnerCfg(), nil, 1, 1); !errors.Is(err, errAborted) {
 		t.Fatalf("run after failure: err = %v, want errAborted", err)
 	}
 	// A fan-out containing one bad config reports the real error, not the
@@ -151,7 +164,7 @@ func TestEngineAbort(t *testing.T) {
 	e2 := NewEngine(2)
 	cfgs := []world.Config{runnerCfg(), bad, runnerCfg()}
 	_, err := gather(len(cfgs), func(i int) (RunStats, error) {
-		return e2.RunOne(ctx, cfgs[i], nil)
+		return e2.Run(ctx, cfgs[i], nil, 1, 1)
 	}, nil)
 	if err == nil || errors.Is(err, errAborted) {
 		t.Fatalf("fan-out with bad config: err = %v, want the world.New error", err)
@@ -253,5 +266,76 @@ func TestGatherOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("done callbacks out of order: %v", emitted)
 		}
+	}
+}
+
+// TestProgressReachesEveryRun asserts ProgressSink hears from every
+// simulation run, not only plain ones: each layer of a stacked run and each
+// seeded churn run reports. A run's first report lands at exactly
+// progressStride events, so counting those counts the runs that reported.
+func TestProgressReachesEveryRun(t *testing.T) {
+	defer func(stride uint64) { ProgressSink, progressStride = nil, stride }(progressStride)
+	progressStride = 1 << 12
+	var reports, runs atomic.Int32
+	ProgressSink = func(vt sim.Time, events uint64) {
+		reports.Add(1)
+		if events == progressStride {
+			runs.Add(1)
+		}
+	}
+
+	if _, err := NewEngine(2).Run(ctx, runnerCfg(), nil, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != 3 {
+		t.Errorf("3-layer run: %d runs reported progress (%d reports), want all 3 layers", got, reports.Load())
+	}
+
+	reports.Store(0)
+	runs.Store(0)
+	o := Options{Scale: ScaleTiny, Seeds: 1}
+	pts, err := scenarioExtensionChurn.Points(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scenarioExtensionChurn.runPoint(ctx, NewEngine(1), o, pts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("churn point: %d runs reported progress (%d reports), want 1", got, reports.Load())
+	}
+}
+
+// TestPointProgressOrder asserts Options.Progress delivers per-point lines
+// in serial order at any worker count, as it promises.
+func TestPointProgressOrder(t *testing.T) {
+	spec := &Scenario{
+		Name: "progress-order",
+		Base: scenarioTestConfig,
+		Axes: []Axis{{Name: "coverage", Values: []float64{0.25, 0.5, 0.75, 1}}},
+		Attack: func(o Options, cfg world.Config, pt Point) adversary.Adversary {
+			return &adversary.PipeStoppage{Pulse: adversary.Pulse{
+				Coverage: pt.At(0), Duration: 30 * sim.Day, Recuperation: 15 * sim.Day,
+			}}
+		},
+		Seeds:   2,
+		Compare: true,
+	}
+	lines := func(workers int) []string {
+		var out []string
+		o := Options{Scale: ScaleTiny, Engine: NewEngine(workers),
+			Progress: func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }}
+		if _, err := RunScenario(ctx, spec, o); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	serial, wide := lines(1), lines(8)
+	if len(serial) != 4 {
+		t.Fatalf("%d progress lines, want one per point:\n%s", len(serial), strings.Join(serial, "\n"))
+	}
+	if !slices.Equal(serial, wide) {
+		t.Errorf("progress lines differ across worker counts:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s",
+			strings.Join(serial, "\n"), strings.Join(wide, "\n"))
 	}
 }

@@ -3,6 +3,8 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -148,30 +150,24 @@ type Scenario struct {
 	// of its arguments.
 	Attack func(o Options, cfg world.Config, pt Point) adversary.Adversary
 
-	// Seeds overrides the scale-default seed count when positive.
+	// Seeds overrides the scale-default seed count when nonzero.
 	Seeds int
-	// SeedsAt overrides Seeds per point (e.g. single-seed layered runs).
-	SeedsAt func(o Options, pt Point) int
-	// Layers stacks each run to model large collections; 0 means 1.
-	Layers int
-	// LayersAt overrides Layers per point.
-	LayersAt func(o Options, pt Point) int
+	// Layered, if non-nil, flags the points that model the paper's large
+	// collection: each runs o.layersFor() stacked layers at a single seed,
+	// as the paper's 600-AU technique does (§6.3).
+	Layered func(o Options, pt Point) bool
 
 	// Compare also runs each point attack-free and derives the paper's
 	// comparison metrics into PointResult.Baseline and PointResult.Cmp.
 	Compare bool
 
 	// RunPoint, if non-nil, replaces the standard executor for each point —
-	// custom measurement loops (e.g. churn statistics) implement it with
-	// the engine's Run* methods and fill PointResult.Extra.
+	// custom measurement loops (e.g. churn statistics) implement it on the
+	// engine and fill PointResult.Extra.
 	RunPoint func(ctx context.Context, e *Engine, o Options, cfg world.Config, pt Point) (PointResult, error)
 
 	// Tables renders a completed run; nil selects the generic renderer.
 	Tables func(o Options, res *Result) []*Table
-
-	// Progress formats one per-point progress line; nil selects a generic
-	// line. Empty returns suppress the line.
-	Progress func(o Options, pt Point, pr PointResult) string
 }
 
 // --- Registry ---------------------------------------------------------------
@@ -300,25 +296,15 @@ func (s *Scenario) ConfigAt(o Options, pt Point) world.Config {
 	return cfg
 }
 
-// seedsFor and layersFor resolve the per-point run shape.
-func (s *Scenario) seedsFor(o Options, pt Point) int {
-	if s.SeedsAt != nil {
-		return s.SeedsAt(o, pt)
+// shape resolves one point's seeds and layers.
+func (s *Scenario) shape(o Options, pt Point) (seeds, layers int) {
+	if s.Layered != nil && s.Layered(o, pt) {
+		return 1, o.layersFor()
 	}
 	if s.Seeds != 0 {
-		return s.Seeds
+		return s.Seeds, 1
 	}
-	return o.seeds()
-}
-
-func (s *Scenario) layersForPt(o Options, pt Point) int {
-	if s.LayersAt != nil {
-		return s.LayersAt(o, pt)
-	}
-	if s.Layers != 0 {
-		return s.Layers
-	}
-	return 1
+	return o.seeds(), 1
 }
 
 // Render renders a completed result with the scenario's table renderer (the
@@ -330,27 +316,17 @@ func (s *Scenario) Render(o Options, res *Result) []*Table {
 	return []*Table{s.GenericTable(o, res)}
 }
 
-// RunPointOn executes one grid cell on the engine with a caller-supplied
-// configuration (normally ConfigAt plus driver overrides).
-func (s *Scenario) RunPointOn(ctx context.Context, e *Engine, o Options, pt Point, cfg world.Config) (PointResult, error) {
+// runPoint executes one grid cell on the engine.
+func (s *Scenario) runPoint(ctx context.Context, e *Engine, o Options, pt Point) (PointResult, error) {
+	cfg := s.ConfigAt(o, pt)
 	if s.RunPoint != nil {
 		pr, err := s.RunPoint(ctx, e, o, cfg, pt)
 		pr.Point = pt
 		return pr, err
 	}
-	seeds := s.seedsFor(o, pt)
-	layers := s.layersForPt(o, pt)
-	if seeds < 1 {
-		return PointResult{}, fmt.Errorf("scenario %q point %d: %w", s.Name, pt.Index, errSeeds(seeds))
-	}
-	if layers < 1 {
-		return PointResult{}, fmt.Errorf("scenario %q point %d: %w", s.Name, pt.Index, errLayers(layers))
-	}
+	seeds, layers := s.shape(o, pt)
 	run := func(mk func() adversary.Adversary) (RunStats, error) {
-		if layers > 1 {
-			return e.RunLayeredAveraged(ctx, cfg, mk, layers, seeds)
-		}
-		return e.RunAveraged(ctx, cfg, mk, seeds)
+		return e.Run(ctx, cfg, mk, seeds, layers)
 	}
 	// Probe the attack factory once: a nil adversary means the point runs
 	// attack-free (and its run memoizes as a baseline).
@@ -399,10 +375,10 @@ func RunScenario(ctx context.Context, spec *Scenario, o Options) (*Result, error
 	}
 	e := o.engine()
 	prs, err := gather(len(points), func(i int) (PointResult, error) {
-		return spec.RunPointOn(ctx, e, o, points[i], spec.ConfigAt(o, points[i]))
+		return spec.runPoint(ctx, e, o, points[i])
 	}, func(i int, pr PointResult) {
-		if line := spec.progressLine(o, points[i], pr, len(points)); line != "" {
-			o.progress("%s", line)
+		if o.Progress != nil {
+			o.Progress("%s", spec.progressLine(pr, len(points)))
 		}
 	})
 	if err != nil {
@@ -411,17 +387,23 @@ func RunScenario(ctx context.Context, spec *Scenario, o Options) (*Result, error
 	return &Result{Scenario: spec.Name, Points: prs}, nil
 }
 
-// progressLine renders one per-point progress line.
-func (s *Scenario) progressLine(o Options, pt Point, pr PointResult, total int) string {
-	if s.Progress != nil {
-		return s.Progress(o, pt, pr)
-	}
+// progressLine renders one per-point progress line: the point's axis
+// values, access failure and successful polls, the comparison ratios when
+// the point has them, and any Extra measurements in sorted key order.
+func (s *Scenario) progressLine(pr PointResult, total int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s %d/%d", s.Name, pt.Index+1, total)
+	fmt.Fprintf(&b, "%s %d/%d", s.Name, pr.Point.Index+1, total)
 	for i, ax := range s.Axes {
-		fmt.Fprintf(&b, " %s=%s", ax.Name, ax.format(pt.At(i)))
+		fmt.Fprintf(&b, " %s=%s", ax.Name, ax.format(pr.Point.At(i)))
 	}
-	fmt.Fprintf(&b, " afp=%s", fmtProb(pr.Stats.AccessFailure))
+	fmt.Fprintf(&b, " afp=%s polls-ok=%.0f", fmtProb(pr.Stats.AccessFailure), pr.Stats.SuccessfulPolls)
+	if c := pr.Cmp; c != nil {
+		fmt.Fprintf(&b, " delay=%s friction=%s cost=%s",
+			fmtRatio(c.DelayRatio), fmtRatio(c.Friction), fmtRatio(c.CostRatio))
+	}
+	for _, k := range slices.Sorted(maps.Keys(pr.Extra)) {
+		fmt.Fprintf(&b, " %s=%g", k, pr.Extra[k])
+	}
 	return b.String()
 }
 

@@ -127,9 +127,9 @@ func TestScenarioGoldenLarge(t *testing.T) {
 func TestRunStatsPinned(t *testing.T) {
 	cfg := scenarioTestConfig(Options{})
 	cfg.DamageDiskYears = 1
-	stats, err := RunOne(cfg, func() adversary.Adversary {
+	stats, err := NewEngine(1).Run(ctx, cfg, func() adversary.Adversary {
 		return &adversary.BruteForce{Defection: adversary.DefectNone, Minions: 8, Coverage: 1}
-	})
+	}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +154,9 @@ func TestLayeredRunStatsPinned(t *testing.T) {
 	cfg.DamageDiskYears = 1
 	cfg.Protocol.AdaptiveAcceptance = true
 	cfg.Protocol.AdaptiveGain = 5
-	stats, err := RunLayered(context.Background(), cfg, func() adversary.Adversary {
+	stats, err := NewEngine(1).Run(ctx, cfg, func() adversary.Adversary {
 		return &adversary.BruteForce{Defection: adversary.DefectNone, Minions: 8, Coverage: 1}
-	}, 3)
+	}, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +247,6 @@ func TestRunScenarioGuards(t *testing.T) {
 		want string
 	}{
 		{"seeds", &Scenario{Name: "g1", Base: scenarioTestConfig, Seeds: -1}, "seeds"},
-		{"layers", &Scenario{Name: "g2", Base: scenarioTestConfig, Layers: -2}, "layers"},
-		{
-			"seeds-at",
-			&Scenario{Name: "g3", Base: scenarioTestConfig,
-				SeedsAt: func(o Options, pt Point) int { return 0 }},
-			"seeds",
-		},
 	} {
 		_, err := RunScenario(ctx, tc.spec, Options{Scale: ScaleTiny})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -261,17 +254,20 @@ func TestRunScenarioGuards(t *testing.T) {
 		}
 	}
 
-	// The engine entry points guard too.
+	// The engine entry point guards too, naming the bad argument.
 	e := NewEngine(2)
 	cfg := scenarioTestConfig(Options{})
-	if _, err := e.RunAveraged(ctx, cfg, nil, 0); err == nil || !strings.Contains(err.Error(), "seeds") {
-		t.Errorf("RunAveraged(seeds=0): err = %v", err)
+	if _, err := e.Run(ctx, cfg, nil, 0, 1); err == nil || !strings.Contains(err.Error(), "seeds must be") {
+		t.Errorf("Run(seeds=0): err = %v", err)
 	}
-	if _, err := e.RunLayered(ctx, cfg, nil, 0); err == nil || !strings.Contains(err.Error(), "layers") {
-		t.Errorf("RunLayered(layers=0): err = %v", err)
+	if _, err := e.Run(ctx, cfg, nil, 1, 0); err == nil || !strings.Contains(err.Error(), "layers must be") {
+		t.Errorf("Run(layers=0): err = %v", err)
 	}
-	if _, err := e.RunLayeredAveraged(ctx, cfg, nil, 2, -3); err == nil || !strings.Contains(err.Error(), "seeds") {
-		t.Errorf("RunLayeredAveraged(seeds=-3): err = %v", err)
+	if _, err := e.Run(ctx, cfg, nil, -3, 2); err == nil || !strings.Contains(err.Error(), "seeds must be") {
+		t.Errorf("Run(seeds=-3, layers=2): err = %v", err)
+	}
+	if _, err := e.Run(ctx, cfg, nil, 2, -2); err == nil || !strings.Contains(err.Error(), "layers must be") {
+		t.Errorf("Run(seeds=2, layers=-2): err = %v", err)
 	}
 	if _, err := RunScenario(ctx, nil, Options{}); err == nil {
 		t.Error("RunScenario(nil) should fail")
@@ -331,7 +327,7 @@ func TestRunScenarioCancel(t *testing.T) {
 			}
 			// Count simulations, not entries: every point's goroutine may
 			// get this far before point 0 cancels.
-			stats, err := e.RunOne(ctx, cfg, nil)
+			stats, err := e.Run(ctx, cfg, nil, 1, 1)
 			if err == nil {
 				ran.Add(1)
 			}

@@ -14,7 +14,7 @@ func TestAttackSmoke(t *testing.T) {
 	cfg := o.BaseWorld()
 	cfg.DamageDiskYears = 1 // strong damage signal
 
-	baseline, err := RunOne(cfg, nil)
+	baseline, err := runOne(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestAttackSmoke(t *testing.T) {
 		baseline.AccessFailure, baseline.MeanSuccessGap, baseline.EffortPerPoll,
 		baseline.SuccessfulPolls, baseline.TotalPolls)
 
-	stop, err := RunOne(cfg, func() adversary.Adversary {
+	stop, err := runOne(cfg, func() adversary.Adversary {
 		return &adversary.PipeStoppage{Pulse: adversary.Pulse{Coverage: 1, Duration: 90 * sim.Day, Recuperation: 30 * sim.Day}}
 	})
 	if err != nil {
@@ -38,7 +38,7 @@ func TestAttackSmoke(t *testing.T) {
 		t.Errorf("pipe stoppage 100%%/90d should raise delay ratio well above 1, got %.2f", cmpStop.DelayRatio)
 	}
 
-	flood, err := RunOne(cfg, func() adversary.Adversary {
+	flood, err := runOne(cfg, func() adversary.Adversary {
 		return &adversary.AdmissionFlood{Pulse: adversary.Pulse{Coverage: 1, Duration: cfg.Duration, Recuperation: 30 * sim.Day}}
 	})
 	if err != nil {
@@ -54,7 +54,7 @@ func TestAttackSmoke(t *testing.T) {
 
 	for _, d := range []adversary.Defection{adversary.DefectIntro, adversary.DefectRemaining, adversary.DefectNone} {
 		d := d
-		bf, err := RunOne(cfg, func() adversary.Adversary { return &adversary.BruteForce{Defection: d} })
+		bf, err := runOne(cfg, func() adversary.Adversary { return &adversary.BruteForce{Defection: d} })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 // Package harness runs paper scenarios against either execution stack — the
 // discrete-event simulator or a cluster of real in-process nodes (loopback
-// TCP transport, per-node on-disk stores) — behind one Backend interface,
-// producing the same experiment.RunStats and metrics tables either way. It
-// is the sim/real convergence layer: the cross-validation tests score the
-// production node stack on the same scenarios the paper's figures use.
+// TCP transport, per-node on-disk stores) — through one RunScenario that
+// takes RunSim or RunCluster, producing the same experiment.RunStats and
+// metrics tables either way. It is the sim/real convergence layer: the
+// cross-validation tests score the production node stack on the same
+// scenarios the paper's figures use.
 //
 // It also owns the one loopback-cluster builder (Cluster): RunCluster, the
 // fleet supervisor and the cluster tests all construct their nodes through

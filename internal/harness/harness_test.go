@@ -63,7 +63,7 @@ func demoOverride(horizon time.Duration) func(*world.Config) {
 }
 
 // TestCrossValidationIntroductions is the sim/real convergence test: the
-// registered ablation-introductions scenario runs on both backends with the
+// registered ablation-introductions scenario runs on both stacks with the
 // identical cluster-scale configuration, and the resulting health metrics
 // must agree within loose tolerances. The simulator models an idealized
 // network; the cluster runs real TCP, real stores and real MBF proofs — so
@@ -80,11 +80,11 @@ func TestCrossValidationIntroductions(t *testing.T) {
 	override := demoOverride(12 * time.Second)
 	ctx := context.Background()
 
-	simRes, err := RunScenario(ctx, s, o, &SimBackend{}, override)
+	simRes, err := RunScenario(ctx, s, o, RunSim, override)
 	if err != nil {
 		t.Fatalf("sim backend: %v", err)
 	}
-	cluRes, err := RunScenario(ctx, s, o, &ClusterBackend{}, override)
+	cluRes, err := RunScenario(ctx, s, o, RunCluster, override)
 	if err != nil {
 		t.Fatalf("cluster backend: %v", err)
 	}
@@ -121,10 +121,10 @@ func TestCrossValidationIntroductions(t *testing.T) {
 
 	// Both results render through the same generic table without panicking,
 	// comparison columns or not.
-	if tab := Table(s, o, simRes); tab == nil || len(tab.Rows) == 0 {
+	if tab := s.GenericTable(o, simRes); tab == nil || len(tab.Rows) == 0 {
 		t.Error("sim result rendered an empty table")
 	}
-	if tab := Table(s, o, cluRes); tab == nil || len(tab.Rows) == 0 {
+	if tab := s.GenericTable(o, cluRes); tab == nil || len(tab.Rows) == 0 {
 		t.Error("cluster result rendered an empty table")
 	}
 }

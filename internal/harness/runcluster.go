@@ -37,7 +37,7 @@ const (
 // real nodes and extracts the same RunStats the simulator produces. The
 // population is bootstrapped with world's own derivations (catalogue, cost
 // model, friends and reference lists, replica salts, acquaintance seeding,
-// damage rate), so the two backends audit the same population.
+// damage rate), so RunSim and RunCluster audit the same population.
 func RunCluster(ctx context.Context, cfg world.Config) (experiment.RunStats, error) {
 	if err := validateForCluster(cfg); err != nil {
 		return experiment.RunStats{}, err

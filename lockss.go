@@ -112,19 +112,19 @@ type Comparison = experiment.Comparison
 // be nil for a baseline run. The context cancels queued work promptly;
 // in-flight simulation runs finish and are discarded.
 func Run(ctx context.Context, cfg Config, attack func() Adversary) (Results, error) {
-	return experiment.Run(ctx, cfg, attack)
+	return experiment.Run(ctx, cfg, attack, 1, 1)
 }
 
 // RunSeeds executes `seeds` runs with distinct seeds and averages; seeds
 // must be at least 1.
 func RunSeeds(ctx context.Context, cfg Config, attack func() Adversary, seeds int) (Results, error) {
-	return experiment.RunAveraged(ctx, cfg, attack, seeds)
+	return experiment.Run(ctx, cfg, attack, seeds, 1)
 }
 
 // RunLayered stacks `layers` runs to model large collections (the paper's
 // 600-AU layering technique); layers must be at least 1.
 func RunLayered(ctx context.Context, cfg Config, attack func() Adversary, layers int) (Results, error) {
-	return experiment.RunLayered(ctx, cfg, attack, layers)
+	return experiment.Run(ctx, cfg, attack, 1, layers)
 }
 
 // Compare derives access failure, delay ratio, friction and cost ratio.
@@ -155,7 +155,7 @@ type Cell = experiment.Cell
 // --- The declarative scenario API -------------------------------------------
 
 // Scenario declaratively specifies an experiment: base config, mutators,
-// attack factory, sweep axes, seeds, layers, and rendering.
+// attack factory, sweep axes, seeds, layered points, and rendering.
 type Scenario = experiment.Scenario
 
 // Axis is one swept dimension of a scenario grid.
