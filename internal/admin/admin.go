@@ -431,9 +431,8 @@ func writeHistograms(w http.ResponseWriter, tel *telemetry.Telemetry) {
 	}
 }
 
-// formatBound renders a bucket bound in seconds with enough precision for
-// telemetry.BucketFromBound to invert it exactly when the fleet harness
-// merges scraped histograms.
+// formatBound renders a bucket bound in seconds at full float64 precision,
+// so a scraper parses back exactly the bound the node used.
 func formatBound(sec float64) string {
 	return strconv.FormatFloat(sec, 'g', 17, 64)
 }

@@ -113,16 +113,7 @@ type Config struct {
 	// under DataDir/node-N; empty keeps the whole fleet in memory. Durable
 	// fleets survive kill/restart with their damage state; in-memory nodes
 	// restart with pristine publisher content.
-	DataDir   string   `json:"data_dir,omitempty"`
-	ScrubPace Duration `json:"scrub_pace,omitempty"`
-	// ScrubWorkers shards each node's scrubber; ScrubBandwidth caps its
-	// total read rate in bytes/second (0 = unlimited). See store.ScrubConfig.
-	ScrubWorkers   int   `json:"scrub_workers,omitempty"`
-	ScrubBandwidth int64 `json:"scrub_bandwidth,omitempty"`
-	// Transport knobs, as in lockss-node.
-	SendQueue         int `json:"send_queue,omitempty"`
-	MaxInbound        int `json:"max_inbound,omitempty"`
-	MaxInboundPerAddr int `json:"max_inbound_per_addr,omitempty"`
+	DataDir string `json:"data_dir,omitempty"`
 
 	Faults []Fault `json:"faults,omitempty"`
 	Churn  *Churn  `json:"churn,omitempty"`
@@ -160,22 +151,6 @@ func (c Config) withDefaults() Config {
 	if c.InnerCircle == 0 {
 		c.InnerCircle = 5
 	}
-	if c.ScrubPace == 0 {
-		c.ScrubPace = Duration(50 * time.Millisecond)
-	}
-	if c.ScrubWorkers == 0 {
-		c.ScrubWorkers = 1
-	}
-	if c.SendQueue == 0 {
-		c.SendQueue = 128
-	}
-	if c.MaxInbound == 0 {
-		c.MaxInbound = 4096
-	}
-	if c.MaxInboundPerAddr == 0 {
-		// The whole fleet shares 127.0.0.1.
-		c.MaxInboundPerAddr = 4096
-	}
 	return c
 }
 
@@ -200,12 +175,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := c.protocolConfig(); err != nil {
 		return fmt.Errorf("fleet: %w", err)
-	}
-	if c.ScrubWorkers < 0 {
-		return fmt.Errorf("fleet: scrub_workers must be >= 0 (got %d)", c.ScrubWorkers)
-	}
-	if c.ScrubBandwidth < 0 {
-		return fmt.Errorf("fleet: scrub_bandwidth must be >= 0 (got %d)", c.ScrubBandwidth)
 	}
 	for i, f := range c.Faults {
 		if err := c.validateFault(f); err != nil {

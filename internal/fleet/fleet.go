@@ -17,7 +17,6 @@ import (
 	"lockss/internal/harness"
 	"lockss/internal/ids"
 	"lockss/internal/node"
-	"lockss/internal/promtext"
 	"lockss/internal/protocol"
 	"lockss/internal/store"
 )
@@ -25,6 +24,16 @@ import (
 // blackhole is where a partitioned peer's address points: a loopback port
 // nothing listens on, so dials fail fast and back off.
 const blackhole = "127.0.0.1:1"
+
+const (
+	// maxInbound caps every member's inbound sessions, globally and per
+	// address alike: the whole fleet shares 127.0.0.1, so the node's
+	// per-address default would turn the population away.
+	maxInbound = 4096
+	// scrubPace is the pause between scrubbed blocks, fast enough that
+	// injected rot is found within a demo-length run.
+	scrubPace = 50 * time.Millisecond
+)
 
 // member is one supervised node. All fields are owned by the fleet's run
 // loop; scrape workers receive copies of the addresses they need.
@@ -129,12 +138,9 @@ func (f *Fleet) Start() error {
 				Protocol:          pcfg,
 				Costs:             effort.DemoCostModel(),
 				Seed:              f.cfg.Seed*1_000_003 + uint64(i+1)*7919,
-				SendQueue:         f.cfg.SendQueue,
-				MaxInbound:        f.cfg.MaxInbound,
-				MaxInboundPerAddr: f.cfg.MaxInboundPerAddr,
-				ScrubPace:         time.Duration(f.cfg.ScrubPace),
-				ScrubWorkers:      f.cfg.ScrubWorkers,
-				ScrubBandwidth:    f.cfg.ScrubBandwidth,
+				MaxInbound:        maxInbound,
+				MaxInboundPerAddr: maxInbound,
+				ScrubPace:         scrubPace,
 			},
 		}
 	}
@@ -381,7 +387,7 @@ loop:
 				targets := f.scrapeTargets()
 				go func() {
 					defer scraping.Store(false)
-					smp, _ := sampleTargets(Duration(at), targets)
+					smp := sampleTargets(Duration(at), targets)
 					sampleCh <- smp
 				}()
 			}
@@ -408,14 +414,12 @@ loop:
 		break
 	}
 	sort.SliceStable(rep.Samples, func(i, j int) bool { return rep.Samples[i].At < rep.Samples[j].At })
-	targets := f.scrapeTargets()
-	final, fams := sampleTargets(Duration(time.Since(start)), targets)
+	final := sampleTargets(Duration(time.Since(start)), f.scrapeTargets())
 	rep.Samples = append(rep.Samples, final)
 	rep.Final = f.finalReport(final)
-	// Flight-recorder sweep: histograms and poll spans only exist in-process,
-	// so they must be pulled before the nodes go away. The histograms come
-	// out of the final sweep's exposition; only /polls is fetched here.
-	rep.Telemetry = collectTelemetry(targets, final.PerNode, fams)
+	// Flight-recorder sweep: histograms and poll spans live in the nodes'
+	// recorders, so they must be read before the nodes go away.
+	rep.Telemetry = collectTelemetry(f.members)
 	f.stopAll()
 	if f.cfg.DataDir != "" {
 		unrepaired, err := f.verifyStores()
@@ -445,12 +449,9 @@ func (f *Fleet) scrapeTargets() []scrapeTarget {
 }
 
 // sampleTargets scrapes every target's admin endpoints concurrently and
-// aggregates. It touches no fleet state. The second result is each target's
-// parsed /metrics (nil for a down node or a failed scrape), so a caller that
-// also wants the histogram families does not fetch the exposition again.
-func sampleTargets(at Duration, targets []scrapeTarget) (Sample, []map[string]*promtext.Family) {
+// aggregates. It touches no fleet state.
+func sampleTargets(at Duration, targets []scrapeTarget) Sample {
 	s := Sample{At: at, Aggregate: newSampleAggregate(), PerNode: make([]NodeSample, len(targets))}
-	fams := make([]map[string]*promtext.Family, len(targets))
 	var wg sync.WaitGroup
 	for i, tgt := range targets {
 		ns := &s.PerNode[i]
@@ -463,11 +464,11 @@ func sampleTargets(at Duration, targets []scrapeTarget) (Sample, []map[string]*p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var err error
-			if fams[i], err = scrapeMetrics(addr); err != nil {
+			fams, err := scrapeMetrics(addr)
+			if err != nil {
 				ns.MetricsErr = err.Error()
 			}
-			ns.Metrics = scalars(fams[i])
+			ns.Metrics = scalars(fams)
 			ns.Healthy = scrapeHealthz(addr)
 			ns.Damage, ns.ActivePolls = damageFromMetrics(ns.Metrics)
 		}()
@@ -488,7 +489,7 @@ func sampleTargets(at Duration, targets []scrapeTarget) (Sample, []map[string]*p
 			s.Aggregate[k.field] += ns.Metrics[k.metric]
 		}
 	}
-	return s, fams
+	return s
 }
 
 // finalReport condenses the last sample into the verdict the CI gate reads.

@@ -33,7 +33,7 @@ func scrapeMetrics(adminAddr string) (map[string]*promtext.Family, error) {
 
 // scalars flattens scraped families into name -> value for every family
 // that is one unlabeled sample — the counters and gauges; histograms and
-// labeled info series are read from the families directly.
+// labeled info series are left out.
 func scalars(fams map[string]*promtext.Family) map[string]float64 {
 	out := make(map[string]float64, len(fams))
 	for name, f := range fams {

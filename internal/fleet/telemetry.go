@@ -1,25 +1,12 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
 
-	"lockss/internal/promtext"
 	"lockss/internal/telemetry"
 )
-
-// telemetryFamilies names the histogram families the fleet merges, in report
-// order: every family a node's recorder keeps.
-var telemetryFamilies = func() []string {
-	var names []string
-	for _, fam := range telemetry.HistogramFamilies() {
-		names = append(names, fam.Name)
-	}
-	return names
-}()
 
 // QuantileRow is one merged fleet-wide latency distribution.
 type QuantileRow struct {
@@ -50,158 +37,41 @@ type TimelinePoll struct {
 // TelemetrySummary is the fleet-wide flight-recorder digest in the report:
 // merged latency quantiles plus the poll timeline.
 type TelemetrySummary struct {
-	Quantiles    []QuantileRow  `json:"quantiles"`
-	Timeline     []TimelinePoll `json:"timeline"`
-	ScrapeErrors []string       `json:"scrape_errors,omitempty"`
+	Quantiles []QuantileRow  `json:"quantiles"`
+	Timeline  []TimelinePoll `json:"timeline"`
 }
 
 // maxTimelinePolls bounds the report; a long run concludes thousands of
 // polls and the timeline keeps the most recent ones.
 const maxTimelinePolls = 500
 
-// nodeTelemetry is one node's scraped telemetry.
-type nodeTelemetry struct {
-	id    int
-	hists map[string]telemetry.Snapshot
-	polls []telemetry.PollSpan
-	votes []telemetry.VoteRecord
-}
-
-// scrapeNodeTelemetry rebuilds one node's histogram families from its
-// already-scraped /metrics and pulls its poll spans plus supplied votes from
-// /polls.
-func scrapeNodeTelemetry(adminAddr string, fams map[string]*promtext.Family) (*nodeTelemetry, error) {
-	nt := &nodeTelemetry{hists: make(map[string]telemetry.Snapshot)}
-	for _, name := range telemetryFamilies {
-		f, ok := fams["lockss_"+name+"_seconds"]
-		if !ok {
-			continue
-		}
-		buckets, sum, count, err := f.Histogram()
-		if err != nil {
-			return nil, err
-		}
-		snap, err := snapshotFromBuckets(buckets, sum, count)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f.Name, err)
-		}
-		nt.hists[name] = snap
-	}
-
-	resp, err := scrapeClient.Get("http://" + adminAddr + "/polls")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("polls status %d", resp.StatusCode)
-	}
-	var pb struct {
-		Peer  uint32                 `json:"peer"`
-		Polls []telemetry.PollSpan   `json:"polls"`
-		Votes []telemetry.VoteRecord `json:"votes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&pb); err != nil {
-		return nil, fmt.Errorf("decode polls: %w", err)
-	}
-	nt.id = int(pb.Peer)
-	nt.polls = pb.Polls
-	nt.votes = pb.Votes
-	return nt, nil
-}
-
-// snapshotFromBuckets rebuilds a telemetry.Snapshot from a scraped
-// cumulative bucket series, inverting each exposed bound back to its log2
-// bucket index so per-node snapshots merge exactly. Observations beyond the
-// last finite bound (visible only in +Inf) land in the top bucket.
-func snapshotFromBuckets(buckets []promtext.BucketPoint, sumSec float64, count uint64) (telemetry.Snapshot, error) {
-	var snap telemetry.Snapshot
-	var prev uint64
-	for _, b := range buckets[:len(buckets)-1] { // all but +Inf
-		idx, ok := telemetry.BucketFromBound(b.LE)
-		if !ok {
-			return snap, fmt.Errorf("bound %g maps to no telemetry bucket", b.LE)
-		}
-		snap.Buckets[idx] += b.Count - prev
-		prev = b.Count
-	}
-	if count > prev {
-		snap.Buckets[telemetry.NumBuckets-1] += count - prev
-	}
-	snap.Count = count
-	snap.Sum = int64(sumSec * 1e9)
-	return snap, nil
-}
-
-// collectTelemetry condenses every up node's telemetry: per-family quantiles
-// merged from the sweep's parsed expositions (fams and nodes are parallel to
-// targets, as sampleTargets returns them) and the initiator/voter poll
-// timeline.
-func collectTelemetry(targets []scrapeTarget, nodes []NodeSample, fams []map[string]*promtext.Family) TelemetrySummary {
-	type result struct {
-		nt  *nodeTelemetry
-		err string
-	}
-	results := make([]result, len(targets))
-	done := make(chan int, len(targets))
-	live := 0
-	for i, tgt := range targets {
-		if tgt.down {
-			continue
-		}
-		if fams[i] == nil {
-			results[i].err = fmt.Sprintf("node %d: metrics: %s", tgt.id, nodes[i].MetricsErr)
-			continue
-		}
-		live++
-		go func(i int, id int, addr string) {
-			nt, err := scrapeNodeTelemetry(addr, fams[i])
-			if err != nil {
-				results[i].err = fmt.Sprintf("node %d: %v", id, err)
-			} else {
-				nt.id = id
-				results[i].nt = nt
-			}
-			done <- i
-		}(i, tgt.id, tgt.adminAddr)
-	}
-	for ; live > 0; live-- {
-		<-done
-	}
-
-	var sum TelemetrySummary
-	merged := make(map[string]*telemetry.Snapshot)
+// collectTelemetry condenses every up member's flight recorder, read in
+// process: per-family quantiles merged across nodes, and the initiator/voter
+// poll timeline. The recorders are safe to read while the nodes run.
+func collectTelemetry(members []*member) TelemetrySummary {
+	fams := telemetry.HistogramFamilies()
+	merged := make([]telemetry.Snapshot, len(fams))
 	var spans []telemetry.PollSpan
 	votesByPoll := make(map[uint64][]telemetry.VoteRecord)
-	for _, r := range results {
-		if r.err != "" {
-			sum.ScrapeErrors = append(sum.ScrapeErrors, r.err)
+	for _, m := range members {
+		if m.down {
 			continue
 		}
-		if r.nt == nil {
-			continue // down node
+		tel := m.n.Telemetry()
+		for i, fam := range fams {
+			merged[i].Merge(fam.Of(tel).Snapshot())
 		}
-		for name, snap := range r.nt.hists {
-			m := merged[name]
-			if m == nil {
-				m = &telemetry.Snapshot{}
-				merged[name] = m
-			}
-			m.Merge(snap)
-		}
-		spans = append(spans, r.nt.polls...)
-		for _, v := range r.nt.votes {
+		spans = append(spans, tel.Polls()...)
+		for _, v := range tel.Votes() {
 			votesByPoll[v.PollID] = append(votesByPoll[v.PollID], v)
 		}
 	}
 
-	for _, name := range telemetryFamilies {
-		m := merged[name]
-		if m == nil {
-			continue
-		}
+	var sum TelemetrySummary
+	for i, fam := range fams {
+		m := merged[i]
 		sum.Quantiles = append(sum.Quantiles, QuantileRow{
-			Metric: name,
+			Metric: fam.Name,
 			Count:  m.Count,
 			Mean:   m.Mean(),
 			P50:    m.Quantile(0.50),

@@ -73,25 +73,6 @@ type Config struct {
 	// flood handshakes nor park established sessions to monopolize the
 	// global budget. Default 16.
 	MaxInboundPerAddr int
-	// DialTimeout bounds one outbound connection attempt — the TCP dial
-	// and the session handshake share this one budget. It is also the
-	// deadline for each inbound handshake, i.e. how long a half-open
-	// connection may hold an admission slot. Default 5s.
-	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write; a remote that stops reading
-	// (pipe stoppage) fails the write instead of wedging the writer.
-	// Default 10s.
-	WriteTimeout time.Duration
-	// DialBackoffMin and DialBackoffMax bound the jittered exponential
-	// backoff between failed dials to the same peer. Defaults 100ms / 15s.
-	DialBackoffMin time.Duration
-	DialBackoffMax time.Duration
-	// InboundIdleTimeout reaps an established inbound session that stays
-	// silent this long, reclaiming its admission slots — without it, an
-	// adversary could park handshaked-but-mute sessions until MaxInbound
-	// is exhausted. Legitimate peers transparently redial on their next
-	// send. Default 5m.
-	InboundIdleTimeout time.Duration
 
 	// Store, if non-nil, is the durable on-disk AU store backing this
 	// node's replicas. The node owns its lifecycle from Start on: it runs
@@ -135,7 +116,7 @@ type Node struct {
 	// by AddAU, read-only once Start has launched the first reader.
 	gates map[content.AUID]*reputation.Gate
 	// dialCtx is cancelled by Stop so in-flight dials abort instead of
-	// outliving shutdown by up to a full DialTimeout.
+	// outliving shutdown by up to a full dial timeout.
 	dialCtx    context.Context
 	dialCancel context.CancelFunc
 
@@ -187,16 +168,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.env = env{Node: n, RealEffort: protocol.NewRealEffort(cfg.ID, cfg.Seed, cfg.MBF, cfg.EffortUnit)}
 	n.dialCtx, n.dialCancel = context.WithCancel(context.Background())
-	n.tr = newTransport(n, transportConfig{
-		sendQueue:         cfg.SendQueue,
-		maxInbound:        cfg.MaxInbound,
-		maxInboundPerAddr: cfg.MaxInboundPerAddr,
-		dialTimeout:       cfg.DialTimeout,
-		writeTimeout:      cfg.WriteTimeout,
-		backoffMin:        cfg.DialBackoffMin,
-		backoffMax:        cfg.DialBackoffMax,
-		inboundIdle:       cfg.InboundIdleTimeout,
-	}.withDefaults())
+	n.tr = newTransport(n, newTransportConfig(cfg))
 	// The telemetry recorder leads the tee so spans are recorded before any
 	// user observer runs; TeeObserver also forwards span events to it.
 	p, err := protocol.New(cfg.ID, &n.cfg.Protocol, &n.cfg.Costs, &n.env, protocol.TeeObserver(n.tel, cfg.Observer))

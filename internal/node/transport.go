@@ -66,21 +66,45 @@ type TransportStats struct {
 	InvitesShed uint64
 }
 
-// transportConfig holds the resolved transport knobs (defaults applied).
+// transportConfig holds the resolved transport knobs: the three admission
+// bounds from node.Config (defaults applied), and fixed timeouts that are
+// fields only so in-package tests can shorten them before Start.
 type transportConfig struct {
 	sendQueue         int
 	maxInbound        int
 	maxInboundPerAddr int
-	dialTimeout       time.Duration
-	writeTimeout      time.Duration
-	backoffMin        time.Duration
-	backoffMax        time.Duration
-	inboundIdle       time.Duration
+	// dialTimeout bounds one outbound connection attempt — the TCP dial
+	// and the session handshake share this one budget. It is also the
+	// deadline for each inbound handshake, i.e. how long a half-open
+	// connection may hold an admission slot.
+	dialTimeout time.Duration
+	// writeTimeout bounds one frame write; a remote that stops reading
+	// (pipe stoppage) fails the write instead of wedging the writer.
+	writeTimeout time.Duration
+	// backoffMin and backoffMax bound the jittered exponential backoff
+	// between failed dials to the same peer.
+	backoffMin time.Duration
+	backoffMax time.Duration
+	// inboundIdle reaps an established inbound session that stays silent
+	// this long, reclaiming its admission slots — without it, an adversary
+	// could park handshaked-but-mute sessions until MaxInbound is
+	// exhausted. Legitimate peers transparently redial on their next send.
+	inboundIdle time.Duration
 }
 
-// withDefaults fills zero or invalid knobs with the defaults documented on
-// node.Config, keeping knob, doc and default next to each other.
-func (tc transportConfig) withDefaults() transportConfig {
+// newTransportConfig resolves cfg's admission bounds, filling zero or
+// invalid ones with the defaults documented on node.Config.
+func newTransportConfig(cfg Config) transportConfig {
+	tc := transportConfig{
+		sendQueue:         cfg.SendQueue,
+		maxInbound:        cfg.MaxInbound,
+		maxInboundPerAddr: cfg.MaxInboundPerAddr,
+		dialTimeout:       5 * time.Second,
+		writeTimeout:      10 * time.Second,
+		backoffMin:        100 * time.Millisecond,
+		backoffMax:        15 * time.Second,
+		inboundIdle:       5 * time.Minute,
+	}
 	if tc.sendQueue <= 0 {
 		tc.sendQueue = 128
 	}
@@ -89,24 +113,6 @@ func (tc transportConfig) withDefaults() transportConfig {
 	}
 	if tc.maxInboundPerAddr <= 0 {
 		tc.maxInboundPerAddr = 16
-	}
-	if tc.dialTimeout <= 0 {
-		tc.dialTimeout = 5 * time.Second
-	}
-	if tc.writeTimeout <= 0 {
-		tc.writeTimeout = 10 * time.Second
-	}
-	if tc.backoffMin <= 0 {
-		tc.backoffMin = 100 * time.Millisecond
-	}
-	if tc.backoffMax <= 0 {
-		tc.backoffMax = 15 * time.Second
-	}
-	if tc.backoffMax < tc.backoffMin {
-		tc.backoffMax = tc.backoffMin
-	}
-	if tc.inboundIdle <= 0 {
-		tc.inboundIdle = 5 * time.Minute
 	}
 	return tc
 }
@@ -450,7 +456,7 @@ func (l *peerLink) connect() *peerConn {
 	if l.connected {
 		t.redials.Add(1)
 	}
-	// One DialTimeout bounds the dial and the handshake together.
+	// One dialTimeout bounds the dial and the handshake together.
 	deadline := time.Now().Add(t.cfg.dialTimeout)
 	d := net.Dialer{Deadline: deadline}
 	raw, err := d.DialContext(n.dialCtx, "tcp", addr)

@@ -156,11 +156,8 @@ func TestUnreachablePeerBackoff(t *testing.T) {
 	dead := ln.Addr().String()
 	ln.Close()
 
-	n := newTestNode(t, Config{
-		AddressBook:    map[ids.PeerID]string{9: dead},
-		DialBackoffMin: time.Millisecond,
-		DialBackoffMax: 5 * time.Millisecond,
-	})
+	n := newTestNode(t, Config{AddressBook: map[ids.PeerID]string{9: dead}})
+	n.tr.cfg.backoffMin, n.tr.cfg.backoffMax = time.Millisecond, 5*time.Millisecond
 	m := &protocol.Msg{Type: protocol.MsgPollAck, AU: 1, PollID: 1, Poller: 9, Voter: 1, Refuse: protocol.RefuseBusy}
 	const sends = 3
 	for i := 0; i < sends; i++ {
@@ -290,14 +287,11 @@ func TestInboundPerAddrEstablishedCap(t *testing.T) {
 }
 
 // TestInboundIdleReclaim: a handshaked-but-mute inbound session is reaped
-// after InboundIdleTimeout and its admission slots are released — parked
-// sessions cannot exhaust MaxInbound.
+// after the inbound idle timeout and its admission slots are released —
+// parked sessions cannot exhaust MaxInbound.
 func TestInboundIdleReclaim(t *testing.T) {
-	n := newTestNode(t, Config{
-		Listen:             "127.0.0.1:0",
-		MaxInbound:         1,
-		InboundIdleTimeout: 100 * time.Millisecond,
-	})
+	n := newTestNode(t, Config{Listen: "127.0.0.1:0", MaxInbound: 1})
+	n.tr.cfg.inboundIdle = 100 * time.Millisecond
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +347,8 @@ func sessionPair(t *testing.T) (*session.Conn, *session.Conn) {
 // schedule the next dial into the future and grow the backoff — a peer that
 // handshakes and then resets must not induce a zero-delay redial spin.
 func TestWriteFailureArmsBackoff(t *testing.T) {
-	n := newTestNode(t, Config{DialBackoffMin: 100 * time.Millisecond, DialBackoffMax: time.Second})
+	n := newTestNode(t, Config{})
+	n.tr.cfg.backoffMin, n.tr.cfg.backoffMax = 100*time.Millisecond, time.Second
 	defer n.Stop()
 
 	c, s := sessionPair(t)
@@ -445,11 +440,8 @@ func TestStopPromptWhileWriteWedged(t *testing.T) {
 	w := newWedgedAcceptor(t)
 	defer w.close()
 
-	n := newTestNode(t, Config{
-		AddressBook:  map[ids.PeerID]string{9: w.addr()},
-		SendQueue:    8,
-		WriteTimeout: time.Hour, // prove Stop unblocks the write, not the deadline
-	})
+	n := newTestNode(t, Config{AddressBook: map[ids.PeerID]string{9: w.addr()}, SendQueue: 8})
+	n.tr.cfg.writeTimeout = time.Hour // prove Stop unblocks the write, not the deadline
 	// 256 KiB frames overwhelm the socket buffers quickly.
 	m := &protocol.Msg{Type: protocol.MsgRepair, AU: 1, PollID: 1, Poller: 1, Voter: 9, Block: 0, RepairData: make([]byte, 256<<10)}
 	if !waitUntil(15*time.Second, time.Millisecond, func() bool {
@@ -495,16 +487,15 @@ func TestClusterSurvivesStalledPeer(t *testing.T) {
 	nodes := make([]*Node, N)
 	for i := 0; i < N; i++ {
 		nodes[i] = newTestNode(t, Config{
-			ID:             ids.PeerID(i + 1),
-			Listen:         "127.0.0.1:0",
-			AddressBook:    book,
-			Seed:           uint64(2000 + i),
-			Observer:       obs,
-			SendQueue:      32,
-			WriteTimeout:   300 * time.Millisecond,
-			DialBackoffMin: 25 * time.Millisecond,
-			DialBackoffMax: 250 * time.Millisecond,
+			ID:          ids.PeerID(i + 1),
+			Listen:      "127.0.0.1:0",
+			AddressBook: book,
+			Seed:        uint64(2000 + i),
+			Observer:    obs,
+			SendQueue:   32,
 		})
+		nodes[i].tr.cfg.writeTimeout = 300 * time.Millisecond
+		nodes[i].tr.cfg.backoffMin, nodes[i].tr.cfg.backoffMax = 25*time.Millisecond, 250*time.Millisecond
 	}
 	for i, n := range nodes {
 		refs := []ids.PeerID{wedgedID}

@@ -245,45 +245,3 @@ func (t *teeObserver) RepairRequested(poller, voter ids.PeerID, au content.AUID,
 		ob.RepairRequested(poller, voter, au, pollID, block, now)
 	}
 }
-
-// TeeTap fans Env-tap events out to several taps in order. Nil entries are
-// skipped.
-func TeeTap(taps ...EnvTap) EnvTap {
-	kept := make([]EnvTap, 0, len(taps))
-	for _, t := range taps {
-		if t != nil {
-			kept = append(kept, t)
-		}
-	}
-	return teeTap(kept)
-}
-
-type teeTap []EnvTap
-
-// MsgIn implements EnvTap.
-func (t teeTap) MsgIn(from ids.PeerID, frame []byte, m *Msg, now sched.Time) {
-	for _, tap := range t {
-		tap.MsgIn(from, frame, m, now)
-	}
-}
-
-// TimerFired implements EnvTap.
-func (t teeTap) TimerFired(id TimerID, now sched.Time) {
-	for _, tap := range t {
-		tap.TimerFired(id, now)
-	}
-}
-
-// MsgOut implements EnvTap.
-func (t teeTap) MsgOut(to ids.PeerID, m *Msg, now sched.Time) {
-	for _, tap := range t {
-		tap.MsgOut(to, m, now)
-	}
-}
-
-// DamageNoticed implements EnvTap.
-func (t teeTap) DamageNoticed(au content.AUID, block int, now sched.Time) {
-	for _, tap := range t {
-		tap.DamageNoticed(au, block, now)
-	}
-}

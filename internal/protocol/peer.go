@@ -193,16 +193,6 @@ func (p *Peer) ActivePolls() int {
 	return n
 }
 
-// ActiveVoterSessions counts voter-side sessions currently committed to
-// other pollers' polls.
-func (p *Peer) ActiveVoterSessions() int {
-	n := 0
-	for _, au := range p.auOrder {
-		n += len(p.aus[au].sessions)
-	}
-	return n
-}
-
 // SetFriends installs the operator-maintained friends list.
 func (p *Peer) SetFriends(friends []ids.PeerID) {
 	p.friends = nil

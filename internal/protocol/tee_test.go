@@ -97,36 +97,3 @@ func TestTeeObserverFanOut(t *testing.T) {
 		t.Errorf("SpanObserver fan-out:\n got %v\nwant %v", log, want)
 	}
 }
-
-// orderTap records EnvTap callbacks into a shared log.
-type orderTap struct {
-	name string
-	log  *[]string
-}
-
-func (o orderTap) note(ev string) { *o.log = append(*o.log, o.name+":"+ev) }
-
-func (o orderTap) MsgIn(from ids.PeerID, frame []byte, m *Msg, now sched.Time) { o.note("msg-in") }
-func (o orderTap) TimerFired(id TimerID, now sched.Time)                       { o.note("timer") }
-func (o orderTap) MsgOut(to ids.PeerID, m *Msg, now sched.Time)                { o.note("msg-out") }
-func (o orderTap) DamageNoticed(au content.AUID, block int, now sched.Time)    { o.note("damage") }
-
-// TestTeeTapFanOut pins the tap tee: nil taps are dropped, the rest receive
-// every callback in argument order.
-func TestTeeTapFanOut(t *testing.T) {
-	var log []string
-	tee := TeeTap(nil, orderTap{"x", &log}, nil, orderTap{"y", &log})
-	tee.MsgIn(1, nil, nil, 10)
-	tee.TimerFired(5, 11)
-	tee.MsgOut(2, nil, 12)
-	tee.DamageNoticed(3, 4, 13)
-	want := []string{
-		"x:msg-in", "y:msg-in",
-		"x:timer", "y:timer",
-		"x:msg-out", "y:msg-out",
-		"x:damage", "y:damage",
-	}
-	if !reflect.DeepEqual(log, want) {
-		t.Errorf("EnvTap fan-out:\n got %v\nwant %v", log, want)
-	}
-}

@@ -432,7 +432,7 @@ func TestConcurrentIngestScrubLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.StartScrub(ScrubConfig{Pace: -1, PassPause: -1, Workers: 2, Bandwidth: 64 << 20})
+	s.StartScrub(ScrubConfig{Pace: -1, passPause: -1, Workers: 2, Bandwidth: 64 << 20})
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -530,7 +530,7 @@ func TestScrubShardingFindsAllDamage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.StartScrub(ScrubConfig{Pace: -1, PassPause: time.Hour, Workers: 3})
+	s.StartScrub(ScrubConfig{Pace: -1, passPause: time.Hour, Workers: 3})
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Stats().ScrubPasses < 1 {
 		if time.Now().After(deadline) {

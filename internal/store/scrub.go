@@ -15,9 +15,6 @@ type ScrubConfig struct {
 	// node it serves. Demos and tests turn it down. Default 1s; negative
 	// means no pause (benchmarks).
 	Pace time.Duration
-	// PassPause is the extra rest between full passes over the store.
-	// Default 10x Pace; negative means none.
-	PassPause time.Duration
 	// Workers shards the store across this many concurrent scrub workers:
 	// replica i of a pass goes to worker i mod Workers, so throughput
 	// scales with AUs instead of serializing thousands of them behind one
@@ -39,6 +36,11 @@ type ScrubConfig struct {
 	// completed pass (aborted passes are not reported). Called from the
 	// scrub coordinator goroutine; must not block.
 	OnPass func(d time.Duration)
+
+	// passPause is the extra rest between full passes over the store.
+	// Zero means 10x Pace (none when Pace is negative); negative means none.
+	// Only this package's tests set it.
+	passPause time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -46,8 +48,8 @@ func (c ScrubConfig) withDefaults() ScrubConfig {
 	if c.Pace == 0 {
 		c.Pace = time.Second
 	}
-	if c.PassPause == 0 && c.Pace > 0 {
-		c.PassPause = 10 * c.Pace
+	if c.passPause == 0 && c.Pace > 0 {
+		c.passPause = 10 * c.Pace
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
@@ -158,7 +160,7 @@ func (s *Store) scrubLoop(cfg ScrubConfig, bucket *tokenBucket, stop chan struct
 		if cfg.OnPass != nil {
 			cfg.OnPass(time.Since(passStart))
 		}
-		if !sleepOrStop(cfg.PassPause, stop) {
+		if !sleepOrStop(cfg.passPause, stop) {
 			return
 		}
 	}

@@ -281,7 +281,7 @@ func TestScrubDetectsInjectedDamage(t *testing.T) {
 func TestScrubPassCountsAndStops(t *testing.T) {
 	spec := testSpec()
 	s, _ := newTestStore(t, spec, 1)
-	s.StartScrub(ScrubConfig{Pace: time.Millisecond, PassPause: time.Millisecond})
+	s.StartScrub(ScrubConfig{Pace: time.Millisecond, passPause: time.Millisecond})
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Stats().ScrubPasses < 2 {
 		if time.Now().After(deadline) {

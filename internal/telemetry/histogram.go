@@ -9,7 +9,9 @@
 // latency, which monotonic counters cannot show. Everything here is fed from
 // protocol.Observer/SpanObserver events carrying poll IDs and timestamps, so
 // the same recorder works on virtual time under the simulator and wall time
-// on a real node.
+// on a real node. Readers take snapshots and span copies in process: the
+// admin server renders them as /metrics and /polls, and the fleet merges
+// every node's recorder directly into fleet-wide distributions.
 package telemetry
 
 import (
@@ -26,13 +28,13 @@ import (
 const NumBuckets = 64
 
 // Histogram is a lock-free log₂-bucketed histogram of non-negative
-// nanosecond values. Observe is wait-free (one bits.Len64 and three atomic
+// nanosecond values. Observe is wait-free (one bits.Len64 and two atomic
 // adds, no allocation); Snapshot can be taken from any goroutine while
-// writers proceed. Snapshots merge by addition, so per-node histograms
+// writers proceed; a snapshot's Count is the sum of the buckets it read, so
+// the two always agree. Snapshots merge by addition, so per-node histograms
 // combine into fleet-wide distributions exactly.
 type Histogram struct {
 	buckets [NumBuckets]atomic.Uint64
-	count   atomic.Uint64
 	sum     atomic.Int64 // nanoseconds
 }
 
@@ -55,20 +57,20 @@ func (h *Histogram) Observe(ns int64) {
 		ns = 0
 	}
 	h.buckets[bucketIndex(ns)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(ns)
 }
 
 // Snapshot copies the histogram's current state. The copy is not an atomic
-// cut across buckets — writers may land between bucket reads — but every
-// recorded value is eventually visible and the drift is bounded by the
-// in-flight writes, which is the right trade for a no-stop reader.
+// cut across buckets — writers may land between bucket reads — but Count is
+// summed from the very buckets copied, so quantiles never run past them;
+// only Sum may be off by the in-flight writes, which is the right trade for
+// a no-stop reader.
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	return s
 }
@@ -99,28 +101,6 @@ func BucketBound(i int) float64 {
 		return math.Inf(1)
 	}
 	return float64(uint64(1)<<uint(i)-1) / 1e9
-}
-
-// BucketFromBound inverts BucketBound for a bound expressed in seconds,
-// tolerating float rounding: it returns the bucket whose bound is nearest.
-// ok is false for bounds that match no bucket (off by more than rounding).
-func BucketFromBound(sec float64) (int, bool) {
-	if sec <= 0 {
-		return 0, sec == 0
-	}
-	if math.IsInf(sec, 1) {
-		return NumBuckets - 1, true
-	}
-	i := int(math.Round(math.Log2(sec * 1e9)))
-	for _, c := range [3]int{i, i + 1, i - 1} {
-		if c > 0 && c < NumBuckets-1 {
-			b := BucketBound(c)
-			if math.Abs(b-sec) <= 1e-9*math.Max(1, b) {
-				return c, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) in seconds, interpolating

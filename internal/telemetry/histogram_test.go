@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"strconv"
 	"sync"
 	"testing"
 )
@@ -36,34 +35,6 @@ func TestBucketIndexPlacement(t *testing.T) {
 	h.Observe(-5)
 	if s := h.Snapshot(); s.Sum != 0 {
 		t.Errorf("negative observation summed: %d", s.Sum)
-	}
-}
-
-func TestBucketBoundRoundTrip(t *testing.T) {
-	for i := 0; i < NumBuckets; i++ {
-		sec := BucketBound(i)
-		got, ok := BucketFromBound(sec)
-		if !ok || got != i {
-			t.Errorf("BucketFromBound(BucketBound(%d)=%g) = %d, %v", i, sec, got, ok)
-		}
-		// The exposition formats bounds with 'g'/17; the inverse must survive
-		// that round trip too, or fleet merging would misplace every bucket.
-		if !math.IsInf(sec, 1) {
-			text := strconv.FormatFloat(sec, 'g', 17, 64)
-			back, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				t.Fatalf("bucket %d bound %q: %v", i, text, err)
-			}
-			if got, ok := BucketFromBound(back); !ok || got != i {
-				t.Errorf("bucket %d: formatted bound %q inverts to %d, %v", i, text, got, ok)
-			}
-		}
-	}
-	if _, ok := BucketFromBound(0.123); ok {
-		t.Error("BucketFromBound accepted a bound off every bucket")
-	}
-	if _, ok := BucketFromBound(-1); ok {
-		t.Error("BucketFromBound accepted a negative bound")
 	}
 }
 
@@ -127,10 +98,14 @@ func TestBoundsTrimmed(t *testing.T) {
 }
 
 // TestHistogramConcurrent drives concurrent writers into one histogram while
-// a reader snapshots — the wait-free record path under -race.
+// a reader snapshots — the wait-free record path under -race. Every snapshot
+// must agree with itself: a Count above its buckets' total sends Quantile past
+// the last bucket, to about 4.6e9 s.
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	const writers, per = 8, 10_000
+	// Every value written is below 2^15 ns, so no quantile may exceed it.
+	const maxSec = float64(1<<15) / 1e9
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -147,11 +122,16 @@ func TestHistogramConcurrent(t *testing.T) {
 			for _, c := range s.Buckets {
 				total += c
 			}
-			// Bucket adds land before the count add, and a snapshot is not an
-			// atomic cut, so bucket totals may run ahead of Count — but never
-			// beyond the true number of writes.
 			if total > writers*per {
 				t.Errorf("snapshot buckets total %d beyond %d writes", total, writers*per)
+				return
+			}
+			if s.Count != total {
+				t.Errorf("snapshot Count %d disagrees with its buckets' total %d", s.Count, total)
+				return
+			}
+			if q := s.Quantile(1); q > maxSec {
+				t.Errorf("Quantile(1) = %g s, above every value written (< %g s)", q, maxSec)
 				return
 			}
 		}
