@@ -1,9 +1,10 @@
 // Command lockss-fleet operates a population of in-process LOCKSS nodes on
 // one machine from a declarative config: it boots N nodes on loopback,
 // drives a scheduled fault plan (damage injection, kill/restart, stalled
-// peers, partitions, steady churn) with a seeded PRNG, scrapes every node's
-// admin /metrics and /healthz on an interval, and writes one JSON report of
-// the run plus a human summary table.
+// peers, partitions, steady churn) with a seeded PRNG, reads every node's
+// counters and health in process on an interval (the scalar families a
+// node's admin /metrics prints, without HTTP), and writes one JSON report
+// of the run plus a human summary table.
 //
 // Before shutdown the harness sweeps every node's flight recorder: per-node
 // latency histograms are merged into fleet-wide p50/p95/p99 tables (poll
@@ -18,8 +19,9 @@
 // The config is JSON with //-comment lines; see examples/fleet/ and
 // docs/ARCHITECTURE.md ("Control plane & fleet") for the schema. -check
 // turns the run into a gate: exit 0 only when the final report shows zero
-// unrepaired damage and every node's /healthz green — how CI asserts a
-// 25-node population heals scheduled damage through a kill/restart.
+// unrepaired damage and every node healthy (protocol listener bound, actor
+// loop answering within 2s) — how CI asserts a 25-node population heals
+// scheduled damage through a kill/restart.
 package main
 
 import (

@@ -1,14 +1,15 @@
 // Package admin embeds an HTTP control plane into a running node: live
 // Prometheus-text counters, health checking, per-AU and per-peer state
-// inspection, and graceful drain. It is the observability surface the fleet
-// harness (internal/fleet) scrapes to operate a population.
+// inspection, and graceful drain. Its scalar families are declared once;
+// /metrics prints them and Read hands the same values to an in-process
+// supervisor (internal/fleet) without HTTP.
 //
 // Every handler reads through paths that cannot block the protocol:
 // transport and store counters are atomic snapshots, and protocol state is
-// fetched with a bounded post onto the node's actor loop — if the loop does
-// not respond within InspectTimeout the handler degrades (503, or metrics
-// without the protocol section) instead of waiting. No handler ever locks
-// protocol state directly.
+// fetched with one bounded post onto the node's actor loop (node.Within) —
+// if the loop does not respond within the inspect timeout (3s) the handler
+// degrades (503, or metrics without the protocol section) instead of
+// waiting. No handler ever locks protocol state directly.
 //
 // Endpoints:
 //
@@ -62,9 +63,9 @@ type Options struct {
 	// OnDrained runs once a POST /drain has fully drained and stopped the
 	// node; lockss-node exits 0 from it. May be nil.
 	OnDrained func()
-	// InspectTimeout bounds the actor-loop round trip behind every handler
-	// that needs protocol state. Default 3s.
-	InspectTimeout time.Duration
+	// inspectTimeout bounds the actor-loop round trip behind every handler
+	// that needs protocol state. Default 3s; only tests lower it.
+	inspectTimeout time.Duration
 	// ScrubStall marks the store scrubber unhealthy when its counters stop
 	// moving for this long. Zero disables the check (no store, or a pace so
 	// slow that stall detection is meaningless). Size it to comfortably
@@ -113,8 +114,8 @@ type Server struct {
 
 // New builds the control plane for a node. Call Start to serve it.
 func New(n *node.Node, opts Options) *Server {
-	if opts.InspectTimeout <= 0 {
-		opts.InspectTimeout = 3 * time.Second
+	if opts.inspectTimeout <= 0 {
+		opts.inspectTimeout = 3 * time.Second
 	}
 	if opts.Version == "" {
 		opts.Version = "dev"
@@ -182,42 +183,36 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// inspect runs fn on the node's actor loop and returns its result, bounded
-// by InspectTimeout. ok is false when the loop is wedged (no response in
-// time) or the node is stopped. A late-completing fn delivers into a
-// buffered channel nobody reads — safe, no shared state.
-func inspect[T any](s *Server, fn func(p *protocol.Peer) T) (T, bool) {
-	type reply struct {
-		v  T
-		ok bool
-	}
-	ch := make(chan reply, 1)
-	go func() {
-		var r reply
-		r.ok = s.n.Inspect(func(p *protocol.Peer) { r.v = fn(p) })
-		ch <- r
-	}()
-	timer := time.NewTimer(s.opts.InspectTimeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.v, r.ok
-	case <-timer.C:
-		var zero T
-		return zero, false
-	}
-}
-
-// scrape is everything one /metrics request reads from the node, gathered
-// once so the family getters are pure functions of it.
+// scrape is everything one read of the scalar families takes from the node,
+// gathered once so the family getters are pure functions of it.
 type scrape struct {
 	node.Stats
-	// responsive reports that the actor loop answered the stats round trip;
-	// Stats.Peer is only meaningful when it is set.
+	// responsive reports that the actor loop answered the round trip;
+	// Stats.Peer and aus are only meaningful when it is set.
 	responsive bool
+	hasStore   bool
 	links      []node.LinkInfo
-	// aus is nil when the actor loop did not answer the AU inspection.
-	aus []protocol.AUInfo
+	aus        []protocol.AUInfo
+}
+
+// snapshot reads the node for the scalar families. The protocol counters
+// and the AU infos come from one actor round trip bounded by timeout, so a
+// wedged loop costs one timeout and both describe the same instant.
+func snapshot(n *node.Node, timeout time.Duration) *scrape {
+	type actorView struct {
+		stats protocol.PeerStats
+		aus   []protocol.AUInfo
+	}
+	v, ok := node.Within(n, timeout, func(p *protocol.Peer) actorView {
+		return actorView{p.Stats(), p.AUInfos()}
+	})
+	return &scrape{
+		Stats:      n.StatsFrom(v.stats),
+		responsive: ok,
+		hasStore:   n.HasStore(),
+		links:      n.LinkInfos(),
+		aus:        v.aus,
+	}
 }
 
 // section names the part of a scrape a family is computed from, and with it
@@ -227,9 +222,30 @@ type section int
 const (
 	always   section = iota // transport counters and liveness gauges
 	hasStore                // only on a node running a durable store
-	actorUp                 // only when the actor loop returned protocol stats
-	ausSeen                 // only when the actor loop returned the AU infos
+	actorUp                 // only when the actor loop answered the round trip
 )
+
+// each calls emit for every scalar family the scrape exports, in
+// exposition order, with its value.
+func (sc *scrape) each(emit func(f *family, v float64)) {
+	export := [...]bool{always: true, hasStore: sc.hasStore, actorUp: sc.responsive}
+	for i := range scalarFamilies {
+		if f := &scalarFamilies[i]; export[f.in] {
+			emit(f, f.get(sc))
+		}
+	}
+}
+
+// Read returns n's exported scalar families by exposition name, under the
+// same section rules as /metrics, and whether n is healthy: its protocol
+// listener is bound and its actor loop answered within timeout. It is how a
+// supervisor running nodes in its own process reads them without HTTP.
+func Read(n *node.Node, timeout time.Duration) (map[string]float64, bool) {
+	sc := snapshot(n, timeout)
+	out := make(map[string]float64, len(scalarFamilies))
+	sc.each(func(f *family, v float64) { out[f.name] = v })
+	return out, sc.responsive && n.Addr() != nil
+}
 
 // family declares one scalar metric: its exposition name, type and HELP
 // text, and how to read its value out of a scrape.
@@ -277,7 +293,8 @@ func b2i(b bool) int {
 }
 
 // scalarFamilies is the node's scalar exposition, declared once, in
-// exposition order. handleMetrics walks it; nothing else names a metric.
+// exposition order. handleMetrics and Read walk it; nothing else names a
+// metric.
 var scalarFamilies = []family{
 	gauge("lockss_up", "Always 1 while the admin server answers.", always,
 		func(*scrape) float64 { return 1 }),
@@ -376,13 +393,13 @@ var scalarFamilies = []family{
 	counter("lockss_bad_proofs_total", "Effort proofs that failed verification.", actorUp,
 		func(sc *scrape) uint64 { return sc.Peer.BadProofs }),
 
-	gauge("lockss_aus", "Archival units registered.", ausSeen,
+	gauge("lockss_aus", "Archival units registered.", actorUp,
 		func(sc *scrape) float64 { return float64(len(sc.aus)) }),
-	gauge("lockss_au_damaged_blocks", "Blocks currently marked damaged across all AUs.", ausSeen,
+	gauge("lockss_au_damaged_blocks", "Blocks currently marked damaged across all AUs.", actorUp,
 		sumAUs(func(au protocol.AUInfo) int { return len(au.DamagedBlocks) })),
-	gauge("lockss_active_polls", "AUs with a poll in flight.", ausSeen,
+	gauge("lockss_active_polls", "AUs with a poll in flight.", actorUp,
 		sumAUs(func(au protocol.AUInfo) int { return b2i(au.PollActive) })),
-	gauge("lockss_voter_sessions", "Live voter-side sessions across all AUs.", ausSeen,
+	gauge("lockss_voter_sessions", "Live voter-side sessions across all AUs.", actorUp,
 		sumAUs(func(au protocol.AUInfo) int { return au.VoterSessions })),
 }
 
@@ -391,20 +408,11 @@ var scalarFamilies = []family{
 // appear only when the actor loop answered in time, with
 // lockss_actor_responsive telling the two apart.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sc := scrape{links: s.n.LinkInfos()}
-	sc.Stats, sc.responsive = s.n.StatsWithin(s.opts.InspectTimeout)
-	ausOK := false
-	if sc.responsive {
-		sc.aus, ausOK = inspect(s, func(p *protocol.Peer) []protocol.AUInfo { return p.AUInfos() })
-	}
-	export := [...]bool{always: true, hasStore: s.n.HasStore(), actorUp: sc.responsive, ausSeen: ausOK}
-
+	sc := snapshot(s.n, s.opts.inspectTimeout)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, f := range scalarFamilies {
-		if export[f.in] {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", f.name, f.help, f.name, f.typ, f.name, f.get(&sc))
-		}
-	}
+	sc.each(func(f *family, v float64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", f.name, f.help, f.name, f.typ, f.name, v)
+	})
 
 	fmt.Fprintf(w, "# HELP lockss_build_info Build metadata; value is always 1.\n")
 	fmt.Fprintf(w, "# TYPE lockss_build_info gauge\n")
@@ -449,13 +457,8 @@ type health struct {
 // bound, the actor loop answers a bounded post round trip, and the store
 // scrubber's counters moved within ScrubStall.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := health{
-		Listener: s.n.Addr() != nil,
-		Actor:    true,
-		Scrub:    true,
-	}
-	_, ok := inspect(s, func(p *protocol.Peer) struct{} { return struct{}{} })
-	h.Actor = ok
+	h := health{Listener: s.n.Addr() != nil, Scrub: true}
+	_, h.Actor = node.Within(s.n, s.opts.inspectTimeout, func(*protocol.Peer) struct{} { return struct{}{} })
 	if s.opts.ScrubStall > 0 && s.n.HasStore() {
 		h.Scrub = s.scrubAlive()
 	}
@@ -508,7 +511,7 @@ type refSON struct {
 
 // handleAUs serves the per-AU inspection snapshot.
 func (s *Server) handleAUs(w http.ResponseWriter, r *http.Request) {
-	infos, ok := inspect(s, func(p *protocol.Peer) []protocol.AUInfo { return p.AUInfos() })
+	infos, ok := node.Within(s.n, s.opts.inspectTimeout, (*protocol.Peer).AUInfos)
 	if !ok {
 		http.Error(w, "actor loop unresponsive", http.StatusServiceUnavailable)
 		return
@@ -562,7 +565,7 @@ type peerJSON struct {
 // handlePeers merges three views of the peerage: the address book, the
 // transport's outbound links and the per-AU reference-list grades.
 func (s *Server) handlePeers(w http.ResponseWriter, r *http.Request) {
-	infos, ok := inspect(s, func(p *protocol.Peer) []protocol.AUInfo { return p.AUInfos() })
+	infos, ok := node.Within(s.n, s.opts.inspectTimeout, (*protocol.Peer).AUInfos)
 	if !ok {
 		http.Error(w, "actor loop unresponsive", http.StatusServiceUnavailable)
 		return
@@ -704,6 +707,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		d, err := time.ParseDuration(*req.ScrubPace)
 		if err != nil {
 			http.Error(w, "bad scrub_pace: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		// A negative pace is the store's unthrottled benchmark setting, which
+		// lockss-node refuses at startup too.
+		if d < 0 {
+			http.Error(w, "scrub_pace must be >= 0", http.StatusBadRequest)
 			return
 		}
 		cfg.ScrubPace = &d

@@ -240,6 +240,7 @@ func TestReloadEndpoint(t *testing.T) {
 
 	for _, bad := range []string{
 		`{"scrub_pace":"not-a-duration"}`,
+		`{"scrub_pace":"-1s"}`, // no pause at all: the benchmark-only setting
 		`{"stats_interval":"-5s"}`,
 		`{"scrub_bandwidth":-1}`,
 		`{"unknown_knob":1}`,

@@ -176,7 +176,7 @@ func TestMetricsTextParses(t *testing.T) {
 // Inspect and watches /healthz flip to 503 (actor=false), then recover.
 func TestHealthzFlipsWhenActorWedged(t *testing.T) {
 	n := newTestNode(t, nil)
-	s := New(n, Options{InspectTimeout: 150 * time.Millisecond})
+	s := New(n, Options{inspectTimeout: 150 * time.Millisecond})
 
 	rec, body := get(t, s.Handler(), "/healthz")
 	if rec.Code != http.StatusOK {
@@ -403,5 +403,41 @@ func TestDrainEndpointMidPoll(t *testing.T) {
 	if st.Peer.PollsStarted == 0 || st.Peer.PollsStarted != st.Peer.PollsConcluded() {
 		t.Errorf("drained node stats: started=%d concluded=%d, want equal and nonzero",
 			st.Peer.PollsStarted, st.Peer.PollsConcluded())
+	}
+}
+
+// TestReadMatchesMetrics: Read is the in-process twin of /metrics, so on one
+// live node its key set must be exactly the flat map of unlabeled scalar
+// samples that parsing the exposition yields.
+func TestReadMatchesMetrics(t *testing.T) {
+	for name, n := range map[string]*node.Node{"memory": newTestNode(t, nil), "store": newStoreNode(t)} {
+		_, body := get(t, New(n, Options{}).Handler(), "/metrics")
+		fams, err := promtext.Parse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[string]bool)
+		for fname, f := range fams {
+			if _, ok := f.Value(); ok {
+				want[fname] = true
+			}
+		}
+		got, healthy := Read(n, time.Second)
+		if !healthy {
+			t.Errorf("%s: Read reports a live node unhealthy", name)
+		}
+		for k := range got {
+			if !want[k] {
+				t.Errorf("%s: Read has %s, /metrics does not", name, k)
+			}
+		}
+		for k := range want {
+			if _, ok := got[k]; !ok {
+				t.Errorf("%s: /metrics has %s, Read does not", name, k)
+			}
+		}
+		if len(got) != len(want) || got["lockss_actor_responsive"] != 1 || got["lockss_aus"] != 1 {
+			t.Errorf("%s: Read = %v", name, got)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package fleet spawns and supervises a population of in-process LOCKSS
 // nodes on loopback from one declarative config: it drives a scheduled
 // fault plan (damage injection, node kill/restart, stalled peers, subnet
-// partitions, steady churn) with a seeded PRNG, scrapes every node's admin
-// /metrics and /healthz on an interval, and emits one machine-readable JSON
-// report of the run — per-node and aggregate counters over time, repair
+// partitions, steady churn) with a seeded PRNG, reads every node's counters
+// and health in process on an interval (admin.Read: the scalar families
+// /metrics prints, without HTTP), and emits one machine-readable JSON report
+// of the run — per-node and aggregate counters over time, repair
 // convergence, and the final unrepaired-damage count — plus a human summary
 // table. It is how the paper's population-scale attrition settings are
 // operated on one machine.
@@ -56,10 +57,11 @@ func (d Duration) String() string { return time.Duration(d).String() }
 // (node IDs); 0 means "pick one with the seeded PRNG" where a node is
 // needed. Kinds:
 //
-//	damage     corrupt one block (Block, or random when -1) of AU on Node
+//	damage     corrupt one block (Block, or random when -1) of AU on Node;
+//	           refused while an in-memory Node is stalled
 //	kill       stop Node abruptly (Stop, not drain)
 //	restart    rebuild and restart a killed Node from its surviving state
-//	stall      wedge Node's actor loop (its admin /healthz goes red)
+//	stall      wedge Node's actor loop (its samples read unhealthy)
 //	unstall    release a stalled Node
 //	partition  isolate Subnet from everyone else (addresses blackholed,
 //	           live sessions severed on both sides)
@@ -197,6 +199,11 @@ func (c Config) protocolConfig() (protocol.Config, error) {
 	return protocol.DemoConfig(time.Duration(c.PollInterval), c.Quorum, c.InnerCircle, c.BlockSize)
 }
 
+// blocks is the number of blocks in each AU.
+func (c Config) blocks() int {
+	return int((c.AUSize-1)/c.BlockSize + 1)
+}
+
 // churnCycles counts the churn kills whose restart falls inside the run.
 func (c Config) churnCycles() int64 {
 	return int64((c.Duration - c.Churn.Down - 1) / c.Churn.Interval)
@@ -211,11 +218,19 @@ func (c Config) validateFault(f Fault) error {
 		if f.AU < 1 || f.AU > c.AUs {
 			return fmt.Errorf("damage AU %d out of range 1..%d", f.AU, c.AUs)
 		}
+		if f.Block < -1 || f.Block >= c.blocks() {
+			return fmt.Errorf("damage block %d out of range 0..%d (or -1 for random)", f.Block, c.blocks()-1)
+		}
 		if f.For != 0 {
 			return fmt.Errorf("damage has no inverse; drop \"for\"")
 		}
-	case "kill", "restart", "stall", "unstall":
+	case "kill", "stall":
 		// Node 0 = random is fine; no extra fields.
+	case "restart", "unstall":
+		// The inverse of an earlier fault: it must name that fault's node.
+		if f.Node == 0 {
+			return fmt.Errorf("%s needs a node", f.Kind)
+		}
 	case "partition", "heal":
 		if f.Kind == "partition" && len(f.Subnet) == 0 {
 			return fmt.Errorf("partition needs a subnet")
@@ -282,8 +297,7 @@ func (c Config) schedule(rng *rand.Rand) []Fault {
 			}
 		}
 		if f.Kind == "damage" && f.Block < 0 {
-			blocks := int((c.AUSize-1)/c.BlockSize + 1)
-			f.Block = rng.Intn(blocks)
+			f.Block = rng.Intn(c.blocks())
 		}
 		return f
 	}

@@ -33,20 +33,21 @@ const (
 	// scrubPace is the pause between scrubbed blocks, fast enough that
 	// injected rot is found within a demo-length run.
 	scrubPace = 50 * time.Millisecond
+	// sampleTimeout bounds each member's read in a sweep, so one wedged
+	// actor loop cannot stall the sweep past its interval.
+	sampleTimeout = 2 * time.Second
 )
 
 // member is one supervised node. All fields are owned by the fleet's run
-// loop; scrape workers receive copies of the addresses they need.
+// loop; scrape workers receive copies of what they need.
 type member struct {
 	idx int        // 0-based slot in the cluster
 	id  ids.PeerID // 1-based, == idx+1
 	n   *node.Node
-	adm *admin.Server
 	st  *store.Store // nil for in-memory fleets
 	dir string       // store dir, "" for in-memory
 
 	protoAddr string // current protocol listen address
-	adminAddr string // current admin listen address
 
 	down    bool
 	stalled chan struct{} // non-nil while the actor loop is wedged
@@ -58,7 +59,7 @@ type Fleet struct {
 	rng  *rand.Rand
 	logf func(format string, args ...any)
 	// cluster builds (and, on restart, rebuilds) the nodes; members carry
-	// what the fleet adds to each: admin server, addresses, fault state.
+	// what the fleet adds to each: addresses and fault state.
 	cluster *harness.Cluster
 	members []*member
 	// partition holds the currently isolated subnet (1-based ids); empty
@@ -80,19 +81,12 @@ func New(cfg Config, logf func(format string, args ...any)) *Fleet {
 	}
 }
 
-// serve attaches member m to its freshly (re)built, running cluster node and
-// starts its admin server.
-func (f *Fleet) serve(m *member) error {
+// serve attaches member m to its freshly (re)built, running cluster node.
+func (f *Fleet) serve(m *member) {
 	cm := f.cluster.Members[m.idx]
 	m.n, m.st = cm.Node, cm.Store
-	m.adm = admin.New(m.n, admin.Options{InspectTimeout: 2 * time.Second})
-	if err := m.adm.Start("127.0.0.1:0"); err != nil {
-		return fmt.Errorf("fleet: node %d admin: %w", m.id, err)
-	}
 	m.protoAddr = m.n.Addr().String()
-	m.adminAddr = m.adm.Addr().String()
 	m.down = false
-	return nil
 }
 
 // addrFor is the address viewer sees for target: the real one, or the
@@ -106,9 +100,9 @@ func (f *Fleet) addrFor(viewer, target *member) string {
 
 // Start builds the population through the shared loopback-cluster builder —
 // every node holds every AU, knows every other node at an Even grade and has
-// it on its friends and reference lists — boots it, and starts the admin
-// servers. Durable members reopen what their store directory holds and
-// resume its damage state; in-memory members synthesize pristine replicas.
+// it on its friends and reference lists — and boots it. Durable members
+// reopen what their store directory holds and resume its damage state;
+// in-memory members synthesize pristine replicas.
 func (f *Fleet) Start() error {
 	spec := harness.ClusterSpec{
 		AUs:      make([]content.AUSpec, f.cfg.AUs),
@@ -153,28 +147,18 @@ func (f *Fleet) Start() error {
 		return fmt.Errorf("fleet: %w", err)
 	}
 	for _, m := range f.members {
-		if err := f.serve(m); err != nil {
-			f.stopAll()
-			return err
-		}
+		f.serve(m)
 	}
 	f.logf("fleet: %d nodes up, %d AUs each", f.cfg.Nodes, f.cfg.AUs)
 	return nil
 }
 
-// stopAll releases every stall, closes the admin servers and stops the
-// cluster. It is idempotent.
+// stopAll releases every stall and stops the cluster. It is idempotent.
 func (f *Fleet) stopAll() {
 	for _, m := range f.members {
-		if m == nil || m.down {
-			continue
-		}
-		if m.stalled != nil {
+		if m != nil && m.stalled != nil {
 			close(m.stalled)
 			m.stalled = nil
-		}
-		if m.adm != nil {
-			m.adm.Close()
 		}
 	}
 	if f.cluster != nil {
@@ -199,6 +183,11 @@ func (f *Fleet) apply(fault Fault) (string, error) {
 			}
 			return fmt.Sprintf("silent rot on disk: node %d AU %d block %d", fault.Node, fault.AU, fault.Block), nil
 		}
+		// In-memory replicas are the actor loop's to touch, and a stalled
+		// loop would hold the fault schedule until nothing could release it.
+		if m.stalled != nil {
+			return "", fmt.Errorf("damage target node %d is stalled", fault.Node)
+		}
 		okc := make(chan bool, 1)
 		if !m.n.Inspect(func(p *protocol.Peer) { okc <- p.Replica(au).Damage(fault.Block) }) {
 			return "", fmt.Errorf("damage: node %d not inspectable", fault.Node)
@@ -217,7 +206,6 @@ func (f *Fleet) apply(fault Fault) (string, error) {
 			close(m.stalled)
 			m.stalled = nil
 		}
-		m.adm.Close()
 		m.n.Stop() // closes a durable member's store too
 		m.down = true
 		return fmt.Sprintf("killed node %d", fault.Node), nil
@@ -239,10 +227,7 @@ func (f *Fleet) apply(fault Fault) (string, error) {
 			n.Stop()
 			return "", fmt.Errorf("fleet: node %d start: %w", m.id, err)
 		}
-		if err := f.serve(m); err != nil {
-			n.Stop()
-			return "", err
-		}
+		f.serve(m)
 		f.rewireAll()
 		return fmt.Sprintf("restarted node %d on %s", fault.Node, m.protoAddr), nil
 
@@ -435,21 +420,22 @@ loop:
 
 // scrapeTarget is the loop's snapshot of one member for a scrape worker.
 type scrapeTarget struct {
-	id        int
-	down      bool
-	adminAddr string
+	id   int
+	down bool
+	n    *node.Node
 }
 
 func (f *Fleet) scrapeTargets() []scrapeTarget {
 	out := make([]scrapeTarget, len(f.members))
 	for i, m := range f.members {
-		out[i] = scrapeTarget{id: int(m.id), down: m.down, adminAddr: m.adminAddr}
+		out[i] = scrapeTarget{id: int(m.id), down: m.down, n: m.n}
 	}
 	return out
 }
 
-// sampleTargets scrapes every target's admin endpoints concurrently and
-// aggregates. It touches no fleet state.
+// sampleTargets reads every target's scalar families and health in process,
+// concurrently, each bounded by sampleTimeout, and aggregates. It touches no
+// fleet state.
 func sampleTargets(at Duration, targets []scrapeTarget) Sample {
 	s := Sample{At: at, Aggregate: newSampleAggregate(), PerNode: make([]NodeSample, len(targets))}
 	var wg sync.WaitGroup
@@ -460,17 +446,12 @@ func sampleTargets(at Duration, targets []scrapeTarget) Sample {
 			ns.Down = true
 			continue
 		}
-		addr := tgt.adminAddr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fams, err := scrapeMetrics(addr)
-			if err != nil {
-				ns.MetricsErr = err.Error()
-			}
-			ns.Metrics = scalars(fams)
-			ns.Healthy = scrapeHealthz(addr)
-			ns.Damage, ns.ActivePolls = damageFromMetrics(ns.Metrics)
+			ns.Metrics, ns.Healthy = admin.Read(tgt.n, sampleTimeout)
+			ns.Damage = int(ns.Metrics["lockss_au_damaged_blocks"])
+			ns.ActivePolls = int(ns.Metrics["lockss_active_polls"])
 		}()
 	}
 	wg.Wait()
@@ -501,10 +482,7 @@ func (f *Fleet) finalReport(final Sample) Final {
 		AllHealthy:       final.NodesHealthy == f.cfg.Nodes,
 	}
 	fin.Converged = fin.UnrepairedDamage == 0
-	for i := range final.PerNode {
-		ns := final.PerNode[i]
-		fin.PerNode = append(fin.PerNode, ns)
-	}
+	fin.PerNode = final.PerNode
 	return fin
 }
 

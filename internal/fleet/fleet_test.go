@@ -2,16 +2,16 @@ package fleet
 
 import (
 	"context"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"lockss/internal/node"
+	"lockss/internal/protocol"
 	"lockss/internal/telemetry"
 )
 
@@ -99,6 +99,11 @@ func TestParseConfigRejectsWhatFailsLater(t *testing.T) {
 		`"poll_interval": "100ms"`, // too short for the protocol's waits
 		`"quorum": 6`,              // above the default inner circle of 5
 		`"churn": {"interval": "1ns", "down": "1s"}`,
+		`"faults": [{"kind": "restart"}]`, // no node: would index members[-1]
+		`"faults": [{"kind": "unstall"}]`,
+		`"faults": [{"kind": "damage", "au": 1, "block": 99}]`, // past a 4-block AU
+		`"faults": [{"kind": "damage", "au": 1, "block": 4}]`,
+		`"faults": [{"kind": "damage", "au": 1, "block": -2}]`, // only -1 means random
 	} {
 		if _, err := parseConfig([]byte(`{"nodes": 8, ` + field + `}`)); err == nil {
 			t.Errorf("accepted {%s}", field)
@@ -127,6 +132,9 @@ func FuzzParseConfig(f *testing.F) {
 	}
 	f.Add([]byte(`{"nodes": 3, "quorum": 1, "inner_circle": 2, "poll_interval": "1.2s"}`))
 	f.Add([]byte(`{"faults": [{"at": "1s", "kind": "damage", "au": 1, "block": -1}, {"kind": "kill", "for": "1s"}], "churn": {"interval": "2s", "down": "1s"}}`))
+	// Plans that must be refused at load: they would index no member, or a
+	// block past the AU's end, only when they fire.
+	f.Add([]byte(`{"faults": [{"kind": "restart"}, {"kind": "damage", "au": 1, "block": 9}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := parseConfig(data)
 		if err != nil {
@@ -141,6 +149,16 @@ func FuzzParseConfig(f *testing.F) {
 		for i := 1; i < len(plan); i++ {
 			if plan[i-1].At > plan[i].At {
 				t.Fatalf("plan out of time order at %d: %v", i, plan)
+			}
+		}
+		// What apply indexes and injects must exist: every fault aimed at
+		// a node names one in range, and every damaged block is in its AU.
+		for _, fl := range plan {
+			if fl.Kind != "partition" && fl.Kind != "heal" && (fl.Node < 1 || fl.Node > c.Nodes) {
+				t.Fatalf("planned %s on node %d of %d", fl.Kind, fl.Node, c.Nodes)
+			}
+			if fl.Kind == "damage" && (fl.Block < 0 || fl.Block >= c.blocks()) {
+				t.Fatalf("planned damage to block %d of %d", fl.Block, c.blocks())
 			}
 		}
 	})
@@ -308,58 +326,6 @@ func TestFleetRepairsInjectedDamage(t *testing.T) {
 	})
 }
 
-// TestScrapeSurvivesSpacesInLabelValues feeds the sweep an exposition whose
-// build-info labels contain spaces — what runtime.Version() returns under any
-// GOEXPERIMENT or a devel toolchain, and what -ldflags "-X main.version=v1
-// rc1" produces. The scrape must read every scalar and keep the labeled
-// series out of the flat map rather than fail on the line.
-func TestScrapeSurvivesSpacesInLabelValues(t *testing.T) {
-	const exposition = `# HELP lockss_au_damaged_blocks Blocks currently marked damaged across all AUs.
-# TYPE lockss_au_damaged_blocks gauge
-lockss_au_damaged_blocks 3
-# HELP lockss_active_polls AUs with a poll in flight.
-# TYPE lockss_active_polls gauge
-lockss_active_polls 1
-# HELP lockss_alarms_total Inconclusive-poll alarms raised.
-# TYPE lockss_alarms_total counter
-lockss_alarms_total 2
-# HELP lockss_build_info Build metadata; value is always 1.
-# TYPE lockss_build_info gauge
-lockss_build_info{version="v1 rc1",goversion="go1.24.0 X:synctest"} 1
-# HELP lockss_tally_seconds Tally latency.
-# TYPE lockss_tally_seconds histogram
-lockss_tally_seconds_bucket{le="+Inf"} 0
-lockss_tally_seconds_sum 0
-lockss_tally_seconds_count 0
-`
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/metrics" {
-			io.WriteString(w, exposition)
-		}
-	}))
-	defer srv.Close()
-
-	addr := srv.Listener.Addr().String()
-	smp := sampleTargets(0, []scrapeTarget{{id: 1, adminAddr: addr}})
-	ns := smp.PerNode[0]
-	if ns.MetricsErr != "" {
-		t.Fatalf("scrape failed: %s", ns.MetricsErr)
-	}
-	if ns.Damage != 3 || ns.ActivePolls != 1 || smp.Aggregate["alarms"] != 2 {
-		t.Errorf("damage=%d polls=%d alarms=%v, want 3/1/2", ns.Damage, ns.ActivePolls, smp.Aggregate["alarms"])
-	}
-	if len(ns.Metrics) != 3 {
-		t.Errorf("flat metrics = %v, want exactly the three unlabeled scalars", ns.Metrics)
-	}
-	fams, err := scrapeMetrics(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fams["lockss_build_info"].Samples[0].Labels["goversion"]; got != "go1.24.0 X:synctest" {
-		t.Errorf("goversion label = %q", got)
-	}
-}
-
 // TestNodeExportsEveryMetricTheFleetReads boots a small durable fleet and
 // sweeps it once: every name the fleet looks up in a scrape — the aggregate
 // counters and the damage gauges — must be in a live node's exposition, or
@@ -377,9 +343,6 @@ func TestNodeExportsEveryMetricTheFleetReads(t *testing.T) {
 
 	smp := sampleTargets(0, f.scrapeTargets())
 	for _, ns := range smp.PerNode {
-		if ns.MetricsErr != "" {
-			t.Fatalf("node %d scrape: %s", ns.Node, ns.MetricsErr)
-		}
 		want := []string{"lockss_au_damaged_blocks", "lockss_active_polls"}
 		for _, k := range aggregateKeys {
 			want = append(want, k.metric)
@@ -389,5 +352,128 @@ func TestNodeExportsEveryMetricTheFleetReads(t *testing.T) {
 				t.Errorf("node %d: %s is read by the fleet but not exported", ns.Node, name)
 			}
 		}
+	}
+}
+
+// TestStalledMemberSamplesUnhealthy wedges one member's actor loop through
+// the stall fault and sweeps the fleet: the stalled member must read
+// unhealthy and unresponsive, with its transport counters but none of the
+// protocol counters its loop would have had to answer, and the sweep must
+// cost one bounded read rather than wait on the wedged loop. The live
+// members' readings must still carry their damage and counters into the
+// sweep's totals.
+func TestStalledMemberSamplesUnhealthy(t *testing.T) {
+	cfg := Config{Nodes: 3, AUs: 1, AUSize: 64 << 10, BlockSize: 32 << 10, Quorum: 2, InnerCircle: 2, Seed: 1}.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	f := New(cfg, t.Logf)
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.stopAll()
+	// Marked damage on a live member must reach its sample and the sweep's
+	// total; the boot poll cannot conclude in the moment before the read.
+	if _, err := f.apply(Fault{Kind: "damage", Node: 3, AU: 1, Block: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.apply(Fault{Kind: "stall", Node: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// The stall closure is posted asynchronously; wait until it holds the
+	// loop, which is when a round trip stops being answered.
+	for {
+		if _, ok := node.Within(f.members[1].n, 20*time.Millisecond, func(*protocol.Peer) bool { return true }); !ok {
+			break
+		}
+	}
+
+	start := time.Now()
+	smp := sampleTargets(0, f.scrapeTargets())
+	if took := time.Since(start); took > sampleTimeout+time.Second {
+		t.Errorf("sweep took %v, want one bounded read (%v plus slack)", took, sampleTimeout)
+	}
+	if smp.NodesHealthy != 2 {
+		t.Errorf("NodesHealthy = %d, want 2 of 3", smp.NodesHealthy)
+	}
+	ns := smp.PerNode[1]
+	if ns.Healthy {
+		t.Error("stalled node 2 reads healthy")
+	}
+	if v, ok := ns.Metrics["lockss_actor_responsive"]; !ok || v != 0 {
+		t.Errorf("stalled node 2 lockss_actor_responsive = %v (present %v), want 0", v, ok)
+	}
+	for _, name := range []string{"lockss_up", "lockss_transport_sent_total", "lockss_transport_dials_total"} {
+		if _, ok := ns.Metrics[name]; !ok {
+			t.Errorf("stalled node 2 lacks %s; transport counters need no actor loop", name)
+		}
+	}
+	for name := range ns.Metrics {
+		if strings.HasPrefix(name, "lockss_polls_") || name == "lockss_au_damaged_blocks" {
+			t.Errorf("stalled node 2 exports %s, which only its wedged loop can answer", name)
+		}
+	}
+	sent := 0.0
+	for i, ns := range smp.PerNode {
+		sent += ns.Metrics["lockss_transport_sent_total"]
+		if i != 1 && (!ns.Healthy || ns.Metrics["lockss_actor_responsive"] != 1) {
+			t.Errorf("node %d: healthy=%v responsive=%v, want a healthy live member", i+1,
+				ns.Healthy, ns.Metrics["lockss_actor_responsive"])
+		}
+	}
+	if smp.Aggregate["transport_sent"] != sent {
+		t.Errorf("aggregate transport_sent = %v, want the per-node sum %v", smp.Aggregate["transport_sent"], sent)
+	}
+	if smp.PerNode[2].Damage != 1 || smp.DamagedBlocks != 1 {
+		t.Errorf("node 3 damage = %d, sweep damaged blocks = %v; want the one injected block",
+			smp.PerNode[2].Damage, smp.DamagedBlocks)
+	}
+}
+
+// TestDamageOnStalledMemberDoesNotHang: injecting in-memory damage runs on
+// the member's actor loop, and a stalled loop only resumes when the fault
+// schedule releases it. The fault must be refused, as damage on a down node
+// is, and the run must reach its end.
+func TestDamageOnStalledMemberDoesNotHang(t *testing.T) {
+	cfg := Config{
+		Nodes: 4, AUs: 1, AUSize: 64 << 10, BlockSize: 32 << 10, Quorum: 2, InnerCircle: 2, Seed: 1,
+		Duration: Duration(1500 * time.Millisecond),
+		Faults: []Fault{
+			{At: Duration(100 * time.Millisecond), Kind: "stall", Node: 2, For: Duration(500 * time.Millisecond)},
+			{At: Duration(200 * time.Millisecond), Kind: "damage", Node: 2, AU: 1, Block: 1},
+		},
+	}.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Report, 1)
+	go func() {
+		rep, err := New(cfg, t.Logf).Run(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		done <- rep
+	}()
+	var rep *Report
+	select {
+	case rep = <-done:
+	case <-time.After(15 * time.Second):
+		t.Fatal("fleet run still going 15s into a 1.5s run: damage on a stalled node hung the fault schedule")
+	}
+	if rep == nil {
+		return
+	}
+	var kinds []string
+	for _, ev := range rep.FaultLog {
+		kinds = append(kinds, ev.Fault.Kind)
+		if ev.Fault.Kind == "damage" && !strings.Contains(ev.Error, "stalled") {
+			t.Errorf("damage on stalled node: error %q, want it refused as stalled", ev.Error)
+		}
+		if ev.Fault.Kind != "damage" && ev.Error != "" {
+			t.Errorf("fault %s failed: %s", ev.Fault.Kind, ev.Error)
+		}
+	}
+	if strings.Join(kinds, ",") != "stall,damage,unstall" {
+		t.Errorf("fault log %v, want stall,damage,unstall", kinds)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// aggregateKeys maps scraped metric names to the Aggregate fields a fleet
+// aggregateKeys maps metric names to the Aggregate fields a fleet
 // operator reads first. Summed across up nodes per sample.
 var aggregateKeys = []struct {
 	field  string
@@ -21,7 +21,8 @@ var aggregateKeys = []struct {
 	{"store_repaired", "lockss_store_blocks_repaired_total"},
 }
 
-// NodeSample is one node's scrape in one sweep.
+// NodeSample is one node's reading in one sweep: the admin package's scalar
+// families by exposition name (admin.Read) and its health.
 type NodeSample struct {
 	Node        int                `json:"node"`
 	Down        bool               `json:"down,omitempty"`
@@ -29,7 +30,6 @@ type NodeSample struct {
 	Damage      int                `json:"damaged_blocks"`
 	ActivePolls int                `json:"active_polls"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
-	MetricsErr  string             `json:"metrics_error,omitempty"`
 }
 
 // Sample is one sweep over the population.

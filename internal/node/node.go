@@ -220,46 +220,37 @@ type Stats struct {
 }
 
 // Stats snapshots the aggregate counters. The protocol counters are read on
-// the actor loop (a bounded post round-trip); transport and store counters
-// are atomic snapshots. Blocks until the actor loop responds; after Stop it
+// the actor loop (a post round-trip); transport and store counters are
+// atomic snapshots. Blocks until the actor loop responds; after Stop it
 // reads the drained peer directly. Use StatsWithin to bound the wait against
 // a wedged loop.
 func (n *Node) Stats() Stats {
-	s, _ := n.statsWait(nil)
-	return s
-}
-
-// StatsWithin is Stats with a deadline: when the actor loop does not respond
-// within d (wedged or overloaded), ok is false and the snapshot carries only
-// the transport and store counters. The protocol read stays queued and
-// completes harmlessly if the loop recovers.
-func (n *Node) StatsWithin(d time.Duration) (Stats, bool) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	return n.statsWait(timer.C)
-}
-
-func (n *Node) statsWait(timeout <-chan time.Time) (Stats, bool) {
-	s := Stats{Transport: n.tr.stats(), Store: n.StoreStats()}
-	done := make(chan protocol.PeerStats, 1)
-	go func() {
-		if !n.Inspect(func(p *protocol.Peer) { done <- p.Stats() }) {
-			// Stopping or stopped: wait for every goroutine to drain, after
-			// which nothing else touches the peer and a direct read is safe.
-			n.wg.Wait()
-			done <- n.peer.Stats()
-		}
-	}()
-	select {
-	case ps := <-done:
-		s.Peer = ps
-		// The peer counts what reached it; what the readers shed was
-		// ignored just the same.
-		s.Peer.InvitesIgnored += s.Transport.InvitesShed
-		return s, true
-	case <-timeout:
-		return s, false
+	var ps protocol.PeerStats
+	if !n.Inspect(func(p *protocol.Peer) { ps = p.Stats() }) {
+		// Stopping or stopped: wait for every goroutine to drain, after
+		// which nothing else touches the peer and a direct read is safe.
+		n.wg.Wait()
+		ps = n.peer.Stats()
 	}
+	return n.StatsFrom(ps)
+}
+
+// StatsWithin is Stats with a deadline (see Within): when the actor loop
+// does not answer within d (wedged, overloaded or stopped), ok is false and
+// only the transport and store counters are meaningful.
+func (n *Node) StatsWithin(d time.Duration) (Stats, bool) {
+	ps, ok := Within(n, d, (*protocol.Peer).Stats)
+	return n.StatsFrom(ps), ok
+}
+
+// StatsFrom completes protocol counters read on the actor loop (see Within)
+// with the transport and store counters.
+func (n *Node) StatsFrom(ps protocol.PeerStats) Stats {
+	s := Stats{Peer: ps, Transport: n.tr.stats(), Store: n.StoreStats()}
+	// The peer counts what reached it; what the readers shed was ignored
+	// just the same.
+	s.Peer.InvitesIgnored += s.Transport.InvitesShed
+	return s
 }
 
 // LinkInfos snapshots the transport's outbound links (queue depth, live
@@ -382,6 +373,32 @@ func (n *Node) Inspect(fn func(p *protocol.Peer)) bool {
 		return true
 	case <-n.stop:
 		return false
+	}
+}
+
+// Within runs fn on n's actor loop and returns its result, waiting at most
+// d. ok is false when the loop did not answer in time (wedged or
+// overloaded) or the node is stopped. A late fn delivers into a buffered
+// channel nobody reads, so it never touches the caller's state.
+func Within[T any](n *Node, d time.Duration, fn func(p *protocol.Peer) T) (T, bool) {
+	type reply struct {
+		v  T
+		ok bool
+	}
+	ch := make(chan reply, 1)
+	go func() {
+		var r reply
+		r.ok = n.Inspect(func(p *protocol.Peer) { r.v = fn(p) })
+		ch <- r
+	}()
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case r := <-ch:
+		return r.v, r.ok
+	case <-timer.C:
+		var zero T
+		return zero, false
 	}
 }
 

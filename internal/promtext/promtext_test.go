@@ -14,7 +14,7 @@ lockss_up 1
 lockss_polls_total 42
 # HELP lockss_build_info Build metadata.
 # TYPE lockss_build_info gauge
-lockss_build_info{version="v1.2",goversion="go1.x"} 1
+lockss_build_info{version="v1 rc1",goversion="go1.24.0 X:synctest"} 1
 # HELP lockss_poll_seconds Poll duration.
 # TYPE lockss_poll_seconds histogram
 lockss_poll_seconds_bucket{le="0.5"} 3
@@ -40,8 +40,14 @@ func TestParseGoodExposition(t *testing.T) {
 	if bi == nil || len(bi.Samples) != 1 {
 		t.Fatalf("build_info family: %+v", bi)
 	}
-	if got := bi.Samples[0].Labels; got["version"] != "v1.2" || got["goversion"] != "go1.x" {
+	// Label values may hold spaces: runtime.Version() does under any
+	// GOEXPERIMENT or a devel toolchain, and so does -ldflags "-X
+	// main.version=v1 rc1". The CI lint parses a live /metrics carrying both.
+	if got := bi.Samples[0].Labels; got["version"] != "v1 rc1" || got["goversion"] != "go1.24.0 X:synctest" {
 		t.Errorf("build_info labels: %v", got)
+	}
+	if _, ok := bi.Value(); ok {
+		t.Error("labeled build_info reads as a scalar value")
 	}
 
 	h := fams["lockss_poll_seconds"]
