@@ -97,8 +97,17 @@ type Replica interface {
 	Spec() AUSpec
 	// VoteHashes returns the running hash at each block boundary for the
 	// replica's current content, keyed by the poll nonce. This is the body
-	// of a Vote message.
+	// of a Vote message. Every implementation is VoteHashesOf over its own
+	// WalkBlocks.
 	VoteHashes(nonce []byte) []Hash
+	// WalkBlocks calls fn with each block's current payload, in order from
+	// block from (0 ≤ from ≤ Blocks), until fn returns false or the blocks
+	// run out. The payload
+	// is valid only during the call, and fn must not modify it. A block
+	// that cannot be read passes an empty payload, so it hashes as
+	// disagreeing content. An evaluation steps every vote's hash chain off
+	// one walk, and after a repair at block b walks again from b only.
+	WalkBlocks(from int, fn func(i int, payload []byte) bool)
 	// Snapshot returns the replica's damaged blocks, sorted by block index.
 	// The protocol itself never consults it; symbolic votes and damage
 	// metrics do.
@@ -152,12 +161,31 @@ func (v *VoteHasher) Step(nonce []byte, au AUID, block int, payload []byte) Hash
 	return v.prev
 }
 
+// From sets the chain value the next Step extends — the boundary hash of the
+// block before, or the zero Hash before block 0 — so one hasher can step
+// many chains in turn.
+func (v *VoteHasher) From(prev Hash) *VoteHasher {
+	v.prev = prev
+	return v
+}
+
+// VoteHashesOf hashes every block of r under nonce through one chain: the
+// one implementation of Replica.VoteHashes.
+func VoteHashesOf(r Replica, nonce []byte) []Hash {
+	spec := r.Spec()
+	out := make([]Hash, 0, spec.Blocks())
+	v := NewVoteHasher()
+	r.WalkBlocks(0, func(i int, payload []byte) bool {
+		out = append(out, v.Step(nonce, spec.ID, i, payload))
+		return true
+	})
+	return out
+}
+
 // voteHash computes one running-hash chain step: H(prev || nonce || block-id
 // || payload). This one-shot form serves tests and spot checks.
 func voteHash(prev Hash, nonce []byte, au AUID, block int, payload []byte) Hash {
-	v := NewVoteHasher()
-	v.prev = prev
-	return v.Step(nonce, au, block, payload)
+	return NewVoteHasher().From(prev).Step(nonce, au, block, payload)
 }
 
 // correctPayload derives the publisher's canonical content token for a
@@ -238,15 +266,16 @@ func (r *SimReplica) appendPayload(dst []byte, i int) []byte {
 }
 
 // VoteHashes implements Replica.
-func (r *SimReplica) VoteHashes(nonce []byte) []Hash {
-	n := r.spec.Blocks()
-	out := make([]Hash, n)
-	v := NewVoteHasher()
+func (r *SimReplica) VoteHashes(nonce []byte) []Hash { return VoteHashesOf(r, nonce) }
+
+// WalkBlocks implements Replica over the symbolic content tokens.
+func (r *SimReplica) WalkBlocks(from int, fn func(i int, payload []byte) bool) {
 	var pbuf [21]byte
-	for i := 0; i < n; i++ {
-		out[i] = v.Step(nonce, r.spec.ID, i, r.appendPayload(pbuf[:0], i))
+	for i := from; i < r.spec.Blocks(); i++ {
+		if !fn(i, r.appendPayload(pbuf[:0], i)) {
+			return
+		}
 	}
-	return out
 }
 
 // Snapshot implements Replica. The returned slice is cached until the next
@@ -450,14 +479,15 @@ func (r *RealReplica) canonicalBlock(i int) []byte {
 }
 
 // VoteHashes implements Replica.
-func (r *RealReplica) VoteHashes(nonce []byte) []Hash {
-	n := r.spec.Blocks()
-	out := make([]Hash, n)
-	v := NewVoteHasher()
-	for i := 0; i < n; i++ {
-		out[i] = v.Step(nonce, r.spec.ID, i, r.block(i))
+func (r *RealReplica) VoteHashes(nonce []byte) []Hash { return VoteHashesOf(r, nonce) }
+
+// WalkBlocks implements Replica over the bytes in memory.
+func (r *RealReplica) WalkBlocks(from int, fn func(i int, payload []byte) bool) {
+	for i := from; i < r.spec.Blocks(); i++ {
+		if !fn(i, r.block(i)) {
+			return
+		}
 	}
-	return out
 }
 
 // Snapshot implements Replica.

@@ -102,6 +102,10 @@ func NewMBF(p MBFParams) *MBF {
 	}
 }
 
+// MaxProofUnits bounds the walks in one proof: a prover never generates
+// more, and the wire refuses to decode more.
+const MaxProofUnits = 1 << 16
+
 // MBFProof carries the walk checkpoints and the final digest. The byproduct
 // receipt is NOT part of the proof — the prover keeps it secret; whoever
 // verifies the full walk (or, in the protocol, evaluates the vote generated
@@ -114,8 +118,8 @@ type MBFProof struct {
 	// Digest is the SHA-1 digest over all walk outputs; it doubles as the
 	// receipt byproduct for the prover.
 	Digest Receipt
-	// UnitCost is the effort-seconds one walk represents, claimed by the
-	// prover and bounded by protocol configuration.
+	// UnitCost is the effort-seconds one walk represents, as the prover
+	// claims it. A real verifier ignores it and prices walks at its own unit.
 	UnitCost Seconds
 
 	mbf *MBF // bound at generation/verification time, not serialized

@@ -118,15 +118,20 @@ func testSpecN(blocks int) content.AUSpec {
 // newTestPeer builds a peer with one symbolic AU and the given reference
 // list, without starting polls.
 func newTestPeer(t *testing.T, env *fakeEnv, id ids.PeerID, cfg Config, refs []ids.PeerID) (*Peer, *content.SimReplica) {
+	replica := content.NewSimReplica(testSpecN(4), uint64(id))
+	return newTestPeerOf(t, env, id, cfg, refs, replica), replica
+}
+
+// newTestPeerOf builds a peer holding the given replica.
+func newTestPeerOf(t *testing.T, env Env, id ids.PeerID, cfg Config, refs []ids.PeerID, replica content.Replica) *Peer {
 	t.Helper()
 	costs := effort.DefaultCostModel()
 	p, err := New(id, &cfg, &costs, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := content.NewSimReplica(testSpecN(4), uint64(id))
 	if err := p.AddAU(replica, refs); err != nil {
 		t.Fatal(err)
 	}
-	return p, replica
+	return p
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"lockss/internal/content"
 	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/sched"
@@ -42,21 +43,88 @@ func (p *Peer) startEvaluation(st *auState, poll *pollState) {
 	})
 }
 
-// refVoteFor computes the poller's own vote data under a solicitation's
-// nonce (what the voter's hashes should be if its replica agreed).
-func (p *Peer) refVoteFor(st *auState, sol *solicitation) VoteData {
-	return p.ownVoteData(st, sol.nonce[:])
-}
-
 // recomputeDisagreements refreshes every unexcluded vote's first point of
-// disagreement against the poller's current content.
-func (p *Peer) recomputeDisagreements(st *auState, poll *pollState) {
+// disagreement against the poller's current content, when blocks before
+// from are unchanged since the last refresh. Symbolic replicas compare
+// damage snapshots, memoized per generation; every other replica is hashed
+// in one pass.
+func (p *Peer) recomputeDisagreements(st *auState, poll *pollState, from int) {
+	if _, ok := st.replica.(*content.SimReplica); !ok {
+		rehashVotes(st.replica, poll.sols, from)
+		return
+	}
 	for i := range poll.sols {
 		sol := &poll.sols[i]
 		if sol.state != solGotVote || sol.excluded {
 			continue
 		}
-		sol.dis = int32(sol.vote.FirstDisagreement(p.refVoteFor(st, sol)))
+		sol.dis = int32(sol.vote.FirstDisagreement(p.ownVoteData(st, sol.nonce[:])))
+	}
+}
+
+// voteChain is one vote's running hash during an evaluation pass.
+type voteChain struct {
+	sol  *solicitation
+	want []content.Hash
+	prev content.Hash
+}
+
+// rehashVotes sets each unexcluded vote's dis to what
+// vote.FirstDisagreement(VoteDataOf(r, nonce)) would give, reading r once:
+// one walk steps every vote's chain under its own nonce and drops a chain at
+// its first mismatch, and stops when no chain is left.
+//
+// Blocks before from must be unchanged since dis was last set. A vote that
+// disagreed before from keeps its dis. Any other vote matched our chain up
+// to from-1, so its chain restarts at from from its own hash at from-1 —
+// after a repair at block b only blocks ≥ b are read again. Within one poll,
+// rot that lands before a repaired block during the repair round trip is
+// therefore not seen; the next poll finds it, as it finds rot that lands
+// after the last pass.
+func rehashVotes(r content.Replica, sols []solicitation, from int) {
+	spec := r.Spec()
+	n := spec.Blocks()
+	from = min(max(from, 0), n)
+	var live []voteChain
+	for i := range sols {
+		sol := &sols[i]
+		if sol.state != solGotVote || sol.excluded || (sol.dis >= 0 && int(sol.dis) < from) {
+			continue
+		}
+		hv, ok := sol.vote.(HashVote)
+		if !ok {
+			sol.dis = 0 // incomparable representations disagree immediately
+			continue
+		}
+		c := voteChain{sol: sol, want: hv.Hashes}
+		if from > 0 {
+			c.prev = hv.Hashes[from-1]
+		}
+		live = append(live, c)
+	}
+	v := content.NewVoteHasher()
+	r.WalkBlocks(from, func(i int, payload []byte) bool {
+		k := 0
+		for _, c := range live {
+			switch {
+			case i >= len(c.want):
+				c.sol.dis = int32(len(c.want)) // a short vote disagrees at its end
+			case v.From(c.prev).Step(c.sol.nonce[:], spec.ID, i, payload) != c.want[i]:
+				c.sol.dis = int32(i)
+			default:
+				c.prev = c.want[i]
+				live[k] = c
+				k++
+			}
+		}
+		live = live[:k]
+		return k > 0
+	})
+	for _, c := range live {
+		c.sol.dis = -1
+		if len(c.want) > n {
+			c.sol.dis = int32(n) // a long vote disagrees at our end
+		}
 	}
 }
 
@@ -85,7 +153,7 @@ func (p *Peer) runEvaluation(st *auState, poll *pollState) {
 			}
 		}
 	}
-	p.recomputeDisagreements(st, poll)
+	p.recomputeDisagreements(st, poll, 0)
 	p.evaluationLoop(st, poll)
 }
 
@@ -227,7 +295,8 @@ func (p *Peer) pollerHandleRepair(st *auState, from ids.PeerID, m *Msg) {
 	if err := st.replica.ApplyRepair(int(m.Block), m.RepairData); err == nil {
 		p.obs.RepairApplied(p.id, st.spec.ID, poll.id, int(m.Block), p.env.Now())
 	}
-	p.recomputeDisagreements(st, poll)
+	// Only the repaired block changed: resume the comparison there.
+	p.recomputeDisagreements(st, poll, int(m.Block))
 	p.evaluationLoop(st, poll)
 }
 

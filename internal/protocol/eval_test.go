@@ -1,11 +1,16 @@
 package protocol
 
 import (
+	"encoding/binary"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"lockss/internal/content"
 	"lockss/internal/ids"
+	"lockss/internal/prng"
 	"lockss/internal/sim"
+	"lockss/internal/store"
 )
 
 // TestEvalCorruptRepairSupplierRetried: when the landslide says the poller
@@ -120,5 +125,195 @@ func TestEvalLengthMismatchedVoteRejected(t *testing.T) {
 	}
 	if p.Stats().VotesReceived != 0 {
 		t.Error("malformed vote accepted into the tally")
+	}
+}
+
+// countingReplica records how an evaluation reads the replica it wraps: the
+// blocks each WalkBlocks call visits, and the VoteHashes calls.
+type countingReplica struct {
+	content.Replica
+	voteHashes int
+	walks      [][]int
+}
+
+func (c *countingReplica) VoteHashes(nonce []byte) []content.Hash {
+	c.voteHashes++
+	return c.Replica.VoteHashes(nonce)
+}
+
+func (c *countingReplica) WalkBlocks(from int, fn func(int, []byte) bool) {
+	w := len(c.walks)
+	c.walks = append(c.walks, nil)
+	c.Replica.WalkBlocks(from, func(i int, b []byte) bool {
+		c.walks[w] = append(c.walks[w], i)
+		return fn(i, b)
+	})
+}
+
+// TestEvaluationReadsEachBlockOnce: with five hash votes, a poller's
+// evaluation never calls VoteHashes and reads its replica in one pass — to
+// the end when every vote agrees; to block k and no further when the
+// landslide disagrees at k; and after the repair, from k on only.
+func TestEvaluationReadsEachBlockOnce(t *testing.T) {
+	const n, k = 8, 3
+	spec := content.AUSpec{ID: 1, Name: "au", Size: n*1024 - 100, BlockSize: 1024}
+	blocks := func(lo, hi int) []int {
+		var out []int
+		for i := lo; i < hi; i++ {
+			out = append(out, i)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		damaged bool
+		want    [][]int
+	}{
+		{"clean", false, [][]int{blocks(0, n)}},
+		{"damaged at k", true, [][]int{blocks(0, k+1), blocks(k, n)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := pollerConfig()
+			var poller *countingReplica
+			h := newPollerHarnessOf(t, cfg, []ids.PeerID{2, 3, 4, 5, 6}, func(salt uint64) content.Replica {
+				r := content.NewRealReplica(spec, salt)
+				if salt == 1 {
+					poller = &countingReplica{Replica: r}
+					return poller
+				}
+				return r
+			})
+			if tc.damaged {
+				poller.Damage(k)
+			}
+			h.p.Start()
+			h.pumpUntil(3*sim.Duration(cfg.PollInterval), func() bool { return h.p.Stats().PollsConcluded() > 0 })
+			if st := h.p.Stats(); st.PollsSucceeded != 1 || st.VotesReceived != 5 {
+				t.Fatalf("want one successful poll on 5 votes, got %+v", st)
+			}
+			if poller.Damaged() {
+				t.Error("poller still damaged")
+			}
+			if poller.voteHashes != 0 {
+				t.Errorf("evaluation called VoteHashes %d times", poller.voteHashes)
+			}
+			if !reflect.DeepEqual(poller.walks, tc.want) {
+				t.Errorf("evaluation read blocks %v, want %v", poller.walks, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzEvaluationMatchesRehash: the one-pass evaluation sets every vote's
+// first disagreement to what a full re-hash of the poller under the vote's
+// nonce gives — after the first pass and after every repair — for any AU
+// shape, damage on both sides, and votes that are truncated, extended,
+// carry one garbage hash, or are not hash votes at all.
+func FuzzEvaluationMatchesRehash(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(16), uint8(3), uint8(6))
+	f.Add(uint64(2), uint8(0), uint8(0), uint8(0), uint8(2))
+	f.Add(uint64(3), uint8(15), uint8(31), uint8(30), uint8(7))
+	f.Add(uint64(4), uint8(5), uint8(4), uint8(1), uint8(7))
+	f.Fuzz(func(t *testing.T, seed uint64, blocks, blockSize, cut, repairs uint8) {
+		bs := int64(blockSize%32) + 1
+		spec := content.AUSpec{ID: 7, Name: "fuzz", Size: (int64(blocks%16)+1)*bs - int64(cut)%bs, BlockSize: bs}
+		checkEvaluationMatchesRehash(t, content.NewRealReplica(spec, 1), prng.New(seed), int(repairs%8))
+	})
+}
+
+// TestEvaluationMatchesRehashOnStore is the fuzz property on a durable,
+// store-backed poller.
+func TestEvaluationMatchesRehashOnStore(t *testing.T) {
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec := content.AUSpec{ID: 7, Name: "store", Size: 12*512 - 100, BlockSize: 512}
+	r, err := s.CreateFrom(spec, 1, content.PublisherReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEvaluationMatchesRehash(t, r, prng.New(5), 16)
+}
+
+// checkEvaluationMatchesRehash damages up to two blocks of poller and of
+// each of up to six voters, builds the voters' votes (some altered), and
+// checks rehashVotes against HashVote.FirstDisagreement after a first pass,
+// after each of repairs repairs of a random block with a random voter's
+// bytes, and after restarts at blocks out of range.
+func checkEvaluationMatchesRehash(t *testing.T, poller content.Replica, rng *prng.Source, repairs int) {
+	t.Helper()
+	spec := poller.Spec()
+	n := spec.Blocks()
+	damage := func(r content.Replica) {
+		for d := rng.Intn(3); d > 0; d-- {
+			r.Damage(rng.Intn(n))
+		}
+	}
+	damage(poller)
+	voters := make([]content.Replica, 1+rng.Intn(6))
+	// Two more solicitations that no pass may touch: an excluded vote and
+	// one still awaited.
+	sols := make([]solicitation, len(voters)+2)
+	sols[len(voters)].state, sols[len(voters)].excluded = solGotVote, true
+	sols[len(voters)+1].state = solAwaitVote
+	const untouched = 9999
+	for j := range sols {
+		sols[j].dis = untouched
+		if j >= len(voters) {
+			continue
+		}
+		v := content.NewRealReplica(spec, uint64(100+j))
+		damage(v)
+		voters[j] = v
+		sol := &sols[j]
+		sol.state = solGotVote
+		binary.BigEndian.PutUint64(sol.nonce[:], rng.Uint64())
+		h := v.VoteHashes(sol.nonce[:])
+		switch rng.Intn(5) {
+		case 1:
+			h = h[:rng.Intn(len(h))]
+		case 2:
+			h = append(h, make([]content.Hash, 1+rng.Intn(3))...)
+		case 3:
+			h[rng.Intn(len(h))][0] ^= 0xff
+		case 4:
+			sol.vote = SimVote{NumBlocks: n}
+			continue
+		}
+		sol.vote = HashVote{Hashes: h}
+	}
+	check := func(step string) {
+		t.Helper()
+		for j := range sols {
+			sol := &sols[j]
+			want := untouched
+			if sol.state == solGotVote && !sol.excluded {
+				want = sol.vote.FirstDisagreement(VoteDataOf(poller, sol.nonce[:]))
+			}
+			if int(sol.dis) != want {
+				t.Fatalf("%s: vote %d of %d blocks: dis = %d, a full re-hash gives %d", step, j, n, sol.dis, want)
+			}
+		}
+	}
+	rehashVotes(poller, sols, 0)
+	check("first pass")
+	for r := 0; r < repairs; r++ {
+		b := rng.Intn(n)
+		data, err := voters[rng.Intn(len(voters))].RepairBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := poller.ApplyRepair(b, data); err != nil {
+			t.Fatal(err)
+		}
+		rehashVotes(poller, sols, b)
+		check(fmt.Sprintf("after repair %d at block %d", r, b))
+	}
+	// A hostile Repair may name a block the AU does not have.
+	for _, b := range []int{-1, n + 1} {
+		rehashVotes(poller, sols, b)
+		check(fmt.Sprintf("restart at out-of-range block %d", b))
 	}
 }

@@ -16,7 +16,7 @@ type pollerHarness struct {
 	t        *testing.T
 	env      *fakeEnv
 	p        *Peer
-	replica  *content.SimReplica
+	replica  content.Replica
 	pe       effort.PollEffort
 	voters   map[ids.PeerID]*scriptedVoter
 	au       content.AUID
@@ -30,7 +30,7 @@ type pollerHarness struct {
 
 // scriptedVoter describes how a fake voter behaves.
 type scriptedVoter struct {
-	replica    *content.SimReplica
+	replica    content.Replica
 	refuse     bool // always refuse busy
 	silent     bool // never answer
 	noVote     bool // accept, then never vote
@@ -41,6 +41,14 @@ type scriptedVoter struct {
 }
 
 func newPollerHarness(t *testing.T, cfg Config, voterIDs []ids.PeerID) *pollerHarness {
+	return newPollerHarnessOf(t, cfg, voterIDs, func(salt uint64) content.Replica {
+		return content.NewSimReplica(testSpecN(4), salt)
+	})
+}
+
+// newPollerHarnessOf is newPollerHarness with every replica, the poller's
+// (salt 1) and each voter's, built by mk.
+func newPollerHarnessOf(t *testing.T, cfg Config, voterIDs []ids.PeerID, mk func(salt uint64) content.Replica) *pollerHarness {
 	env := newFakeEnv(42)
 	h := &pollerHarness{
 		t:           t,
@@ -51,13 +59,13 @@ func newPollerHarness(t *testing.T, cfg Config, voterIDs []ids.PeerID) *pollerHa
 		receipts:    make(map[ids.PeerID]effort.Receipt),
 		receiptsGot: make(map[ids.PeerID]int),
 	}
-	p, replica := newTestPeer(t, env, 1, cfg, voterIDs)
-	h.p = p
-	h.replica = replica
-	h.pe = effort.DefaultCostModel().PollEffortFor(testSpecN(4).Size, 4)
+	h.replica = mk(1)
+	h.p = newTestPeerOf(t, env, 1, cfg, voterIDs, h.replica)
+	spec := h.replica.Spec()
+	h.pe = effort.DefaultCostModel().PollEffortFor(spec.Size, spec.Blocks())
 	for i, v := range voterIDs {
-		h.voters[v] = &scriptedVoter{replica: content.NewSimReplica(testSpecN(4), uint64(100+i))}
-		p.SeedGrade(h.au, v, reputation.Even)
+		h.voters[v] = &scriptedVoter{replica: mk(uint64(100 + i))}
+		h.p.SeedGrade(h.au, v, reputation.Even)
 	}
 	return h
 }
@@ -66,10 +74,18 @@ func newPollerHarness(t *testing.T, cfg Config, voterIDs []ids.PeerID) *pollerHa
 // the engine one event at a time so replies interleave naturally, until the
 // horizon passes or the system quiesces.
 func (h *pollerHarness) pump(horizon sim.Duration) {
+	h.pumpUntil(horizon, func() bool { return false })
+}
+
+// pumpUntil is pump that also stops as soon as done reports true.
+func (h *pollerHarness) pumpUntil(horizon sim.Duration, done func() bool) {
 	deadline := h.env.eng.Now().Add(horizon)
 	for {
 		for _, s := range h.env.take() {
 			h.reply(s)
+		}
+		if done() {
+			break
 		}
 		next, ok := h.env.eng.Next()
 		if !ok || next > deadline {

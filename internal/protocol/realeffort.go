@@ -32,9 +32,10 @@ func NewRealEffort(id ids.PeerID, seed uint64, p effort.MBFParams, unit effort.S
 // Rand implements Env.
 func (e *RealEffort) Rand() *prng.Source { return e.rnd }
 
-// units scales a requested effort cost to MBF walk units, 1 to 64.
+// units scales a requested effort cost to MBF walk units, 1 to
+// effort.MaxProofUnits.
 func (e *RealEffort) units(cost effort.Seconds) int {
-	return min(max(int(float64(cost)/float64(e.unit))+1, 1), 64)
+	return min(max(int(float64(cost)/float64(e.unit))+1, 1), effort.MaxProofUnits)
 }
 
 // MakeProof implements Env with a real MBF computation.
@@ -47,14 +48,16 @@ func (e *RealEffort) MakeProof(ctx []byte, cost effort.Seconds, receipt *effort.
 	return p
 }
 
-// VerifyProof implements Env: spot-check verification.
+// VerifyProof implements Env: spot-check verification. A proof is worth its
+// walks at this peer's own effort unit; the UnitCost the prover claims is
+// ignored, or one walk could claim any price.
 func (e *RealEffort) VerifyProof(ctx []byte, p effort.Proof, minCost effort.Seconds) bool {
 	mp, ok := p.(*effort.MBFProof)
 	if !ok || mp == nil {
 		return false
 	}
 	e.mbf.Bind(mp)
-	return mp.Cost() >= minCost-1e-9 && e.mbf.Verify(mp, ctx)
+	return float64(mp.Units)*float64(e.unit) >= float64(minCost)-1e-9 && e.mbf.Verify(mp, ctx)
 }
 
 // EvalReceipt implements Env: the full walk recovers the receipt byproduct.

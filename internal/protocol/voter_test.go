@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lockss/internal/content"
 	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/reputation"
@@ -376,5 +377,51 @@ func TestSynchronousRendezvousFitsVoterSchedule(t *testing.T) {
 		if ack := env.lastTo(1, MsgPollAck); ack == nil || !ack.Accept {
 			t.Errorf("%s: an idle voter answered %+v to a synchronous invitation", tc.name, ack)
 		}
+	}
+}
+
+// mbfEnv is fakeEnv verifying proofs the way a real node does: MBF walks
+// priced at the verifier's own effort unit.
+type mbfEnv struct {
+	*fakeEnv
+	re RealEffort
+}
+
+func (e *mbfEnv) VerifyProof(ctx []byte, p effort.Proof, minCost effort.Seconds) bool {
+	return e.re.VerifyProof(ctx, p, minCost)
+}
+
+// TestVoterRefusesForgedUnitCost: a Poll whose MBF proof is one genuine walk
+// claiming a billion seconds per walk is a bad proof — counted, refused, and
+// no vote is scheduled — while an honest proof of the same requirement is
+// accepted.
+func TestVoterRefusesForgedUnitCost(t *testing.T) {
+	fe := newFakeEnv(4)
+	intro := effort.DefaultCostModel().PollEffortFor(testSpecN(4).Size, 4).Intro
+	params := effort.DemoMBFParams()
+	env := &mbfEnv{fakeEnv: fe, re: NewRealEffort(10, 1, params, intro/4)}
+	p := newTestPeerOf(t, env, 10, testConfig(), []ids.PeerID{2, 3}, content.NewSimReplica(testSpecN(4), 10))
+	au := p.AUs()[0]
+	p.SeedGrade(au, 2, reputation.Even)
+	p.SeedGrade(au, 3, reputation.Even)
+
+	m := inviteMsg(p, 2, fe, 100)
+	m.Proof, _ = effort.NewMBF(params).Generate(p.msgContext(m, "intro"), 1, 1e9)
+	p.Receive(2, m)
+	if ack := fe.lastTo(2, MsgPollAck); ack == nil || ack.Accept || ack.Refuse != RefuseBadEffort {
+		t.Fatalf("forged proof: expected bad-effort refusal, got %+v", ack)
+	}
+	if got := p.Stats().BadProofs; got != 1 {
+		t.Errorf("BadProofs = %d after a forged proof, want 1", got)
+	}
+	if n := p.Schedule().Len(); n != 0 {
+		t.Errorf("forged proof scheduled %d vote(s)", n)
+	}
+
+	m = inviteMsg(p, 3, fe, 101)
+	m.Proof = env.re.MakeProof(p.msgContext(m, "intro"), intro, nil)
+	p.Receive(3, m)
+	if ack := fe.lastTo(3, MsgPollAck); ack == nil || !ack.Accept {
+		t.Fatalf("honest proof: expected acceptance, got %+v", ack)
 	}
 }

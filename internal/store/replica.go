@@ -55,25 +55,28 @@ func (r *Replica) Generation() uint64 {
 // the shared running-hash chain. The hashes cover whatever bytes are on disk
 // right now — a rotted block votes wrong, which is how polls catch damage
 // the scrubber has not reached yet.
-func (r *Replica) VoteHashes(nonce []byte) []content.Hash {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.man.spec.Blocks()
-	out := make([]content.Hash, n)
-	v := content.NewVoteHasher()
-	buf := make([]byte, r.man.spec.BlockSize)
-	for i := 0; i < n; i++ {
+func (r *Replica) VoteHashes(nonce []byte) []content.Hash { return content.VoteHashesOf(r, nonce) }
+
+// WalkBlocks implements content.Replica, reading each block into one reused
+// buffer. The lock is held only while a block is read, never while fn runs,
+// so scrub and repair of this AU interleave with a long hashing pass. An
+// unreadable block passes an empty payload: its vote simply disagrees there
+// and the poll's repair machinery takes over, rather than the protocol loop
+// panicking.
+func (r *Replica) WalkBlocks(from int, fn func(i int, payload []byte) bool) {
+	spec := r.Spec()
+	buf := make([]byte, spec.BlockSize)
+	for i := from; i < spec.Blocks(); i++ {
+		r.mu.Lock()
 		b, err := r.readBlockLocked(i, buf)
+		r.mu.Unlock()
 		if err != nil {
-			// An unreadable block cannot vote its true content; hash an
-			// empty payload so the vote simply disagrees there (and the
-			// poll's repair machinery takes over), rather than panicking
-			// the protocol loop.
 			b = buf[:0]
 		}
-		out[i] = v.Step(nonce, r.man.spec.ID, i, b)
+		if !fn(i, b) {
+			return
+		}
 	}
-	return out
 }
 
 // Snapshot implements content.Replica from the persisted damage marks.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -430,5 +431,32 @@ func TestManifestRoundTrip(t *testing.T) {
 		if got.digests[i] != m.digests[i] || got.marks[i] != m.marks[i] {
 			t.Errorf("block %d round trip mismatch", i)
 		}
+	}
+}
+
+// TestWalkBlocksCallsBackUnlocked: WalkBlocks holds the replica's lock only
+// while it reads a block, never while the callback runs, so a callback may
+// use the replica — as scrub and repair of the AU may meanwhile — without
+// deadlock. The walk starts at from and stops when the callback says so.
+func TestWalkBlocksCallsBackUnlocked(t *testing.T) {
+	spec := content.AUSpec{ID: 9, Name: "partial", Size: 2500, BlockSize: 1024}
+	_, r := newTestStore(t, spec, 1)
+	var seen []int
+	r.WalkBlocks(1, func(i int, b []byte) bool {
+		if !r.mu.TryLock() {
+			t.Errorf("block %d: callback runs under the replica lock", i)
+			return false
+		}
+		r.mu.Unlock()
+		r.Generation()
+		seen = append(seen, i, len(b))
+		return true
+	})
+	r.WalkBlocks(0, func(i int, _ []byte) bool {
+		seen = append(seen, i)
+		return false
+	})
+	if want := []int{1, 1024, 2, 452, 0}; !slices.Equal(seen, want) {
+		t.Errorf("walks saw %v, want %v", seen, want)
 	}
 }

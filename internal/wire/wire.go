@@ -29,7 +29,7 @@ const (
 	MaxNominations = 1024
 	MaxBlocks      = 1 << 22 // 4M blocks per AU
 	MaxRepairBytes = 64 << 20
-	MaxProofUnits  = 1 << 16
+	MaxProofUnits  = effort.MaxProofUnits
 	MaxCheckpoints = 1 << 12
 )
 

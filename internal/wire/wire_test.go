@@ -265,3 +265,38 @@ func TestWireSizeModelsEncoding(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifierPricesProofsItself: an MBF proof's claimed price per walk
+// travels on the wire but buys nothing. A real verifier prices a decoded
+// proof at its own effort unit, so one genuine walk claiming a billion
+// seconds does not cover an hour, while honest proofs — including ones
+// longer than 64 walks — still verify.
+func TestVerifierPricesProofsItself(t *testing.T) {
+	params := effort.DemoMBFParams()
+	ctx := []byte("intro context")
+	forged, _ := effort.NewMBF(params).Generate(ctx, 1, 1e9)
+	prover := protocol.NewRealEffort(1, 1, params, effort.DemoEffortUnit)
+	verifier := protocol.NewRealEffort(2, 1, params, effort.DemoEffortUnit)
+	for _, tc := range []struct {
+		name string
+		p    effort.Proof
+		cost effort.Seconds
+		want bool
+	}{
+		{"one walk claiming 1e9 s", forged, 3600, false},
+		{"honest, 21 walks", prover.MakeProof(ctx, 1, nil), 1, true},
+		{"honest, 201 walks", prover.MakeProof(ctx, 10, nil), 10, true},
+	} {
+		data, err := Encode(&protocol.Msg{Type: protocol.MsgPoll, AU: 1, PollID: 2, Poller: 3, Voter: 4, Proof: tc.p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := verifier.VerifyProof(ctx, back.Proof, tc.cost); got != tc.want {
+			t.Errorf("%s: VerifyProof(%v) = %v, want %v", tc.name, tc.cost, got, tc.want)
+		}
+	}
+}
