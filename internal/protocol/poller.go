@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"slices"
 
 	"lockss/internal/effort"
@@ -8,24 +9,30 @@ import (
 	"lockss/internal/sched"
 )
 
-// solicitState tracks one vote solicitation's progress.
+// solicitState tracks one vote solicitation's progress. A state that waits
+// on a deadline names the action the poll's solicitation timer runs at the
+// solicitation's due instant.
 type solicitState uint8
 
 const (
-	solUnsent solicitState = iota
-	solAwaitAck
-	solAwaitProofSlot // accepted; remainder effort being generated
-	solAwaitVote
+	solUnsent         solicitState = iota // send the invitation
+	solAwaitAck                           // ack timeout: retry
+	solAwaitProofSlot                     // remainder effort generated: send PollProof
+	solAwaitVote                          // vote timeout: fail and penalize
 	solGotVote
-	solRetryWait // refused or timed out; will retry
+	solRetryWait // refused or timed out: send the invitation again
 	solFailed
 )
 
+// noDue is the due instant of a solicitation with no action pending.
+const noDue = sched.Time(math.MaxInt64)
+
 // solicitation is the poller's record of one invitee. It lives by value in
-// pollState.sols and is addressed by index: timer closures capture the index
-// and message handlers find it by peer, so nothing holds a pointer into the
-// slice across a callback. The small fields come first so they share one
-// word-aligned run with the two byte arrays.
+// pollState.sols and is addressed by index: the poll's solicitation timer
+// sweeps the slice for due entries and message handlers find one by peer,
+// so nothing holds a pointer into the slice across a callback. The small
+// fields come first so they share one word-aligned run with the two byte
+// arrays.
 type solicitation struct {
 	peer     ids.PeerID
 	dis      int32 // first disagreement vs poller's current content; -1 if none
@@ -36,9 +43,8 @@ type solicitation struct {
 	tried    bool // tried as a repair source for the current block
 	nonce    Nonce
 	receipt  effort.Receipt // evaluation byproduct, derived during eval
-	voteBy   sched.Time
-	sentAt   sched.Time // when the latest invitation was sent
-	timer    TimerID    // pending timer, if any
+	sentAt   sched.Time     // when the latest invitation was sent
+	due      sched.Time     // when the state's action runs; noDue if none
 
 	vote      VoteData
 	voteProof effort.Proof
@@ -70,10 +76,18 @@ type pollState struct {
 	evalTimer    TimerID
 	evalRunTimer TimerID
 	guardTimer   TimerID
+
+	// solTimer is the poll's one solicitation timer, pending for solAt, the
+	// earliest due in sols. Its callback solFire is bound when the record is
+	// first allocated and runs on the poll's AU st.
+	solTimer TimerID
+	solAt    sched.Time
+	st       *auState
+	solFire  func()
 }
 
 // newPollState draws a zeroed poll record from the freelist, keeping its
-// emptied slices.
+// emptied slices and its timer callback.
 func (p *Peer) newPollState() *pollState {
 	if k := len(p.freePolls); k > 0 {
 		poll := p.freePolls[k-1]
@@ -81,21 +95,22 @@ func (p *Peer) newPollState() *pollState {
 		p.freePolls = p.freePolls[:k-1]
 		return poll
 	}
-	return &pollState{sols: make([]solicitation, 0, p.cfg.InnerCircle+p.cfg.OuterCircle)}
+	poll := &pollState{sols: make([]solicitation, 0, p.cfg.InnerCircle+p.cfg.OuterCircle)}
+	poll.solFire = func() { p.solicitationTimer(poll) }
+	return poll
 }
 
 // releasePoll recycles a concluded poll. All the poll's timers were cancelled
-// at conclusion, so no live closure can still reach the recycled record.
+// at conclusion, so no callback can still reach the recycled record.
 func (p *Peer) releasePoll(poll *pollState) {
 	clear(poll.sols) // drop the votes and proofs they reference
-	*poll = pollState{sols: poll.sols[:0], noms: poll.noms[:0]}
+	*poll = pollState{sols: poll.sols[:0], noms: poll.noms[:0], solFire: poll.solFire}
 	p.freePolls = append(p.freePolls, poll)
 }
 
-// solicit appends an invitee to the poll and returns its index.
-func (poll *pollState) solicit(peer ids.PeerID, outer bool) int {
-	poll.sols = append(poll.sols, solicitation{peer: peer, outer: outer, dis: -1})
-	return len(poll.sols) - 1
+// solicit appends an invitee whose invitation falls due at due.
+func (poll *pollState) solicit(peer ids.PeerID, outer bool, due sched.Time) {
+	poll.sols = append(poll.sols, solicitation{peer: peer, outer: outer, dis: -1, due: due})
 }
 
 // solOf returns the index of the poll's solicitation of peer, or -1.
@@ -122,6 +137,7 @@ func (p *Peer) startPoll(st *auState, deadline sched.Time) {
 	poll.id = uint64(p.id)<<32 | uint64(p.pollSeq)
 	poll.started = p.env.Now()
 	poll.deadline = deadline
+	poll.st = st
 	st.poll = poll
 	window := sched.Duration(deadline - poll.started)
 	if window <= 0 {
@@ -145,8 +161,9 @@ func (p *Peer) startPoll(st *auState, deadline sched.Time) {
 		if p.cfg.Desynchronize {
 			at = sched.Duration(p.env.Rand().Float64() * solicitSpan)
 		}
-		p.scheduleSolicitation(st, poll, poll.solicit(v, false), at)
+		poll.solicit(v, false, poll.started+sched.Time(at))
 	}
+	p.armSolicitations(poll)
 
 	// Outer-circle launch.
 	outerDelay := sched.Duration(float64(window) * p.cfg.OuterStartFrac)
@@ -172,41 +189,80 @@ func (p *Peer) stopTimer(t *TimerID) {
 	}
 }
 
-// scheduleSolicitation arms a timer to send invitee i its Poll message after
-// delay.
-func (p *Peer) scheduleSolicitation(st *auState, poll *pollState, i int, delay sched.Duration) {
-	poll.sols[i].state = solUnsent
-	poll.sols[i].timer = p.env.After(delay, func() { p.sendPollInvitation(st, poll, i) })
+// armSolicitations keeps the poll's solicitation timer pending for the
+// earliest due in sols, and re-arms it only when that instant changes, so the
+// timer never fires with nothing due.
+func (p *Peer) armSolicitations(poll *pollState) {
+	next := noDue
+	for i := range poll.sols {
+		next = min(next, poll.sols[i].due)
+	}
+	if poll.solTimer != 0 && next == poll.solAt {
+		return
+	}
+	p.stopTimer(&poll.solTimer)
+	if next != noDue {
+		poll.solAt = next
+		poll.solTimer = p.env.After(sched.Duration(next-p.env.Now()), poll.solFire)
+	}
+}
+
+// solicitationTimer runs the action of every solicitation due by the instant
+// the timer was armed for, in invitation order, then re-arms once. An action
+// that falls due during the sweep runs in a later event, as a zero-delay
+// timer would.
+func (p *Peer) solicitationTimer(poll *pollState) {
+	poll.solTimer = 0
+	st, now := poll.st, max(p.env.Now(), poll.solAt)
+	for i := range poll.sols {
+		sol := &poll.sols[i]
+		if sol.due > now {
+			continue
+		}
+		sol.due = noDue
+		switch sol.state {
+		case solUnsent, solRetryWait:
+			p.sendPollInvitation(st, poll, i)
+		case solAwaitAck:
+			// Silent drops (admission control, pipe stoppage) look
+			// identical to losses; retry later in the solicitation phase.
+			p.stats.AcksTimedOut++
+			p.retrySolicitation(poll, i)
+		case solAwaitProofSlot:
+			p.sendPollProof(st, poll, i)
+		case solAwaitVote:
+			// The voter committed; failure to deliver is penalized.
+			sol.state = solFailed
+			p.stats.VotesTimedOut++
+			st.rep.Penalize(p.env.Now(), sol.peer)
+		}
+	}
+	p.armSolicitations(poll)
+}
+
+// voteBy is the deadline of a vote solicited at sent. With desynchronization
+// disabled (§5.2 ablation), all votes must materialize within a narrow
+// common window, so the poll needs a quorum of voters simultaneously free.
+func (p *Peer) voteBy(poll *pollState, sent sched.Time) sched.Time {
+	window := p.cfg.VoteWindow
+	if !p.cfg.Desynchronize {
+		window /= 8
+	}
+	return min(sent+sched.Time(window), poll.deadline)
 }
 
 // sendPollInvitation generates the introductory effort and sends Poll.
 func (p *Peer) sendPollInvitation(st *auState, poll *pollState, i int) {
-	if poll.concluded {
-		return
-	}
 	sol := &poll.sols[i]
 	sol.attempts++
 	now := p.env.Now()
-	window := p.cfg.VoteWindow
-	if !p.cfg.Desynchronize {
-		// Synchronous-rendezvous variant (§5.2 ablation): all votes must
-		// materialize within a narrow common window, so the poll needs a
-		// quorum of voters simultaneously free.
-		window /= 8
-	}
-	voteBy := now + sched.Time(window)
-	if voteBy > poll.deadline {
-		voteBy = poll.deadline
-	}
-	sol.voteBy = voteBy
-
 	m := Msg{
 		Type:         MsgPoll,
 		AU:           st.spec.ID,
 		PollID:       poll.id,
 		Poller:       p.id,
 		Voter:        sol.peer,
-		VoteBy:       voteBy,
+		VoteBy:       p.voteBy(poll, now),
 		PollDeadline: poll.deadline,
 	}
 	p.charge(effort.KindSession, p.costs.SessionSetup)
@@ -217,25 +273,16 @@ func (p *Peer) sendPollInvitation(st *auState, poll *pollState, i int) {
 	}
 	sol.state = solAwaitAck
 	sol.sentAt = now
+	sol.due = now + sched.Time(p.cfg.AckTimeout)
 	if p.spanObs != nil {
 		p.spanObs.VoteSolicited(p.id, sol.peer, st.spec.ID, poll.id, now)
 	}
 	p.send(sol.peer, m)
-
-	// Ack timeout: silent drops (admission control, pipe stoppage) look
-	// identical to losses; retry later in the solicitation phase.
-	sol.timer = p.env.After(p.cfg.AckTimeout, func() {
-		p.stats.AcksTimedOut++
-		p.retrySolicitation(st, poll, i)
-	})
 }
 
 // retrySolicitation reschedules a reluctant or unresponsive invitee at a
 // random later instant within the retry window, or gives up.
-func (p *Peer) retrySolicitation(st *auState, poll *pollState, i int) {
-	if poll.concluded {
-		return
-	}
+func (p *Peer) retrySolicitation(poll *pollState, i int) {
 	sol := &poll.sols[i]
 	window := sched.Duration(poll.deadline - poll.started)
 	retryBy := poll.started + sched.Time(float64(window)*p.cfg.RetryFrac)
@@ -245,9 +292,7 @@ func (p *Peer) retrySolicitation(st *auState, poll *pollState, i int) {
 		return
 	}
 	sol.state = solRetryWait
-	span := float64(retryBy - now)
-	delay := sched.Duration(p.env.Rand().Float64() * span)
-	sol.timer = p.env.After(delay, func() { p.sendPollInvitation(st, poll, i) })
+	sol.due = now + sched.Time(p.env.Rand().Float64()*float64(retryBy-now))
 }
 
 // pollerHandleAck processes a PollAck.
@@ -260,10 +305,11 @@ func (p *Peer) pollerHandleAck(st *auState, from ids.PeerID, m *Msg) {
 	if i < 0 || poll.sols[i].state != solAwaitAck {
 		return
 	}
+	defer p.armSolicitations(poll)
 	sol := &poll.sols[i]
-	p.stopTimer(&sol.timer)
+	sol.due = noDue
 	if !m.Accept {
-		p.retrySolicitation(st, poll, i)
+		p.retrySolicitation(poll, i)
 		return
 	}
 
@@ -290,16 +336,13 @@ func (p *Peer) pollerHandleAck(st *auState, from ids.PeerID, m *Msg) {
 		sol.state = solFailed
 		return
 	}
-	sol.timer = p.env.After(sched.Duration(start-p.env.Now())+genDur, func() { p.sendPollProof(st, poll, i) })
+	sol.due = start + sched.Time(genDur)
 }
 
 // sendPollProof sends invitee i the PollProof carrying the remaining effort
 // and its nonce, once the slot reserved for generating that effort is over.
 func (p *Peer) sendPollProof(st *auState, poll *pollState, i int) {
 	sol := &poll.sols[i]
-	if poll.concluded || sol.state != solAwaitProofSlot {
-		return
-	}
 	pm := Msg{
 		Type:   MsgPollProof,
 		AU:     st.spec.ID,
@@ -314,16 +357,8 @@ func (p *Peer) sendPollProof(st *auState, poll *pollState, i int) {
 		p.charge(effort.KindRemainderGen, rem)
 	}
 	sol.state = solAwaitVote
+	sol.due = p.voteBy(poll, sol.sentAt) + sched.Time(p.cfg.VoteSlack)
 	p.send(sol.peer, pm)
-	// Vote timeout: the voter committed; failure to deliver is penalized.
-	wait := sched.Duration(sol.voteBy-p.env.Now()) + p.cfg.VoteSlack
-	sol.timer = p.env.After(wait, func() {
-		if sol := &poll.sols[i]; sol.state == solAwaitVote {
-			sol.state = solFailed
-			p.stats.VotesTimedOut++
-			st.rep.Penalize(p.env.Now(), sol.peer)
-		}
-	})
 }
 
 // pollerHandleVote processes an incoming Vote.
@@ -337,7 +372,8 @@ func (p *Peer) pollerHandleVote(st *auState, from ids.PeerID, m *Msg) {
 		return
 	}
 	sol := &poll.sols[i]
-	p.stopTimer(&sol.timer)
+	sol.due = noDue
+	p.armSolicitations(poll)
 	if m.Vote == nil || m.Vote.Blocks() != st.spec.Blocks() {
 		sol.state = solFailed
 		st.rep.Penalize(p.env.Now(), from)
@@ -413,12 +449,9 @@ func (p *Peer) launchOuterCircle(st *auState, poll *pollState) {
 		if p.cfg.Desynchronize {
 			at = sched.Duration(p.env.Rand().Float64() * span)
 		}
-		fire := start + sched.Time(at)
-		if fire < now {
-			fire = now
-		}
-		p.scheduleSolicitation(st, poll, poll.solicit(v, true), sched.Duration(fire-now))
+		poll.solicit(v, true, max(start+sched.Time(at), now))
 	}
+	p.armSolicitations(poll)
 }
 
 // concludePoll finalizes a poll, updates the reference list on success, and
@@ -432,9 +465,7 @@ func (p *Peer) concludePoll(st *auState, poll *pollState, outcome Outcome) {
 	p.stopTimer(&poll.evalTimer)
 	p.stopTimer(&poll.evalRunTimer)
 	p.stopTimer(&poll.guardTimer)
-	for i := range poll.sols {
-		p.stopTimer(&poll.sols[i].timer)
-	}
+	p.stopTimer(&poll.solTimer)
 	p.stopTimer(&poll.repairTimer)
 	now := p.env.Now()
 	switch outcome {

@@ -133,10 +133,3 @@ func (v SimVote) FirstDisagreement(ref VoteData) int {
 // the hash representation would have occupied, so network timing is
 // representation-independent.
 func (v SimVote) WireBytes() int { return v.NumBlocks * 32 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -26,8 +26,10 @@ import (
 )
 
 // Version is the trace format version this package writes and the only
-// version it reads.
-const Version = 1
+// version it reads. A recording resolves timer firings by ID, so the format
+// changes whenever the protocol arms its timers differently: version 2 counts
+// one solicitation timer per poll where version 1 counted one per invitee.
+const Version = 2
 
 // MaxFrameBytes bounds one recorded wire frame; traces are a debugging
 // format for demo-scale clusters, not bulk transfer.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,7 +174,7 @@ func TestReadRejectsCorruptTraces(t *testing.T) {
 		{"header-wrong-kind", mutateLine(t, raw, 0,
 			bytes.Replace(lines[0], []byte(`"k":"header"`), []byte(`"k":"nope"`), 1)), "kind"},
 		{"header-wrong-version", mutateLine(t, raw, 0,
-			bytes.Replace(lines[0], []byte(`"v":1`), []byte(`"v":99`), 1)), "version 99"},
+			bytes.Replace(lines[0], []byte(fmt.Sprintf(`"v":%d`, Version)), []byte(`"v":99`), 1)), "version 99"},
 		{"record-truncated", append(append([]byte{}, raw...), lines[1][:len(lines[1])/2]...), "parse"},
 		{"record-unknown-kind", mutateLine(t, raw, 3,
 			bytes.Replace(lines[3], []byte(`"k":"damage"`), []byte(`"k":"mystery"`), 1)), "unknown kind"},

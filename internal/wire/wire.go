@@ -117,6 +117,16 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// flag reads a flag byte. Only 0 and 1 decode, so every message has one
+// encoding.
+func (r *reader) flag() bool {
+	b := r.u8()
+	if b > 1 && r.err == nil {
+		r.err = fmt.Errorf("wire: flag byte %d", b)
+	}
+	return b == 1
+}
+
 func (r *reader) bytesMax(max int) []byte {
 	n := int(r.u32())
 	if r.err != nil {
@@ -182,13 +192,14 @@ func decodeProof(r *reader) effort.Proof {
 		return nil
 	case proofSim:
 		e := r.f64()
-		genuine := r.u8() == 1
+		genuine := r.flag()
 		return effort.SimProof{Effort: effort.Seconds(e), Genuine: genuine}
 	case proofMBF:
 		units := int(r.u32())
 		cost := r.f64()
 		rowLen := int(r.u32())
-		if r.err == nil && (units < 0 || units > MaxProofUnits || rowLen < 0 || rowLen > MaxCheckpoints) {
+		// A proof with no rows encodes its row length as 0.
+		if r.err == nil && (units < 0 || units > MaxProofUnits || rowLen < 0 || rowLen > MaxCheckpoints || units == 0 && rowLen != 0) {
 			r.err = fmt.Errorf("wire: MBF proof dims %dx%d out of range", units, rowLen)
 		}
 		if r.err != nil {
@@ -390,7 +401,7 @@ func Decode(data []byte) (*protocol.Msg, error) {
 		m.PollDeadline = sched.Time(r.u64())
 		m.Proof = decodeProof(r)
 	case protocol.MsgPollAck:
-		m.Accept = r.u8() == 1
+		m.Accept = r.flag()
 		m.Refuse = protocol.RefuseReason(r.u8())
 	case protocol.MsgPollProof:
 		if r.need(len(m.Nonce)) {
