@@ -77,6 +77,7 @@ import (
 	"lockss/internal/sched"
 	"lockss/internal/store"
 	"lockss/internal/trace"
+	"lockss/internal/world"
 )
 
 // version labels the lockss_build_info metric; override at build time with
@@ -146,20 +147,16 @@ type saltedReplica interface {
 	Salt() uint64
 }
 
-// replicaSalt is the one salt derivation for every replica this command
-// creates. A replica reloaded from a store keeps the salt in its manifest.
-func replicaSalt(id uint64, au content.AUID) uint64 { return id<<16 | uint64(au) }
-
 // buildReplicas returns the node's replicas in AU order: store-backed when
 // dataDir is set (with the store), in-memory synthetic otherwise.
-func buildReplicas(dataDir string, id uint64, aus int, auSize, blockSize int64) (*store.Store, []saltedReplica, error) {
+func buildReplicas(dataDir string, id ids.PeerID, aus int, auSize, blockSize int64) (*store.Store, []saltedReplica, error) {
 	if dataDir != "" {
 		return openStoreAUs(dataDir, id, aus, auSize, blockSize)
 	}
 	replicas := make([]saltedReplica, aus)
 	for i := range replicas {
 		spec := content.DemoAUSpec(i, auSize, blockSize)
-		replicas[i] = content.NewRealReplica(spec, replicaSalt(id, spec.ID))
+		replicas[i] = content.NewRealReplica(spec, world.ReplicaSalt(id, spec.ID))
 	}
 	return nil, replicas, nil
 }
@@ -195,7 +192,7 @@ func auHeaders(replicas []saltedReplica, refs []ids.PeerID) []trace.AUHeader {
 // files agree on AU identities. A store holding nothing and a directory
 // holding no files fall back to synthesizing aus publisher units of auSize
 // bytes, durably ingested on first run and reloaded on later ones.
-func openStoreAUs(dataDir string, id uint64, aus int, auSize, blockSize int64) (*store.Store, []saltedReplica, error) {
+func openStoreAUs(dataDir string, id ids.PeerID, aus int, auSize, blockSize int64) (*store.Store, []saltedReplica, error) {
 	st, err := store.Open(dataDir)
 	if err != nil {
 		return nil, nil, err
@@ -250,7 +247,7 @@ func openStoreAUs(dataDir string, id uint64, aus int, auSize, blockSize int64) (
 			}
 			// Stream the file into the store block by block — an archive-sized
 			// AU never sits in memory on either side of the copy.
-			_, err = st.CreateFrom(spec, replicaSalt(id, spec.ID), f)
+			_, err = st.CreateFrom(spec, world.ReplicaSalt(id, spec.ID), f)
 			f.Close()
 			if err != nil {
 				st.Close()
@@ -262,7 +259,7 @@ func openStoreAUs(dataDir string, id uint64, aus int, auSize, blockSize int64) (
 	case len(st.AUs()) == 0:
 		for i := 0; i < aus; i++ {
 			spec := content.DemoAUSpec(i, auSize, blockSize)
-			if _, err := st.CreateFrom(spec, replicaSalt(id, spec.ID), content.PublisherReader(spec)); err != nil {
+			if _, err := st.CreateFrom(spec, world.ReplicaSalt(id, spec.ID), content.PublisherReader(spec)); err != nil {
 				st.Close()
 				return nil, nil, err
 			}
@@ -425,7 +422,7 @@ func main() {
 		obs = quietObserver{logObserver{id: ids.PeerID(*id)}}
 	}
 
-	st, replicas, err := buildReplicas(*dataDir, uint64(*id), *aus, *auSize, pcfg.BlockSize)
+	st, replicas, err := buildReplicas(*dataDir, ids.PeerID(*id), *aus, *auSize, pcfg.BlockSize)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -531,7 +528,7 @@ func main() {
 		hdr := trace.Header{
 			Peer:       ids.PeerID(*id),
 			Seed:       uint64(*id) * 7919,
-			StartT:     time.Now().UnixNano(),
+			StartT:     int64(nd.Epoch()),
 			Protocol:   pcfg,
 			Costs:      costs,
 			MBF:        effort.DefaultMBFParams(),

@@ -10,6 +10,7 @@ import (
 	"lockss/internal/content"
 	"lockss/internal/ids"
 	"lockss/internal/store"
+	"lockss/internal/world"
 )
 
 // okFlags is a baseline that passes validation; cases tweak one field.
@@ -92,7 +93,7 @@ func TestParsePeers(t *testing.T) {
 
 // TestTraceHeaderRecordsTheSaltInUse: on every path that builds replicas —
 // in memory, synthetic units ingested into a new store, files ingested into a
-// new store — a new replica's salt is replicaSalt(id, AU), and the trace
+// new store — a new replica's salt is world.ReplicaSalt(id, AU), and the trace
 // header records the salt the replica carries. A store ingested under another
 // salt keeps it (the manifest is authoritative) and the header says so.
 func TestTraceHeaderRecordsTheSaltInUse(t *testing.T) {
@@ -140,7 +141,7 @@ func TestTraceHeaderRecordsTheSaltInUse(t *testing.T) {
 			for i, rep := range replicas {
 				au, want := rep.Spec().ID, tc.kept
 				if want == 0 {
-					want = replicaSalt(id, au)
+					want = world.ReplicaSalt(id, au)
 				}
 				if rep.Salt() != want {
 					t.Errorf("AU %d replica salt = %#x, want %#x", au, rep.Salt(), want)

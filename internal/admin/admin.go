@@ -534,7 +534,7 @@ func (s *Server) handleAUs(w http.ResponseWriter, r *http.Request) {
 		if j.DamagedBlocks == nil {
 			j.DamagedBlocks = []int{}
 		}
-		// The node's protocol clock is Unix nanoseconds on the wall clock.
+		// The node's protocol clock is Unix nanoseconds from its wall-clock epoch.
 		if au.PollActive {
 			t := time.Unix(0, int64(au.PollDeadline))
 			j.PollDeadline = &t

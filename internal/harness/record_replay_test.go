@@ -63,7 +63,7 @@ func recordClusterTrace(t *testing.T) []byte {
 	hdr := trace.Header{
 		Peer:       1,
 		Seed:       2000,
-		StartT:     time.Now().UnixNano(),
+		StartT:     int64(c.Members[0].Node.Epoch()),
 		Protocol:   demoProtocolConfig(),
 		Costs:      effort.DemoCostModel(),
 		MBF:        effort.DemoMBFParams(),
@@ -189,6 +189,31 @@ func TestGoldenTraceReplay(t *testing.T) {
 	}
 }
 
+// TestReplayHoldsTheStartInstant: the golden trace replays only from the
+// instant its peer started. A header that says the peer started a
+// millisecond later has timers fire before they are due; one that says a
+// millisecond earlier has timers fall due that the recording never fired.
+func TestReplayHoldsTheStartInstant(t *testing.T) {
+	raw, err := os.ReadFile(goldenTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shift := range []time.Duration{time.Millisecond, -time.Millisecond} {
+		tr, err := trace.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Header.StartT += int64(shift)
+		res, err := trace.Replay(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Diverged() {
+			t.Errorf("StartT moved by %v: the replay did not diverge", shift)
+		}
+	}
+}
+
 // TestRecordReplayUnderShedFlood pins the tap's contract with the read
 // loops' shedding: the tap sees every frame delivered to Peer.Receive, the
 // invitations a reader sheds are not among them, and because a shed frame is
@@ -210,7 +235,7 @@ func TestRecordReplayUnderShedFlood(t *testing.T) {
 	defer c.Stop()
 	n := c.Members[0].Node
 	if err := rec.WriteHeader(trace.Header{
-		Peer: 1, Seed: 3000, StartT: time.Now().UnixNano(),
+		Peer: 1, Seed: 3000, StartT: int64(n.Epoch()),
 		Protocol: pc, Costs: effort.DemoCostModel(), MBF: effort.DemoMBFParams(), EffortUnit: float64(effort.DemoEffortUnit),
 		AUs: []trace.AUHeader{{
 			ID: spec.ID, Name: spec.Name, Size: spec.Size, BlockSize: spec.BlockSize, Salt: world.ReplicaSalt(1, spec.ID),

@@ -1,5 +1,5 @@
 // Package node runs a real LOCKSS peer: the same protocol state machines as
-// the simulator, driven by the wall clock, real SHA-256 content hashing,
+// the simulator, driven by a monotonic clock, real SHA-256 content hashing,
 // real memory-bound-function effort proofs, and encrypted TCP transport.
 //
 // A Node is an actor: all protocol callbacks (incoming messages, timers)
@@ -23,6 +23,7 @@ import (
 	"lockss/internal/reputation"
 	"lockss/internal/sched"
 	"lockss/internal/session"
+	"lockss/internal/sim"
 	"lockss/internal/store"
 	"lockss/internal/telemetry"
 	"lockss/internal/wire"
@@ -131,14 +132,10 @@ type Node struct {
 	// operators can bind addresses (SetAddress) after peers have started.
 	addrs map[ids.PeerID]string
 
-	// tmu guards the timer table on its own lock: protocol timers must
-	// never contend with transport or session state, so a stalled peer
-	// cannot delay a timer arm or cancel.
-	tmu sync.Mutex
-	// timers maps protocol timer IDs to their wall-clock timers so the
-	// protocol can cancel by ID; fired and cancelled entries are removed.
-	timers   map[protocol.TimerID]*time.Timer
-	timerSeq uint64
+	// epoch is the instant New ran. timers queues the protocol's timers;
+	// once Start has run only the actor loop touches it.
+	epoch  time.Time
+	timers *sim.Engine
 }
 
 // New builds a node. AddAU must be called before Start.
@@ -159,10 +156,13 @@ func New(cfg Config) (*Node, error) {
 		stop:   make(chan struct{}),
 		all:    make(map[*session.Conn]struct{}),
 		raws:   make(map[net.Conn]struct{}),
-		timers: make(map[protocol.TimerID]*time.Timer),
 		addrs:  make(map[ids.PeerID]string, len(cfg.AddressBook)),
 		gates:  make(map[content.AUID]*reputation.Gate),
+		epoch:  time.Now(),
+		timers: sim.NewEngine(),
 	}
+	// AddAU, a trace header and Peer.Start all see exactly Epoch.
+	n.timers.Run(sim.Time(n.epoch.UnixNano()))
 	for id, addr := range cfg.AddressBook {
 		n.addrs[id] = addr
 	}
@@ -178,6 +178,14 @@ func New(cfg Config) (*Node, error) {
 	n.peer = p
 	return n, nil
 }
+
+// Epoch returns the protocol time of the node's bootstrap: what the peer's
+// clock reads from New through Start. A trace header's StartT is this value.
+func (n *Node) Epoch() sched.Time { return sched.Time(n.epoch.UnixNano()) }
+
+// clock reads protocol time on the monotonic clock, so a step of the wall
+// clock cannot move it. The actor loop reads it once a turn.
+func (n *Node) clock() sched.Time { return n.Epoch() + sched.Time(time.Since(n.epoch)) }
 
 // Peer exposes the protocol peer for inspection (replicas, stats).
 func (n *Node) Peer() *protocol.Peer { return n.peer }
@@ -342,7 +350,7 @@ func (n *Node) AddAU(replica content.Replica, refs []ids.PeerID) error {
 		return err
 	}
 	au := replica.Spec().ID
-	n.gates[au] = n.peer.Reputation(au).OpenGate(n.env.Now())
+	n.gates[au] = n.peer.Reputation(au).OpenGate(n.clock())
 	return nil
 }
 
@@ -417,13 +425,16 @@ func (n *Node) post(fn func()) {
 	}
 }
 
-// Start begins listening and launches the protocol.
+// Start begins listening and launches the protocol. The peer starts first,
+// at the bootstrap instant and before the actor loop exists, so nothing
+// posted can reach an unstarted peer.
 func (n *Node) Start() error {
 	l, err := net.Listen("tcp", n.cfg.Listen)
 	if err != nil {
 		return fmt.Errorf("node: listen: %w", err)
 	}
 	n.listener = l
+	n.peer.Start()
 	n.wg.Add(2)
 	go n.runLoop()
 	go n.acceptLoop()
@@ -439,7 +450,7 @@ func (n *Node) Start() error {
 			Bandwidth: n.cfg.ScrubBandwidth,
 			OnDamage: func(au content.AUID, block int) {
 				n.logf("scrub: AU %d block %d damaged on disk", au, block)
-				n.tel.DamageNoticed(n.cfg.ID, au, block, n.env.Now())
+				n.tel.DamageNoticed(n.cfg.ID, au, block, n.clock())
 				n.post(func() {
 					if n.cfg.Tap != nil {
 						n.cfg.Tap.DamageNoticed(au, block, n.env.Now())
@@ -452,7 +463,6 @@ func (n *Node) Start() error {
 			},
 		})
 	}
-	n.post(func() { n.peer.Start() })
 	n.logf("listening on %v", l.Addr())
 	return nil
 }
@@ -502,15 +512,27 @@ func (n *Node) Stop() {
 	}
 }
 
-// runLoop is the actor goroutine: every protocol callback runs here.
+// runLoop is the actor goroutine: every protocol callback runs here. A turn
+// reads the clock once, fires the timers due by then at their own instants,
+// and runs the posted closure at the turn's instant.
 func (n *Node) runLoop() {
 	defer n.wg.Done()
+	wake := time.NewTimer(0)
+	defer wake.Stop()
 	for {
+		if at, ok := n.timers.Next(); ok {
+			wake.Reset(time.Duration(at - n.clock()))
+		}
+		var fn func()
 		select {
-		case fn := <-n.loop:
-			fn()
+		case fn = <-n.loop:
+		case <-wake.C:
 		case <-n.stop:
 			return
+		}
+		n.timers.Run(n.clock())
+		if fn != nil {
+			fn()
 		}
 	}
 }
@@ -649,7 +671,7 @@ func (n *Node) sheds(frame []byte) bool {
 		return false
 	}
 	g := n.gates[h.AU]
-	return g != nil && g.Sheds(n.env.Now(), h.Poller)
+	return g != nil && g.Sheds(n.clock(), h.Poller)
 }
 
 // senderOf infers the ostensible sender identity from the message role.
@@ -664,7 +686,7 @@ func senderOf(m *protocol.Msg) ids.PeerID {
 	}
 }
 
-// env adapts Node to protocol.Env: the wall clock, wall timers and the TCP
+// env adapts Node to protocol.Env: the clock, the timer queue and the TCP
 // transport are the node's; randomness and proofs of effort come from the
 // embedded protocol.RealEffort, the implementation trace replay shares.
 type env struct {
@@ -672,56 +694,28 @@ type env struct {
 	protocol.RealEffort
 }
 
-// Now implements protocol.Env on the wall clock; Unix nanoseconds are
-// consistent across cooperating nodes (the protocol tolerates ordinary
-// clock skew through its generous timeouts).
-func (e *env) Now() sched.Time { return sched.Time(time.Now().UnixNano()) }
+// Now implements protocol.Env: the instant of the current turn or firing
+// timer, in Unix nanoseconds.
+func (e *env) Now() sched.Time { return e.timers.Now() }
 
-// After implements protocol.Env. The liveness check runs inside the posted
-// closure — on the actor loop, the same goroutine that calls Cancel — so a
-// timer whose AfterFunc fired concurrently with its cancellation is still
-// suppressed. The protocol's record pooling relies on a cancelled timer
-// never reaching its callback.
+// After implements protocol.Env. A tap learns of a firing just before its
+// callback runs; a cancelled timer never fires, so the tap records exactly
+// the firings that drove the state machine.
 func (e *env) After(d sched.Duration, fn func()) protocol.TimerID {
-	n := e.Node
-	if d < 0 {
-		d = 0
+	tap := e.cfg.Tap
+	if tap == nil {
+		return protocol.TimerID(e.timers.After(d, fn))
 	}
-	n.tmu.Lock()
-	n.timerSeq++
-	id := protocol.TimerID(n.timerSeq)
-	n.timers[id] = time.AfterFunc(time.Duration(d), func() {
-		n.post(func() {
-			n.tmu.Lock()
-			_, live := n.timers[id]
-			delete(n.timers, id)
-			n.tmu.Unlock()
-			if live {
-				// Cancelled timers never reach here, so the tap records
-				// exactly the firings that drove the state machine.
-				if n.cfg.Tap != nil {
-					n.cfg.Tap.TimerFired(id, e.Now())
-				}
-				fn()
-			}
-		})
+	var id sim.EventID
+	id = e.timers.After(d, func() {
+		tap.TimerFired(protocol.TimerID(id), e.Now())
+		fn()
 	})
-	n.tmu.Unlock()
-	return id
+	return protocol.TimerID(id)
 }
 
 // Cancel implements protocol.Env.
-func (e *env) Cancel(id protocol.TimerID) bool {
-	n := e.Node
-	n.tmu.Lock()
-	t, ok := n.timers[id]
-	delete(n.timers, id)
-	n.tmu.Unlock()
-	if ok {
-		t.Stop() // best-effort; the loop-side liveness check is authoritative
-	}
-	return ok
-}
+func (e *env) Cancel(id protocol.TimerID) bool { return e.timers.Cancel(sim.EventID(id)) }
 
 // Send implements protocol.Env. The message is encoded to bytes here,
 // synchronously on the actor loop, because the protocol pools the records

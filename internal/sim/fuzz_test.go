@@ -116,8 +116,9 @@ const leapTo = Time(1<<62) - 1
 // FuzzEventQueue drives an Engine through arbitrary schedule/cancel/run/step
 // interleavings against a naive model, asserting that events fire in
 // (timestamp, FIFO-at-same-instant) order, cancellation semantics hold
-// (including stale Cancels of fired and freshly reused slots staying no-ops),
-// and the queue plus the slot index stay structurally sound throughout.
+// (including stale Cancels of fired and freshly reused slots, and forged IDs
+// naming a free slot, staying no-ops), and the queue plus the slot index stay
+// structurally sound throughout.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 2, 10})
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 1, 0, 2, 255})
@@ -144,6 +145,9 @@ func FuzzEventQueue(f *testing.F) {
 	// Far timers across high digits, a cancel among them, then a leap to
 	// near 1<<62 and scheduling from there.
 	f.Add([]byte{5, 0, 5, 255, 5, 16, 0, 1, 1, 2, 6, 0, 0, 1, 0, 255, 5, 3, 2, 0, 6, 9, 3, 0})
+	// A forged ID: the first of two events fires, and the ID its free slot
+	// would carry next is cancelled and taken.
+	f.Add([]byte{0, 1, 0, 5, 2, 1, 4, 0, 2, 255})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := NewEngine()
 		type modelEvent struct {
@@ -238,8 +242,16 @@ func FuzzEventQueue(f *testing.F) {
 				}
 				id := retired[int(arg)%len(retired)]
 				before := e.Pending()
-				if e.Cancel(id) {
-					t.Fatalf("stale Cancel(%d) returned true", id)
+				if e.Cancel(id) || e.Take(id) != nil {
+					t.Fatalf("stale Cancel or Take(%d) succeeded", id)
+				}
+				// Forged: the retired ID's slot at the generation it carries
+				// now, which names no event while the slot is free.
+				s := uint32(id) - 1
+				if forged := EventID(e.slots[s].gen)<<32 | EventID(s+1); !slices.ContainsFunc(pending, func(ev modelEvent) bool { return ev.id == forged }) {
+					if e.Cancel(forged) || e.Take(forged) != nil {
+						t.Fatalf("forged Cancel or Take(%#x) of a free slot succeeded", forged)
+					}
 				}
 				if e.Pending() != before {
 					t.Fatalf("stale Cancel(%d) changed Pending %d -> %d", id, before, e.Pending())

@@ -136,7 +136,7 @@ type Engine struct {
 	// Dense event index, by slot. A map was measured to dominate
 	// schedule/cancel costs at large populations; the dense index makes both
 	// O(1) with no hashing. bucket is apart from slots, which it would grow
-	// by a word, and only Cancel reads it.
+	// by a word, and only Take reads it.
 	slots     []slot
 	bucket    []uint8
 	freeSlots []uint32
@@ -303,14 +303,18 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 
 // Cancel removes a pending event. Cancelling an event that already fired or
 // was already cancelled is a no-op and returns false.
-func (e *Engine) Cancel(id EventID) bool {
+func (e *Engine) Cancel(id EventID) bool { return e.Take(id) != nil }
+
+// Take removes a pending event and returns its closure, vacating the slot as
+// firing does. It returns nil for an ID naming no pending event, including
+// one from outside the program that names a free slot at its generation.
+func (e *Engine) Take(id EventID) func() {
 	i := uint32(id) - 1
-	if uint32(id) == 0 || int(i) >= len(e.slots) || e.slots[i].gen != uint32(id>>32) {
-		return false
+	if uint32(id) == 0 || int(i) >= len(e.slots) || e.slots[i].gen != uint32(id>>32) || e.slots[i].pos < 0 {
+		return nil
 	}
 	e.remove(int(e.bucket[i]), int(e.slots[i].pos))
-	e.detach(i)
-	return true
+	return e.detach(i)
 }
 
 // remove deletes the entry at index i of bucket b. Bucket 0 keeps seq order,

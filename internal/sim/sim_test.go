@@ -110,6 +110,42 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
+// TestForgedIDRefused: an ID naming a vacated slot at the generation the
+// slot now carries was never issued — the slot is free — so Cancel and Take
+// refuse it and leave the queue alone. Vacated by firing and by Take alike.
+func TestForgedIDRefused(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.At(10, func() { got = append(got, 0) })
+	taken := e.At(15, func() { got = append(got, 1) })
+	e.At(20, func() { got = append(got, 2) })
+	e.At(30, func() { got = append(got, 3) })
+	e.Run(10) // slot 0 fires: free at generation 1
+	if fn := e.Take(taken); fn == nil {
+		t.Fatal("Take of a pending event returned nil")
+	} else if fn(); len(got) != 2 || got[1] != 1 {
+		t.Fatalf("Take returned the wrong closure: fired %v", got)
+	}
+	for _, forged := range []EventID{1<<32 | 1, taken + 1<<32} {
+		if e.Cancel(forged) {
+			t.Errorf("Cancel(%#x) of a free slot returned true", forged)
+		}
+		if e.Take(forged) != nil {
+			t.Errorf("Take(%#x) of a free slot returned a closure", forged)
+		}
+		if e.Pending() != 2 {
+			t.Fatalf("refused ID %#x changed Pending to %d, want 2", forged, e.Pending())
+		}
+	}
+	if e.Take(taken) != nil {
+		t.Error("second Take of the same event returned a closure")
+	}
+	e.Run(100)
+	if want := []int{0, 1, 2, 3}; len(got) != len(want) || got[2] != 2 || got[3] != 3 {
+		t.Errorf("fired %v, want %v", got, want)
+	}
+}
+
 func TestEventsScheduledDuringRun(t *testing.T) {
 	e := NewEngine()
 	count := 0

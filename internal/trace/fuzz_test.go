@@ -7,8 +7,8 @@ import (
 
 // FuzzTraceDecode hammers the trace reader with truncated, corrupt and
 // reordered input. The contract: Read either returns a validated trace or an
-// error — it never panics — and anything it accepts renders output keys
-// without panicking either.
+// error — it never panics — and anything it accepts renders output keys and
+// replays without panicking either: Replay returns an error or a Result.
 func FuzzTraceDecode(f *testing.F) {
 	valid := recordSample(f)
 	lines := bytes.Split(bytes.TrimSuffix(valid, []byte("\n")), []byte("\n"))
@@ -26,6 +26,7 @@ func FuzzTraceDecode(f *testing.F) {
 		[]byte(`{"k":"recv","q":1,"t":5,"from":2,"frame":"AAAA"}`))) // undecodable frame
 	f.Add(mutateLine(f, valid, 1,
 		[]byte(`{"k":"repair","q":1,"t":5,"au":1,"block":-1}`))) // negative block
+	f.Add(unissuedTimerTrace(f)) // a timer ID naming a free slot
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
@@ -44,5 +45,8 @@ func FuzzTraceDecode(f *testing.F) {
 			_ = rec.IsInput()
 		}
 		_ = tr.Outputs()
+		if res, err := Replay(tr); err == nil && res == nil {
+			t.Fatal("Replay returned neither a result nor an error")
+		}
 	})
 }

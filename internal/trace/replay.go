@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"lockss/internal/content"
@@ -10,6 +11,7 @@ import (
 	"lockss/internal/protocol"
 	"lockss/internal/reputation"
 	"lockss/internal/sched"
+	"lockss/internal/sim"
 	"lockss/internal/wire"
 )
 
@@ -54,37 +56,29 @@ func (r *Result) Report() string {
 
 // replayEnv is the recorded node's environment with the clock and the
 // timers taken from the trace: it embeds the same protocol.RealEffort the
-// node does (same seed derivation, same MBF proof arithmetic) and issues the
-// same timer-ID sequence, but the clock is pinned to each trace record's
-// timestamp and timers fire when the trace says they fired.
+// node does (same seed derivation, same MBF proof arithmetic) and queues its
+// timers on a sim.Engine as the node does, but the clock is pinned to each
+// trace record's timestamp and a timer fires when the trace says it fired.
+// The engine's clock never runs; it issues IDs and knows each timer's instant.
 type replayEnv struct {
 	protocol.RealEffort
-	now      sched.Time
-	timerSeq uint64
-	timers   map[protocol.TimerID]func()
-	send     func(to ids.PeerID, m *protocol.Msg)
+	now    sched.Time
+	timers *sim.Engine
+	send   func(to ids.PeerID, m *protocol.Msg)
 }
 
 // Now implements protocol.Env.
 func (e *replayEnv) Now() sched.Time { return e.now }
 
-// After implements protocol.Env. IDs are issued sequentially from 1 exactly
-// as the node's timer table does, so a deterministic re-execution arms timer
-// k at the same point the recorded run did and the trace's timer records
-// resolve by ID.
+// After implements protocol.Env. A deterministic re-execution arms, cancels
+// and fires in the recorded order, so the engine issues the recorded IDs. An
+// instant a forged trace pushes below zero is clamped rather than refused.
 func (e *replayEnv) After(d sched.Duration, fn func()) protocol.TimerID {
-	e.timerSeq++
-	id := protocol.TimerID(e.timerSeq)
-	e.timers[id] = fn
-	return id
+	return protocol.TimerID(e.timers.At(max(e.now+sched.Time(max(d, 0)), 0), fn))
 }
 
 // Cancel implements protocol.Env.
-func (e *replayEnv) Cancel(id protocol.TimerID) bool {
-	_, ok := e.timers[id]
-	delete(e.timers, id)
-	return ok
-}
+func (e *replayEnv) Cancel(id protocol.TimerID) bool { return e.timers.Cancel(sim.EventID(id)) }
 
 // Send implements protocol.Env. The message is summarized synchronously —
 // the protocol pools the records backing m.
@@ -121,12 +115,12 @@ func Replay(t *Trace) (*Result, error) {
 	res := &Result{Recorded: t.Outputs()}
 
 	env := &replayEnv{
-		// The clock starts at StartT immediately: the recorded node
-		// bootstrapped (AddAU, SeedGrade) at wall time moments before Start,
-		// so grade and schedule timestamps must not predate it by decades.
+		// The clock starts at StartT: the recorded node's clock read its
+		// bootstrap instant from New through Start, so AddAU, SeedGrade and
+		// Start all saw StartT.
 		now:        sched.Time(t.Header.StartT),
 		RealEffort: protocol.NewRealEffort(t.Header.Peer, t.Header.Seed, t.Header.MBF, effort.Seconds(t.Header.EffortUnit)),
-		timers:     make(map[protocol.TimerID]func()),
+		timers:     sim.NewEngine(),
 	}
 	env.send = func(to ids.PeerID, m *protocol.Msg) {
 		res.Replayed = append(res.Replayed,
@@ -177,6 +171,12 @@ func Replay(t *Trace) (*Result, error) {
 		}
 		res.Inputs++
 		env.now = sched.Time(rec.T)
+		// The node fires every timer due by a turn's instant before the
+		// turn's input, each at its own instant: nothing pending here may be
+		// due before this record, nor at it unless the record fires it.
+		if at, ok := env.timers.Next(); ok && (at < env.now || at == env.now && rec.Kind != KindTimer) {
+			diverge("seq %d: a timer due at %d in replay had not fired by %d in recording", rec.Seq, at, rec.T)
+		}
 		switch rec.Kind {
 		case KindRecv:
 			m, err := wire.Decode(rec.Frame)
@@ -187,13 +187,15 @@ func Replay(t *Trace) (*Result, error) {
 			}
 			peer.Receive(rec.From, m)
 		case KindTimer:
-			id := protocol.TimerID(rec.Timer)
-			fn, ok := env.timers[id]
-			if !ok {
+			next, _ := env.timers.Next()
+			fn := env.timers.Take(sim.EventID(rec.Timer))
+			if fn == nil {
 				diverge("seq %d: timer %d fired in recording but is not armed in replay", rec.Seq, rec.Timer)
 				continue
 			}
-			delete(env.timers, id)
+			if next > env.now {
+				diverge("seq %d: timer %d fired at %d in recording, before it is due in replay", rec.Seq, rec.Timer, rec.T)
+			}
 			fn()
 		case KindDamage:
 			// Scrub detection: the corruption physically predates this event.
@@ -201,14 +203,7 @@ func Replay(t *Trace) (*Result, error) {
 			// not capture at injection time, apply it now — the detection
 			// point is its first protocol-visible moment.
 			rep := replicas[rec.AU]
-			already := false
-			for _, d := range rep.Snapshot() {
-				if d.Block == rec.Block {
-					already = true
-					break
-				}
-			}
-			if !already {
+			if !slices.ContainsFunc(rep.Snapshot(), func(d content.DamageEntry) bool { return d.Block == rec.Block }) {
 				rep.Damage(rec.Block)
 			}
 			peer.RaiseAuditPriority(rec.AU)

@@ -27,9 +27,11 @@ import (
 
 // Version is the trace format version this package writes and the only
 // version it reads. A recording resolves timer firings by ID, so the format
-// changes whenever the protocol arms its timers differently: version 2 counts
-// one solicitation timer per poll where version 1 counted one per invitee.
-const Version = 2
+// changes whenever the protocol arms its timers differently or IDs are issued
+// differently: version 2 counts one solicitation timer per poll where version
+// 1 counted one per invitee, and version 3 records sim.Engine event IDs (slot
+// | generation<<32) where version 2 counted 1, 2, 3….
+const Version = 3
 
 // MaxFrameBytes bounds one recorded wire frame; traces are a debugging
 // format for demo-scale clusters, not bulk transfer.
@@ -105,7 +107,8 @@ type Header struct {
 	// Seed is the node's protocol randomness seed (node.Config.Seed; the
 	// per-peer stream derives from it exactly as in the node).
 	Seed uint64 `json:"seed"`
-	// StartT is the environment clock (Unix nanoseconds) at Peer.Start.
+	// StartT is the environment clock (Unix nanoseconds) at Peer.Start: the
+	// node's Epoch.
 	StartT int64 `json:"start"`
 	// Protocol, Costs, MBF and EffortUnit reproduce the node's operating
 	// point; MBF proofs are deterministic given these.

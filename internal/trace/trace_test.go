@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,6 +159,33 @@ func mutateLine(t testing.TB, raw []byte, n int, repl []byte) []byte {
 		lines[n] = repl
 	}
 	return append(bytes.Join(lines, []byte("\n")), '\n')
+}
+
+// unissuedTimerTrace is the sample with its timer record firing timer 2 — a
+// firing that arms nothing in its place, so its slot stays free — followed
+// by a record firing the engine ID that slot would carry next: never issued.
+func unissuedTimerTrace(t testing.TB) []byte {
+	t.Helper()
+	raw := mutateLine(t, recordSample(t), 2, []byte(`{"k":"timer","q":2,"t":1000020,"timer":2,"block":0}`))
+	return append(raw, `{"k":"timer","q":8,"t":1000080,"timer":4294967298,"block":0}`+"\n"...)
+}
+
+// TestReplayUnissuedTimerDiverges: a timer record naming an ID the replay's
+// queue never issued is a divergence, not a crash — even when the ID names a
+// free slot at the generation that slot now carries.
+func TestReplayUnissuedTimerDiverges(t *testing.T) {
+	tr, err := Read(bytes.NewReader(unissuedTimerTrace(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "seq 8: timer 4294967298 fired in recording but is not armed in replay"
+	if !slices.Contains(res.Divergences, want) {
+		t.Errorf("divergences %q lack %q", res.Divergences, want)
+	}
 }
 
 func TestReadRejectsCorruptTraces(t *testing.T) {
