@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/cipher"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"net"
 	"testing"
@@ -138,6 +139,83 @@ func FuzzReadMsgChunks(f *testing.F) {
 		}
 		if _, err := r.ReadMsg(); err == nil {
 			t.Fatal("a failed session yielded a frame on the next read")
+		}
+	})
+}
+
+// lowOrderKeys are the encodings of the X25519 public keys of small order,
+// each also with its ignored top bit set: Diffie-Hellman with any of them
+// yields the all-zero secret whatever the private key.
+var lowOrderKeys = func() [][]byte {
+	var keys [][]byte
+	for _, h := range []string{
+		"0000000000000000000000000000000000000000000000000000000000000000",
+		"0100000000000000000000000000000000000000000000000000000000000000",
+		"e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+		"5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+		"ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+		"edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+		"eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+	} {
+		k, err := hex.DecodeString(h)
+		if err != nil {
+			panic(err)
+		}
+		high := bytes.Clone(k)
+		high[31] |= 0x80
+		keys = append(keys, k, high)
+	}
+	return keys
+}()
+
+// FuzzServerHandshake: whatever a client sends — a key, then frames — the
+// accepting side's handshake never panics and returns either an error or a
+// session. A key shorter than 32 bytes is an error, a low-order key is
+// refused, and no frame after an accepted key ever decrypts: the session key
+// depends on the server's fresh private key, which no input can know.
+func FuzzServerHandshake(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{9}, 31))
+	for _, k := range lowOrderKeys {
+		f.Add(k)
+	}
+	// The base point, a valid public key, then a frame sealed under a key
+	// the server does not hold.
+	var stream bytes.Buffer
+	stream.Write(append([]byte{9}, make([]byte, 31)...))
+	forger := &Conn{raw: &streamConn{w: &stream}, send: testAEAD(f)}
+	if err := forger.WriteMsg([]byte("forged")); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stream.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sent bytes.Buffer
+		c, err := Server(&streamConn{r: bytes.NewReader(data), w: &sent})
+		if (c == nil) == (err == nil) {
+			t.Fatalf("handshake returned session %v and error %v", c, err)
+		}
+		if len(data) < 32 {
+			if err == nil {
+				t.Fatalf("a %d-byte key was accepted", len(data))
+			}
+			return
+		}
+		for _, k := range lowOrderKeys {
+			if bytes.Equal(data[:32], k) && err == nil {
+				t.Fatalf("low-order key %x was accepted", k)
+			}
+		}
+		if err != nil {
+			return
+		}
+		if sent.Len() != 32 {
+			t.Fatalf("server sent %d bytes for its key, want 32", sent.Len())
+		}
+		for range 2 {
+			if msg, err := c.ReadMsg(); err == nil {
+				t.Fatalf("a frame from a client without the key decrypted to %q", msg)
+			}
 		}
 	})
 }

@@ -416,8 +416,9 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestScrubLookup drives ingest, scrubbing, lookups and stats
-// concurrently — the archive-scale contention pattern; run under -race.
+// TestConcurrentIngestScrubLookup drives ingest, scrubbing, lookups, stats and
+// whole-store verification concurrently — the archive-scale contention
+// pattern; run under -race.
 func TestConcurrentIngestScrubLookup(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -452,6 +453,10 @@ func TestConcurrentIngestScrubLookup(t *testing.T) {
 			s.Replica(2)
 			s.Replicas()
 			s.Stats()
+			if dam := s.VerifyAll(); dam != nil {
+				t.Errorf("VerifyAll during concurrent load: %v", dam)
+				return
+			}
 		}
 	}()
 	wg.Wait()

@@ -188,13 +188,13 @@ func (r *Replica) ApplyRepair(i int, data []byte) error {
 }
 
 // verifyBlock reads block i into buf (grown as needed and returned for
-// reuse), hashes it, and compares against the manifest. With mark set, a
-// mismatch records a fresh damage mark and a match clears a stale one — the
-// scrubber's write side; mark changes ride the commit train (re-derivable
-// from the block bytes, so deferral loses nothing a crash could not already
-// take). It returns whether the block verified and whether the manifest now
-// marks it damaged.
-func (r *Replica) verifyBlock(i int, mark bool, buf []byte) (ok, marked bool, bufOut []byte, err error) {
+// reuse), hashes it, and compares against the manifest: a mismatch records a
+// fresh damage mark and a match clears a stale one — the scrubber's write
+// side. Mark changes ride the commit train (re-derivable from the block
+// bytes, so deferral loses nothing a crash could not already take). It
+// returns whether the block verified and whether the manifest now marks it
+// damaged.
+func (r *Replica) verifyBlock(i int, buf []byte) (ok, marked bool, bufOut []byte, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b, err := r.readBlockLocked(i, buf)
@@ -204,24 +204,37 @@ func (r *Replica) verifyBlock(i int, mark bool, buf []byte) (ok, marked bool, bu
 	buf = b
 	sum := content.Hash(sha256.Sum256(b))
 	ok = sum == r.man.digests[i]
-	if mark {
-		switch {
-		case !ok && r.man.marks[i] == 0:
-			r.man.marks[i] = r.freshMarkLocked()
-			r.man.gen++
-			r.persistLocked()
-			r.st.blocksDamaged.Add(1)
-		case ok && r.man.marks[i] != 0:
-			// The bytes verify but the manifest says damaged: a repair (or
-			// a crash-interrupted one) healed the block before the manifest
-			// caught up. Complete it.
-			r.man.marks[i] = 0
-			r.man.gen++
-			r.persistLocked()
-			r.st.blocksRepaired.Add(1)
-		}
+	switch {
+	case !ok && r.man.marks[i] == 0:
+		r.man.marks[i] = r.freshMarkLocked()
+		r.man.gen++
+		r.persistLocked()
+		r.st.blocksDamaged.Add(1)
+	case ok && r.man.marks[i] != 0:
+		// The bytes verify but the manifest says damaged: a repair (or a
+		// crash-interrupted one) healed the block before the manifest caught
+		// up. Complete it.
+		r.man.marks[i] = 0
+		r.man.gen++
+		r.persistLocked()
+		r.st.blocksRepaired.Add(1)
 	}
 	return ok, r.man.marks[i] != 0, buf, nil
+}
+
+// checkBlock reads block i into buf (grown as needed and returned for reuse)
+// under the lock, then hashes it outside the lock, reporting whether it
+// matches its manifest digest and whether the manifest marks it damaged. It
+// changes nothing.
+func (r *Replica) checkBlock(i int, buf []byte) (ok, marked bool, bufOut []byte, err error) {
+	r.mu.Lock()
+	b, err := r.readBlockLocked(i, buf)
+	digest, marked := r.man.digests[i], r.man.marks[i] != 0
+	r.mu.Unlock()
+	if err != nil {
+		return false, marked, buf, err
+	}
+	return content.Hash(sha256.Sum256(b)) == digest, marked, b, nil
 }
 
 // injectDamage flips the bits of one byte in the middle of the block,

@@ -184,7 +184,7 @@ func (s *Store) scrubShard(shard []*Replica, cfg ScrubConfig, bucket *tokenBucke
 			}
 			var ok, marked bool
 			var err error
-			ok, marked, buf, err = r.verifyBlock(i, true, buf)
+			ok, marked, buf, err = r.verifyBlock(i, buf)
 			s.blocksScanned.Add(1)
 			s.bytesScrubbed.Add(uint64(hi - lo))
 			if err != nil {

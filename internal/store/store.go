@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,10 +17,14 @@ import (
 	"lockss/internal/content"
 )
 
-// ingestChunk bounds the streaming-ingest copy buffer: CreateFrom never
-// holds more than this much AU content in memory, regardless of AU or block
-// size.
-const ingestChunk = 1 << 20
+// ingestChunk bounds the AU content a streaming ingest holds in memory,
+// regardless of AU or block size: CreateFrom circulates at most ingestDepth
+// pieces of ingestChunk/ingestDepth bytes between its reader and its hash
+// lanes.
+const (
+	ingestChunk = 1 << 20
+	ingestDepth = 16
+)
 
 // Stats counts store activity. All counters are cumulative since Open.
 type Stats struct {
@@ -198,19 +203,23 @@ func (s *Store) auDir(id content.AUID) string {
 	return filepath.Join(s.root, fmt.Sprintf("au-%08d", id))
 }
 
-// CreateFrom ingests one AU by streaming spec.Size bytes from src: content
-// is written and hashed block by block through a bounded buffer, so a
-// multi-GB AU never exists in memory. Block bytes are written and fsynced
-// before the manifest that vouches for them, so a crash mid-ingest leaves a
-// directory without a manifest — invisible to Open — rather than an AU with
-// unvouched bytes. The salt individualizes this replica's damage marks.
+// CreateFrom ingests one AU by streaming spec.Size bytes from src through
+// streamBlocks: the caller's goroutine reads and writes the content in order
+// while up to GOMAXPROCS hash lanes digest it, and at most ingestChunk bytes
+// of it are in memory at once, so a multi-GB AU never exists in memory. Block
+// bytes are written and fsynced before the manifest that vouches for them,
+// so a crash mid-ingest leaves a directory without a manifest — invisible to
+// Open — rather than an AU with unvouched bytes. The salt individualizes
+// this replica's damage marks.
 //
 // All IO runs outside the store lock: concurrent Replica lookups, scrubbing
 // and other ingests proceed while an AU streams in. The AU id is reserved up
 // front, so two concurrent ingests of one id cannot interleave their writes.
 func (s *Store) CreateFrom(spec content.AUSpec, salt uint64, src io.Reader) (*Replica, error) {
-	if spec.Size < 0 {
-		return nil, fmt.Errorf("store: AU %v has negative size %d", spec.ID, spec.Size)
+	// The manifest decoder refuses negative geometry, so a manifest written
+	// with it would fail the next Open of the whole store.
+	if spec.Size < 0 || spec.BlockSize < 0 {
+		return nil, fmt.Errorf("store: AU %v has negative geometry (size %d, block size %d)", spec.ID, spec.Size, spec.BlockSize)
 	}
 	if len(spec.Name) > maxNameLen {
 		return nil, fmt.Errorf("store: AU %v name exceeds %d bytes", spec.ID, maxNameLen)
@@ -252,38 +261,14 @@ func (s *Store) CreateFrom(spec content.AUSpec, salt uint64, src io.Reader) (*Re
 	}
 	n := spec.Blocks()
 	man := &manifest{spec: spec, salt: salt, digests: make([]content.Hash, n), marks: make([]content.Mark, n)}
-	bufSize := int64(ingestChunk)
-	if spec.Size > 0 && spec.Size < bufSize {
-		bufSize = spec.Size
-	}
-	buf := make([]byte, bufSize)
-	h := sha256.New()
-	var written int64
-	for i := 0; i < n; i++ {
-		lo, hi := blockRange(spec, i)
-		h.Reset()
-		for remain := hi - lo; remain > 0; {
-			c := int64(len(buf))
-			if c > remain {
-				c = remain
-			}
-			if _, err := io.ReadFull(src, buf[:c]); err != nil {
-				return fail(fmt.Errorf("store: ingest AU %v: content ends at byte %d of %d: %w", spec.ID, written, spec.Size, err))
-			}
-			if _, err := f.Write(buf[:c]); err != nil {
-				return fail(fmt.Errorf("store: write AU %v: %w", spec.ID, err))
-			}
-			h.Write(buf[:c])
-			remain -= c
-			written += c
-		}
-		h.Sum(man.digests[i][:0])
+	if err := streamBlocks(spec, src, f, man.digests); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
 		return fail(fmt.Errorf("store: sync AU %v: %w", spec.ID, err))
 	}
 	s.fsyncs.Add(1)
-	s.bytesIngested.Add(uint64(written))
+	s.bytesIngested.Add(uint64(spec.Size))
 	// The manifest write is the ingest's commit point; it is synchronous —
 	// group commit batches mutations of live AUs, not births of new ones.
 	if err := writeManifestBytes(dir, man.encode(), &s.fsyncs); err != nil {
@@ -313,6 +298,85 @@ func (s *Store) CreateFrom(spec content.AUSpec, salt uint64, src io.Reader) (*Re
 	s.order = append(s.order, spec.ID)
 	s.mu.Unlock()
 	return r, nil
+}
+
+// streamBlocks copies spec.Size bytes from src to w in order and sets
+// digests[i] to the SHA-256 of block i. The caller's goroutine does all the
+// reading and writing; it hands each piece it reads to one of
+// min(GOMAXPROCS, blocks) hash lanes before writing it, so hashing overlaps
+// the write. Every piece of block i goes to lane i mod lanes, which takes its
+// blocks' pieces in order, so a block larger than a piece is hashed by one
+// lane. Pieces circulate through a free list of at most ingestDepth buffers
+// of ingestChunk/ingestDepth bytes (none larger than a block, and no more of
+// them than the AU fills), which bounds the content in memory at
+// ingestChunk. On failure the lanes are stopped; every lane has exited when
+// streamBlocks returns.
+func streamBlocks(spec content.AUSpec, src io.Reader, w io.Writer, digests []content.Hash) error {
+	_, first := blockRange(spec, 0) // no block is longer than the first
+	pieceLen := min(ingestChunk/ingestDepth, first)
+	pieces := int64(ingestDepth)
+	if pieceLen > 0 {
+		pieces = min(pieces, (spec.Size+pieceLen-1)/pieceLen) // no more than the AU
+	}
+	slab := make([]byte, pieces*pieceLen)
+	// free and every lane have room for all the pieces there are, so
+	// neither returning a piece nor handing one over ever blocks.
+	free := make(chan []byte, pieces)
+	for k := range pieces {
+		free <- slab[k*pieceLen : (k+1)*pieceLen : (k+1)*pieceLen]
+	}
+	lanes := make([]chan []byte, min(runtime.GOMAXPROCS(0), len(digests)))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for l := range lanes {
+		in := make(chan []byte, pieces)
+		lanes[l] = in
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := sha256.New()
+			for i := l; i < len(digests); i += len(lanes) {
+				lo, hi := blockRange(spec, i)
+				for off := lo; ; {
+					var b []byte
+					select {
+					case b = <-in:
+					case <-stop:
+						return
+					}
+					h.Write(b)
+					free <- b
+					if off += int64(len(b)); off == hi {
+						break
+					}
+				}
+				h.Sum(digests[i][:0])
+				h.Reset()
+			}
+		}()
+	}
+	for i := range digests {
+		lo, hi := blockRange(spec, i)
+		// Every block is at least one piece, so the empty block of an empty
+		// AU is hashed too.
+		for off := lo; ; {
+			b := (<-free)[:min(pieceLen, hi-off)]
+			if _, err := io.ReadFull(src, b); err != nil {
+				close(stop)
+				return fmt.Errorf("store: ingest AU %v: content ends at byte %d of %d: %w", spec.ID, off, spec.Size, err)
+			}
+			lanes[i%len(lanes)] <- b
+			if _, err := w.Write(b); err != nil {
+				close(stop)
+				return fmt.Errorf("store: write AU %v: %w", spec.ID, err)
+			}
+			if off += int64(len(b)); off == hi {
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // openReplica opens an AU directory already vouched for by man.
@@ -395,27 +459,61 @@ type Damage struct {
 }
 
 // VerifyAll reads and hashes every block of every AU against its manifest,
-// returning all mismatches. Read errors do not abort the sweep: an
-// unreadable block is reported as Damage with Unreadable set and
-// verification continues, so the report always covers the whole store. A nil
-// slice means everything verifies.
+// returning all mismatches in replica order, then block order. Read errors
+// do not abort the sweep: an unreadable block is reported as Damage with
+// Unreadable set and verification continues, so the report always covers the
+// whole store. A nil slice means everything verifies.
+//
+// The store's blocks, numbered across replicas in that order, are striped
+// over min(GOMAXPROCS, blocks) workers: worker w checks every block whose
+// number is w modulo the worker count. A worker holds a replica's lock only
+// while it reads a block, never while it hashes one.
 func (s *Store) VerifyAll() []Damage {
+	reps := s.Replicas()
+	specs := make([]content.AUSpec, len(reps))
+	total := 0
+	for j, r := range reps {
+		specs[j] = r.Spec()
+		total += specs[j].Blocks()
+	}
+	type finding struct {
+		seq int // the block's number across the store
+		d   Damage
+	}
+	found := make([][]finding, min(runtime.GOMAXPROCS(0), total))
+	var wg sync.WaitGroup
+	for w := range found {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			j, base := 0, 0 // the replica holding block seq, and its first number
+			for seq := w; seq < total; seq += len(found) {
+				for seq-base >= specs[j].Blocks() {
+					base += specs[j].Blocks()
+					j++
+				}
+				id, i := specs[j].ID, seq-base
+				ok, marked, b, err := reps[j].checkBlock(i, buf)
+				buf = b
+				switch {
+				case err != nil:
+					found[w] = append(found[w], finding{seq, Damage{AU: id, Block: i, Marked: marked, Unreadable: true, Err: err}})
+				case !ok:
+					found[w] = append(found[w], finding{seq, Damage{AU: id, Block: i, Marked: marked}})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var all []finding
+	for _, f := range found {
+		all = append(all, f...)
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].seq < all[b].seq })
 	var out []Damage
-	for _, r := range s.Replicas() {
-		spec := r.Spec()
-		var buf []byte
-		for i := 0; i < spec.Blocks(); i++ {
-			var ok, marked bool
-			var err error
-			ok, marked, buf, err = r.verifyBlock(i, false, buf)
-			if err != nil {
-				out = append(out, Damage{AU: spec.ID, Block: i, Marked: marked, Unreadable: true, Err: err})
-				continue
-			}
-			if !ok {
-				out = append(out, Damage{AU: spec.ID, Block: i, Marked: marked})
-			}
-		}
+	for _, f := range all {
+		out = append(out, f.d)
 	}
 	return out
 }

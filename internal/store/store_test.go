@@ -225,7 +225,7 @@ func TestCrashDuringRepairLeavesMarked(t *testing.T) {
 		t.Fatal("damage mark lost across the crash")
 	}
 	// A scrub pass completes the interrupted repair.
-	ok, marked, _, err := r2.verifyBlock(2, true, nil)
+	ok, marked, _, err := r2.verifyBlock(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
