@@ -143,7 +143,7 @@ func run(args []string) int {
 	}
 
 	// One engine for the whole invocation: running several scenarios reuses
-	// memoized baseline runs across them.
+	// memoized runs across them.
 	eng := experiment.NewEngine(*workers)
 	opts := experiment.Options{Seeds: *seeds, BaseSeed: *seed, Engine: eng}
 	switch strings.ToLower(*scale) {
@@ -214,7 +214,7 @@ func run(args []string) int {
 
 	if *verbose {
 		hits, misses := eng.MemoStats()
-		fmt.Fprintf(os.Stderr, "engine: %d workers; baseline runs computed=%d memo-hits=%d\n",
+		fmt.Fprintf(os.Stderr, "engine: %d workers; simulation runs computed=%d served-from-memo=%d\n",
 			eng.Workers(), misses, hits)
 	}
 	return 0

@@ -23,10 +23,14 @@ import (
 // adversary never reuses.
 type AdmissionFlood struct {
 	Pulse
-	// VolleyLimit bounds invitations per volley; at the default drop
-	// probability of 0.90 a volley of 40 is admitted with ~99% probability.
+	// VolleyLimit bounds invitations per volley (default 40); at the
+	// default drop probability of 0.90 a volley of 40 is admitted with ~99%
+	// probability.
 	VolleyLimit int
 
+	// Run state, zero until Install: an uninstalled AdmissionFlood is
+	// exactly its parameters.
+	volley       int
 	nextIdentity ids.PeerID
 	pollSeq      uint64
 }
@@ -41,8 +45,9 @@ const sourceNode = ids.MinionBase
 
 // Install implements Adversary.
 func (a *AdmissionFlood) Install(w *world.World) {
-	if a.VolleyLimit <= 0 {
-		a.VolleyLimit = 40
+	a.volley = a.VolleyLimit
+	if a.volley <= 0 {
+		a.volley = 40
 	}
 	a.nextIdentity = ids.MinionBase + 1
 	rnd := w.Root.Child("adversary/admissionflood")
@@ -93,11 +98,11 @@ func (a *AdmissionFlood) floodLoop(w *world.World, rnd interface{ Float64() floa
 func (a *AdmissionFlood) sendVolley(w *world.World, victim ids.PeerID, au content.AUID) {
 	a.pollSeq++
 	first := a.nextIdentity
-	a.nextIdentity += ids.PeerID(a.VolleyLimit)
+	a.nextIdentity += ids.PeerID(a.volley)
 	now := w.Engine.Now()
 	burst := w.NewBurst(&world.BurstPayload{
 		First: first,
-		Count: a.VolleyLimit,
+		Count: a.volley,
 		Template: protocol.Msg{
 			Type:         protocol.MsgPoll,
 			AU:           au,

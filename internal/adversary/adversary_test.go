@@ -294,3 +294,36 @@ func TestCombinedAdversary(t *testing.T) {
 		t.Error("combined tiny attack should not collapse the system")
 	}
 }
+
+// TestInstallKeepsCallerParameters: Install resolves its defaults into the
+// run's own state, so after Install an adversary's exported fields still
+// read what the caller set. The value of an uninstalled adversary is its
+// parameter set, which the experiment memo keys runs on.
+func TestInstallKeepsCallerParameters(t *testing.T) {
+	cfg := tinyWorld(t)
+	cfg.Duration = 30 * sim.Day
+	pulse := Pulse{Coverage: 0.5, Duration: 10 * sim.Day, Recuperation: 10 * sim.Day}
+	bf := &BruteForce{Defection: DefectRemaining}
+	af := &AdmissionFlood{Pulse: pulse}
+	vf := &VoteFlood{Pulse: pulse}
+	for _, a := range []Adversary{bf, af, vf} {
+		w, err := world.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Install(w)
+		w.Run()
+	}
+	if bf.Minions != 0 || bf.VolleyLimit != 0 || bf.Coverage != 0 {
+		t.Errorf("BruteForce.Install wrote defaults into its parameters: %+v", *bf)
+	}
+	if af.VolleyLimit != 0 {
+		t.Errorf("AdmissionFlood.Install wrote VolleyLimit %d", af.VolleyLimit)
+	}
+	if vf.VotesPerDay != 0 {
+		t.Errorf("VoteFlood.Install wrote VotesPerDay %v", vf.VotesPerDay)
+	}
+	if vf.SentVotes == 0 {
+		t.Error("vote flood sent nothing at its default rate")
+	}
+}

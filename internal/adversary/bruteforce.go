@@ -50,19 +50,29 @@ func (d Defection) String() string {
 type BruteForce struct {
 	// Defection selects the strategy row of Table 1.
 	Defection Defection
-	// Minions is the in-debt identity pool size.
+	// Minions is the in-debt identity pool size (default 40).
 	Minions int
-	// VolleyLimit bounds invitations per volley (expected tries to
-	// admission at a 0.80 drop rate is 5).
+	// VolleyLimit bounds invitations per volley (default 25; expected tries
+	// to admission at a 0.80 drop rate is 5).
 	VolleyLimit int
-	// Coverage is the attacked fraction of the population (Table 1: all).
+	// Coverage is the attacked fraction of the population (default 1.0;
+	// Table 1: all).
 	Coverage float64
 
-	w       *world.World
-	costs   effort.CostModel
-	efforts map[content.AUID]auEffort
-	pool    []ids.PeerID
-	pollSeq uint64
+	// run is the state Install creates. It is nil before Install, so an
+	// uninstalled BruteForce is exactly its parameters, and comparable.
+	run *bruteRun
+}
+
+// bruteRun is one installed brute-force attack: the resolved parameters and
+// the world it runs in.
+type bruteRun struct {
+	w         *world.World
+	defection Defection
+	volley    int
+	efforts   map[content.AUID]auEffort
+	pool      []ids.PeerID
+	pollSeq   uint64
 	// nonce goes in every PollProof. It is drawn from a child of the
 	// world's root source, which nothing advances, so one draw at Install
 	// is the draw every reply would make.
@@ -84,69 +94,71 @@ func (a *BruteForce) Name() string {
 	return fmt.Sprintf("brute-force(%v)", a.Defection)
 }
 
-// Install implements Adversary.
+// Install implements Adversary. Defaults for unset parameters go into the
+// run state; the exported fields keep what the caller set.
 func (a *BruteForce) Install(w *world.World) {
-	if a.Minions <= 0 {
-		a.Minions = 40
+	minions, volley, coverage := a.Minions, a.VolleyLimit, a.Coverage
+	if minions <= 0 {
+		minions = 40
 	}
-	if a.VolleyLimit <= 0 {
-		a.VolleyLimit = 25
+	if volley <= 0 {
+		volley = 25
 	}
-	if a.Coverage <= 0 {
-		a.Coverage = 1.0
+	if coverage <= 0 {
+		coverage = 1.0
 	}
-	a.w = w
-	a.costs = effort.DefaultCostModel()
-	a.efforts = make(map[content.AUID]auEffort)
+	r := &bruteRun{w: w, defection: a.Defection, volley: volley, efforts: make(map[content.AUID]auEffort)}
+	a.run = r
+	costs := effort.DefaultCostModel()
 	for _, spec := range w.Specs() {
-		pe := a.costs.PollEffortFor(spec.Size, spec.Blocks())
-		a.efforts[spec.ID] = auEffort{
+		pe := costs.PollEffortFor(spec.Size, spec.Blocks())
+		r.efforts[spec.ID] = auEffort{
 			PollEffort: pe,
 			intro:      effort.SimProof{Effort: pe.Intro, Genuine: true},
 			remainder:  effort.SimProof{Effort: pe.Remainder, Genuine: true},
 		}
 	}
-	r := w.Root.Child("adversary/nonce")
-	for i := 0; i < len(a.nonce); i += 8 {
-		v := r.Uint64()
-		for j := 0; j < 8 && i+j < len(a.nonce); j++ {
-			a.nonce[i+j] = byte(v >> (8 * j))
+	nr := w.Root.Child("adversary/nonce")
+	for i := 0; i < len(r.nonce); i += 8 {
+		v := nr.Uint64()
+		for j := 0; j < 8 && i+j < len(r.nonce); j++ {
+			r.nonce[i+j] = byte(v >> (8 * j))
 		}
 	}
 
 	// Register the minion pool; every minion can receive replies.
-	a.pool = make([]ids.PeerID, a.Minions)
-	for i := range a.pool {
+	r.pool = make([]ids.PeerID, minions)
+	for i := range r.pool {
 		id := ids.MinionBase + 1000 + ids.PeerID(i)
-		a.pool[i] = id
+		r.pool[i] = id
 		w.Net.AddNode(id, netsim.Link{Bandwidth: netsim.FastEth, Latency: sim.Millisecond},
 			func(from ids.PeerID, payload any, size int) {
 				if m, ok := payload.(*protocol.Msg); ok {
-					a.handleReply(id, from, m)
+					r.handleReply(id, from, m)
 				}
 			})
 	}
 
 	// Conservative initialization: all minions are in debt at all victims.
 	rnd := w.Root.Child("adversary/bruteforce")
-	n := int(a.Coverage*float64(len(w.Peers)) + 0.999999)
+	n := int(coverage*float64(len(w.Peers)) + 0.999999)
 	if n > len(w.Peers) {
 		n = len(w.Peers)
 	}
 	for _, vi := range rnd.Sample(len(w.Peers), n) {
 		victim := w.Peers[vi]
 		for _, au := range victim.AUs() {
-			for _, m := range a.pool {
+			for _, m := range r.pool {
 				victim.SeedGrade(au, m, reputation.Debt)
 			}
-			a.attackLoop(victim, au, rnd.ChildN("victim", vi))
+			r.attackLoop(victim, au, rnd.ChildN("victim", vi))
 		}
 	}
 }
 
 // attackLoop sends one effortful volley per (victim, AU) refractory period,
 // consulting the oracle first.
-func (a *BruteForce) attackLoop(victim *protocol.Peer, au content.AUID, rnd interface{ Float64() float64 }) {
+func (a *bruteRun) attackLoop(victim *protocol.Peer, au content.AUID, rnd interface{ Float64() float64 }) {
 	w := a.w
 	refractory := w.Cfg.Protocol.Refractory
 	var tick func()
@@ -168,7 +180,7 @@ func (a *BruteForce) attackLoop(victim *protocol.Peer, au content.AUID, rnd inte
 // if the victim is still refractory (it would be auto-rejected) or its
 // schedule cannot accommodate a vote (it would refuse Busy), either of
 // which would waste introductory efforts.
-func (a *BruteForce) oracleSaysSend(victim *protocol.Peer, au content.AUID) bool {
+func (a *bruteRun) oracleSaysSend(victim *protocol.Peer, au content.AUID) bool {
 	now := a.w.Engine.Now()
 	rep := victim.Reputation(au)
 	if rep == nil || rep.InRefractory(now) {
@@ -183,13 +195,13 @@ func (a *BruteForce) oracleSaysSend(victim *protocol.Peer, au content.AUID) bool
 
 // sendVolley emits one burst of effortful invitations from the in-debt
 // pool, paying one introductory effort per invitation actually sent.
-func (a *BruteForce) sendVolley(victim ids.PeerID, au content.AUID) {
+func (a *bruteRun) sendVolley(victim ids.PeerID, au content.AUID) {
 	a.pollSeq++
 	now := a.w.Engine.Now()
 	cfg := a.w.Cfg.Protocol
 	burst := a.w.NewBurst(&world.BurstPayload{
 		Pool:  a.pool,
-		Count: a.VolleyLimit,
+		Count: a.volley,
 		Template: protocol.Msg{
 			Type:         protocol.MsgPoll,
 			AU:           au,
@@ -214,10 +226,10 @@ func sourceNodeFor(first ids.PeerID) ids.PeerID { return first }
 
 // handleReply reacts to victim responses according to the defection
 // strategy.
-func (a *BruteForce) handleReply(minion ids.PeerID, victim ids.PeerID, m *protocol.Msg) {
+func (a *bruteRun) handleReply(minion ids.PeerID, victim ids.PeerID, m *protocol.Msg) {
 	switch m.Type {
 	case protocol.MsgPollAck:
-		if !m.Accept || a.Defection == DefectIntro {
+		if !m.Accept || a.defection == DefectIntro {
 			return // INTRO: desert after the introductory effort
 		}
 		// Supply the remaining effort and a nonce.
@@ -236,7 +248,7 @@ func (a *BruteForce) handleReply(minion ids.PeerID, victim ids.PeerID, m *protoc
 		}
 		a.w.Net.Send(minion, victim, a.w.NewMsg(&reply), reply.WireSize())
 	case protocol.MsgVote:
-		if a.Defection != DefectNone {
+		if a.defection != DefectNone {
 			return // REMAINING: desert after the vote arrives
 		}
 		// Full participation: evaluate the vote (the adversary's copy is

@@ -21,7 +21,7 @@ import (
 // nothing.
 type VoteFlood struct {
 	Pulse
-	// VotesPerDay is the flood rate per victim per AU.
+	// VotesPerDay is the flood rate per victim per AU (default 48).
 	VotesPerDay float64
 
 	pollSeq uint64
@@ -39,8 +39,9 @@ const voteFloodSource = ids.MinionBase + 500000
 
 // Install implements Adversary.
 func (a *VoteFlood) Install(w *world.World) {
-	if a.VotesPerDay <= 0 {
-		a.VotesPerDay = 48
+	rate := a.VotesPerDay
+	if rate <= 0 {
+		rate = 48
 	}
 	rnd := w.Root.Child("adversary/voteflood")
 	w.Net.AddNode(voteFloodSource, netsim.Link{Bandwidth: netsim.FastEth, Latency: sim.Millisecond},
@@ -55,7 +56,7 @@ func (a *VoteFlood) Install(w *world.World) {
 		func(victims []int) {
 			epoch++
 			myEpoch := epoch
-			gap := sim.Duration(float64(sim.Day) / a.VotesPerDay)
+			gap := sim.Duration(float64(sim.Day) / rate)
 			for _, vi := range victims {
 				victim := w.Peers[vi]
 				for _, au := range victim.AUs() {

@@ -204,9 +204,9 @@ type Options struct {
 	// the engine's worker count.
 	Progress func(format string, args ...any)
 	// Engine, if non-nil, schedules this generation's simulation runs.
-	// Share one Engine across scenarios to reuse memoized baseline runs
-	// (the CLI does); when nil each scenario run gets a fresh engine sized
-	// to GOMAXPROCS.
+	// Share one Engine across scenarios to reuse memoized runs (the CLI
+	// does); when nil each scenario run gets a fresh engine sized to
+	// GOMAXPROCS.
 	Engine *Engine
 }
 

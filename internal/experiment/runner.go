@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,11 +28,15 @@ import (
 // runs still queued behind the semaphore (and callers waiting on a memo
 // flight or a slot) return ctx.Err() promptly.
 //
-// Attack-free runs are memoized by (Config, layers): scenarios share their
-// baselines, so a full lockss-sim run stops recomputing them. Attack runs are not
-// memoized — adversaries are constructed by closures, which have no identity
-// to key on. Memoized entries are single-flight: concurrent requests for the
-// same baseline wait for the first computation instead of duplicating it.
+// Every world run is memoized by its world.Config, its adversary's
+// parameters and its layer in a stack, so scenarios that share a baseline or
+// an attack run compute it once, and a layered stack takes its layer 0 (with
+// the load it measured) from the plain run of the same point. A run is a
+// pure function of that key, so results stay bit-identical. A built-in
+// adversary's value before Install is its parameter set and serves as the
+// key; any other adversary (Combined, a caller's own type) runs unmemoized.
+// Memoized runs are single-flight: concurrent requests for the same run wait
+// for the first computation instead of duplicating it.
 //
 // A failed run aborts the engine: runs still queued fail fast instead of
 // completing simulations whose results would be discarded. Discard the
@@ -48,22 +53,34 @@ type Engine struct {
 	aborted atomic.Bool
 
 	mu     sync.Mutex
-	memo   map[memoKey]*memoEntry
+	memo   map[world.Config][]memoRun
 	hits   uint64
 	misses uint64
 }
 
-// memoKey identifies an attack-free run. world.Config is a flat value
-// struct, so it is directly comparable.
-type memoKey struct {
-	cfg    world.Config
-	layers int
+// memoRun is one memoized world run of the config its memo slot is keyed
+// by. The memo stays small: one map slot per config, and a finished run
+// keeps its result inline and drops its flight.
+type memoRun struct {
+	adv    any // the adversary's key (adversaryKey); nil for no attack
+	layer  int // the run's layer in its stack; 0 is the plain run
+	flight *flight
+	res    runResult // valid once flight is nil
 }
 
-type memoEntry struct {
-	done  chan struct{}
-	stats RunStats
-	err   error
+// flight is a run in progress, kept after completion only if it failed.
+type flight struct {
+	done chan struct{}
+	res  runResult
+	err  error
+}
+
+// runResult is one world run's outcome and, for layer 0, the per-peer task
+// load it measured (measureLoad), which a stack replays beneath its upper
+// layers.
+type runResult struct {
+	stats                RunStats
+	ratePerNs, meanDurNs float64
 }
 
 // NewEngine returns an engine running at most workers simulations at once;
@@ -75,7 +92,7 @@ func NewEngine(workers int) *Engine {
 	return &Engine{
 		workers: workers,
 		sem:     make(chan struct{}, workers),
-		memo:    make(map[memoKey]*memoEntry),
+		memo:    make(map[world.Config][]memoRun),
 	}
 }
 
@@ -95,15 +112,15 @@ func newSharedEngine() *Engine {
 	return &Engine{
 		workers: cap(sem),
 		sem:     sem,
-		memo:    make(map[memoKey]*memoEntry),
+		memo:    make(map[world.Config][]memoRun),
 	}
 }
 
 // Workers reports the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// MemoStats reports how many attack-free runs were served from the memo
-// versus computed.
+// MemoStats reports how many world runs were served from the memo versus
+// computed; unmemoized runs count as computed.
 func (e *Engine) MemoStats() (hits, misses uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -143,58 +160,109 @@ func skippedErr(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// memoized returns the cached result for key, computing it single-flight on
-// first request. compute must not hold a worker slot on entry. Waiters
-// observing their own cancellation stop waiting; a flight that never
-// executed (the initiator's context was canceled, or the engine aborted
-// before it ran) is evicted and live waiters retry with a fresh flight
-// rather than inheriting the initiator's error.
-func (e *Engine) memoized(ctx context.Context, key memoKey, compute func() (RunStats, error)) (RunStats, error) {
+// memoized returns the result of the run (cfg, adv, layer), computing it
+// single-flight on first request. compute must not hold a worker slot on
+// entry. Waiters observing their own cancellation stop waiting; a flight
+// that never executed (the initiator's context was canceled, or the engine
+// aborted before it ran) is evicted and live waiters retry with a fresh
+// flight rather than inheriting the initiator's error.
+func (e *Engine) memoized(ctx context.Context, cfg world.Config, adv any, layer int, compute func() (runResult, error)) (runResult, error) {
 	for {
 		e.mu.Lock()
-		if ent, ok := e.memo[key]; ok {
+		runs := e.memo[cfg]
+		if i := findRun(runs, adv, layer); i >= 0 {
 			e.hits++
+			r := runs[i]
 			e.mu.Unlock()
+			if r.flight == nil {
+				return r.res, nil
+			}
 			select {
-			case <-ent.done:
-				if skippedErr(ent.err) {
+			case <-r.flight.done:
+				if skippedErr(r.flight.err) {
 					// The flight never executed; the initiator already
 					// evicted it. Retry unless this caller is canceled too.
 					if err := ctx.Err(); err != nil {
-						return RunStats{}, err
+						return runResult{}, err
 					}
 					continue
 				}
-				return ent.stats, ent.err
+				return r.flight.res, r.flight.err
 			case <-ctx.Done():
-				return RunStats{}, ctx.Err()
+				return runResult{}, ctx.Err()
 			}
 		}
-		ent := &memoEntry{done: make(chan struct{})}
-		e.memo[key] = ent
+		// Grow the config's runs by exactly one: most configs hold a few
+		// runs, and append's doubling would leave a third of them unused.
+		f := &flight{done: make(chan struct{})}
+		grown := make([]memoRun, len(runs)+1)
+		copy(grown, runs)
+		grown[len(runs)] = memoRun{adv: adv, layer: layer, flight: f}
+		e.memo[cfg] = grown
 		e.misses++
 		e.mu.Unlock()
-		ent.stats, ent.err = compute()
-		if skippedErr(ent.err) {
-			// The run never executed; don't let the sentinel shadow the root
-			// cause for future requests. Evict before waking waiters so
-			// their retry starts a fresh flight.
-			e.mu.Lock()
-			delete(e.memo, key)
-			e.mu.Unlock()
+		f.res, f.err = compute()
+		// Settle the entry before waking waiters: a skipped run is evicted
+		// (the sentinel must not shadow the root cause for future requests,
+		// and waiters' retries start a fresh flight); a finished one keeps
+		// its result inline; a failed one keeps its flight and error.
+		e.mu.Lock()
+		runs = e.memo[cfg]
+		i := findRun(runs, adv, layer)
+		switch {
+		case skippedErr(f.err):
+			if runs = slices.Delete(runs, i, i+1); len(runs) == 0 {
+				delete(e.memo, cfg)
+			} else {
+				e.memo[cfg] = runs
+			}
+		case f.err == nil:
+			runs[i].res, runs[i].flight = f.res, nil
 		}
-		close(ent.done)
-		return ent.stats, ent.err
+		e.mu.Unlock()
+		close(f.done)
+		return f.res, f.err
 	}
+}
+
+// findRun returns the index of the run (adv, layer) in runs, or -1.
+func findRun(runs []memoRun, adv any, layer int) int {
+	for i := range runs {
+		if runs[i].layer == layer && runs[i].adv == adv {
+			return i
+		}
+	}
+	return -1
+}
+
+// adversaryKey returns the memo key of the adversaries mkAttack builds: the
+// value of a fresh one, before Install, which for each built-in strategy is
+// exactly its parameter set. A nil mkAttack keys as nil. ok is false for any
+// other adversary: Combined holds a slice, and a caller's own type may hold
+// anything, so neither can be keyed exactly.
+func adversaryKey(mkAttack func() adversary.Adversary) (key any, ok bool) {
+	if mkAttack == nil {
+		return nil, true
+	}
+	switch a := mkAttack().(type) {
+	case *adversary.PipeStoppage:
+		return *a, true
+	case *adversary.AdmissionFlood:
+		return *a, true
+	case *adversary.BruteForce:
+		return *a, true
+	case *adversary.VoteFlood:
+		return *a, true
+	}
+	return nil, false
 }
 
 // Run executes cfg at seeds consecutive derived seeds (seedConfig) and
 // averages them in seed order. Each seed is a stack of layers runs, the
 // paper's §6.3 technique: layer 0 first, since it measures the load replayed
 // beneath the others, then layers 1..n-1 concurrently, combined in layer
-// order; one layer is a plain run. Attack-free seeds memoize by (Config,
-// layers). mkAttack may be nil for a baseline; seeds and layers must be at
-// least 1.
+// order; one layer is a plain run. Every run is memoized (see Engine).
+// mkAttack may be nil for a baseline; seeds and layers must be at least 1.
 func (e *Engine) Run(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, seeds, layers int) (RunStats, error) {
 	if seeds < 1 {
 		return RunStats{}, fmt.Errorf("experiment: seeds must be at least 1, got %d", seeds)
@@ -203,14 +271,9 @@ func (e *Engine) Run(ctx context.Context, cfg world.Config, mkAttack func() adve
 		return RunStats{}, fmt.Errorf("experiment: layers must be at least 1, got %d", layers)
 	}
 	ctx = orBackground(ctx)
+	adv, keyed := adversaryKey(mkAttack)
 	runs, err := gather(seeds, func(s int) (RunStats, error) {
-		c := seedConfig(cfg, s)
-		if mkAttack == nil {
-			return e.memoized(ctx, memoKey{c, layers}, func() (RunStats, error) {
-				return e.runStack(ctx, c, nil, layers)
-			})
-		}
-		return e.runStack(ctx, c, mkAttack, layers)
+		return e.runStack(ctx, seedConfig(cfg, s), mkAttack, adv, keyed, layers)
 	}, nil)
 	if err != nil {
 		return RunStats{}, err
@@ -218,36 +281,51 @@ func (e *Engine) Run(ctx context.Context, cfg world.Config, mkAttack func() adve
 	return average(runs), nil
 }
 
-// runStack executes one seed's stack of layers, each run under a worker slot.
-func (e *Engine) runStack(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, layers int) (RunStats, error) {
-	var first RunStats
-	var ratePerNs, meanDurNs float64
-	err := e.withSlot(ctx, func() error {
-		w, err := runWorld(cfg, func(w *world.World) { attach(w, mkAttack) })
-		if err != nil {
-			return err
-		}
-		first = statsFromWorld(w)
-		if layers > 1 {
-			ratePerNs, meanDurNs = measureLoad(w)
-		}
-		return nil
-	})
+// runStack executes one seed's stack of layers.
+func (e *Engine) runStack(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, adv any, keyed bool, layers int) (RunStats, error) {
+	first, err := e.runLeaf(ctx, cfg, mkAttack, adv, keyed, 0, runResult{})
 	if err != nil || layers == 1 {
-		return first, err
+		return first.stats, err
 	}
-	rest, err := gather(layers-1, func(i int) (s RunStats, err error) {
-		err = e.withSlot(ctx, func() error {
-			var ferr error
-			s, ferr = runLayer(cfg, mkAttack, i+1, ratePerNs, meanDurNs)
-			return ferr
-		})
-		return s, err
+	rest, err := gather(layers-1, func(i int) (RunStats, error) {
+		r, err := e.runLeaf(ctx, cfg, mkAttack, adv, keyed, i+1, first)
+		return r.stats, err
 	}, nil)
 	if err != nil {
 		return RunStats{}, err
 	}
-	return combineLayers(append([]RunStats{first}, rest...)), nil
+	return combineLayers(append([]RunStats{first.stats}, rest...)), nil
+}
+
+// runLeaf returns the run at layer of cfg's stack, memoized under (cfg,
+// adv, layer) when keyed and computed under a worker slot. Layer 0 is the
+// plain run, which measures the load replayed beneath each layer above it;
+// below is layer 0's result.
+func (e *Engine) runLeaf(ctx context.Context, cfg world.Config, mkAttack func() adversary.Adversary, adv any, keyed bool, layer int, below runResult) (runResult, error) {
+	compute := func() (r runResult, err error) {
+		err = e.withSlot(ctx, func() error {
+			if layer > 0 {
+				var ferr error
+				r.stats, ferr = runLayer(cfg, mkAttack, layer, below.ratePerNs, below.meanDurNs)
+				return ferr
+			}
+			w, err := runWorld(cfg, func(w *world.World) { attach(w, mkAttack) })
+			if err != nil {
+				return err
+			}
+			r.stats = statsFromWorld(w)
+			r.ratePerNs, r.meanDurNs = measureLoad(w)
+			return nil
+		})
+		return r, err
+	}
+	if keyed {
+		return e.memoized(ctx, cfg, adv, layer, compute)
+	}
+	e.mu.Lock()
+	e.misses++
+	e.mu.Unlock()
+	return compute()
 }
 
 // attach installs a fresh adversary from mkAttack; nil installs none.

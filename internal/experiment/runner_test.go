@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -102,47 +103,209 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineMemoization asserts attack-free runs are served from the memo on
-// repeat, attack runs never are, and memoized results equal computed ones.
+// TestEngineMemoization asserts every keyable run is served from the memo
+// on repeat, attack runs included; that a layered stack takes its layer 0
+// from the plain run of the same point; and that memoized results equal
+// computed ones.
 func TestEngineMemoization(t *testing.T) {
 	cfg := runnerCfg()
 	e := NewEngine(4)
+	check := func(what string, wantHits, wantComputed uint64) {
+		t.Helper()
+		if hits, computed := e.MemoStats(); hits != wantHits || computed != wantComputed {
+			t.Errorf("%s: hits=%d computed=%d, want %d/%d", what, hits, computed, wantHits, wantComputed)
+		}
+	}
 
 	first, err := e.Run(ctx, cfg, nil, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := e.MemoStats(); hits != 0 || misses != 2 {
-		t.Errorf("after first averaged run: hits=%d misses=%d, want 0/2", hits, misses)
-	}
+	check("first averaged run", 0, 2)
 	again, err := e.Run(ctx, cfg, nil, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := e.MemoStats(); hits != 2 || misses != 2 {
-		t.Errorf("after repeat: hits=%d misses=%d, want 2/2", hits, misses)
-	}
+	check("repeat", 2, 2)
 	if first != again {
 		t.Errorf("memoized result differs from computed: %+v vs %+v", again, first)
 	}
 
-	// Attack runs are not memoized (closures have no identity to key on).
+	// A repeated attack run is a hit, and equals the serial reference.
+	attack, err := e.Run(ctx, cfg, runnerAttack, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("attack run", 2, 3)
 	if _, err := e.Run(ctx, cfg, runnerAttack, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := e.MemoStats(); hits != 2 || misses != 2 {
-		t.Errorf("attack run touched the memo: hits=%d misses=%d", hits, misses)
+	check("repeated attack run", 3, 3)
+	if want, err := runOne(cfg, runnerAttack); err != nil || attack != want {
+		t.Errorf("memoized attack run %+v differs from the serial reference %+v (%v)", attack, want, err)
 	}
 
-	// Layered baselines memoize at the composite granularity.
-	if _, err := e.Run(ctx, cfg, nil, 1, 2); err != nil {
-		t.Fatal(err)
+	// A layered stack's layer 0 is the plain run already computed: only
+	// layer 1 is new, and the stack equals one computed from scratch.
+	for _, mk := range []func() adversary.Adversary{nil, runnerAttack} {
+		hits, computed := e.MemoStats()
+		layered, err := e.Run(ctx, cfg, mk, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("layered stack over a plain run", hits+1, computed+1)
+		fresh, err := NewEngine(1).Run(ctx, cfg, mk, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if layered != fresh {
+			t.Errorf("attack=%v: layered stack on a shared layer 0 differs from a fresh one:\n got %+v\nwant %+v",
+				mk != nil, layered, fresh)
+		}
+		if _, err := e.Run(ctx, cfg, mk, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		check("repeated layered stack", hits+3, computed+1)
 	}
-	if _, err := e.Run(ctx, cfg, nil, 1, 2); err != nil {
-		t.Fatal(err)
+}
+
+// TestMemoKeyCoversEveryParameter asserts the memo keys a run on every
+// parameter of every built-in adversary: changing any one exported field,
+// nested Pulse fields included, computes a separate run, while an unchanged
+// adversary is served from the memo.
+func TestMemoKeyCoversEveryParameter(t *testing.T) {
+	cfg := runnerCfg()
+	cfg.Duration = 20 * sim.Day
+	pulse := adversary.Pulse{Coverage: 0.5, Duration: 5 * sim.Day, Recuperation: 5 * sim.Day}
+	// clone copies an uninstalled adversary, so each run installs its own.
+	clone := func(a adversary.Adversary) reflect.Value {
+		v := reflect.New(reflect.TypeOf(a).Elem())
+		v.Elem().Set(reflect.ValueOf(a).Elem())
+		return v
 	}
-	if hits, misses := e.MemoStats(); hits != 3 || misses != 3 {
-		t.Errorf("layered memo: hits=%d misses=%d, want 3/3", hits, misses)
+	for _, base := range []adversary.Adversary{
+		&adversary.PipeStoppage{Pulse: pulse},
+		&adversary.AdmissionFlood{Pulse: pulse},
+		&adversary.BruteForce{Defection: adversary.DefectRemaining},
+		&adversary.VoteFlood{Pulse: pulse},
+	} {
+		typ := reflect.TypeOf(base).Elem()
+		e := NewEngine(2)
+		run := func(a adversary.Adversary) {
+			t.Helper()
+			mk := func() adversary.Adversary { return clone(a).Interface().(adversary.Adversary) }
+			if _, err := e.Run(ctx, cfg, mk, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run(base)
+		run(base)
+		if hits, computed := e.MemoStats(); hits != 1 || computed != 1 {
+			t.Fatalf("%s: repeat run hits=%d computed=%d, want 1/1", typ.Name(), hits, computed)
+		}
+		fields := exportedFields(typ, nil)
+		if len(fields) == 0 {
+			t.Fatalf("%s: no exported fields found", typ.Name())
+		}
+		for _, idx := range fields {
+			v := clone(base)
+			path := typ.Name() + "." + typ.FieldByIndex(idx).Name
+			bump(t, path, v.Elem().FieldByIndex(idx))
+			_, before := e.MemoStats()
+			run(v.Interface().(adversary.Adversary))
+			if _, after := e.MemoStats(); after != before+1 {
+				t.Errorf("changing %s was served from the memo: the key ignores it", path)
+			}
+		}
+	}
+}
+
+// exportedFields lists the index path of every exported non-struct field
+// of t, descending into exported struct fields such as Pulse.
+func exportedFields(t reflect.Type, prefix []int) [][]int {
+	var out [][]int
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		if !sf.IsExported() {
+			continue
+		}
+		idx := append(slices.Clone(prefix), i)
+		if sf.Type.Kind() == reflect.Struct {
+			out = append(out, exportedFields(sf.Type, idx)...)
+		} else {
+			out = append(out, idx)
+		}
+	}
+	return out
+}
+
+// bump changes a scalar field to a different valid value.
+func bump(t *testing.T, path string, f reflect.Value) {
+	switch f.Kind() {
+	case reflect.Float64:
+		f.SetFloat(f.Float() + 0.25)
+	case reflect.Int, reflect.Int64:
+		if f.Type() == reflect.TypeOf(sim.Duration(0)) {
+			f.SetInt(f.Int() + int64(sim.Day))
+		} else {
+			f.SetInt(f.Int() + 1)
+		}
+	case reflect.Uint8, reflect.Uint64:
+		f.SetUint(f.Uint() + 1)
+	default:
+		t.Fatalf("%s: no way to change a %v field", path, f.Kind())
+	}
+}
+
+// hookedStoppage is a caller's own adversary with a func field: it cannot
+// be keyed exactly, so the engine must run it unmemoized.
+type hookedStoppage struct {
+	adversary.PipeStoppage
+	onInstall func()
+}
+
+func (h *hookedStoppage) Install(w *world.World) {
+	h.onInstall()
+	h.PipeStoppage.Install(w)
+}
+
+// TestUnkeyableAdversaryRunsUnmemoized asserts an adversary without an
+// exact key — Combined, or a caller's type holding a func — is computed on
+// every request, layer 0 of a stack included, without a panic, and that the
+// results still agree.
+func TestUnkeyableAdversaryRunsUnmemoized(t *testing.T) {
+	cfg := runnerCfg()
+	var installs atomic.Int32
+	hooked := func() adversary.Adversary {
+		return &hookedStoppage{PipeStoppage: *runnerAttack().(*adversary.PipeStoppage),
+			onInstall: func() { installs.Add(1) }}
+	}
+	for _, mk := range []func() adversary.Adversary{
+		hooked,
+		func() adversary.Adversary { return &adversary.Combined{Parts: []adversary.Adversary{hooked()}} },
+	} {
+		installs.Store(0)
+		e := NewEngine(2)
+		plain, err := e.Run(ctx, cfg, mk, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := e.Run(ctx, cfg, mk, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(ctx, cfg, mk, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if plain != again {
+			t.Errorf("unmemoized repeat differs: %+v vs %+v", again, plain)
+		}
+		if hits, computed := e.MemoStats(); hits != 0 || computed != 4 {
+			t.Errorf("hits=%d computed=%d, want 0/4: every run computed", hits, computed)
+		}
+		if installs.Load() != 4 {
+			t.Errorf("%d installs for 4 computed runs", installs.Load())
+		}
 	}
 }
 
@@ -177,22 +340,22 @@ func TestEngineAbort(t *testing.T) {
 // waiters start a fresh flight instead of failing.
 func TestMemoizedRetryAfterCanceledFlight(t *testing.T) {
 	e := NewEngine(1)
-	key := memoKey{runnerCfg(), 1}
+	cfg := runnerCfg()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go e.memoized(ctx, key, func() (RunStats, error) {
+	go e.memoized(ctx, cfg, nil, 0, func() (runResult, error) {
 		close(started)
 		<-release
-		return RunStats{}, context.Canceled // the initiator's ctx was canceled
+		return runResult{}, context.Canceled // the initiator's ctx was canceled
 	})
 	<-started
 	done := make(chan struct{})
-	var got RunStats
+	var got runResult
 	var err error
 	go func() {
 		defer close(done)
-		got, err = e.memoized(ctx, key, func() (RunStats, error) {
-			return RunStats{AccessFailure: 0.5}, nil
+		got, err = e.memoized(ctx, cfg, nil, 0, func() (runResult, error) {
+			return runResult{stats: RunStats{AccessFailure: 0.5}}, nil
 		})
 	}()
 	// Let the waiter join the in-progress flight, then fail it.
@@ -202,7 +365,7 @@ func TestMemoizedRetryAfterCanceledFlight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("live waiter inherited the canceled flight: %v", err)
 	}
-	if got.AccessFailure != 0.5 {
+	if got.stats.AccessFailure != 0.5 {
 		t.Errorf("waiter got %+v, want the recomputed result", got)
 	}
 }

@@ -143,11 +143,12 @@ type Scenario struct {
 	Filter func(o Options, pt Point) bool
 
 	// Attack builds a fresh adversary for one run of a point: it is invoked
-	// once per seeded run, plus one probe per point whose result decides —
-	// and is discarded — whether the point runs attack-free. nil, or a nil
-	// return from the probe, runs the point attack-free (and lets its run
-	// memoize as a baseline). The factory must therefore be a pure function
-	// of its arguments.
+	// once per run it is installed on, once more to key the engine's memo,
+	// plus one probe per point whose result decides — and is discarded —
+	// whether the point runs attack-free. nil, or a nil return from the
+	// probe, runs the point attack-free (and lets its run memoize as a
+	// baseline). The factory must therefore be a pure function of its
+	// arguments.
 	Attack func(o Options, cfg world.Config, pt Point) adversary.Adversary
 
 	// Seeds overrides the scale-default seed count when nonzero.
@@ -337,8 +338,8 @@ func (s *Scenario) runPoint(ctx context.Context, e *Engine, o Options, pt Point)
 	pr := PointResult{Point: pt}
 	var err error
 	if mk != nil {
-		// Attack first: attack runs are independent and fill the pool while
-		// the shared baseline's single memo flight is in progress.
+		// Attack first: attack runs are mostly distinct and fill the pool
+		// while the shared baseline's single memo flight is in progress.
 		if pr.Stats, err = run(mk); err != nil {
 			return PointResult{}, err
 		}

@@ -60,16 +60,27 @@ func TestScenarioGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every scenario at tiny scale")
 	}
-	// One shared engine: scenarios share memoized baselines like the CLI.
+	// One shared engine: scenarios share memoized runs like the CLI.
 	eng := NewEngine(0)
+	ran := 0
 	for _, spec := range PaperScenarios() {
 		t.Run(spec.Name, func(t *testing.T) {
+			ran++
 			tables, err := spec.Run(context.Background(), Options{Scale: ScaleTiny, Engine: eng})
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, filepath.Join("testdata", "golden", spec.Name+".golden"), renderTables(tables))
 		})
+	}
+	// The whole pass computes each distinct run once: 87 runs, 70 more
+	// served from the memo (the churn scenario's two runs bypass it). A key
+	// that silently stops sharing — a lost layer-0 reuse, a key that varies
+	// between equal adversaries — moves these counts.
+	if ran == len(PaperScenarios()) && !t.Failed() {
+		if hits, computed := eng.MemoStats(); hits != 70 || computed != 87 {
+			t.Errorf("one tiny pass: computed=%d served-from-memo=%d, want 87/70", computed, hits)
+		}
 	}
 }
 
