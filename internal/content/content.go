@@ -22,6 +22,8 @@
 package content
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -61,6 +63,16 @@ func (s AUSpec) Blocks() int {
 		n = 1
 	}
 	return int(n)
+}
+
+// BlockRange returns the byte range [lo, hi) of block i; at BlockSize 0 the
+// AU's one block is all of it.
+func (s AUSpec) BlockRange(i int) (lo, hi int64) {
+	if s.BlockSize <= 0 {
+		return 0, s.Size
+	}
+	lo = int64(i) * s.BlockSize
+	return lo, min(lo+s.BlockSize, s.Size)
 }
 
 func (s AUSpec) String() string {
@@ -377,17 +389,10 @@ type RealReplica struct {
 // deterministic pseudo-random bytes derived from the AU ID, so every peer
 // starting from the publisher holds identical bytes. The real node's
 // synthetic demo AUs and the durable store's ingest both derive publisher
-// content from this one function.
+// content from this one keystream.
 func PublisherBytes(spec AUSpec) []byte {
 	data := make([]byte, spec.Size)
-	var seed [8]byte
-	binary.BigEndian.PutUint32(seed[:4], uint32(spec.ID))
-	fill := sha256.Sum256(seed[:])
-	for off := 0; off < len(data); {
-		n := copy(data[off:], fill[:])
-		off += n
-		fill = sha256.Sum256(fill[:])
-	}
+	keystream(publisherKey(spec.ID), 0, data)
 	return data
 }
 
@@ -396,15 +401,12 @@ func PublisherBytes(spec AUSpec) []byte {
 // archive-sized synthetic AUs can flow through Store.CreateFrom without ever
 // existing in memory.
 func PublisherReader(spec AUSpec) io.Reader {
-	var seed [8]byte
-	binary.BigEndian.PutUint32(seed[:4], uint32(spec.ID))
-	return &pubReader{fill: sha256.Sum256(seed[:]), rem: spec.Size}
+	return &pubReader{ks: keystream(publisherKey(spec.ID), 0, nil), rem: spec.Size}
 }
 
 type pubReader struct {
-	fill [sha256.Size]byte
-	off  int
-	rem  int64
+	ks  cipher.Stream
+	rem int64
 }
 
 func (r *pubReader) Read(p []byte) (int, error) {
@@ -414,18 +416,33 @@ func (r *pubReader) Read(p []byte) (int, error) {
 	if int64(len(p)) > r.rem {
 		p = p[:r.rem]
 	}
-	n := 0
-	for n < len(p) {
-		if r.off == len(r.fill) {
-			r.fill = sha256.Sum256(r.fill[:])
-			r.off = 0
-		}
-		c := copy(p[n:], r.fill[r.off:])
-		n += c
-		r.off += c
-	}
-	r.rem -= int64(n)
-	return n, nil
+	clear(p)
+	r.ks.XORKeyStream(p, p)
+	r.rem -= int64(len(p))
+	return len(p), nil
+}
+
+// publisherKey is the key of AU id's publisher keystream: the digest of its
+// ID.
+func publisherKey(id AUID) [sha256.Size]byte {
+	var seed [8]byte
+	binary.BigEndian.PutUint32(seed[:4], uint32(id))
+	return sha256.Sum256(seed[:])
+}
+
+// keystream fills out with the AES-256-CTR keystream under key from byte off
+// on, and returns the stream positioned after it. Byte o of the keystream is
+// byte o%16 of counter block o/16, so any range is generated without the
+// bytes before it.
+func keystream(key [sha256.Size]byte, off int64, out []byte) cipher.Stream {
+	b, _ := aes.NewCipher(key[:]) // a 32-byte key cannot fail
+	var ctr, skip [aes.BlockSize]byte
+	binary.BigEndian.PutUint64(ctr[8:], uint64(off/aes.BlockSize))
+	ks := cipher.NewCTR(b, ctr[:])
+	ks.XORKeyStream(skip[:off%aes.BlockSize], skip[:off%aes.BlockSize])
+	clear(out)
+	ks.XORKeyStream(out, out)
+	return ks
 }
 
 // NewRealReplica starts a replica from the publisher's canonical content.
@@ -440,41 +457,17 @@ func (r *RealReplica) Spec() AUSpec { return r.spec }
 // Salt returns the salt the replica was built with.
 func (r *RealReplica) Salt() uint64 { return r.salt }
 
-// block returns the byte range of block i.
+// block returns block i's bytes.
 func (r *RealReplica) block(i int) []byte {
-	lo := int64(i) * r.spec.BlockSize
-	hi := lo + r.spec.BlockSize
-	if hi > r.spec.Size {
-		hi = r.spec.Size
-	}
+	lo, hi := r.spec.BlockRange(i)
 	return r.data[lo:hi]
 }
 
 // canonicalBlock regenerates the publisher's bytes for block i.
 func (r *RealReplica) canonicalBlock(i int) []byte {
-	// Regenerate only the needed range by replaying the fill stream.
-	lo := int64(i) * r.spec.BlockSize
-	hi := lo + r.spec.BlockSize
-	if hi > r.spec.Size {
-		hi = r.spec.Size
-	}
-	var seed [8]byte
-	binary.BigEndian.PutUint32(seed[:4], uint32(r.spec.ID))
-	fill := sha256.Sum256(seed[:])
+	lo, hi := r.spec.BlockRange(i)
 	out := make([]byte, hi-lo)
-	for off := int64(0); off < hi; {
-		chunk := fill[:]
-		for _, c := range chunk {
-			if off >= hi {
-				break
-			}
-			if off >= lo {
-				out[off-lo] = c
-			}
-			off++
-		}
-		fill = sha256.Sum256(fill[:])
-	}
+	keystream(publisherKey(r.spec.ID), lo, out)
 	return out
 }
 
@@ -510,12 +503,7 @@ func CorruptBytes(mark Mark, block, n int) []byte {
 	var seed [16]byte
 	binary.BigEndian.PutUint64(seed[0:8], uint64(mark))
 	binary.BigEndian.PutUint64(seed[8:16], uint64(block))
-	fill := sha256.Sum256(seed[:])
-	for off := 0; off < n; {
-		c := copy(out[off:], fill[:])
-		off += c
-		fill = sha256.Sum256(fill[:])
-	}
+	keystream(sha256.Sum256(seed[:]), 0, out)
 	return out
 }
 

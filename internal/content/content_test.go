@@ -2,7 +2,10 @@ package content
 
 import (
 	"bytes"
+	"encoding/hex"
+	"io"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"lockss/internal/prng"
@@ -345,7 +348,7 @@ func TestLastPartialBlock(t *testing.T) {
 
 // TestPublisherReaderMatchesBytes: the streaming publisher source must
 // produce the exact bytes PublisherBytes materializes — including sizes that
-// end mid-way through a hash-chain step — under any read granularity.
+// end mid-way through a keystream block — under any read granularity.
 func TestPublisherReaderMatchesBytes(t *testing.T) {
 	for _, size := range []int64{0, 1, 31, 32, 33, 4096, 100_003} {
 		spec := AUSpec{ID: 12, Name: "stream", Size: size, BlockSize: 1024}
@@ -372,4 +375,99 @@ func TestPublisherReaderMatchesBytes(t *testing.T) {
 			t.Fatalf("size %d: no EOF past the end", size)
 		}
 	}
+}
+
+// TestPublisherContentPinned pins the publisher's bytes to known answers —
+// AES-256-CTR of zeros under the SHA-256 of the 8-byte big-endian AU ID
+// seed, counter block 0 at byte 0 — computed independently of this package
+// (openssl enc -aes-256-ctr). Bytes 0-31 pin the key and the counter's start;
+// the mid-AU block, read through canonicalBlock, pins the seek, once at a
+// 16-byte boundary and once 8 bytes into a counter block. A change to the
+// derivation changes every stored AU and recorded trace, so it must be a
+// visible edit here.
+func TestPublisherContentPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec          AUSpec
+		block         int
+		head, block32 string
+	}{
+		{AUSpec{ID: 7, Name: "test", Size: 4096, BlockSize: 1024}, 2,
+			"da61fee2c7a71695ec2608447af5e54b6851198a305e110a988a3605e6a43184",
+			"f1a06dda748adc876bce2b1323ebd2c8f5492df9226e1d2b3962b6ed7fa87feb"},
+		{AUSpec{ID: 12, Name: "stream", Size: 100_003, BlockSize: 1000}, 37,
+			"a834e6961c236c43d1e2fd8ee18473aeee9c7bbc56e7b4c4389dd581e8c8902a",
+			"e18682d165af3cfaa3ccf14d0a0486dc450fc7fa67600c6abe55a7740d946125"},
+	} {
+		if got := hex.EncodeToString(PublisherBytes(c.spec)[:32]); got != c.head {
+			t.Errorf("%v bytes 0-31 = %s, want %s", c.spec, got, c.head)
+		}
+		r := &RealReplica{spec: c.spec}
+		if got := hex.EncodeToString(r.canonicalBlock(c.block)[:32]); got != c.block32 {
+			t.Errorf("%v block %d = %s..., want %s...", c.spec, c.block, got, c.block32)
+		}
+	}
+}
+
+// FuzzPublisherSeek holds the four views of the keystream to one another:
+// PublisherReader under any read chunking, PublisherBytes, and the
+// concatenated canonicalBlocks of any block geometry (BlockSize 0 and sizes
+// that straddle counter blocks included) are the same bytes; CorruptBytes is
+// deterministic, a prefix of itself at any length, and differs by mark and
+// by block.
+func FuzzPublisherSeek(f *testing.F) {
+	f.Add(uint32(7), uint16(4096), uint16(1024), uint8(0), uint64(1))
+	f.Add(uint32(12), uint16(10_003), uint16(1000), uint8(7), uint64(1<<20|3))
+	f.Add(uint32(1), uint16(33), uint16(0), uint8(1), uint64(9))
+	f.Add(uint32(3), uint16(0), uint16(17), uint8(15), uint64(0))
+	f.Fuzz(func(t *testing.T, id uint32, size, blockSize uint16, chunk uint8, mark uint64) {
+		spec := AUSpec{ID: AUID(id), Size: int64(size), BlockSize: int64(blockSize)}
+		want := PublisherBytes(spec)
+		if int64(len(want)) != spec.Size {
+			t.Fatalf("PublisherBytes(%v) has %d bytes", spec, len(want))
+		}
+		for name, src := range map[string]io.Reader{
+			"one-byte": iotest.OneByteReader(PublisherReader(spec)),
+			"half":     iotest.HalfReader(PublisherReader(spec)),
+			"chunked":  PublisherReader(spec),
+		} {
+			var got []byte
+			buf := make([]byte, int(chunk)+1)
+			for {
+				n, err := src.Read(buf)
+				got = append(got, buf[:n]...)
+				if err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatalf("%s read: %v", name, err)
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v: %s reads through a %d-byte buffer differ from PublisherBytes", spec, name, len(buf))
+			}
+		}
+		r := &RealReplica{spec: spec}
+		var blocks []byte
+		for i := range spec.Blocks() {
+			blocks = append(blocks, r.canonicalBlock(i)...)
+		}
+		if !bytes.Equal(blocks, want) {
+			t.Fatalf("%v: concatenated canonical blocks differ from PublisherBytes", spec)
+		}
+
+		n := int(blockSize%512) + 16
+		block := int(size)
+		c := CorruptBytes(Mark(mark), block, n)
+		if !bytes.Equal(c, CorruptBytes(Mark(mark), block, n)) {
+			t.Fatal("CorruptBytes is not deterministic")
+		}
+		if !bytes.Equal(c[:int(chunk)%n], CorruptBytes(Mark(mark), block, int(chunk)%n)) {
+			t.Fatal("CorruptBytes is not a prefix of itself")
+		}
+		if bytes.Equal(c, CorruptBytes(Mark(mark+1), block, n)) {
+			t.Fatalf("marks %d and %d corrupt block %d identically", mark, mark+1, block)
+		}
+		if bytes.Equal(c, CorruptBytes(Mark(mark), block+1, n)) {
+			t.Fatalf("mark %d corrupts blocks %d and %d identically", mark, block, block+1)
+		}
+	})
 }

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"lockss/internal/adversary"
+	"lockss/internal/effort"
 	"lockss/internal/sim"
+	"lockss/internal/telemetry"
 	"lockss/internal/world"
 )
 
@@ -166,6 +168,63 @@ func TestEngineMemoization(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("repeated layered stack", hits+3, computed+1)
+	}
+}
+
+// TestMemoKeysConfigByValue asserts the memo reads a config's pointer
+// fields by what they hold. Equal cost models behind distinct pointers are
+// one run; a model changed in place between calls is a new run, not a stale
+// hit; and a config carrying a Telemetry sink is computed on every request,
+// so the sink sees every run's events.
+func TestMemoKeysConfigByValue(t *testing.T) {
+	cfg := runnerCfg()
+	cfg.Duration = 20 * sim.Day
+	e := NewEngine(2)
+	check := func(what string, wantHits, wantComputed uint64) {
+		t.Helper()
+		if hits, computed := e.MemoStats(); hits != wantHits || computed != wantComputed {
+			t.Errorf("%s: hits=%d computed=%d, want %d/%d", what, hits, computed, wantHits, wantComputed)
+		}
+	}
+	run := func(c world.Config) RunStats {
+		t.Helper()
+		st, err := e.Run(ctx, c, nil, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	a, b := effort.DefaultCostModel(), effort.DefaultCostModel()
+	a.HashBytesPerSec /= 2
+	b.HashBytesPerSec /= 2
+	ca, cb := cfg, cfg
+	ca.Costs, cb.Costs = &a, &b
+	first := run(ca)
+	if again := run(cb); again != first {
+		t.Errorf("equal cost models gave different runs: %+v vs %+v", again, first)
+	}
+	check("equal cost models behind distinct pointers", 1, 1)
+
+	b.HashBytesPerSec *= 4
+	changed := run(cb)
+	check("a cost model changed in place", 1, 2)
+	if want, err := runOne(cb, nil); err != nil || changed != want {
+		t.Errorf("run under a changed cost model %+v differs from the serial reference %+v (%v)", changed, want, err)
+	}
+
+	tel := telemetry.New()
+	ct := cfg
+	ct.Telemetry = tel
+	run(ct)
+	seen := tel.Ring().Appended()
+	if seen == 0 {
+		t.Fatal("the telemetry sink saw no events")
+	}
+	run(ct)
+	check("a config with a telemetry sink", 1, 4)
+	if got := tel.Ring().Appended(); got != 2*seen {
+		t.Errorf("the sink saw %d events over two runs, want %d: a run was served from the memo", got, 2*seen)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestCreateFromStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := blockRange(spec, spec.Blocks()-1)
+	lo, hi := spec.BlockRange(spec.Blocks() - 1)
 	if !bytes.Equal(got, want[lo:hi]) {
 		t.Fatal("streamed final block differs from publisher bytes")
 	}
@@ -363,7 +363,7 @@ func TestRepairDurableBeforeReturn(t *testing.T) {
 	if !r.Damage(1) {
 		t.Fatal("damage failed")
 	}
-	lo, hi := blockRange(spec, 1)
+	lo, hi := spec.BlockRange(1)
 	if err := r.ApplyRepair(1, content.PublisherBytes(spec)[lo:hi]); err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestCreateFromDigestsMatchSerial(t *testing.T) {
 					t.Fatalf("%s, %s: %v", name, how, err)
 				}
 				for i, got := range r.man.digests {
-					lo, hi := blockRange(spec, i)
+					lo, hi := spec.BlockRange(i)
 					if got != content.Hash(sha256.Sum256(want[lo:hi])) {
 						t.Errorf("%s, %s: block %d of %d has the wrong digest", name, how, i, len(r.man.digests))
 					}
@@ -229,7 +229,7 @@ func TestVerifyAllMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, digest := range r.man.digests {
-				lo, hi := blockRange(r.man.spec, i)
+				lo, hi := r.man.spec.BlockRange(i)
 				marked := r.man.marks[i] != 0
 				switch {
 				case hi > int64(len(data)):

@@ -115,7 +115,7 @@ func (r *Replica) Damage(i int) bool {
 		return false
 	}
 	mark := r.freshMarkLocked()
-	lo, hi := blockRange(r.man.spec, i)
+	lo, hi := r.man.spec.BlockRange(i)
 	b := content.CorruptBytes(mark, i, int(hi-lo))
 	if err := r.writeBlockLocked(i, b); err != nil {
 		return false
@@ -156,7 +156,7 @@ func (r *Replica) ApplyRepair(i int, data []byte) error {
 		r.mu.Unlock()
 		return fmt.Errorf("store: repair block %d out of range for %v", i, r.man.spec)
 	}
-	lo, hi := blockRange(r.man.spec, i)
+	lo, hi := r.man.spec.BlockRange(i)
 	if int64(len(data)) != hi-lo {
 		r.mu.Unlock()
 		return fmt.Errorf("store: repair for block %d has %d bytes, want %d", i, len(data), hi-lo)
@@ -248,7 +248,7 @@ func (r *Replica) injectDamage(i int) error {
 	if r.f == nil {
 		return fmt.Errorf("store: AU %v is closed", r.man.spec.ID)
 	}
-	lo, hi := blockRange(r.man.spec, i)
+	lo, hi := r.man.spec.BlockRange(i)
 	off := lo + (hi-lo)/2
 	var b [1]byte
 	if _, err := r.f.ReadAt(b[:], off); err != nil {
@@ -281,7 +281,7 @@ func (r *Replica) readBlockLocked(i int, buf []byte) ([]byte, error) {
 	if r.f == nil {
 		return nil, fmt.Errorf("store: AU %v is closed", r.man.spec.ID)
 	}
-	lo, hi := blockRange(r.man.spec, i)
+	lo, hi := r.man.spec.BlockRange(i)
 	n := int(hi - lo)
 	if cap(buf) < n {
 		buf = make([]byte, n)
@@ -298,7 +298,7 @@ func (r *Replica) writeBlockLocked(i int, b []byte) error {
 	if r.f == nil {
 		return fmt.Errorf("store: AU %v is closed", r.man.spec.ID)
 	}
-	lo, _ := blockRange(r.man.spec, i)
+	lo, _ := r.man.spec.BlockRange(i)
 	if _, err := r.f.WriteAt(b, lo); err != nil {
 		return fmt.Errorf("store: write block %d of %v: %w", i, r.man.spec, err)
 	}

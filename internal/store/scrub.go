@@ -178,7 +178,7 @@ func (s *Store) scrubShard(shard []*Replica, cfg ScrubConfig, bucket *tokenBucke
 			if !sleepOrStop(time.Duration(s.scrubPace.Load()), stop) {
 				return
 			}
-			lo, hi := blockRange(spec, i)
+			lo, hi := spec.BlockRange(i)
 			if !bucket.take(hi-lo, stop) {
 				return
 			}

@@ -312,7 +312,7 @@ func (s *Store) CreateFrom(spec content.AUSpec, salt uint64, src io.Reader) (*Re
 // ingestChunk. On failure the lanes are stopped; every lane has exited when
 // streamBlocks returns.
 func streamBlocks(spec content.AUSpec, src io.Reader, w io.Writer, digests []content.Hash) error {
-	_, first := blockRange(spec, 0) // no block is longer than the first
+	_, first := spec.BlockRange(0) // no block is longer than the first
 	pieceLen := min(ingestChunk/ingestDepth, first)
 	pieces := int64(ingestDepth)
 	if pieceLen > 0 {
@@ -337,7 +337,7 @@ func streamBlocks(spec content.AUSpec, src io.Reader, w io.Writer, digests []con
 			defer wg.Done()
 			h := sha256.New()
 			for i := l; i < len(digests); i += len(lanes) {
-				lo, hi := blockRange(spec, i)
+				lo, hi := spec.BlockRange(i)
 				for off := lo; ; {
 					var b []byte
 					select {
@@ -357,7 +357,7 @@ func streamBlocks(spec content.AUSpec, src io.Reader, w io.Writer, digests []con
 		}()
 	}
 	for i := range digests {
-		lo, hi := blockRange(spec, i)
+		lo, hi := spec.BlockRange(i)
 		// Every block is at least one piece, so the empty block of an empty
 		// AU is hashed too.
 		for off := lo; ; {
@@ -550,17 +550,4 @@ func (s *Store) Close() error {
 		}
 	})
 	return s.closeErr
-}
-
-// blockRange returns the byte range [lo, hi) of block i within an AU.
-func blockRange(spec content.AUSpec, i int) (lo, hi int64) {
-	if spec.BlockSize <= 0 {
-		return 0, spec.Size
-	}
-	lo = int64(i) * spec.BlockSize
-	hi = lo + spec.BlockSize
-	if hi > spec.Size {
-		hi = spec.Size
-	}
-	return lo, hi
 }

@@ -205,7 +205,7 @@ func TestCrashDuringRepairLeavesMarked(t *testing.T) {
 
 	// The crash window: block 2's correct bytes land in blocks.dat, the
 	// manifest is never updated (kill -9 between the two).
-	lo, hi := blockRange(spec, 2)
+	lo, hi := spec.BlockRange(2)
 	f, err := os.OpenFile(filepath.Join(s.auDir(spec.ID), blocksName), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

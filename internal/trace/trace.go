@@ -29,9 +29,11 @@ import (
 // version it reads. A recording resolves timer firings by ID, so the format
 // changes whenever the protocol arms its timers differently or IDs are issued
 // differently: version 2 counts one solicitation timer per poll where version
-// 1 counted one per invitee, and version 3 records sim.Engine event IDs (slot
-// | generation<<32) where version 2 counted 1, 2, 3….
-const Version = 3
+// 1 counted one per invitee, version 3 records sim.Engine event IDs (slot |
+// generation<<32) where version 2 counted 1, 2, 3…, and version 4 changes what
+// a recorded AU denotes: its bytes are the publisher's AES-256-CTR keystream,
+// where a version 3 trace's AUs denote the SHA-256 chain that preceded it.
+const Version = 4
 
 // MaxFrameBytes bounds one recorded wire frame; traces are a debugging
 // format for demo-scale clusters, not bulk transfer.
