@@ -413,9 +413,7 @@ func (r *pubReader) Read(p []byte) (int, error) {
 	if r.rem <= 0 {
 		return 0, io.EOF
 	}
-	if int64(len(p)) > r.rem {
-		p = p[:r.rem]
-	}
+	p = p[:min(int64(len(p)), r.rem)]
 	clear(p)
 	r.ks.XORKeyStream(p, p)
 	r.rem -= int64(len(p))

@@ -71,16 +71,26 @@ type Cluster struct {
 
 // BuildCluster opens every member's store, ingests the AUs it lacks, and
 // constructs the nodes with their reference lists, friends and grades,
-// unstarted. On an error everything already opened is closed.
+// unstarted. Every store is ingested before the first node is built: a
+// node's protocol clock starts at node.New, and building node 1 before
+// member 2 ingests would start it early by that ingest. On an error
+// everything already opened is closed.
 func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 	c := &Cluster{spec: spec, Members: make([]*Member, len(spec.Members))}
+	replicas := make([][]content.Replica, len(c.Members))
 	for i := range c.Members {
-		m, err := c.build(i)
+		m, rs, err := c.open(i)
 		if err != nil {
 			c.Stop()
 			return nil, err
 		}
-		c.Members[i] = m
+		c.Members[i], replicas[i] = m, rs
+	}
+	for i, m := range c.Members {
+		if err := c.construct(i, m, replicas[i]); err != nil {
+			c.Stop()
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -89,34 +99,27 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 // unstarted node built from the same declaration — for a durable member, on
 // whatever its store directory holds now.
 func (c *Cluster) Rebuild(i int) error {
-	m, err := c.build(i)
+	m, replicas, err := c.open(i)
 	if err != nil {
+		return err
+	}
+	if err := c.construct(i, m, replicas); err != nil {
+		m.close()
 		return err
 	}
 	c.Members[i] = m
 	return nil
 }
 
-// build constructs member i. It has one error path: whatever the call opened
-// or built is closed before the error is returned.
-func (c *Cluster) build(i int) (_ *Member, err error) {
+// open opens member i's store, if it has one, and ingests the AUs it lacks,
+// returning the member without its node and its replicas in catalogue
+// order. On an error it closes the store before returning.
+func (c *Cluster) open(i int) (_ *Member, _ []content.Replica, err error) {
 	ms := c.spec.Members[i]
 	m := &Member{ID: ids.PeerID(i + 1)}
-	defer func() {
-		if err == nil {
-			return
-		}
-		err = fmt.Errorf("harness: node %d: %w", m.ID, err)
-		if m.Node != nil {
-			m.Node.Stop() // closes its store
-		} else if m.Store != nil {
-			m.Store.Close()
-		}
-	}()
-
 	if ms.Dir != "" {
 		if m.Store, err = store.Open(ms.Dir); err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("harness: node %d: %w", m.ID, err)
 		}
 	}
 	replicas := make([]content.Replica, len(c.spec.AUs))
@@ -127,12 +130,24 @@ func (c *Cluster) build(i int) (_ *Member, err error) {
 		} else if r := m.Store.Replica(au.ID); r != nil {
 			replicas[k] = r
 		} else if r, err = m.Store.CreateFrom(au, salt, content.PublisherReader(au)); err != nil {
-			return nil, fmt.Errorf("ingest AU %d: %w", au.ID, err)
+			m.close()
+			return nil, nil, fmt.Errorf("harness: node %d: ingest AU %d: %w", m.ID, au.ID, err)
 		} else {
 			replicas[k] = r
 		}
 	}
+	return m, replicas, nil
+}
 
+// construct builds member i's node over m's replicas and gives it its
+// reference lists, friends and grades. On an error the caller closes m.
+func (c *Cluster) construct(i int, m *Member, replicas []content.Replica) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("harness: node %d: %w", m.ID, err)
+		}
+	}()
+	ms := c.spec.Members[i]
 	cfg := ms.Config
 	cfg.ID = m.ID
 	cfg.Listen = "127.0.0.1:0"
@@ -140,7 +155,7 @@ func (c *Cluster) build(i int) (_ *Member, err error) {
 	cfg.EffortUnit = effort.DemoEffortUnit
 	cfg.Store = m.Store
 	if m.Node, err = node.New(cfg); err != nil {
-		return nil, err
+		return err
 	}
 
 	others := make([]ids.PeerID, 0, len(c.Members)-1)
@@ -155,7 +170,7 @@ func (c *Cluster) build(i int) (_ *Member, err error) {
 			refs = ms.Refs[k]
 		}
 		if err = m.Node.AddAU(r, refs); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if c.spec.SeedEven {
@@ -165,7 +180,17 @@ func (c *Cluster) build(i int) (_ *Member, err error) {
 		others = ms.Friends
 	}
 	m.Node.SetFriends(others)
-	return m, nil
+	return nil
+}
+
+// close stops m's node, which closes its store, or closes the store alone
+// when no node was built over it.
+func (m *Member) close() {
+	if m.Node != nil {
+		m.Node.Stop()
+	} else if m.Store != nil {
+		m.Store.Close()
+	}
 }
 
 // Start starts every node and then exchanges the ephemeral listen addresses.
@@ -186,11 +211,12 @@ func (c *Cluster) Start() error {
 	return nil
 }
 
-// Stop stops every node (each closes its store). It is idempotent.
+// Stop stops every node (each closes its store), and closes the store of
+// a member whose node was never built. It is idempotent.
 func (c *Cluster) Stop() {
 	for _, m := range c.Members {
 		if m != nil {
-			m.Node.Stop()
+			m.close()
 		}
 	}
 }

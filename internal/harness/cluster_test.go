@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"io/fs"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -63,6 +64,53 @@ func TestClusterBootstrapMatchesWorld(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("peer %v AU %d reference list = %v, world has %v", sim.ID(), au, got, want)
 			}
+		}
+	}
+}
+
+// TestBuildClusterIngestsBeforeAnyClock: a node's protocol clock starts at
+// node.New, so every member's store must be ingested before the first node
+// is built, or the early nodes start ahead of the others by the later
+// ingests. The last write into any member's store directory must come
+// before the earliest Epoch. A file's mtime never reads later than the
+// wall clock at its write, so the check cannot pass by clock granularity.
+func TestBuildClusterIngestsBeforeAnyClock(t *testing.T) {
+	// Big enough that the ingests after one member's take far longer than
+	// the file system's timestamp granularity.
+	spec := ClusterSpec{Members: make([]MemberSpec, 3)}
+	for id := range content.AUID(2) {
+		spec.AUs = append(spec.AUs, content.AUSpec{ID: id + 1, Name: "au", Size: 8 << 20, BlockSize: 32 << 10})
+	}
+	for i := range spec.Members {
+		spec.Members[i] = MemberSpec{
+			Dir:    filepath.Join(t.TempDir(), "data"),
+			Config: node.Config{Protocol: demoProtocolConfig(), Costs: effort.DemoCostModel()},
+		}
+	}
+	c, err := BuildCluster(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	var lastWrite time.Time
+	for _, ms := range spec.Members {
+		err := filepath.WalkDir(ms.Dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			fi, err := d.Info()
+			if err == nil && fi.ModTime().After(lastWrite) {
+				lastWrite = fi.ModTime()
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range c.Members {
+		if epoch := time.Unix(0, int64(m.Node.Epoch())); !lastWrite.Before(epoch) {
+			t.Errorf("node %d's clock starts at %v, %v before the last ingest write", m.ID, epoch.Format(time.StampMicro), lastWrite.Sub(epoch))
 		}
 	}
 }

@@ -416,6 +416,40 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
+// TestFsyncBudget pins what each store operation costs in fsyncs, as
+// Stats.Fsyncs counts them: an ingest 4 (block file, manifest temp file,
+// manifest directory, store root), whatever writeback hints it gave on the
+// way; an injected bit flip its block file's 1; a lone repair its block
+// file's 1 plus a commit train's 2. Closing a clean store costs none: every
+// block write was synced before the call that made it returned.
+func TestFsyncBudget(t *testing.T) {
+	s, err := open(t.TempDir(), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(what string, want uint64, op func() error) {
+		t.Helper()
+		before := s.Stats().Fsyncs
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := s.Stats().Fsyncs - before; got != want {
+			t.Errorf("%s cost %d fsyncs, want %d", what, got, want)
+		}
+	}
+	// Three chunks and a tail: the ingest hints writeback three times.
+	spec := content.AUSpec{ID: 1, Name: "budget", Size: 3*ingestChunk + 4103, BlockSize: 64 << 10}
+	var r *Replica
+	step("ingest", 4, func() (err error) {
+		r, err = s.CreateFrom(spec, 1, content.PublisherReader(spec))
+		return err
+	})
+	step("inject damage", 1, func() error { return s.InjectDamage(spec.ID, 5) })
+	lo, hi := spec.BlockRange(5)
+	step("repair", 3, func() error { return r.ApplyRepair(5, content.PublisherBytes(spec)[lo:hi]) })
+	step("close", 0, s.Close)
+}
+
 // TestConcurrentIngestScrubLookup drives ingest, scrubbing, lookups, stats and
 // whole-store verification concurrently — the archive-scale contention
 // pattern; run under -race.

@@ -255,3 +255,88 @@ func TestVerifyAllMatchesSerial(t *testing.T) {
 		}
 	})
 }
+
+// fullWriter accepts limit bytes, then fails, keeping the part of the write
+// that still fit.
+type fullWriter struct {
+	n, limit int64
+	failed   bool
+}
+
+var errFull = errors.New("writer full")
+
+func (w *fullWriter) Write(p []byte) (int, error) {
+	if room := w.limit - w.n; int64(len(p)) > room {
+		w.n, w.failed = w.limit, true
+		return int(room), errFull
+	}
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestWritebackHintRanges: an ingest through writeback hints contiguous
+// ranges from byte 0, each at least ingestChunk long and none past the
+// bytes written, so only a tail shorter than ingestChunk is left for the
+// fsync; an AU smaller than a chunk is never hinted, and no hint follows a
+// failed write.
+func TestWritebackHintRanges(t *testing.T) {
+	cases := []struct {
+		name  string
+		spec  content.AUSpec
+		wrap  func(io.Reader) io.Reader
+		limit int64 // the writer fails past this many bytes; 0 never
+	}{
+		{name: "smaller than a chunk", spec: content.AUSpec{Size: ingestChunk - 1, BlockSize: 64 << 10}},
+		{name: "exact multiple", spec: content.AUSpec{Size: 3 * ingestChunk, BlockSize: 64 << 10}},
+		{name: "odd tail", spec: content.AUSpec{Size: 2*ingestChunk + 12345, BlockSize: 1000}},
+		{name: "one block for the AU", spec: content.AUSpec{Size: 5*ingestChunk/2 + 3, BlockSize: 0}},
+		{name: "one byte reads", spec: content.AUSpec{Size: 2*ingestChunk + 7, BlockSize: 4 << 10}, wrap: iotest.OneByteReader},
+		// 1000-byte pieces: the failing write is the one whose bytes would
+		// carry the writer past hinted+ingestChunk.
+		{name: "write fails", spec: content.AUSpec{Size: 3 * ingestChunk, BlockSize: 1000}, limit: 2*ingestChunk + 800},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.spec.ID, c.spec.Name = 1, c.name
+			var src io.Reader = content.PublisherReader(c.spec)
+			if c.wrap != nil {
+				src = c.wrap(src)
+			}
+			w := &fullWriter{limit: c.spec.Size}
+			if c.limit > 0 {
+				w.limit = c.limit
+			}
+			var end int64 // the hinted prefix is [0, end)
+			wb := &writeback{w: w, hint: func(off, n int64) {
+				switch {
+				case w.failed:
+					t.Errorf("hint [%d, %d) after a failed write", off, off+n)
+				case off != end:
+					t.Errorf("hint [%d, %d) does not start where the last ended, at %d", off, off+n, end)
+				case n < ingestChunk:
+					t.Errorf("hint [%d, %d) is shorter than a chunk", off, off+n)
+				case off+n > w.n:
+					t.Errorf("hint [%d, %d) reaches past the %d bytes written", off, off+n, w.n)
+				}
+				end = off + n
+			}}
+			digests := make([]content.Hash, c.spec.Blocks())
+			err := streamBlocks(c.spec, src, wb, digests)
+			if c.limit > 0 {
+				if !errors.Is(err, errFull) {
+					t.Fatalf("err = %v, want %v", err, errFull)
+				}
+				if end == 0 {
+					t.Error("no hint before the failed write")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail := c.spec.Size - end; tail >= ingestChunk {
+				t.Errorf("hints cover [0, %d) of %d bytes: a tail of %d was never hinted", end, c.spec.Size, tail)
+			}
+		})
+	}
+}

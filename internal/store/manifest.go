@@ -191,13 +191,10 @@ func writeManifestBytes(dir string, data []byte, fsyncs *atomic.Uint64) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: write manifest: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := fsync(f, fsyncs); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("store: sync manifest: %w", err)
-	}
-	if fsyncs != nil {
-		fsyncs.Add(1)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
@@ -207,10 +204,7 @@ func writeManifestBytes(dir string, data []byte, fsyncs *atomic.Uint64) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: replace manifest: %w", err)
 	}
-	if fsyncs != nil {
-		fsyncs.Add(1)
-	}
-	return syncDir(dir)
+	return syncDir(dir, fsyncs)
 }
 
 // writeManifest atomically replaces dir's manifest (uncounted convenience
@@ -232,14 +226,24 @@ func readManifest(dir string) (*manifest, error) {
 	return m, nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
-func syncDir(dir string) error {
+// syncDir fsyncs a directory so a just-renamed entry survives power loss,
+// counting the fsync in fsyncs.
+func syncDir(dir string, fsyncs *atomic.Uint64) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	// Some filesystems reject fsync on directories; the rename itself is
 	// still atomic there, so the error is not fatal to correctness.
-	_ = d.Sync()
+	_ = fsync(d, fsyncs)
 	return d.Close()
+}
+
+// fsync syncs f and counts the call in fsyncs (the store's Stats.Fsyncs, or
+// nil for an uncounted write). Every fsync the store issues goes through it.
+func fsync(f *os.File, fsyncs *atomic.Uint64) error {
+	if fsyncs != nil {
+		fsyncs.Add(1)
+	}
+	return f.Sync()
 }

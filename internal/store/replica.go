@@ -258,11 +258,7 @@ func (r *Replica) injectDamage(i int) error {
 	if _, err := r.f.WriteAt(b[:], off); err != nil {
 		return fmt.Errorf("store: inject damage: %w", err)
 	}
-	if err := r.f.Sync(); err != nil {
-		return err
-	}
-	r.st.fsyncs.Add(1)
-	return nil
+	return fsync(r.f, &r.st.fsyncs)
 }
 
 // freshMarkLocked derives a new replica-unique damage mark and persists the
@@ -302,10 +298,9 @@ func (r *Replica) writeBlockLocked(i int, b []byte) error {
 	if _, err := r.f.WriteAt(b, lo); err != nil {
 		return fmt.Errorf("store: write block %d of %v: %w", i, r.man.spec, err)
 	}
-	if err := r.f.Sync(); err != nil {
+	if err := fsync(r.f, &r.st.fsyncs); err != nil {
 		return fmt.Errorf("store: sync block %d of %v: %w", i, r.man.spec, err)
 	}
-	r.st.fsyncs.Add(1)
 	return nil
 }
 
@@ -318,18 +313,15 @@ func (r *Replica) persistLocked() {
 	r.st.committer.markDirty(r)
 }
 
-// close flushes and closes the block file.
+// close closes the block file. It needs no fsync: every write to the file
+// (CreateFrom, writeBlockLocked, injectDamage) is synced before it returns.
 func (r *Replica) close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.f == nil {
 		return nil
 	}
-	syncErr := r.f.Sync()
-	closeErr := r.f.Close()
+	err := r.f.Close()
 	r.f = nil
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
+	return err
 }

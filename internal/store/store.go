@@ -20,7 +20,7 @@ import (
 // ingestChunk bounds the AU content a streaming ingest holds in memory,
 // regardless of AU or block size: CreateFrom circulates at most ingestDepth
 // pieces of ingestChunk/ingestDepth bytes between its reader and its hash
-// lanes.
+// lanes. It is also how often the ingest starts writeback (see writeback).
 const (
 	ingestChunk = 1 << 20
 	ingestDepth = 16
@@ -53,7 +53,8 @@ type Stats struct {
 	// replacements sharing one flush).
 	ManifestCommits uint64
 	// Fsyncs counts fsync syscalls the store issued — block files, manifest
-	// temp files and directories. The cost group commit amortizes.
+	// temp files and directories. The cost group commit amortizes. An
+	// ingest's writeback hints are not fsyncs and are not counted.
 	Fsyncs uint64
 	// BytesIngested counts content bytes written by Create/CreateFrom.
 	BytesIngested uint64
@@ -206,11 +207,12 @@ func (s *Store) auDir(id content.AUID) string {
 // CreateFrom ingests one AU by streaming spec.Size bytes from src through
 // streamBlocks: the caller's goroutine reads and writes the content in order
 // while up to GOMAXPROCS hash lanes digest it, and at most ingestChunk bytes
-// of it are in memory at once, so a multi-GB AU never exists in memory. Block
-// bytes are written and fsynced before the manifest that vouches for them,
-// so a crash mid-ingest leaves a directory without a manifest — invisible to
-// Open — rather than an AU with unvouched bytes. The salt individualizes
-// this replica's damage marks.
+// of it are in memory at once, so a multi-GB AU never exists in memory.
+// Writeback of each ingestChunk starts as it is written, so the block file's
+// fsync waits only for the tail. Block bytes are written and fsynced before
+// the manifest that vouches for them, so a crash mid-ingest leaves a
+// directory without a manifest — invisible to Open — rather than an AU with
+// unvouched bytes. The salt individualizes this replica's damage marks.
 //
 // All IO runs outside the store lock: concurrent Replica lookups, scrubbing
 // and other ingests proceed while an AU streams in. The AU id is reserved up
@@ -261,13 +263,12 @@ func (s *Store) CreateFrom(spec content.AUSpec, salt uint64, src io.Reader) (*Re
 	}
 	n := spec.Blocks()
 	man := &manifest{spec: spec, salt: salt, digests: make([]content.Hash, n), marks: make([]content.Mark, n)}
-	if err := streamBlocks(spec, src, f, man.digests); err != nil {
+	if err := streamBlocks(spec, src, &writeback{w: f, hint: func(off, n int64) { startWriteback(f, off, n) }}, man.digests); err != nil {
 		return fail(err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := fsync(f, &s.fsyncs); err != nil {
 		return fail(fmt.Errorf("store: sync AU %v: %w", spec.ID, err))
 	}
-	s.fsyncs.Add(1)
 	s.bytesIngested.Add(uint64(spec.Size))
 	// The manifest write is the ingest's commit point; it is synchronous —
 	// group commit batches mutations of live AUs, not births of new ones.
@@ -279,10 +280,9 @@ func (s *Store) CreateFrom(spec content.AUSpec, salt uint64, src io.Reader) (*Re
 	s.manifestCommits.Add(1)
 	// The au-<id> dirent itself lives in the store root; sync it too, or a
 	// power loss after CreateFrom returns could drop the whole AU directory.
-	if err := syncDir(s.root); err != nil {
+	if err := syncDir(s.root, &s.fsyncs); err != nil {
 		return fail(fmt.Errorf("store: sync root for AU %v: %w", spec.ID, err))
 	}
-	s.fsyncs.Add(1)
 
 	r := &Replica{st: s, dir: dir, f: f, man: man, persistedGen: man.gen}
 	s.mu.Lock()
@@ -377,6 +377,28 @@ func streamBlocks(spec content.AUSpec, src io.Reader, w io.Writer, digests []con
 		}
 	}
 	return nil
+}
+
+// writeback is the block file's writer during an ingest. Each time another
+// ingestChunk bytes have been written, it passes the range written since its
+// last hint to hint, which asks the kernel to start writing that range back.
+// The fsync that commits the AU then waits for the tail, not the whole AU,
+// and the writeback overlaps the stream. No hint follows a failed write.
+type writeback struct {
+	w    io.Writer
+	hint func(off, n int64)
+	// written counts the bytes w accepted; [0, hinted) has been hinted.
+	written, hinted int64
+}
+
+func (wb *writeback) Write(p []byte) (int, error) {
+	n, err := wb.w.Write(p)
+	wb.written += int64(n)
+	if err == nil && wb.written-wb.hinted >= ingestChunk {
+		wb.hint(wb.hinted, wb.written-wb.hinted)
+		wb.hinted = wb.written
+	}
+	return n, err
 }
 
 // openReplica opens an AU directory already vouched for by man.
