@@ -36,11 +36,13 @@
 // polls, finishes in-flight ones, flushes its store, prints exit statistics
 // and exits 0.
 //
-// Reconfiguration without restart: SIGHUP re-applies the flag-derived
-// runtime knobs (-scrub-pace, -scrub-bandwidth, -stats-interval) to the
-// running node — useful after editing a process supervisor's flag file —
-// and POST /reload on the admin API sets any subset of the same knobs to
-// new values, e.g. {"scrub_pace":"100ms","scrub_bandwidth":1048576}.
+// Reconfiguration without restart: POST /reload on the admin API sets any
+// subset of the runtime knobs (-scrub-pace, -scrub-bandwidth,
+// -stats-interval) to new values, e.g.
+// {"scrub_pace":"100ms","scrub_bandwidth":1048576}. SIGHUP restores the
+// values the node started with, undoing any /reload. Flags are parsed once,
+// at startup, so SIGHUP cannot pick up an edited flag file; that takes a
+// restart.
 //
 // Transport knobs (see internal/node/transport.go): -sendqueue bounds each
 // peer's outbound message queue — when a stalled or dead peer's queue fills,
@@ -671,8 +673,8 @@ wait:
 			log.Printf("drained via admin API; shutting down")
 			break wait
 		case <-hup:
-			// SIGHUP re-applies the flag-derived runtime knobs — the admin
-			// API's POST /reload is the channel for setting new values.
+			// SIGHUP restores the startup flag values, undoing any POST
+			// /reload; flags are parsed once, so nothing newer is read.
 			nd.SetScrubPace(*scrubPace)
 			nd.SetScrubBandwidth(*scrubBW)
 			setStatsInterval(*statsIvl)

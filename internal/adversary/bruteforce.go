@@ -109,7 +109,7 @@ func (a *BruteForce) Install(w *world.World) {
 	}
 	r := &bruteRun{w: w, defection: a.Defection, volley: volley, efforts: make(map[content.AUID]auEffort)}
 	a.run = r
-	costs := effort.DefaultCostModel()
+	costs := effort.DefaultCostModel() // not w.Cfg.CostModel(), which victims verify against: ROADMAP.md item 4(e)
 	for _, spec := range w.Specs() {
 		pe := costs.PollEffortFor(spec.Size, spec.Blocks())
 		r.efforts[spec.ID] = auEffort{

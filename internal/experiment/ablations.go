@@ -159,7 +159,7 @@ var scenarioAblationDesynchronization = mustRegister(&Scenario{
 	// The §5.2 rendezvous problem only bites when peers are busy: slow the
 	// reference machine's hashing so votes take hours, as they would with
 	// hundreds of concurrent AUs.
-	Mutators: []ConfigMutator{func(cfg *world.Config) { cfg.HashBytesPerSec = 4 << 10 }},
+	Mutators: []ConfigMutator{func(cfg *world.Config) { cfg.Costs.HashBytesPerSec = 4 << 10 }},
 	Axes: []Axis{boolAxis("desync", []bool{true, false},
 		func(cfg *world.Config, on bool) { cfg.Protocol.Desynchronize = on })},
 	Attack: func(o Options, cfg world.Config, pt Point) adversary.Adversary {

@@ -37,6 +37,12 @@ type RunStats struct {
 	// DamageEvents and RepairsFixed count the damage process.
 	DamageEvents float64
 	RepairsFixed float64
+	// Joined, Integrated, NewcomerPollsOK and NewcomerVotes are the
+	// config's churn newcomers' world.JoinStats; zero without churn.
+	Joined          float64 `json:",omitempty"`
+	Integrated      float64 `json:",omitempty"`
+	NewcomerPollsOK float64 `json:",omitempty"`
+	NewcomerVotes   float64 `json:",omitempty"`
 }
 
 // Comparison relates an attack run to its baseline, yielding the paper's
@@ -53,8 +59,8 @@ type Comparison struct {
 }
 
 // ProgressSink, when non-nil, receives periodic execution progress from
-// every simulation run in the process — each seed, each layer and each churn
-// run: the reporting run's virtual time and executed events, every
+// every simulation run in the process — each seed and each layer: the
+// reporting run's virtual time and executed events, every
 // progressStride events. Set it before running anything (the CLI's -progress
 // does); the callback must be thread-safe, since the worker pool executes
 // runs concurrently.
@@ -64,8 +70,8 @@ var ProgressSink func(vt sim.Time, events uint64)
 var progressStride uint64 = 1 << 20
 
 // runWorld is the one place a world is built and run. prepare, if non-nil,
-// installs per-run state (background load, churn, the adversary) before the
-// run starts; ProgressSink, when set, is attached to every run.
+// installs per-run state (background load, the adversary) before the run
+// starts; ProgressSink, when set, is attached to every run.
 func runWorld(cfg world.Config, prepare func(*world.World)) (*world.World, error) {
 	w, err := world.New(cfg)
 	if err != nil {
@@ -89,7 +95,11 @@ func seedConfig(cfg world.Config, s int) world.Config {
 
 // statsFromWorld extracts the per-run metric ingredients of a finished run.
 func statsFromWorld(w *world.World) RunStats {
-	return StatsOf(w.Metrics, w.DefenderEffort(), w.AdversaryLedger.Total)
+	s := StatsOf(w.Metrics, w.DefenderEffort(), w.AdversaryLedger.Total)
+	j := w.Joins
+	s.Joined, s.Integrated = float64(j.Joined), float64(j.Integrated)
+	s.NewcomerPollsOK, s.NewcomerVotes = float64(j.NewcomerPollsOK), float64(j.NewcomerVotes)
+	return s
 }
 
 // StatsOf extracts the per-run metric ingredients from a finalized collector
@@ -134,6 +144,10 @@ func average(runs []RunStats) RunStats {
 		out.Alarms += r.Alarms / n
 		out.DamageEvents += r.DamageEvents / n
 		out.RepairsFixed += r.RepairsFixed / n
+		out.Joined += r.Joined / n
+		out.Integrated += r.Integrated / n
+		out.NewcomerPollsOK += r.NewcomerPollsOK / n
+		out.NewcomerVotes += r.NewcomerVotes / n
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"math"
 
 	"lockss/internal/adversary"
@@ -13,11 +12,6 @@ import (
 // future-work agenda: dynamic populations (churn), adaptive acceptance, and
 // combined adversary strategies — each a registered Scenario.
 
-// churnRun is one seeded churn run's outcome.
-type churnRun struct {
-	joined, integrated, newcomerPollsOK, newcomerVotes, accessFailure float64
-}
-
 // churnNames labels the churn scenario axis.
 var churnNames = []string{"no attack", "admission flood"}
 
@@ -25,68 +19,30 @@ var churnNames = []string{"no attack", "admission flood"}
 // absent attack and under a sustained admission-control flood (which keeps
 // victims' refractory periods triggered — exactly the condition that makes
 // cold integration hard and that introductions were designed to relieve).
-// The churn statistics are not part of RunStats, so the scenario supplies a
-// custom RunPoint that fans the seeded churn runs across the engine and
-// reports through PointResult.Extra.
+// Churn is part of the config, so every run reports its newcomers in
+// RunStats.
 var scenarioExtensionChurn = mustRegister(&Scenario{
 	Name:        "extension-churn",
 	Description: "Extension E1: dynamic population, newcomers joining over time (§9 future work)",
-	Mutators:    []ConfigMutator{func(cfg *world.Config) { cfg.DamageDiskYears = 5 }},
+	Base: func(o Options) world.Config {
+		cfg := o.BaseWorld()
+		cfg.DamageDiskYears = 5
+		cfg.Churn = world.Churn{JoinPerYear: 8, MaxJoins: 8, FriendsPerJoiner: 4}
+		if o.Scale == ScalePaper {
+			cfg.Churn = world.Churn{JoinPerYear: 12, MaxJoins: 20, FriendsPerJoiner: 5}
+		}
+		return cfg
+	},
 	Axes: []Axis{{
 		Name:   "scenario",
 		Values: []float64{0, 1},
 		Format: func(v float64) string { return churnNames[int(v)] },
 	}},
-	RunPoint: func(ctx context.Context, e *Engine, o Options, cfg world.Config, pt Point) (PointResult, error) {
-		churn := world.Churn{JoinPerYear: 8, MaxJoins: 8, FriendsPerJoiner: 4}
-		if o.Scale == ScalePaper {
-			churn = world.Churn{JoinPerYear: 12, MaxJoins: 20, FriendsPerJoiner: 5}
-		}
-		var mk func() adversary.Adversary
+	Attack: func(o Options, cfg world.Config, pt Point) adversary.Adversary {
 		if int(pt.At(0)) == 1 {
-			mk = func() adversary.Adversary { return sustainedFlood(cfg) }
+			return sustainedFlood(cfg)
 		}
-		// Fan the seeded churn runs across the engine; accumulation stays
-		// in seed order, so results match the serial loop bit-for-bit.
-		seeds := o.seeds()
-		runs, err := gather(seeds, func(s int) (r churnRun, err error) {
-			err = e.withSlot(ctx, func() error {
-				var stats *world.JoinStats
-				w, err := runWorld(seedConfig(cfg, s), func(w *world.World) {
-					stats = w.EnableChurn(churn)
-					attach(w, mk)
-				})
-				if err != nil {
-					return err
-				}
-				r = churnRun{float64(stats.Joined), float64(stats.Integrated),
-					float64(stats.NewcomerPollsOK), float64(stats.NewcomerVotes),
-					w.Metrics.AccessFailureProbability()}
-				return nil
-			})
-			return r, err
-		}, nil)
-		if err != nil {
-			return PointResult{}, err
-		}
-		var acc churnRun
-		n := float64(seeds)
-		for _, r := range runs {
-			acc.joined += r.joined / n
-			acc.integrated += r.integrated / n
-			acc.newcomerPollsOK += r.newcomerPollsOK / n
-			acc.newcomerVotes += r.newcomerVotes / n
-			acc.accessFailure += r.accessFailure / n
-		}
-		return PointResult{
-			Stats: RunStats{AccessFailure: acc.accessFailure},
-			Extra: map[string]float64{
-				"joined":            acc.joined,
-				"integrated":        acc.integrated,
-				"newcomer-polls-ok": acc.newcomerPollsOK,
-				"newcomer-votes":    acc.newcomerVotes,
-			},
-		}, nil
+		return nil
 	},
 	Tables: func(o Options, res *Result) []*Table {
 		t := &Table{
@@ -98,8 +54,8 @@ var scenarioExtensionChurn = mustRegister(&Scenario{
 		for i := range res.Points {
 			pr := &res.Points[i]
 			t.AddCells(Str(churnNames[int(pr.Point.At(0))]),
-				Num("%.1f", pr.Extra["joined"]), Num("%.1f", pr.Extra["integrated"]),
-				Num("%.0f", pr.Extra["newcomer-polls-ok"]), Num("%.0f", pr.Extra["newcomer-votes"]),
+				Num("%.1f", pr.Stats.Joined), Num("%.1f", pr.Stats.Integrated),
+				Num("%.0f", pr.Stats.NewcomerPollsOK), Num("%.0f", pr.Stats.NewcomerVotes),
 				Prob(pr.Stats.AccessFailure))
 		}
 		t.Notes = append(t.Notes,
@@ -119,7 +75,7 @@ var scenarioExtensionAdaptive = mustRegister(&Scenario{
 		cfg.Protocol.AdaptiveGain = 5
 		// Adaptive acceptance is keyed on busyness; make compute expensive
 		// (as with very large collections) so busyness is a real signal.
-		cfg.HashBytesPerSec = 16 << 10
+		cfg.Costs.HashBytesPerSec = 16 << 10
 	}},
 	Axes: []Axis{boolAxis("adaptive", []bool{false, true},
 		func(cfg *world.Config, on bool) { cfg.Protocol.AdaptiveAcceptance = on })},

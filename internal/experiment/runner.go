@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"lockss/internal/adversary"
-	"lockss/internal/effort"
 	"lockss/internal/world"
 )
 
@@ -36,8 +35,8 @@ import (
 // pure function of that key, so results stay bit-identical. A built-in
 // adversary's value before Install is its parameter set and serves as the
 // key; any other adversary (Combined, a caller's own type) runs unmemoized.
-// The config's cost model is keyed by value; a config with a Telemetry sink
-// runs unmemoized, so the sink sees every run's events.
+// The config, cost model and churn included, is keyed by value; a config
+// with a Telemetry sink runs unmemoized, so the sink sees every run's events.
 // Memoized runs are single-flight: concurrent requests for the same run wait
 // for the first computation instead of duplicating it.
 //
@@ -57,7 +56,6 @@ type Engine struct {
 
 	mu     sync.Mutex
 	memo   map[world.Config][]memoRun
-	costs  map[effort.CostModel]*effort.CostModel // interned Config.Costs
 	hits   uint64
 	misses uint64
 }
@@ -277,7 +275,7 @@ func (e *Engine) Run(ctx context.Context, cfg world.Config, mkAttack func() adve
 	ctx = orBackground(ctx)
 	adv, keyed := adversaryKey(mkAttack)
 	keyed = keyed && cfg.Telemetry == nil
-	cfg.Costs = e.intern(cfg.Costs)
+	cfg.Costs = cfg.CostModel() // a zero model and the default are one run
 	runs, err := gather(seeds, func(s int) (RunStats, error) {
 		return e.runStack(ctx, seedConfig(cfg, s), mkAttack, adv, keyed, layers)
 	}, nil)
@@ -285,26 +283,6 @@ func (e *Engine) Run(ctx context.Context, cfg world.Config, mkAttack func() adve
 		return RunStats{}, err
 	}
 	return average(runs), nil
-}
-
-// intern returns the engine's own copy of the cost model c points to, one
-// per distinct value, so equal models key one memo slot and a model the
-// caller changes later cannot alias a finished run.
-func (e *Engine) intern(c *effort.CostModel) *effort.CostModel {
-	if c == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p, ok := e.costs[*c]; ok {
-		return p
-	}
-	if e.costs == nil {
-		e.costs = make(map[effort.CostModel]*effort.CostModel)
-	}
-	own := *c
-	e.costs[own] = &own
-	return &own
 }
 
 // runStack executes one seed's stack of layers.

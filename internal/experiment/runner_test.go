@@ -171,16 +171,19 @@ func TestEngineMemoization(t *testing.T) {
 	}
 }
 
-// TestMemoKeysConfigByValue asserts the memo reads a config's pointer
-// fields by what they hold. Equal cost models behind distinct pointers are
-// one run; a model changed in place between calls is a new run, not a stale
-// hit; and a config carrying a Telemetry sink is computed on every request,
-// so the sink sees every run's events.
+// TestMemoKeysConfigByValue asserts the memo keys a run on its whole
+// world.Config by value. A config that differs in one field of its cost
+// model, or one field of its churn, is a separate run; an equal config, and a
+// zero cost model beside the default one, are served from the memo; and a
+// config carrying a Telemetry sink is computed on every request, so the sink
+// sees every run's events.
 func TestMemoKeysConfigByValue(t *testing.T) {
 	cfg := runnerCfg()
 	cfg.Duration = 20 * sim.Day
+	cfg.Churn = world.Churn{JoinPerYear: 200, MaxJoins: 2, FriendsPerJoiner: 3}
 	e := NewEngine(2)
-	check := func(what string, wantHits, wantComputed uint64) {
+	var wantHits, wantComputed uint64
+	check := func(what string) {
 		t.Helper()
 		if hits, computed := e.MemoStats(); hits != wantHits || computed != wantComputed {
 			t.Errorf("%s: hits=%d computed=%d, want %d/%d", what, hits, computed, wantHits, wantComputed)
@@ -195,23 +198,42 @@ func TestMemoKeysConfigByValue(t *testing.T) {
 		return st
 	}
 
-	a, b := effort.DefaultCostModel(), effort.DefaultCostModel()
-	a.HashBytesPerSec /= 2
-	b.HashBytesPerSec /= 2
-	ca, cb := cfg, cfg
-	ca.Costs, cb.Costs = &a, &b
-	first := run(ca)
-	if again := run(cb); again != first {
-		t.Errorf("equal cost models gave different runs: %+v vs %+v", again, first)
+	first := run(cfg)
+	wantComputed++
+	if first.Joined == 0 {
+		t.Fatal("no newcomer joined the churn config")
 	}
-	check("equal cost models behind distinct pointers", 1, 1)
+	// vary runs cfg once per field of the struct at, that one field changed.
+	vary := func(name string, at func(*world.Config) reflect.Value) {
+		for i := range at(&cfg).NumField() {
+			c := cfg
+			f := at(&c).Field(i)
+			switch f.Kind() {
+			case reflect.Float64:
+				f.SetFloat(f.Float() * 2)
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			default:
+				t.Fatalf("%s.%s: no variation for a %v field", name, at(&c).Type().Field(i).Name, f.Kind())
+			}
+			run(c)
+			wantComputed++
+			check(name + "." + at(&c).Type().Field(i).Name + " changed")
+		}
+	}
+	vary("Costs", func(c *world.Config) reflect.Value { return reflect.ValueOf(&c.Costs).Elem() })
+	vary("Churn", func(c *world.Config) reflect.Value { return reflect.ValueOf(&c.Churn).Elem() })
 
-	b.HashBytesPerSec *= 4
-	changed := run(cb)
-	check("a cost model changed in place", 1, 2)
-	if want, err := runOne(cb, nil); err != nil || changed != want {
-		t.Errorf("run under a changed cost model %+v differs from the serial reference %+v (%v)", changed, want, err)
+	if again := run(cfg); again != first {
+		t.Errorf("an equal config gave a different run: %+v vs %+v", again, first)
 	}
+	wantHits++
+	check("an equal config")
+	zero := cfg
+	zero.Costs = effort.CostModel{}
+	run(zero)
+	wantHits++
+	check("a zero cost model beside the default")
 
 	tel := telemetry.New()
 	ct := cfg
@@ -222,7 +244,8 @@ func TestMemoKeysConfigByValue(t *testing.T) {
 		t.Fatal("the telemetry sink saw no events")
 	}
 	run(ct)
-	check("a config with a telemetry sink", 1, 4)
+	wantComputed += 2
+	check("a config with a telemetry sink")
 	if got := tel.Ring().Appended(); got != 2*seen {
 		t.Errorf("the sink saw %d events over two runs, want %d: a run was served from the memo", got, 2*seen)
 	}

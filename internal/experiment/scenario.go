@@ -3,8 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -89,8 +87,6 @@ type PointResult struct {
 	Baseline *RunStats `json:"baseline,omitempty"`
 	// Cmp relates Stats to Baseline when the scenario compares.
 	Cmp *Comparison `json:"comparison,omitempty"`
-	// Extra carries custom measurements from RunPoint scenarios.
-	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // Result is a completed scenario run: one PointResult per grid cell, in
@@ -161,11 +157,6 @@ type Scenario struct {
 	// Compare also runs each point attack-free and derives the paper's
 	// comparison metrics into PointResult.Baseline and PointResult.Cmp.
 	Compare bool
-
-	// RunPoint, if non-nil, replaces the standard executor for each point —
-	// custom measurement loops (e.g. churn statistics) implement it on the
-	// engine and fill PointResult.Extra.
-	RunPoint func(ctx context.Context, e *Engine, o Options, cfg world.Config, pt Point) (PointResult, error)
 
 	// Tables renders a completed run; nil selects the generic renderer.
 	Tables func(o Options, res *Result) []*Table
@@ -320,11 +311,6 @@ func (s *Scenario) Render(o Options, res *Result) []*Table {
 // runPoint executes one grid cell on the engine.
 func (s *Scenario) runPoint(ctx context.Context, e *Engine, o Options, pt Point) (PointResult, error) {
 	cfg := s.ConfigAt(o, pt)
-	if s.RunPoint != nil {
-		pr, err := s.RunPoint(ctx, e, o, cfg, pt)
-		pr.Point = pt
-		return pr, err
-	}
 	seeds, layers := s.shape(o, pt)
 	run := func(mk func() adversary.Adversary) (RunStats, error) {
 		return e.Run(ctx, cfg, mk, seeds, layers)
@@ -389,8 +375,8 @@ func RunScenario(ctx context.Context, spec *Scenario, o Options) (*Result, error
 }
 
 // progressLine renders one per-point progress line: the point's axis
-// values, access failure and successful polls, the comparison ratios when
-// the point has them, and any Extra measurements in sorted key order.
+// values, access failure and successful polls, and the comparison ratios
+// when the point has them.
 func (s *Scenario) progressLine(pr PointResult, total int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %d/%d", s.Name, pr.Point.Index+1, total)
@@ -401,9 +387,6 @@ func (s *Scenario) progressLine(pr PointResult, total int) string {
 	if c := pr.Cmp; c != nil {
 		fmt.Fprintf(&b, " delay=%s friction=%s cost=%s",
 			fmtRatio(c.DelayRatio), fmtRatio(c.Friction), fmtRatio(c.CostRatio))
-	}
-	for _, k := range slices.Sorted(maps.Keys(pr.Extra)) {
-		fmt.Fprintf(&b, " %s=%g", k, pr.Extra[k])
 	}
 	return b.String()
 }
@@ -420,11 +403,11 @@ func (s *Scenario) Run(ctx context.Context, o Options) ([]*Table, error) {
 
 // GenericTable renders a result with the generic per-point renderer
 // regardless of the scenario's custom Tables hook: one row per point — axis
-// values, the standard run metrics, comparison ratios when the scenario
-// compares, and any Extra measurements in sorted key order. Custom renderers
-// may assume comparison data that alternative execution backends
-// (baseline-only cluster runs) do not produce; the generic renderer tolerates
-// its absence, so cross-backend drivers render both sides through it.
+// values, the standard run metrics, and comparison ratios when the scenario
+// compares. Custom renderers may assume comparison data that alternative
+// execution backends (baseline-only cluster runs) do not produce; the
+// generic renderer tolerates its absence, so cross-backend drivers render
+// both sides through it.
 func (s *Scenario) GenericTable(o Options, res *Result) *Table {
 	t := &Table{ID: s.Name, Title: s.Description}
 	if t.Title == "" {
@@ -437,20 +420,6 @@ func (s *Scenario) GenericTable(o Options, res *Result) *Table {
 	if s.Compare {
 		t.Columns = append(t.Columns, "delay-ratio", "coeff-friction", "cost-ratio")
 	}
-	// Extra columns are the union across points: RunPoint scenarios may
-	// report different measurements per point (absent ones render as "-").
-	extraSet := make(map[string]bool)
-	for _, pr := range res.Points {
-		for k := range pr.Extra {
-			extraSet[k] = true
-		}
-	}
-	extraKeys := make([]string, 0, len(extraSet))
-	for k := range extraSet {
-		extraKeys = append(extraKeys, k)
-	}
-	sort.Strings(extraKeys)
-	t.Columns = append(t.Columns, extraKeys...)
 	for _, pr := range res.Points {
 		var row []Cell
 		for i, ax := range s.Axes {
@@ -467,13 +436,6 @@ func (s *Scenario) GenericTable(o Options, res *Result) *Table {
 				c = *pr.Cmp
 			}
 			row = append(row, Ratio(c.DelayRatio), Ratio(c.Friction), Ratio(c.CostRatio))
-		}
-		for _, k := range extraKeys {
-			if v, ok := pr.Extra[k]; ok {
-				row = append(row, Num("%g", v))
-			} else {
-				row = append(row, Str("-"))
-			}
 		}
 		t.AddCells(row...)
 	}

@@ -73,13 +73,13 @@ func TestScenarioGolden(t *testing.T) {
 			checkGolden(t, filepath.Join("testdata", "golden", spec.Name+".golden"), renderTables(tables))
 		})
 	}
-	// The whole pass computes each distinct run once: 87 runs, 70 more
-	// served from the memo (the churn scenario's two runs bypass it). A key
-	// that silently stops sharing — a lost layer-0 reuse, a key that varies
-	// between equal adversaries — moves these counts.
+	// The whole pass computes each distinct run once: 89 runs, 70 more
+	// served from the memo. A key that silently stops sharing — a lost
+	// layer-0 reuse, a key that varies between equal adversaries — moves
+	// these counts.
 	if ran == len(PaperScenarios()) && !t.Failed() {
-		if hits, computed := eng.MemoStats(); hits != 70 || computed != 87 {
-			t.Errorf("one tiny pass: computed=%d served-from-memo=%d, want 87/70", computed, hits)
+		if hits, computed := eng.MemoStats(); hits != 70 || computed != 89 {
+			t.Errorf("one tiny pass: computed=%d served-from-memo=%d, want 89/70", computed, hits)
 		}
 	}
 }
@@ -319,42 +319,41 @@ func TestRunScenarioCancel(t *testing.T) {
 		t.Errorf("pre-canceled RunScenario took %v", d)
 	}
 
-	// Cancel mid-sweep: point 0 cancels the context from inside its
-	// executor (deterministic, unlike waiting for a wall-clock race — the
-	// optimized engine can drain a 64-point tiny sweep faster than an
-	// external cancel lands), so the remaining queued points must be
-	// skipped rather than simulated and the sweep must surface ctx.Err().
+	// Cancel mid-sweep: point 0's attack factory cancels the context
+	// (deterministic, unlike waiting for a wall-clock race — the optimized
+	// engine can drain a 64-point tiny sweep faster than an external cancel
+	// lands), so the remaining queued points must be skipped rather than
+	// simulated and the sweep must surface ctx.Err().
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	var ran atomic.Int32
+	eng := NewEngine(1)
 	cancelSpec := &Scenario{
 		Name: "cancel-test-mid",
 		Base: scenarioTestConfig,
 		Axes: spec.Axes,
-		RunPoint: func(ctx context.Context, e *Engine, o Options, cfg world.Config, pt Point) (PointResult, error) {
+		Attack: func(o Options, cfg world.Config, pt Point) adversary.Adversary {
 			if pt.Index == 0 {
 				cancel2()
-				return PointResult{}, ctx.Err()
 			}
-			// Count simulations, not entries: every point's goroutine may
-			// get this far before point 0 cancels.
-			stats, err := e.Run(ctx, cfg, nil, 1, 1)
-			if err == nil {
-				ran.Add(1)
-			}
-			return PointResult{Stats: stats}, err
+			return nil
 		},
 	}
 	start = time.Now()
-	_, err = RunScenario(ctx2, cancelSpec, Options{Scale: ScaleTiny, Engine: NewEngine(1)})
+	_, err = RunScenario(ctx2, cancelSpec, Options{Scale: ScaleTiny, Engine: eng})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-sweep cancel: err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 30*time.Second {
 		t.Errorf("canceled RunScenario took %v; queued points were not skipped", d)
 	}
-	if n := ran.Load(); n >= 63 {
-		t.Errorf("all %d later points simulated despite cancellation", n)
+	// Every point's goroutine may request its run before point 0 cancels;
+	// a skipped run is evicted from the memo, so count the runs it kept.
+	ran := 0
+	for _, runs := range eng.memo {
+		ran += len(runs)
+	}
+	if ran >= 63 {
+		t.Errorf("%d later points simulated despite cancellation", ran)
 	}
 }
 

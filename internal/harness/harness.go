@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -15,8 +16,13 @@ import (
 // attack-free (adversaries need simulator hooks real nodes do not expose),
 // and on the cluster's loopback network rather than the paper's WAN. The
 // WAN's 2–60 ms hops do not shrink with a compressed poll interval, so at a
-// demo timescale they would outlast the protocol's waits.
+// demo timescale they would outlast the protocol's waits. A cluster's
+// membership is fixed, so a config with churn is refused, as RunCluster
+// refuses it.
 func RunSim(ctx context.Context, cfg world.Config) (experiment.RunStats, error) {
+	if cfg.Churn != (world.Churn{}) {
+		return experiment.RunStats{}, errChurn
+	}
 	w, err := world.New(cfg)
 	if err != nil {
 		return experiment.RunStats{}, err
@@ -27,6 +33,10 @@ func RunSim(ctx context.Context, cfg world.Config) (experiment.RunStats, error) 
 	w.Run()
 	return experiment.StatsOf(w.Metrics, w.DefenderEffort(), 0), nil
 }
+
+// errChurn refuses a config with churn on either backend: a cluster has no
+// newcomers to mirror.
+var errChurn = errors.New("harness: a cluster has no churn; its members are fixed")
 
 // loopback is the simulated link of a cluster member: a 6-node demo cluster
 // answers an invitation in ~0.25 ms (median, four link latencies).
@@ -44,9 +54,6 @@ func RunScenario(ctx context.Context, s *experiment.Scenario, o experiment.Optio
 	run func(context.Context, world.Config) (experiment.RunStats, error), override func(*world.Config)) (*experiment.Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("harness: RunScenario(nil scenario)")
-	}
-	if s.RunPoint != nil {
-		return nil, fmt.Errorf("harness: scenario %q has a custom point executor; the harness runs standard points only", s.Name)
 	}
 	points, err := s.Points(o)
 	if err != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -46,9 +47,7 @@ func demoOverride(horizon time.Duration) func(*world.Config) {
 		p.Introductions = cfg.Protocol.Introductions
 		p.Desynchronize = cfg.Protocol.Desynchronize
 		cfg.Protocol = p
-		costs := effort.DemoCostModel()
-		cfg.Costs = &costs
-		cfg.HashBytesPerSec = 0
+		cfg.Costs = effort.DemoCostModel()
 		cfg.Seed = 12345
 		cfg.Peers = 6
 		cfg.AUs = 1
@@ -137,6 +136,27 @@ func TestClusterBackendRejectsOversizedConfigs(t *testing.T) {
 	_, err := RunCluster(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("paper-scale config accepted by the cluster backend")
+	}
+}
+
+// TestBackendsRefuseChurn: a cluster's members are fixed, so the churn
+// scenario errors on the cluster backend, even shrunk to cluster scale,
+// instead of running without its newcomers; and RunSim, the cluster's
+// simulated twin, refuses it too rather than run newcomers on WAN links
+// beside loopback founders.
+func TestBackendsRefuseChurn(t *testing.T) {
+	s, ok := experiment.Lookup("extension-churn")
+	if !ok {
+		t.Fatal("scenario extension-churn not registered")
+	}
+	o := experiment.Options{Scale: experiment.ScaleTiny, Seeds: 1}
+	for name, run := range map[string]func(context.Context, world.Config) (experiment.RunStats, error){
+		"RunCluster": RunCluster, "RunSim": RunSim,
+	} {
+		_, err := RunScenario(context.Background(), s, o, run, demoOverride(2*time.Second))
+		if !errors.Is(err, errChurn) {
+			t.Errorf("extension-churn on %s: err = %v, want a churn refusal", name, err)
+		}
 	}
 }
 

@@ -154,6 +154,9 @@ func validateForCluster(cfg world.Config) error {
 	if cfg.Duration > maxClusterWall {
 		return fmt.Errorf("harness: horizon %v runs in real time; compress the config", cfg.Duration)
 	}
+	if cfg.Churn != (world.Churn{}) {
+		return errChurn
+	}
 	return nil
 }
 

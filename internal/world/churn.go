@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lockss/internal/content"
-	"lockss/internal/effort"
 	"lockss/internal/ids"
 	"lockss/internal/netsim"
 	"lockss/internal/protocol"
@@ -45,12 +44,12 @@ type JoinStats struct {
 	NewcomerVotes uint64
 }
 
-// EnableChurn schedules peer arrivals on a world. Call before Run; read the
-// returned stats only after Run.
-func (w *World) EnableChurn(c Churn) *JoinStats {
-	stats := &JoinStats{}
+// enableChurn schedules Cfg.Churn's peer arrivals, and at the horizon fills
+// Joins. New calls it last, after the founders are built.
+func (w *World) enableChurn() {
+	c, stats := w.Cfg.Churn, &w.Joins
 	if c.JoinPerYear <= 0 || c.MaxJoins <= 0 {
-		return stats
+		return
 	}
 	if c.FriendsPerJoiner <= 0 {
 		c.FriendsPerJoiner = 5
@@ -58,7 +57,7 @@ func (w *World) EnableChurn(c Churn) *JoinStats {
 	rnd := w.Root.Child("churn")
 	linkRnd := w.Root.Child("churn/links")
 	meanGap := float64(sim.Year) / c.JoinPerYear
-	costs := effort.DefaultCostModel()
+	costs := w.Cfg.CostModel()
 
 	var newcomers []*protocol.Peer
 	friendSets := make(map[ids.PeerID]map[ids.PeerID]bool)
@@ -159,5 +158,4 @@ func (w *World) EnableChurn(c Churn) *JoinStats {
 			}
 		}
 	})
-	return stats
 }

@@ -32,22 +32,18 @@ type worldFingerprint struct {
 	ledgers      uint64 // FNV-1a over every peer's ledger-total bits, in peer order
 }
 
-func fingerprintRun(t *testing.T, cfg Config, churn Churn) worldFingerprint {
+func fingerprintRun(t *testing.T, cfg Config) worldFingerprint {
 	t.Helper()
 	w, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats *JoinStats
-	if churn.MaxJoins > 0 {
-		stats = w.EnableChurn(churn)
-	}
 	w.Run()
-	return fingerprintOf(w, stats)
+	return fingerprintOf(w)
 }
 
-// fingerprintOf fingerprints a finished run; stats is nil without churn.
-func fingerprintOf(w *World, stats *JoinStats) worldFingerprint {
+// fingerprintOf fingerprints a finished run.
+func fingerprintOf(w *World) worldFingerprint {
 	fp := worldFingerprint{
 		events:       w.EventsExecuted(),
 		accessFail:   math.Float64bits(w.Metrics.AccessFailureProbability()),
@@ -64,6 +60,7 @@ func fingerprintOf(w *World, stats *JoinStats) worldFingerprint {
 		netDelivered: w.Net.Delivered,
 		netDropped:   w.Net.DroppedStoppage,
 		netBytes:     w.Net.BytesDelivered,
+		joined:       w.Joins.Joined,
 	}
 	h := fnv.New64a()
 	var b [8]byte
@@ -72,9 +69,6 @@ func fingerprintOf(w *World, stats *JoinStats) worldFingerprint {
 		h.Write(b[:])
 	}
 	fp.ledgers = h.Sum64()
-	if stats != nil {
-		fp.joined = stats.Joined
-	}
 	return fp
 }
 
@@ -97,7 +91,8 @@ func TestWorldFingerprintPinned(t *testing.T) {
 		cfg.Peers = 24
 		cfg.DamageDiskYears = 1
 		cfg.Shards = shards
-		got := fingerprintRun(t, cfg, Churn{JoinPerYear: 20, MaxJoins: 3, FriendsPerJoiner: 3})
+		cfg.Churn = Churn{JoinPerYear: 20, MaxJoins: 3, FriendsPerJoiner: 3}
+		got := fingerprintRun(t, cfg)
 		if got != want {
 			t.Errorf("Shards=%d fingerprint moved:\n got %+v\nwant %+v", shards, got, want)
 		}
@@ -112,11 +107,11 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Peers = 24
 	cfg.DamageDiskYears = 1
-	bare := fingerprintRun(t, cfg, Churn{})
+	bare := fingerprintRun(t, cfg)
 
 	tel := telemetry.New()
 	cfg.Telemetry = tel
-	if with := fingerprintRun(t, cfg, Churn{}); with != bare {
+	if with := fingerprintRun(t, cfg); with != bare {
 		t.Errorf("telemetry perturbed the run:\n with %+v\n bare %+v", with, bare)
 	}
 	if pd := tel.PollDuration.Snapshot(); pd.Count == 0 || pd.Sum <= 0 {

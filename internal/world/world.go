@@ -47,13 +47,13 @@ type Config struct {
 	// deployment with history rather than a cold bootstrap. O(Peers²·AUs) —
 	// keep it off at 10k+ peer scales.
 	SeedAllEven bool
-	// HashBytesPerSec overrides the cost model's hashing throughput when
-	// positive (ablations use it to raise peer busyness).
-	HashBytesPerSec float64
-	// Costs, when non-nil, replaces the default cost model wholesale (the
-	// cross-backend harness uses it to charge simulated peers the same costs
-	// a real node would). HashBytesPerSec still applies on top.
-	Costs *effort.CostModel
+	// Costs prices every effort the world charges, founders' and
+	// newcomers' alike; the zero value means effort.DefaultCostModel()
+	// (ablations slow its hashing to raise peer busyness, and the
+	// cross-backend harness charges simulated peers a real node's costs).
+	Costs effort.CostModel
+	// Churn adds loyal peers over the run (§9); the zero value adds none.
+	Churn Churn
 	// Duration is the simulated horizon.
 	Duration sim.Duration
 	// Telemetry, when non-nil, receives every peer's poll-lifecycle events
@@ -79,6 +79,7 @@ func Default() Config {
 		AUsPerDisk:      50,
 		Friends:         5,
 		SeedAllEven:     true,
+		Costs:           effort.DefaultCostModel(),
 		Duration:        2 * sim.Year,
 	}
 }
@@ -116,17 +117,13 @@ func (c Config) Catalogue() []content.AUSpec {
 	return specs
 }
 
-// CostModel returns the cost model loyal peers are charged under: Costs (or
-// the default) with the HashBytesPerSec override applied.
+// CostModel returns the cost model loyal peers are charged under: Costs, or
+// the default for a zero value.
 func (c Config) CostModel() effort.CostModel {
-	costs := effort.DefaultCostModel()
-	if c.Costs != nil {
-		costs = *c.Costs
+	if c.Costs == (effort.CostModel{}) {
+		return effort.DefaultCostModel()
 	}
-	if c.HashBytesPerSec > 0 {
-		costs.HashBytesPerSec = c.HashBytesPerSec
-	}
-	return costs
+	return c.Costs
 }
 
 // DamageMeanGap returns the mean time between storage-damage events at one
@@ -201,6 +198,8 @@ type World struct {
 	AdversaryLedger *effort.Ledger
 	// Root is the root randomness source; adversaries derive children.
 	Root *prng.Source
+	// Joins summarizes Cfg.Churn's newcomers; read it after Run.
+	Joins JoinStats
 
 	specs []content.AUSpec
 
@@ -374,6 +373,7 @@ func New(cfg Config) (*World, error) {
 			w.Metrics.RegisterReplica(p.ID(), spec.ID, replica)
 		}
 	}
+	w.enableChurn()
 	return w, nil
 }
 
