@@ -574,26 +574,10 @@ func main() {
 	// the shared shutdown path below.
 	drained := make(chan struct{})
 	if *adminAddr != "" {
-		// The scrub health check trips when the scrubber's counters stop
-		// moving for longer than a few full passes: pace per block across
-		// the whole store, plus the between-pass rest (10x pace).
-		var stall time.Duration
-		if st != nil {
-			pace := *scrubPace
-			if pace <= 0 {
-				pace = time.Second // store.ScrubConfig default
-			}
-			blocks := 0
-			for _, r := range replicas {
-				blocks += r.Spec().Blocks()
-			}
-			stall = 3 * time.Duration(blocks+10) * pace
-		}
 		adm := admin.New(nd, admin.Options{
-			Logf:       log.Printf,
-			OnDrained:  func() { close(drained) },
-			ScrubStall: stall,
-			Version:    version,
+			Logf:      log.Printf,
+			OnDrained: func() { close(drained) },
+			Version:   version,
 			OnReload: func(c admin.ReloadConfig) {
 				if c.StatsInterval != nil {
 					setStatsInterval(*c.StatsInterval)

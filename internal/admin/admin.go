@@ -66,11 +66,6 @@ type Options struct {
 	// inspectTimeout bounds the actor-loop round trip behind every handler
 	// that needs protocol state. Default 3s; only tests lower it.
 	inspectTimeout time.Duration
-	// ScrubStall marks the store scrubber unhealthy when its counters stop
-	// moving for this long. Zero disables the check (no store, or a pace so
-	// slow that stall detection is meaningless). Size it to comfortably
-	// exceed one full scrub pass: pace * blocks + the pass pause.
-	ScrubStall time.Duration
 	// Version labels the lockss_build_info metric. Default "dev".
 	Version string
 	// OnReload, if non-nil, runs after a POST /reload has applied its scrub
@@ -96,7 +91,6 @@ type ReloadConfig struct {
 type Server struct {
 	n       *node.Node
 	opts    Options
-	mux     *http.ServeMux
 	handler http.Handler
 	srv     *http.Server
 
@@ -104,12 +98,6 @@ type Server struct {
 	ln   net.Listener
 
 	drainOnce sync.Once
-
-	// Scrub progress tracking for /healthz: counters at the last observed
-	// change and when that change was seen.
-	scrubMu   sync.Mutex
-	scrubSeen uint64
-	scrubAt   time.Time
 }
 
 // New builds the control plane for a node. Call Start to serve it.
@@ -120,7 +108,7 @@ func New(n *node.Node, opts Options) *Server {
 	if opts.Version == "" {
 		opts.Version = "dev"
 	}
-	s := &Server{n: n, opts: opts, scrubAt: time.Now()}
+	s := &Server{n: n, opts: opts}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -130,7 +118,6 @@ func New(n *node.Node, opts Options) *Server {
 	mux.HandleFunc("GET /flightrecorder", s.handleFlightRecorder)
 	mux.HandleFunc("POST /reload", s.handleReload)
 	mux.HandleFunc("POST /drain", s.handleDrain)
-	s.mux = mux
 	// Every request is timed into the node's admin-latency histogram — the
 	// control plane monitors itself with the same machinery it exposes.
 	timed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -237,14 +224,14 @@ func (sc *scrape) each(emit func(f *family, v float64)) {
 }
 
 // Read returns n's exported scalar families by exposition name, under the
-// same section rules as /metrics, and whether n is healthy: its protocol
-// listener is bound and its actor loop answered within timeout. It is how a
+// same section rules as /metrics, and whether n is healthy by /healthz's
+// checks, its actor loop having answered within timeout. It is how a
 // supervisor running nodes in its own process reads them without HTTP.
 func Read(n *node.Node, timeout time.Duration) (map[string]float64, bool) {
 	sc := snapshot(n, timeout)
 	out := make(map[string]float64, len(scalarFamilies))
 	sc.each(func(f *family, v float64) { out[f.name] = v })
-	return out, sc.responsive && n.Addr() != nil
+	return out, healthOf(n, sc.responsive).Healthy
 }
 
 // family declares one scalar metric: its exposition name, type and HELP
@@ -453,38 +440,24 @@ type health struct {
 	Scrub    bool `json:"scrub"`
 }
 
-// handleHealthz runs the three liveness checks: the protocol listener is
-// bound, the actor loop answers a bounded post round trip, and the store
-// scrubber's counters moved within ScrubStall.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := health{Listener: s.n.Addr() != nil, Scrub: true}
-	_, h.Actor = node.Within(s.n, s.opts.inspectTimeout, func(*protocol.Peer) struct{} { return struct{}{} })
-	if s.opts.ScrubStall > 0 && s.n.HasStore() {
-		h.Scrub = s.scrubAlive()
-	}
+// healthOf runs the three liveness checks, given whether the actor loop
+// answered a bounded round trip: the protocol listener is bound, the actor
+// is up, and the store's scrubber, if any, is not stalled
+// (store.ScrubStalled).
+func healthOf(n *node.Node, actor bool) health {
+	h := health{Listener: n.Addr() != nil, Actor: actor, Scrub: !n.ScrubStalled()}
 	h.Healthy = h.Listener && h.Actor && h.Scrub
+	return h
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	_, actor := node.Within(s.n, s.opts.inspectTimeout, func(*protocol.Peer) struct{} { return struct{}{} })
+	h := healthOf(s.n, actor)
 	w.Header().Set("Content-Type", "application/json")
 	if !h.Healthy {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	json.NewEncoder(w).Encode(h)
-}
-
-// scrubAlive reports whether the scrubber's counters have moved within
-// ScrubStall. Progress is scans plus completed passes, so a tiny store whose
-// pass finishes between probes still registers.
-func (s *Server) scrubAlive() bool {
-	ss := s.n.StoreStats()
-	progress := ss.BlocksScanned + ss.ScrubPasses
-	now := time.Now()
-	s.scrubMu.Lock()
-	defer s.scrubMu.Unlock()
-	if progress != s.scrubSeen {
-		s.scrubSeen = progress
-		s.scrubAt = now
-		return true
-	}
-	return now.Sub(s.scrubAt) <= s.opts.ScrubStall
 }
 
 // auJSON is the /aus wire shape for one AU.

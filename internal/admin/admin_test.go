@@ -40,14 +40,14 @@ func newTestNode(t *testing.T, damage []int) *node.Node {
 			t.Fatalf("damage injection at block %d failed", b)
 		}
 	}
-	return startTestNode(t, nil, rep)
+	return startTestNode(t, nil, rep, 0)
 }
 
 var testSpec = content.AUSpec{ID: 1, Name: "au-admin", Size: 128 << 10, BlockSize: 32 << 10}
 
 // startTestNode starts a node preserving rep, on the durable store st when
-// it is non-nil.
-func startTestNode(t *testing.T, st *store.Store, rep content.Replica) *node.Node {
+// it is non-nil, scrubbing at scrubPace (0 = the default).
+func startTestNode(t *testing.T, st *store.Store, rep content.Replica, scrubPace time.Duration) *node.Node {
 	t.Helper()
 	book := map[ids.PeerID]string{
 		2: "127.0.0.1:1", 3: "127.0.0.1:1", 4: "127.0.0.1:1",
@@ -63,6 +63,7 @@ func startTestNode(t *testing.T, st *store.Store, rep content.Replica) *node.Nod
 		EffortUnit:  effort.DemoEffortUnit,
 		Seed:        42,
 		Store:       st,
+		ScrubPace:   scrubPace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -439,5 +440,48 @@ func TestReadMatchesMetrics(t *testing.T) {
 		if len(got) != len(want) || got["lockss_actor_responsive"] != 1 || got["lockss_aus"] != 1 {
 			t.Errorf("%s: Read = %v", name, got)
 		}
+	}
+}
+
+// TestHealthzScrubFollowsReload: a scrubber slowed by POST /reload is still
+// healthy while it runs at its new pace. The node starts on a one-block store
+// at a 10ms pace.
+func TestHealthzScrubFollowsReload(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := content.AUSpec{ID: testSpec.ID, Name: "au-one-block", Size: 32 << 10, BlockSize: 32 << 10}
+	rep, err := st.CreateFrom(spec, 1, content.PublisherReader(spec))
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	const pace = 10 * time.Millisecond
+	n := startTestNode(t, st, rep, pace)
+	s := New(n, Options{})
+	deadline := time.Now().Add(5 * time.Second)
+	for st.Stats().ScrubPasses == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("scrubber made no pass")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if rec, body := get(t, s.Handler(), "/healthz"); rec.Code != http.StatusOK {
+		t.Fatalf("GET /healthz = %d (%s) before the reload", rec.Code, body)
+	}
+	if rec, body := post(t, s.Handler(), "/reload", `{"scrub_pace":"1s"}`); rec.Code != http.StatusOK {
+		t.Fatalf("POST /reload = %d (%s)", rec.Code, body)
+	}
+	bad := 0
+	for i := 0; i < 40; i++ {
+		time.Sleep(50 * time.Millisecond)
+		rec, _ := get(t, s.Handler(), "/healthz")
+		if _, healthy := Read(n, time.Second); rec.Code != http.StatusOK || !healthy {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of 40 probes over 2s read unhealthy while the scrubber ran at its reloaded pace", bad)
 	}
 }

@@ -26,7 +26,7 @@ func newStoreNode(t *testing.T) *node.Node {
 		st.Close()
 		t.Fatal(err)
 	}
-	return startTestNode(t, st, rep)
+	return startTestNode(t, st, rep, 0)
 }
 
 // metricsShape reduces an exposition to what scrapers and dashboards are

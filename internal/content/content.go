@@ -194,12 +194,6 @@ func VoteHashesOf(r Replica, nonce []byte) []Hash {
 	return out
 }
 
-// voteHash computes one running-hash chain step: H(prev || nonce || block-id
-// || payload). This one-shot form serves tests and spot checks.
-func voteHash(prev Hash, nonce []byte, au AUID, block int, payload []byte) Hash {
-	return NewVoteHasher().From(prev).Step(nonce, au, block, payload)
-}
-
 // correctPayload derives the publisher's canonical content token for a
 // block. SimReplica hashes short tokens instead of half-gigabyte blocks; the
 // hashing *cost* is charged separately by the effort model.

@@ -44,9 +44,6 @@ type repState struct {
 	r            content.Replica
 	damagedSince sched.Time // noTime when currently undamaged
 	damagedNs    int64      // closed damaged-interval total
-	lastSuccess  sched.Time // noTime before the first successful poll
-	gapNs        int64      // observed consecutive-success gap total
-	gapCount     uint64
 }
 
 // Collector implements protocol.Observer and accumulates raw statistics for
@@ -88,7 +85,7 @@ func NewCollectorSized(replicas int) *Collector {
 // RegisterReplica announces a (peer, AU) replica at simulation start.
 func (c *Collector) RegisterReplica(peer ids.PeerID, au content.AUID, r content.Replica) {
 	k := replicaKey{peer, au}
-	st := repState{r: r, damagedSince: noTime, lastSuccess: noTime}
+	st := repState{r: r, damagedSince: noTime}
 	if r.Damaged() {
 		st.damagedSince = 0
 		c.damagedCount++
@@ -141,19 +138,6 @@ func (c *Collector) RepairApplied(peer ids.PeerID, au content.AUID, pollID uint6
 func (c *Collector) PollConcluded(peer ids.PeerID, au content.AUID, pollID uint64, o protocol.Outcome, started, now sched.Time) {
 	c.touch(now)
 	c.Polls[o]++
-	if o != protocol.OutcomeSuccess {
-		return
-	}
-	i, ok := c.idx[replicaKey{peer, au}]
-	if !ok {
-		return
-	}
-	st := &c.reps[i]
-	if st.lastSuccess != noTime {
-		st.gapNs += int64(now - st.lastSuccess)
-		st.gapCount++
-	}
-	st.lastSuccess = now
 }
 
 // Alarm implements protocol.Observer.
@@ -198,9 +182,6 @@ func (c *Collector) Rebase(origin sched.Time) {
 		st := &c.reps[i]
 		if st.damagedSince > 0 {
 			st.damagedSince -= origin
-		}
-		if st.lastSuccess > 0 {
-			st.lastSuccess -= origin
 		}
 	}
 }
@@ -247,23 +228,6 @@ func (c *Collector) MeanSuccessInterval() (float64, bool) {
 		return 0, false
 	}
 	return float64(c.lastT) * float64(len(c.reps)) / float64(succ), true
-}
-
-// ObservedGapMean returns the mean of directly observed consecutive-success
-// gaps (biased under censoring; exposed for diagnostics and tests).
-func (c *Collector) ObservedGapMean() (float64, bool) {
-	var (
-		gapNs int64
-		n     uint64
-	)
-	for i := range c.reps {
-		gapNs += c.reps[i].gapNs
-		n += c.reps[i].gapCount
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return float64(gapNs) / float64(n), true
 }
 
 // SuccessfulPolls returns the count of successful polls.

@@ -90,11 +90,6 @@ func TestMeanSuccessIntervalRenewal(t *testing.T) {
 	if math.Abs(got-want) > 1 {
 		t.Errorf("renewal mean = %v, want %v", got, want)
 	}
-	// Observed-gap diagnostic: the single 90-day gap.
-	gap, ok := c.ObservedGapMean()
-	if !ok || math.Abs(gap-float64(90*day)) > 1 {
-		t.Errorf("observed gap = %v", gap)
-	}
 }
 
 func TestNoSuccesses(t *testing.T) {

@@ -131,15 +131,6 @@ func (n *Network) AddNode(id ids.PeerID, link Link, h Handler) {
 	n.nodes[id] = &node{link: link, handler: h}
 }
 
-// SetHandler replaces a node's handler (used by tests).
-func (n *Network) SetHandler(id ids.PeerID, h Handler) {
-	nd, ok := n.nodes[id]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown node %v", id))
-	}
-	nd.handler = h
-}
-
 // SetLink replaces a node's access link.
 func (n *Network) SetLink(id ids.PeerID, l Link) {
 	if nd, ok := n.nodes[id]; ok {
@@ -162,17 +153,8 @@ func (n *Network) Stopped(id ids.PeerID) bool {
 	return ok && nd.stopped
 }
 
-// TransferTime returns the modeled delivery delay for size bytes between the
-// two nodes.
-func (n *Network) TransferTime(from, to ids.PeerID, size int) sim.Duration {
-	a, b := n.nodes[from], n.nodes[to]
-	if a == nil || b == nil {
-		return 0
-	}
-	return transferTime(a, b, size)
-}
-
-// transferTime is TransferTime between two resolved nodes.
+// transferTime returns the modeled delivery delay for size bytes from a to
+// b.
 func transferTime(a, b *node, size int) sim.Duration {
 	bw := a.link.Bandwidth
 	if b.link.Bandwidth < bw {
@@ -220,13 +202,4 @@ func (n *Network) Send(from, to ids.PeerID, payload any, size int) {
 	d := n.alloc()
 	d.from, d.src, d.dst, d.payload, d.size = from, src, dst, payload, size
 	n.eng.After(transferTime(src, dst, size), d.run)
-}
-
-// NodeIDs returns all registered node IDs in unspecified order.
-func (n *Network) NodeIDs() []ids.PeerID {
-	out := make([]ids.PeerID, 0, len(n.nodes))
-	for id := range n.nodes {
-		out = append(out, id)
-	}
-	return out
 }

@@ -28,7 +28,7 @@ func TestDeliveryAndTiming(t *testing.T) {
 	// 1500 bytes over min(1.5Mbps, 100Mbps) = 8ms serialization + 15ms
 	// latency = 23ms.
 	n.Send(2, 1, "hello", 1500)
-	want := n.TransferTime(2, 1, 1500)
+	want := transferTime(n.nodes[2], n.nodes[1], 1500)
 	if want != 23*time.Millisecond {
 		t.Fatalf("transfer time %v, want 23ms", want)
 	}
@@ -148,26 +148,4 @@ func TestDuplicateNodePanics(t *testing.T) {
 		}
 	}()
 	n.AddNode(1, Link{Bandwidth: T1, Latency: time.Millisecond}, func(ids.PeerID, any, int) {})
-}
-
-func TestNodeIDs(t *testing.T) {
-	eng := sim.NewEngine()
-	n := New(eng)
-	for i := 1; i <= 5; i++ {
-		n.AddNode(ids.PeerID(i), Link{Bandwidth: T1, Latency: time.Millisecond}, func(ids.PeerID, any, int) {})
-	}
-	if len(n.NodeIDs()) != 5 {
-		t.Errorf("NodeIDs returned %d", len(n.NodeIDs()))
-	}
-}
-
-func TestSetHandler(t *testing.T) {
-	eng, n, got := twoNodes(t)
-	replaced := false
-	n.SetHandler(1, func(from ids.PeerID, payload any, size int) { replaced = true })
-	n.Send(2, 1, "x", 10)
-	eng.Run(sim.Time(time.Second))
-	if !replaced || len(*got) != 0 {
-		t.Error("handler replacement failed")
-	}
 }

@@ -216,6 +216,10 @@ func (n *Node) ID() ids.PeerID { return n.cfg.ID }
 // HasStore reports whether the node runs on a durable on-disk store.
 func (n *Node) HasStore() bool { return n.cfg.Store != nil }
 
+// ScrubStalled reports whether the store's scrubber has stalled (false
+// without a store). See store.ScrubStalled.
+func (n *Node) ScrubStalled() bool { return n.cfg.Store != nil && n.cfg.Store.ScrubStalled() }
+
 // Stats is one aggregate snapshot of everything the node counts: the
 // protocol peer's event counters, the transport's link counters and (when
 // the node runs on a durable store) the store's scrub counters. It is the

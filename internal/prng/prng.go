@@ -222,13 +222,3 @@ func (r *Source) SampleInto(dst []int, n, k int) []int {
 	}
 	return dst
 }
-
-// Jitter returns d multiplied by a uniform factor in [1-frac, 1+frac].
-// Useful for desynchronizing periodic events.
-func (r *Source) Jitter(d int64, frac float64) int64 {
-	if frac <= 0 || d == 0 {
-		return d
-	}
-	f := 1 + frac*(2*r.Float64()-1)
-	return int64(float64(d) * f)
-}

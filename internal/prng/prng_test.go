@@ -208,20 +208,6 @@ func TestSampleUniform(t *testing.T) {
 	}
 }
 
-func TestJitter(t *testing.T) {
-	r := New(29)
-	const d = int64(1000000)
-	for i := 0; i < 1000; i++ {
-		j := r.Jitter(d, 0.25)
-		if j < 750000 || j > 1250000 {
-			t.Fatalf("jitter out of band: %d", j)
-		}
-	}
-	if r.Jitter(d, 0) != d {
-		t.Error("zero-fraction jitter should be identity")
-	}
-}
-
 func TestUint64nBoundary(t *testing.T) {
 	r := New(31)
 	for i := 0; i < 1000; i++ {

@@ -22,7 +22,6 @@ type voterSession struct {
 	key          sessionKey
 	state        voterState
 	taskID       sched.TaskID
-	slotStart    sched.Time
 	slotEnd      sched.Time
 	voteBy       sched.Time
 	pollDeadline sched.Time
@@ -123,7 +122,7 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 	// the vote's effort proof, within the poller's allowance. The slot must
 	// start after the proof timeout so the PollProof always precedes it.
 	voteDur := (st.pollEffort.VoteHash + st.pollEffort.VoteProof).Duration()
-	earliest := p.env.Now() + sched.Time(p.cfg.ProofTimeout)
+	earliest := now + sched.Time(p.cfg.ProofTimeout)
 	taskID, slotStart, ok := p.sch.ReserveSlot(earliest, voteDur, m.VoteBy, st.voteLabel)
 	if !ok {
 		p.refuseInvite(st, from, m.PollID, RefuseBusy)
@@ -143,7 +142,6 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 		key:          key,
 		state:        vsAwaitProof,
 		taskID:       taskID,
-		slotStart:    slotStart,
 		slotEnd:      slotStart + sched.Time(voteDur),
 		voteBy:       m.VoteBy,
 		pollDeadline: m.PollDeadline,

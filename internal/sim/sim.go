@@ -46,9 +46,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Seconds returns t as floating-point seconds since simulation start.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Days returns t as floating-point days since simulation start.
-func (t Time) Days() float64 { return float64(t) / float64(Day) }
-
 // String formats the instant as days and a wall-clock remainder, which reads
 // well on multi-month preservation timelines.
 func (t Time) String() string {
@@ -413,51 +410,4 @@ func (e *Engine) Step() bool {
 	}
 	e.fire()
 	return true
-}
-
-// Ticker invokes fn every period until the returned stop function is called.
-// The first tick fires one period from now. The period may be jittered by the
-// caller between invocations by returning a new period from fn; returning 0
-// keeps the current period, returning a negative duration stops the ticker.
-type Ticker struct {
-	engine *Engine
-	id     EventID
-	done   bool
-}
-
-// NewTicker schedules fn every period. fn may return a replacement period
-// (0 keeps the period, negative stops).
-func (e *Engine) NewTicker(period Duration, fn func() Duration) *Ticker {
-	if period <= 0 {
-		panic("sim: non-positive ticker period")
-	}
-	t := &Ticker{engine: e}
-	var tick func()
-	current := period
-	tick = func() {
-		if t.done {
-			return
-		}
-		next := fn()
-		if next < 0 {
-			t.done = true
-			return
-		}
-		if next > 0 {
-			current = next
-		}
-		if !t.done {
-			t.id = e.After(current, tick)
-		}
-	}
-	t.id = e.After(current, tick)
-	return t
-}
-
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	if !t.done {
-		t.done = true
-		t.engine.Cancel(t.id)
-	}
 }

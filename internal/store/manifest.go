@@ -178,8 +178,8 @@ func decodeManifest(data []byte) (*manifest, error) {
 // writeManifestBytes atomically replaces dir's manifest with pre-encoded
 // bytes: write to a temp file, fsync it, rename over the live name, fsync the
 // directory. A crash at any point leaves either the previous or the new
-// manifest intact. fsyncs, when non-nil, counts the fsync syscalls issued
-// (temp file plus directory) for the store's Stats.
+// manifest intact. fsyncs counts the fsync syscalls issued (temp file plus
+// directory) for the store's Stats.
 func writeManifestBytes(dir string, data []byte, fsyncs *atomic.Uint64) error {
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -205,12 +205,6 @@ func writeManifestBytes(dir string, data []byte, fsyncs *atomic.Uint64) error {
 		return fmt.Errorf("store: replace manifest: %w", err)
 	}
 	return syncDir(dir, fsyncs)
-}
-
-// writeManifest atomically replaces dir's manifest (uncounted convenience
-// wrapper for tests and tools).
-func writeManifest(dir string, m *manifest) error {
-	return writeManifestBytes(dir, m.encode(), nil)
 }
 
 // readManifest loads and validates dir's manifest.
@@ -239,11 +233,9 @@ func syncDir(dir string, fsyncs *atomic.Uint64) error {
 	return d.Close()
 }
 
-// fsync syncs f and counts the call in fsyncs (the store's Stats.Fsyncs, or
-// nil for an uncounted write). Every fsync the store issues goes through it.
+// fsync syncs f and counts the call in fsyncs (the store's Stats.Fsyncs).
+// Every fsync the store issues goes through it.
 func fsync(f *os.File, fsyncs *atomic.Uint64) error {
-	if fsyncs != nil {
-		fsyncs.Add(1)
-	}
+	fsyncs.Add(1)
 	return f.Sync()
 }

@@ -79,6 +79,9 @@ func (s *Store) StartScrub(cfg ScrubConfig) {
 	s.scrubBucket = newTokenBucket(cfg.Bandwidth)
 	bucket := s.scrubBucket
 	s.mu.Unlock()
+	s.scrubMu.Lock()
+	s.scrubRest = cfg.passPause
+	s.scrubMu.Unlock()
 
 	s.scrubWG.Add(1)
 	go s.scrubLoop(cfg, bucket, stop)
@@ -93,6 +96,7 @@ func (s *Store) SetScrubPace(d time.Duration) {
 		d = time.Second
 	}
 	s.scrubPace.Store(int64(d))
+	s.scrubRetuned()
 }
 
 // ScrubPace reports the scrubber's current per-block pause.
@@ -109,6 +113,7 @@ func (s *Store) SetScrubBandwidth(bytesPerSec int64) {
 	if bucket != nil {
 		bucket.setRate(bytesPerSec)
 	}
+	s.scrubRetuned()
 }
 
 // ScrubBandwidth reports the scrubber's current byte budget (0 = unlimited).
@@ -125,6 +130,66 @@ func (s *Store) StopScrub() {
 		close(stop)
 	}
 	s.scrubWG.Wait()
+	s.scrubMu.Lock()
+	s.scrubDue = time.Time{}
+	s.scrubMu.Unlock()
+}
+
+// scrubReadFloor is the slowest read-and-hash rate, in bytes/second, at
+// which a scrubber still counts as making progress; scrubSlack absorbs timer
+// and scheduling delay.
+const (
+	scrubReadFloor = 1 << 20
+	scrubSlack     = time.Second
+)
+
+// ScrubStalled reports whether the running scrubber has gone longer without
+// progress than its pace, pass pause and byte budget allow (false while none
+// runs). Each sign of progress (a pass starting or finishing, a block
+// verified) sets a deadline scrubBound past it under the knobs then in force;
+// a retune moves the deadline no earlier, so a pause begun under the old
+// knobs still counts.
+func (s *Store) ScrubStalled() bool {
+	s.scrubMu.Lock()
+	defer s.scrubMu.Unlock()
+	return !s.scrubDue.IsZero() && time.Now().After(s.scrubDue)
+}
+
+// scrubBound is the longest a healthy scrubber goes without progress: three
+// times one pass pause, one pace and one largest block's wait for the byte
+// budget, plus that block's read at scrubReadFloor and scrubSlack. The
+// caller holds scrubMu.
+func (s *Store) scrubBound() time.Duration {
+	wait := float64(max(s.scrubRest, 0) + max(time.Duration(s.scrubPace.Load()), 0))
+	block := float64(s.scrubBlock)
+	if bw := s.scrubBW.Load(); bw > 0 {
+		wait += block / float64(bw) * float64(time.Second)
+	}
+	return time.Duration(3*wait+block/scrubReadFloor*float64(time.Second)) + scrubSlack
+}
+
+// scrubPassStarted records a pass starting whose largest block is largest.
+func (s *Store) scrubPassStarted(largest int64) {
+	s.scrubMu.Lock()
+	s.scrubBlock = largest
+	s.scrubMu.Unlock()
+	s.scrubProgressed()
+}
+
+// scrubProgressed records a sign of progress.
+func (s *Store) scrubProgressed() {
+	s.scrubMu.Lock()
+	defer s.scrubMu.Unlock()
+	s.scrubDue = time.Now().Add(s.scrubBound())
+}
+
+// scrubRetuned re-derives a running scrubber's deadline after a knob moved.
+func (s *Store) scrubRetuned() {
+	s.scrubMu.Lock()
+	defer s.scrubMu.Unlock()
+	if due := time.Now().Add(s.scrubBound()); !s.scrubDue.IsZero() && due.After(s.scrubDue) {
+		s.scrubDue = due
+	}
 }
 
 // scrubLoop coordinates passes: each pass snapshots the replica list, deals
@@ -136,9 +201,13 @@ func (s *Store) scrubLoop(cfg ScrubConfig, bucket *tokenBucket, stop chan struct
 		passStart := time.Now()
 		reps := s.Replicas()
 		shards := make([][]*Replica, cfg.Workers)
+		var largest int64
 		for i, r := range reps {
 			shards[i%cfg.Workers] = append(shards[i%cfg.Workers], r)
+			lo, hi := r.Spec().BlockRange(0)
+			largest = max(largest, hi-lo)
 		}
+		s.scrubPassStarted(largest)
 		var wg sync.WaitGroup
 		for _, shard := range shards {
 			if len(shard) == 0 {
@@ -157,6 +226,7 @@ func (s *Store) scrubLoop(cfg ScrubConfig, bucket *tokenBucket, stop chan struct
 		default:
 		}
 		s.scrubPasses.Add(1)
+		s.scrubProgressed()
 		if cfg.OnPass != nil {
 			cfg.OnPass(time.Since(passStart))
 		}
@@ -187,6 +257,7 @@ func (s *Store) scrubShard(shard []*Replica, cfg ScrubConfig, bucket *tokenBucke
 			ok, marked, buf, err = r.verifyBlock(i, buf)
 			s.blocksScanned.Add(1)
 			s.bytesScrubbed.Add(uint64(hi - lo))
+			s.scrubProgressed()
 			if err != nil {
 				continue // unreadable now; retried next pass
 			}

@@ -89,6 +89,14 @@ type Store struct {
 	scrubPace   atomic.Int64
 	scrubBW     atomic.Int64
 	scrubBucket *tokenBucket
+	// Scrub health (see ScrubStalled), guarded by scrubMu: scrubDue is when
+	// a healthy scrubber next shows progress (zero while none runs), and
+	// scrubRest and scrubBlock are the pass pause and the largest block of
+	// the current pass that deadline allows for.
+	scrubMu    sync.Mutex
+	scrubDue   time.Time
+	scrubRest  time.Duration
+	scrubBlock int64
 
 	closeOnce sync.Once
 	closeErr  error

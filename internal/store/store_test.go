@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -300,6 +301,95 @@ func TestScrubPassCountsAndStops(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if s.Stats().BlocksScanned != before {
 		t.Error("scrubber still running after StopScrub")
+	}
+}
+
+// TestScrubStalledWhenWedged: a scrubber wedged in its OnDamage callback is
+// reported stalled once the bound its knobs allow has passed since its last
+// verified block, not before. A retune re-derives the deadline from the new
+// knobs and never pulls it in; the next verified block sets it afresh.
+func TestScrubStalledWhenWedged(t *testing.T) {
+	spec := testSpec()
+	s, _ := newTestStore(t, spec, 1)
+	if err := s.InjectDamage(spec.ID, 3); err != nil {
+		t.Fatal(err)
+	}
+	const pace = 20 * time.Millisecond
+	wedged := make(chan time.Time, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	s.StartScrub(ScrubConfig{
+		Pace: pace,
+		OnDamage: func(content.AUID, int) {
+			once.Do(func() {
+				wedged <- time.Now()
+				<-release
+			})
+		},
+	})
+	defer s.StopScrub()
+	defer close(release)
+	var at time.Time
+	select {
+	case at = <-wedged:
+	case <-time.After(10 * time.Second):
+		t.Fatal("scrubber never reached the damaged block")
+	}
+	due := func() time.Duration {
+		s.scrubMu.Lock()
+		defer s.scrubMu.Unlock()
+		return time.Until(s.scrubDue)
+	}
+	s.scrubMu.Lock()
+	bound := s.scrubBound()
+	s.scrubMu.Unlock()
+	if bound > 3*time.Second {
+		t.Fatalf("bound %v for a 4-block store at a %v pace", bound, pace)
+	}
+	for !s.ScrubStalled() {
+		if time.Since(at) > bound+time.Second {
+			t.Fatalf("wedged scrubber not reported stalled %v after its last block (bound %v)", time.Since(at), bound)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Block 3 came three paces after the pass started: a deadline counted
+	// from an earlier sign of progress would have expired that much sooner.
+	if d := time.Since(at); d < bound-pace {
+		t.Errorf("reported stalled %v after its last block, inside the bound %v", d, bound)
+	}
+
+	s.SetScrubPace(time.Hour)
+	s.SetScrubPace(pace)
+	if d := due(); d < 3*time.Hour || s.ScrubStalled() {
+		t.Errorf("deadline %v away after slowing to a 1h pace and back, want at least three paces", d)
+	}
+	release <- struct{}{}
+	for deadline := time.Now().Add(10 * time.Second); due() > bound; {
+		if time.Now().After(deadline) {
+			t.Fatalf("deadline still %v away after the scrubber moved again", due())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestScrubRestIsNotAStall: the pause between passes counts toward the
+// bound, so a scrubber resting for longer than its pace and slack is healthy.
+func TestScrubRestIsNotAStall(t *testing.T) {
+	spec := testSpec()
+	s, _ := newTestStore(t, spec, 1)
+	s.StartScrub(ScrubConfig{Pace: time.Millisecond, passPause: 2 * time.Second})
+	defer s.StopScrub()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().ScrubPasses == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("scrubber made no pass")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for end := time.Now().Add(1500 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if s.ScrubStalled() {
+			t.Fatal("scrubber resting between passes reported stalled")
+		}
 	}
 }
 

@@ -75,15 +75,35 @@ type Telemetry struct {
 
 	ring *Ring
 
-	mu         sync.Mutex
-	inflight   map[uint64]*pollAgg
-	recent     []PollSpan // circular; recentNext is the oldest slot
-	recentNext int
-	recentFull bool
-	votes      []VoteRecord
-	votesNext  int
-	votesFull  bool
-	free       []*pollAgg
+	mu       sync.Mutex
+	inflight map[uint64]*pollAgg
+	recent   history[PollSpan]
+	votes    history[VoteRecord]
+	free     []*pollAgg
+}
+
+// history keeps the last cap(buf) entries pushed; its owner's lock guards
+// it.
+type history[T any] struct {
+	buf  []T
+	next int // once buf is full, the oldest slot
+}
+
+func newHistory[T any](n int) history[T] { return history[T]{buf: make([]T, 0, n)} }
+
+// push appends v, overwriting the oldest entry once the table is full.
+func (h *history[T]) push(v T) {
+	if len(h.buf) < cap(h.buf) {
+		h.buf = append(h.buf, v)
+		return
+	}
+	h.buf[h.next] = v
+	h.next = (h.next + 1) % len(h.buf)
+}
+
+// appendTo appends the entries to dst, oldest first.
+func (h *history[T]) appendTo(dst []T) []T {
+	return append(append(dst, h.buf[h.next:]...), h.buf[:h.next]...)
 }
 
 // New returns a Telemetry with the default buffer sizes.
@@ -98,8 +118,8 @@ func NewSized(ringSize, recentSize int) *Telemetry {
 	return &Telemetry{
 		ring:     NewRing(ringSize),
 		inflight: make(map[uint64]*pollAgg),
-		recent:   make([]PollSpan, 0, recentSize),
-		votes:    make([]VoteRecord, 0, defaultVotesSize),
+		recent:   newHistory[PollSpan](recentSize),
+		votes:    newHistory[VoteRecord](defaultVotesSize),
 	}
 }
 
@@ -229,7 +249,7 @@ func (t *Telemetry) PollConcluded(peer ids.PeerID, au content.AUID, pollID uint6
 	a.span.ConcludedNs = int64(now)
 	a.span.DurationNs = int64(now - started)
 	a.span.Outcome = outcome.String()
-	t.pushRecent(a.span)
+	t.recent.push(a.span)
 	t.free = append(t.free, a)
 	t.mu.Unlock()
 }
@@ -243,14 +263,7 @@ func (t *Telemetry) Alarm(peer ids.PeerID, au content.AUID, pollID uint64, now s
 func (t *Telemetry) VoteSupplied(voter, poller ids.PeerID, au content.AUID, pollID uint64, now sched.Time) {
 	t.ring.Append(EvVoteOut, int64(now), uint32(voter), uint32(poller), uint32(au), pollID, 0, 0)
 	t.mu.Lock()
-	v := VoteRecord{PollID: pollID, Voter: uint32(voter), Poller: uint32(poller), AU: uint32(au), TNs: int64(now)}
-	if len(t.votes) < cap(t.votes) {
-		t.votes = append(t.votes, v)
-	} else {
-		t.votes[t.votesNext] = v
-		t.votesNext = (t.votesNext + 1) % cap(t.votes)
-		t.votesFull = true
-	}
+	t.votes.push(VoteRecord{PollID: pollID, Voter: uint32(voter), Poller: uint32(poller), AU: uint32(au), TNs: int64(now)})
 	t.mu.Unlock()
 }
 
@@ -260,30 +273,12 @@ func (t *Telemetry) DamageNoticed(peer ids.PeerID, au content.AUID, block int, n
 	t.ring.Append(EvDamage, int64(now), uint32(peer), 0, uint32(au), 0, int32(block), 0)
 }
 
-// pushRecent appends a concluded span to the circular table; callers hold
-// t.mu.
-func (t *Telemetry) pushRecent(s PollSpan) {
-	if len(t.recent) < cap(t.recent) {
-		t.recent = append(t.recent, s)
-		return
-	}
-	t.recent[t.recentNext] = s
-	t.recentNext = (t.recentNext + 1) % cap(t.recent)
-	t.recentFull = true
-}
-
 // Polls returns the recently concluded poll spans, oldest first, followed by
 // the currently in-flight spans (empty Outcome).
 func (t *Telemetry) Polls() []PollSpan {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]PollSpan, 0, len(t.recent)+len(t.inflight))
-	if t.recentFull {
-		out = append(out, t.recent[t.recentNext:]...)
-		out = append(out, t.recent[:t.recentNext]...)
-	} else {
-		out = append(out, t.recent...)
-	}
+	out := t.recent.appendTo(make([]PollSpan, 0, len(t.recent.buf)+len(t.inflight)))
 	for _, a := range t.inflight {
 		out = append(out, a.span)
 	}
@@ -294,14 +289,7 @@ func (t *Telemetry) Polls() []PollSpan {
 func (t *Telemetry) Votes() []VoteRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]VoteRecord, 0, len(t.votes))
-	if t.votesFull {
-		out = append(out, t.votes[t.votesNext:]...)
-		out = append(out, t.votes[:t.votesNext]...)
-	} else {
-		out = append(out, t.votes...)
-	}
-	return out
+	return t.votes.appendTo(make([]VoteRecord, 0, len(t.votes.buf)))
 }
 
 var (

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -103,6 +104,23 @@ func TestRecentEviction(t *testing.T) {
 	}
 	if polls[2].PollID != 4 || polls[2].Outcome != "" {
 		t.Errorf("in-flight span: %+v", polls[2])
+	}
+}
+
+// TestHistoryKeepsTheLatest: the bounded table behind both the concluded
+// spans and the supplied votes drops its oldest entries and reads back
+// oldest first, before and after it wraps.
+func TestHistoryKeepsTheLatest(t *testing.T) {
+	h := newHistory[int](3)
+	for v := 1; v <= 7; v++ {
+		h.push(v)
+		var want []int
+		for w := max(1, v-2); w <= v; w++ {
+			want = append(want, w)
+		}
+		if got := h.appendTo(nil); !slices.Equal(got, want) {
+			t.Fatalf("after pushing 1..%d: %v, want %v", v, got, want)
+		}
 	}
 }
 

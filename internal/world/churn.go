@@ -3,9 +3,7 @@ package world
 import (
 	"fmt"
 
-	"lockss/internal/content"
 	"lockss/internal/ids"
-	"lockss/internal/netsim"
 	"lockss/internal/protocol"
 	"lockss/internal/reputation"
 	"lockss/internal/sim"
@@ -57,7 +55,6 @@ func (w *World) enableChurn() {
 	rnd := w.Root.Child("churn")
 	linkRnd := w.Root.Child("churn/links")
 	meanGap := float64(sim.Year) / c.JoinPerYear
-	costs := w.Cfg.CostModel()
 
 	var newcomers []*protocol.Peer
 	friendSets := make(map[ids.PeerID]map[ids.PeerID]bool)
@@ -69,8 +66,7 @@ func (w *World) enableChurn() {
 		gap := sim.Duration(rnd.ExpFloat64(meanGap))
 		w.Engine.After(gap, func() {
 			id := PeerIDOf(len(w.Peers))
-			env := &Env{w: w, id: id, rnd: w.Root.ChildN("joiner", k)}
-			p, err := protocol.New(id, &w.Cfg.Protocol, &costs, env, w.observer())
+			p, err := w.newPeer(id, w.Root.ChildN("joiner", k), linkRnd)
 			if err != nil {
 				panic(fmt.Sprintf("world: churn join: %v", err))
 			}
@@ -100,14 +96,10 @@ func (w *World) enableChurn() {
 					fp.SeedGrade(au, id, reputation.Even)
 				}
 			}
-			for _, spec := range w.specs {
-				replica := content.NewSimReplica(spec, ReplicaSalt(id, spec.ID))
-				// A newcomer's initial reference list is its friends: it
-				// has no history with anyone else.
-				if err := p.AddAU(replica, friends); err != nil {
-					panic(fmt.Sprintf("world: churn AddAU: %v", err))
-				}
-				w.Metrics.RegisterReplica(id, spec.ID, replica)
+			// A newcomer's initial reference list is its friends: it has
+			// no history with anyone else.
+			if err := w.addReplicas(p, func() []ids.PeerID { return friends }); err != nil {
+				panic(fmt.Sprintf("world: churn AddAU: %v", err))
 			}
 			// The newcomer trusts its friends from day one, too.
 			for _, spec := range w.specs {
@@ -115,10 +107,6 @@ func (w *World) enableChurn() {
 					p.SeedGrade(spec.ID, f, reputation.Even)
 				}
 			}
-			peer := p
-			w.Net.AddNode(id, netsim.RandomLink(linkRnd), func(from ids.PeerID, payload any, size int) {
-				deliver(w, peer, from, payload)
-			})
 			w.Peers = append(w.Peers, p)
 			newcomers = append(newcomers, p)
 			stats.Joined++

@@ -202,6 +202,10 @@ type World struct {
 	Joins JoinStats
 
 	specs []content.AUSpec
+	// costs and obs are the cost model and observer every peer, founder or
+	// newcomer, is built with (see newPeer).
+	costs effort.CostModel
+	obs   protocol.Observer
 
 	// proofs interns the boxed symbolic proofs MakeProof hands out, so an
 	// identical immutable SimProof is not re-boxed on every message. Costs
@@ -310,15 +314,6 @@ func (e *Env) EvalReceipt(ctx []byte, p effort.Proof) (effort.Receipt, bool) {
 // PeerIDOf maps a peer index to its PeerID (1-based).
 func PeerIDOf(index int) ids.PeerID { return ids.PeerID(index + 1) }
 
-// observer is the protocol observer every peer reports to: the metrics
-// collector, teed into the world's telemetry recorder when one is configured.
-func (w *World) observer() protocol.Observer {
-	if w.Cfg.Telemetry == nil {
-		return w.Metrics
-	}
-	return protocol.TeeObserver(w.Metrics, w.Cfg.Telemetry)
-}
-
 // New assembles a world. Background load hooks (for 600-AU layering) may be
 // installed on peer schedules before Run.
 func New(cfg Config) (*World, error) {
@@ -337,24 +332,23 @@ func New(cfg Config) (*World, error) {
 	w.Net.Release = w.release
 
 	w.specs = cfg.Catalogue()
-	costs := cfg.CostModel()
+	w.costs = cfg.CostModel()
+	// Every peer reports to the metrics collector, teed into the world's
+	// telemetry recorder when one is configured.
+	w.obs = w.Metrics
+	if cfg.Telemetry != nil {
+		w.obs = protocol.TeeObserver(w.Metrics, cfg.Telemetry)
+	}
 	linkRnd := w.Root.Child("links")
 	bootRnd := BootstrapRand(w.Root)
 
 	w.Peers = make([]*protocol.Peer, cfg.Peers)
-	obs := w.observer()
-	for i := 0; i < cfg.Peers; i++ {
-		id := PeerIDOf(i)
-		env := &Env{w: w, id: id, rnd: w.Root.ChildN("peer", i)}
-		p, err := protocol.New(id, &w.Cfg.Protocol, &costs, env, obs)
+	for i := range w.Peers {
+		p, err := w.newPeer(PeerIDOf(i), w.Root.ChildN("peer", i), linkRnd)
 		if err != nil {
 			return nil, err
 		}
 		w.Peers[i] = p
-		peer := p
-		w.Net.AddNode(id, netsim.RandomLink(linkRnd), func(from ids.PeerID, payload any, size int) {
-			deliver(w, peer, from, payload)
-		})
 	}
 
 	// Friends lists: a random sample per peer.
@@ -364,17 +358,42 @@ func New(cfg Config) (*World, error) {
 
 	// Replicas and bootstrap reference lists.
 	for i, p := range w.Peers {
-		for _, spec := range w.specs {
-			replica := content.NewSimReplica(spec, ReplicaSalt(p.ID(), spec.ID))
-			refs := SampleOthers(bootRnd, cfg.Peers, i, cfg.Protocol.RefListTarget)
-			if err := p.AddAU(replica, refs); err != nil {
-				return nil, err
-			}
-			w.Metrics.RegisterReplica(p.ID(), spec.ID, replica)
+		err := w.addReplicas(p, func() []ids.PeerID {
+			return SampleOthers(bootRnd, cfg.Peers, i, cfg.Protocol.RefListTarget)
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	w.enableChurn()
 	return w, nil
+}
+
+// newPeer builds peer id, drawing from its own stream rnd, on the world's
+// cost model and observer, and attaches it to the network on a link drawn
+// from links.
+func (w *World) newPeer(id ids.PeerID, rnd, links *prng.Source) (*protocol.Peer, error) {
+	p, err := protocol.New(id, &w.Cfg.Protocol, &w.costs, &Env{w: w, id: id, rnd: rnd}, w.obs)
+	if err != nil {
+		return nil, err
+	}
+	w.Net.AddNode(id, netsim.RandomLink(links), func(from ids.PeerID, payload any, size int) {
+		deliver(w, p, from, payload)
+	})
+	return p, nil
+}
+
+// addReplicas gives p a replica of every AU in the catalogue, each with the
+// reference list refs returns, and registers each with the metrics.
+func (w *World) addReplicas(p *protocol.Peer, refs func() []ids.PeerID) error {
+	for _, spec := range w.specs {
+		replica := content.NewSimReplica(spec, ReplicaSalt(p.ID(), spec.ID))
+		if err := p.AddAU(replica, refs()); err != nil {
+			return err
+		}
+		w.Metrics.RegisterReplica(p.ID(), spec.ID, replica)
+	}
+	return nil
 }
 
 // deliver dispatches one delivered payload to a peer, expanding invitation
