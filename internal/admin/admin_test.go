@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -483,5 +484,59 @@ func TestHealthzScrubFollowsReload(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Errorf("%d of 40 probes over 2s read unhealthy while the scrubber ran at its reloaded pace", bad)
+	}
+}
+
+// TestHealthzReportsStalledScrub: a scrubber wedged in its damage callback
+// makes the node unhealthy, on /healthz and through Read. The wedged
+// scrubber is started on the store before the node, whose own StartScrub is
+// then a no-op; the callback is released before the node stops, since
+// stopping waits for the scrubber.
+func TestHealthzReportsStalledScrub(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := content.AUSpec{ID: testSpec.ID, Name: "au-one-block", Size: 32 << 10, BlockSize: 32 << 10}
+	rep, err := st.CreateFrom(spec, 1, content.PublisherReader(spec))
+	if err == nil {
+		err = st.InjectDamage(spec.ID, 0)
+	}
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	wedged, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	st.StartScrub(store.ScrubConfig{Pace: time.Millisecond, OnDamage: func(content.AUID, int) {
+		once.Do(func() { close(wedged) })
+		<-release
+	}})
+	n := startTestNode(t, st, rep, time.Millisecond)
+	t.Cleanup(func() { close(release) }) // runs before startTestNode's n.Stop
+	s := New(n, Options{})
+
+	select {
+	case <-wedged:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the scrubber never reported the injected damage")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !st.ScrubStalled() {
+		if time.Now().After(deadline) {
+			t.Fatal("the store never reported its wedged scrubber stalled")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	rec, body := get(t, s.Handler(), "/healthz")
+	var h health
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatalf("GET /healthz body %q: %v", body, err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || h.Scrub || h.Healthy {
+		t.Errorf("GET /healthz = %d %s with the scrubber stalled, want 503 and \"scrub\":false", rec.Code, body)
+	}
+	if _, healthy := Read(n, time.Second); healthy {
+		t.Error("Read reports a node with a stalled scrubber healthy")
 	}
 }

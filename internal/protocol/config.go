@@ -227,6 +227,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("protocol: inner circle %d below quorum %d", c.InnerCircle, c.Quorum)
 	case c.MaxDisagree < 0 || c.MaxDisagree >= c.Quorum:
 		return fmt.Errorf("protocol: landslide margin %d incompatible with quorum %d", c.MaxDisagree, c.Quorum)
+	case c.InnerCircle+c.OuterCircle > math.MaxInt16:
+		return fmt.Errorf("protocol: %d invitees per poll, at most %d", c.InnerCircle+c.OuterCircle, math.MaxInt16)
 	case c.PollInterval <= 0:
 		return fmt.Errorf("protocol: non-positive poll interval")
 	case c.SolicitFrac <= 0 || c.SolicitFrac > 1 || c.EvalFrac <= c.OuterEndFrac || c.EvalFrac > 1:

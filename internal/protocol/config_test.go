@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"cmp"
+	"math"
 	"testing"
 	"time"
 )
@@ -50,6 +51,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad fractions", func(c *Config) { c.EvalFrac = 0.1 }},
 		{"zero vote window", func(c *Config) { c.VoteWindow = 0 }},
 		{"zero block size", func(c *Config) { c.BlockSize = 0 }},
+		{"more invitees than a ballot index holds", func(c *Config) { c.OuterCircle = math.MaxInt16 }},
 	}
 	for _, m := range mutations {
 		c := DefaultConfig()

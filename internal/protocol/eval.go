@@ -50,7 +50,7 @@ func (p *Peer) startEvaluation(st *auState, poll *pollState) {
 // in one pass.
 func (p *Peer) recomputeDisagreements(st *auState, poll *pollState, from int) {
 	if _, ok := st.replica.(*content.SimReplica); !ok {
-		rehashVotes(st.replica, poll.sols, from)
+		rehashVotes(st.replica, poll.sols, poll.ballots, from)
 		return
 	}
 	for i := range poll.sols {
@@ -58,19 +58,22 @@ func (p *Peer) recomputeDisagreements(st *auState, poll *pollState, from int) {
 		if sol.state != solGotVote || sol.excluded {
 			continue
 		}
-		sol.dis = int32(sol.vote.FirstDisagreement(p.ownVoteData(st, sol.nonce[:])))
+		b := &poll.ballots[sol.ballot]
+		sol.dis = int32(b.vote.FirstDisagreement(p.ownVoteData(st, b.nonce[:])))
 	}
 }
 
 // voteChain is one vote's running hash during an evaluation pass.
 type voteChain struct {
-	sol  *solicitation
-	want []content.Hash
-	prev content.Hash
+	sol   *solicitation
+	nonce *Nonce
+	want  []content.Hash
+	prev  content.Hash
 }
 
 // rehashVotes sets each unexcluded vote's dis to what
-// vote.FirstDisagreement(VoteDataOf(r, nonce)) would give, reading r once:
+// vote.FirstDisagreement(VoteDataOf(r, nonce)) would give, with the vote
+// and the nonce read from the solicitation's ballot, reading r once:
 // one walk steps every vote's chain under its own nonce and drops a chain at
 // its first mismatch, and stops when no chain is left.
 //
@@ -81,7 +84,7 @@ type voteChain struct {
 // rot that lands before a repaired block during the repair round trip is
 // therefore not seen; the next poll finds it, as it finds rot that lands
 // after the last pass.
-func rehashVotes(r content.Replica, sols []solicitation, from int) {
+func rehashVotes(r content.Replica, sols []solicitation, ballots []ballot, from int) {
 	spec := r.Spec()
 	n := spec.Blocks()
 	from = min(max(from, 0), n)
@@ -91,12 +94,13 @@ func rehashVotes(r content.Replica, sols []solicitation, from int) {
 		if sol.state != solGotVote || sol.excluded || (sol.dis >= 0 && int(sol.dis) < from) {
 			continue
 		}
-		hv, ok := sol.vote.(HashVote)
+		b := &ballots[sol.ballot]
+		hv, ok := b.vote.(HashVote)
 		if !ok {
 			sol.dis = 0 // incomparable representations disagree immediately
 			continue
 		}
-		c := voteChain{sol: sol, want: hv.Hashes}
+		c := voteChain{sol: sol, nonce: &b.nonce, want: hv.Hashes}
 		if from > 0 {
 			c.prev = hv.Hashes[from-1]
 		}
@@ -109,7 +113,7 @@ func rehashVotes(r content.Replica, sols []solicitation, from int) {
 			switch {
 			case i >= len(c.want):
 				c.sol.dis = int32(len(c.want)) // a short vote disagrees at its end
-			case v.From(c.prev).Step(c.sol.nonce[:], spec.ID, i, payload) != c.want[i]:
+			case v.From(c.prev).Step(c.nonce[:], spec.ID, i, payload) != c.want[i]:
 				c.sol.dis = int32(i)
 			default:
 				c.prev = c.want[i]
@@ -146,10 +150,10 @@ func (p *Peer) runEvaluation(st *auState, poll *pollState) {
 		// Hashing our replica against this vote, and recovering the
 		// receipt byproduct from the vote's effort proof.
 		p.charge(effort.KindEval, st.pollEffort.EvalHash)
-		if p.cfg.EffortBalancing && sol.voteProof != nil {
+		if b := &poll.ballots[sol.ballot]; p.cfg.EffortBalancing && b.voteProof != nil {
 			p.ctxScratch = AppendPollContext(p.ctxScratch[:0], p.id, sol.peer, st.spec.ID, poll.id, "vote")
-			if r, ok := p.env.EvalReceipt(p.ctxScratch, sol.voteProof); ok {
-				sol.receipt = r
+			if r, ok := p.env.EvalReceipt(p.ctxScratch, b.voteProof); ok {
+				b.receipt = r
 			}
 		}
 	}
@@ -360,7 +364,7 @@ func (p *Peer) sendReceiptsAndConclude(st *auState, poll *pollState) {
 			PollID:  poll.id,
 			Poller:  p.id,
 			Voter:   sol.peer,
-			Receipt: sol.receipt,
+			Receipt: poll.ballots[sol.ballot].receipt,
 		})
 	}
 	if talliedInner < p.cfg.Quorum {

@@ -253,24 +253,26 @@ func checkEvaluationMatchesRehash(t *testing.T, poller content.Replica, rng *prn
 	}
 	damage(poller)
 	voters := make([]content.Replica, 1+rng.Intn(6))
-	// Two more solicitations that no pass may touch: an excluded vote and
-	// one still awaited.
+	// Two more solicitations that no pass may touch, and whose missing
+	// ballots no pass may read: an excluded vote and one still awaited.
 	sols := make([]solicitation, len(voters)+2)
+	ballots := make([]ballot, len(voters))
 	sols[len(voters)].state, sols[len(voters)].excluded = solGotVote, true
 	sols[len(voters)+1].state = solAwaitVote
 	const untouched = 9999
 	for j := range sols {
 		sols[j].dis = untouched
+		sols[j].ballot = noBallot
 		if j >= len(voters) {
 			continue
 		}
 		v := content.NewRealReplica(spec, uint64(100+j))
 		damage(v)
 		voters[j] = v
-		sol := &sols[j]
-		sol.state = solGotVote
-		binary.BigEndian.PutUint64(sol.nonce[:], rng.Uint64())
-		h := v.VoteHashes(sol.nonce[:])
+		sol, b := &sols[j], &ballots[j]
+		sol.state, sol.ballot = solGotVote, int16(j)
+		binary.BigEndian.PutUint64(b.nonce[:], rng.Uint64())
+		h := v.VoteHashes(b.nonce[:])
 		switch rng.Intn(5) {
 		case 1:
 			h = h[:rng.Intn(len(h))]
@@ -279,10 +281,10 @@ func checkEvaluationMatchesRehash(t *testing.T, poller content.Replica, rng *prn
 		case 3:
 			h[rng.Intn(len(h))][0] ^= 0xff
 		case 4:
-			sol.vote = SimVote{NumBlocks: n}
+			b.vote = SimVote{NumBlocks: n}
 			continue
 		}
-		sol.vote = HashVote{Hashes: h}
+		b.vote = HashVote{Hashes: h}
 	}
 	check := func(step string) {
 		t.Helper()
@@ -290,14 +292,15 @@ func checkEvaluationMatchesRehash(t *testing.T, poller content.Replica, rng *prn
 			sol := &sols[j]
 			want := untouched
 			if sol.state == solGotVote && !sol.excluded {
-				want = sol.vote.FirstDisagreement(VoteDataOf(poller, sol.nonce[:]))
+				b := &ballots[sol.ballot]
+				want = b.vote.FirstDisagreement(VoteDataOf(poller, b.nonce[:]))
 			}
 			if int(sol.dis) != want {
 				t.Fatalf("%s: vote %d of %d blocks: dis = %d, a full re-hash gives %d", step, j, n, sol.dis, want)
 			}
 		}
 	}
-	rehashVotes(poller, sols, 0)
+	rehashVotes(poller, sols, ballots, 0)
 	check("first pass")
 	for r := 0; r < repairs; r++ {
 		b := rng.Intn(n)
@@ -308,12 +311,12 @@ func checkEvaluationMatchesRehash(t *testing.T, poller content.Replica, rng *prn
 		if err := poller.ApplyRepair(b, data); err != nil {
 			t.Fatal(err)
 		}
-		rehashVotes(poller, sols, b)
+		rehashVotes(poller, sols, ballots, b)
 		check(fmt.Sprintf("after repair %d at block %d", r, b))
 	}
 	// A hostile Repair may name a block the AU does not have.
 	for _, b := range []int{-1, n + 1} {
-		rehashVotes(poller, sols, b)
+		rehashVotes(poller, sols, ballots, b)
 		check(fmt.Sprintf("restart at out-of-range block %d", b))
 	}
 }

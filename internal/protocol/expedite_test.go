@@ -13,7 +13,7 @@ func TestRaiseAuditPriorityExpeditesNextPoll(t *testing.T) {
 	env := newFakeEnv(1)
 	p, _ := newTestPeer(t, env, 1, testConfig(), nil)
 	p.Start()
-	st := p.aus[1]
+	st := p.au(1)
 	if st.poll == nil {
 		t.Fatal("no poll after Start")
 	}
@@ -50,7 +50,7 @@ func TestExpediteSurvivesLatePoll(t *testing.T) {
 	env := newFakeEnv(1)
 	p, _ := newTestPeer(t, env, 1, testConfig(), nil)
 	p.Start()
-	st := p.aus[1]
+	st := p.au(1)
 	p.RaiseAuditPriority(1)
 	// Force the just-concluded poll to look ancient.
 	st.poll.deadline = -sched.Time(2 * p.cfg.PollInterval)

@@ -33,12 +33,6 @@ type PeerStats struct {
 	BadProofs         uint64
 }
 
-// sessionKey identifies a voter-side session.
-type sessionKey struct {
-	poller ids.PeerID
-	pollID uint64
-}
-
 // auState is a peer's per-AU protocol state.
 type auState struct {
 	spec       content.AUSpec
@@ -46,8 +40,13 @@ type auState struct {
 	rep        *reputation.List
 	refList    peerSet
 	poll       *pollState
-	sessions   map[sessionKey]*voterSession
 	pollEffort effort.PollEffort
+
+	// sessions holds the live voter sessions by poller. A poller's other
+	// live sessions, for other polls, chain through voterSession.next, so
+	// nSessions, not len(sessions), counts them.
+	sessions  map[ids.PeerID]*voterSession
+	nSessions int
 
 	// voteLabel and evalLabel are the schedule-reservation labels, built
 	// once so the hot path does not concatenate strings per invitation.
@@ -95,8 +94,11 @@ type Peer struct {
 	spanObs SpanObserver
 	sch     *sched.Schedule
 	ledger  effort.Ledger
-	aus     map[content.AUID]*auState
-	auOrder []content.AUID
+	// aus holds the preserved AUs in registration order, and byID the same
+	// AUs sorted by ID: a lookup is a binary search, whether a peer holds
+	// two AUs or a real box's sparse thousands.
+	aus     []*auState
+	byID    []auRef
 	friends []ids.PeerID
 	pollSeq uint32
 	stats   PeerStats
@@ -146,8 +148,39 @@ func New(id ids.PeerID, cfg *Config, costs *effort.CostModel, env Env, obs Obser
 		obs:     obs,
 		spanObs: spanObs,
 		sch:     sched.New(),
-		aus:     make(map[content.AUID]*auState),
 	}, nil
+}
+
+// auRef is one entry of Peer.byID. It holds the ID beside the state so that
+// a search reads one array.
+type auRef struct {
+	id content.AUID
+	st *auState
+}
+
+// auIndex returns where AU id is or would be in p.byID, and whether it is.
+// It is slices.BinarySearchFunc written out, as that one is not inlined and
+// calls its comparison through a pointer at every probe, and every message
+// pays for this search.
+func (p *Peer) auIndex(id content.AUID) (int, bool) {
+	lo, hi := 0, len(p.byID)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.byID[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(p.byID) && p.byID[lo].id == id
+}
+
+// au returns the peer's state for AU id, or nil if it does not preserve it.
+func (p *Peer) au(id content.AUID) *auState {
+	if i, ok := p.auIndex(id); ok {
+		return p.byID[i].st
+	}
+	return nil
 }
 
 // ID returns the peer's identity.
@@ -185,8 +218,8 @@ func (p *Peer) Draining() bool { return p.draining }
 // poll with the next).
 func (p *Peer) ActivePolls() int {
 	n := 0
-	for _, au := range p.auOrder {
-		if p.aus[au].poll != nil {
+	for _, st := range p.aus {
+		if st.poll != nil {
 			n++
 		}
 	}
@@ -225,8 +258,8 @@ func (p *Peer) AddFriend(f ids.PeerID) {
 // AddToReferenceList inserts a peer into the reference list for an AU, as a
 // deliberate operator action (mutual friendship on join).
 func (p *Peer) AddToReferenceList(au content.AUID, peer ids.PeerID) {
-	st, ok := p.aus[au]
-	if !ok || peer == p.id {
+	st := p.au(au)
+	if st == nil || peer == p.id {
 		return
 	}
 	st.refList.add(peer)
@@ -240,7 +273,8 @@ func (p *Peer) AddAU(replica content.Replica, refList []ids.PeerID) error {
 		return fmt.Errorf("protocol: AddAU after Start")
 	}
 	spec := replica.Spec()
-	if _, dup := p.aus[spec.ID]; dup {
+	at, dup := p.auIndex(spec.ID)
+	if dup {
 		return fmt.Errorf("protocol: duplicate AU %v", spec.ID)
 	}
 	st := &auState{
@@ -248,7 +282,7 @@ func (p *Peer) AddAU(replica content.Replica, refList []ids.PeerID) error {
 		replica:    replica,
 		rep:        reputation.NewList(p.cfg.reputationParams()),
 		refList:    make(peerSet, 0, max(len(refList), p.cfg.RefListMax)),
-		sessions:   make(map[sessionKey]*voterSession),
+		sessions:   make(map[ids.PeerID]*voterSession),
 		pollEffort: p.costs.PollEffortFor(spec.Size, spec.Blocks()),
 		voteLabel:  "vote " + spec.Name,
 		evalLabel:  "eval " + spec.Name,
@@ -262,21 +296,23 @@ func (p *Peer) AddAU(replica content.Replica, refList []ids.PeerID) error {
 			st.refList.add(r)
 		}
 	}
-	p.aus[spec.ID] = st
-	p.auOrder = append(p.auOrder, spec.ID)
+	p.aus = append(p.aus, st)
+	p.byID = slices.Insert(p.byID, at, auRef{spec.ID, st})
 	return nil
 }
 
 // AUs returns the preserved AU IDs in registration order.
 func (p *Peer) AUs() []content.AUID {
-	out := make([]content.AUID, len(p.auOrder))
-	copy(out, p.auOrder)
+	out := make([]content.AUID, len(p.aus))
+	for i, st := range p.aus {
+		out[i] = st.spec.ID
+	}
 	return out
 }
 
 // Replica returns the peer's replica of an AU, or nil.
 func (p *Peer) Replica(au content.AUID) content.Replica {
-	if st, ok := p.aus[au]; ok {
+	if st := p.au(au); st != nil {
 		return st.replica
 	}
 	return nil
@@ -285,8 +321,8 @@ func (p *Peer) Replica(au content.AUID) content.Replica {
 // ReferenceList returns a copy of the current reference list for an AU,
 // sorted by peer ID.
 func (p *Peer) ReferenceList(au content.AUID) []ids.PeerID {
-	st, ok := p.aus[au]
-	if !ok {
+	st := p.au(au)
+	if st == nil {
 		return nil
 	}
 	return slices.Clone(st.refList)
@@ -295,7 +331,7 @@ func (p *Peer) ReferenceList(au content.AUID) []ids.PeerID {
 // Reputation exposes the known-peers list for an AU (for tests, metrics and
 // the adversary's insider-information oracle).
 func (p *Peer) Reputation(au content.AUID) *reputation.List {
-	if st, ok := p.aus[au]; ok {
+	if st := p.au(au); st != nil {
 		return st.rep
 	}
 	return nil
@@ -306,8 +342,8 @@ func (p *Peer) Reputation(au content.AUID) *reputation.List {
 // brute-force experiment uses it to start minions in debt (the paper's
 // conservative initialization).
 func (p *Peer) SeedGrade(au content.AUID, peer ids.PeerID, g reputation.Grade) {
-	st, ok := p.aus[au]
-	if !ok || peer == p.id {
+	st := p.au(au)
+	if st == nil || peer == p.id {
 		return
 	}
 	now := p.env.Now()
@@ -358,16 +394,21 @@ type AUInfo struct {
 // AUInfo snapshots one AU, reporting false for AUs the peer does not
 // preserve.
 func (p *Peer) AUInfo(au content.AUID) (AUInfo, bool) {
-	st, ok := p.aus[au]
-	if !ok {
+	st := p.au(au)
+	if st == nil {
 		return AUInfo{}, false
 	}
+	return p.auInfo(st), true
+}
+
+// auInfo snapshots st.
+func (p *Peer) auInfo(st *auState) AUInfo {
 	info := AUInfo{
 		Spec:          st.spec,
 		Generation:    st.replica.Generation(),
 		Expedite:      st.expedite,
 		LastSuccess:   st.lastSuccess,
-		VoterSessions: len(st.sessions),
+		VoterSessions: st.nSessions,
 	}
 	for _, d := range st.replica.Snapshot() {
 		info.DamagedBlocks = append(info.DamagedBlocks, d.Block)
@@ -380,15 +421,14 @@ func (p *Peer) AUInfo(au content.AUID) (AUInfo, bool) {
 	for _, id := range st.refList {
 		info.RefList = append(info.RefList, RefEntry{Peer: id, Grade: st.rep.GradeOf(now, id)})
 	}
-	return info, ok
+	return info
 }
 
 // AUInfos snapshots every preserved AU in registration order.
 func (p *Peer) AUInfos() []AUInfo {
-	out := make([]AUInfo, 0, len(p.auOrder))
-	for _, au := range p.auOrder {
-		info, _ := p.AUInfo(au)
-		out = append(out, info)
+	out := make([]AUInfo, len(p.aus))
+	for i, st := range p.aus {
+		out[i] = p.auInfo(st)
 	}
 	return out
 }
@@ -407,7 +447,7 @@ func (p *Peer) AUInfos() []AUInfo {
 // every pass) simply raise it again. The simulator never calls this, so
 // simulation runs are unaffected.
 func (p *Peer) RaiseAuditPriority(au content.AUID) {
-	if st, ok := p.aus[au]; ok {
+	if st := p.au(au); st != nil {
 		st.expedite = true
 	}
 }
@@ -416,8 +456,7 @@ func (p *Peer) RaiseAuditPriority(au content.AUID) {
 // poll interval, desynchronizing peers and AUs from the outset.
 func (p *Peer) Start() {
 	p.started = true
-	for _, au := range p.auOrder {
-		st := p.aus[au]
+	for _, st := range p.aus {
 		// First poll concludes at a random phase within [0.1, 1.1) of an
 		// interval, so poll deadlines are spread uniformly in steady state.
 		frac := 0.1 + p.cfg.PollJitter*p.env.Rand().Float64()
@@ -432,8 +471,8 @@ func (p *Peer) Receive(from ids.PeerID, m *Msg) {
 	if m == nil {
 		return
 	}
-	st, ok := p.aus[m.AU]
-	if !ok {
+	st := p.au(m.AU)
+	if st == nil {
 		return // not preserving this AU
 	}
 	switch m.Type {

@@ -30,9 +30,9 @@ const noDue = sched.Time(math.MaxInt64)
 // solicitation is the poller's record of one invitee. It lives by value in
 // pollState.sols and is addressed by index: the poll's solicitation timer
 // sweeps the slice for due entries and message handlers find one by peer,
-// so nothing holds a pointer into the slice across a callback. The small
-// fields come first so they share one word-aligned run with the two byte
-// arrays.
+// so nothing holds a pointer into the slice across a callback. It holds only
+// what the sweep and the handlers read; what only an invitee that accepted
+// needs is in its ballot.
 type solicitation struct {
 	peer     ids.PeerID
 	dis      int32 // first disagreement vs poller's current content; -1 if none
@@ -40,12 +40,22 @@ type solicitation struct {
 	state    solicitState
 	outer    bool
 	excluded bool
-	tried    bool // tried as a repair source for the current block
-	nonce    Nonce
-	receipt  effort.Receipt // evaluation byproduct, derived during eval
-	sentAt   sched.Time     // when the latest invitation was sent
-	due      sched.Time     // when the state's action runs; noDue if none
+	tried    bool       // tried as a repair source for the current block
+	ballot   int16      // index into pollState.ballots; noBallot until accepted
+	sentAt   sched.Time // when the latest invitation was sent
+	due      sched.Time // when the state's action runs; noDue if none
+}
 
+// noBallot is the ballot index of an invitee that has not accepted.
+const noBallot = -1
+
+// ballot is the part of an invitee's record that only an invitee that
+// accepted needs: the nonce its vote is hashed under, the vote and its proof,
+// and the receipt the evaluation derives from that proof. It lives by value
+// in pollState.ballots, addressed by solicitation.ballot.
+type ballot struct {
+	nonce     Nonce
+	receipt   effort.Receipt
 	vote      VoteData
 	voteProof effort.Proof
 }
@@ -57,7 +67,11 @@ type pollState struct {
 	deadline sched.Time
 	// sols holds the invitees in invitation order, the inner circle first.
 	// It is allocated at InnerCircle+OuterCircle, all a poll can invite.
-	sols      []solicitation
+	sols []solicitation
+	// ballots holds the accepted invitees' ballots in acceptance order. It
+	// is allocated at Quorum on the record's first acceptance and doubles up
+	// to InnerCircle+OuterCircle.
+	ballots   []ballot
 	noms      peerSet // outer-circle candidate pool
 	outerSent bool
 	evalDone  bool
@@ -103,14 +117,14 @@ func (p *Peer) newPollState() *pollState {
 // releasePoll recycles a concluded poll. All the poll's timers were cancelled
 // at conclusion, so no callback can still reach the recycled record.
 func (p *Peer) releasePoll(poll *pollState) {
-	clear(poll.sols) // drop the votes and proofs they reference
-	*poll = pollState{sols: poll.sols[:0], noms: poll.noms[:0], solFire: poll.solFire}
+	clear(poll.ballots) // drop the votes and proofs they reference
+	*poll = pollState{sols: poll.sols[:0], ballots: poll.ballots[:0], noms: poll.noms[:0], solFire: poll.solFire}
 	p.freePolls = append(p.freePolls, poll)
 }
 
 // solicit appends an invitee whose invitation falls due at due.
 func (poll *pollState) solicit(peer ids.PeerID, outer bool, due sched.Time) {
-	poll.sols = append(poll.sols, solicitation{peer: peer, outer: outer, dis: -1, due: due})
+	poll.sols = append(poll.sols, solicitation{peer: peer, outer: outer, dis: -1, ballot: noBallot, due: due})
 }
 
 // solOf returns the index of the poll's solicitation of peer, or -1.
@@ -314,13 +328,27 @@ func (p *Peer) pollerHandleAck(st *auState, from ids.PeerID, m *Msg) {
 	}
 
 	// Acceptance: generate the remaining effort on our own schedule, then
-	// send PollProof with the per-voter nonce.
+	// send PollProof with the per-voter nonce, drawn into a new ballot.
 	sol.state = solAwaitProofSlot
+	switch {
+	case poll.ballots == nil:
+		poll.ballots = make([]ballot, 0, p.cfg.Quorum)
+	case len(poll.ballots) == cap(poll.ballots):
+		// Double, but never past every invitee a poll can have: append
+		// would keep 42 ballots in a recycled record whose polls invite
+		// 30 and accept nearly all (ScalePaper).
+		grown := make([]ballot, len(poll.ballots), min(2*cap(poll.ballots), p.cfg.InnerCircle+p.cfg.OuterCircle))
+		copy(grown, poll.ballots)
+		poll.ballots = grown
+	}
+	sol.ballot = int16(len(poll.ballots))
+	poll.ballots = append(poll.ballots, ballot{})
+	nonce := &poll.ballots[sol.ballot].nonce
 	r := p.env.Rand()
-	for k := 0; k < len(sol.nonce); k += 8 {
+	for k := 0; k < len(nonce); k += 8 {
 		v := r.Uint64()
-		for j := 0; j < 8 && k+j < len(sol.nonce); j++ {
-			sol.nonce[k+j] = byte(v >> (8 * j))
+		for j := 0; j < 8 && k+j < len(nonce); j++ {
+			nonce[k+j] = byte(v >> (8 * j))
 		}
 	}
 
@@ -349,7 +377,7 @@ func (p *Peer) sendPollProof(st *auState, poll *pollState, i int) {
 		PollID: poll.id,
 		Poller: p.id,
 		Voter:  sol.peer,
-		Nonce:  sol.nonce,
+		Nonce:  poll.ballots[sol.ballot].nonce,
 	}
 	if p.cfg.EffortBalancing {
 		rem := st.pollEffort.Remainder
@@ -390,8 +418,9 @@ func (p *Peer) pollerHandleVote(st *auState, from ids.PeerID, m *Msg) {
 		}
 	}
 	sol.state = solGotVote
-	sol.vote = m.Vote
-	sol.voteProof = m.Proof
+	b := &poll.ballots[sol.ballot]
+	b.vote = m.Vote
+	b.voteProof = m.Proof
 	p.stats.VotesReceived++
 	if p.spanObs != nil {
 		p.spanObs.VoteReceived(p.id, from, st.spec.ID, poll.id, sol.sentAt, p.env.Now())

@@ -38,7 +38,7 @@ type armedAt struct{ at, when sched.Time }
 func solFireCode(t *testing.T) uintptr {
 	h := newPollerHarness(t, pollerConfig(), []ids.PeerID{2})
 	h.p.Start()
-	return reflect.ValueOf(h.p.aus[h.au].poll.solFire).Pointer()
+	return reflect.ValueOf(h.p.au(h.au).poll.solFire).Pointer()
 }
 
 func (e *solTimerEnv) After(d sched.Duration, fn func()) TimerID {
@@ -68,7 +68,7 @@ func (e *solTimerEnv) Cancel(t TimerID) bool {
 // out in invitation order, and that the timer was re-armed at most once.
 func (e *solTimerEnv) fire(id TimerID, fn func()) {
 	e.fires++
-	poll := e.p.aus[e.au].poll
+	poll := e.p.au(e.au).poll
 	if poll == nil || poll.solTimer != id {
 		e.t.Errorf("solicitation timer %d fired, but it is not the live poll's", id)
 		fn()
@@ -117,7 +117,7 @@ func (e *solTimerEnv) fire(id TimerID, fn func()) {
 func (e *solTimerEnv) check() {
 	e.t.Helper()
 	next := noDue
-	poll := e.p.aus[e.au].poll
+	poll := e.p.au(e.au).poll
 	if poll != nil {
 		for i := range poll.sols {
 			next = min(next, poll.sols[i].due)
@@ -173,7 +173,7 @@ func TestPollHoldsOneSolicitationTimer(t *testing.T) {
 			h.p.env = e
 
 			h.p.Start()
-			if n := len(h.p.aus[h.au].poll.sols); n != cfg.InnerCircle {
+			if n := len(h.p.au(h.au).poll.sols); n != cfg.InnerCircle {
 				t.Fatalf("the first poll invited %d, want %d", n, cfg.InnerCircle)
 			}
 			e.check()

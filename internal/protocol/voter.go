@@ -17,10 +17,12 @@ const (
 	vsClosed
 )
 
-// voterSession is the voter's record of a poll it committed to.
+// voterSession is the voter's record of a poll it committed to, poller's
+// poll pollID.
 type voterSession struct {
-	key          sessionKey
+	poller       ids.PeerID
 	state        voterState
+	pollID       uint64
 	taskID       sched.TaskID
 	slotEnd      sched.Time
 	voteBy       sched.Time
@@ -35,6 +37,8 @@ type voterSession struct {
 	// pending, and sessionTimer tells by state which deadline it was.
 	st   *auState
 	fire func()
+	// next is the poller's next live session on the same AU (auState.sessions).
+	next *voterSession
 }
 
 // refillConsiderTokens advances the self-clocked consideration rate
@@ -65,8 +69,7 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 	if from == p.id || m.Poller != from {
 		return
 	}
-	key := sessionKey{poller: from, pollID: m.PollID}
-	if _, dup := st.sessions[key]; dup {
+	if st.session(from, m.PollID) != nil {
 		return
 	}
 
@@ -129,26 +132,11 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 		return
 	}
 
-	var s *voterSession
-	if k := len(p.freeSessions); k > 0 {
-		s = p.freeSessions[k-1]
-		p.freeSessions[k-1] = nil
-		p.freeSessions = p.freeSessions[:k-1]
-	} else {
-		s = &voterSession{}
-		s.fire = func() { p.sessionTimer(s) }
-	}
-	*s = voterSession{
-		key:          key,
-		state:        vsAwaitProof,
-		taskID:       taskID,
-		slotEnd:      slotStart + sched.Time(voteDur),
-		voteBy:       m.VoteBy,
-		pollDeadline: m.PollDeadline,
-		st:           st,
-		fire:         s.fire,
-	}
-	st.sessions[key] = s
+	s := p.openSession(st, from, m.PollID)
+	s.taskID = taskID
+	s.slotEnd = slotStart + sched.Time(voteDur)
+	s.voteBy = m.VoteBy
+	s.pollDeadline = m.PollDeadline
 	p.send(from, Msg{
 		Type:   MsgPollAck,
 		AU:     st.spec.ID,
@@ -163,7 +151,7 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 // sessionTimer runs a session's pending deadline. Every transition out of a
 // state cancels the timer armed for it, so the state names the deadline.
 func (p *Peer) sessionTimer(s *voterSession) {
-	st, poller := s.st, s.key.poller
+	st, poller := s.st, s.poller
 	switch s.state {
 	case vsAwaitProof:
 		// Reservation defense: the poller never followed up with PollProof;
@@ -202,9 +190,8 @@ func (p *Peer) refuseInvite(st *auState, from ids.PeerID, pollID uint64, r Refus
 // voterHandleProof processes the PollProof: verify the remaining poller
 // effort, then compute the vote in the reserved slot.
 func (p *Peer) voterHandleProof(st *auState, from ids.PeerID, m *Msg) {
-	key := sessionKey{poller: from, pollID: m.PollID}
-	s, ok := st.sessions[key]
-	if !ok || s.state != vsAwaitProof {
+	s := st.session(from, m.PollID)
+	if s == nil || s.state != vsAwaitProof {
 		return
 	}
 	p.stopTimer(&s.timer)
@@ -229,13 +216,13 @@ func (p *Peer) voterHandleProof(st *auState, from ids.PeerID, m *Msg) {
 // replica under the nonce, generate the vote's provable effort, remember the
 // receipt byproduct, and send the Vote with discovery nominations.
 func (p *Peer) completeVote(s *voterSession) {
-	st, poller := s.st, s.key.poller
+	st, poller := s.st, s.poller
 	p.charge(effort.KindVote, st.pollEffort.VoteHash+st.pollEffort.VoteProof)
 	vd := p.ownVoteData(st, s.nonce[:])
 	m := Msg{
 		Type:   MsgVote,
 		AU:     st.spec.ID,
-		PollID: s.key.pollID,
+		PollID: s.pollID,
 		Poller: poller,
 		Voter:  p.id,
 		Vote:   vd,
@@ -249,7 +236,7 @@ func (p *Peer) completeVote(s *voterSession) {
 
 	s.state = vsAwaitReceipt
 	p.stats.VotesSupplied++
-	p.obs.VoteSupplied(p.id, poller, st.spec.ID, s.key.pollID, p.env.Now())
+	p.obs.VoteSupplied(p.id, poller, st.spec.ID, s.pollID, p.env.Now())
 	p.send(poller, m)
 
 	// Waste defense: the poller owes an evaluation receipt by shortly after
@@ -266,9 +253,8 @@ func (p *Peer) completeVote(s *voterSession) {
 // small number of repairs; exceeding the cap is ignored (and the poller will
 // look elsewhere).
 func (p *Peer) voterHandleRepairRequest(st *auState, from ids.PeerID, m *Msg) {
-	key := sessionKey{poller: from, pollID: m.PollID}
-	s, ok := st.sessions[key]
-	if !ok || s.state != vsAwaitReceipt {
+	s := st.session(from, m.PollID)
+	if s == nil || s.state != vsAwaitReceipt {
 		return
 	}
 	if s.repairs >= p.cfg.MaxRepairsServed {
@@ -296,9 +282,8 @@ func (p *Peer) voterHandleRepairRequest(st *auState, from ids.PeerID, m *Msg) {
 // evaluated our vote; the exchange bookkeeping then lowers the poller's
 // grade by one step (it consumed a vote). An invalid receipt is misbehavior.
 func (p *Peer) voterHandleReceipt(st *auState, from ids.PeerID, m *Msg) {
-	key := sessionKey{poller: from, pollID: m.PollID}
-	s, ok := st.sessions[key]
-	if !ok || s.state != vsAwaitReceipt {
+	s := st.session(from, m.PollID)
+	if s == nil || s.state != vsAwaitReceipt {
 		return
 	}
 	now := p.env.Now()
@@ -314,12 +299,67 @@ func (p *Peer) voterHandleReceipt(st *auState, from ids.PeerID, m *Msg) {
 	p.closeSession(st, s)
 }
 
+// openSession draws a session record from the freelist, keeping its timer
+// callback, and links it as poller's session for pollID on st, awaiting the
+// proof.
+func (p *Peer) openSession(st *auState, poller ids.PeerID, pollID uint64) *voterSession {
+	var s *voterSession
+	if k := len(p.freeSessions); k > 0 {
+		s = p.freeSessions[k-1]
+		p.freeSessions[k-1] = nil
+		p.freeSessions = p.freeSessions[:k-1]
+	} else {
+		s = &voterSession{}
+		s.fire = func() { p.sessionTimer(s) }
+	}
+	*s = voterSession{
+		poller: poller,
+		state:  vsAwaitProof,
+		pollID: pollID,
+		st:     st,
+		fire:   s.fire,
+		next:   st.sessions[poller],
+	}
+	st.sessions[poller] = s
+	st.nSessions++
+	return s
+}
+
 // closeSession cancels timers and forgets the session, recycling the record.
 // A session's only live timer is cancelled here, so nothing can observe the
 // record after it returns to the freelist.
 func (p *Peer) closeSession(st *auState, s *voterSession) {
 	p.stopTimer(&s.timer)
 	s.state = vsClosed
-	delete(st.sessions, s.key)
+	st.unlinkSession(s)
 	p.freeSessions = append(p.freeSessions, s)
+}
+
+// session returns the live session for poller's poll pollID, or nil.
+func (st *auState) session(poller ids.PeerID, pollID uint64) *voterSession {
+	s := st.sessions[poller]
+	for s != nil && s.pollID != pollID {
+		s = s.next
+	}
+	return s
+}
+
+// unlinkSession removes a live session from its poller's chain.
+func (st *auState) unlinkSession(s *voterSession) {
+	if head := st.sessions[s.poller]; head == s {
+		if s.next == nil {
+			delete(st.sessions, s.poller)
+		} else {
+			st.sessions[s.poller] = s.next
+		}
+	} else {
+		for prev := head; prev != nil; prev = prev.next {
+			if prev.next == s {
+				prev.next = s.next
+				break
+			}
+		}
+	}
+	s.next = nil
+	st.nSessions--
 }
