@@ -88,7 +88,7 @@ import (
 var version = "dev"
 
 // logObserver prints protocol milestones.
-type logObserver struct{ id ids.PeerID }
+type logObserver struct{}
 
 func (o logObserver) PollConcluded(p ids.PeerID, au content.AUID, pollID uint64, out protocol.Outcome, started, now sched.Time) {
 	log.Printf("poll on AU %d concluded: %v", au, out)
@@ -419,9 +419,9 @@ func main() {
 	costs := effort.DefaultCostModel()
 	costs.HashBytesPerSec = 512 << 20 // modern disk+hash
 
-	var obs protocol.Observer = logObserver{id: ids.PeerID(*id)}
+	var obs protocol.Observer = logObserver{}
 	if !*verbose {
-		obs = quietObserver{logObserver{id: ids.PeerID(*id)}}
+		obs = quietObserver{logObserver{}}
 	}
 
 	st, replicas, err := buildReplicas(*dataDir, ids.PeerID(*id), *aus, *auSize, pcfg.BlockSize)

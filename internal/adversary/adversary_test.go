@@ -246,7 +246,7 @@ func TestVoteFloodHasNoEffect(t *testing.T) {
 	a.Install(w)
 	w.Run()
 
-	if a.SentVotes == 0 {
+	if a.pollSeq == 0 {
 		t.Fatal("flood sent nothing")
 	}
 	if got := w.Metrics.SuccessfulPolls(); got != basePolls {
@@ -323,7 +323,7 @@ func TestInstallKeepsCallerParameters(t *testing.T) {
 	if vf.VotesPerDay != 0 {
 		t.Errorf("VoteFlood.Install wrote VotesPerDay %v", vf.VotesPerDay)
 	}
-	if vf.SentVotes == 0 {
+	if vf.pollSeq == 0 {
 		t.Error("vote flood sent nothing at its default rate")
 	}
 }

@@ -58,10 +58,6 @@ type BruteForce struct {
 	// Coverage is the attacked fraction of the population (default 1.0;
 	// Table 1: all).
 	Coverage float64
-
-	// run is the state Install creates. It is nil before Install, so an
-	// uninstalled BruteForce is exactly its parameters, and comparable.
-	run *bruteRun
 }
 
 // bruteRun is one installed brute-force attack: the resolved parameters and
@@ -108,7 +104,6 @@ func (a *BruteForce) Install(w *world.World) {
 		coverage = 1.0
 	}
 	r := &bruteRun{w: w, defection: a.Defection, volley: volley, efforts: make(map[content.AUID]auEffort)}
-	a.run = r
 	costs := effort.DefaultCostModel() // not w.Cfg.CostModel(), which victims verify against: ROADMAP.md item 4(e)
 	for _, spec := range w.Specs() {
 		pe := costs.PollEffortFor(spec.Size, spec.Blocks())

@@ -24,9 +24,8 @@ type VoteFlood struct {
 	// VotesPerDay is the flood rate per victim per AU (default 48).
 	VotesPerDay float64
 
+	// pollSeq numbers the bogus votes sent, and so counts them.
 	pollSeq uint64
-	// SentVotes counts emitted bogus votes (for tests).
-	SentVotes uint64
 }
 
 // Name implements Adversary.
@@ -81,7 +80,6 @@ func (a *VoteFlood) Install(w *world.World) {
 // never called.
 func (a *VoteFlood) sendBogusVote(w *world.World, victim ids.PeerID, au content.AUID, spec content.AUSpec) {
 	a.pollSeq++
-	a.SentVotes++
 	m := w.NewMsg(&protocol.Msg{
 		Type:   protocol.MsgVote,
 		AU:     au,

@@ -116,8 +116,6 @@ type PollEffort struct {
 	VoteHash Seconds
 	// VoteProof is the provable effort the voter embeds in the Vote message.
 	VoteProof Seconds
-	// PollerTotal is the total provable effort across Poll + PollProof.
-	PollerTotal Seconds
 	// Intro is the provable effort carried by the Poll message alone.
 	Intro Seconds
 	// Remainder is the provable effort carried by the PollProof message.
@@ -147,12 +145,11 @@ func (m CostModel) PollEffortFor(auBytes int64, blocks int) PollEffort {
 	total := Seconds(1.05 * float64(voteHash+voteProof) / (1 - m.MBFVerifyFraction))
 	intro := Seconds(float64(total) * m.IntroEffortFraction)
 	return PollEffort{
-		VoteHash:    voteHash,
-		VoteProof:   voteProof,
-		PollerTotal: total,
-		Intro:       intro,
-		Remainder:   total - intro,
-		EvalHash:    voteHash,
+		VoteHash:  voteHash,
+		VoteProof: voteProof,
+		Intro:     intro,
+		Remainder: total - intro,
+		EvalHash:  voteHash,
 	}
 }
 

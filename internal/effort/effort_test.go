@@ -35,30 +35,28 @@ func TestPollEffortBalance(t *testing.T) {
 		t.Errorf("vote proof %v does not cover block hash %v + verify %v",
 			pe.VoteProof, blockHash, m.VerifyCost(pe.VoteProof))
 	}
-	// The poller's total provable effort exceeds the voter's cost to verify
-	// it plus produce the vote.
-	voterCost := m.VerifyCost(pe.PollerTotal) + pe.VoteHash + pe.VoteProof
-	if float64(pe.PollerTotal) <= float64(voterCost) {
-		t.Errorf("poller total %v does not exceed voter cost %v", pe.PollerTotal, voterCost)
+	// The poller's total provable effort (Poll plus PollProof) exceeds the
+	// voter's cost to verify it plus produce the vote.
+	total := pe.Intro + pe.Remainder
+	voterCost := m.VerifyCost(total) + pe.VoteHash + pe.VoteProof
+	if float64(total) <= float64(voterCost) {
+		t.Errorf("poller total %v does not exceed voter cost %v", total, voterCost)
 	}
 	// Intro fraction.
-	if math.Abs(float64(pe.Intro)/float64(pe.PollerTotal)-m.IntroEffortFraction) > 1e-9 {
-		t.Errorf("intro %v is not %v of total %v", pe.Intro, m.IntroEffortFraction, pe.PollerTotal)
-	}
-	if pe.Intro+pe.Remainder != pe.PollerTotal {
-		t.Errorf("intro+remainder != total")
+	if math.Abs(float64(pe.Intro)/float64(total)-m.IntroEffortFraction) > 1e-9 {
+		t.Errorf("intro %v is not %v of total %v", pe.Intro, m.IntroEffortFraction, total)
 	}
 	// Five expected attempts at the in-debt drop rate cost the attacker at
 	// least the full poller effort (the paper's calibration).
-	if 5*float64(pe.Intro) < float64(pe.PollerTotal)*0.999 {
-		t.Errorf("5 x intro (%v) should reach the total (%v)", 5*pe.Intro, pe.PollerTotal)
+	if 5*float64(pe.Intro) < float64(total)*0.999 {
+		t.Errorf("5 x intro (%v) should reach the total (%v)", 5*pe.Intro, total)
 	}
 }
 
 func TestPollEffortDegenerate(t *testing.T) {
 	m := DefaultCostModel()
 	pe := m.PollEffortFor(100, 0) // zero blocks clamps to 1
-	if pe.VoteHash <= 0 || pe.PollerTotal <= 0 {
+	if pe.VoteHash <= 0 || pe.Intro+pe.Remainder <= 0 {
 		t.Errorf("degenerate AU should still cost something: %+v", pe)
 	}
 }

@@ -155,8 +155,8 @@ func TestTableFormatting(t *testing.T) {
 		Columns: []string{"a", "long-column"},
 		Notes:   []string{"a note"},
 	}
-	tab.AddRow("1", "2")
-	tab.AddRow("333333", "4")
+	tab.AddCells(Str("1"), Str("2"))
+	tab.AddCells(Str("333333"), Str("4"))
 	var buf bytes.Buffer
 	tab.Fprint(&buf)
 	out := buf.String()

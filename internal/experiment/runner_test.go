@@ -239,14 +239,23 @@ func TestMemoKeysConfigByValue(t *testing.T) {
 	ct := cfg
 	ct.Telemetry = tel
 	run(ct)
-	seen := tel.Ring().Appended()
+	// A recorded event's Seq is its append index, so the newest one's
+	// Seq+1 counts every event the sink ever saw.
+	appended := func() uint64 {
+		ev := tel.Ring().Snapshot()
+		if len(ev) == 0 {
+			return 0
+		}
+		return ev[len(ev)-1].Seq + 1
+	}
+	seen := appended()
 	if seen == 0 {
 		t.Fatal("the telemetry sink saw no events")
 	}
 	run(ct)
 	wantComputed += 2
 	check("a config with a telemetry sink")
-	if got := tel.Ring().Appended(); got != 2*seen {
+	if got := appended(); got != 2*seen {
 		t.Errorf("the sink saw %d events over two runs, want %d: a run was served from the memo", got, 2*seen)
 	}
 }

@@ -84,15 +84,6 @@ type Table struct {
 	Notes   []string
 }
 
-// AddRow appends a row of plain string cells.
-func (t *Table) AddRow(cells ...string) {
-	row := make([]Cell, len(cells))
-	for i, c := range cells {
-		row[i] = Str(c)
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // AddCells appends a row of typed cells.
 func (t *Table) AddCells(cells ...Cell) {
 	t.Rows = append(t.Rows, cells)

@@ -82,9 +82,9 @@ func TestWriteJSON(t *testing.T) {
 			t.Errorf("JSON missing %s:\n%s", want, out)
 		}
 	}
-	// Plain AddRow tables must marshal too.
+	// Tables of plain string cells must marshal too.
 	plain := &Table{ID: "P", Title: "plain", Columns: []string{"c"}}
-	plain.AddRow("v")
+	plain.AddCells(Str("v"))
 	buf.Reset()
 	if err := plain.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -110,8 +110,8 @@ func TestClusterRepairsDurableStore(t *testing.T) {
 	}
 
 	// Durability: reopen every store from disk; every manifest must verify.
-	for i, m := range c.Members {
-		re, err := store.Open(m.Store.Root())
+	for i := range c.Members {
+		re, err := store.Open(c.spec.Members[i].Dir)
 		if err != nil {
 			t.Fatalf("node %d store not loadable after shutdown: %v", i, err)
 		}

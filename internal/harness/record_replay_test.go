@@ -280,7 +280,7 @@ func TestRecordReplayUnderShedFlood(t *testing.T) {
 	// slot; whatever the readers see after that they shed.
 	if !WaitFor(10*time.Second, 5*time.Millisecond, func() bool {
 		burst()
-		return n.TransportStats().InvitesShed > 0
+		return n.StatsFrom(protocol.PeerStats{}).Transport.InvitesShed > 0
 	}) {
 		t.Fatalf("%d invitations reached the actor whole: nothing was shed", sent)
 	}

@@ -63,11 +63,6 @@ type Collector struct {
 	VotesSupplied uint64
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return NewCollectorSized(0)
-}
-
 // NewCollectorSized returns an empty collector preallocated for the expected
 // replica count (peers × AUs), so population registration and steady-state
 // tracking do not grow the index incrementally.

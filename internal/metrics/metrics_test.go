@@ -21,7 +21,7 @@ func reg(c *Collector, n int) []*content.SimReplica {
 }
 
 func TestAccessFailureIntegral(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorSized(0)
 	rs := reg(c, 4)
 	// Damage replica 0 at t=100; repair at t=300; horizon 1000.
 	rs[0].Damage(0)
@@ -52,7 +52,7 @@ func mustRepairData(t *testing.T, r content.Replica, block int) []byte {
 }
 
 func TestPartialRepairKeepsDamaged(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorSized(0)
 	rs := reg(c, 2)
 	rs[0].Damage(0)
 	rs[0].Damage(1)
@@ -73,7 +73,7 @@ func TestPartialRepairKeepsDamaged(t *testing.T) {
 }
 
 func TestMeanSuccessIntervalRenewal(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorSized(0)
 	reg(c, 2) // 2 replicas
 	day := sched.Time(24 * 3600 * 1e9)
 	c.PollConcluded(1, 1, 7, protocol.OutcomeSuccess, 80*day, 90*day)
@@ -93,7 +93,7 @@ func TestMeanSuccessIntervalRenewal(t *testing.T) {
 }
 
 func TestNoSuccesses(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorSized(0)
 	reg(c, 2)
 	c.PollConcluded(1, 1, 7, protocol.OutcomeInquorate, 50, 100)
 	c.Finalize(1000)
@@ -106,7 +106,7 @@ func TestNoSuccesses(t *testing.T) {
 }
 
 func TestAlarmsAndCounts(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorSized(0)
 	reg(c, 1)
 	c.Alarm(1, 1, 7, 10)
 	c.Alarm(1, 1, 7, 20)
@@ -122,7 +122,7 @@ func TestAlarmsAndCounts(t *testing.T) {
 }
 
 func TestAccessFailureEmptyCollector(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorSized(0)
 	c.Finalize(1000)
 	if c.AccessFailureProbability() != 0 {
 		t.Error("empty collector should report zero AFP")
@@ -134,7 +134,7 @@ func TestAccessFailureEmptyCollector(t *testing.T) {
 // including a damage interval still open at the horizon.
 func TestRebase(t *testing.T) {
 	run := func(origin sched.Time) *Collector {
-		c := NewCollector()
+		c := NewCollectorSized(0)
 		rs := reg(c, 2)
 		rs[0].Damage(0)
 		c.OnDamage(1, 1, origin+100)
@@ -174,11 +174,11 @@ func TestMergeMatchesSingleCollector(t *testing.T) {
 		}
 		colOf(2).Alarm(2, 1, 9, 950)
 	}
-	one := NewCollector()
+	one := NewCollectorSized(0)
 	run(func(ids.PeerID) *Collector { return one })
-	parts := []*Collector{NewCollector(), NewCollector()}
+	parts := []*Collector{NewCollectorSized(0), NewCollectorSized(0)}
 	run(func(peer ids.PeerID) *Collector { return parts[(peer-1)/2] })
-	merged := NewCollector()
+	merged := NewCollectorSized(0)
 	for _, c := range parts {
 		merged.Merge(c)
 	}

@@ -179,8 +179,7 @@ func TestPeerStartsAtEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !n.Inspect(func(p *protocol.Peer) {
-			info, _ := p.AUInfo(1)
-			offsets[i] = info.PollDeadline.Sub(n.Epoch())
+			offsets[i] = sched.Duration(p.AUInfos()[0].PollDeadline - n.Epoch())
 		}) {
 			t.Fatal("node stopped")
 		}

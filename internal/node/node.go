@@ -332,11 +332,6 @@ func (n *Node) DropConnections() {
 	}
 }
 
-// TransportStats snapshots the transport counters (sends, drops, dials,
-// redials, queue high-water, inbound admission). Safe to call concurrently
-// with a running node.
-func (n *Node) TransportStats() TransportStats { return n.tr.stats() }
-
 // StoreStats snapshots the durable store's counters (blocks scanned,
 // verified, damaged and repaired, scrub passes, manifest writes). Zero when
 // the node runs without a store. Safe to call concurrently with a running

@@ -140,7 +140,7 @@ func TestFloodShedSparesKnownPeer(t *testing.T) {
 	// closes the slot, and from then on the read loop sheds.
 	if !waitUntil(10*time.Second, 5*time.Millisecond, func() bool {
 		flood()
-		return n.TransportStats().InvitesShed > 0
+		return n.tr.stats().InvitesShed > 0
 	}) {
 		t.Fatal("the read loop never started shedding")
 	}

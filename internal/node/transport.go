@@ -18,7 +18,8 @@
 //     from accept until the session ends (the paper's admission-control
 //     theme applied at the transport layer).
 //   - Every send, drop, dial, redial and the queue high-water mark is
-//     counted; Node.TransportStats exposes the counters.
+//     counted; Node.StatsFrom(...).Transport snapshots the counters, and
+//     the admin server serves them.
 package node
 
 import (

@@ -111,7 +111,7 @@ func TestQueueFullDropAccounting(t *testing.T) {
 		b := []byte{byte(i)}
 		l.enqueue(queuedFrame{bufp: &b})
 	}
-	st := n.TransportStats()
+	st := n.tr.stats()
 	if st.DropsQueueFull != 6 {
 		t.Errorf("DropsQueueFull = %d, want 6", st.DropsQueueFull)
 	}
@@ -164,10 +164,10 @@ func TestUnreachablePeerBackoff(t *testing.T) {
 		n.tr.send(9, m)
 	}
 	if !waitUntil(10*time.Second, 5*time.Millisecond, func() bool {
-		st := n.TransportStats()
+		st := n.tr.stats()
 		return st.Drops >= sends && st.DialFailures >= 1 && st.Dials >= 1
 	}) {
-		t.Fatalf("counters never converged: %+v", n.TransportStats())
+		t.Fatalf("counters never converged: %+v", n.tr.stats())
 	}
 
 	done := make(chan struct{})
@@ -217,7 +217,7 @@ func TestInboundGlobalCap(t *testing.T) {
 	if _, err := session.Client(raw); err == nil {
 		t.Error("third inbound session established past MaxInbound=2")
 	}
-	if st := n.TransportStats(); st.InboundRejected < 1 {
+	if st := n.tr.stats(); st.InboundRejected < 1 {
 		t.Errorf("InboundRejected = %d, want >= 1", st.InboundRejected)
 	}
 }
@@ -241,7 +241,7 @@ func TestInboundPerAddrHandshakeCap(t *testing.T) {
 	}
 	defer stuck.Close()
 	if !waitUntil(10*time.Second, 2*time.Millisecond, func() bool {
-		return n.TransportStats().InboundAccepted >= 1
+		return n.tr.stats().InboundAccepted >= 1
 	}) {
 		t.Fatal("first connection never admitted")
 	}
@@ -254,7 +254,7 @@ func TestInboundPerAddrHandshakeCap(t *testing.T) {
 	if _, err := session.Client(raw); err == nil {
 		t.Error("second concurrent handshake from the same address succeeded past cap 1")
 	}
-	if st := n.TransportStats(); st.InboundRejected < 1 {
+	if st := n.tr.stats(); st.InboundRejected < 1 {
 		t.Errorf("InboundRejected = %d, want >= 1", st.InboundRejected)
 	}
 }
@@ -281,7 +281,7 @@ func TestInboundPerAddrEstablishedCap(t *testing.T) {
 	if _, err := session.Client(raw); err == nil {
 		t.Error("second session from the same address succeeded past per-addr cap 1")
 	}
-	if st := n.TransportStats(); st.InboundRejected < 1 {
+	if st := n.tr.stats(); st.InboundRejected < 1 {
 		t.Errorf("InboundRejected = %d, want >= 1", st.InboundRejected)
 	}
 }
@@ -366,7 +366,7 @@ func TestWriteFailureArmsBackoff(t *testing.T) {
 	if l.backoff != 200*time.Millisecond {
 		t.Errorf("backoff after write failure = %v, want 200ms (doubled)", l.backoff)
 	}
-	st := n.TransportStats()
+	st := n.tr.stats()
 	if st.Drops != 1 || st.Sent != 0 {
 		t.Errorf("counters = %+v, want exactly one drop and no sends", st)
 	}
@@ -445,13 +445,13 @@ func TestStopPromptWhileWriteWedged(t *testing.T) {
 	// 256 KiB frames overwhelm the socket buffers quickly.
 	m := &protocol.Msg{Type: protocol.MsgRepair, AU: 1, PollID: 1, Poller: 1, Voter: 9, Block: 0, RepairData: make([]byte, 256<<10)}
 	if !waitUntil(15*time.Second, time.Millisecond, func() bool {
-		if n.TransportStats().DropsQueueFull > 0 {
+		if n.tr.stats().DropsQueueFull > 0 {
 			return true
 		}
 		n.tr.send(9, m)
 		return false
 	}) {
-		t.Fatalf("writer never wedged: %+v", n.TransportStats())
+		t.Fatalf("writer never wedged: %+v", n.tr.stats())
 	}
 
 	done := make(chan struct{})
@@ -461,7 +461,7 @@ func TestStopPromptWhileWriteWedged(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop did not return while a frame write was wedged")
 	}
-	st := n.TransportStats()
+	st := n.tr.stats()
 	if st.DropsQueueFull == 0 || st.Sent == 0 {
 		t.Errorf("expected sends and queue-full drops, got %+v", st)
 	}
@@ -559,7 +559,7 @@ func TestClusterSurvivesStalledPeer(t *testing.T) {
 
 	var agg TransportStats
 	for _, n := range nodes {
-		st := n.TransportStats()
+		st := n.tr.stats()
 		agg.Sent += st.Sent
 		agg.Dials += st.Dials
 		agg.Drops += st.Drops

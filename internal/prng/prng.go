@@ -144,16 +144,6 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts shuffles s in place (Fisher–Yates).
 func (r *Source) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {

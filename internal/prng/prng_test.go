@@ -146,10 +146,11 @@ func TestBool(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	err := quick.Check(func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%64) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
 		}
+		New(seed).ShuffleInts(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {

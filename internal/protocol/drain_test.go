@@ -19,8 +19,8 @@ func TestDrainFinishesInFlightPoll(t *testing.T) {
 		t.Fatalf("ActivePolls = %d after Start, want 1", h.p.ActivePolls())
 	}
 	h.p.Drain()
-	if !h.p.Draining() {
-		t.Fatal("Draining() false after Drain")
+	if !h.p.draining {
+		t.Fatal("draining false after Drain")
 	}
 	h.pump(3 * sim.Duration(cfg.PollInterval))
 	st := h.p.Stats()
@@ -47,6 +47,16 @@ func TestPollsStartedCounter(t *testing.T) {
 	}
 }
 
+// auInfo finds au's snapshot among p's.
+func auInfo(p *Peer, au content.AUID) (AUInfo, bool) {
+	for _, info := range p.AUInfos() {
+		if info.Spec.ID == au {
+			return info, true
+		}
+	}
+	return AUInfo{}, false
+}
+
 // TestAUInfoSnapshot exercises the inspection snapshot: spec, damage list,
 // in-flight poll deadline and graded reference list.
 func TestAUInfoSnapshot(t *testing.T) {
@@ -55,9 +65,9 @@ func TestAUInfoSnapshot(t *testing.T) {
 	h.replica.Damage(2)
 	h.p.Start()
 
-	info, ok := h.p.AUInfo(1)
+	info, ok := auInfo(h.p, 1)
 	if !ok {
-		t.Fatal("AUInfo(1) not found")
+		t.Fatal("AU 1 not found")
 	}
 	if info.Spec.ID != 1 || info.Spec.Blocks() != 4 {
 		t.Errorf("unexpected spec %+v", info.Spec)
@@ -85,8 +95,8 @@ func TestAUInfoSnapshot(t *testing.T) {
 			t.Errorf("grade of %v = %v, want even", e.Peer, e.Grade)
 		}
 	}
-	if _, ok := h.p.AUInfo(99); ok {
-		t.Error("AUInfo(99) should not exist")
+	if _, ok := auInfo(h.p, 99); ok {
+		t.Error("AU 99 should not exist")
 	}
 	if n := len(h.p.AUInfos()); n != 1 {
 		t.Errorf("AUInfos len = %d, want 1", n)
@@ -95,7 +105,7 @@ func TestAUInfoSnapshot(t *testing.T) {
 	// After repair, the damage list empties and the generation advances.
 	gen := info.Generation
 	h.pump(2 * sim.Duration(cfg.PollInterval))
-	info, _ = h.p.AUInfo(1)
+	info, _ = auInfo(h.p, 1)
 	if len(info.DamagedBlocks) != 0 {
 		t.Errorf("DamagedBlocks = %v after repair horizon", info.DamagedBlocks)
 	}

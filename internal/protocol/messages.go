@@ -176,17 +176,12 @@ func (m *Msg) WireSize() int {
 	return n
 }
 
-// PollContext builds the canonical effort-binding context for a protocol
-// phase of a poll: poller, voter, poll and phase are all bound, so proofs
-// cannot be replayed across exchanges.
-func PollContext(poller, voter ids.PeerID, au content.AUID, pollID uint64, phase string) []byte {
-	return AppendPollContext(make([]byte, 0, 20+len(phase)), poller, voter, au, pollID, phase)
-}
-
-// AppendPollContext appends the canonical effort-binding context to dst and
-// returns the extended slice. The hot path reuses a per-peer scratch buffer
-// through it; contexts are consumed synchronously by the effort primitives
-// and never retained.
+// AppendPollContext appends the canonical effort-binding context for a
+// protocol phase of a poll to dst and returns the extended slice: poller,
+// voter, poll and phase are all bound, so proofs cannot be replayed across
+// exchanges. The hot path reuses a per-peer scratch buffer through it;
+// contexts are consumed synchronously by the effort primitives and never
+// retained.
 func AppendPollContext(dst []byte, poller, voter ids.PeerID, au content.AUID, pollID uint64, phase string) []byte {
 	var tmp [8]byte
 	binary.BigEndian.PutUint32(tmp[:4], uint32(poller))

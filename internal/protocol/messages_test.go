@@ -28,13 +28,13 @@ func TestRefuseReasonStrings(t *testing.T) {
 }
 
 func TestContextBindsAllIdentifiers(t *testing.T) {
-	base := PollContext(1, 2, 3, 4, "intro")
+	base := AppendPollContext(nil, 1, 2, 3, 4, "intro")
 	variants := [][]byte{
-		PollContext(9, 2, 3, 4, "intro"),
-		PollContext(1, 9, 3, 4, "intro"),
-		PollContext(1, 2, 9, 4, "intro"),
-		PollContext(1, 2, 3, 9, "intro"),
-		PollContext(1, 2, 3, 4, "vote"),
+		AppendPollContext(nil, 9, 2, 3, 4, "intro"),
+		AppendPollContext(nil, 1, 9, 3, 4, "intro"),
+		AppendPollContext(nil, 1, 2, 9, 4, "intro"),
+		AppendPollContext(nil, 1, 2, 3, 9, "intro"),
+		AppendPollContext(nil, 1, 2, 3, 4, "vote"),
 	}
 	for i, v := range variants {
 		if bytes.Equal(base, v) {

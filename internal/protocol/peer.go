@@ -186,9 +186,6 @@ func (p *Peer) au(id content.AUID) *auState {
 // ID returns the peer's identity.
 func (p *Peer) ID() ids.PeerID { return p.id }
 
-// Config returns the peer's protocol configuration.
-func (p *Peer) Config() Config { return *p.cfg }
-
 // Schedule exposes the task schedule (for the layering hook and tests).
 func (p *Peer) Schedule() *sched.Schedule { return p.sch }
 
@@ -209,9 +206,6 @@ func (s PeerStats) PollsConcluded() uint64 {
 // repairs — a draining peer stays useful to the population until it is
 // stopped. Drain is irreversible for the life of the Peer.
 func (p *Peer) Drain() { p.draining = true }
-
-// Draining reports whether Drain has been called.
-func (p *Peer) Draining() bool { return p.draining }
 
 // ActivePolls counts AUs with a poller-side poll in flight. It reaches zero
 // only after Drain (a non-draining peer immediately replaces each concluded
@@ -389,16 +383,6 @@ type AUInfo struct {
 	VoterSessions int
 	// RefList holds the reference list with grades, sorted by peer ID.
 	RefList []RefEntry
-}
-
-// AUInfo snapshots one AU, reporting false for AUs the peer does not
-// preserve.
-func (p *Peer) AUInfo(au content.AUID) (AUInfo, bool) {
-	st := p.au(au)
-	if st == nil {
-		return AUInfo{}, false
-	}
-	return p.auInfo(st), true
 }
 
 // auInfo snapshots st.

@@ -125,7 +125,7 @@ func (h *pollerHarness) reply(s sentMsg) {
 			Vote:        VoteDataOf(v.replica, nonce[:]),
 			Nominations: v.noms,
 		}
-		ctx := PollContext(m.Poller, s.to, m.AU, m.PollID, "vote")
+		ctx := AppendPollContext(nil, m.Poller, s.to, m.AU, m.PollID, "vote")
 		if v.badProof {
 			vote.Proof = effort.SimProof{Effort: h.pe.VoteProof, Genuine: false}
 		} else {
@@ -238,7 +238,7 @@ func TestPollerInquorate(t *testing.T) {
 		t.Error("silent voters cannot produce success")
 	}
 	// Rate limitation: the next poll must still have been scheduled.
-	if h.env.eng.Pending() == 0 {
+	if _, ok := h.env.eng.Next(); !ok {
 		t.Error("no next poll scheduled after failure")
 	}
 }

@@ -89,7 +89,7 @@ func FuzzVoterSessions(f *testing.F) {
 					t.Fatalf("step %d: a recycled session still links to poll %d", step, s.next.pollID)
 				}
 			}
-			if info, _ := p.AUInfo(au); info.VoterSessions != len(model) {
+			if info, _ := auInfo(p, au); info.VoterSessions != len(model) {
 				t.Fatalf("step %d: AUInfo.VoterSessions = %d, want %d", step, info.VoterSessions, len(model))
 			}
 		}

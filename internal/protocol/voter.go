@@ -25,7 +25,6 @@ type voterSession struct {
 	pollID       uint64
 	taskID       sched.TaskID
 	slotEnd      sched.Time
-	voteBy       sched.Time
 	pollDeadline sched.Time
 	nonce        Nonce
 	myReceipt    effort.Receipt
@@ -135,7 +134,6 @@ func (p *Peer) voterHandlePoll(st *auState, from ids.PeerID, m *Msg) {
 	s := p.openSession(st, from, m.PollID)
 	s.taskID = taskID
 	s.slotEnd = slotStart + sched.Time(voteDur)
-	s.voteBy = m.VoteBy
 	s.pollDeadline = m.PollDeadline
 	p.send(from, Msg{
 		Type:   MsgPollAck,

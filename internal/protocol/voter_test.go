@@ -22,8 +22,8 @@ func inviteMsg(p *Peer, poller ids.PeerID, env *fakeEnv, pollID uint64) *Msg {
 		PollID:       pollID,
 		Poller:       poller,
 		Voter:        p.ID(),
-		VoteBy:       env.Now() + sched.Time(p.Config().VoteWindow),
-		PollDeadline: env.Now() + sched.Time(p.Config().PollInterval),
+		VoteBy:       env.Now() + sched.Time(p.cfg.VoteWindow),
+		PollDeadline: env.Now() + sched.Time(p.cfg.PollInterval),
 	}
 	m.Proof = effort.SimProof{Effort: pe.Intro, Genuine: true}
 	return m
@@ -164,7 +164,7 @@ func TestVoterFullFlowAndReceipt(t *testing.T) {
 
 	// A valid receipt settles the exchange: the poller consumed a vote, so
 	// its grade drops one step (credit -> even).
-	ctx := PollContext(poller, p.ID(), au, 100, "vote")
+	ctx := AppendPollContext(nil, poller, p.ID(), au, 100, "vote")
 	receipt := effort.SimReceiptFor(ctx, vote.Proof.Cost())
 	p.Receive(poller, &Msg{
 		Type: MsgEvaluationReceipt, AU: au, PollID: 100,

@@ -180,20 +180,20 @@ func TestListMatchesMapModel(t *testing.T) {
 			case 8:
 				now += Time(ops.Float64() * float64(day) * 2)
 			}
-			if l.PendingIntroductions() != len(m.intros) || l.Known() != len(m.entries) {
+			if len(l.intros) != len(m.intros) || len(l.entries) != len(m.entries) {
 				t.Fatalf("seed %d step %d: %d intros, %d known; model says %d, %d",
-					seed, step, l.PendingIntroductions(), l.Known(), len(m.intros), len(m.entries))
+					seed, step, len(l.intros), len(l.entries), len(m.intros), len(m.entries))
 			}
 			for id := ids.PeerID(1); id <= peers; id++ {
-				if _, held := m.intros[id]; l.HasIntroduction(id) != held {
-					t.Fatalf("seed %d step %d: HasIntroduction(%v) = %v, model says %v", seed, step, id, !held, held)
+				if _, held := m.intros[id]; (l.introOf(id) >= 0) != held {
+					t.Fatalf("seed %d step %d: introduction of %v held = %v, model says %v", seed, step, id, !held, held)
 				}
 				if got, want := l.GradeOf(now, id), m.gradeOf(now, id); got != want {
 					t.Fatalf("seed %d step %d: GradeOf(%v) = %v, model says %v", seed, step, id, got, want)
 				}
 			}
-			if l.RefractoryUntil() != m.refractoryUntil {
-				t.Fatalf("seed %d step %d: refractory until %d, model says %d", seed, step, l.RefractoryUntil(), m.refractoryUntil)
+			if l.refractoryUntil != m.refractoryUntil {
+				t.Fatalf("seed %d step %d: refractory until %d, model says %d", seed, step, l.refractoryUntil, m.refractoryUntil)
 			}
 		}
 		if lrnd.Uint64() != mrnd.Uint64() {

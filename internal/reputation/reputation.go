@@ -367,9 +367,6 @@ func (l *List) Consider(now Time, p ids.PeerID, rnd *prng.Source) Decision {
 // InRefractory reports whether the unknown/in-debt slot is closed at now.
 func (l *List) InRefractory(now Time) bool { return now < l.refractoryUntil }
 
-// RefractoryUntil returns when the current refractory period lapses.
-func (l *List) RefractoryUntil() Time { return l.refractoryUntil }
-
 // AddIntroduction records that introducer vouches for introducee. The
 // introduction is dropped silently if the cap is reached or introductions
 // are disabled. Re-introduction refreshes the introducer.
@@ -413,12 +410,3 @@ func (l *List) consumeIntroduction(introducee, introducer ids.PeerID) {
 func (l *List) ForgetIntroducer(p ids.PeerID) {
 	l.intros = slices.DeleteFunc(l.intros, func(in intro) bool { return in.introducer == p })
 }
-
-// PendingIntroductions returns the number of outstanding introductions.
-func (l *List) PendingIntroductions() int { return len(l.intros) }
-
-// HasIntroduction reports whether p holds an unconsumed introduction.
-func (l *List) HasIntroduction(p ids.PeerID) bool { return l.introOf(p) >= 0 }
-
-// Known returns the number of known-peers entries.
-func (l *List) Known() int { return len(l.entries) }

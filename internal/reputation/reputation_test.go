@@ -191,7 +191,7 @@ func TestIntroductionBypassesRefractory(t *testing.T) {
 	}
 	introducer, introducee := ids.PeerID(1), ids.PeerID(2)
 	l.AddIntroduction(0, introducer, introducee)
-	if !l.HasIntroduction(introducee) {
+	if l.introOf(introducee) < 0 {
 		t.Fatal("introduction not recorded")
 	}
 	d := l.Consider(Time(day)/2, introducee, rnd)
@@ -203,7 +203,7 @@ func TestIntroductionBypassesRefractory(t *testing.T) {
 		t.Errorf("introduced peer grade %v, want even", g)
 	}
 	// Consumed: a second invitation does not bypass.
-	if l.HasIntroduction(introducee) {
+	if l.introOf(introducee) >= 0 {
 		t.Error("introduction not consumed")
 	}
 }
@@ -215,18 +215,18 @@ func TestIntroductionForgetSemantics(t *testing.T) {
 	l.AddIntroduction(0, a, x)
 	l.AddIntroduction(0, a, y) // a introduces two peers
 	l.AddIntroduction(0, b, z)
-	if l.PendingIntroductions() != 3 {
-		t.Fatalf("pending %d", l.PendingIntroductions())
+	if len(l.intros) != 3 {
+		t.Fatalf("pending %d", len(l.intros))
 	}
 	// Consuming x's introduction (by a) forgets a's other introductions.
 	rnd := prng.New(5)
 	if d := l.Consider(0, x, rnd); d != AdmitIntroduced {
 		t.Fatalf("decision %v", d)
 	}
-	if l.HasIntroduction(y) {
+	if l.introOf(y) >= 0 {
 		t.Error("introducer's other introductions not forgotten")
 	}
-	if !l.HasIntroduction(z) {
+	if l.introOf(z) < 0 {
 		t.Error("unrelated introduction was forgotten")
 	}
 }
@@ -236,11 +236,11 @@ func TestIntroductionReintroductionOverwrites(t *testing.T) {
 	a, b, x := ids.PeerID(1), ids.PeerID(2), ids.PeerID(10)
 	l.AddIntroduction(0, a, x)
 	l.AddIntroduction(0, b, x) // b re-introduces x
-	if l.PendingIntroductions() != 1 {
-		t.Fatalf("pending %d", l.PendingIntroductions())
+	if len(l.intros) != 1 {
+		t.Fatalf("pending %d", len(l.intros))
 	}
 	l.ForgetIntroducer(b)
-	if l.HasIntroduction(x) {
+	if l.introOf(x) >= 0 {
 		t.Error("ForgetIntroducer left the overwritten introduction")
 	}
 }
@@ -252,8 +252,8 @@ func TestIntroductionCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.AddIntroduction(0, ids.PeerID(1), ids.PeerID(uint32(100+i)))
 	}
-	if l.PendingIntroductions() != 3 {
-		t.Errorf("cap not enforced: %d", l.PendingIntroductions())
+	if len(l.intros) != 3 {
+		t.Errorf("cap not enforced: %d", len(l.intros))
 	}
 	if l.IntroductionsCut != 7 {
 		t.Errorf("cut counter %d", l.IntroductionsCut)
@@ -265,7 +265,7 @@ func TestIntroductionsDisabled(t *testing.T) {
 	p.IntroductionsEnabled = false
 	l := NewList(p)
 	l.AddIntroduction(0, ids.PeerID(1), ids.PeerID(2))
-	if l.PendingIntroductions() != 0 {
+	if len(l.intros) != 0 {
 		t.Error("introductions recorded while disabled")
 	}
 }
@@ -273,7 +273,7 @@ func TestIntroductionsDisabled(t *testing.T) {
 func TestSelfIntroductionIgnored(t *testing.T) {
 	l := NewList(params())
 	l.AddIntroduction(0, ids.PeerID(1), ids.PeerID(1))
-	if l.PendingIntroductions() != 0 {
+	if len(l.intros) != 0 {
 		t.Error("self-introduction recorded")
 	}
 }
@@ -296,7 +296,7 @@ func TestConsiderCounters(t *testing.T) {
 		t.Errorf("counter sum mismatch: %d+%d+%d != %d",
 			l.AdmittedUnknown, l.DroppedRandom, l.RejectedRefract, total)
 	}
-	if l.Known() == 0 {
+	if len(l.entries) == 0 {
 		t.Error("no entries recorded")
 	}
 }

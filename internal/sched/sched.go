@@ -76,13 +76,6 @@ func New() *Schedule { return &Schedule{} }
 // Len returns the number of live reservations.
 func (s *Schedule) Len() int { return len(s.tasks) }
 
-// Tasks returns a copy of the live reservations in start order.
-func (s *Schedule) Tasks() []Task {
-	out := make([]Task, len(s.tasks))
-	copy(out, s.tasks)
-	return out
-}
-
 // GC drops reservations that ended at or before now. Call periodically (the
 // peer does, on poll boundaries) to keep the schedule small.
 func (s *Schedule) GC(now Time) {
@@ -249,24 +242,4 @@ func (s *Schedule) BusyFraction(from, to Time) float64 {
 		}
 	}
 	return float64(busy) / float64(to-from)
-}
-
-// Validate checks the internal invariant (sorted, non-overlapping) and
-// returns an error describing the first violation. Property tests call it.
-func (s *Schedule) Validate() error {
-	for i := 1; i < len(s.tasks); i++ {
-		a, b := s.tasks[i-1], s.tasks[i]
-		if b.Start < a.Start {
-			return fmt.Errorf("sched: tasks out of order at %d", i)
-		}
-		if b.Start < a.End {
-			return fmt.Errorf("sched: %q overlaps %q", b.Label, a.Label)
-		}
-	}
-	for _, t := range s.tasks {
-		if t.End <= t.Start {
-			return fmt.Errorf("sched: empty task %q", t.Label)
-		}
-	}
-	return nil
 }

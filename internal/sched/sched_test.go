@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -79,8 +80,8 @@ func TestGC(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("GC left %d tasks, want 1", s.Len())
 	}
-	if s.Tasks()[0].Label != "new" {
-		t.Errorf("wrong survivor: %v", s.Tasks()[0].Label)
+	if s.tasks[0].Label != "new" {
+		t.Errorf("wrong survivor: %v", s.tasks[0].Label)
 	}
 }
 
@@ -435,4 +436,24 @@ func TestScheduleChecksDoNotAllocate(t *testing.T) {
 			t.Errorf("BusyFraction with background %v: %v allocations", bg != nil, n)
 		}
 	}
+}
+
+// Validate checks the internal invariant (sorted, non-overlapping) and
+// returns an error describing the first violation.
+func (s *Schedule) Validate() error {
+	for i := 1; i < s.Len(); i++ {
+		a, b := s.tasks[i-1], s.tasks[i]
+		if b.Start < a.Start {
+			return fmt.Errorf("sched: tasks out of order at %d", i)
+		}
+		if b.Start < a.End {
+			return fmt.Errorf("sched: %q overlaps %q", b.Label, a.Label)
+		}
+	}
+	for _, t := range s.tasks {
+		if t.End <= t.Start {
+			return fmt.Errorf("sched: empty task %q", t.Label)
+		}
+	}
+	return nil
 }

@@ -241,7 +241,7 @@ func FuzzEventQueue(f *testing.F) {
 					continue
 				}
 				id := retired[int(arg)%len(retired)]
-				before := e.Pending()
+				before := queued(e)
 				if e.Cancel(id) || e.Take(id) != nil {
 					t.Fatalf("stale Cancel or Take(%d) succeeded", id)
 				}
@@ -253,16 +253,16 @@ func FuzzEventQueue(f *testing.F) {
 						t.Fatalf("forged Cancel or Take(%#x) of a free slot succeeded", forged)
 					}
 				}
-				if e.Pending() != before {
-					t.Fatalf("stale Cancel(%d) changed Pending %d -> %d", id, before, e.Pending())
+				if queued(e) != before {
+					t.Fatalf("stale Cancel(%d) changed the queued count %d -> %d", id, before, queued(e))
 				}
 			case 5: // schedule far ahead, into the high digits
 				schedule(e.Now().Add(Duration(arg+1) << 40))
 			case 6: // leap to just short of 1<<62
 				runTo(max(e.Now(), leapTo-Time(arg)))
 			}
-			if e.Pending() != len(pending) {
-				t.Fatalf("Pending() = %d, model has %d", e.Pending(), len(pending))
+			if queued(e) != len(pending) {
+				t.Fatalf("%d events queued, model has %d", queued(e), len(pending))
 			}
 			base := e.base
 			if at, ok := e.Next(); ok != (len(pending) > 0) {
@@ -349,7 +349,7 @@ func TestQueueMatchesSortedOrder(t *testing.T) {
 	for len(all) < total/2 {
 		schedule(instant())
 	}
-	for e.Pending() > 0 || len(all) < total {
+	for queued(e) > 0 || len(all) < total {
 		for len(all) < total && rnd.IntN(4) == 0 {
 			schedule(instant())
 		}
@@ -416,7 +416,7 @@ func TestQueueStorageAndAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Errorf("steady-state schedule and fire allocated %.3f times per event", allocs/batch)
 	}
-	peak := e.Pending() + batch
+	peak := queued(e) + batch
 	if n := e.Run(math.MaxInt64); n != hold {
 		t.Fatalf("drained %d events, want %d", n, hold)
 	}

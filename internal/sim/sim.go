@@ -40,12 +40,6 @@ const (
 // Add returns the instant d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
-// Sub returns the duration from u to t.
-func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
-// Seconds returns t as floating-point seconds since simulation start.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // String formats the instant as days and a wall-clock remainder, which reads
 // well on multi-month preservation timelines.
 func (t Time) String() string {
@@ -137,7 +131,6 @@ type Engine struct {
 	slots     []slot
 	bucket    []uint8
 	freeSlots []uint32
-	stopped   bool
 
 	// Executed counts events that have fired, for progress reporting and
 	// engine benchmarks.
@@ -347,13 +340,6 @@ func (e *Engine) emptied(b int) {
 	}
 }
 
-// Pending returns the number of events waiting to fire: every occupied slot
-// holds exactly one.
-func (e *Engine) Pending() int { return len(e.slots) - len(e.freeSlots) }
-
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // fire pops bucket 0's head, which settle put there, advances the clock and
 // runs it. The slot is vacated first, so the event may schedule (reusing it)
 // or Cancel its own, now stale, ID.
@@ -376,15 +362,14 @@ func (e *Engine) fire() {
 // clock would pass `until`. Events scheduled exactly at `until` do fire.
 // It returns the number of events executed by this call.
 func (e *Engine) Run(until Time) uint64 {
-	e.stopped = false
 	var n uint64
-	for !e.stopped && e.settle(until) {
+	for e.settle(until) {
 		e.fire()
 		n++
 	}
 	// Advance the clock to the horizon even if the queue drained early, so
 	// time-integrated metrics cover the full window.
-	if !e.stopped && e.now < until {
+	if e.now < until {
 		e.now = until
 	}
 	return n

@@ -204,9 +204,6 @@ func open(dir string, interval time.Duration) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // auDir returns the directory for one AU.
 func (s *Store) auDir(id content.AUID) string {
 	return filepath.Join(s.root, fmt.Sprintf("au-%08d", id))

@@ -70,7 +70,6 @@ type Event struct {
 	PollID  uint64 `json:"poll_id,omitempty"`
 	Block   int32  `json:"block,omitempty"`
 	Outcome uint8  `json:"outcome,omitempty"`
-	kind    EventKind
 }
 
 // ringSlot packs one event into atomic words so a reader can race writers
@@ -106,12 +105,6 @@ func NewRing(size int) *Ring {
 	}
 	return &Ring{slots: make([]ringSlot, n), mask: uint64(n - 1)}
 }
-
-// Cap returns the ring's capacity in events.
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Appended returns the total number of events ever appended.
-func (r *Ring) Appended() uint64 { return r.next.Load() }
 
 // Append records one event, overwriting the oldest when full.
 func (r *Ring) Append(kind EventKind, t int64, peer, other, au uint32, pollID uint64, block int32, outcome uint8) {
@@ -150,7 +143,6 @@ func (r *Ring) Snapshot() []Event {
 			Seq:     v1>>1 - 1,
 			T:       t,
 			Kind:    k.String(),
-			kind:    k,
 			Peer:    uint32(peers >> 32),
 			Other:   uint32(peers),
 			AU:      uint32(auBlock >> 32),

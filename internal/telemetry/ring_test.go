@@ -7,8 +7,8 @@ import (
 
 func TestRingAppendSnapshot(t *testing.T) {
 	r := NewRing(16)
-	if r.Cap() != 16 {
-		t.Fatalf("Cap = %d", r.Cap())
+	if len(r.slots) != 16 {
+		t.Fatalf("%d slots", len(r.slots))
 	}
 	r.Append(EvPollStart, 100, 1, 0, 7, 42, 0, 0)
 	r.Append(EvSolicit, 110, 1, 2, 7, 42, 0, 0)
@@ -28,17 +28,17 @@ func TestRingAppendSnapshot(t *testing.T) {
 	if e := ev[2]; e.Kind != "conclude" || e.Outcome != 3 {
 		t.Errorf("conclude event round trip: %+v", e)
 	}
-	if r.Appended() != 3 {
-		t.Errorf("Appended = %d", r.Appended())
+	if r.next.Load() != 3 {
+		t.Errorf("Appended = %d", r.next.Load())
 	}
 }
 
 func TestRingMinimumSize(t *testing.T) {
-	if got := NewRing(1).Cap(); got != 16 {
-		t.Errorf("NewRing(1).Cap() = %d, want 16", got)
+	if got := len(NewRing(1).slots); got != 16 {
+		t.Errorf("len(NewRing(1).slots) = %d, want 16", got)
 	}
-	if got := NewRing(17).Cap(); got != 32 {
-		t.Errorf("NewRing(17).Cap() = %d, want 32 (power of two)", got)
+	if got := len(NewRing(17).slots); got != 32 {
+		t.Errorf("len(NewRing(17).slots) = %d, want 32 (power of two)", got)
 	}
 }
 
@@ -65,8 +65,8 @@ func TestRingWraparound(t *testing.T) {
 			t.Errorf("event fields inconsistent: %+v", e)
 		}
 	}
-	if r.Appended() != total {
-		t.Errorf("Appended = %d, want %d", r.Appended(), total)
+	if r.next.Load() != total {
+		t.Errorf("Appended = %d, want %d", r.next.Load(), total)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestRingConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readerWG.Wait()
-	if r.Appended() != writers*per {
-		t.Fatalf("Appended = %d, want %d", r.Appended(), writers*per)
+	if r.next.Load() != writers*per {
+		t.Fatalf("Appended = %d, want %d", r.next.Load(), writers*per)
 	}
 }

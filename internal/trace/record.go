@@ -138,13 +138,6 @@ func (r *Recorder) RepairApplied(peer ids.PeerID, au content.AUID, pollID uint64
 func (r *Recorder) VoteSupplied(voter, poller ids.PeerID, au content.AUID, pollID uint64, now sched.Time) {
 }
 
-// Err returns the sticky error, if any.
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
 // Close flushes buffered records and returns the sticky error. It does not
 // close the underlying writer.
 func (r *Recorder) Close() error {

@@ -140,7 +140,7 @@ func TestRecorderRejectsOversizedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.MsgIn(2, make([]byte, MaxFrameBytes+1), nil, 1)
-	if r.Err() == nil {
+	if r.Close() == nil {
 		t.Error("oversized frame must set the sticky error")
 	}
 }

@@ -419,9 +419,6 @@ func (w *World) Specs() []content.AUSpec {
 	return out
 }
 
-// Peer returns the i-th loyal peer.
-func (w *World) Peer(i int) *protocol.Peer { return w.Peers[i] }
-
 // SeedAcquaintance initializes the steady-state grade matrix.
 func (w *World) seedAcquaintance() {
 	if !w.Cfg.SeedAllEven {
@@ -486,14 +483,4 @@ func (w *World) DefenderEffort() effort.Seconds {
 		total += p.Ledger().Total
 	}
 	return total
-}
-
-// DefenderEffortByKind aggregates loyal ledgers per kind.
-func (w *World) DefenderEffortByKind() (out [effort.NumKinds]effort.Seconds) {
-	for _, p := range w.Peers {
-		for k, v := range p.Ledger().ByKind {
-			out[k] += v
-		}
-	}
-	return out
 }

@@ -26,7 +26,7 @@ func TestSmokeBaseline(t *testing.T) {
 	m := w.Metrics
 	t.Logf("events=%d polls=%v alarms=%d damage=%d repaired=%d votes=%d afp=%.2e",
 		w.Engine.Executed, m.Polls, m.Alarms, m.DamageEvents, m.RepairsFixed, m.VotesSupplied, m.AccessFailureProbability())
-	t.Logf("defender effort by kind: %v", w.DefenderEffortByKind())
+	t.Logf("defender effort by kind: %v", effortByKind(w))
 	if gap, ok := m.MeanSuccessInterval(); ok {
 		t.Logf("mean success interval: %.1f days", gap/float64(24*3600*1e9))
 	}

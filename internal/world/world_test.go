@@ -20,6 +20,16 @@ func tinyConfig() Config {
 	return cfg
 }
 
+// effortByKind aggregates the loyal peers' ledgers per kind.
+func effortByKind(w *World) (out [effort.NumKinds]effort.Seconds) {
+	for _, p := range w.Peers {
+		for k, v := range p.Ledger().ByKind {
+			out[k] += v
+		}
+	}
+	return out
+}
+
 func TestNewValidation(t *testing.T) {
 	bad := tinyConfig()
 	bad.Peers = 0
@@ -207,7 +217,7 @@ func TestDefenderEffortAggregation(t *testing.T) {
 	if w.DefenderEffort() <= 0 {
 		t.Fatal("no defender effort recorded")
 	}
-	byKind := w.DefenderEffortByKind()
+	byKind := effortByKind(w)
 	var sum effort.Seconds
 	for _, v := range byKind {
 		sum += v
