@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"syscall"
 
 	"lockss/internal/content"
 )
@@ -221,16 +222,27 @@ func readManifest(dir string) (*manifest, error) {
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power loss,
-// counting the fsync in fsyncs.
+// counting the fsync in fsyncs. A filesystem that cannot fsync a directory
+// is no error (see dirSyncUnsupported); any other failure, EIO included, is:
+// the rename may not be durable.
 func syncDir(dir string, fsyncs *atomic.Uint64) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	// Some filesystems reject fsync on directories; the rename itself is
-	// still atomic there, so the error is not fatal to correctness.
-	_ = fsync(d, fsyncs)
-	return d.Close()
+	serr := fsync(d, fsyncs)
+	cerr := d.Close()
+	if serr != nil && !dirSyncUnsupported(serr) {
+		return serr
+	}
+	return cerr
+}
+
+// dirSyncUnsupported reports whether a directory fsync failed only because
+// the filesystem does not fsync directories. The rename itself is still
+// atomic there, so nothing durable is lost.
+func dirSyncUnsupported(err error) bool {
+	return errors.Is(err, errors.ErrUnsupported) || errors.Is(err, syscall.EINVAL)
 }
 
 // fsync syncs f and counts the call in fsyncs (the store's Stats.Fsyncs).

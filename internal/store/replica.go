@@ -2,9 +2,13 @@ package store
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io"
 	"os"
+	"runtime/debug"
 	"sync"
+	"unsafe"
 
 	"lockss/internal/content"
 )
@@ -15,10 +19,25 @@ import (
 // bytes first, fsync, then the manifest atomically. Unlike the in-memory
 // implementations, a store Replica is safe for concurrent use: the node's
 // actor loop and the scrub workers serialize on an internal lock.
+//
+// Where the platform allows, the block file is also mapped read-only and
+// shared, and hashing reads the mapped bytes in place instead of copying
+// each block out of the page cache (see blockLocked). Repairs and injected
+// damage still write through f, and the shared mapping shows those writes.
 type Replica struct {
 	st  *Store
 	dir string
 	man *manifest
+
+	// mapMu is the mapping's reader lock: a reader holds it shared from
+	// before it reads m until it is done with the mapped bytes, and close
+	// holds it exclusively, before mu, while it unmaps. Lock order: mapMu,
+	// then mu.
+	mapMu sync.RWMutex
+	// m maps the block file, or is nil: on a platform without mappings, when
+	// the map failed, and after close. Guarded by mapMu or mu for reading,
+	// written under both.
+	m []byte
 
 	mu sync.Mutex
 	f  *os.File
@@ -57,26 +76,38 @@ func (r *Replica) Generation() uint64 {
 // the scrubber has not reached yet.
 func (r *Replica) VoteHashes(nonce []byte) []content.Hash { return content.VoteHashesOf(r, nonce) }
 
-// WalkBlocks implements content.Replica, reading each block into one reused
-// buffer. The lock is held only while a block is read, never while fn runs,
-// so scrub and repair of this AU interleave with a long hashing pass. An
+// WalkBlocks implements content.Replica through blockLocked: a mapped
+// replica passes each block's bytes in place, any other reads them into one
+// buffer it reuses. The lock is held only while a block is located (or
+// read), never while fn runs, so scrub and repair of this AU interleave with
+// a long hashing pass; a mapped payload may therefore show a repair or
+// damage written to that block during fn, which then reads as rot. An
 // unreadable block passes an empty payload: its vote simply disagrees there
 // and the poll's repair machinery takes over, rather than the protocol loop
 // panicking.
 func (r *Replica) WalkBlocks(from int, fn func(i int, payload []byte) bool) {
-	spec := r.Spec()
-	buf := make([]byte, spec.BlockSize)
-	for i := from; i < spec.Blocks(); i++ {
-		r.mu.Lock()
-		b, err := r.readBlockLocked(i, buf)
-		r.mu.Unlock()
-		if err != nil {
-			b = buf[:0]
-		}
-		if !fn(i, b) {
+	n := r.Spec().Blocks()
+	var buf []byte
+	for i := from; i < n; i++ {
+		if !r.walkBlock(i, &buf, fn) {
 			return
 		}
 	}
+}
+
+// walkBlock passes block i to fn, holding the mapping's reader lock until
+// fn returns so close cannot unmap the payload under it. So fn must not
+// close the store: Close would wait for fn.
+func (r *Replica) walkBlock(i int, buf *[]byte, fn func(i int, payload []byte) bool) bool {
+	r.mapMu.RLock()
+	defer r.mapMu.RUnlock()
+	r.mu.Lock()
+	b, err := r.blockLocked(i, buf)
+	r.mu.Unlock()
+	if err != nil {
+		b = nil
+	}
+	return fn(i, b)
 }
 
 // Snapshot implements content.Replica from the persisted damage marks.
@@ -187,21 +218,22 @@ func (r *Replica) ApplyRepair(i int, data []byte) error {
 	return nil
 }
 
-// verifyBlock reads block i into buf (grown as needed and returned for
-// reuse), hashes it, and compares against the manifest: a mismatch records a
-// fresh damage mark and a match clears a stale one — the scrubber's write
-// side. Mark changes ride the commit train (re-derivable from the block
-// bytes, so deferral loses nothing a crash could not already take). It
-// returns whether the block verified and whether the manifest now marks it
-// damaged.
-func (r *Replica) verifyBlock(i int, buf []byte) (ok, marked bool, bufOut []byte, err error) {
+// verifyBlock hashes block i (through blockLocked, copying into *buf only
+// without a mapping) and compares it against the manifest: a mismatch
+// records a fresh damage mark and a match clears a stale one — the
+// scrubber's write side. Mark changes ride the commit train (re-derivable
+// from the block bytes, so deferral loses nothing a crash could not already
+// take). It returns whether the block verified and whether the manifest now
+// marks it damaged.
+func (r *Replica) verifyBlock(i int, buf *[]byte) (ok, marked bool, err error) {
+	r.mapMu.RLock()
+	defer r.mapMu.RUnlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b, err := r.readBlockLocked(i, buf)
+	b, err := r.blockLocked(i, buf)
 	if err != nil {
-		return false, r.man.marks[i] != 0, buf, err
+		return false, r.man.marks[i] != 0, err
 	}
-	buf = b
 	sum := content.Hash(sha256.Sum256(b))
 	ok = sum == r.man.digests[i]
 	switch {
@@ -219,22 +251,25 @@ func (r *Replica) verifyBlock(i int, buf []byte) (ok, marked bool, bufOut []byte
 		r.persistLocked()
 		r.st.blocksRepaired.Add(1)
 	}
-	return ok, r.man.marks[i] != 0, buf, nil
+	return ok, r.man.marks[i] != 0, nil
 }
 
-// checkBlock reads block i into buf (grown as needed and returned for reuse)
-// under the lock, then hashes it outside the lock, reporting whether it
-// matches its manifest digest and whether the manifest marks it damaged. It
-// changes nothing.
-func (r *Replica) checkBlock(i int, buf []byte) (ok, marked bool, bufOut []byte, err error) {
+// checkBlock locates block i through blockLocked under the lock (copying
+// into *buf only without a mapping), then hashes it outside the lock,
+// reporting whether it matches its manifest digest and whether the manifest
+// marks it damaged. It changes nothing. Mapped bytes hashed outside the lock
+// may show a write to the block made meanwhile, which then reads as rot.
+func (r *Replica) checkBlock(i int, buf *[]byte) (ok, marked bool, err error) {
+	r.mapMu.RLock()
+	defer r.mapMu.RUnlock()
 	r.mu.Lock()
-	b, err := r.readBlockLocked(i, buf)
+	b, err := r.blockLocked(i, buf)
 	digest, marked := r.man.digests[i], r.man.marks[i] != 0
 	r.mu.Unlock()
 	if err != nil {
-		return false, marked, buf, err
+		return false, marked, err
 	}
-	return content.Hash(sha256.Sum256(b)) == digest, marked, b, nil
+	return content.Hash(sha256.Sum256(b)) == digest, marked, nil
 }
 
 // injectDamage flips the bits of one byte in the middle of the block,
@@ -272,6 +307,71 @@ func (r *Replica) freshMarkLocked() content.Mark {
 	return m
 }
 
+// blockLocked returns block i's bytes for hashing, the one accessor every
+// hashing read goes through. A mapped replica returns them in place, valid
+// until the caller drops the mapping's reader lock; any other reads them
+// into *buf (grown as needed). The caller holds mapMu shared and mu.
+//
+// A mapped block is used only after two checks, so that it fails exactly as
+// the copying read would: the file must still cover the whole block (a
+// partial last page of a truncated file reads as zeros, not as a fault), and
+// every page of the block must read without a fault (truncation racing the
+// size check, or an IO error).
+func (r *Replica) blockLocked(i int, buf *[]byte) ([]byte, error) {
+	if r.m == nil {
+		b, err := r.readBlockLocked(i, *buf)
+		if err == nil {
+			*buf = b
+		}
+		return b, err
+	}
+	lo, hi := r.man.spec.BlockRange(i)
+	size, err := fileSize(r.f)
+	if err != nil {
+		return nil, r.readErr(i, err)
+	}
+	b := r.m[lo:hi]
+	if hi > size || !probe(r.m, b) {
+		return nil, r.readErr(i, io.EOF)
+	}
+	return b, nil
+}
+
+// probe touches one byte in every page of b, a slice of the mapping m,
+// reporting false if that faults. A fault at an address outside m is not
+// the store's to absorb and panics again.
+func probe(m, b []byte) (ok bool) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if ok {
+			return
+		}
+		e := recover()
+		f, isFault := e.(interface{ Addr() uintptr })
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(m)))
+		if !isFault || f.Addr() < base || f.Addr()-base >= uintptr(len(m)) {
+			panic(e)
+		}
+	}()
+	touch(b)
+	return true
+}
+
+// pageSize is the stride at which probe touches a block.
+var pageSize = os.Getpagesize()
+
+// touch reads b's first byte, one byte a page after it, and its last byte;
+// b is a mapped block, never empty. It is not inlined, so the reads it
+// returns the sum of are not discarded.
+//
+//go:noinline
+func touch(b []byte) (sum byte) {
+	for off := 0; off < len(b); off += pageSize {
+		sum += b[off]
+	}
+	return sum + b[len(b)-1]
+}
+
 // readBlockLocked reads block i into buf (grown as needed).
 func (r *Replica) readBlockLocked(i int, buf []byte) ([]byte, error) {
 	if r.f == nil {
@@ -284,9 +384,14 @@ func (r *Replica) readBlockLocked(i int, buf []byte) ([]byte, error) {
 	}
 	buf = buf[:n]
 	if _, err := r.f.ReadAt(buf, lo); err != nil {
-		return nil, fmt.Errorf("store: read block %d of %v: %w", i, r.man.spec, err)
+		return nil, r.readErr(i, err)
 	}
 	return buf, nil
+}
+
+// readErr is the error a read of block i that failed with err returns.
+func (r *Replica) readErr(i int, err error) error {
+	return fmt.Errorf("store: read block %d of %v: %w", i, r.man.spec, err)
 }
 
 // writeBlockLocked writes and fsyncs block i's bytes.
@@ -313,15 +418,23 @@ func (r *Replica) persistLocked() {
 	r.st.committer.markDirty(r)
 }
 
-// close closes the block file. It needs no fsync: every write to the file
-// (CreateFrom, writeBlockLocked, injectDamage) is synced before it returns.
+// close unmaps and closes the block file. It waits out every reader inside
+// the mapping. It needs no fsync: every write to the file (CreateFrom,
+// writeBlockLocked, injectDamage) is synced before it returns.
 func (r *Replica) close() error {
+	r.mapMu.Lock()
+	defer r.mapMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.f == nil {
 		return nil
 	}
-	err := r.f.Close()
+	var err error
+	if r.m != nil {
+		err = unmapFile(r.m)
+		r.m = nil
+	}
+	err = errors.Join(err, r.f.Close())
 	r.f = nil
 	return err
 }

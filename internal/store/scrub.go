@@ -237,7 +237,7 @@ func (s *Store) scrubLoop(cfg ScrubConfig, bucket *tokenBucket, stop chan struct
 }
 
 // scrubShard verifies one worker's share of a pass, reusing one read buffer
-// across its blocks.
+// across the blocks of replicas it cannot read in place.
 func (s *Store) scrubShard(shard []*Replica, cfg ScrubConfig, bucket *tokenBucket, stop chan struct{}) {
 	var buf []byte
 	for _, r := range shard {
@@ -252,9 +252,7 @@ func (s *Store) scrubShard(shard []*Replica, cfg ScrubConfig, bucket *tokenBucke
 			if !bucket.take(hi-lo, stop) {
 				return
 			}
-			var ok, marked bool
-			var err error
-			ok, marked, buf, err = r.verifyBlock(i, buf)
+			ok, marked, err := r.verifyBlock(i, &buf)
 			s.blocksScanned.Add(1)
 			s.bytesScrubbed.Add(uint64(hi - lo))
 			s.scrubProgressed()

@@ -289,14 +289,15 @@ func (s *Store) CreateFrom(spec content.AUSpec, salt uint64, src io.Reader) (*Re
 		return fail(fmt.Errorf("store: sync root for AU %v: %w", spec.ID, err))
 	}
 
-	r := &Replica{st: s, dir: dir, f: f, man: man, persistedGen: man.gen}
+	// The block file is synced and vouched for: hashing may read it in place.
+	r := &Replica{st: s, dir: dir, f: f, m: mapFile(f, spec.Size), man: man, persistedGen: man.gen}
 	s.mu.Lock()
 	if _, dup := s.aus[spec.ID]; dup {
 		// Defensive re-check; the creating reservation makes this
 		// unreachable, but registering a second replica for one id would be
 		// far worse than failing an ingest.
 		s.mu.Unlock()
-		f.Close()
+		r.close()
 		return nil, fmt.Errorf("store: duplicate AU %v", spec.ID)
 	}
 	s.aus[spec.ID] = r
@@ -421,7 +422,7 @@ func (s *Store) openReplica(dir string, man *manifest) (*Replica, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: AU %v block file is %d bytes, manifest says %d", man.spec.ID, fi.Size(), man.spec.Size)
 	}
-	return &Replica{st: s, dir: dir, f: f, man: man, persistedGen: man.gen}, nil
+	return &Replica{st: s, dir: dir, f: f, m: mapFile(f, fi.Size()), man: man, persistedGen: man.gen}, nil
 }
 
 // Replica returns the store's replica of an AU, or nil.
@@ -494,7 +495,7 @@ type Damage struct {
 // The store's blocks, numbered across replicas in that order, are striped
 // over min(GOMAXPROCS, blocks) workers: worker w checks every block whose
 // number is w modulo the worker count. A worker holds a replica's lock only
-// while it reads a block, never while it hashes one.
+// while it locates or reads a block, never while it hashes one.
 func (s *Store) VerifyAll() []Damage {
 	reps := s.Replicas()
 	specs := make([]content.AUSpec, len(reps))
@@ -521,8 +522,7 @@ func (s *Store) VerifyAll() []Damage {
 					j++
 				}
 				id, i := specs[j].ID, seq-base
-				ok, marked, b, err := reps[j].checkBlock(i, buf)
-				buf = b
+				ok, marked, err := reps[j].checkBlock(i, &buf)
 				switch {
 				case err != nil:
 					found[w] = append(found[w], finding{seq, Damage{AU: id, Block: i, Marked: marked, Unreadable: true, Err: err}})

@@ -226,7 +226,8 @@ func TestCrashDuringRepairLeavesMarked(t *testing.T) {
 		t.Fatal("damage mark lost across the crash")
 	}
 	// A scrub pass completes the interrupted repair.
-	ok, marked, _, err := r2.verifyBlock(2, nil)
+	var buf []byte
+	ok, marked, err := r2.verifyBlock(2, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
