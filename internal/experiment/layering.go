@@ -71,8 +71,10 @@ func (b *bgLoad) Bucket(k int64) []sched.Task {
 	if k < 0 {
 		cache, i = &b.before, -k-1
 	}
-	if n := int64(len(*cache)); i >= n {
-		*cache = append(*cache, make([][]sched.Task, i+1-n)...)
+	// Grown one nil at a time: append(s, make(...)...) is free only where
+	// the compiler elides the temporary, which a -race build does not.
+	for int64(len(*cache)) <= i {
+		*cache = append(*cache, nil)
 	}
 	if ts := (*cache)[i]; ts != nil {
 		return ts

@@ -36,17 +36,17 @@ type blockOutcome struct {
 	err        string
 }
 
-func outcome(ok, marked bool, err error) blockOutcome {
-	o := blockOutcome{ok: ok, marked: marked}
-	if err != nil {
-		o.err = err.Error()
+func outcome(b blockResult) blockOutcome {
+	o := blockOutcome{ok: b.ok, marked: b.marked}
+	if b.err != nil {
+		o.err = b.err.Error()
 	}
 	return o
 }
 
 // readsOf is everything the hashing reads report for r, in the order a
-// test may safely take them: the read-only ones, then verifyBlock, which
-// marks rot.
+// test may safely take them: the read-only ones, then verifyBlocks, which
+// marks rot. Blocks are checked and verified in runs of one.
 type readsOf struct {
 	votes    []content.Hash
 	payloads [][]byte
@@ -62,11 +62,14 @@ func collectReads(r *Replica) readsOf {
 		return true
 	})
 	var buf []byte
+	var res [1]blockResult
 	for i := range r.Spec().Blocks() {
-		got.checks = append(got.checks, outcome(r.checkBlock(i, &buf)))
+		r.checkBlocks(i, res[:], &buf)
+		got.checks = append(got.checks, outcome(res[0]))
 	}
 	for i := range r.Spec().Blocks() {
-		got.verifies = append(got.verifies, outcome(r.verifyBlock(i, &buf)))
+		r.verifyBlocks(i, res[:], &buf)
+		got.verifies = append(got.verifies, outcome(res[0]))
 	}
 	return got
 }

@@ -218,58 +218,107 @@ func (r *Replica) ApplyRepair(i int, data []byte) error {
 	return nil
 }
 
-// verifyBlock hashes block i (through blockLocked, copying into *buf only
-// without a mapping) and compares it against the manifest: a mismatch
-// records a fresh damage mark and a match clears a stale one — the
-// scrubber's write side. Mark changes ride the commit train (re-derivable
-// from the block bytes, so deferral loses nothing a crash could not already
-// take). It returns whether the block verified and whether the manifest now
-// marks it damaged.
-func (r *Replica) verifyBlock(i int, buf *[]byte) (ok, marked bool, err error) {
+// blockResult is what hashing one block against its manifest digest found:
+// whether it verified, whether the manifest marks it damaged, and the read
+// error if it could not be read.
+type blockResult struct {
+	ok, marked bool
+	err        error
+}
+
+// verifyBlocks verifies the run of len(res) <= runBlocks consecutive blocks
+// starting at from, block by block in order, into res: a mismatch records a
+// fresh damage mark and a match clears a stale one — the scrubber's write
+// side. Mark changes ride the commit train (re-derivable from the block
+// bytes, so deferral loses nothing a crash could not already take). r.mu is
+// held across the whole run: up to sixteen blocks of hashing, 1 MiB at the
+// archive's 64 KiB blocks. A run mappedRunLocked accepts is hashed by
+// sum16; any other hashes block by block through blockLocked, copying into
+// *buf only without a mapping. Either way every block gets the outcome,
+// marks, counters and error a run of one would give it.
+func (r *Replica) verifyBlocks(from int, res []blockResult, buf *[]byte) {
 	r.mapMu.RLock()
 	defer r.mapMu.RUnlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b, err := r.blockLocked(i, buf)
-	if err != nil {
-		return false, r.man.marks[i] != 0, err
+	var sums [runBlocks]content.Hash
+	run := r.mappedRunLocked(from, len(res))
+	if run != nil {
+		sum16(run, len(run)/runBlocks, len(run)/runBlocks, &sums)
 	}
-	sum := content.Hash(sha256.Sum256(b))
-	ok = sum == r.man.digests[i]
-	switch {
-	case !ok && r.man.marks[i] == 0:
-		r.man.marks[i] = r.freshMarkLocked()
-		r.man.gen++
-		r.persistLocked()
-		r.st.blocksDamaged.Add(1)
-	case ok && r.man.marks[i] != 0:
-		// The bytes verify but the manifest says damaged: a repair (or a
-		// crash-interrupted one) healed the block before the manifest caught
-		// up. Complete it.
-		r.man.marks[i] = 0
-		r.man.gen++
-		r.persistLocked()
-		r.st.blocksRepaired.Add(1)
+	for k := range res {
+		i := from + k
+		if run == nil {
+			b, err := r.blockLocked(i, buf)
+			if err != nil {
+				res[k] = blockResult{marked: r.man.marks[i] != 0, err: err}
+				continue
+			}
+			sums[k] = sha256.Sum256(b)
+		}
+		ok := sums[k] == r.man.digests[i]
+		switch {
+		case !ok && r.man.marks[i] == 0:
+			r.man.marks[i] = r.freshMarkLocked()
+			r.man.gen++
+			r.persistLocked()
+			r.st.blocksDamaged.Add(1)
+		case ok && r.man.marks[i] != 0:
+			// The bytes verify but the manifest says damaged: a repair (or a
+			// crash-interrupted one) healed the block before the manifest
+			// caught up. Complete it.
+			r.man.marks[i] = 0
+			r.man.gen++
+			r.persistLocked()
+			r.st.blocksRepaired.Add(1)
+		}
+		res[k] = blockResult{ok: ok, marked: r.man.marks[i] != 0}
 	}
-	return ok, r.man.marks[i] != 0, nil
 }
 
-// checkBlock locates block i through blockLocked under the lock (copying
-// into *buf only without a mapping), then hashes it outside the lock,
-// reporting whether it matches its manifest digest and whether the manifest
-// marks it damaged. It changes nothing. Mapped bytes hashed outside the lock
-// may show a write to the block made meanwhile, which then reads as rot.
-func (r *Replica) checkBlock(i int, buf *[]byte) (ok, marked bool, err error) {
+// checkBlocks checks the run of len(res) <= runBlocks consecutive blocks
+// starting at from against their manifest digests into res, changing
+// nothing. It locates a run mappedRunLocked accepts under the lock and
+// hashes it with sum16 outside; any other run goes block by block, each
+// located (or copied into *buf) under the lock and hashed outside it.
+// Mapped bytes hashed outside the lock may show a write to the block made
+// meanwhile, which then reads as rot.
+func (r *Replica) checkBlocks(from int, res []blockResult, buf *[]byte) {
 	r.mapMu.RLock()
 	defer r.mapMu.RUnlock()
+	r.mu.Lock()
+	run := r.mappedRunLocked(from, len(res))
+	if run == nil {
+		r.mu.Unlock()
+		for k := range res {
+			res[k] = r.checkBlock(from+k, buf)
+		}
+		return
+	}
+	var digests [runBlocks]content.Hash
+	copy(digests[:], r.man.digests[from:])
+	for k := range res {
+		res[k] = blockResult{marked: r.man.marks[from+k] != 0}
+	}
+	r.mu.Unlock()
+	var sums [runBlocks]content.Hash
+	sum16(run, len(run)/runBlocks, len(run)/runBlocks, &sums)
+	for k := range res {
+		res[k].ok = sums[k] == digests[k]
+	}
+}
+
+// checkBlock is checkBlocks for the one block i. The caller holds mapMu
+// shared.
+func (r *Replica) checkBlock(i int, buf *[]byte) blockResult {
 	r.mu.Lock()
 	b, err := r.blockLocked(i, buf)
 	digest, marked := r.man.digests[i], r.man.marks[i] != 0
 	r.mu.Unlock()
 	if err != nil {
-		return false, marked, err
+		return blockResult{marked: marked, err: err}
 	}
-	return content.Hash(sha256.Sum256(b)) == digest, marked, nil
+	return blockResult{ok: content.Hash(sha256.Sum256(b)) == digest, marked: marked}
 }
 
 // injectDamage flips the bits of one byte in the middle of the block,
@@ -308,15 +357,10 @@ func (r *Replica) freshMarkLocked() content.Mark {
 }
 
 // blockLocked returns block i's bytes for hashing, the one accessor every
-// hashing read goes through. A mapped replica returns them in place, valid
-// until the caller drops the mapping's reader lock; any other reads them
-// into *buf (grown as needed). The caller holds mapMu shared and mu.
-//
-// A mapped block is used only after two checks, so that it fails exactly as
-// the copying read would: the file must still cover the whole block (a
-// partial last page of a truncated file reads as zeros, not as a fault), and
-// every page of the block must read without a fault (truncation racing the
-// size check, or an IO error).
+// hashing read of a single block goes through. A mapped replica returns
+// them in place (see mappedLocked), valid until the caller drops the
+// mapping's reader lock; any other reads them into *buf (grown as needed).
+// The caller holds mapMu shared and mu.
 func (r *Replica) blockLocked(i int, buf *[]byte) ([]byte, error) {
 	if r.m == nil {
 		b, err := r.readBlockLocked(i, *buf)
@@ -330,11 +374,51 @@ func (r *Replica) blockLocked(i int, buf *[]byte) ([]byte, error) {
 	if err != nil {
 		return nil, r.readErr(i, err)
 	}
-	b := r.m[lo:hi]
-	if hi > size || !probe(r.m, b) {
+	b, ok := r.mappedLocked(lo, hi, size)
+	if !ok {
 		return nil, r.readErr(i, io.EOF)
 	}
 	return b, nil
+}
+
+// mappedRunLocked returns the mapped bytes of the n blocks starting at from
+// when sum16 can hash them in place as one run: a full run of runBlocks
+// blocks, all of the AU's full block size, on a CPU with the kernel, mapped
+// and passing mappedLocked under one fstat. Otherwise it returns nil and the
+// run goes block by block, through checks that fail each block exactly as a
+// run of one would. The caller holds mapMu shared and mu.
+func (r *Replica) mappedRunLocked(from, n int) []byte {
+	if !hasSum16 || n != runBlocks || r.m == nil {
+		return nil
+	}
+	lo, _ := r.man.spec.BlockRange(from)
+	_, hi := r.man.spec.BlockRange(from + n - 1)
+	if hi-lo != runBlocks*r.man.spec.BlockSize {
+		return nil // the AU's short last block
+	}
+	size, err := fileSize(r.f)
+	if err != nil {
+		return nil
+	}
+	b, ok := r.mappedLocked(lo, hi, size)
+	if !ok {
+		return nil
+	}
+	return b
+}
+
+// mappedLocked returns the mapped bytes [lo, hi) of a file size bytes long,
+// reporting whether they may be used: only if the file covers them all (a
+// partial last page of a truncated file reads as zeros, not as a fault) and
+// every page of them reads without a fault (truncation racing the size
+// check, or an IO error). A mapped block used only after these checks fails
+// exactly as the copying read would.
+func (r *Replica) mappedLocked(lo, hi, size int64) ([]byte, bool) {
+	if hi > size {
+		return nil, false
+	}
+	b := r.m[lo:hi]
+	return b, probe(r.m, b)
 }
 
 // probe touches one byte in every page of b, a slice of the mapping m,
@@ -356,6 +440,10 @@ func probe(m, b []byte) (ok bool) {
 	touch(b)
 	return true
 }
+
+// runBlocks is the most consecutive blocks of one replica a single
+// verification takes at once: the lanes of sum16.
+const runBlocks = 16
 
 // pageSize is the stride at which probe touches a block.
 var pageSize = os.Getpagesize()

@@ -88,9 +88,9 @@ func (s *Store) StartScrub(cfg ScrubConfig) {
 }
 
 // SetScrubPace retunes the per-block pause of a running scrubber; workers
-// pick the new pace up at their next block. Also effective before StartScrub
-// is called again: StartScrub resets it from its config. Negative means no
-// pause.
+// pick the new pace up at their next block (their next run of blocks while
+// unpaced). Also effective before StartScrub is called again: StartScrub
+// resets it from its config. Negative means no pause.
 func (s *Store) SetScrubPace(d time.Duration) {
 	if d == 0 {
 		d = time.Second
@@ -156,16 +156,21 @@ func (s *Store) ScrubStalled() bool {
 }
 
 // scrubBound is the longest a healthy scrubber goes without progress: three
-// times one pass pause, one pace and one largest block's wait for the byte
-// budget, plus that block's read at scrubReadFloor and scrubSlack. The
-// caller holds scrubMu.
+// times one pass pause, one pace and one largest run's wait for the byte
+// budget, plus that run's read at scrubReadFloor and scrubSlack. A run is
+// one block, or runBlocks blocks verified at once while the pace is
+// negative. The caller holds scrubMu.
 func (s *Store) scrubBound() time.Duration {
-	wait := float64(max(s.scrubRest, 0) + max(time.Duration(s.scrubPace.Load()), 0))
-	block := float64(s.scrubBlock)
-	if bw := s.scrubBW.Load(); bw > 0 {
-		wait += block / float64(bw) * float64(time.Second)
+	pace := time.Duration(s.scrubPace.Load())
+	wait := float64(max(s.scrubRest, 0) + max(pace, 0))
+	run := float64(s.scrubBlock)
+	if pace < 0 {
+		run *= runBlocks
 	}
-	return time.Duration(3*wait+block/scrubReadFloor*float64(time.Second)) + scrubSlack
+	if bw := s.scrubBW.Load(); bw > 0 {
+		wait += run / float64(bw) * float64(time.Second)
+	}
+	return time.Duration(3*wait+run/scrubReadFloor*float64(time.Second)) + scrubSlack
 }
 
 // scrubPassStarted records a pass starting whose largest block is largest.
@@ -237,34 +242,48 @@ func (s *Store) scrubLoop(cfg ScrubConfig, bucket *tokenBucket, stop chan struct
 }
 
 // scrubShard verifies one worker's share of a pass, reusing one read buffer
-// across the blocks of replicas it cannot read in place.
+// across the blocks of replicas it cannot read in place. A paced worker
+// verifies one block at a time; an unpaced one takes runs of up to
+// runBlocks blocks, which verifyBlocks may hash in lockstep. Either way each
+// block is counted, reported and marked as a run of one would have it.
 func (s *Store) scrubShard(shard []*Replica, cfg ScrubConfig, bucket *tokenBucket, stop chan struct{}) {
 	var buf []byte
+	var res [runBlocks]blockResult
 	for _, r := range shard {
 		spec := r.Spec()
-		for i := 0; i < spec.Blocks(); i++ {
-			// Pace is re-read per block so SetScrubPace retunes a
-			// running pass, not just the next one.
-			if !sleepOrStop(time.Duration(s.scrubPace.Load()), stop) {
+		for i := 0; i < spec.Blocks(); {
+			// Pace is re-read per run so SetScrubPace retunes a running
+			// pass, not just the next one.
+			pace := time.Duration(s.scrubPace.Load())
+			if !sleepOrStop(pace, stop) {
 				return
 			}
-			lo, hi := spec.BlockRange(i)
+			n := 1
+			if pace < 0 {
+				n = min(runBlocks, spec.Blocks()-i)
+			}
+			lo, _ := spec.BlockRange(i)
+			_, hi := spec.BlockRange(i + n - 1)
 			if !bucket.take(hi-lo, stop) {
 				return
 			}
-			ok, marked, err := r.verifyBlock(i, &buf)
-			s.blocksScanned.Add(1)
-			s.bytesScrubbed.Add(uint64(hi - lo))
-			s.scrubProgressed()
-			if err != nil {
-				continue // unreadable now; retried next pass
+			r.verifyBlocks(i, res[:n], &buf)
+			for k, b := range res[:n] {
+				blo, bhi := spec.BlockRange(i + k)
+				s.blocksScanned.Add(1)
+				s.bytesScrubbed.Add(uint64(bhi - blo))
+				s.scrubProgressed()
+				if b.err != nil {
+					continue // unreadable now; retried next pass
+				}
+				if b.ok && !b.marked {
+					s.blocksVerified.Add(1)
+				}
+				if b.marked && cfg.OnDamage != nil {
+					cfg.OnDamage(spec.ID, i+k)
+				}
 			}
-			if ok && !marked {
-				s.blocksVerified.Add(1)
-			}
-			if marked && cfg.OnDamage != nil {
-				cfg.OnDamage(spec.ID, i)
-			}
+			i += n
 		}
 	}
 }

@@ -492,42 +492,53 @@ type Damage struct {
 // Unreadable set and verification continues, so the report always covers the
 // whole store. A nil slice means everything verifies.
 //
-// The store's blocks, numbered across replicas in that order, are striped
-// over min(GOMAXPROCS, blocks) workers: worker w checks every block whose
-// number is w modulo the worker count. A worker holds a replica's lock only
-// while it locates or reads a block, never while it hashes one.
+// Each replica's blocks are cut into runs of runBlocks (its last run may be
+// shorter), and the store's runs, numbered across replicas in order, are
+// striped over min(GOMAXPROCS, runs) workers: worker w checks every run
+// whose number is w modulo the worker count, through checkBlocks. A worker
+// holds a replica's lock only while it locates or reads blocks, never while
+// it hashes them.
 func (s *Store) VerifyAll() []Damage {
 	reps := s.Replicas()
-	specs := make([]content.AUSpec, len(reps))
-	total := 0
-	for j, r := range reps {
-		specs[j] = r.Spec()
-		total += specs[j].Blocks()
+	type run struct {
+		r            *Replica
+		au           content.AUID
+		from, n, seq int // seq: the run's first block's number across the store
+	}
+	var runs []run
+	seq := 0
+	for _, r := range reps {
+		spec := r.Spec()
+		for i := 0; i < spec.Blocks(); i += runBlocks {
+			n := min(runBlocks, spec.Blocks()-i)
+			runs = append(runs, run{r, spec.ID, i, n, seq})
+			seq += n
+		}
 	}
 	type finding struct {
 		seq int // the block's number across the store
 		d   Damage
 	}
-	found := make([][]finding, min(runtime.GOMAXPROCS(0), total))
+	found := make([][]finding, min(runtime.GOMAXPROCS(0), len(runs)))
 	var wg sync.WaitGroup
 	for w := range found {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var buf []byte
-			j, base := 0, 0 // the replica holding block seq, and its first number
-			for seq := w; seq < total; seq += len(found) {
-				for seq-base >= specs[j].Blocks() {
-					base += specs[j].Blocks()
-					j++
-				}
-				id, i := specs[j].ID, seq-base
-				ok, marked, err := reps[j].checkBlock(i, &buf)
-				switch {
-				case err != nil:
-					found[w] = append(found[w], finding{seq, Damage{AU: id, Block: i, Marked: marked, Unreadable: true, Err: err}})
-				case !ok:
-					found[w] = append(found[w], finding{seq, Damage{AU: id, Block: i, Marked: marked}})
+			var res [runBlocks]blockResult
+			for u := w; u < len(runs); u += len(found) {
+				ru := runs[u]
+				ru.r.checkBlocks(ru.from, res[:ru.n], &buf)
+				for k, b := range res[:ru.n] {
+					d := Damage{AU: ru.au, Block: ru.from + k, Marked: b.marked}
+					switch {
+					case b.err != nil:
+						d.Unreadable, d.Err = true, b.err
+					case b.ok:
+						continue
+					}
+					found[w] = append(found[w], finding{ru.seq + k, d})
 				}
 			}
 		}()

@@ -227,7 +227,9 @@ func TestCrashDuringRepairLeavesMarked(t *testing.T) {
 	}
 	// A scrub pass completes the interrupted repair.
 	var buf []byte
-	ok, marked, err := r2.verifyBlock(2, &buf)
+	var res [1]blockResult
+	r2.verifyBlocks(2, res[:], &buf)
+	ok, marked, err := res[0].ok, res[0].marked, res[0].err
 	if err != nil {
 		t.Fatal(err)
 	}
