@@ -84,13 +84,10 @@ func TestLedger(t *testing.T) {
 }
 
 func TestSimProof(t *testing.T) {
-	p := SimProof{Effort: 2.5, Genuine: true}
-	if p.Cost() != 2.5 || !p.Valid(nil) {
-		t.Error("genuine sim proof misbehaves")
-	}
-	bad := SimProof{Effort: 2.5, Genuine: false}
-	if bad.Valid([]byte("ctx")) {
-		t.Error("bogus sim proof validates")
+	for _, p := range []Proof{SimProof{Effort: 2.5, Genuine: true}, SimProof{Effort: 2.5}} {
+		if p.Cost() != 2.5 {
+			t.Errorf("%+v: Cost() = %v, want its claimed effort whether genuine or not", p, p.Cost())
+		}
 	}
 }
 
@@ -177,17 +174,11 @@ func TestMBFProofInterface(t *testing.T) {
 	if pr.Cost() != 2 {
 		t.Errorf("Cost() = %v", pr.Cost())
 	}
-	if !pr.Valid(ctx) {
-		t.Error("Valid through interface failed")
-	}
-	// Unbound proofs (fresh off the wire) must not validate until bound.
+	// A proof rebuilt from its fields, as the wire decodes it, verifies
+	// against the shared table alone.
 	clone := &MBFProof{Units: p.Units, Checkpoints: p.Checkpoints, Digest: p.Digest, UnitCost: p.UnitCost}
-	if clone.Valid(ctx) {
-		t.Error("unbound proof validated")
-	}
-	m.Bind(clone)
-	if !clone.Valid(ctx) {
-		t.Error("bound clone failed to validate")
+	if !m.Verify(clone, ctx) {
+		t.Error("rebuilt proof failed to verify")
 	}
 }
 

@@ -121,20 +121,10 @@ type MBFProof struct {
 	// UnitCost is the effort-seconds one walk represents, as the prover
 	// claims it. A real verifier ignores it and prices walks at its own unit.
 	UnitCost Seconds
-
-	mbf *MBF // bound at generation/verification time, not serialized
 }
 
 // Cost implements Proof.
 func (p *MBFProof) Cost() Seconds { return Seconds(float64(p.Units) * float64(p.UnitCost)) }
-
-// Valid implements Proof: it spot-checks VerifySegments segments per unit.
-func (p *MBFProof) Valid(context []byte) bool {
-	if p.mbf == nil {
-		return false
-	}
-	return p.mbf.Verify(p, context)
-}
 
 // walkFrom advances the walk from state through n steps, mixing context, and
 // returns the final state. The address of each fetch depends on the previous
@@ -192,7 +182,7 @@ func (m *MBF) Generate(context []byte, units int, unitCost Seconds) (*MBFProof, 
 	}
 	var r Receipt
 	copy(r[:], digest.Sum(nil))
-	p := &MBFProof{Units: units, Checkpoints: cps, UnitCost: unitCost, mbf: m}
+	p := &MBFProof{Units: units, Checkpoints: cps, UnitCost: unitCost}
 	// The transmitted digest is an HMAC-style commitment to the byproduct,
 	// so the verifier can check consistency without learning the receipt.
 	p.Digest = commitReceipt(r, context)
@@ -208,10 +198,6 @@ func commitReceipt(r Receipt, context []byte) Receipt {
 	copy(out[:], mac.Sum(nil))
 	return out
 }
-
-// Bind attaches the MBF instance to a proof received off the wire so Valid
-// can verify it.
-func (m *MBF) Bind(p *MBFProof) { p.mbf = m }
 
 // Verify re-walks VerifySegments randomly-chosen (deterministically from the
 // context) segments per unit and checks them against the checkpoints. A

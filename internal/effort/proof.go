@@ -7,19 +7,16 @@ import (
 
 // Proof is a proof of computational effort attached to a protocol message.
 // The simulator uses SimProof (a claimed cost plus a validity bit, charged
-// against the sender's schedule); the real node uses MBFProof.
+// against the sender's schedule); the real node uses MBFProof. Each side's
+// environment verifies its own form: only MBFProof crosses the wire.
 type Proof interface {
 	// Cost is the effort the prover claims to have expended.
 	Cost() Seconds
-	// Valid reports whether the proof checks out for the given binding
-	// context (poller, voter, poll nonce...). Verification cost is charged
-	// separately by the caller using CostModel.VerifyCost.
-	Valid(context []byte) bool
 }
 
 // SimProof is the simulator's symbolic proof of effort. Generating one in
-// the simulator charges the claimed cost to the sender; Valid is a recorded
-// fact rather than a cryptographic check.
+// the simulator charges the claimed cost to the sender; Genuine is a
+// recorded fact rather than a cryptographic check.
 type SimProof struct {
 	Effort  Seconds
 	Genuine bool
@@ -27,9 +24,6 @@ type SimProof struct {
 
 // Cost implements Proof.
 func (p SimProof) Cost() Seconds { return p.Effort }
-
-// Valid implements Proof.
-func (p SimProof) Valid([]byte) bool { return p.Genuine }
 
 // Receipt is the 160-bit unforgeable byproduct of generating a proof of
 // effort. The voter remembers it when generating the vote's effort proof;

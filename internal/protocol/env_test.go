@@ -58,14 +58,16 @@ func (e *fakeEnv) MakeProof(ctx []byte, cost effort.Seconds, receipt *effort.Rec
 }
 
 func (e *fakeEnv) VerifyProof(ctx []byte, p effort.Proof, minCost effort.Seconds) bool {
-	return p != nil && p.Valid(ctx) && p.Cost() >= minCost-1e-9
+	sp, ok := p.(effort.SimProof)
+	return ok && sp.Genuine && sp.Effort >= minCost-1e-9
 }
 
 func (e *fakeEnv) EvalReceipt(ctx []byte, p effort.Proof) (effort.Receipt, bool) {
-	if p == nil || !p.Valid(ctx) {
+	sp, ok := p.(effort.SimProof)
+	if !ok || !sp.Genuine {
 		return effort.Receipt{}, false
 	}
-	return effort.SimReceiptFor(ctx, p.Cost()), true
+	return effort.SimReceiptFor(ctx, sp.Effort), true
 }
 
 // take drains and returns recorded sends.

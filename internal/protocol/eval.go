@@ -58,8 +58,12 @@ func (p *Peer) recomputeDisagreements(st *auState, poll *pollState, from int) {
 		if sol.state != solGotVote || sol.excluded {
 			continue
 		}
-		b := &poll.ballots[sol.ballot]
-		sol.dis = int32(b.vote.FirstDisagreement(p.ownVoteData(st, b.nonce[:])))
+		v, ok := poll.ballots[sol.ballot].vote.(SimVote)
+		if !ok {
+			sol.dis = 0 // incomparable representations disagree immediately
+			continue
+		}
+		sol.dis = int32(v.FirstDisagreement(p.ownVoteData(st, nil).(SimVote)))
 	}
 }
 
@@ -71,9 +75,10 @@ type voteChain struct {
 	prev  content.Hash
 }
 
-// rehashVotes sets each unexcluded vote's dis to what
-// vote.FirstDisagreement(VoteDataOf(r, nonce)) would give, with the vote
-// and the nonce read from the solicitation's ballot, reading r once:
+// rehashVotes sets each unexcluded vote's dis to the first block at which
+// the vote's running hashes differ from r's under the nonce read from the
+// solicitation's ballot (-1 if none; 0 for a vote that is not a HashVote),
+// reading r once:
 // one walk steps every vote's chain under its own nonce and drops a chain at
 // its first mismatch, and stops when no chain is left.
 //

@@ -239,7 +239,7 @@ func TestEvaluationMatchesRehashOnStore(t *testing.T) {
 
 // checkEvaluationMatchesRehash damages up to two blocks of poller and of
 // each of up to six voters, builds the voters' votes (some altered), and
-// checks rehashVotes against HashVote.FirstDisagreement after a first pass,
+// checks rehashVotes against hashDisagreement after a first pass,
 // after each of repairs repairs of a random block with a random voter's
 // bytes, and after restarts at blocks out of range.
 func checkEvaluationMatchesRehash(t *testing.T, poller content.Replica, rng *prng.Source, repairs int) {
@@ -293,7 +293,7 @@ func checkEvaluationMatchesRehash(t *testing.T, poller content.Replica, rng *prn
 			want := untouched
 			if sol.state == solGotVote && !sol.excluded {
 				b := &ballots[sol.ballot]
-				want = b.vote.FirstDisagreement(VoteDataOf(poller, b.nonce[:]))
+				want = hashDisagreement(b.vote, VoteDataOf(poller, b.nonce[:]).(HashVote))
 			}
 			if int(sol.dis) != want {
 				t.Fatalf("%s: vote %d of %d blocks: dis = %d, a full re-hash gives %d", step, j, n, sol.dis, want)

@@ -56,7 +56,6 @@ func (e *RealEffort) VerifyProof(ctx []byte, p effort.Proof, minCost effort.Seco
 	if !ok || mp == nil {
 		return false
 	}
-	e.mbf.Bind(mp)
 	return float64(mp.Units)*float64(e.unit) >= float64(minCost)-1e-9 && e.mbf.Verify(mp, ctx)
 }
 
@@ -66,6 +65,5 @@ func (e *RealEffort) EvalReceipt(ctx []byte, p effort.Proof) (effort.Receipt, bo
 	if !ok || mp == nil {
 		return effort.Receipt{}, false
 	}
-	e.mbf.Bind(mp)
 	return e.mbf.RecomputeByproduct(mp, ctx)
 }

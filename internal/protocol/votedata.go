@@ -12,16 +12,11 @@ import (
 // integration tests); SimVote carries the voter's damage snapshot, from
 // which the same agreement pattern is derived symbolically at a tiny
 // fraction of the cost (the hashing *effort* is charged by the cost model).
-// A property test asserts the two produce identical FirstDisagreement
-// results for identical damage states.
+// A property test asserts that SimVote.FirstDisagreement finds the block
+// rehashVotes finds for identical damage states.
 type VoteData interface {
 	// Blocks returns the number of block boundaries covered.
 	Blocks() int
-	// FirstDisagreement returns the smallest block index at which this
-	// vote's running hash differs from ref's, or -1 if they agree at every
-	// boundary. ref must be built against the evaluator's own replica under
-	// the same nonce.
-	FirstDisagreement(ref VoteData) int
 	// WireBytes is the encoded size of the vote body, used to model
 	// transfer time.
 	WireBytes() int
@@ -60,27 +55,6 @@ type HashVote struct {
 // Blocks implements VoteData.
 func (v HashVote) Blocks() int { return len(v.Hashes) }
 
-// FirstDisagreement implements VoteData.
-func (v HashVote) FirstDisagreement(ref VoteData) int {
-	o, ok := ref.(HashVote)
-	if !ok {
-		return 0 // incomparable representations disagree immediately
-	}
-	n := len(v.Hashes)
-	if len(o.Hashes) < n {
-		n = len(o.Hashes)
-	}
-	for i := 0; i < n; i++ {
-		if v.Hashes[i] != o.Hashes[i] {
-			return i
-		}
-	}
-	if len(v.Hashes) != len(o.Hashes) {
-		return n
-	}
-	return -1
-}
-
 // WireBytes implements VoteData.
 func (v HashVote) WireBytes() int { return len(v.Hashes) * 32 }
 
@@ -96,12 +70,10 @@ type SimVote struct {
 // Blocks implements VoteData.
 func (v SimVote) Blocks() int { return v.NumBlocks }
 
-// FirstDisagreement implements VoteData.
-func (v SimVote) FirstDisagreement(ref VoteData) int {
-	o, ok := ref.(SimVote)
-	if !ok {
-		return 0
-	}
+// FirstDisagreement returns the smallest block index at which the running
+// hash of v's replica would differ from that of o's, or -1 if they agree at
+// every boundary.
+func (v SimVote) FirstDisagreement(o SimVote) int {
 	i, j := 0, 0
 	for i < len(v.Dam) && j < len(o.Dam) {
 		a, b := v.Dam[i], o.Dam[j]

@@ -47,6 +47,26 @@ func TestSimVoteFirstDisagreement(t *testing.T) {
 	}
 }
 
+// hashDisagreement is the reference rehashVotes is held to: the first block
+// at which vote's running hashes differ from ref's, or -1 if they agree at
+// every boundary. A vote that is not a HashVote disagrees at 0.
+func hashDisagreement(vote VoteData, ref HashVote) int {
+	v, ok := vote.(HashVote)
+	if !ok {
+		return 0 // incomparable representations disagree immediately
+	}
+	n := min(len(v.Hashes), len(ref.Hashes))
+	for i := 0; i < n; i++ {
+		if v.Hashes[i] != ref.Hashes[i] {
+			return i
+		}
+	}
+	if len(v.Hashes) != len(ref.Hashes) {
+		return n
+	}
+	return -1
+}
+
 func TestHashVoteFirstDisagreement(t *testing.T) {
 	h := func(vals ...byte) HashVote {
 		hv := HashVote{Hashes: make([]content.Hash, len(vals))}
@@ -55,28 +75,37 @@ func TestHashVoteFirstDisagreement(t *testing.T) {
 		}
 		return hv
 	}
-	if d := h(1, 2, 3).FirstDisagreement(h(1, 2, 3)); d != -1 {
+	if d := hashDisagreement(h(1, 2, 3), h(1, 2, 3)); d != -1 {
 		t.Errorf("equal votes disagree at %d", d)
 	}
-	if d := h(1, 2, 3).FirstDisagreement(h(1, 9, 3)); d != 1 {
-		t.Errorf("FirstDisagreement = %d, want 1", d)
+	if d := hashDisagreement(h(1, 2, 3), h(1, 9, 3)); d != 1 {
+		t.Errorf("hashDisagreement = %d, want 1", d)
 	}
-	if d := h(1, 2).FirstDisagreement(h(1, 2, 3)); d != 2 {
+	if d := hashDisagreement(h(1, 2), h(1, 2, 3)); d != 2 {
 		t.Errorf("length mismatch = %d, want 2", d)
 	}
 }
 
+// TestIncomparableRepresentationsDisagree: on either evaluation path, a vote
+// in the representation the poller's replica does not use disagrees at
+// block 0.
 func TestIncomparableRepresentationsDisagree(t *testing.T) {
-	sv := SimVote{NumBlocks: 4}
-	hv := HashVote{Hashes: make([]content.Hash, 4)}
-	if sv.FirstDisagreement(hv) != 0 || hv.FirstDisagreement(sv) != 0 {
-		t.Error("mixed representations should disagree immediately")
+	spec := spec4()
+	hashed := []solicitation{{state: solGotVote, dis: -1}}
+	rehashVotes(content.NewRealReplica(spec, 1), hashed, []ballot{{vote: SimVote{NumBlocks: spec.Blocks()}}}, 0)
+	sim := &pollState{
+		sols:    []solicitation{{state: solGotVote, dis: -1}},
+		ballots: []ballot{{vote: HashVote{Hashes: make([]content.Hash, spec.Blocks())}}},
+	}
+	(&Peer{}).recomputeDisagreements(&auState{replica: content.NewSimReplica(spec, 1)}, sim, 0)
+	if hashed[0].dis != 0 || sim.sols[0].dis != 0 {
+		t.Errorf("mixed representations disagree at %d and %d, want 0", hashed[0].dis, sim.sols[0].dis)
 	}
 }
 
 // TestSimHashEquivalence is the load-bearing property: for any damage
-// pattern, the symbolic vote comparison and the real hash comparison find
-// the same first point of disagreement.
+// pattern, the symbolic vote comparison finds the first point of
+// disagreement that the real poller's rehashVotes finds.
 func TestSimHashEquivalence(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		rnd := prng.New(seed)
@@ -95,10 +124,12 @@ func TestSimHashEquivalence(t *testing.T) {
 				realB.Damage(b)
 			}
 		}
-		nonce := []byte("nonce")
-		simDis := VoteDataOf(simA, nonce).FirstDisagreement(VoteDataOf(simB, nonce))
-		realDis := VoteDataOf(realA, nonce).FirstDisagreement(VoteDataOf(realB, nonce))
-		if simDis != realDis {
+		var nonce Nonce
+		copy(nonce[:], "nonce")
+		sols := []solicitation{{state: solGotVote}}
+		rehashVotes(realB, sols, []ballot{{nonce: nonce, vote: VoteDataOf(realA, nonce[:])}}, 0)
+		simDis := VoteDataOf(simA, nil).(SimVote).FirstDisagreement(VoteDataOf(simB, nil).(SimVote))
+		if realDis := int(sols[0].dis); simDis != realDis {
 			t.Logf("seed %d: sim=%d real=%d", seed, simDis, realDis)
 			return false
 		}

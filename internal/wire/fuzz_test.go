@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"runtime/metrics"
 	"testing"
 
 	"lockss/internal/effort"
@@ -42,12 +44,41 @@ func FuzzPeek(f *testing.F) {
 	})
 }
 
+// heapAllocated reads the bytes the program has allocated so far, without
+// stopping the world.
+func heapAllocated() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// decodeAllocated returns the bytes one Decode of data allocates: the least of
+// three decodes, since the counter takes in small objects when their span is
+// refilled or a GC cycle flushes the allocator's caches, which may fall
+// within any one decode.
+func decodeAllocated(data []byte) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		before := heapAllocated()
+		Decode(data)
+		least = min(least, heapAllocated()-before)
+	}
+	return least
+}
+
+// decodeAllocLimit is the most a Decode of n bytes may allocate: a decoded
+// MBF row of one word costs 32 bytes for the 8 it takes on the wire, the
+// most of any field, and the constant covers the message itself.
+func decodeAllocLimit(n int) uint64 { return 8*uint64(n) + 64<<10 }
+
 // FuzzDecodeCanonical holds Decode to the canonical form: whatever decodes
 // re-encodes to exactly the bytes it came from, so no message has two
 // encodings, and Msg.WireSize stays within the band TestWireSizeModelsEncoding
-// allows for the representations a real node sends. The hand-written seeds
-// are non-canonical forms Decode once accepted: a boolean byte other than 0
-// or 1, and an empty MBF proof with a nonzero row length.
+// allows. Whether it accepts a frame or refuses it, Decode allocates at most
+// decodeAllocLimit. The hand-written seeds are forms Decode once accepted or
+// over-allocated for: a boolean byte other than 0 or 1, an empty MBF proof
+// with a nonzero row length, the retired tags of the simulator's symbolic
+// proof and vote, and dimensions the frame does not carry.
 func FuzzDecodeCanonical(f *testing.F) {
 	for _, m := range sampleMsgs() {
 		data, err := Encode(m)
@@ -59,14 +90,20 @@ func FuzzDecodeCanonical(f *testing.F) {
 	ack, _ := Encode(&protocol.Msg{Type: protocol.MsgPollAck, Accept: true})
 	ack[HeaderSize] = 2
 	f.Add(ack)
-	sim, _ := Encode(&protocol.Msg{Type: protocol.MsgPoll, Proof: effort.SimProof{Effort: 1, Genuine: true}})
-	sim[len(sim)-1] = 7
-	f.Add(sim)
 	mbf, _ := Encode(&protocol.Msg{Type: protocol.MsgPoll, Proof: &effort.MBFProof{}})
 	mbf[HeaderSize+16+1+4+8+3] = 1 // row length of a proof with no rows
 	f.Add(mbf)
+	for _, data := range retiredTagFrames() {
+		f.Add(data)
+	}
+	for _, h := range hostileFrames() {
+		f.Add(h.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if n, limit := decodeAllocated(data), decodeAllocLimit(len(data)); n > limit {
+			t.Fatalf("decoding %d bytes allocated %d B, over %d", len(data), n, limit)
+		}
 		m, err := Decode(data)
 		if err != nil {
 			return
@@ -78,9 +115,7 @@ func FuzzDecodeCanonical(f *testing.F) {
 		if !bytes.Equal(again, data) {
 			t.Fatalf("%x decodes to %+v, which encodes as %x", data, m, again)
 		}
-		_, simProof := m.Proof.(effort.SimProof)
-		_, simVote := m.Vote.(protocol.SimVote)
-		if d := m.WireSize() - len(data); !simProof && !simVote && (d < -32 || d > 8) {
+		if d := m.WireSize() - len(data); d < -32 || d > 8 {
 			t.Fatalf("WireSize %d for a %d-byte %v", m.WireSize(), len(data), m.Type)
 		}
 	})

@@ -4,7 +4,9 @@
 // encoding by tests) to model transfer times without serializing.
 //
 // The format is length-delimited fields in fixed big-endian layout, with
-// explicit tags for proof and vote representations. It is not
+// explicit tags for proof and vote representations: MBF proofs and hash votes
+// only. The simulator's symbolic proofs and votes never cross the wire; their
+// tags (proof 1, vote 2) are retired and decode as unknown. It is not
 // self-describing: both ends run the same protocol version.
 package wire
 
@@ -36,18 +38,12 @@ const (
 // ErrTruncated reports input shorter than its encoding requires.
 var ErrTruncated = errors.New("wire: truncated message")
 
-// proof representation tags.
+// Proof and vote representation tags.
 const (
-	proofNone byte = iota
-	proofSim
-	proofMBF
-)
-
-// vote representation tags.
-const (
-	voteNone byte = iota
-	voteHashes
-	voteSim
+	proofNone  byte = 0
+	proofMBF   byte = 2
+	voteNone   byte = 0
+	voteHashes byte = 1
 )
 
 type writer struct{ buf []byte }
@@ -127,6 +123,15 @@ func (r *reader) flag() bool {
 	return b == 1
 }
 
+// holds reports whether n elements of size bytes remain, so that a decoder
+// allocates only for elements the frame carries.
+func (r *reader) holds(n, size int) bool {
+	if r.err == nil && n > (len(r.buf)-r.off)/size {
+		r.err = ErrTruncated
+	}
+	return r.err == nil
+}
+
 func (r *reader) bytesMax(max int) []byte {
 	n := int(r.u32())
 	if r.err != nil {
@@ -150,14 +155,6 @@ func encodeProof(w *writer, p effort.Proof) error {
 	switch pr := p.(type) {
 	case nil:
 		w.u8(proofNone)
-	case effort.SimProof:
-		w.u8(proofSim)
-		w.f64(float64(pr.Effort))
-		if pr.Genuine {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
 	case *effort.MBFProof:
 		w.u8(proofMBF)
 		w.u32(uint32(pr.Units))
@@ -190,19 +187,16 @@ func decodeProof(r *reader) effort.Proof {
 	switch tag := r.u8(); tag {
 	case proofNone:
 		return nil
-	case proofSim:
-		e := r.f64()
-		genuine := r.flag()
-		return effort.SimProof{Effort: effort.Seconds(e), Genuine: genuine}
 	case proofMBF:
 		units := int(r.u32())
 		cost := r.f64()
 		rowLen := int(r.u32())
-		// A proof with no rows encodes its row length as 0.
-		if r.err == nil && (units < 0 || units > MaxProofUnits || rowLen < 0 || rowLen > MaxCheckpoints || units == 0 && rowLen != 0) {
+		// A proof with no rows encodes its row length as 0, and only such a
+		// proof has empty rows.
+		if r.err == nil && (units < 0 || units > MaxProofUnits || rowLen < 0 || rowLen > MaxCheckpoints || (units == 0) != (rowLen == 0)) {
 			r.err = fmt.Errorf("wire: MBF proof dims %dx%d out of range", units, rowLen)
 		}
-		if r.err != nil {
+		if !r.holds(units*rowLen, 8) {
 			return nil
 		}
 		p := &effort.MBFProof{Units: units, UnitCost: effort.Seconds(cost)}
@@ -236,14 +230,6 @@ func encodeVote(w *writer, v protocol.VoteData) error {
 		for _, h := range vd.Hashes {
 			w.buf = append(w.buf, h[:]...)
 		}
-	case protocol.SimVote:
-		w.u8(voteSim)
-		w.u32(uint32(vd.NumBlocks))
-		w.u32(uint32(len(vd.Dam)))
-		for _, d := range vd.Dam {
-			w.u32(uint32(d.Block))
-			w.u64(uint64(d.Mark))
-		}
 	default:
 		return fmt.Errorf("wire: unencodable vote type %T", v)
 	}
@@ -260,33 +246,15 @@ func decodeVote(r *reader) protocol.VoteData {
 		if r.err == nil && (n < 0 || n > MaxBlocks) {
 			r.err = fmt.Errorf("wire: %d vote hashes out of range", n)
 		}
-		if r.err != nil {
+		if !r.holds(n, 32) {
 			return nil
 		}
 		hv := protocol.HashVote{Hashes: make([]content.Hash, n)}
-		for i := 0; i < n; i++ {
-			if !r.need(32) {
-				return nil
-			}
+		for i := range hv.Hashes {
 			copy(hv.Hashes[i][:], r.buf[r.off:])
 			r.off += 32
 		}
 		return hv
-	case voteSim:
-		blocks := int(r.u32())
-		n := int(r.u32())
-		if r.err == nil && (blocks < 0 || blocks > MaxBlocks || n < 0 || n > blocks) {
-			r.err = fmt.Errorf("wire: sim vote dims %d/%d out of range", n, blocks)
-		}
-		if r.err != nil {
-			return nil
-		}
-		sv := protocol.SimVote{NumBlocks: blocks, Dam: make([]content.DamageEntry, n)}
-		for i := range sv.Dam {
-			sv.Dam[i].Block = int(r.u32())
-			sv.Dam[i].Mark = content.Mark(r.u64())
-		}
-		return sv
 	default:
 		r.err = fmt.Errorf("wire: unknown vote tag %d", tag)
 		return nil

@@ -1,7 +1,9 @@
 package wire
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -18,6 +20,7 @@ import (
 func sampleMsgs() []*protocol.Msg {
 	mbf := effort.NewMBF(effort.MBFParams{TableWords: 1 << 8, Steps: 64, Checkpoints: 4, VerifySegments: 2, Seed: 1})
 	mbfProof, _ := mbf.Generate([]byte("ctx"), 2, 0.5)
+	oneWalk, _ := mbf.Generate([]byte("intro"), 1, 1.5)
 	var nonce protocol.Nonce
 	copy(nonce[:], "0123456789abcdef")
 	var receipt effort.Receipt
@@ -26,7 +29,7 @@ func sampleMsgs() []*protocol.Msg {
 		{
 			Type: protocol.MsgPoll, AU: 3, PollID: 77, Poller: 1, Voter: 2,
 			VoteBy: 1000, PollDeadline: 2000,
-			Proof: effort.SimProof{Effort: 1.5, Genuine: true},
+			Proof: oneWalk,
 		},
 		{
 			Type: protocol.MsgPoll, AU: 3, PollID: 78, Poller: 1, Voter: 2,
@@ -41,18 +44,15 @@ func sampleMsgs() []*protocol.Msg {
 		{Type: protocol.MsgPollAck, AU: 3, PollID: 77, Poller: 1, Voter: 2, Accept: false, Refuse: protocol.RefuseBusy},
 		{
 			Type: protocol.MsgPollProof, AU: 3, PollID: 77, Poller: 1, Voter: 2,
-			Nonce: nonce, Proof: effort.SimProof{Effort: 8, Genuine: true},
+			Nonce: nonce, Proof: mbfProof,
 		},
 		{
 			Type: protocol.MsgVote, AU: 3, PollID: 77, Poller: 1, Voter: 2,
 			Vote:        protocol.HashVote{Hashes: []content.Hash{{1}, {2}, {3}}},
 			Nominations: []ids.PeerID{4, 5, 6},
-			Proof:       effort.SimProof{Effort: 0.02, Genuine: true},
+			Proof:       oneWalk,
 		},
-		{
-			Type: protocol.MsgVote, AU: 3, PollID: 77, Poller: 1, Voter: 2,
-			Vote: protocol.SimVote{NumBlocks: 512, Dam: []content.DamageEntry{{Block: 9, Mark: 0xdeadbeef}}},
-		},
+		{Type: protocol.MsgVote, AU: 3, PollID: 77, Poller: 1, Voter: 2}, // no vote, no proof
 		{Type: protocol.MsgRepairRequest, AU: 3, PollID: 77, Poller: 1, Voter: 2, Block: 42},
 		{
 			Type: protocol.MsgRepair, AU: 3, PollID: 77, Poller: 1, Voter: 2,
@@ -72,27 +72,10 @@ func TestRoundTripAllTypes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("msg %d (%v): decode: %v", i, m.Type, err)
 		}
-		normalize(m)
-		normalize(back)
 		if !reflect.DeepEqual(m, back) {
 			t.Errorf("msg %d (%v): round trip mismatch:\n got %+v\nwant %+v", i, m.Type, back, m)
 		}
 	}
-}
-
-// normalize clears unexported/unserialized state (the MBF binding) so
-// DeepEqual compares wire-visible content.
-func normalize(m *protocol.Msg) {
-	if mp, ok := m.Proof.(*effort.MBFProof); ok {
-		clone := *mp
-		m.Proof = &clone
-		effortUnbind(m.Proof.(*effort.MBFProof))
-	}
-}
-
-// effortUnbind zeroes the internal binding via re-construction.
-func effortUnbind(p *effort.MBFProof) {
-	*p = effort.MBFProof{Units: p.Units, Checkpoints: p.Checkpoints, Digest: p.Digest, UnitCost: p.UnitCost}
 }
 
 func TestDecodedMBFProofVerifies(t *testing.T) {
@@ -111,7 +94,6 @@ func TestDecodedMBFProofVerifies(t *testing.T) {
 	if !ok {
 		t.Fatalf("proof decoded as %T", back.Proof)
 	}
-	mbf.Bind(mp)
 	if !mbf.Verify(mp, []byte("ctx")) {
 		t.Error("decoded proof does not verify")
 	}
@@ -145,17 +127,72 @@ func TestUnknownTypeRejected(t *testing.T) {
 	}
 }
 
+// header starts a hand-built frame of type t.
+func header(t protocol.MsgType) []byte {
+	b := binary.BigEndian.AppendUint32([]byte{byte(t)}, 1) // AU
+	b = binary.BigEndian.AppendUint64(b, 0)                // poll ID
+	return append(b, 0, 0, 0, 1, 0, 0, 0, 2)               // poller, voter
+}
+
+// hostileFrame is a frame that claims more than it carries. A truncated one
+// claims dimensions within the decoder's limits.
+type hostileFrame struct {
+	name      string
+	data      []byte
+	truncated bool
+}
+
+func hostileFrames() []hostileFrame {
+	be := binary.BigEndian
+	mbf := func(units, rowLen uint32) []byte {
+		b := be.AppendUint64(be.AppendUint64(header(protocol.MsgPoll), 1000), 2000)
+		b = be.AppendUint32(append(b, proofMBF), units)
+		return be.AppendUint32(be.AppendUint64(b, 0), rowLen)
+	}
+	hashes := func(n uint32) []byte {
+		return be.AppendUint32(append(header(protocol.MsgVote), voteHashes), n)
+	}
+	return []hostileFrame{
+		{"poll proof of 1024x4096 words", mbf(1024, MaxCheckpoints), true},
+		{"vote of 2^20 hashes", hashes(1 << 20), true},
+		{"poll proof of 65536 empty rows", mbf(MaxProofUnits, 0), false},
+		{"vote of 2^31-1 hashes", hashes(1<<31 - 1), false},
+	}
+}
+
+// TestHostileDimensionsRejected: a frame that claims more elements than it
+// carries is refused before Decode allocates them. The frames are a few dozen
+// bytes; the rows or hashes they claim would take 1.5 MiB to 64 GiB.
 func TestHostileDimensionsRejected(t *testing.T) {
-	// A Vote claiming 2^31 hashes must not allocate.
-	var buf bytes.Buffer
-	buf.Write([]byte{byte(protocol.MsgVote)})
-	buf.Write([]byte{0, 0, 0, 1})             // au
-	buf.Write(make([]byte, 8))                // pollID
-	buf.Write([]byte{0, 0, 0, 1, 0, 0, 0, 2}) // poller, voter
-	buf.Write([]byte{1})                      // voteHashes tag
-	buf.Write([]byte{0x7F, 0xFF, 0xFF, 0xFF}) // count
-	if _, err := Decode(buf.Bytes()); err == nil {
-		t.Error("hostile hash count accepted")
+	for _, f := range hostileFrames() {
+		_, err := Decode(f.data)
+		if err == nil || f.truncated && !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want a refusal (ErrTruncated: %v)", f.name, err, f.truncated)
+		}
+		if n, limit := decodeAllocated(f.data), decodeAllocLimit(len(f.data)); n > limit {
+			t.Errorf("%s: decoding %d bytes allocated %d B, over %d", f.name, len(f.data), n, limit)
+		}
+	}
+}
+
+// retiredTagFrames are a proof under tag 1 and a vote under tag 2, each with
+// the body the simulator's symbolic forms once had on the wire.
+func retiredTagFrames() [][]byte {
+	be := binary.BigEndian
+	poll := be.AppendUint64(be.AppendUint64(header(protocol.MsgPoll), 1000), 2000)
+	poll = append(be.AppendUint64(append(poll, 1), math.Float64bits(1)), 1)
+	vote := be.AppendUint32(be.AppendUint32(append(header(protocol.MsgVote), 2), 512), 0)
+	vote = append(be.AppendUint16(vote, 0), proofNone)
+	return [][]byte{poll, vote}
+}
+
+// TestRetiredTagsRefused: the simulator's symbolic proofs and votes never
+// cross the wire, so their tags decode as unknown.
+func TestRetiredTagsRefused(t *testing.T) {
+	for _, data := range retiredTagFrames() {
+		if m, err := Decode(data); err == nil {
+			t.Errorf("%x decoded as %+v", data, m)
+		}
 	}
 }
 
@@ -230,8 +267,7 @@ func TestDeadlinesSurvive(t *testing.T) {
 // TestWireSizeModelsEncoding: the simulator times transfers using
 // Msg.WireSize; for messages without effort proofs the model must match the
 // real encoding closely, and for proof-bearing messages it must never be
-// smaller than a same-shape real proof would occupy (simulated proofs are
-// sized as-if-real, so the simulated network is never optimistically fast).
+// smaller than the encoding less its digest.
 func TestWireSizeModelsEncoding(t *testing.T) {
 	for i, m := range sampleMsgs() {
 		data, err := Encode(m)
@@ -239,29 +275,12 @@ func TestWireSizeModelsEncoding(t *testing.T) {
 			t.Fatal(err)
 		}
 		model := m.WireSize()
-		if _, symbolic := m.Vote.(protocol.SimVote); symbolic {
-			// Symbolic votes are sized as the hash representation would be
-			// (so network timing is representation-independent): the model
-			// must dominate the sparse encoding.
-			if model < len(data) {
-				t.Errorf("msg %d (%v): symbolic model %d below encoding %d", i, m.Type, model, len(data))
-			}
-			continue
-		}
-		switch m.Proof.(type) {
-		case nil:
-			diff := model - len(data)
-			if diff < -8 || diff > 8 {
+		if m.Proof == nil {
+			if diff := model - len(data); diff < -8 || diff > 8 {
 				t.Errorf("msg %d (%v): modeled %d vs encoded %d", i, m.Type, model, len(data))
 			}
-		case *effort.MBFProof:
-			if model < len(data)-32 {
-				t.Errorf("msg %d (%v): model %d below encoding %d", i, m.Type, model, len(data))
-			}
-		case effort.SimProof:
-			if model < len(data) {
-				t.Errorf("msg %d (%v): sim-proof model %d below encoding %d", i, m.Type, model, len(data))
-			}
+		} else if model < len(data)-32 {
+			t.Errorf("msg %d (%v): model %d below encoding %d", i, m.Type, model, len(data))
 		}
 	}
 }

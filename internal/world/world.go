@@ -300,15 +300,17 @@ func (e *Env) MakeProof(ctx []byte, cost effort.Seconds, receipt *effort.Receipt
 
 // VerifyProof implements protocol.Env.
 func (e *Env) VerifyProof(ctx []byte, p effort.Proof, minCost effort.Seconds) bool {
-	return p != nil && p.Valid(ctx) && p.Cost() >= minCost-1e-9
+	sp, ok := p.(effort.SimProof)
+	return ok && sp.Genuine && sp.Effort >= minCost-1e-9
 }
 
 // EvalReceipt implements protocol.Env.
 func (e *Env) EvalReceipt(ctx []byte, p effort.Proof) (effort.Receipt, bool) {
-	if p == nil || !p.Valid(ctx) {
+	sp, ok := p.(effort.SimProof)
+	if !ok || !sp.Genuine {
 		return effort.Receipt{}, false
 	}
-	return effort.SimReceiptFor(ctx, p.Cost()), true
+	return effort.SimReceiptFor(ctx, sp.Effort), true
 }
 
 // PeerIDOf maps a peer index to its PeerID (1-based).

@@ -196,6 +196,33 @@ func TestBurstChargesLedger(t *testing.T) {
 	}
 }
 
+// TestEnvChecksSymbolicProofs: the simulator's environment accepts a proof
+// only if it is a genuine SimProof covering the cost asked, and derives a
+// receipt only from a genuine SimProof.
+func TestEnvChecksSymbolicProofs(t *testing.T) {
+	var e Env
+	ctx := []byte("ctx")
+	for _, c := range []struct {
+		p        effort.Proof
+		min      effort.Seconds
+		verifies bool
+		receipt  bool
+	}{
+		{effort.SimProof{Effort: 2, Genuine: true}, 2, true, true},
+		{effort.SimProof{Effort: 2, Genuine: true}, 3, false, true},
+		{effort.SimProof{Effort: 2}, 1, false, false},
+		{&effort.MBFProof{Units: 1, UnitCost: 5}, 1, false, false},
+		{nil, 0, false, false},
+	} {
+		if got := e.VerifyProof(ctx, c.p, c.min); got != c.verifies {
+			t.Errorf("VerifyProof(%+v, %v) = %v, want %v", c.p, c.min, got, c.verifies)
+		}
+		if _, got := e.EvalReceipt(ctx, c.p); got != c.receipt {
+			t.Errorf("EvalReceipt(%+v) ok = %v, want %v", c.p, got, c.receipt)
+		}
+	}
+}
+
 func TestDamageProcessRate(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Duration = 2 * sim.Year
